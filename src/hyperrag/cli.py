@@ -35,6 +35,7 @@ from .pipeline import (
     PipelineConfig,
     answer_query,
     evaluate,
+    phase1_inputs,
     run_training,
 )
 from .spectral import cheeger_check, refine_subgraph, relevance_vector
@@ -153,28 +154,9 @@ def cmd_align(args, config: PipelineConfig, writer: RecordWriter) -> int:
     return 0
 
 
-def _phase1_inputs(bundle: CorpusBundle):
-    """Labeled contrastive batch plus (confidence, needs-retrieval) pairs,
-    matching the end-to-end trainer's construction."""
-    from .pipeline import _sigma_of_scores
-
-    by_id = bundle.item_by_id()
-    per_query: dict[str, tuple[list, list]] = {}
-    for qid, iid, flag in bundle.labels:
-        pos, neg = per_query.setdefault(qid, ([], []))
-        (pos if flag else neg).append(by_id[iid])
-    query_of = {q.id: q for q in bundle.queries}
-    labeled = [(query_of[qid], pos, neg) for qid, (pos, neg) in per_query.items()]
-    gating_pairs = [
-        (_sigma_of_scores(bundle.confidence.get(qid)), needs)
-        for qid, needs in bundle.gating
-    ]
-    return labeled, gating_pairs
-
-
 def cmd_crm(args, config: PipelineConfig, writer: RecordWriter) -> int:
     bundle = _bundle_arg(args, config)
-    labeled, gating_pairs = _phase1_inputs(bundle)
+    labeled, gating_pairs = phase1_inputs(bundle)
     _, theta, trace = train_crm(
         labeled,
         gating_pairs,

@@ -286,8 +286,10 @@ def train_crm(
     query_dim: int,
     item_dim: int,
 ) -> tuple[RelevanceHead, float, CrmTrace]:
-    """Gradient descent on the contrastive loss, then a held-out grid
-    search for theta; deterministic given config.seed."""
+    """Gradient descent on the contrastive loss, then theta from
+    ``fit_theta``'s grid search on the same gating pairs (no held-out
+    split; theta never depends on the head); deterministic given
+    config.seed."""
     config.validate()
     if not labeled:
         raise ContractViolation("train_crm requires a labeled corpus")

@@ -12,7 +12,7 @@ generator) share one decoupled-weight-decay adaptive optimizer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,13 +44,14 @@ from .generation import (
     generate,
     query_dropout_prob,
 )
-from .geometry import distances_to_rows
+from .geometry import LorentzPoint, distances_to_rows
 from .io import canonical_json_bytes
 from .spectral import (
     KnowledgeGraph,
     RelevanceVector,
     Subgraph,
-    extract_triplets,
+    embed_triplets,
+    extract_triplets,  # noqa: F401 (perfbench's tracer test rebinds it here)
     laplacian,
     refine_subgraph,
     relevance_vector,
@@ -247,9 +248,51 @@ class AdamW:
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+@dataclass(frozen=True)
+class ReadIndex:
+    """The trained embeddings that answering reads: one hyperboloid row
+    per corpus item, and one point per ``graph.triplets`` entry with its
+    head and tail vertex indices."""
+
+    corpus_rows: np.ndarray
+    triplet_points: tuple[LorentzPoint, ...]
+    triplet_heads: np.ndarray
+    triplet_tails: np.ndarray
+
+    @classmethod
+    def build(
+        cls, table: EmbeddingTable, graph: KnowledgeGraph, items: list[KnowledgeItem]
+    ) -> "ReadIndex":
+        def vertex_indices(pos: int) -> np.ndarray:
+            return np.array(
+                [graph.vertex_index(trip[pos]) for trip in graph.triplets], dtype=np.intp
+            )
+
+        return cls(
+            corpus_rows=embed_corpus_rows(table, items),
+            triplet_points=tuple(embed_triplets(graph, table, graph.triplets)),
+            triplet_heads=vertex_indices(0),
+            triplet_tails=vertex_indices(2),
+        )
+
+    def triplet_evidence(self, subgraph: Subgraph) -> list[LorentzPoint]:
+        """Points of the triplets whose head and tail both lie in the
+        subgraph, in graph order: the points of ``extract_triplets``."""
+        inside = subgraph.indicator > 0
+        keep = np.flatnonzero(inside[self.triplet_heads] & inside[self.triplet_tails])
+        return [self.triplet_points[i] for i in keep]
+
+
 @dataclass
 class PipelineComponents:
-    """Everything needed to answer queries after training."""
+    """Everything needed to answer queries after training.
+
+    The first retrieve-path answer builds a ``ReadIndex`` from ``table``,
+    ``graph`` and ``items`` and keeps it for every later answer.  So do not
+    mutate a components object once it has answered: make a copy with
+    ``dataclasses.replace`` (or ``with_crm``), which starts without an
+    index and builds its own.
+    """
 
     config: PipelineConfig
     table: EmbeddingTable
@@ -263,6 +306,12 @@ class PipelineComponents:
     confidence: dict[str, np.ndarray]
     answer_len: int
     crm_enabled: bool = True
+    _index: ReadIndex | None = field(default=None, init=False, repr=False, compare=False)
+
+    def read_index(self) -> ReadIndex:
+        if self._index is None:
+            self._index = ReadIndex.build(self.table, self.graph, self.items)
+        return self._index
 
     def with_crm(self, enabled: bool) -> "PipelineComponents":
         return replace(self, crm_enabled=enabled)
@@ -307,25 +356,22 @@ def _retrieve_ranked(
     return [items[i] for i in order[:k]]
 
 
-def _triplet_points(table: EmbeddingTable, graph: KnowledgeGraph, triplets):
-    """Embed triplets through a full-graph refinement-free path: one
-    synthetic record per triplet via extract_triplets on a covering set."""
-    # extract_triplets needs a Subgraph; a full-vertex indicator covers all.
-    full = Subgraph(
-        selected=tuple(sorted(v.id for v in graph.vertices)),
-        indicator=np.ones(graph.size),
-        induced_edges=(),
-        eta=0.0,
-        relevance_mass=0.0,
-        objective=0.0,
-    )
-    wanted = set(triplets)
-    records = extract_triplets(full, graph, table)
-    return {
-        (rec.head, rec.relation, rec.tail): rec.point
-        for rec in records
-        if (rec.head, rec.relation, rec.tail) in wanted
-    }
+def phase1_inputs(bundle: CorpusBundle):
+    """Phase-1 training data: ``(query, positives, negatives)`` per labeled
+    query, in order of first label, and ``(confidence, needs_retrieval)``
+    per gating row."""
+    by_id = bundle.item_by_id()
+    per_query: dict[str, tuple[list, list]] = {}
+    for qid, iid, flag in bundle.labels:
+        pos, neg = per_query.setdefault(qid, ([], []))
+        (pos if flag else neg).append(by_id[iid])
+    query_of = {q.id: q for q in bundle.queries}
+    labeled = [(query_of[qid], pos, neg) for qid, (pos, neg) in per_query.items()]
+    gating_pairs = [
+        (_sigma_of_scores(bundle.confidence.get(qid)), needs)
+        for qid, needs in bundle.gating
+    ]
+    return labeled, gating_pairs
 
 
 def run_training(
@@ -345,18 +391,8 @@ def run_training(
     )
 
     # Phase 1: relevance head + gating threshold on the labeled pairs.
-    per_query: dict[str, tuple[list, list]] = {}
-    for qid, iid, flag in bundle.labels:
-        pos, neg = per_query.setdefault(qid, ([], []))
-        (pos if flag else neg).append(by_id[iid])
-    query_of = {q.id: q for q in queries}
-    labeled = [
-        (query_of[qid], pos, neg) for qid, (pos, neg) in per_query.items()
-    ]
-    gating_pairs = [
-        (_sigma_of_scores(bundle.confidence.get(qid)), needs)
-        for qid, needs in bundle.gating
-    ]
+    labeled, gating_pairs = phase1_inputs(bundle)
+    per_query = {q.id: (pos, neg) for q, pos, neg in labeled}
     head, theta, _ = train_crm(
         labeled,
         gating_pairs,
@@ -464,12 +500,12 @@ def run_training(
                 counts["crm"] += len(crm_batch)
 
             rows = embed_corpus_rows(table, items)
-            point_cache = {}
-            batch_trips = set()
-            for q in gated:
-                batch_trips.update(kept_triplets.get(q.id, []))
-            if batch_trips:
-                point_cache = _triplet_points(table, bundle.graph, batch_trips)
+            batch_trips = list(
+                dict.fromkeys(t for q in gated for t in kept_triplets.get(q.id, []))
+            )
+            point_cache = dict(
+                zip(batch_trips, embed_triplets(bundle.graph, table, batch_trips))
+            )
 
             gen_scale = (1.0 - config.beta - config.gamma) / n_batch
             for idx_in_batch, q in enumerate(batch):
@@ -546,7 +582,9 @@ def answer_query(
     components: PipelineComponents, query: Query, max_len: int | None = None
 ) -> AnswerResult:
     """Gate, optionally retrieve/filter/refine, then decode; per-stage
-    wall-clock timings are recorded."""
+    wall-clock timings are recorded.  Corpus rows and triplet points come
+    from the components' read index, built on the first retrieve answer
+    (inside the ``retrieve`` timing)."""
     cfg = components.config
     max_len = components.answer_len if max_len is None else max_len
     timings: dict[str, float] = {}
@@ -567,12 +605,15 @@ def answer_query(
     if delta == 1:
         t0 = time.perf_counter()
         try:
-            rows = embed_corpus_rows(components.table, components.items)
+            index = components.read_index()
+        except HyperRagError as exc:
+            raise _with_stage(exc, "index")
+        try:
             ranked = _retrieve_ranked(
                 components.table,
                 query,
                 components.items,
-                rows,
+                index.corpus_rows,
                 min(cfg.top_k, len(components.items)),
             )
         except HyperRagError as exc:
@@ -604,7 +645,7 @@ def answer_query(
                 eigvecs=components.eigvecs,
                 seed=cfg.seed,
             )
-            records = extract_triplets(subgraph, components.graph, components.table)
+            triplet_points = index.triplet_evidence(subgraph)
         except HyperRagError as exc:
             raise _with_stage(exc, "refine")
         timings["refine"] = time.perf_counter() - t0
@@ -613,7 +654,7 @@ def answer_query(
     try:
         if delta == 1:
             evidence = [components.table.embed_item(doc) for doc in docs]
-            evidence += [rec.point for rec in records]
+            evidence += triplet_points
         q_point = components.table.embed_query(query)
         tokens, _ = generate(
             components.generator,

@@ -600,32 +600,46 @@ def extract_triplets(
     table: EmbeddingTable | None = None,
 ) -> list[TripletRecord]:
     """All triplets of the parent graph whose head and tail lie in the
-    selected set.  With an embedding table, each triplet also yields a
-    point: head/relation/tail features go through the graph-modality map
-    and their origin log-map tangents are averaged, then exp-mapped back.
+    selected set, in graph order.  With an embedding table, each triplet
+    also yields its point (see ``embed_triplets``).
     """
     selected = subgraph.vertex_set
     records = []
-    graph_dim = table.input_dims["graph_triplet"] if table is not None else 0
-    for head, rel, tail in graph.triplets:
+    for trip in graph.triplets:
+        head, rel, tail = trip
         if head not in selected or tail not in selected:
             continue
-        point = None
-        if table is not None:
-            parts = [
-                graph.vertices[graph.vertex_index(head)].features,
-                hash_features(rel, graph_dim),
-                graph.vertices[graph.vertex_index(tail)].features,
-            ]
-            base = origin(table.dim)
-            tangents = [
-                log_map(base, table.embed_features(_fit_dim(f, graph_dim), "graph_triplet"))
-                for f in parts
-            ]
-            mean_components = np.mean([t.components for t in tangents], axis=0)
-            point = exp_map(base, type(tangents[0])(base, mean_components))
+        point = None if table is None else _triplet_point(graph, table, trip)
         records.append(TripletRecord(head, rel, tail, point))
     return records
+
+
+def embed_triplets(
+    graph: KnowledgeGraph, table: EmbeddingTable, triplets
+) -> list[LorentzPoint]:
+    """One point per (head, relation, tail) triplet, in the given order:
+    head/relation/tail features go through the graph-modality map, their
+    origin log-map tangents are averaged, then exp-mapped back."""
+    return [_triplet_point(graph, table, trip) for trip in triplets]
+
+
+def _triplet_point(
+    graph: KnowledgeGraph, table: EmbeddingTable, triplet: tuple[str, str, str]
+) -> LorentzPoint:
+    head, rel, tail = triplet
+    graph_dim = table.input_dims["graph_triplet"]
+    parts = [
+        graph.vertices[graph.vertex_index(head)].features,
+        hash_features(rel, graph_dim),
+        graph.vertices[graph.vertex_index(tail)].features,
+    ]
+    base = origin(table.dim)
+    tangents = [
+        log_map(base, table.embed_features(_fit_dim(f, graph_dim), "graph_triplet"))
+        for f in parts
+    ]
+    mean_components = np.mean([t.components for t in tangents], axis=0)
+    return exp_map(base, type(tangents[0])(base, mean_components))
 
 
 def _fit_dim(features: np.ndarray, dim: int) -> np.ndarray:

@@ -11,14 +11,14 @@ byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io as hio
 from .alignment import KnowledgeItem, Query
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, DataFormatError
 from .spectral import GraphVertex, KnowledgeGraph
 
 # Distractor items carry this cluster index in clusters.tsv.
@@ -301,18 +301,26 @@ def write_bundle(bundle: CorpusBundle, out_dir) -> None:
     hio.write_json(out / "meta.json", bundle.meta())
 
 
+def _spec_from_meta(path: Path) -> SynthSpec:
+    """The SynthSpec fields of meta.json; other keys are ignored."""
+    meta = hio.read_json(path)
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    values = {}
+    for f in fields(SynthSpec):
+        if f.name not in meta:
+            raise DataFormatError(f"{path}: missing key {f.name!r}")
+        value = meta[f.name]
+        kinds = (int, float) if f.type == "float" else int
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise DataFormatError(f"{path}: key {f.name!r} must be of type {f.type}")
+        values[f.name] = float(value) if f.type == "float" else value
+    return SynthSpec(**values)
+
+
 def load_bundle(out_dir) -> CorpusBundle:
     out = Path(out_dir)
-    meta = hio.read_json(out / "meta.json")
-    spec = SynthSpec(
-        num_queries=meta["num_queries"],
-        num_items=meta["num_items"],
-        num_clusters=meta["num_clusters"],
-        graph_size=meta["graph_size"],
-        noise_frac=meta["noise_frac"],
-        seed=meta["seed"],
-        answer_len=meta["answer_len"],
-    )
+    spec = _spec_from_meta(out / "meta.json")
     items = hio.load_items(out / "items.tsv")
     queries = hio.load_queries(out / "queries.tsv")
     clusters = hio.load_clusters(out / "clusters.tsv")

@@ -227,6 +227,18 @@ class TestErrorSurface:
         assert code == 8
         assert json.loads(err)["category"] == "data_format"
 
+    def test_bad_meta_is_data_format_error(self, workdir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        meta = json.loads((bundle / "meta.json").read_text())
+        del meta["num_clusters"]
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        code, _, err = run_cli(["cheeger", "--bundle", str(bundle)], capsys)
+        assert code == 8
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert "meta.json" in record["message"] and "num_clusters" in record["message"]
+
     def test_bad_config_type_exit_code(self, workdir, capsys):
         path = workdir / "bad_cfg.json"
         path.write_text('{"lr": "fast"}')

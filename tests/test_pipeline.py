@@ -4,6 +4,7 @@ two-phase training semantics, gated inference, and evaluation metrics."""
 import numpy as np
 import pytest
 
+from hyperrag.alignment import embed_corpus_rows
 from hyperrag.errors import ConfigurationError, ContractViolation, HyperRagError
 from hyperrag.pipeline import (
     AdamW,
@@ -12,9 +13,11 @@ from hyperrag.pipeline import (
     PipelineConfig,
     answer_query,
     evaluate,
+    phase1_inputs,
     run_training,
     total_loss,
 )
+from hyperrag.spectral import extract_triplets
 from hyperrag.synth import SynthSpec, synth_bundle
 
 PLANTED_SPEC = SynthSpec(
@@ -276,6 +279,64 @@ class TestAnswerQuery:
         broken.table.weight["visual"][0, 0] = np.nan
         with pytest.raises(HyperRagError, match=r"\[stage: generate\]"):
             answer_query(broken, bundle.queries[0])
+
+
+class TestReadIndex:
+    def test_triplet_evidence_matches_extract_triplets(self, planted):
+        bundle, components, _ = planted
+        index = components.read_index()
+        checked = 0
+        for q in bundle.queries:
+            res = answer_query(components, q)
+            if res.delta != 1:
+                continue
+            got = index.triplet_evidence(res.subgraph)
+            want = extract_triplets(res.subgraph, components.graph, components.table)
+            assert len(got) == len(want)
+            for point, rec in zip(got, want):
+                assert np.array_equal(point.coords, rec.point.coords)
+            checked += bool(want)
+        assert checked > 0
+
+    def test_corpus_rows_match_embedding(self, planted):
+        _, components, _ = planted
+        assert np.array_equal(
+            components.read_index().corpus_rows,
+            embed_corpus_rows(components.table, components.items),
+        )
+
+    def test_built_once(self, planted):
+        bundle, components, _ = planted
+        answer_query(components, bundle.queries[0])
+        index = components.read_index()
+        answer_query(components, bundle.queries[0])
+        assert components.read_index() is index
+
+    def test_copy_does_not_inherit_index(self, planted):
+        bundle, components, _ = planted
+        answer_query(components, bundle.queries[0])
+        original = components.read_index()
+        copy = components.with_crm(True)
+        copy.table = components.table.copy()
+        copy.table.weight["textual"] *= 2.0
+        rows = copy.read_index().corpus_rows
+        assert copy.read_index() is not original
+        assert np.array_equal(rows, embed_corpus_rows(copy.table, copy.items))
+        assert not np.array_equal(rows, original.corpus_rows)
+
+
+class TestPhase1Inputs:
+    def test_order_follows_bundle(self, planted):
+        bundle = planted[0]
+        labeled, gating_pairs = phase1_inputs(bundle)
+        first_seen = list(dict.fromkeys(qid for qid, _, _ in bundle.labels))
+        assert [q.id for q, _, _ in labeled] == first_seen
+        by_id = bundle.item_by_id()
+        for q, pos, neg in labeled:
+            rows = [(iid, flag) for qid, iid, flag in bundle.labels if qid == q.id]
+            assert pos == [by_id[iid] for iid, flag in rows if flag]
+            assert neg == [by_id[iid] for iid, flag in rows if not flag]
+        assert [needs for _, needs in gating_pairs] == [needs for _, needs in bundle.gating]
 
 
 class TestEvaluate:

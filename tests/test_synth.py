@@ -1,9 +1,11 @@
 """Structure, determinism, and round-trip tests for the synthetic bundles."""
 
+import json
+
 import numpy as np
 import pytest
 
-from hyperrag.errors import ConfigurationError
+from hyperrag.errors import ConfigurationError, DataFormatError
 from hyperrag.gate import fit_theta, max_softmax
 from hyperrag.spectral import connected_components
 from hyperrag.synth import (
@@ -172,6 +174,40 @@ class TestSerialization:
         assert back.graph.triplets == noisy.graph.triplets
         for va, vb in zip(noisy.graph.vertices, back.graph.vertices):
             assert va.id == vb.id and np.array_equal(va.features, vb.features)
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda meta: meta.pop("seed"), "seed"),
+            (lambda meta: meta.update(num_items="40"), "num_items"),
+            (lambda meta: meta.update(answer_len=True), "answer_len"),
+            (lambda meta: meta.update(graph_size=30.0), "graph_size"),
+            (lambda meta: meta.update(noise_frac=None), "noise_frac"),
+        ],
+    )
+    def test_bad_meta_key_is_data_format_error(self, tmp_path, small, edit, key):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        meta = json.loads((out / "meta.json").read_text())
+        edit(meta)
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError, match=rf"meta\.json: .*'{key}'"):
+            load_bundle(out)
+
+    def test_meta_not_an_object(self, tmp_path, small):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        (out / "meta.json").write_text("[1, 2]")
+        with pytest.raises(DataFormatError, match=r"meta\.json"):
+            load_bundle(out)
+
+    def test_integer_noise_frac_accepted(self, tmp_path, small):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        meta = json.loads((out / "meta.json").read_text())
+        meta["noise_frac"] = 0
+        (out / "meta.json").write_text(json.dumps(meta))
+        assert load_bundle(out).spec == small.spec
 
     def test_single_cluster_bundle_connected(self):
         bundle = synth_bundle(
