@@ -393,7 +393,19 @@ def retrieve_topk(
         raise ContractViolation(f"k={k} outside [0, corpus size {len(corpus)}]")
     if k == 0:
         return []
-    rows = embed_corpus_rows(table, corpus)
+    return rank_rows(table, query, corpus, embed_corpus_rows(table, corpus), k)
+
+
+def rank_rows(
+    table: EmbeddingTable,
+    query: Query,
+    corpus: list[KnowledgeItem],
+    rows: np.ndarray,
+    k: int,
+) -> list[tuple[KnowledgeItem, float]]:
+    """The k corpus items nearest the query, given the corpus's embedded
+    rows (``embed_corpus_rows``): ascending geodesic distance, ties broken
+    by ascending item id."""
     dists = distances_to_rows(table.embed_query(query), rows)
     order = sorted(range(len(corpus)), key=lambda i: (dists[i], corpus[i].id))
     return [(corpus[i], float(dists[i])) for i in order[:k]]

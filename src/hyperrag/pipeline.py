@@ -22,6 +22,7 @@ from .alignment import (
     Query,
     embed_corpus_rows,
     geo_loss_and_grads,
+    rank_rows,
 )
 from .errors import ConfigurationError, ContractViolation, HyperRagError
 from .gate import (
@@ -44,7 +45,7 @@ from .generation import (
     generate,
     query_dropout_prob,
 )
-from .geometry import LorentzPoint, distances_to_rows
+from .geometry import LorentzPoint
 from .io import canonical_json_bytes
 from .spectral import (
     KnowledgeGraph,
@@ -344,18 +345,6 @@ def _sigma_of_scores(scores) -> float:
     return max_softmax(scores)
 
 
-def _retrieve_ranked(
-    table: EmbeddingTable,
-    query: Query,
-    items: list[KnowledgeItem],
-    rows: np.ndarray,
-    k: int,
-) -> list[KnowledgeItem]:
-    dists = distances_to_rows(table.embed_query(query), rows)
-    order = sorted(range(len(items)), key=lambda i: (dists[i], items[i].id))
-    return [items[i] for i in order[:k]]
-
-
 def phase1_inputs(bundle: CorpusBundle):
     """Phase-1 training data: ``(query, positives, negatives)`` per labeled
     query, in order of first label, and ``(confidence, needs_retrieval)``
@@ -511,9 +500,12 @@ def run_training(
             for idx_in_batch, q in enumerate(batch):
                 evidence = []
                 if delta[q.id] == 1:
-                    ranked = _retrieve_ranked(
-                        table, q, items, rows, min(config.top_k, len(items))
-                    )
+                    ranked = [
+                        doc
+                        for doc, _ in rank_rows(
+                            table, q, items, rows, min(config.top_k, len(items))
+                        )
+                    ]
                     used = filter_relevant(head, q, ranked)
                     evidence = [table.embed_item(doc) for doc in used]
                     evidence += [point_cache[t] for t in kept_triplets.get(q.id, [])]
@@ -609,13 +601,16 @@ def answer_query(
         except HyperRagError as exc:
             raise _with_stage(exc, "index")
         try:
-            ranked = _retrieve_ranked(
-                components.table,
-                query,
-                components.items,
-                index.corpus_rows,
-                min(cfg.top_k, len(components.items)),
-            )
+            ranked = [
+                doc
+                for doc, _ in rank_rows(
+                    components.table,
+                    query,
+                    components.items,
+                    index.corpus_rows,
+                    min(cfg.top_k, len(components.items)),
+                )
+            ]
         except HyperRagError as exc:
             raise _with_stage(exc, "retrieve")
         retrieved = tuple(doc.id for doc in ranked)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .alignment import EmbeddingTable, Query
 from .errors import (
@@ -32,7 +32,10 @@ from .gate import Scorer, sigmoid
 from .geometry import LorentzPoint, exp_map, log_map, origin
 
 DENSE_EIG_CUTOFF = 512
-EIG_RESIDUAL_TOL = 1e-7
+# Shift-invert target for eigsh: every caller passes a positive
+# semidefinite Laplacian, so L - shift*I is positive definite and the
+# eigenvalues nearest the shift are the smallest ones.
+_EIG_SHIFT = -1e-6
 # Quantization used in sweep sort keys so that relabeling-level rounding
 # noise cannot reorder vertices.
 _SORT_QUANTUM = 1e-9
@@ -175,111 +178,38 @@ def normalized_laplacian(graph: KnowledgeGraph):
     return lap.tocsr()
 
 
-def _matrix_norm_bound(mat) -> float:
-    # Gershgorin bound on the spectral radius of a symmetric matrix.
-    if sp.issparse(mat):
-        return float(np.abs(mat).sum(axis=1).max())
-    return float(np.abs(mat).sum(axis=1).max())
-
-
 def smallest_eigenpairs(
     mat,
     k: int,
     dense_cutoff: int = DENSE_EIG_CUTOFF,
     seed: int = 0,
-    tol: float = EIG_RESIDUAL_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest (eigenvalue, eigenvector) pairs of a symmetric matrix,
-    eigenvalues ascending, eigenvectors orthonormal columns.
+    """k smallest (eigenvalue, eigenvector) pairs of a symmetric positive
+    semidefinite matrix, eigenvalues ascending, eigenvectors orthonormal
+    columns.
 
-    Dense symmetric solve up to dense_cutoff; Lanczos with full
-    re-orthogonalization and deflation beyond (matvec cap 50 * n).
+    Dense symmetric solve up to dense_cutoff (and whenever k == n);
+    beyond it, ARPACK Lanczos (``scipy.sparse.linalg.eigsh``) in
+    shift-invert mode just below 0, started from a seeded vector so that
+    repeated calls return the same basis of a degenerate eigenspace.
+    Non-convergence raises NumericalError.
     """
     n = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ContractViolation(f"matrix must be square, got {mat.shape}")
     if k < 1 or k > n:
         raise ContractViolation(f"k={k} outside [1, {n}]")
-    if n <= dense_cutoff:
+    if n <= dense_cutoff or k == n:
         dense = np.asarray(mat.todense()) if sp.issparse(mat) else np.asarray(mat, dtype=float)
         vals, vecs = np.linalg.eigh(dense)
         return vals[:k].copy(), vecs[:, :k].copy()
-    return _lanczos_smallest(mat, k, seed=seed, tol=tol)
-
-
-def _lanczos_smallest(mat, k: int, seed: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deflated Lanczos: finds the k smallest eigenpairs one at a time,
-    each chain fully re-orthogonalized against its own basis and all
-    previously converged eigenvectors (so repeated eigenvalues are found
-    copy by copy)."""
-    n = mat.shape[0]
-    norm_bound = max(_matrix_norm_bound(mat), 1e-30)
-    # Work with B = cI - M so the smallest eigenvalues of M become the
-    # extremal (largest) ones, where Lanczos converges first.
-    c = norm_bound
-    rng = np.random.default_rng(seed)
-    max_matvecs = 50 * n
-    matvecs = 0
-    conv_vals: list[float] = []
-    conv_vecs: list[np.ndarray] = []
-    resid_tol = tol * norm_bound
-
-    def deflate(vec: np.ndarray) -> np.ndarray:
-        for prev in conv_vecs:
-            vec = vec - (prev @ vec) * prev
-        return vec
-
-    while len(conv_vals) < k:
-        v = deflate(rng.standard_normal(n))
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise NumericalError("Lanczos start vector vanished under deflation")
-        basis = [v / nrm]
-        alphas: list[float] = []
-        betas: list[float] = []
-        found = None
-        last_resid = math.inf
-        max_chain = n - len(conv_vecs)
-        for _ in range(max_chain):
-            if matvecs >= max_matvecs:
-                raise NumericalError(
-                    f"eigen-solver hit the matvec cap {max_matvecs} "
-                    f"(last residual estimate {last_resid:.3e})"
-                )
-            w = c * basis[-1] - (mat @ basis[-1])
-            matvecs += 1
-            alphas.append(float(basis[-1] @ w))
-            # Full re-orthogonalization (two passes) against the converged
-            # eigenvectors and the whole chain basis.
-            for _pass in range(2):
-                w = deflate(w)
-                for q in basis:
-                    w = w - (q @ w) * q
-            beta = float(np.linalg.norm(w))
-            theta, s_vecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
-            top = int(np.argmax(theta))
-            last_resid = abs(beta * s_vecs[-1, top])
-            if last_resid <= resid_tol or beta <= 1e-14 * norm_bound:
-                ritz = np.column_stack(basis) @ s_vecs[:, top]
-                ritz = deflate(ritz)
-                ritz_norm = np.linalg.norm(ritz)
-                if ritz_norm < 1e-12:
-                    raise NumericalError("Ritz vector vanished under deflation")
-                found = (c - float(theta[top]), ritz / ritz_norm)
-                break
-            betas.append(beta)
-            basis.append(w / beta)
-        if found is None:
-            raise NumericalError(
-                f"Lanczos chain exhausted without convergence "
-                f"(residual estimate {last_resid:.3e}, tolerance {resid_tol:.3e})"
-            )
-        conv_vals.append(found[0])
-        conv_vecs.append(found[1])
-    order = np.argsort(conv_vals, kind="stable")
-    vals = np.array([conv_vals[i] for i in order])
-    vecs = np.column_stack([conv_vecs[i] for i in order])
-    return vals, vecs
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        vals, vecs = eigsh(mat, k=k, sigma=_EIG_SHIFT, which="LM", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise NumericalError(f"eigsh did not converge: {exc}") from exc
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
 @dataclass(frozen=True)
@@ -539,19 +469,8 @@ def cheeger_check(graph: KnowledgeGraph, seed: int = 0) -> CheegerReport:
     scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 1.0)
     y = vecs_n[:, 1] * scale
     order = _sweep_order(_canonical_sign(y), np.zeros(n))
-    u, v, w = graph.edge_arrays()
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    if len(w):
-        pu, pv = pos[u], pos[v]
-        lo = np.minimum(pu, pv)
-        hi = np.maximum(pu, pv)
-        d_cut = np.zeros(n + 2)
-        np.add.at(d_cut, lo + 1, w)
-        np.add.at(d_cut, hi + 1, -w)
-        cuts = np.cumsum(d_cut)[: n + 1]
-    else:
-        cuts = np.zeros(n + 1)
+    # With zero relevance the smooth term is exactly 0, leaving the cuts.
+    cuts, _ = _prefix_profiles(graph, order, np.zeros(n), 1.0)
     vol_prefix = np.concatenate([[0.0], np.cumsum(deg[order])])
     total_vol = vol_prefix[-1]
     best = math.inf

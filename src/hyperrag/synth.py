@@ -315,7 +315,26 @@ def _spec_from_meta(path: Path) -> SynthSpec:
         if not isinstance(value, kinds) or isinstance(value, bool):
             raise DataFormatError(f"{path}: key {f.name!r} must be of type {f.type}")
         values[f.name] = float(value) if f.type == "float" else value
-    return SynthSpec(**values)
+    spec = SynthSpec(**values)
+    try:
+        spec.validate()
+    except ConfigurationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    return spec
+
+
+def _checked_labels(path: Path, queries: list[Query], items: list[KnowledgeItem]):
+    """labels.tsv rows, each naming a loaded query and a loaded item."""
+    labels = hio.load_labels(path)
+    query_ids = {q.id for q in queries}
+    item_ids = {item.id for item in items}
+    # The loader rejects blank lines, so the n-th row is on line n.
+    for lineno, (qid, iid, _) in enumerate(labels, start=1):
+        if qid not in query_ids:
+            raise DataFormatError(f"{path}:{lineno}: unknown query id {qid!r}")
+        if iid not in item_ids:
+            raise DataFormatError(f"{path}:{lineno}: unknown item id {iid!r}")
+    return labels
 
 
 def load_bundle(out_dir) -> CorpusBundle:
@@ -344,7 +363,7 @@ def load_bundle(out_dir) -> CorpusBundle:
         items=items,
         positives=positives,
         relevance=relevance,
-        labels=hio.load_labels(out / "labels.tsv"),
+        labels=_checked_labels(out / "labels.tsv", queries, items),
         gating=hio.load_gating(out / "gating.tsv"),
         confidence=hio.load_confidence(out / "confidence.tsv"),
         graph=hio.load_graph(out / "graph"),

@@ -295,13 +295,3 @@ def entropic_terms(
     sqrt_cost = _sqrt_cost(plan, squared_cost_matrix(p, q))
     return value, grad, sqrt_cost
 
-
-def entropic_objective_and_grad(
-    p_weights: np.ndarray,
-    q: EmpiricalDistribution,
-    support: np.ndarray,
-    epsilon: float,
-    max_iter: int = 10000,
-) -> tuple[float, np.ndarray]:
-    value, grad, _ = entropic_terms(p_weights, q, support, epsilon, max_iter)
-    return value, grad

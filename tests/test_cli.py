@@ -239,6 +239,21 @@ class TestErrorSurface:
         assert record["category"] == "data_format"
         assert "meta.json" in record["message"] and "num_clusters" in record["message"]
 
+    def test_unknown_label_item_is_data_format_error(self, workdir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        lines = (bundle / "labels.tsv").read_text().splitlines()
+        qid, _, flag = lines[0].split("\t")
+        lines[0] = f"{qid}\tnope\t{flag}"
+        (bundle / "labels.tsv").write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            ["crm", "--bundle", str(bundle), "--config", str(workdir / "cfg.json")], capsys
+        )
+        assert code == 8
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert "labels.tsv:1" in record["message"] and "'nope'" in record["message"]
+
     def test_bad_config_type_exit_code(self, workdir, capsys):
         path = workdir / "bad_cfg.json"
         path.write_text('{"lr": "fast"}')

@@ -166,7 +166,7 @@ class TestDenseEigs:
             mat = laplacian(graph)
             full = dense_eigs(mat)
             k = min(4, n)
-            vals, _ = smallest_eigenpairs(mat, k, dense_cutoff=0, seed=3, tol=1e-9)
+            vals, _ = smallest_eigenpairs(mat, k, dense_cutoff=0, seed=3)
             assert vals == pytest.approx(full[:k], abs=1e-7)
 
 

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import hyperrag.spectral as spectral
 from hyperrag.alignment import EmbeddingTable, Query
 from hyperrag.errors import (
     ContractViolation,
     InfeasibleConstraintError,
+    NumericalError,
 )
 from hyperrag.gate import Scorer, TableLookupScorer
 from hyperrag.geometry import lorentz_inner
@@ -30,6 +33,7 @@ from hyperrag.spectral import (
     smallest_eigenpairs,
     subgraph_objective,
 )
+from hyperrag.synth import SynthSpec, synth_bundle
 
 SIGMOID_4 = 0.9820137900379085
 
@@ -180,7 +184,7 @@ class TestEigenpairs:
         assert np.allclose(vals, ref, atol=1e-10)
         assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-10)
 
-    def test_lanczos_matches_dense(self, rng):
+    def test_sparse_path_matches_dense(self, rng):
         for trial in range(5):
             g = random_connected_graph(rng, 24)
             lap = laplacian(g)
@@ -193,13 +197,21 @@ class TestEigenpairs:
                 resid = np.linalg.norm(lap @ vecs[:, i] - vals[i] * vecs[:, i])
                 assert resid <= 1e-6 * scale
 
-    def test_lanczos_finds_repeated_eigenvalues(self):
+    def test_full_spectrum_finds_repeated_eigenvalues(self):
+        # k == n always takes the dense branch, whatever the cutoff.
         lap = laplacian(complete_graph(4))
         vals, vecs = smallest_eigenpairs(lap, 4, dense_cutoff=0)
         assert np.allclose(vals, [0.0, 4.0, 4.0, 4.0], atol=1e-6)
         assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-7)
 
-    def test_lanczos_disconnected_zero_multiplicity(self):
+    def test_sparse_path_finds_repeated_eigenvalues(self):
+        # K6 = 6I - J gives {0, 6, 6, 6, 6, 6}.
+        lap = laplacian(complete_graph(6))
+        vals, vecs = smallest_eigenpairs(lap, 4, dense_cutoff=0)
+        assert np.allclose(vals, [0.0, 6.0, 6.0, 6.0], atol=1e-6)
+        assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-7)
+
+    def test_sparse_path_disconnected_zero_multiplicity(self):
         g = make_graph(
             6,
             [
@@ -214,6 +226,30 @@ class TestEigenpairs:
         vals, _ = smallest_eigenpairs(laplacian(g), 3, dense_cutoff=0)
         assert np.allclose(vals[:2], [0.0, 0.0], atol=1e-7)
         assert vals[2] == pytest.approx(3.0, abs=1e-6)
+
+    def test_sparse_path_on_synth_graph_is_accurate_and_repeatable(self):
+        # 600 vertices is above the default cutoff; community graphs have
+        # near-degenerate low eigenspaces, so the seeded start vector must
+        # pin the basis that refinement sweeps.
+        graph = synth_bundle(SynthSpec(graph_size=600, seed=0)).graph
+        lap = laplacian(graph)
+        assert lap.shape[0] > spectral.DENSE_EIG_CUTOFF
+        vals, _ = smallest_eigenpairs(lap, 10)
+        assert np.allclose(vals, np.linalg.eigvalsh(lap.toarray())[:10], rtol=0, atol=1e-7)
+        r = np.random.default_rng(1).uniform(size=graph.size)
+        first = refine_subgraph(graph, r, eta=0.2 * r.sum(), k=10, seed=4)
+        again = refine_subgraph(graph, r, eta=0.2 * r.sum(), k=10, seed=4)
+        assert first.selected == again.selected
+        assert first.objective == again.objective
+        assert cheeger_check(graph, seed=4) == cheeger_check(graph, seed=4)
+
+    def test_non_convergence_is_numerical_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spectral, "eigsh", stalled)
+        with pytest.raises(NumericalError):
+            smallest_eigenpairs(laplacian(complete_graph(6)), 2, dense_cutoff=0)
 
     def test_ascending_order(self, rng):
         g = random_connected_graph(rng, 12)

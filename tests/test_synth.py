@@ -194,6 +194,23 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match=rf"meta\.json: .*'{key}'"):
             load_bundle(out)
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda meta: meta.update(num_clusters=0), "num_clusters"),
+            (lambda meta: meta.update(noise_frac=1.5), "noise_frac"),
+            (lambda meta: meta.update(graph_size=2), "graph_size"),
+        ],
+    )
+    def test_invalid_meta_value_is_data_format_error(self, tmp_path, small, edit, key):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        meta = json.loads((out / "meta.json").read_text())
+        edit(meta)
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError, match=rf"meta\.json: .*{key}"):
+            load_bundle(out)
+
     def test_meta_not_an_object(self, tmp_path, small):
         out = tmp_path / "bundle"
         write_bundle(small, out)
@@ -208,6 +225,20 @@ class TestSerialization:
         meta["noise_frac"] = 0
         (out / "meta.json").write_text(json.dumps(meta))
         assert load_bundle(out).spec == small.spec
+
+    @pytest.mark.parametrize("column, kind", [(0, "query"), (1, "item")])
+    def test_unknown_label_id_is_data_format_error(self, tmp_path, small, column, kind):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        lines = (out / "labels.tsv").read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[column] = "nope"
+        lines[1] = "\t".join(fields)
+        (out / "labels.tsv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            DataFormatError, match=rf"labels\.tsv:2: unknown {kind} id 'nope'"
+        ):
+            load_bundle(out)
 
     def test_single_cluster_bundle_connected(self):
         bundle = synth_bundle(

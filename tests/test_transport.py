@@ -10,7 +10,7 @@ from hyperrag.errors import ContractViolation
 from hyperrag.transport import (
     EmpiricalDistribution,
     TransportPlan,
-    entropic_objective_and_grad,
+    entropic_terms,
     squared_cost_matrix,
     wasserstein2_exact,
     wasserstein2_sinkhorn,
@@ -180,15 +180,15 @@ class TestEnvelopeGradient:
         q = EmpiricalDistribution.uniform(rng.normal(size=(4, 3)))
         logits = rng.normal(size=6)
         p_w = np.exp(logits) / np.exp(logits).sum()
-        value, grad = entropic_objective_and_grad(p_w, q, vocab, epsilon=0.05)
+        value, grad, _ = entropic_terms(p_w, q, vocab, epsilon=0.05)
         assert value >= -1e-9
         h = 1e-6
         for _ in range(4):
             d = rng.normal(size=6)
             d -= d.mean()
             d /= np.linalg.norm(d)
-            vp, _ = entropic_objective_and_grad(p_w + h * d, q, vocab, epsilon=0.05)
-            vm, _ = entropic_objective_and_grad(p_w - h * d, q, vocab, epsilon=0.05)
+            vp, _, _ = entropic_terms(p_w + h * d, q, vocab, epsilon=0.05)
+            vm, _, _ = entropic_terms(p_w - h * d, q, vocab, epsilon=0.05)
             fd = (vp - vm) / (2 * h)
             assert fd == pytest.approx(float(grad @ d), rel=1e-3, abs=1e-6)
 
@@ -198,11 +198,11 @@ class TestEnvelopeGradient:
         vocab = np.array([[0.0], [1.0], [2.0]])
         q = EmpiricalDistribution(np.array([[2.0]]), np.array([1.0]))
         p_w = np.array([0.6, 0.3, 0.1])
-        value, grad = entropic_objective_and_grad(p_w, q, vocab, epsilon=0.05)
+        value, grad, _ = entropic_terms(p_w, q, vocab, epsilon=0.05)
         step = p_w - 0.05 * (grad - grad.mean())
         step = np.maximum(step, 1e-9)
         step /= step.sum()
-        new_value, _ = entropic_objective_and_grad(step, q, vocab, epsilon=0.05)
+        new_value, _, _ = entropic_terms(step, q, vocab, epsilon=0.05)
         assert new_value < value
 
 
