@@ -323,30 +323,59 @@ def _spec_from_meta(path: Path) -> SynthSpec:
     return spec
 
 
-def _checked_labels(path: Path, queries: list[Query], items: list[KnowledgeItem]):
-    """labels.tsv rows, each naming a loaded query and a loaded item."""
-    labels = hio.load_labels(path)
-    query_ids = {q.id for q in queries}
-    item_ids = {item.id for item in items}
-    # The loader rejects blank lines, so the n-th row is on line n.
-    for lineno, (qid, iid, _) in enumerate(labels, start=1):
-        if qid not in query_ids:
-            raise DataFormatError(f"{path}:{lineno}: unknown query id {qid!r}")
-        if iid not in item_ids:
-            raise DataFormatError(f"{path}:{lineno}: unknown item id {iid!r}")
-    return labels
+def _check_ids(path: Path, ids, known: set[str], what: str, column: int = 0) -> None:
+    """Raise DataFormatError naming the line of the first row of ``path``
+    whose ``what`` id (field ``column``) is not in ``known``.  ``ids`` is
+    that field as loaded, in file order (a dict's keys keep the order of
+    first appearance), so the file is read again only to name the line."""
+    bad = next((ident for ident in ids if ident not in known), None)
+    if bad is None:
+        return
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.split("\t")[column] == bad:
+            raise DataFormatError(f"{path}:{lineno}: unknown {what} id {bad!r}")
 
 
 def load_bundle(out_dir) -> CorpusBundle:
+    """Read a bundle written by ``write_bundle``.  Every row of positives,
+    labels, gating, confidence and qa must name a loaded query (and item),
+    and every query needs a qa row; otherwise DataFormatError names the
+    file, the line and the id."""
     out = Path(out_dir)
     spec = _spec_from_meta(out / "meta.json")
     items = hio.load_items(out / "items.tsv")
     queries = hio.load_queries(out / "queries.tsv")
     clusters = hio.load_clusters(out / "clusters.tsv")
+    query_ids = {q.id for q in queries}
+    item_ids = {item.id for item in items}
 
+    path = out / "positives.tsv"
+    pairs = hio.load_positives(path)
+    _check_ids(path, (qid for qid, _ in pairs), query_ids, "query")
+    _check_ids(path, (iid for _, iid in pairs), item_ids, "item", column=1)
     positives: dict[str, list[str]] = {}
-    for qid, iid in hio.load_positives(out / "positives.tsv"):
+    for qid, iid in pairs:
         positives.setdefault(qid, []).append(iid)
+
+    path = out / "labels.tsv"
+    labels = hio.load_labels(path)
+    _check_ids(path, (qid for qid, _, _ in labels), query_ids, "query")
+    _check_ids(path, (iid for _, iid, _ in labels), item_ids, "item", column=1)
+
+    path = out / "gating.tsv"
+    gating = hio.load_gating(path)
+    _check_ids(path, (qid for qid, _ in gating), query_ids, "query")
+
+    path = out / "confidence.tsv"
+    confidence = hio.load_confidence(path)
+    _check_ids(path, confidence, query_ids, "query")
+
+    path = out / "qa.tsv"
+    qa = hio.load_qa(path)
+    _check_ids(path, qa, query_ids, "query")
+    missing = next((q.id for q in queries if q.id not in qa), None)
+    if missing is not None:
+        raise DataFormatError(f"{path}: no row for query id {missing!r}")
 
     by_cluster: dict[int, list[str]] = {}
     for (kind, ident), c in clusters.items():
@@ -363,11 +392,11 @@ def load_bundle(out_dir) -> CorpusBundle:
         items=items,
         positives=positives,
         relevance=relevance,
-        labels=_checked_labels(out / "labels.tsv", queries, items),
-        gating=hio.load_gating(out / "gating.tsv"),
-        confidence=hio.load_confidence(out / "confidence.tsv"),
+        labels=labels,
+        gating=gating,
+        confidence=confidence,
         graph=hio.load_graph(out / "graph"),
-        qa=hio.load_qa(out / "qa.tsv"),
+        qa=qa,
         token_embeddings=hio.load_vocab(out / "vocab.tsv"),
         clusters=clusters,
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .errors import ContractViolation, NumericalError
 
@@ -181,6 +180,38 @@ def _round_to_marginals(coupling: np.ndarray, p: np.ndarray, q: np.ndarray) -> n
     return pi
 
 
+def _logsumexp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) over ``axis``, with the arithmetic of
+    ``scipy.special.logsumexp`` (scipy 1.17) on real arrays, so results
+    agree bit for bit, minus its array-API dispatch (Sinkhorn makes three
+    calls per iteration on small matrices).
+
+    Shift by the maximum, add the maximal terms as a count m:
+    log1p(sum(exp(a - max) over the rest) / m) + log(m) + max; where that
+    is not finite, fall back to the unshifted log(sum(exp(a))).
+    """
+    n = a.size if axis is None else a.shape[axis]
+    if n == 1:
+        # One term: scipy computes log1p(0) + log(1) + a.
+        return (0.0 + np.squeeze(a, axis=axis))[()]
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+        i_max = a == a_max
+        m = np.add.reduce(i_max, axis=axis, keepdims=True, dtype=float)
+        s = np.add.reduce(
+            np.exp(np.where(i_max, -np.inf, a) - a_max), axis=axis, keepdims=True
+        )
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out_inf = np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, out_inf)
+    return np.squeeze(out, axis=axis)[()]
+
+
 def sinkhorn_potentials(
     p: EmpiricalDistribution,
     q: EmpiricalDistribution,
@@ -220,11 +251,11 @@ def sinkhorn_potentials(
     for stage, eps in enumerate(ladder):
         last_stage = stage == len(ladder) - 1
         while iters_used < max_iter:
-            f = -eps * logsumexp((g[None, :] - cost) / eps + log_q[None, :], axis=1)
-            g = -eps * logsumexp((f[:, None] - cost) / eps + log_p[:, None], axis=0)
+            f = -eps * _logsumexp((g[None, :] - cost) / eps + log_q[None, :], axis=1)
+            g = -eps * _logsumexp((f[:, None] - cost) / eps + log_p[:, None], axis=0)
             iters_used += 1
             log_pi = (f[:, None] + g[None, :] - cost) / eps + log_p[:, None] + log_q[None, :]
-            rows = np.exp(logsumexp(log_pi, axis=1))
+            rows = np.exp(_logsumexp(log_pi, axis=1))
             violation = float(np.max(np.abs(rows - pw)))
             if violation < target:
                 break
@@ -250,7 +281,7 @@ def entropic_plan(
     log_pi = (f[:, None] + g[None, :] - cost) / epsilon + log_p[:, None] + log_q[None, :]
     # Normalize total mass to 1.  A no-op at convergence; with unconverged
     # potentials it keeps the matrix finite so rounding can proceed.
-    log_pi = log_pi - logsumexp(log_pi)
+    log_pi = log_pi - _logsumexp(log_pi)
     return np.exp(log_pi)
 
 

@@ -254,6 +254,18 @@ class TestErrorSurface:
         assert record["category"] == "data_format"
         assert "labels.tsv:1" in record["message"] and "'nope'" in record["message"]
 
+    def test_query_without_qa_row_is_data_format_error(self, workdir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        lines = (bundle / "qa.tsv").read_text().splitlines()
+        qid = lines[0].split("\t")[0]
+        (bundle / "qa.tsv").write_text("\n".join(lines[1:]) + "\n")
+        code, _, err = run_cli(["cheeger", "--bundle", str(bundle)], capsys)
+        assert code == 8
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert "qa.tsv" in record["message"] and repr(qid) in record["message"]
+
     def test_bad_config_type_exit_code(self, workdir, capsys):
         path = workdir / "bad_cfg.json"
         path.write_text('{"lr": "fast"}')

@@ -1,9 +1,12 @@
 """Orchestration tests: weighted-loss arithmetic, the adaptive optimizer,
 two-phase training semantics, gated inference, and evaluation metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
+from hyperrag import generation
 from hyperrag.alignment import embed_corpus_rows
 from hyperrag.errors import ConfigurationError, ContractViolation, HyperRagError
 from hyperrag.pipeline import (
@@ -207,6 +210,31 @@ class TestRunTraining:
         e1 = evaluate(components, bundle)
         e2 = evaluate(again, bundle)
         assert e1.canonical_bytes() == e2.canonical_bytes()
+
+    def test_mixed_gold_answers_take_general_sinkhorn_path(self, monkeypatch):
+        # Every second gold answer ends in a second distinct token, so the
+        # generation loss solves two-atom transport problems.
+        bundle = synth_bundle(
+            SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
+        )
+        vocab = bundle.token_embeddings.shape[0]
+        for q in bundle.queries[1::2]:
+            gold = bundle.qa[q.id]
+            bundle.qa[q.id] = gold[:-1] + ((gold[0] + 1) % vocab,)
+        gold_sizes = []
+        solve = generation.entropic_terms
+
+        def spy(p_weights, q, *args):
+            gold_sizes.append(q.size)
+            return solve(p_weights, q, *args)
+
+        monkeypatch.setattr(generation, "entropic_terms", spy)
+        _, reports = run_training(SMALL_CFG, bundle)
+        assert set(gold_sizes) == {1, 2}
+        records = [r.to_record() for r in reports]
+        assert all(math.isfinite(v) for rec in records for v in rec.values())
+        _, again = run_training(SMALL_CFG, bundle)
+        assert records == [r.to_record() for r in again]
 
     def test_all_answerable_accrues_no_retrieval_losses(self, all_answerable):
         components, reports = run_training(SMALL_CFG, all_answerable)

@@ -1,6 +1,7 @@
 """Structure, determinism, and round-trip tests for the synthetic bundles."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,38 @@ class TestSerialization:
         with pytest.raises(
             DataFormatError, match=rf"labels\.tsv:2: unknown {kind} id 'nope'"
         ):
+            load_bundle(out)
+
+    @pytest.mark.parametrize(
+        "name, column, kind",
+        [
+            ("positives.tsv", 0, "query"),
+            ("positives.tsv", 1, "item"),
+            ("gating.tsv", 0, "query"),
+            ("confidence.tsv", 0, "query"),
+            ("qa.tsv", 0, "query"),
+        ],
+    )
+    def test_unknown_row_id_is_data_format_error(self, tmp_path, small, name, column, kind):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        lines = (out / name).read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[column] = "nope"
+        lines[1] = "\t".join(fields)
+        (out / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            DataFormatError, match=re.escape(f"{name}:2: unknown {kind} id 'nope'")
+        ):
+            load_bundle(out)
+
+    def test_query_without_qa_row_is_data_format_error(self, tmp_path, small):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        lines = (out / "qa.tsv").read_text().splitlines()
+        qid = lines[0].split("\t")[0]
+        (out / "qa.tsv").write_text("\n".join(lines[1:]) + "\n")
+        with pytest.raises(DataFormatError, match=rf"qa\.tsv: no row for query id '{qid}'"):
             load_bundle(out)
 
     def test_single_cluster_bundle_connected(self):

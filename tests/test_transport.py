@@ -5,12 +5,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hyperrag import transport
 from hyperrag.errors import ContractViolation
 from hyperrag.transport import (
     EmpiricalDistribution,
     TransportPlan,
     entropic_terms,
+    sinkhorn_potentials,
     squared_cost_matrix,
     wasserstein2_exact,
     wasserstein2_sinkhorn,
@@ -204,6 +210,69 @@ class TestEnvelopeGradient:
         step /= step.sum()
         new_value, _, _ = entropic_terms(step, q, vocab, epsilon=0.05)
         assert new_value < value
+
+
+# Few distinct values, so maxima tie often; infinities of both signs.
+LSE_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, -math.inf]),
+    st.floats(-800.0, 800.0),
+)
+
+
+class TestLogSumExp:
+    """transport._logsumexp keeps scipy.special.logsumexp's arithmetic, so
+    Sinkhorn outputs (and the pinned training digests) keep their bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.integers(1, 3)),
+            elements=LSE_ELEMENTS,
+        ),
+        st.sampled_from([0, 1, None]),
+    )
+    def test_bit_identical_to_scipy(self, a, axis):
+        expected = np.asarray(scipy.special.logsumexp(a, axis=axis))
+        got = np.asarray(transport._logsumexp(a, axis=axis))
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("gold", [[3], [1, 4]], ids=["one-atom", "two-atom"])
+    def test_solver_outputs_unchanged_against_scipy(self, rng, monkeypatch, gold):
+        # Several draws: a formula that differs only in the last bits
+        # leaves some solves unchanged.
+        problems = []
+        for _ in range(4):
+            tokens = rng.normal(0.0, 2.0, size=(7, 4))
+            logits = rng.normal(size=7)
+            p_w = np.exp(logits) / np.exp(logits).sum()
+            problems.append((tokens, p_w))
+
+        def solve_all():
+            out = []
+            for tokens, p_w in problems:
+                p = EmpiricalDistribution(tokens, p_w)
+                q = EmpiricalDistribution.uniform(tokens[gold])
+                out.append(
+                    (
+                        sinkhorn_potentials(p, q, epsilon=0.01),
+                        entropic_terms(p_w, q, tokens, epsilon=0.01),
+                    )
+                )
+            return out
+
+        ours = solve_all()
+        monkeypatch.setattr(transport, "_logsumexp", scipy.special.logsumexp)
+        for ((f, g, conv, viol), (value, grad, cost)), (
+            (f_ref, g_ref, conv_ref, viol_ref),
+            (value_ref, grad_ref, cost_ref),
+        ) in zip(ours, solve_all()):
+            assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
+            assert (conv, viol) == (conv_ref, viol_ref)
+            assert (value, cost) == (value_ref, cost_ref)
+            assert np.array_equal(grad, grad_ref)
 
 
 class TestTransportPlanType:
