@@ -136,14 +136,6 @@ class EmbeddingTable:
             dims.setdefault(key, dims[QUERY_KEY])
         return cls(dim, dims, seed=seed)
 
-    def copy(self) -> "EmbeddingTable":
-        dup = object.__new__(EmbeddingTable)
-        dup.dim = self.dim
-        dup.input_dims = dict(self.input_dims)
-        dup.weight = {k: v.copy() for k, v in self.weight.items()}
-        dup.bias = {k: v.copy() for k, v in self.bias.items()}
-        return dup
-
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         """Stable (name, array) listing for generic optimizers."""
         out = []
@@ -173,11 +165,6 @@ class EmbeddingTable:
         return self.embed_features(item.features, item.modality)
 
 
-def embed(table: EmbeddingTable, features, modality: str) -> LorentzPoint:
-    """Encode raw features of the given modality (or 'query') into H^n."""
-    return table.embed_features(np.asarray(features, dtype=float), modality)
-
-
 def embed_corpus_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
     """Hyperboloid coordinates for every item, stacked as (m, dim+1) rows."""
     m = len(items)
@@ -202,10 +189,6 @@ class AlignmentConfig:
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    # Full-batch descent with backtracking halving; guarantees a
-    # non-increasing loss trace at the cost of stochasticity.
-    line_search: bool = False
-    restarts: int = 1
 
     def validate(self):
         if self.lr <= 0:
@@ -214,20 +197,13 @@ class AlignmentConfig:
             raise ConfigurationError("epochs and batch_size must be >= 1")
         if self.dim < 2:
             raise ConfigurationError(f"dim must be >= 2, got {self.dim}")
-        if self.restarts < 1:
-            raise ConfigurationError("restarts must be >= 1")
 
 
 @dataclass
 class AlignmentTrace:
-    """Per-epoch full-corpus loss values plus restart diagnostics.
-
-    restart_final_losses records (never asserts) whether independent
-    restarts land at the same loss level.
-    """
+    """Full-corpus ``geo_loss`` after each epoch."""
 
     epoch_losses: list[float] = field(default_factory=list)
-    restart_final_losses: list[float] = field(default_factory=list)
 
 
 Batch = list[tuple[Query, list[KnowledgeItem]]]
@@ -250,16 +226,13 @@ def _check_batch(batch: Batch) -> None:
 def geo_loss(table: EmbeddingTable, batch: Batch) -> float:
     """Mean over queries of the per-modality mean geodesic distance to the
     query's positive items (missing modalities contribute 0)."""
-    loss, _ = _geo_loss_and_grads(table, batch, want_grads=False)
+    loss, _ = geo_loss_and_grads(table, batch, want_grads=False)
     return loss
 
 
-def geo_loss_and_grads(table: EmbeddingTable, batch: Batch):
-    """Batch-mean loss plus per-parameter gradient arrays."""
-    return _geo_loss_and_grads(table, batch)
-
-
-def _geo_loss_and_grads(table: EmbeddingTable, batch: Batch, want_grads: bool = True):
+def geo_loss_and_grads(table: EmbeddingTable, batch: Batch, want_grads: bool = True):
+    """Batch-mean loss plus per-parameter gradient arrays (None when
+    ``want_grads`` is false)."""
     _check_batch(batch)
     grads = None
     if want_grads:
@@ -318,45 +291,31 @@ def _apply_step(table: EmbeddingTable, grads: dict[str, np.ndarray], lr: float) 
 def train_alignment(
     corpus: AlignmentCorpus, config: AlignmentConfig
 ) -> tuple[EmbeddingTable, AlignmentTrace]:
-    """Fit the embedding maps by stochastic (or line-searched full-batch)
-    gradient descent on geo_loss; deterministic given config.seed."""
+    """Fit the embedding maps by mini-batch gradient descent on geo_loss,
+    one shuffled pass over the queries per epoch; deterministic given
+    config.seed."""
     config.validate()
     if not corpus.queries or not corpus.items:
         raise ContractViolation("training corpus must contain queries and items")
-    table, trace = _train_once(corpus, config, config.seed)
-    if config.restarts > 1:
-        trace.restart_final_losses.append(trace.epoch_losses[-1])
-        for extra in range(1, config.restarts):
-            _, t2 = _train_once(corpus, config, config.seed + extra)
-            trace.restart_final_losses.append(t2.epoch_losses[-1])
-    return table, trace
-
-
-def _train_once(
-    corpus: AlignmentCorpus, config: AlignmentConfig, seed: int
-) -> tuple[EmbeddingTable, AlignmentTrace]:
-    table = EmbeddingTable.for_corpus(corpus.queries, corpus.items, config.dim, seed=seed)
+    table = EmbeddingTable.for_corpus(corpus.queries, corpus.items, config.dim, seed=config.seed)
     pairs = corpus.batches_source()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     trace = AlignmentTrace()
     step = 0
     for _epoch in range(config.epochs):
-        if config.line_search:
-            _line_search_epoch(table, pairs)
-        else:
-            order = rng.permutation(len(pairs))
-            for start in range(0, len(pairs), config.batch_size):
-                batch = [pairs[i] for i in order[start : start + config.batch_size]]
-                try:
-                    loss, grads = _geo_loss_and_grads(table, batch)
-                except InvalidPointError as exc:
-                    # Parameters blew past the representable range; surface
-                    # as divergence with the offending step attached.
-                    raise DivergenceError(f"alignment diverged: {exc}", step=step) from exc
-                if not np.isfinite(loss):
-                    raise DivergenceError("alignment loss is non-finite", step=step)
-                _apply_step(table, grads, config.lr)
-                step += 1
+        order = rng.permutation(len(pairs))
+        for start in range(0, len(pairs), config.batch_size):
+            batch = [pairs[i] for i in order[start : start + config.batch_size]]
+            try:
+                loss, grads = geo_loss_and_grads(table, batch)
+            except InvalidPointError as exc:
+                # Parameters blew past the representable range; surface
+                # as divergence with the offending step attached.
+                raise DivergenceError(f"alignment diverged: {exc}", step=step) from exc
+            if not np.isfinite(loss):
+                raise DivergenceError("alignment loss is non-finite", step=step)
+            _apply_step(table, grads, config.lr)
+            step += 1
         try:
             epoch_loss = geo_loss(table, pairs)
         except InvalidPointError as exc:
@@ -365,21 +324,6 @@ def _train_once(
             raise DivergenceError("alignment loss is non-finite", step=step)
         trace.epoch_losses.append(epoch_loss)
     return table, trace
-
-
-def _line_search_epoch(table: EmbeddingTable, pairs: Batch) -> None:
-    loss, grads = _geo_loss_and_grads(table, pairs)
-    trial = 1.0
-    for _ in range(40):
-        candidate = table.copy()
-        _apply_step(candidate, grads, trial)
-        new_loss, _ = _geo_loss_and_grads(candidate, pairs, want_grads=False)
-        if np.isfinite(new_loss) and new_loss <= loss + 1e-12:
-            table.weight = candidate.weight
-            table.bias = candidate.bias
-            return
-        trial *= 0.5
-    # No improving step found: keep parameters (converged plateau).
 
 
 def retrieve_topk(

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .alignment import AlignmentConfig, AlignmentCorpus, EmbeddingTable, train_alignment
 from .errors import ConfigurationError, HyperRagError
-from .gate import CrmConfig, FeatureDotScorer, train_crm
 from .generation import (
     GenConfig,
     GenDataset,
@@ -35,10 +34,11 @@ from .pipeline import (
     PipelineConfig,
     answer_query,
     evaluate,
-    phase1_inputs,
+    query_subgraph,
     run_training,
+    train_phase1,
 )
-from .spectral import cheeger_check, refine_subgraph, relevance_vector
+from .spectral import cheeger_check
 from .synth import CorpusBundle, SynthSpec, load_bundle, synth_bundle, write_bundle
 
 DEFAULT_BUNDLE_SEED = 42
@@ -155,21 +155,7 @@ def cmd_align(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 
 def cmd_crm(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args, config)
-    labeled, gating_pairs = phase1_inputs(bundle)
-    _, theta, trace = train_crm(
-        labeled,
-        gating_pairs,
-        CrmConfig(
-            hidden=config.crm_hidden,
-            lr=config.crm_lr,
-            epochs=config.crm_epochs,
-            seed=config.seed,
-            batch_size=config.crm_batch_size,
-        ),
-        query_dim=bundle.queries[0].combined_features.size,
-        item_dim=bundle.items[0].features.size,
-    )
+    _, _, theta, trace = train_phase1(config, _bundle_arg(args, config))
     for epoch, loss in enumerate(trace.epoch_losses, start=1):
         writer.emit({"epoch": epoch, "crm_loss": loss})
     writer.emit({"theta": theta, "theta_accuracy": trace.theta_accuracy})
@@ -179,15 +165,7 @@ def cmd_crm(args, config: PipelineConfig, writer: RecordWriter) -> int:
 def cmd_refine(args, config: PipelineConfig, writer: RecordWriter) -> int:
     bundle = _bundle_arg(args, config)
     query = _pick_query(bundle, args.query)
-    r = relevance_vector(query, bundle.graph, FeatureDotScorer())
-    sub = refine_subgraph(
-        bundle.graph,
-        r,
-        eta=config.eta_frac * r.total,
-        k=config.k,
-        rho=config.rho,
-        seed=config.seed,
-    )
+    sub = query_subgraph(config, bundle.graph, query)
     writer.emit(
         {
             "query": query.id,

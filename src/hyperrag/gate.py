@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import EmbeddingTable, KnowledgeItem, Query
+from .alignment import KnowledgeItem, Query
 from .errors import ConfigurationError, ContractViolation, DivergenceError
-from .geometry import geodesic_distance
 
 LOG_CLAMP = 1e-12
 THETA_GRID = [round(i / 100.0, 2) for i in range(101)]
@@ -36,26 +35,6 @@ class Scorer:
 
     def score(self, query: Query, target) -> float:
         raise NotImplementedError
-
-
-class EmbeddingSimilarityScorer(Scorer):
-    """Negative geodesic distance between the query embedding and the
-    target's embedding; graph vertices go through the graph-modality map."""
-
-    def __init__(self, table: EmbeddingTable):
-        self.table = table
-
-    def score(self, query: Query, target) -> float:
-        q_pt = self.table.embed_query(query)
-        if isinstance(target, KnowledgeItem):
-            t_pt = self.table.embed_item(target)
-        elif hasattr(target, "features"):
-            t_pt = self.table.embed_features(
-                np.asarray(target.features, dtype=float), "graph_triplet"
-            )
-        else:
-            raise ContractViolation(f"cannot embed scoring target {target!r}")
-        return -geodesic_distance(q_pt, t_pt)
 
 
 class FeatureDotScorer(Scorer):
@@ -99,13 +78,6 @@ def max_softmax(raw) -> float:
     shifted = raw - raw.max()
     probs = np.exp(shifted)
     return float(probs.max() / probs.sum())
-
-
-def confidence(scorer: Scorer, query: Query, candidates: list) -> float:
-    """Maximum softmax probability over the candidates' raw scores."""
-    if not candidates:
-        raise ContractViolation("confidence requires at least one candidate answer")
-    return max_softmax([scorer.score(query, c) for c in candidates])
 
 
 def decide(sigma: float, theta: float) -> int:

@@ -189,15 +189,15 @@ def generate(
     gen: ToyGenerator,
     table: EmbeddingTable,
     query_point: LorentzPoint,
-    d_rel_points: list[LorentzPoint],
-    triplet_points: list[LorentzPoint],
+    evidence_points: list[LorentzPoint],
     max_len: int,
 ) -> tuple[TokenSequence, TokenDistributionSequence]:
-    """Greedy decoding conditioned on query + retrieved + triplet
-    embeddings; argmax ties resolve to the lowest token index."""
+    """Greedy decoding conditioned on the query and the evidence
+    embeddings (retrieved items, then subgraph triplets); argmax ties
+    resolve to the lowest token index."""
     if max_len < 1:
         raise ContractViolation(f"max_len must be >= 1, got {max_len}")
-    z = condition_vector(table, query_point, list(d_rel_points) + list(triplet_points))
+    z = condition_vector(table, query_point, evidence_points)
     probs = softmax(gen.logits(z))
     token = int(np.argmax(probs))
     rows = np.tile(probs, (max_len, 1))
@@ -369,6 +369,6 @@ def exact_match_rate(gen: ToyGenerator, dataset: GenDataset) -> float:
     hits = 0
     for ex in dataset.examples:
         qpoint = dataset.table.embed_query(ex.query)
-        seq, _ = generate(gen, dataset.table, qpoint, list(ex.evidence), [], ex.gold.length)
+        seq, _ = generate(gen, dataset.table, qpoint, list(ex.evidence), ex.gold.length)
         hits += int(seq.tokens == ex.gold.tokens)
     return hits / len(dataset.examples)

@@ -1,5 +1,5 @@
-"""File formats: tab-separated corpus/label/graph files, the hyperboloid
-point format, and canonical JSON used for reproducibility checks.
+"""File formats: tab-separated corpus/label/graph files, the embedding
+table archive, and canonical JSON used for reproducibility checks.
 
 All writers emit byte-deterministic output (floats as shortest
 round-trip decimals); all loaders raise DataFormatError naming the file
@@ -9,14 +9,14 @@ and 1-based line number of the first offending record.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .alignment import KnowledgeItem, Query
-from .errors import DataFormatError
-from .geometry import LorentzPoint, project_to_hyperboloid
-from .spectral import GraphVertex, KnowledgeGraph
+from .alignment import EmbeddingTable, KnowledgeItem, Query
+from .errors import ConfigurationError, ContractViolation, DataFormatError
+from .spectral import GraphRecordError, GraphVertex, KnowledgeGraph
 
 GATING_TOKENS = {"answerable": False, "needs_retrieval": True}
 LABEL_TOKENS = {"pos": True, "neg": False}
@@ -35,6 +35,15 @@ def _parse_floats(text: str, path, lineno: int, what: str) -> np.ndarray:
         return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise DataFormatError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+
+
+def _record(cls, path, lineno: int, *fields):
+    """``cls(*fields)``, with a ContractViolation (a field the record
+    type rejects) re-raised as DataFormatError naming the line."""
+    try:
+        return cls(*fields)
+    except ContractViolation as exc:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
 
 
 def _read_rows(path, n_cols: int):
@@ -60,53 +69,6 @@ def _write_lines(path, lines) -> None:
     Path(path).write_text("".join(f"{line}\n" for line in lines))
 
 
-def save_points(path, points: list[LorentzPoint]) -> None:
-    """Header `lorentz <n> <count>`, then one row of n space-like
-    coordinates per point."""
-    if points:
-        n = points[0].dim
-    else:
-        n = 0
-    lines = [f"lorentz {n} {len(points)}"]
-    for pt in points:
-        lines.append(" ".join(_fmt(c) for c in pt.space))
-    _write_lines(path, lines)
-
-
-def load_points(path) -> list[LorentzPoint]:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}:1: missing header")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "lorentz":
-        raise DataFormatError(f"{path}:1: header must be 'lorentz <n> <count>'")
-    try:
-        n, count = int(header[1]), int(header[2])
-    except ValueError as exc:
-        raise DataFormatError(f"{path}:1: bad header numbers: {exc}") from exc
-    body = [line for line in lines[1:] if line]
-    if len(body) != count:
-        raise DataFormatError(
-            f"{path}: header promises {count} points, found {len(body)} rows"
-        )
-    points = []
-    for lineno, line in enumerate(body, start=2):
-        toks = line.split()
-        if len(toks) != n:
-            raise DataFormatError(f"{path}:{lineno}: expected {n} coordinates, got {len(toks)}")
-        try:
-            spatial = np.array([float(t) for t in toks])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-        points.append(project_to_hyperboloid(spatial))
-    return points
-
-
 def save_items(path, items: list[KnowledgeItem]) -> None:
     _write_lines(path, (f"{it.id}\t{it.modality}\t{_csv(it.features)}" for it in items))
 
@@ -114,7 +76,8 @@ def save_items(path, items: list[KnowledgeItem]) -> None:
 def load_items(path) -> list[KnowledgeItem]:
     items = []
     for lineno, (iid, modality, feats) in _read_rows(path, 3):
-        items.append(KnowledgeItem(iid, modality, _parse_floats(feats, path, lineno, "features")))
+        features = _parse_floats(feats, path, lineno, "features")
+        items.append(_record(KnowledgeItem, path, lineno, iid, modality, features))
     return items
 
 
@@ -128,13 +91,9 @@ def save_queries(path, queries: list[Query]) -> None:
 def load_queries(path) -> list[Query]:
     queries = []
     for lineno, (qid, vis, txt) in _read_rows(path, 3):
-        queries.append(
-            Query(
-                qid,
-                _parse_floats(vis, path, lineno, "visual features"),
-                _parse_floats(txt, path, lineno, "text features"),
-            )
-        )
+        visual = _parse_floats(vis, path, lineno, "visual features")
+        text = _parse_floats(txt, path, lineno, "text features")
+        queries.append(_record(Query, path, lineno, qid, visual, text))
     return queries
 
 
@@ -195,9 +154,12 @@ def load_confidence(path) -> dict[str, np.ndarray]:
     acc: dict[str, list[float]] = {}
     for lineno, (qid, _cand, val) in _read_rows(path, 3):
         try:
-            acc.setdefault(qid, []).append(float(val))
+            score = float(val)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: bad score: {exc}") from exc
+        if not math.isfinite(score):
+            raise DataFormatError(f"{path}:{lineno}: bad score: non-finite value")
+        acc.setdefault(qid, []).append(score)
     return {qid: np.array(vals) for qid, vals in acc.items()}
 
 
@@ -208,13 +170,20 @@ def save_qa(path, answers: dict[str, tuple[int, ...]]) -> None:
     )
 
 
-def load_qa(path) -> dict[str, tuple[int, ...]]:
+def load_qa(path, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Gold answers; every token must index one of ``vocab_size`` rows."""
     out = {}
     for lineno, (qid, toks) in _read_rows(path, 2):
         try:
-            out[qid] = tuple(int(t) for t in toks.split(","))
+            tokens = tuple(int(t) for t in toks.split(","))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: bad token id: {exc}") from exc
+        bad = next((t for t in tokens if not 0 <= t < vocab_size), None)
+        if bad is not None:
+            raise DataFormatError(
+                f"{path}:{lineno}: token {bad} outside vocabulary of size {vocab_size}"
+            )
+        out[qid] = tokens
     return out
 
 
@@ -238,10 +207,10 @@ def save_graph(graph_dir, graph: KnowledgeGraph) -> None:
 def load_graph(graph_dir) -> KnowledgeGraph:
     graph_dir = Path(graph_dir)
     vertices = []
-    for lineno, (vid, label, feats) in _read_rows(graph_dir / "vertices.tsv", 3):
-        vertices.append(
-            GraphVertex(vid, label, _parse_floats(feats, graph_dir / "vertices.tsv", lineno, "features"))
-        )
+    vertices_path = graph_dir / "vertices.tsv"
+    for lineno, (vid, label, feats) in _read_rows(vertices_path, 3):
+        features = _parse_floats(feats, vertices_path, lineno, "features")
+        vertices.append(_record(GraphVertex, vertices_path, lineno, vid, label, features))
     edges = []
     edges_path = graph_dir / "edges.tsv"
     for lineno, (u, v, w) in _read_rows(edges_path, 3):
@@ -253,7 +222,12 @@ def load_graph(graph_dir) -> KnowledgeGraph:
     triplets = []
     if triplets_path.exists():
         triplets = [(h, r, t) for _, (h, r, t) in _read_rows(triplets_path, 3)]
-    return KnowledgeGraph(tuple(vertices), tuple(edges), tuple(triplets))
+    try:
+        return KnowledgeGraph(tuple(vertices), tuple(edges), tuple(triplets))
+    except GraphRecordError as exc:
+        # Rows map one to one onto lines: _read_rows rejects blank lines.
+        path = graph_dir / f"{exc.records}.tsv"
+        raise DataFormatError(f"{path}:{exc.position + 1}: {exc}") from exc
 
 
 def save_vocab(path, embeddings: np.ndarray) -> None:
@@ -274,6 +248,8 @@ def load_vocab(path) -> np.ndarray:
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: bad token id: {exc}") from exc
         rows.append(_parse_floats(feats, path, lineno, "embedding"))
+        if rows[-1].size != rows[0].size or not np.isfinite(rows[-1]).all():
+            raise DataFormatError(f"{path}:{lineno}: need {rows[0].size} finite embedding values")
     if not rows:
         raise DataFormatError(f"{path}: empty vocabulary")
     return np.vstack(rows)
@@ -324,9 +300,6 @@ def save_table(path, table) -> None:
 
 
 def load_table(path):
-    from .alignment import EmbeddingTable
-    from .errors import ConfigurationError
-
     try:
         data = np.load(path)
     except (OSError, ValueError) as exc:

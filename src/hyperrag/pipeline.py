@@ -12,6 +12,7 @@ generator) share one decoupled-weight-decay adaptive optimizer.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,7 +50,6 @@ from .geometry import LorentzPoint
 from .io import canonical_json_bytes
 from .spectral import (
     KnowledgeGraph,
-    RelevanceVector,
     Subgraph,
     embed_triplets,
     extract_triplets,  # noqa: F401 (perfbench's tracer test rebinds it here)
@@ -264,24 +264,33 @@ class ReadIndex:
     def build(
         cls, table: EmbeddingTable, graph: KnowledgeGraph, items: list[KnowledgeItem]
     ) -> "ReadIndex":
-        def vertex_indices(pos: int) -> np.ndarray:
-            return np.array(
-                [graph.vertex_index(trip[pos]) for trip in graph.triplets], dtype=np.intp
-            )
-
+        heads, tails = _triplet_ends(graph)
         return cls(
             corpus_rows=embed_corpus_rows(table, items),
             triplet_points=tuple(embed_triplets(graph, table, graph.triplets)),
-            triplet_heads=vertex_indices(0),
-            triplet_tails=vertex_indices(2),
+            triplet_heads=heads,
+            triplet_tails=tails,
         )
 
     def triplet_evidence(self, subgraph: Subgraph) -> list[LorentzPoint]:
         """Points of the triplets whose head and tail both lie in the
         subgraph, in graph order: the points of ``extract_triplets``."""
-        inside = subgraph.indicator > 0
-        keep = np.flatnonzero(inside[self.triplet_heads] & inside[self.triplet_tails])
+        keep = _triplets_inside(subgraph, self.triplet_heads, self.triplet_tails)
         return [self.triplet_points[i] for i in keep]
+
+
+def _triplet_ends(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Head and tail vertex indices of every ``graph.triplets`` entry."""
+    heads = np.array([graph.vertex_index(h) for h, _, _ in graph.triplets], dtype=np.intp)
+    tails = np.array([graph.vertex_index(t) for _, _, t in graph.triplets], dtype=np.intp)
+    return heads, tails
+
+
+def _triplets_inside(subgraph: Subgraph, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Indices, in graph order, of the triplets whose head and tail both
+    lie in the subgraph."""
+    inside = subgraph.indicator > 0
+    return np.flatnonzero(inside[heads] & inside[tails])
 
 
 @dataclass
@@ -329,13 +338,18 @@ class AnswerResult:
     timings: dict[str, float]
 
 
-def _with_stage(exc: HyperRagError, stage: str) -> HyperRagError:
-    """Tag a propagating error with the pipeline stage, preserving type."""
-    if exc.args and isinstance(exc.args[0], str):
-        exc.args = (f"{exc.args[0]} [stage: {stage}]",) + exc.args[1:]
-    else:
-        exc.args = (f"[stage: {stage}]",) + exc.args
-    return exc
+@contextmanager
+def _stage(stage: str):
+    """Tag a HyperRagError raised in the block with the pipeline stage,
+    preserving its type."""
+    try:
+        yield
+    except HyperRagError as exc:
+        if exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"{exc.args[0]} [stage: {stage}]",) + exc.args[1:]
+        else:
+            exc.args = (f"[stage: {stage}]",) + exc.args
+        raise
 
 
 def _sigma_of_scores(scores) -> float:
@@ -363,6 +377,46 @@ def phase1_inputs(bundle: CorpusBundle):
     return labeled, gating_pairs
 
 
+def train_phase1(config: PipelineConfig, bundle: CorpusBundle):
+    """Phase 1: fit the relevance head and the gating threshold on
+    ``phase1_inputs(bundle)``.  Returns ``(labeled, head, theta, trace)``."""
+    labeled, gating_pairs = phase1_inputs(bundle)
+    head, theta, trace = train_crm(
+        labeled,
+        gating_pairs,
+        CrmConfig(
+            hidden=config.crm_hidden,
+            lr=config.crm_lr,
+            epochs=config.crm_epochs,
+            seed=config.seed,
+            batch_size=config.crm_batch_size,
+        ),
+        query_dim=bundle.queries[0].combined_features.size,
+        item_dim=bundle.items[0].features.size,
+    )
+    return labeled, head, theta, trace
+
+
+def query_subgraph(
+    config: PipelineConfig, graph: KnowledgeGraph, query: Query, eigvecs: np.ndarray | None = None
+) -> Subgraph:
+    """The query's refined subgraph: feature-dot relevance of every
+    vertex, then ``refine_subgraph`` with eta = eta_frac * total relevance.
+    Without ``eigvecs`` the eigenvectors are computed here."""
+    r = relevance_vector(query, graph, FeatureDotScorer())
+    eta = config.eta_frac * r.total
+    return refine_subgraph(
+        graph, r, eta=eta, k=config.k, rho=config.rho, eigvecs=eigvecs, seed=config.seed
+    )
+
+
+def _top_items(config: PipelineConfig, table: EmbeddingTable, query: Query, items, rows):
+    """The ``config.top_k`` items nearest the query (every item when there
+    are fewer), ranked over their embedded ``rows``."""
+    k = min(config.top_k, len(items))
+    return [doc for doc, _ in rank_rows(table, query, items, rows, k)]
+
+
 def run_training(
     config: PipelineConfig, bundle: CorpusBundle
 ) -> tuple[PipelineComponents, list[LossReport]]:
@@ -379,48 +433,21 @@ def run_training(
         queries, items, config.dim, seed=config.seed, graph_feature_dim=graph_dim
     )
 
-    # Phase 1: relevance head + gating threshold on the labeled pairs.
-    labeled, gating_pairs = phase1_inputs(bundle)
+    labeled, head, theta, _ = train_phase1(config, bundle)
     per_query = {q.id: (pos, neg) for q, pos, neg in labeled}
-    head, theta, _ = train_crm(
-        labeled,
-        gating_pairs,
-        CrmConfig(
-            hidden=config.crm_hidden,
-            lr=config.crm_lr,
-            epochs=config.crm_epochs,
-            seed=config.seed,
-            batch_size=config.crm_batch_size,
-        ),
-        query_dim=queries[0].combined_features.size,
-        item_dim=items[0].features.size,
-    )
 
     # Phase 2 fixtures: gating decisions, relevance vectors, and refined
     # subgraphs are table-independent, so they are computed once.
     eig_k = min(config.k, max(bundle.graph.size, 1))
     _, eigvecs = smallest_eigenpairs(laplacian(bundle.graph), eig_k, seed=config.seed)
-    scorer = FeatureDotScorer()
     sigma = {q.id: _sigma_of_scores(bundle.confidence.get(q.id)) for q in queries}
     delta = {qid: decide(s, theta) for qid, s in sigma.items()}
-    kept_triplets: dict[str, list] = {}
-    for q in queries:
-        if delta[q.id] != 1:
-            continue
-        r = relevance_vector(q, bundle.graph, scorer)
-        sub = refine_subgraph(
-            bundle.graph,
-            r,
-            eta=config.eta_frac * r.total,
-            k=config.k,
-            rho=config.rho,
-            eigvecs=eigvecs,
-            seed=config.seed,
-        )
-        sel = sub.vertex_set
-        kept_triplets[q.id] = [
-            trip for trip in bundle.graph.triplets if trip[0] in sel and trip[2] in sel
-        ]
+    heads, tails = _triplet_ends(bundle.graph)
+    kept_triplets = {
+        q.id: _triplets_inside(query_subgraph(config, bundle.graph, q, eigvecs), heads, tails)
+        for q in queries
+        if delta[q.id] == 1
+    }
 
     generator = ToyGenerator(vocab, 2 * config.dim)
     params: dict[str, np.ndarray] = dict(table.named_params())
@@ -464,10 +491,8 @@ def run_training(
                 if bundle.positives.get(q.id)
             ]
             if geo_pairs:
-                try:
+                with _stage(f"phase2 epoch {epoch} alignment"):
                     geo_mean, geo_grads = geo_loss_and_grads(table, geo_pairs)
-                except HyperRagError as exc:
-                    raise _with_stage(exc, f"phase2 epoch {epoch} alignment")
                 scale = config.gamma * len(geo_pairs) / n_batch
                 for name, g in geo_grads.items():
                     grads[name] = grads.get(name, 0.0) + scale * g
@@ -478,10 +503,8 @@ def run_training(
                 (q, *per_query[q.id]) for q in gated if q.id in per_query
             ]
             if crm_batch:
-                try:
+                with _stage(f"phase2 epoch {epoch} relevance"):
                     crm_sum, crm_grads = crm_loss_and_grads(head, crm_batch)
-                except HyperRagError as exc:
-                    raise _with_stage(exc, f"phase2 epoch {epoch} relevance")
                 scale = config.beta / n_batch
                 for name, g in crm_grads.items():
                     grads[f"crm.{name}"] = grads.get(f"crm.{name}", 0.0) + scale * g
@@ -489,31 +512,22 @@ def run_training(
                 counts["crm"] += len(crm_batch)
 
             rows = embed_corpus_rows(table, items)
-            batch_trips = list(
-                dict.fromkeys(t for q in gated for t in kept_triplets.get(q.id, []))
-            )
-            point_cache = dict(
-                zip(batch_trips, embed_triplets(bundle.graph, table, batch_trips))
-            )
+            batch_trips = list(dict.fromkeys(i for q in gated for i in kept_triplets[q.id]))
+            trips = [bundle.graph.triplets[i] for i in batch_trips]
+            point_cache = dict(zip(batch_trips, embed_triplets(bundle.graph, table, trips)))
 
             gen_scale = (1.0 - config.beta - config.gamma) / n_batch
             for idx_in_batch, q in enumerate(batch):
                 evidence = []
                 if delta[q.id] == 1:
-                    ranked = [
-                        doc
-                        for doc, _ in rank_rows(
-                            table, q, items, rows, min(config.top_k, len(items))
-                        )
-                    ]
-                    used = filter_relevant(head, q, ranked)
+                    used = filter_relevant(head, q, _top_items(config, table, q, items, rows))
                     evidence = [table.embed_item(doc) for doc in used]
-                    evidence += [point_cache[t] for t in kept_triplets.get(q.id, [])]
+                    evidence += [point_cache[i] for i in kept_triplets[q.id]]
                 example = GenExample(q, tuple(evidence), gold[q.id])
                 dropped = apply_query_dropout(
                     q, p_t, seed=(config.seed, epoch, int(order[start + idx_in_batch]))
                 )
-                try:
+                with _stage(f"phase2 epoch {epoch} generation"):
                     local, sqrt_cost, grad_logits, z = example_losses_and_grad(
                         generator,
                         table,
@@ -524,8 +538,6 @@ def run_training(
                         config.epsilon,
                         config.ot_max_iter,
                     )
-                except HyperRagError as exc:
-                    raise _with_stage(exc, f"phase2 epoch {epoch} generation")
                 sums["local"] += local
                 sums["global"] += sqrt_cost
                 grads["gen.weight"] += gen_scale * np.outer(grad_logits, z)
@@ -596,71 +608,38 @@ def answer_query(
     evidence = []
     if delta == 1:
         t0 = time.perf_counter()
-        try:
+        with _stage("index"):
             index = components.read_index()
-        except HyperRagError as exc:
-            raise _with_stage(exc, "index")
-        try:
-            ranked = [
-                doc
-                for doc, _ in rank_rows(
-                    components.table,
-                    query,
-                    components.items,
-                    index.corpus_rows,
-                    min(cfg.top_k, len(components.items)),
-                )
-            ]
-        except HyperRagError as exc:
-            raise _with_stage(exc, "retrieve")
+        with _stage("retrieve"):
+            ranked = _top_items(cfg, components.table, query, components.items, index.corpus_rows)
         retrieved = tuple(doc.id for doc in ranked)
         timings["retrieve"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        try:
+        with _stage("filter"):
             docs = (
                 filter_relevant(components.head, query, ranked)
                 if components.crm_enabled
                 else ranked
             )
-        except HyperRagError as exc:
-            raise _with_stage(exc, "filter")
         used = tuple(doc.id for doc in docs)
         timings["filter"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        try:
-            r = relevance_vector(query, components.graph, FeatureDotScorer())
-            subgraph = refine_subgraph(
-                components.graph,
-                r,
-                eta=cfg.eta_frac * r.total,
-                k=cfg.k,
-                rho=cfg.rho,
-                eigvecs=components.eigvecs,
-                seed=cfg.seed,
-            )
+        with _stage("refine"):
+            subgraph = query_subgraph(cfg, components.graph, query, components.eigvecs)
             triplet_points = index.triplet_evidence(subgraph)
-        except HyperRagError as exc:
-            raise _with_stage(exc, "refine")
         timings["refine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    try:
+    with _stage("generate"):
         if delta == 1:
             evidence = [components.table.embed_item(doc) for doc in docs]
             evidence += triplet_points
         q_point = components.table.embed_query(query)
         tokens, _ = generate(
-            components.generator,
-            components.table,
-            q_point,
-            evidence,
-            [],
-            max_len,
+            components.generator, components.table, q_point, evidence, max_len
         )
-    except HyperRagError as exc:
-        raise _with_stage(exc, "generate")
     timings["generate"] = time.perf_counter() - t0
 
     return AnswerResult(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .alignment import EmbeddingTable, Query
@@ -57,12 +58,22 @@ class GraphVertex:
         object.__setattr__(self, "features", arr)
 
 
+class GraphRecordError(ContractViolation):
+    """One vertex, edge or triplet breaks the KnowledgeGraph contract:
+    ``records`` names the field and ``position`` the entry's index in it."""
+
+    def __init__(self, message: str, records: str, position: int):
+        super().__init__(message)
+        self.records, self.position = records, position
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Undirected weighted graph with an overlaid triplet relation list.
 
-    Edges are (u_id, v_id, weight >= 0) with no self-loops and at most one
-    edge per unordered pair.
+    Edges are (u_id, v_id, weight) with a finite weight >= 0, no
+    self-loops and at most one edge per unordered pair.  A record that
+    breaks this raises GraphRecordError.
     """
 
     vertices: tuple[GraphVertex, ...]
@@ -76,27 +87,33 @@ class KnowledgeGraph:
         index: dict[str, int] = {}
         for i, vert in enumerate(self.vertices):
             if vert.id in index:
-                raise ContractViolation(f"duplicate vertex id {vert.id!r}")
+                raise GraphRecordError(f"duplicate vertex id {vert.id!r}", "vertices", i)
             index[vert.id] = i
         seen: set[tuple[str, str]] = set()
         u_idx, v_idx, weights = [], [], []
-        for u, v, w in self.edges:
+        for pos, (u, v, w) in enumerate(self.edges):
             if u not in index or v not in index:
-                raise ContractViolation(f"edge ({u!r}, {v!r}) references unknown vertices")
+                raise GraphRecordError(
+                    f"edge ({u!r}, {v!r}) references unknown vertices", "edges", pos
+                )
             if u == v:
-                raise ContractViolation(f"self-loop on vertex {u!r}")
-            if w < 0:
-                raise ContractViolation(f"negative edge weight {w} on ({u!r}, {v!r})")
+                raise GraphRecordError(f"self-loop on vertex {u!r}", "edges", pos)
+            if not 0.0 <= w < math.inf:
+                raise GraphRecordError(
+                    f"edge weight {w} on ({u!r}, {v!r}) is not finite and >= 0", "edges", pos
+                )
             key = (u, v) if u <= v else (v, u)
             if key in seen:
-                raise ContractViolation(f"duplicate edge for pair {key}")
+                raise GraphRecordError(f"duplicate edge for pair {key}", "edges", pos)
             seen.add(key)
             u_idx.append(index[u])
             v_idx.append(index[v])
             weights.append(float(w))
-        for h, _rel, t in self.triplets:
+        for pos, (h, _rel, t) in enumerate(self.triplets):
             if h not in index or t not in index:
-                raise ContractViolation(f"triplet ({h!r}, ..., {t!r}) references unknown vertices")
+                raise GraphRecordError(
+                    f"triplet ({h!r}, ..., {t!r}) references unknown vertices", "triplets", pos
+                )
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_u", np.array(u_idx, dtype=np.intp))
         object.__setattr__(self, "_v", np.array(v_idx, dtype=np.intp))
@@ -131,28 +148,11 @@ class KnowledgeGraph:
 
 
 def connected_components(graph: KnowledgeGraph) -> int:
-    n = graph.size
-    if n == 0:
-        return 0
-    adj: list[list[int]] = [[] for _ in range(n)]
+    """Number of connected components; every edge connects its ends,
+    whatever its weight (zero included)."""
     u, v, _ = graph.edge_arrays()
-    for a, b in zip(u, v):
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = np.zeros(n, dtype=bool)
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            for nb in adj[node]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
+    unit = sp.coo_matrix((np.ones(u.size), (u, v)), shape=(graph.size, graph.size))
+    count, _ = csgraph.connected_components(unit, directed=False)
     return count
 
 

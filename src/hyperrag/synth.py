@@ -336,16 +336,28 @@ def _check_ids(path: Path, ids, known: set[str], what: str, column: int = 0) -> 
             raise DataFormatError(f"{path}:{lineno}: unknown {what} id {bad!r}")
 
 
+def _check_every_query(path: Path, queries: list[Query], row_ids) -> None:
+    """Raise DataFormatError naming ``path`` and the first query whose id
+    is not among ``row_ids``, the ids that have a row in that file."""
+    missing = next((q.id for q in queries if q.id not in row_ids), None)
+    if missing is not None:
+        raise DataFormatError(f"{path}: no row for query id {missing!r}")
+
+
 def load_bundle(out_dir) -> CorpusBundle:
     """Read a bundle written by ``write_bundle``.  Every row of positives,
     labels, gating, confidence and qa must name a loaded query (and item),
-    and every query needs a qa row; otherwise DataFormatError names the
-    file, the line and the id."""
+    and every query needs a qa row and a clusters row; otherwise
+    DataFormatError names the file, the line and the id."""
     out = Path(out_dir)
     spec = _spec_from_meta(out / "meta.json")
     items = hio.load_items(out / "items.tsv")
     queries = hio.load_queries(out / "queries.tsv")
     clusters = hio.load_clusters(out / "clusters.tsv")
+    _check_every_query(
+        out / "clusters.tsv", queries, {ident for kind, ident in clusters if kind == "query"}
+    )
+    token_embeddings = hio.load_vocab(out / "vocab.tsv")
     query_ids = {q.id for q in queries}
     item_ids = {item.id for item in items}
 
@@ -371,11 +383,9 @@ def load_bundle(out_dir) -> CorpusBundle:
     _check_ids(path, confidence, query_ids, "query")
 
     path = out / "qa.tsv"
-    qa = hio.load_qa(path)
+    qa = hio.load_qa(path, len(token_embeddings))
     _check_ids(path, qa, query_ids, "query")
-    missing = next((q.id for q in queries if q.id not in qa), None)
-    if missing is not None:
-        raise DataFormatError(f"{path}: no row for query id {missing!r}")
+    _check_every_query(path, queries, qa)
 
     by_cluster: dict[int, list[str]] = {}
     for (kind, ident), c in clusters.items():
@@ -397,6 +407,6 @@ def load_bundle(out_dir) -> CorpusBundle:
         confidence=confidence,
         graph=hio.load_graph(out / "graph"),
         qa=qa,
-        token_embeddings=hio.load_vocab(out / "vocab.tsv"),
+        token_embeddings=token_embeddings,
         clusters=clusters,
     )

@@ -21,3 +21,12 @@ def raw_point(coords) -> LorentzPoint:
     arr = np.asarray(coords, dtype=float)
     object.__setattr__(p, "coords", arr)
     return p
+
+
+def set_field(path, lineno: int, column: int, value: str) -> None:
+    """Replace one tab-separated field of one line of a bundle file."""
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split("\t")
+    fields[column] = value
+    lines[lineno - 1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")

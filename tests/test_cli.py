@@ -1,15 +1,25 @@
 """End-to-end command-line checks: record streams, artifacts, exit codes,
 and error categories."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperrag.cli import load_config, main
 from hyperrag.errors import ConfigurationError
 from hyperrag.io import load_table
+from hyperrag.pipeline import PipelineConfig, answer_query, run_training
+from hyperrag.synth import load_bundle
+
+from conftest import set_field
 
 TINY_CONFIG = {
     "dim": 8,
@@ -49,6 +59,28 @@ def records(stdout: str) -> list[dict]:
 
 def base_args(workdir) -> list[str]:
     return ["--bundle", str(workdir / "bundle"), "--config", str(workdir / "cfg.json")]
+
+
+BUNDLE_TABLES = [
+    "items.tsv",
+    "queries.tsv",
+    "positives.tsv",
+    "labels.tsv",
+    "gating.tsv",
+    "confidence.tsv",
+    "qa.tsv",
+    "vocab.tsv",
+    "clusters.tsv",
+    "graph/vertices.tsv",
+    "graph/edges.tsv",
+    "graph/triplets.tsv",
+]
+# Values that are malformed, out of range, or valid ids of another row.
+FUZZ_VALUES = [
+    "", "nan", "inf", "-inf", "-1", "0", "99", "1e308", "-0.5", "1,2", "x",
+    "audio", "pos", "needs_retrieval", "q0000", "q9999", "i0000", "i9999",
+    "n0000", "n0001", "n9999",
+]
 
 
 class TestConfigLoading:
@@ -135,6 +167,17 @@ class TestStageCommands:
         )
         assert code == 3
         assert json.loads(err)["category"] == "config"
+
+    def test_refine_matches_answer_subgraph(self, workdir, capsys):
+        bundle = load_bundle(workdir / "bundle")
+        components, _ = run_training(PipelineConfig(**TINY_CONFIG), bundle)
+        query, result = next(
+            (q, res) for q in bundle.queries if (res := answer_query(components, q)).delta == 1
+        )
+        code, out, _ = run_cli(["refine", *base_args(workdir), "--query", query.id], capsys)
+        assert code == 0
+        (rec,) = records(out)
+        assert rec["selected"] == list(result.subgraph.selected)
 
     def test_cheeger_bound_holds(self, workdir, capsys):
         code, out, _ = run_cli(["cheeger", *base_args(workdir)], capsys)
@@ -265,6 +308,69 @@ class TestErrorSurface:
         record = json.loads(err)
         assert record["category"] == "data_format"
         assert "qa.tsv" in record["message"] and repr(qid) in record["message"]
+
+    def test_query_without_clusters_row_is_data_format_error(self, workdir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        lines = (bundle / "clusters.tsv").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("query\tq0003\t")]
+        assert len(kept) == len(lines) - 1
+        (bundle / "clusters.tsv").write_text("".join(f"{line}\n" for line in kept))
+        code, _, err = run_cli(["cheeger", "--bundle", str(bundle)], capsys)
+        assert code == 8
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert "clusters.tsv" in record["message"] and "'q0003'" in record["message"]
+
+    @pytest.mark.parametrize(
+        "name, column, value",
+        [
+            ("graph/triplets.tsv", 0, "vnope"),
+            ("graph/edges.tsv", 1, "vnope"),
+            ("graph/edges.tsv", 2, "-1.0"),
+            ("graph/vertices.tsv", 2, "nan"),
+            ("items.tsv", 1, "audio"),
+            ("items.tsv", 2, "nan"),
+            ("queries.tsv", 2, "nan"),
+            ("qa.tsv", 1, "99"),
+        ],
+    )
+    def test_bad_row_is_data_format_error_naming_line(
+        self, workdir, tmp_path, capsys, name, column, value
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        set_field(bundle / name, 2, column, value)
+        code, _, err = run_cli(["cheeger", "--bundle", str(bundle)], capsys)
+        assert code == 8
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert f"{bundle / name}:2: " in record["message"]
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_field_exits_cleanly(self, workdir, data):
+        name = data.draw(st.sampled_from(BUNDLE_TABLES))
+        lines = (workdir / "bundle" / name).read_text().splitlines()
+        lineno = data.draw(st.integers(1, len(lines)))
+        column = data.draw(st.integers(0, lines[lineno - 1].count("\t")))
+        value = data.draw(
+            st.one_of(st.sampled_from(FUZZ_VALUES), st.text("0123456789.,-einqv", max_size=6))
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = Path(tmp) / "bundle"
+            shutil.copytree(workdir / "bundle", bundle)
+            set_field(bundle / name, lineno, column, value)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["cheeger", "--bundle", str(bundle)])
+        assert code in (0, 8), err.getvalue()
+        if code == 8:
+            assert json.loads(err.getvalue())["category"] == "data_format"
 
     def test_bad_config_type_exit_code(self, workdir, capsys):
         path = workdir / "bad_cfg.json"

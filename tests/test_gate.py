@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyperrag.alignment import EmbeddingTable, KnowledgeItem, Query
+from hyperrag.alignment import KnowledgeItem, Query
 from hyperrag.errors import ConfigurationError, ContractViolation
 from hyperrag.gate import (
     CrmConfig,
-    EmbeddingSimilarityScorer,
     FeatureDotScorer,
     RelevanceHead,
     TableLookupScorer,
-    confidence,
     crm_loss,
     crm_loss_and_grads,
     decide,
     filter_relevant,
     fit_theta,
+    max_softmax,
     relevance,
     train_crm,
 )
@@ -46,29 +45,23 @@ def make_query(qid="q", dim=3, value=0.0):
 
 
 class TestConfidence:
-    def setup_method(self):
-        self.query = make_query()
-        self.scorer = TableLookupScorer(
-            {("q", "a"): 2.0, ("q", "b"): 0.0, ("q", "c"): 0.0, ("q", "solo"): -5.0}
-        )
-
     def test_single_candidate_is_one(self):
-        assert confidence(self.scorer, self.query, ["solo"]) == 1.0
+        assert max_softmax([-5.0]) == 1.0
 
     def test_two_equal_scores(self):
-        assert_allclose(confidence(self.scorer, self.query, ["b", "c"]), 0.5, rtol=1e-15)
+        assert_allclose(max_softmax([0.0, 0.0]), 0.5, rtol=1e-15)
 
     def test_softmax_2_0_0(self):
-        sigma = confidence(self.scorer, self.query, ["a", "b", "c"])
-        assert_allclose(sigma, SOFTMAX_2_0_0, rtol=1e-12)
+        assert_allclose(max_softmax([2.0, 0.0, 0.0]), SOFTMAX_2_0_0, rtol=1e-12)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ContractViolation):
-            confidence(self.scorer, self.query, [])
+            max_softmax([])
 
     def test_missing_table_entry(self):
+        scorer = TableLookupScorer({("q", "a"): 2.0})
         with pytest.raises(ContractViolation):
-            confidence(self.scorer, self.query, ["unknown"])
+            scorer.score(make_query(), "unknown")
 
 
 class TestDecide:
@@ -94,18 +87,6 @@ class TestDecide:
 
 
 class TestScorers:
-    def test_embedding_scorer_prefers_nearby(self, rng):
-        dims = {"visual": 3, "textual": 3, "graph_triplet": 3, "query": 6}
-        table = EmbeddingTable(4, dims, seed=0)
-        q = Query("q", rng.standard_normal(3), rng.standard_normal(3))
-        scorer = EmbeddingSimilarityScorer(table)
-        target_spatial = table.spatial(q.combined_features, "query")
-        f_near = np.linalg.pinv(table.weight["visual"]) @ target_spatial
-        near = KnowledgeItem("near", "visual", f_near)
-        far = KnowledgeItem("far", "visual", f_near + 50.0)
-        assert scorer.score(q, near) > scorer.score(q, far)
-        assert scorer.score(q, near) <= 0.0
-
     def test_dot_scorer_truncates(self):
         q = Query("q", np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         item = KnowledgeItem("i", "visual", np.array([1.0, 0.0, 9.0]))

@@ -188,7 +188,7 @@ class TestGenerate:
     def test_zero_generator_uniform_token0(self):
         gen = ToyGenerator(4, 2 * self.table.dim)
         qpoint = self.table.embed_query(self.ds.examples[0].query)
-        seq, dists = generate(gen, self.table, qpoint, [], [], 5)
+        seq, dists = generate(gen, self.table, qpoint, [], 5)
         assert seq.tokens == (0,) * 5
         assert np.allclose(dists.rows, 0.25, atol=1e-12)
 
@@ -196,8 +196,8 @@ class TestGenerate:
         gen = ToyGenerator(self.ds.vocab_size, 2 * self.table.dim)
         ex = self.ds.examples[1]
         qpoint = self.table.embed_query(ex.query)
-        a = generate(gen, self.table, qpoint, list(ex.evidence), [], 3)
-        b = generate(gen, self.table, qpoint, list(ex.evidence), [], 3)
+        a = generate(gen, self.table, qpoint, list(ex.evidence), 3)
+        b = generate(gen, self.table, qpoint, list(ex.evidence), 3)
         assert a[0].tokens == b[0].tokens
         assert np.array_equal(a[1].rows, b[1].rows)
 
@@ -205,7 +205,7 @@ class TestGenerate:
         gen = ToyGenerator(4, 2 * self.table.dim)
         qpoint = self.table.embed_query(self.ds.examples[0].query)
         with pytest.raises(ContractViolation):
-            generate(gen, self.table, qpoint, [], [], 0)
+            generate(gen, self.table, qpoint, [], 0)
 
     def test_condition_vector_empty_evidence_zero_block(self):
         qpoint = self.table.embed_query(self.ds.examples[0].query)

@@ -1,13 +1,16 @@
 """Round-trip, determinism, and malformed-input tests for the file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hyperrag.alignment import EmbeddingTable, KnowledgeItem, Query
 from hyperrag.errors import DataFormatError
-from hyperrag.geometry import geodesic_distance, project_to_hyperboloid
 from hyperrag.spectral import GraphVertex, KnowledgeGraph
 from hyperrag import io as hio
+
+from conftest import set_field
 
 
 def sample_items():
@@ -34,60 +37,6 @@ def sample_graph():
     edges = (("v0", "v1", 1.25), ("v1", "v2", 0.5))
     triplets = (("v0", "linked_to", "v1"), ("v1", "linked_to", "v2"))
     return KnowledgeGraph(vertices, edges, triplets)
-
-
-class TestPoints:
-    def test_round_trip_exact(self, tmp_path, rng):
-        pts = [project_to_hyperboloid(rng.normal(size=4)) for _ in range(5)]
-        path = tmp_path / "points.txt"
-        hio.save_points(path, pts)
-        back = hio.load_points(path)
-        assert len(back) == 5
-        for a, b in zip(pts, back):
-            # repr round-trips floats exactly, so the reconstruction is bit-equal
-            assert np.array_equal(a.coords, b.coords)
-            assert geodesic_distance(a, b) == 0.0
-
-    def test_empty_list(self, tmp_path):
-        path = tmp_path / "points.txt"
-        hio.save_points(path, [])
-        assert hio.load_points(path) == []
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "points.txt"
-        path.write_text("")
-        with pytest.raises(DataFormatError, match="missing header"):
-            hio.load_points(path)
-
-    def test_bad_header_tag(self, tmp_path):
-        path = tmp_path / "points.txt"
-        path.write_text("euclid 3 1\n1.0 2.0 3.0\n")
-        with pytest.raises(DataFormatError, match="header"):
-            hio.load_points(path)
-
-    def test_bad_header_numbers(self, tmp_path):
-        path = tmp_path / "points.txt"
-        path.write_text("lorentz three 1\n1.0 2.0 3.0\n")
-        with pytest.raises(DataFormatError, match="bad header numbers"):
-            hio.load_points(path)
-
-    def test_count_mismatch(self, tmp_path):
-        path = tmp_path / "points.txt"
-        path.write_text("lorentz 2 3\n1.0 2.0\n")
-        with pytest.raises(DataFormatError, match="promises 3 points, found 1"):
-            hio.load_points(path)
-
-    def test_wrong_coordinate_count(self, tmp_path):
-        path = tmp_path / "points.txt"
-        path.write_text("lorentz 3 1\n1.0 2.0\n")
-        with pytest.raises(DataFormatError, match="expected 3 coordinates"):
-            hio.load_points(path)
-
-    def test_non_numeric_coordinate(self, tmp_path):
-        path = tmp_path / "points.txt"
-        path.write_text("lorentz 2 1\n1.0 spam\n")
-        with pytest.raises(DataFormatError, match="bad coordinate"):
-            hio.load_points(path)
 
 
 class TestTabularFormats:
@@ -168,13 +117,13 @@ class TestTabularFormats:
         answers = {"q0": (3, 3, 3), "q1": (0, 1, 2)}
         path = tmp_path / "qa.tsv"
         hio.save_qa(path, answers)
-        assert hio.load_qa(path) == answers
+        assert hio.load_qa(path, 4) == answers
 
     def test_qa_bad_token_id(self, tmp_path):
         path = tmp_path / "qa.tsv"
         path.write_text("q0\t1,two,3\n")
         with pytest.raises(DataFormatError, match=":1: bad token id"):
-            hio.load_qa(path)
+            hio.load_qa(path, 4)
 
     def test_vocab_round_trip(self, tmp_path):
         emb = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -224,6 +173,54 @@ class TestGraphDir:
         (gdir / "edges.tsv").write_text("v0\tv1\theavy\n")
         with pytest.raises(DataFormatError, match="bad weight"):
             hio.load_graph(gdir)
+
+
+LOADERS = {
+    "items.tsv": hio.load_items,
+    "queries.tsv": hio.load_queries,
+    "confidence.tsv": hio.load_confidence,
+    "qa.tsv": lambda path: hio.load_qa(path, 4),
+    "vocab.tsv": hio.load_vocab,
+}
+
+
+class TestRejectedRows:
+    @pytest.mark.parametrize(
+        "name, lineno, column, value, message",
+        [
+            ("items.tsv", 2, 1, "audio", "unknown modality 'audio'"),
+            ("items.tsv", 1, 2, "1.0,nan,0.5", "features contains non-finite values"),
+            ("queries.tsv", 2, 1, "nan,1.0", "visual_features contains non-finite values"),
+            ("confidence.tsv", 2, 2, "nan", "bad score: non-finite value"),
+            ("qa.tsv", 1, 1, "3,99", "token 99 outside vocabulary of size 4"),
+            ("qa.tsv", 2, 1, "-1", "token -1 outside vocabulary of size 4"),
+            ("vocab.tsv", 2, 1, "1.0", "need 2 finite embedding values"),
+            ("vocab.tsv", 3, 1, "1.0,-inf", "need 2 finite embedding values"),
+            ("graph/vertices.tsv", 3, 2, "inf,0.0", "vertex 'v2' has invalid features"),
+            ("graph/vertices.tsv", 2, 0, "v0", "duplicate vertex id 'v0'"),
+            ("graph/edges.tsv", 2, 1, "vnope", "('v1', 'vnope') references unknown vertices"),
+            ("graph/edges.tsv", 1, 2, "-0.5", "weight -0.5 on ('v0', 'v1') is not finite"),
+            ("graph/edges.tsv", 2, 2, "nan", "weight nan on ('v1', 'v2') is not finite"),
+            ("graph/edges.tsv", 1, 1, "v0", "self-loop on vertex 'v0'"),
+            ("graph/triplets.tsv", 2, 0, "vnope", "('vnope', ..., 'v2') references unknown"),
+        ],
+    )
+    def test_data_format_error_names_file_and_line(
+        self, tmp_path, name, lineno, column, value, message
+    ):
+        hio.save_items(tmp_path / "items.tsv", sample_items())
+        hio.save_queries(tmp_path / "queries.tsv", sample_queries())
+        hio.save_confidence(tmp_path / "confidence.tsv", {"q0": np.array([0.5, 0.25])})
+        hio.save_qa(tmp_path / "qa.tsv", {"q0": (3, 3), "q1": (0, 1)})
+        hio.save_vocab(tmp_path / "vocab.tsv", np.ones((4, 2)))
+        hio.save_graph(tmp_path / "graph", sample_graph())
+        set_field(tmp_path / name, lineno, column, value)
+        expected = re.escape(f"{tmp_path / name}:{lineno}: ") + ".*" + re.escape(message)
+        with pytest.raises(DataFormatError, match=expected):
+            if name.startswith("graph/"):
+                hio.load_graph(tmp_path / "graph")
+            else:
+                LOADERS[name](tmp_path / name)
 
 
 class TestDeterminismAndJson:

@@ -2,6 +2,7 @@
 two-phase training semantics, gated inference, and evaluation metrics."""
 
 import math
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -303,7 +304,7 @@ class TestAnswerQuery:
     def test_stage_tag_on_propagated_error(self, planted):
         bundle, components, _ = planted
         broken = components.with_crm(True)
-        broken.table = components.table.copy()
+        broken.table = deepcopy(components.table)
         broken.table.weight["visual"][0, 0] = np.nan
         with pytest.raises(HyperRagError, match=r"\[stage: generate\]"):
             answer_query(broken, bundle.queries[0])
@@ -345,7 +346,7 @@ class TestReadIndex:
         answer_query(components, bundle.queries[0])
         original = components.read_index()
         copy = components.with_crm(True)
-        copy.table = components.table.copy()
+        copy.table = deepcopy(components.table)
         copy.table.weight["textual"] *= 2.0
         rows = copy.read_index().corpus_rows
         assert copy.read_index() is not original

@@ -168,6 +168,13 @@ class TestLaplacian:
         vals = np.linalg.eigvalsh(laplacian(g))
         assert int(np.sum(vals < 1e-9)) == 3
 
+    def test_empty_graph_has_no_components(self):
+        assert connected_components(make_graph(0, [])) == 0
+
+    def test_zero_weight_edge_connects(self):
+        g = make_graph(3, [("v0", "v1", 0.0), ("v1", "v2", 1.0)])
+        assert connected_components(g) == 1
+
     def test_normalized_spectrum_bounded(self, rng):
         g = random_connected_graph(rng, 8)
         vals = np.linalg.eigvalsh(normalized_laplacian(g))

@@ -273,6 +273,18 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match=rf"qa\.tsv: no row for query id '{qid}'"):
             load_bundle(out)
 
+    def test_query_without_clusters_row_is_data_format_error(self, tmp_path, small):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        lines = (out / "clusters.tsv").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("query\tq0001\t")]
+        assert len(kept) == len(lines) - 1
+        (out / "clusters.tsv").write_text("".join(f"{line}\n" for line in kept))
+        with pytest.raises(
+            DataFormatError, match=r"clusters\.tsv: no row for query id 'q0001'"
+        ):
+            load_bundle(out)
+
     def test_single_cluster_bundle_connected(self):
         bundle = synth_bundle(
             SynthSpec(num_queries=6, num_items=10, num_clusters=1, graph_size=12, seed=3)
