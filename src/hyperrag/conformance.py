@@ -9,7 +9,7 @@ the tests and the CLI's `conformance run` subcommand do.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,35 +72,17 @@ class OracleResult:
     def from_values(
         cls, case: str, oracle: float, implementation: float, tolerance: float
     ) -> "OracleResult":
-        oracle = float(oracle)
-        implementation = float(implementation)
-        return cls(
-            case=case,
-            oracle=oracle,
-            implementation=implementation,
-            tolerance=float(tolerance),
-            passed=abs(oracle - implementation) <= tolerance,
-        )
+        oracle, implementation = float(oracle), float(implementation)
+        passed = abs(oracle - implementation) <= tolerance
+        return cls(case, oracle, implementation, float(tolerance), passed)
 
     @classmethod
     def from_sets(cls, case: str, oracle_set, implementation_set) -> "OracleResult":
         same = frozenset(oracle_set) == frozenset(implementation_set)
-        return cls(
-            case=case,
-            oracle=0.0,
-            implementation=0.0 if same else 1.0,
-            tolerance=0.0,
-            passed=same,
-        )
+        return cls.from_values(case, 0.0, 0.0 if same else 1.0, 0.0)
 
     def to_record(self) -> dict:
-        return {
-            "case": self.case,
-            "oracle": self.oracle,
-            "implementation": self.implementation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def ot_bruteforce(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:

@@ -114,22 +114,18 @@ class RelevanceHead:
             )
         return z
 
-    def raw_score(self, z: np.ndarray) -> float:
-        return float(self.w2 @ np.tanh(self.w1 @ z + self.b1) + self.b2)
+    def input_rows(self, query: Query, docs: list[KnowledgeItem]) -> np.ndarray:
+        """``input_vector`` of each doc, stacked: shape (len(docs), d)."""
+        rows = [self.input_vector(query, doc) for doc in docs]
+        return np.stack(rows) if rows else np.empty((0, self.query_dim + self.item_dim))
 
-    def raw_and_backprop(self, z: np.ndarray):
-        """Raw score plus a closure mapping d(loss)/d(raw) to parameter grads."""
-        h = np.tanh(self.w1 @ z + self.b1)
-        raw = float(self.w2 @ h + self.b2)
-
-        def backprop(upstream: float, grads: dict[str, np.ndarray]) -> None:
-            grads["w2"] += upstream * h
-            grads["b2"] += upstream
-            dh = upstream * self.w2 * (1.0 - h * h)
-            grads["w1"] += np.outer(dh, z)
-            grads["b1"] += dh
-
-        return raw, backprop
+    def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations (n, hidden) and raw scores (n,) of stacked
+        inputs z (n, d).  ``matmul`` over a stack of column vectors makes
+        the one GEMV per row that ``w1 @ z`` makes for one vector, so each
+        row keeps the bits of a one-row pass; ``z @ w1.T`` would not."""
+        h = np.tanh(np.matmul(self.w1, z[:, :, None])[:, :, 0] + self.b1)
+        return h, np.matmul(h[:, None, :], self.w2)[:, 0] + self.b2
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {
@@ -162,53 +158,83 @@ class RelevanceHead:
         self.b2 = float(flat[n3])
 
     def flat_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate(
-            [grads["w1"].ravel(), grads["b1"], grads["w2"], grads["b2"]]
-        )
+        return np.concatenate([grads["w1"].ravel(), grads["b1"], grads["w2"], grads["b2"]])
 
 
 def relevance(head: RelevanceHead, query: Query, doc: KnowledgeItem) -> float:
     """sigmoid of the head's raw score; strictly inside (0, 1)."""
-    return sigmoid(head.raw_score(head.input_vector(query, doc)))
+    return sigmoid(float(head.forward(head.input_rows(query, [doc]))[1][0]))
 
 
 def filter_relevant(
     head: RelevanceHead, query: Query, docs: list[KnowledgeItem]
 ) -> list[KnowledgeItem]:
     """Order-preserving subset of docs with relevance strictly above 0.5."""
-    return [doc for doc in docs if relevance(head, query, doc) > 0.5]
+    _, raw = head.forward(head.input_rows(query, docs))
+    return [doc for doc, x in zip(docs, raw.tolist()) if sigmoid(x) > 0.5]
 
 
 CrmBatch = list[tuple[Query, list[KnowledgeItem], list[KnowledgeItem]]]
 
 
 def crm_loss(head: RelevanceHead, batch: CrmBatch) -> float:
-    loss, _ = crm_loss_and_grads(head, batch, want_grads=False)
-    return loss
+    return crm_loss_and_grads(head, batch, want_grads=False)[0]
 
 
-def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads: bool = True):
-    """Contrastive loss summed over queries:
-    -(sum log r_i over positives + sum log(1 - r_j) over negatives),
-    log arguments clamped below at 1e-12."""
-    grads = head.zero_grads() if want_grads else None
-    total = 0.0
+def _crm_rows(head: RelevanceHead, batch: CrmBatch) -> list[tuple[np.ndarray, list[bool]]]:
+    """Each query's stacked input rows, positives first, and their labels."""
+    rows = []
     for query, positives, negatives in batch:
         if not positives and not negatives:
             raise ContractViolation(
                 f"query {query.id!r} carries neither positive nor negative documents"
             )
-        for doc, is_pos in [(d, True) for d in positives] + [(d, False) for d in negatives]:
-            z = head.input_vector(query, doc)
-            raw, backprop = head.raw_and_backprop(z)
-            r = sigmoid(raw)
-            p = r if is_pos else 1.0 - r
-            total += -math.log(max(p, LOG_CLAMP))
-            if want_grads and p > LOG_CLAMP:
-                # d(-log r)/d raw = r - 1 for positives; r for negatives.
-                upstream = (r - 1.0) if is_pos else r
-                backprop(upstream, grads)
+        is_pos = [True] * len(positives) + [False] * len(negatives)
+        rows.append((head.input_rows(query, positives + negatives), is_pos))
+    return rows
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... in row order, as a ``+=`` loop adds them: reduce
+    over the leading axis adds whole slices in order, but sums one-element
+    slices pairwise, so those take the running sum (``accumulate``)."""
+    return np.add.accumulate(a, axis=0)[-1] if a[0].size == 1 else np.add.reduce(a, axis=0)
+
+
+def _crm_stacked(head: RelevanceHead, rows, want_grads: bool):
+    z = np.concatenate([r for r, _ in rows])
+    h, raw = head.forward(z)
+    total = 0.0
+    kept, upstream = [], []
+    for i, (x, pos) in enumerate(zip(raw.tolist(), (p for _, ps in rows for p in ps))):
+        r = sigmoid(x)
+        p = r if pos else 1.0 - r
+        total += -math.log(max(p, LOG_CLAMP))
+        if p > LOG_CLAMP:
+            kept.append(i)
+            # d(-log r)/d raw = r - 1 for positives; r for negatives.
+            upstream.append((r - 1.0) if pos else r)
+    if not want_grads:
+        return total, None
+    grads = head.zero_grads()
+    if kept:
+        h, z, up = h[kept], z[kept], np.array(upstream)[:, None]
+        dh = up * head.w2 * (1.0 - h * h)
+        # Column k of the w1 gradient sums the outer products' column k.
+        grads["w1"] += np.stack([_sum_rows(dh * z[:, k, None]) for k in range(z.shape[1])], 1)
+        grads["b1"] += _sum_rows(dh)
+        grads["w2"] += _sum_rows(up * h)
+        grads["b2"] += _sum_rows(up)
     return total, grads
+
+
+def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads: bool = True):
+    """Contrastive loss summed over queries:
+    -(sum log r_i over positives + sum log(1 - r_j) over negatives),
+    log arguments clamped below at 1e-12 (a clamped pair adds no gradient).
+    One stacked pass over the batch's (query, document) pairs, bit for bit
+    equal to adding the pairs one at a time, in batch order."""
+    return _crm_stacked(head, _crm_rows(head, batch), want_grads)
 
 
 def fit_theta(pairs: list[tuple[float, bool]]) -> tuple[float, float]:
@@ -217,15 +243,14 @@ def fit_theta(pairs: list[tuple[float, bool]]) -> tuple[float, float]:
     theta.  Returns (theta, accuracy)."""
     if not pairs:
         raise ContractViolation("fit_theta requires at least one (sigma, label) pair")
-    best_theta, best_acc = THETA_GRID[0], -1.0
-    for theta in THETA_GRID:
-        correct = sum(
-            1 for sigma, needs in pairs if (decide(sigma, theta) == 1) == bool(needs)
-        )
-        acc = correct / len(pairs)
-        if acc > best_acc:
-            best_theta, best_acc = theta, acc
-    return best_theta, best_acc
+    accuracy = {
+        theta: sum((decide(sigma, theta) == 1) == bool(needs) for sigma, needs in pairs)
+        / len(pairs)
+        for theta in THETA_GRID
+    }
+    # max() keeps the first of equal keys: the lowest theta.
+    best = max(THETA_GRID, key=accuracy.__getitem__)
+    return best, accuracy[best]
 
 
 @dataclass(frozen=True)
@@ -239,10 +264,8 @@ class CrmConfig:
     def validate(self):
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.hidden < 1:
-            raise ConfigurationError("hidden must be >= 1")
+        if self.epochs < 1 or self.hidden < 1:
+            raise ConfigurationError("epochs and hidden must be >= 1")
 
 
 @dataclass
@@ -261,7 +284,7 @@ def train_crm(
     """Gradient descent on the contrastive loss, then theta from
     ``fit_theta``'s grid search on the same gating pairs (no held-out
     split; theta never depends on the head); deterministic given
-    config.seed."""
+    config.seed.  Each query's input rows are stacked once, for every step."""
     config.validate()
     if not labeled:
         raise ContractViolation("train_crm requires a labeled corpus")
@@ -272,25 +295,26 @@ def train_crm(
             f"labeled corpus needs both positives and negatives (got {n_pos} pos, {n_neg} neg)"
         )
     head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
+    rows = _crm_rows(head, labeled)
     rng = np.random.default_rng(config.seed)
     trace = CrmTrace()
     step = 0
     for _epoch in range(config.epochs):
         if config.batch_size <= 0:
-            batches = [labeled]
+            batches = [rows]
         else:
             order = rng.permutation(len(labeled))
             batches = [
-                [labeled[i] for i in order[s : s + config.batch_size]]
+                [rows[i] for i in order[s : s + config.batch_size]]
                 for s in range(0, len(labeled), config.batch_size)
             ]
         for batch in batches:
-            loss, grads = crm_loss_and_grads(head, batch)
+            loss, grads = _crm_stacked(head, batch, want_grads=True)
             if not np.isfinite(loss):
                 raise DivergenceError("relevance-head loss is non-finite", step=step)
             head.apply_grads(grads, config.lr)
             step += 1
-        trace.epoch_losses.append(crm_loss(head, labeled))
+        trace.epoch_losses.append(_crm_stacked(head, rows, want_grads=False)[0])
     theta, acc = fit_theta(gating_pairs)
     trace.theta_accuracy = acc
     return head, theta, trace

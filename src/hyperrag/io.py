@@ -73,11 +73,21 @@ def save_items(path, items: list[KnowledgeItem]) -> None:
     _write_lines(path, (f"{it.id}\t{it.modality}\t{_csv(it.features)}" for it in items))
 
 
+def _check_width(first: dict, kind: str, width: int, path, lineno: int) -> None:
+    """DataFormatError unless ``kind``'s features are as long as at ``first[kind]``."""
+    line0, width0 = first.setdefault(kind, (lineno, width))
+    if width != width0:
+        raise DataFormatError(
+            f"{path}:{lineno}: {width} {kind} features, but line {line0} has {width0}"
+        )
+
+
 def load_items(path) -> list[KnowledgeItem]:
-    items = []
+    items, first = [], {}
     for lineno, (iid, modality, feats) in _read_rows(path, 3):
         features = _parse_floats(feats, path, lineno, "features")
         items.append(_record(KnowledgeItem, path, lineno, iid, modality, features))
+        _check_width(first, modality, features.size, path, lineno)
     return items
 
 
@@ -89,11 +99,13 @@ def save_queries(path, queries: list[Query]) -> None:
 
 
 def load_queries(path) -> list[Query]:
-    queries = []
+    queries, first = [], {}
     for lineno, (qid, vis, txt) in _read_rows(path, 3):
         visual = _parse_floats(vis, path, lineno, "visual features")
         text = _parse_floats(txt, path, lineno, "text features")
         queries.append(_record(Query, path, lineno, qid, visual, text))
+        _check_width(first, "visual", visual.size, path, lineno)
+        _check_width(first, "text", text.size, path, lineno)
     return queries
 
 

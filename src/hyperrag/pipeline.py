@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -158,16 +158,7 @@ class LossReport:
             raise ContractViolation(f"delta rate {self.delta_rate} outside [0, 1]")
 
     def to_record(self) -> dict:
-        return {
-            "step": self.step,
-            "l_crm": self.l_crm,
-            "l_geo": self.l_geo,
-            "l_local": self.l_local,
-            "l_global": self.l_global,
-            "l_gen": self.l_gen,
-            "l_total": self.l_total,
-            "delta_rate": self.delta_rate,
-        }
+        return {k: v for k, v in asdict(self).items() if k not in ("beta", "gamma")}
 
 
 @dataclass(frozen=True)
@@ -189,21 +180,10 @@ class EvalReport:
 
     def canonical_bytes(self) -> bytes:
         """Reproducibility digest; wall-clock latency is excluded."""
-        return canonical_json_bytes(
-            {
-                "accuracy": self.accuracy,
-                "coherence": self.coherence,
-                "retrieval_precision": self.retrieval_precision,
-            }
-        )
+        return canonical_json_bytes({k: v for k, v in asdict(self).items() if k != "mean_latency_s"})
 
     def to_record(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "coherence": self.coherence,
-            "retrieval_precision": self.retrieval_precision,
-            "mean_latency_s": self.mean_latency_s,
-        }
+        return asdict(self)
 
 
 class AdamW:
@@ -450,13 +430,10 @@ def run_training(
     }
 
     generator = ToyGenerator(vocab, 2 * config.dim)
-    params: dict[str, np.ndarray] = dict(table.named_params())
-    for name, arr in head.named_params():
-        params[f"crm.{name}"] = arr
     b2_buf = np.array([head.b2])
-    params["crm.b2"] = b2_buf
-    params["gen.weight"] = generator.weight
-    params["gen.bias"] = generator.bias
+    crm_params = [(f"crm.{name}", arr) for name, arr in head.named_params()]
+    params = dict(table.named_params() + crm_params + [("crm.b2", b2_buf)])
+    params.update(generator.named_params())
     optimizer = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
 
     gold = {

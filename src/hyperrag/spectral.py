@@ -71,9 +71,9 @@ class GraphRecordError(ContractViolation):
 class KnowledgeGraph:
     """Undirected weighted graph with an overlaid triplet relation list.
 
-    Edges are (u_id, v_id, weight) with a finite weight >= 0, no
-    self-loops and at most one edge per unordered pair.  A record that
-    breaks this raises GraphRecordError.
+    Edges are (u_id, v_id, weight) with a finite weight >= 0 and a finite
+    total degree, no self-loops and at most one edge per unordered pair.
+    A record that breaks this raises GraphRecordError.
     """
 
     vertices: tuple[GraphVertex, ...]
@@ -118,6 +118,11 @@ class KnowledgeGraph:
         object.__setattr__(self, "_u", np.array(u_idx, dtype=np.intp))
         object.__setattr__(self, "_v", np.array(v_idx, dtype=np.intp))
         object.__setattr__(self, "_w", np.array(weights, dtype=float))
+        if not math.isfinite(2.0 * sum(weights)):
+            pos = int(np.argmax(weights))
+            raise GraphRecordError(
+                f"edge {self.edges[pos][:2]} overflows the total vertex degree", "edges", pos
+            )
         deg = np.zeros(len(self.vertices))
         np.add.at(deg, self._u, self._w)
         np.add.at(deg, self._v, self._w)
@@ -264,10 +269,7 @@ class Subgraph:
 
 
 def _coerce_relevance(graph: KnowledgeGraph, r) -> np.ndarray:
-    if isinstance(r, RelevanceVector):
-        arr = r.values
-    else:
-        arr = RelevanceVector(np.asarray(r, dtype=float)).values
+    arr = (r if isinstance(r, RelevanceVector) else RelevanceVector(r)).values
     if arr.size != graph.size:
         raise ContractViolation(
             f"relevance length {arr.size} does not match vertex count {graph.size}"

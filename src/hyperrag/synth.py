@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
-from .alignment import KnowledgeItem, Query
+from .alignment import POSITIVE_MODALITIES, KnowledgeItem, Query
 from .errors import ConfigurationError, ContractViolation, DataFormatError
 from .spectral import GraphVertex, KnowledgeGraph
 
@@ -324,16 +324,16 @@ def _spec_from_meta(path: Path) -> SynthSpec:
 
 
 def _check_ids(path: Path, ids, known: set[str], what: str, column: int = 0) -> None:
-    """Raise DataFormatError naming the line of the first row of ``path``
-    whose ``what`` id (field ``column``) is not in ``known``.  ``ids`` is
-    that field as loaded, in file order (a dict's keys keep the order of
-    first appearance), so the file is read again only to name the line."""
+    """Raise DataFormatError ``what.format(id)`` at the first line of ``path``
+    whose id (field ``column``) is not in ``known``.  ``ids`` is that field
+    as loaded, in file order (a dict's keys keep the order of first
+    appearance), so the file is read again only to name the line."""
     bad = next((ident for ident in ids if ident not in known), None)
     if bad is None:
         return
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if line.split("\t")[column] == bad:
-            raise DataFormatError(f"{path}:{lineno}: unknown {what} id {bad!r}")
+            raise DataFormatError(f"{path}:{lineno}: {what.format(bad)}")
 
 
 def _check_every_query(path: Path, queries: list[Query], row_ids) -> None:
@@ -347,8 +347,8 @@ def _check_every_query(path: Path, queries: list[Query], row_ids) -> None:
 def load_bundle(out_dir) -> CorpusBundle:
     """Read a bundle written by ``write_bundle``.  Every row of positives,
     labels, gating, confidence and qa must name a loaded query (and item),
-    and every query needs a qa row and a clusters row; otherwise
-    DataFormatError names the file, the line and the id."""
+    every query needs a qa row and a clusters row, and positives are visual
+    or textual; otherwise DataFormatError names the file, line and id."""
     out = Path(out_dir)
     spec = _spec_from_meta(out / "meta.json")
     items = hio.load_items(out / "items.tsv")
@@ -363,28 +363,31 @@ def load_bundle(out_dir) -> CorpusBundle:
 
     path = out / "positives.tsv"
     pairs = hio.load_positives(path)
-    _check_ids(path, (qid for qid, _ in pairs), query_ids, "query")
-    _check_ids(path, (iid for _, iid in pairs), item_ids, "item", column=1)
+    _check_ids(path, (qid for qid, _ in pairs), query_ids, "unknown query id {!r}")
+    _check_ids(path, (iid for _, iid in pairs), item_ids, "unknown item id {!r}", column=1)
+    positive_ids = {item.id for item in items if item.modality in POSITIVE_MODALITIES}
+    not_positive = "positive {!r} is neither a visual nor a textual item"
+    _check_ids(path, (iid for _, iid in pairs), positive_ids, not_positive, column=1)
     positives: dict[str, list[str]] = {}
     for qid, iid in pairs:
         positives.setdefault(qid, []).append(iid)
 
     path = out / "labels.tsv"
     labels = hio.load_labels(path)
-    _check_ids(path, (qid for qid, _, _ in labels), query_ids, "query")
-    _check_ids(path, (iid for _, iid, _ in labels), item_ids, "item", column=1)
+    _check_ids(path, (qid for qid, _, _ in labels), query_ids, "unknown query id {!r}")
+    _check_ids(path, (iid for _, iid, _ in labels), item_ids, "unknown item id {!r}", column=1)
 
     path = out / "gating.tsv"
     gating = hio.load_gating(path)
-    _check_ids(path, (qid for qid, _ in gating), query_ids, "query")
+    _check_ids(path, (qid for qid, _ in gating), query_ids, "unknown query id {!r}")
 
     path = out / "confidence.tsv"
     confidence = hio.load_confidence(path)
-    _check_ids(path, confidence, query_ids, "query")
+    _check_ids(path, confidence, query_ids, "unknown query id {!r}")
 
     path = out / "qa.tsv"
     qa = hio.load_qa(path, len(token_embeddings))
-    _check_ids(path, qa, query_ids, "query")
+    _check_ids(path, qa, query_ids, "unknown query id {!r}")
     _check_every_query(path, queries, qa)
 
     by_cluster: dict[int, list[str]] = {}

@@ -79,7 +79,7 @@ BUNDLE_TABLES = [
 FUZZ_VALUES = [
     "", "nan", "inf", "-inf", "-1", "0", "99", "1e308", "-0.5", "1,2", "x",
     "audio", "pos", "needs_retrieval", "q0000", "q9999", "i0000", "i9999",
-    "n0000", "n0001", "n9999",
+    "n0000", "n0001", "n9999", "textual", "graph_triplet",
 ]
 
 
@@ -328,10 +328,12 @@ class TestErrorSurface:
             ("graph/triplets.tsv", 0, "vnope"),
             ("graph/edges.tsv", 1, "vnope"),
             ("graph/edges.tsv", 2, "-1.0"),
+            ("graph/edges.tsv", 2, "1e308"),
             ("graph/vertices.tsv", 2, "nan"),
             ("items.tsv", 1, "audio"),
             ("items.tsv", 2, "nan"),
             ("queries.tsv", 2, "nan"),
+            ("queries.tsv", 1, "1,2"),
             ("qa.tsv", 1, "99"),
         ],
     )
@@ -347,13 +349,48 @@ class TestErrorSurface:
         assert record["category"] == "data_format"
         assert f"{bundle / name}:2: " in record["message"]
 
-    @settings(
-        max_examples=150,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    @pytest.mark.parametrize(
+        "name, lineno, column, value",
+        [
+            # Line 3 holds the bundle's second visual item.
+            ("items.tsv", 3, 2, "1e-320"),
+            ("queries.tsv", 2, 1, "-0.5"),
+        ],
     )
-    @given(data=st.data())
-    def test_fuzzed_field_exits_cleanly(self, workdir, data):
+    def test_feature_width_under_eval_is_data_format_error(
+        self, workdir, tmp_path, capsys, name, lineno, column, value
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        set_field(bundle / name, lineno, column, value)
+        code, _, err = run_cli(["eval", *self.eval_args(workdir, bundle)], capsys)
+        assert code == 8, err
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert f"{bundle / name}:{lineno}: " in record["message"]
+
+    def test_graph_triplet_positive_under_eval_is_data_format_error(
+        self, workdir, tmp_path, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        iid = (bundle / "positives.tsv").read_text().splitlines()[0].split("\t")[1]
+        ids = [line.split("\t")[0] for line in (bundle / "items.tsv").read_text().splitlines()]
+        set_field(bundle / "items.tsv", ids.index(iid) + 1, 1, "graph_triplet")
+        code, _, err = run_cli(["eval", *self.eval_args(workdir, bundle)], capsys)
+        assert code == 8, err
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert f"{bundle / 'positives.tsv'}:1: positive {iid!r}" in record["message"]
+
+    @staticmethod
+    def eval_args(workdir, bundle) -> list[str]:
+        return ["--bundle", str(bundle), "--config", str(workdir / "cfg.json")]
+
+    @classmethod
+    def run_fuzzed(cls, workdir, data, command: str) -> None:
+        """Edit one field of one row of the bundle and run ``command`` on
+        it: it either succeeds or fails as ``data_format`` (exit code 8)."""
         name = data.draw(st.sampled_from(BUNDLE_TABLES))
         lines = (workdir / "bundle" / name).read_text().splitlines()
         lineno = data.draw(st.integers(1, len(lines)))
@@ -365,12 +402,32 @@ class TestErrorSurface:
             bundle = Path(tmp) / "bundle"
             shutil.copytree(workdir / "bundle", bundle)
             set_field(bundle / name, lineno, column, value)
+            argv = cls.eval_args(workdir, bundle) if command == "eval" else ["--bundle", str(bundle)]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["cheeger", "--bundle", str(bundle)])
+                code = main([command, *argv])
         assert code in (0, 8), err.getvalue()
         if code == 8:
             assert json.loads(err.getvalue())["category"] == "data_format"
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_field_exits_cleanly(self, workdir, data):
+        self.run_fuzzed(workdir, data, "cheeger")
+
+    # Training and evaluating the tiny bundle takes about 0.15 s per example.
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_field_eval_exits_cleanly(self, workdir, data):
+        self.run_fuzzed(workdir, data, "eval")
 
     def test_bad_config_type_exit_code(self, workdir, capsys):
         path = workdir / "bad_cfg.json"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hyperrag.alignment import KnowledgeItem, Query
 from hyperrag.errors import ConfigurationError, ContractViolation
 from hyperrag.gate import (
+    LOG_CLAMP,
     CrmConfig,
     FeatureDotScorer,
     RelevanceHead,
@@ -18,6 +21,7 @@ from hyperrag.gate import (
     fit_theta,
     max_softmax,
     relevance,
+    sigmoid,
     train_crm,
 )
 
@@ -273,3 +277,110 @@ class TestTrainCrm:
         pos_only = [(q, [KnowledgeItem("p", "visual", np.zeros(3))], [])]
         with pytest.raises(ContractViolation):
             train_crm(pos_only, [(0.5, True)], CrmConfig(hidden=4), 6, 3)
+
+
+def per_pair_loss_and_grads(head, batch, want_grads=True):
+    """Oracle for ``crm_loss_and_grads``: one forward and backward pass per
+    (query, document) pair, accumulated in batch order."""
+    grads = head.zero_grads() if want_grads else None
+    total = 0.0
+    for query, positives, negatives in batch:
+        for doc, is_pos in [(d, True) for d in positives] + [(d, False) for d in negatives]:
+            z = head.input_vector(query, doc)
+            h = np.tanh(head.w1 @ z + head.b1)
+            r = sigmoid(float(head.w2 @ h + head.b2))
+            p = r if is_pos else 1.0 - r
+            total += -math.log(max(p, LOG_CLAMP))
+            if want_grads and p > LOG_CLAMP:
+                upstream = (r - 1.0) if is_pos else r
+                grads["w2"] += upstream * h
+                grads["b2"] += upstream
+                dh = upstream * head.w2 * (1.0 - h * h)
+                grads["w1"] += np.outer(dh, z)
+                grads["b1"] += dh
+    return total, grads
+
+
+def per_pair_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
+    """Oracle for ``train_crm``: the same schedule over the per-pair loss."""
+    head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    for _ in range(config.epochs):
+        if config.batch_size <= 0:
+            batches = [labeled]
+        else:
+            order = rng.permutation(len(labeled))
+            batches = [
+                [labeled[i] for i in order[s : s + config.batch_size]]
+                for s in range(0, len(labeled), config.batch_size)
+            ]
+        for batch in batches:
+            _, grads = per_pair_loss_and_grads(head, batch)
+            head.apply_grads(grads, config.lr)
+        losses.append(per_pair_loss_and_grads(head, labeled, want_grads=False)[0])
+    return head, fit_theta(gating_pairs)[0], losses
+
+
+class TestBatchedMatchesPerPair:
+    # b2 = +-40 saturates every negative (positive) row, so p <= LOG_CLAMP
+    # there; +-27.6 puts rows on both sides of the clamp.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        hidden=st.sampled_from([1, 2, 7, 32, 128]),
+        dims=st.tuples(st.integers(1, 5), st.integers(1, 6)),
+        counts=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any), min_size=1, max_size=6
+        ),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+        b2=st.sampled_from([0.0, 3.0, 27.6, -27.6, 40.0, -40.0]),
+    )
+    def test_bit_identical_to_per_pair_loop(self, seed, hidden, dims, counts, scale, b2):
+        rng = np.random.default_rng(seed)
+        q_half, i_dim = dims
+        head = RelevanceHead(2 * q_half, i_dim, hidden=hidden, seed=seed % 1000)
+        head.b1 = rng.standard_normal(hidden)
+        head.b2 = b2
+        batch = []
+        for k, (n_pos, n_neg) in enumerate(counts):
+            q = Query(f"q{k}", scale * rng.standard_normal(q_half), scale * rng.standard_normal(q_half))
+            docs = [
+                KnowledgeItem(f"d{k}.{j}", "visual", scale * rng.standard_normal(i_dim))
+                for j in range(n_pos + n_neg)
+            ]
+            batch.append((q, docs[:n_pos], docs[n_pos:]))
+        loss, grads = crm_loss_and_grads(head, batch)
+        want_loss, want = per_pair_loss_and_grads(head, batch)
+        assert loss == want_loss
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(grads[name], want[name]), name
+        assert crm_loss(head, batch) == want_loss
+        q, pos, neg = batch[0]
+        want_r = [
+            sigmoid(float(head.w2 @ np.tanh(head.w1 @ head.input_vector(q, d) + head.b1) + head.b2))
+            for d in pos + neg
+        ]
+        assert [relevance(head, q, d) for d in pos + neg] == want_r
+        kept = [d for d, r in zip(pos + neg, want_r) if r > 0.5]
+        assert filter_relevant(head, q, pos + neg) == kept
+
+    def test_saturated_rows_add_no_gradient(self):
+        head = small_head(seed=4)
+        head.b2 = -40.0
+        q = make_query(value=0.3)
+        pos = [KnowledgeItem("p", "visual", np.full(3, 0.2))]
+        loss, grads = crm_loss_and_grads(head, [(q, pos, [])])
+        assert_allclose(loss, -math.log(LOG_CLAMP), rtol=1e-12)
+        assert all(not np.any(g) for g in grads.values())
+
+    @pytest.mark.parametrize("batch_size", [0, 3])
+    def test_train_crm_matches_per_pair_training(self, rng, batch_size):
+        labeled = planted_crm_corpus(rng, n_queries=7)
+        pairs = TestTrainCrm().calibrated_pairs()
+        config = CrmConfig(hidden=16, lr=0.05, epochs=12, seed=3, batch_size=batch_size)
+        head, theta, trace = train_crm(labeled, pairs, config, 8, 4)
+        want_head, want_theta, want_losses = per_pair_train_crm(labeled, pairs, config, 8, 4)
+        assert np.array_equal(head.get_flat(), want_head.get_flat())
+        assert theta == want_theta
+        assert trace.epoch_losses == want_losses

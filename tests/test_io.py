@@ -202,6 +202,7 @@ class TestRejectedRows:
             ("graph/edges.tsv", 1, 2, "-0.5", "weight -0.5 on ('v0', 'v1') is not finite"),
             ("graph/edges.tsv", 2, 2, "nan", "weight nan on ('v1', 'v2') is not finite"),
             ("graph/edges.tsv", 1, 1, "v0", "self-loop on vertex 'v0'"),
+            ("graph/edges.tsv", 2, 2, "1e308", "edge ('v1', 'v2') overflows the total vertex degree"),
             ("graph/triplets.tsv", 2, 0, "vnope", "('vnope', ..., 'v2') references unknown"),
         ],
     )

@@ -17,6 +17,7 @@ from hyperrag.gate import Scorer, TableLookupScorer
 from hyperrag.geometry import lorentz_inner
 from hyperrag.spectral import (
     CheegerReport,
+    GraphRecordError,
     GraphVertex,
     KnowledgeGraph,
     RelevanceVector,
@@ -113,6 +114,12 @@ class TestGraphConstruction:
     def test_negative_weight_rejected(self):
         with pytest.raises(ContractViolation):
             make_graph(2, [("v0", "v1", -1.0)])
+
+    def test_overflowing_volume_rejected(self):
+        # Each weight is finite, but the degrees sum past the float range.
+        with pytest.raises(GraphRecordError, match="overflows") as info:
+            make_graph(3, [("v0", "v1", 1.0), ("v1", "v2", 1e308)])
+        assert (info.value.records, info.value.position) == ("edges", 1)
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(ContractViolation):

@@ -18,6 +18,8 @@ from hyperrag.synth import (
     write_bundle,
 )
 
+from conftest import set_field
+
 SMALL = SynthSpec(
     num_queries=24, num_items=40, num_clusters=3, graph_size=30, seed=7
 )
@@ -261,6 +263,42 @@ class TestSerialization:
         (out / name).write_text("\n".join(lines) + "\n")
         with pytest.raises(
             DataFormatError, match=re.escape(f"{name}:2: unknown {kind} id 'nope'")
+        ):
+            load_bundle(out)
+
+    @pytest.mark.parametrize(
+        "name, lineno, column, bad_line, kind",
+        [
+            # Items alternate visual, textual: line 3 is the second visual row.
+            ("items.tsv", 3, 2, 3, "visual"),
+            # A first row of another width is reported at the next row.
+            ("items.tsv", 1, 2, 3, "visual"),
+            ("queries.tsv", 2, 1, 2, "visual"),
+            ("queries.tsv", 2, 2, 2, "text"),
+        ],
+    )
+    def test_feature_width_mismatch_is_data_format_error(
+        self, tmp_path, small, name, lineno, column, bad_line, kind
+    ):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        set_field(out / name, lineno, column, "1,2")
+        with pytest.raises(
+            DataFormatError, match=re.escape(f"{name}:{bad_line}: ") + rf"\d+ {kind} features"
+        ):
+            load_bundle(out)
+
+    def test_graph_triplet_positive_is_data_format_error(self, tmp_path, small):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        iid = small.positives[small.queries[1].id][0]
+        items = [item.id for item in small.items]
+        set_field(out / "items.tsv", items.index(iid) + 1, 1, "graph_triplet")
+        pairs = (out / "positives.tsv").read_text().splitlines()
+        lineno = next(k for k, line in enumerate(pairs, 1) if line.split("\t")[1] == iid)
+        with pytest.raises(
+            DataFormatError,
+            match=re.escape(f"positives.tsv:{lineno}: positive {iid!r} is neither"),
         ):
             load_bundle(out)
 
