@@ -70,12 +70,8 @@ class Query:
     text_features: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "visual_features", _clean_features(self.visual_features, "visual_features")
-        )
-        object.__setattr__(
-            self, "text_features", _clean_features(self.text_features, "text_features")
-        )
+        for name in ("visual_features", "text_features"):
+            object.__setattr__(self, name, _clean_features(getattr(self, name), name))
 
     @property
     def combined_features(self) -> np.ndarray:

@@ -27,6 +27,7 @@ from .generation import (
     TokenSequence,
     ToyGenerator,
     exact_match_rate,
+    origin_tangents,
     train_generation,
 )
 from .io import canonical_json_bytes, read_json, save_table
@@ -197,8 +198,9 @@ def cmd_gen(args, config: PipelineConfig, writer: RecordWriter) -> int:
     vocab = bundle.token_embeddings.shape[0]
     examples = []
     for query in bundle.queries:
-        evidence = tuple(
-            table.embed_item(by_id[iid]) for iid in bundle.positives.get(query.id, [])[:4]
+        evidence = origin_tangents(
+            [table.embed_item(by_id[iid]) for iid in bundle.positives.get(query.id, [])[:4]],
+            table.dim,
         )
         examples.append(
             GenExample(query, evidence, TokenSequence(tuple(bundle.qa[query.id]), vocab))

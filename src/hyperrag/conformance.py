@@ -23,6 +23,7 @@ from .generation import (
     condition_vector,
     example_losses_and_grad,
     gold_distribution,
+    origin_tangents,
     softmax,
 )
 from .geometry import project_to_hyperboloid
@@ -407,7 +408,8 @@ def generator_gradient_case(
     gen.bias = 0.3 * rng.normal(size=gen.bias.shape)
     token_embeddings = rng.normal(size=(vocab, 3))
     gold = TokenSequence((1, 2, 2), vocab)
-    example = GenExample(query, (project_to_hyperboloid(rng.normal(size=4)),), gold)
+    evidence = origin_tangents([project_to_hyperboloid(rng.normal(size=4))], table.dim)
+    example = GenExample(query, evidence, gold)
     _, _, grad_logits, z = example_losses_and_grad(
         gen, table, example, query, token_embeddings, alpha, epsilon
     )
@@ -418,7 +420,7 @@ def generator_gradient_case(
     def blended_loss(flat: np.ndarray) -> float:
         probe = gen.copy()
         probe.weight = flat.reshape(gen.weight.shape)
-        zz = condition_vector(table, table.embed_query(query), list(example.evidence))
+        zz = condition_vector(table, table.embed_query(query), example.evidence)
         probs = softmax(probe.logits(zz))
         local = float(-np.sum(counts * np.log(np.maximum(probs, 1e-12))))
         obj, _, _ = entropic_terms(probs, q_dist, token_embeddings, epsilon)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import KnowledgeItem, Query
-from .errors import ConfigurationError, ContractViolation, DivergenceError
+from .errors import ConfigurationError, ContractViolation, DivergenceError, HyperRagError
 
 LOG_CLAMP = 1e-12
 THETA_GRID = [round(i / 100.0, 2) for i in range(101)]
@@ -36,6 +36,31 @@ class Scorer:
     def score(self, query: Query, target) -> float:
         raise NotImplementedError
 
+    def vertex_scores(self, query: Query, graph) -> list[float]:
+        """``score`` of every graph vertex, in graph order; a failure names
+        its vertex."""
+        scores = []
+        for vert in graph.vertices:
+            try:
+                scores.append(float(self.score(query, vert)))
+            except HyperRagError:
+                raise
+            except Exception as exc:
+                raise ContractViolation(f"scorer failed on vertex {vert.id!r}: {exc}") from exc
+        return scores
+
+
+def _feature_dots(query: Query, feats: np.ndarray) -> np.ndarray:
+    """0.5 * (visual . f + textual . f) for each row f of feats (n, w), each
+    block truncated to the common length.  ``matmul`` over stacked row
+    vectors makes the one ``ddot`` per row that ``block[:m] @ f[:m]`` makes,
+    so each score keeps the bits of a one-row call."""
+    total = 0.0
+    for block in (query.visual_features, query.text_features):
+        m = min(block.size, feats.shape[1])
+        total = total + np.matmul(feats[:, None, :m], block[:m, None])[:, 0, 0]
+    return 0.5 * total
+
 
 class FeatureDotScorer(Scorer):
     """Mean dot product of the target features against the query's visual
@@ -43,11 +68,11 @@ class FeatureDotScorer(Scorer):
 
     def score(self, query: Query, target) -> float:
         feats = np.asarray(getattr(target, "features"), dtype=float)
-        total = 0.0
-        for block in (query.visual_features, query.text_features):
-            m = min(block.size, feats.size)
-            total += float(block[:m] @ feats[:m])
-        return 0.5 * total
+        return float(_feature_dots(query, feats[None, :])[0])
+
+    def vertex_scores(self, query: Query, graph) -> list[float]:
+        """One stacked pass over the graph's vertex-feature matrix."""
+        return _feature_dots(query, graph.feature_matrix).tolist()
 
 
 class TableLookupScorer(Scorer):
@@ -57,12 +82,8 @@ class TableLookupScorer(Scorer):
     def __init__(self, scores: dict[tuple[str, str], float]):
         self.scores = dict(scores)
 
-    @staticmethod
-    def key_of(target) -> str:
-        return target.id if hasattr(target, "id") else str(target)
-
     def score(self, query: Query, target) -> float:
-        key = (query.id, self.key_of(target))
+        key = (query.id, target.id if hasattr(target, "id") else str(target))
         if key not in self.scores:
             raise ContractViolation(f"no score entry for {key}")
         return self.scores[key]
@@ -128,12 +149,7 @@ class RelevanceHead:
         return h, np.matmul(h[:, None, :], self.w2)[:, 0] + self.b2
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": np.zeros_like(self.w1),
-            "b1": np.zeros_like(self.b1),
-            "w2": np.zeros_like(self.w2),
-            "b2": np.zeros(1),
-        }
+        return {name: np.zeros_like(arr) for name, arr in self.named_params()} | {"b2": np.zeros(1)}
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2)]
@@ -214,8 +230,9 @@ def _crm_stacked(head: RelevanceHead, rows, want_grads: bool):
             kept.append(i)
             # d(-log r)/d raw = r - 1 for positives; r for negatives.
             upstream.append((r - 1.0) if pos else r)
+    clamped = len(raw) - len(kept)
     if not want_grads:
-        return total, None
+        return total, None, clamped
     grads = head.zero_grads()
     if kept:
         h, z, up = h[kept], z[kept], np.array(upstream)[:, None]
@@ -225,7 +242,7 @@ def _crm_stacked(head: RelevanceHead, rows, want_grads: bool):
         grads["b1"] += _sum_rows(dh)
         grads["w2"] += _sum_rows(up * h)
         grads["b2"] += _sum_rows(up)
-    return total, grads
+    return total, grads, clamped
 
 
 def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads: bool = True):
@@ -234,7 +251,7 @@ def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads: bool = 
     log arguments clamped below at 1e-12 (a clamped pair adds no gradient).
     One stacked pass over the batch's (query, document) pairs, bit for bit
     equal to adding the pairs one at a time, in batch order."""
-    return _crm_stacked(head, _crm_rows(head, batch), want_grads)
+    return _crm_stacked(head, _crm_rows(head, batch), want_grads)[:2]
 
 
 def fit_theta(pairs: list[tuple[float, bool]]) -> tuple[float, float]:
@@ -284,7 +301,9 @@ def train_crm(
     """Gradient descent on the contrastive loss, then theta from
     ``fit_theta``'s grid search on the same gating pairs (no held-out
     split; theta never depends on the head); deterministic given
-    config.seed.  Each query's input rows are stacked once, for every step."""
+    config.seed.  Each query's input rows are stacked once, for every step.
+    A head whose full-set loss clamps a pair after an epoch has diverged:
+    it raises DivergenceError, as a non-finite loss does."""
     config.validate()
     if not labeled:
         raise ContractViolation("train_crm requires a labeled corpus")
@@ -309,12 +328,17 @@ def train_crm(
                 for s in range(0, len(labeled), config.batch_size)
             ]
         for batch in batches:
-            loss, grads = _crm_stacked(head, batch, want_grads=True)
+            loss, grads, _ = _crm_stacked(head, batch, want_grads=True)
             if not np.isfinite(loss):
                 raise DivergenceError("relevance-head loss is non-finite", step=step)
             head.apply_grads(grads, config.lr)
             step += 1
-        trace.epoch_losses.append(_crm_stacked(head, rows, want_grads=False)[0])
+        loss, _, clamped = _crm_stacked(head, rows, want_grads=False)
+        if clamped:
+            raise DivergenceError(
+                f"relevance head saturated: {clamped} labeled pairs at the log clamp", step=step
+            )
+        trace.epoch_losses.append(loss)
     theta, acc = fit_theta(gating_pairs)
     trace.theta_accuracy = acc
     return head, theta, trace

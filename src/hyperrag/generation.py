@@ -169,19 +169,25 @@ class ToyGenerator:
         return dup
 
 
+def origin_tangents(points, dim: int) -> np.ndarray:
+    """The spatial part of each point's tangent at the origin,
+    ``log_map(origin, p).components[1:]``, stacked: shape (len(points), dim).
+    Evidence is passed around as these rows."""
+    base = origin(dim)
+    return np.array([log_map(base, p).components[1:] for p in points]).reshape(len(points), dim)
+
+
 def condition_vector(
     table: EmbeddingTable,
     query_point: LorentzPoint,
-    evidence_points: list[LorentzPoint],
+    evidence_rows: np.ndarray,
 ) -> np.ndarray:
-    """Concatenate the query's tangent at the origin with the mean
-    evidence tangent (zeros when no evidence was retrieved)."""
-    base = origin(table.dim)
-    q_tan = log_map(base, query_point).components[1:]
-    if evidence_points:
-        ev = np.mean([log_map(base, pt).components[1:] for pt in evidence_points], axis=0)
-    else:
-        ev = np.zeros(table.dim)
+    """Concatenate the query's tangent at the origin with the mean of the
+    evidence's ``origin_tangents`` rows (zeros when there is no evidence).
+    Mean pooling is linear in the tangent space at the origin, so it reads
+    the rows as they are."""
+    q_tan = log_map(origin(table.dim), query_point).components[1:]
+    ev = np.mean(evidence_rows, axis=0) if len(evidence_rows) else np.zeros(table.dim)
     return np.concatenate([q_tan, ev])
 
 
@@ -189,15 +195,15 @@ def generate(
     gen: ToyGenerator,
     table: EmbeddingTable,
     query_point: LorentzPoint,
-    evidence_points: list[LorentzPoint],
+    evidence_rows: np.ndarray,
     max_len: int,
 ) -> tuple[TokenSequence, TokenDistributionSequence]:
-    """Greedy decoding conditioned on the query and the evidence
-    embeddings (retrieved items, then subgraph triplets); argmax ties
-    resolve to the lowest token index."""
+    """Greedy decoding conditioned on the query and the evidence rows
+    (retrieved items, then subgraph triplets); argmax ties resolve to the
+    lowest token index."""
     if max_len < 1:
         raise ContractViolation(f"max_len must be >= 1, got {max_len}")
-    z = condition_vector(table, query_point, evidence_points)
+    z = condition_vector(table, query_point, evidence_rows)
     probs = softmax(gen.logits(z))
     token = int(np.argmax(probs))
     rows = np.tile(probs, (max_len, 1))
@@ -209,8 +215,11 @@ def generate(
 
 @dataclass(frozen=True)
 class GenExample:
+    """A query, its evidence as ``origin_tangents`` rows (k, dim), and its
+    gold answer."""
+
     query: Query
-    evidence: tuple[LorentzPoint, ...]
+    evidence: np.ndarray
     gold: TokenSequence
 
 
@@ -295,7 +304,7 @@ def example_losses_and_grad(
     potentials through the softmax Jacobian); the logged global value
     stays in sqrt-cost units.
     """
-    z = condition_vector(table, table.embed_query(query), list(example.evidence))
+    z = condition_vector(table, table.embed_query(query), example.evidence)
     probs = softmax(gen.logits(z))
     gold = example.gold
     counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
@@ -369,6 +378,6 @@ def exact_match_rate(gen: ToyGenerator, dataset: GenDataset) -> float:
     hits = 0
     for ex in dataset.examples:
         qpoint = dataset.table.embed_query(ex.query)
-        seq, _ = generate(gen, dataset.table, qpoint, list(ex.evidence), ex.gold.length)
+        seq, _ = generate(gen, dataset.table, qpoint, ex.evidence, ex.gold.length)
         hits += int(seq.tokens == ex.gold.tokens)
     return hits / len(dataset.examples)

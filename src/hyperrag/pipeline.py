@@ -44,9 +44,9 @@ from .generation import (
     example_losses_and_grad,
     gen_loss,
     generate,
+    origin_tangents,
     query_dropout_prob,
 )
-from .geometry import LorentzPoint
 from .io import canonical_json_bytes
 from .spectral import (
     KnowledgeGraph,
@@ -232,11 +232,11 @@ class AdamW:
 @dataclass(frozen=True)
 class ReadIndex:
     """The trained embeddings that answering reads: one hyperboloid row
-    per corpus item, and one point per ``graph.triplets`` entry with its
-    head and tail vertex indices."""
+    per corpus item, and one ``origin_tangents`` row per ``graph.triplets``
+    entry with its head and tail vertex indices."""
 
     corpus_rows: np.ndarray
-    triplet_points: tuple[LorentzPoint, ...]
+    triplet_rows: np.ndarray
     triplet_heads: np.ndarray
     triplet_tails: np.ndarray
 
@@ -247,16 +247,15 @@ class ReadIndex:
         heads, tails = _triplet_ends(graph)
         return cls(
             corpus_rows=embed_corpus_rows(table, items),
-            triplet_points=tuple(embed_triplets(graph, table, graph.triplets)),
+            triplet_rows=origin_tangents(embed_triplets(graph, table, graph.triplets), table.dim),
             triplet_heads=heads,
             triplet_tails=tails,
         )
 
-    def triplet_evidence(self, subgraph: Subgraph) -> list[LorentzPoint]:
-        """Points of the triplets whose head and tail both lie in the
+    def triplet_evidence(self, subgraph: Subgraph) -> np.ndarray:
+        """Rows of the triplets whose head and tail both lie in the
         subgraph, in graph order: the points of ``extract_triplets``."""
-        keep = _triplets_inside(subgraph, self.triplet_heads, self.triplet_tails)
-        return [self.triplet_points[i] for i in keep]
+        return self.triplet_rows[_triplets_inside(subgraph, self.triplet_heads, self.triplet_tails)]
 
 
 def _triplet_ends(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -271,6 +270,13 @@ def _triplets_inside(subgraph: Subgraph, heads: np.ndarray, tails: np.ndarray) -
     lie in the subgraph."""
     inside = subgraph.indicator > 0
     return np.flatnonzero(inside[heads] & inside[tails])
+
+
+def _evidence_rows(table: EmbeddingTable, docs, triplet_rows: np.ndarray) -> np.ndarray:
+    """Evidence for the generator: ``origin_tangents`` rows of the docs'
+    ``embed_item`` points, then the triplet rows."""
+    doc_rows = origin_tangents([table.embed_item(doc) for doc in docs], table.dim)
+    return np.concatenate([doc_rows, triplet_rows])
 
 
 @dataclass
@@ -491,16 +497,17 @@ def run_training(
             rows = embed_corpus_rows(table, items)
             batch_trips = list(dict.fromkeys(i for q in gated for i in kept_triplets[q.id]))
             trips = [bundle.graph.triplets[i] for i in batch_trips]
-            point_cache = dict(zip(batch_trips, embed_triplets(bundle.graph, table, trips)))
+            trip_rows = origin_tangents(embed_triplets(bundle.graph, table, trips), config.dim)
+            row_of = {trip: r for r, trip in enumerate(batch_trips)}
 
             gen_scale = (1.0 - config.beta - config.gamma) / n_batch
             for idx_in_batch, q in enumerate(batch):
-                evidence = []
+                evidence = np.empty((0, config.dim))
                 if delta[q.id] == 1:
                     used = filter_relevant(head, q, _top_items(config, table, q, items, rows))
-                    evidence = [table.embed_item(doc) for doc in used]
-                    evidence += [point_cache[i] for i in kept_triplets[q.id]]
-                example = GenExample(q, tuple(evidence), gold[q.id])
+                    kept = trip_rows[[row_of[i] for i in kept_triplets[q.id]]]
+                    evidence = _evidence_rows(table, used, kept)
+                example = GenExample(q, evidence, gold[q.id])
                 dropped = apply_query_dropout(
                     q, p_t, seed=(config.seed, epoch, int(order[start + idx_in_batch]))
                 )
@@ -563,7 +570,7 @@ def answer_query(
     components: PipelineComponents, query: Query, max_len: int | None = None
 ) -> AnswerResult:
     """Gate, optionally retrieve/filter/refine, then decode; per-stage
-    wall-clock timings are recorded.  Corpus rows and triplet points come
+    wall-clock timings are recorded.  Corpus rows and triplet rows come
     from the components' read index, built on the first retrieve answer
     (inside the ``retrieve`` timing)."""
     cfg = components.config
@@ -582,7 +589,7 @@ def answer_query(
     retrieved: tuple[str, ...] = ()
     used: tuple[str, ...] = ()
     subgraph = None
-    evidence = []
+    evidence = np.empty((0, cfg.dim))
     if delta == 1:
         t0 = time.perf_counter()
         with _stage("index"):
@@ -605,14 +612,13 @@ def answer_query(
         t0 = time.perf_counter()
         with _stage("refine"):
             subgraph = query_subgraph(cfg, components.graph, query, components.eigvecs)
-            triplet_points = index.triplet_evidence(subgraph)
+            triplet_rows = index.triplet_evidence(subgraph)
         timings["refine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with _stage("generate"):
         if delta == 1:
-            evidence = [components.table.embed_item(doc) for doc in docs]
-            evidence += triplet_points
+            evidence = _evidence_rows(components.table, docs, triplet_rows)
         q_point = components.table.embed_query(query)
         tokens, _ = generate(
             components.generator, components.table, q_point, evidence, max_len

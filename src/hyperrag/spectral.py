@@ -13,6 +13,7 @@ second normalized-Laplacian eigenvector never exceeds sqrt(2 * lambda_2).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .alignment import EmbeddingTable, Query
 from .errors import (
     ContractViolation,
-    HyperRagError,
     InfeasibleConstraintError,
     NumericalError,
 )
@@ -71,9 +71,10 @@ class GraphRecordError(ContractViolation):
 class KnowledgeGraph:
     """Undirected weighted graph with an overlaid triplet relation list.
 
-    Edges are (u_id, v_id, weight) with a finite weight >= 0 and a finite
-    total degree, no self-loops and at most one edge per unordered pair.
-    A record that breaks this raises GraphRecordError.
+    Every vertex has as many features as the first.  Edges are (u_id,
+    v_id, weight) with a finite weight >= 0 and a finite total degree, no
+    self-loops and at most one edge per unordered pair.  A record that
+    breaks this raises GraphRecordError.
     """
 
     vertices: tuple[GraphVertex, ...]
@@ -88,6 +89,12 @@ class KnowledgeGraph:
         for i, vert in enumerate(self.vertices):
             if vert.id in index:
                 raise GraphRecordError(f"duplicate vertex id {vert.id!r}", "vertices", i)
+            width0 = self.vertices[0].features.size
+            if vert.features.size != width0:
+                raise GraphRecordError(
+                    f"vertex {vert.id!r} has {vert.features.size} features, but the first "
+                    f"vertex has {width0}", "vertices", i
+                )
             index[vert.id] = i
         seen: set[tuple[str, str]] = set()
         u_idx, v_idx, weights = [], [], []
@@ -135,6 +142,14 @@ class KnowledgeGraph:
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
+
+    @functools.cached_property
+    def feature_matrix(self) -> np.ndarray:
+        """Vertex features stacked in graph order: shape (size, width);
+        built on first use."""
+        if not self.vertices:
+            return np.empty((0, 0))
+        return np.stack([vert.features for vert in self.vertices])
 
     def vertex_index(self, vid: str) -> int:
         if vid not in self._index:
@@ -239,16 +254,9 @@ class RelevanceVector:
 
 
 def relevance_vector(query: Query, graph: KnowledgeGraph, scorer: Scorer) -> RelevanceVector:
-    """r_i = sigmoid(scorer(query, vertex_i)) for every vertex."""
-    values = np.empty(graph.size)
-    for i, vert in enumerate(graph.vertices):
-        try:
-            values[i] = sigmoid(scorer.score(query, vert))
-        except HyperRagError:
-            raise
-        except Exception as exc:
-            raise ContractViolation(f"scorer failed on vertex {vert.id!r}: {exc}") from exc
-    return RelevanceVector(values)
+    """r_i = sigmoid(scorer(query, vertex_i)) for every vertex, the raw
+    scores from one ``scorer.vertex_scores`` call."""
+    return RelevanceVector([sigmoid(x) for x in scorer.vertex_scores(query, graph)])
 
 
 @dataclass(frozen=True)
@@ -499,12 +507,8 @@ def hash_features(label: str, dim: int) -> np.ndarray:
     mapped into [-1, 1]."""
     if dim < 1:
         raise ContractViolation(f"feature dimension must be >= 1, got {dim}")
-    raw: list[int] = []
-    counter = 0
-    while len(raw) < dim:
-        raw.extend(hashlib.sha256(f"{label}#{counter}".encode()).digest())
-        counter += 1
-    return np.array(raw[:dim], dtype=float) / 127.5 - 1.0
+    digests = (hashlib.sha256(f"{label}#{c}".encode()).digest() for c in range(-(-dim // 32)))
+    return np.frombuffer(b"".join(digests)[:dim], dtype=np.uint8) / 127.5 - 1.0
 
 
 @dataclass(frozen=True)
@@ -525,14 +529,11 @@ def extract_triplets(
     also yields its point (see ``embed_triplets``).
     """
     selected = subgraph.vertex_set
-    records = []
-    for trip in graph.triplets:
-        head, rel, tail = trip
-        if head not in selected or tail not in selected:
-            continue
-        point = None if table is None else _triplet_point(graph, table, trip)
-        records.append(TripletRecord(head, rel, tail, point))
-    return records
+    return [
+        TripletRecord(*trip, None if table is None else _triplet_point(graph, table, trip))
+        for trip in graph.triplets
+        if trip[0] in selected and trip[2] in selected
+    ]
 
 
 def embed_triplets(
@@ -555,19 +556,7 @@ def _triplet_point(
         graph.vertices[graph.vertex_index(tail)].features,
     ]
     base = origin(table.dim)
-    tangents = [
-        log_map(base, table.embed_features(_fit_dim(f, graph_dim), "graph_triplet"))
-        for f in parts
-    ]
+    tangents = [log_map(base, table.embed_features(f, "graph_triplet")) for f in parts]
     mean_components = np.mean([t.components for t in tangents], axis=0)
     return exp_map(base, type(tangents[0])(base, mean_components))
 
-
-def _fit_dim(features: np.ndarray, dim: int) -> np.ndarray:
-    if features.size == dim:
-        return features
-    if features.size > dim:
-        return features[:dim]
-    out = np.zeros(dim)
-    out[: features.size] = features
-    return out

@@ -11,7 +11,7 @@ byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,19 +90,10 @@ class CorpusBundle:
         return {item.id: item for item in self.items}
 
     def meta(self) -> dict:
+        """The spec's fields plus its derived sizes."""
         s = self.spec
-        return {
-            "num_queries": s.num_queries,
-            "num_items": s.num_items,
-            "num_clusters": s.num_clusters,
-            "graph_size": s.graph_size,
-            "noise_frac": s.noise_frac,
-            "seed": s.seed,
-            "answer_len": s.answer_len,
-            "feature_dim": s.feature_dim,
-            "vocab_size": s.vocab_size,
-            "token_dim": TOKEN_DIM,
-        }
+        return {**asdict(s), "feature_dim": s.feature_dim, "vocab_size": s.vocab_size,
+                "token_dim": TOKEN_DIM}
 
 
 def _cluster_centers(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
@@ -112,13 +103,9 @@ def _cluster_centers(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
 
 
 def _community_blocks(graph_size: int, k: int) -> list[range]:
+    """k consecutive index ranges; the first graph_size % k are one longer."""
     base, extra = divmod(graph_size, k)
-    blocks, start = [], 0
-    for c in range(k):
-        size = base + (1 if c < extra else 0)
-        blocks.append(range(start, start + size))
-        start += size
-    return blocks
+    return [range(c * base + min(c, extra), (c + 1) * base + min(c + 1, extra)) for c in range(k)]
 
 
 def _build_graph(spec: SynthSpec, rng: np.random.Generator,

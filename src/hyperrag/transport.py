@@ -131,28 +131,12 @@ def wasserstein2_exact(
         )
     cost = squared_cost_matrix(p, q)
     m, k = cost.shape
-    # Equality constraints: row sums = p, column sums = q (drop the last
-    # column constraint, redundant since both marginals sum to 1).
-    n_var = m * k
-    rows = []
-    rhs = []
-    for i in range(m):
-        coeff = np.zeros(n_var)
-        coeff[i * k : (i + 1) * k] = 1.0
-        rows.append(coeff)
-        rhs.append(p.weights[i])
-    for j in range(k - 1):
-        coeff = np.zeros(n_var)
-        coeff[j::k] = 1.0
-        rows.append(coeff)
-        rhs.append(q.weights[j])
-    res = linprog(
-        cost.ravel(),
-        A_eq=np.array(rows),
-        b_eq=np.array(rhs),
-        bounds=(0.0, None),
-        method="highs",
-    )
+    # Equality constraints over the row-major plan: row sums = p, column
+    # sums = q (drop the last column constraint, redundant since both
+    # marginals sum to 1).
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(k)), np.tile(np.eye(k), m)[:-1]])
+    b_eq = np.concatenate([p.weights, q.weights[:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if not res.success:
         raise NumericalError(f"exact transport LP failed: {res.message}")
     coupling = res.x.reshape(m, k)

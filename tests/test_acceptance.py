@@ -39,6 +39,7 @@ from hyperrag.generation import (
     exact_match_rate,
     gen_loss,
     local_loss,
+    origin_tangents,
     query_dropout_prob,
     train_generation,
 )
@@ -419,9 +420,12 @@ def memorizable_dataset(num=50, clusters=5, feat=4, dim=6, seed=11) -> GenDatase
             centers[c] + 0.1 * rng.standard_normal(feat),
             centers[c] + 0.1 * rng.standard_normal(feat),
         )
-        ev = tuple(
-            table.embed_features(centers[c] + 0.1 * rng.standard_normal(feat), "visual")
-            for _ in range(2)
+        ev = origin_tangents(
+            [
+                table.embed_features(centers[c] + 0.1 * rng.standard_normal(feat), "visual")
+                for _ in range(2)
+            ],
+            dim,
         )
         examples.append(GenExample(q, ev, TokenSequence((c + 1,) * 3, vocab)))
     return GenDataset(tuple(examples), table, tok_emb)

@@ -330,6 +330,7 @@ class TestErrorSurface:
             ("graph/edges.tsv", 2, "-1.0"),
             ("graph/edges.tsv", 2, "1e308"),
             ("graph/vertices.tsv", 2, "nan"),
+            ("graph/vertices.tsv", 2, "1,2"),
             ("items.tsv", 1, "audio"),
             ("items.tsv", 2, "nan"),
             ("queries.tsv", 2, "nan"),
@@ -382,6 +383,16 @@ class TestErrorSurface:
         record = json.loads(err)
         assert record["category"] == "data_format"
         assert f"{bundle / 'positives.tsv'}:1: positive {iid!r}" in record["message"]
+
+    def test_diverged_relevance_head_is_divergence_error(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "crm_lr": 1e300}))
+        argv = ["eval", "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 5, err
+        record = json.loads(err)
+        assert record["category"] == "divergence"
+        assert "log clamp" in record["message"]
 
     @staticmethod
     def eval_args(workdir, bundle) -> list[str]:

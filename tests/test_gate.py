@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hyperrag.alignment import KnowledgeItem, Query
-from hyperrag.errors import ConfigurationError, ContractViolation
+from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
 from hyperrag.gate import (
     LOG_CLAMP,
     CrmConfig,
@@ -271,6 +271,14 @@ class TestTrainCrm:
         assert t1 == t2
         assert tr1.epoch_losses == tr2.epoch_losses
         assert np.array_equal(h1.get_flat(), h2.get_flat())
+
+    def test_saturated_head_raises_divergence(self, rng):
+        # The clamped loss stays finite, so only the clamp shows the blow-up.
+        labeled = planted_crm_corpus(rng, n_queries=4)
+        config = CrmConfig(hidden=8, lr=1e6, epochs=5, seed=5)
+        with pytest.raises(DivergenceError, match="log clamp") as info:
+            train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
+        assert info.value.step == 1
 
     def test_requires_both_label_kinds(self, rng):
         q = make_query()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperrag.alignment import EmbeddingTable, Query
 from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
@@ -22,10 +24,12 @@ from hyperrag.generation import (
     generate,
     gold_distribution,
     local_loss,
+    origin_tangents,
     query_dropout_prob,
     softmax,
     train_generation,
 )
+from hyperrag.geometry import log_map, origin, project_to_hyperboloid
 from hyperrag.transport import entropic_terms
 
 THREE_LN_4 = 4.1588830833596715
@@ -50,9 +54,12 @@ def make_memorizable(num=50, clusters=5, feat=4, dim=6, seed=11):
             centers[c] + 0.1 * rng.standard_normal(feat),
             centers[c] + 0.1 * rng.standard_normal(feat),
         )
-        ev = tuple(
-            table.embed_features(centers[c] + 0.1 * rng.standard_normal(feat), "visual")
-            for _ in range(2)
+        ev = origin_tangents(
+            [
+                table.embed_features(centers[c] + 0.1 * rng.standard_normal(feat), "visual")
+                for _ in range(2)
+            ],
+            dim,
         )
         examples.append(GenExample(q, ev, TokenSequence((c + 1,) * 3, vocab)))
     return GenDataset(tuple(examples), table, tok_emb)
@@ -212,6 +219,30 @@ class TestGenerate:
         z = condition_vector(self.table, qpoint, [])
         assert z.shape == (2 * self.table.dim,)
         assert not z[self.table.dim :].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 9),
+        k=st.sampled_from([0, 1, 2, 7, 40]),
+        scale=st.sampled_from([1e-6, 1.0, 5.0]),
+    )
+    def test_condition_vector_matches_per_point_log_maps(self, seed, dim, k, scale):
+        rng = np.random.default_rng(seed)
+        dims = {"query": 4, "visual": 2, "textual": 2, "graph_triplet": 2}
+        table = EmbeddingTable(dim, dims, seed=seed % 1000)
+        qpoint = table.embed_query(Query("q", rng.standard_normal(2), rng.standard_normal(2)))
+        points = [project_to_hyperboloid(scale * rng.standard_normal(dim)) for _ in range(k)]
+        # The pooling as a per-point loop, before the evidence became rows.
+        base = origin(dim)
+        ev = (
+            np.mean([log_map(base, p).components[1:] for p in points], axis=0)
+            if points
+            else np.zeros(dim)
+        )
+        want = np.concatenate([log_map(base, qpoint).components[1:], ev])
+        got = condition_vector(table, qpoint, origin_tangents(points, dim))
+        assert np.array_equal(got, want)
 
 
 class TestGoldDistribution:

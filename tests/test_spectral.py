@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import hyperrag.spectral as spectral
@@ -13,7 +15,7 @@ from hyperrag.errors import (
     InfeasibleConstraintError,
     NumericalError,
 )
-from hyperrag.gate import Scorer, TableLookupScorer
+from hyperrag.gate import FeatureDotScorer, Scorer, TableLookupScorer, sigmoid
 from hyperrag.geometry import lorentz_inner
 from hyperrag.spectral import (
     CheegerReport,
@@ -128,6 +130,19 @@ class TestGraphConstruction:
     def test_triplet_unknown_vertex_rejected(self):
         with pytest.raises(ContractViolation):
             make_graph(2, [("v0", "v1", 1.0)], triplets=[("v0", "rel", "nope")])
+
+    def test_mixed_feature_widths_rejected(self):
+        verts = [GraphVertex(f"v{i}", "n", np.zeros(3)) for i in range(3)]
+        verts[2] = GraphVertex("v2", "n", np.zeros(2))
+        with pytest.raises(GraphRecordError, match="v2") as info:
+            KnowledgeGraph(tuple(verts), ())
+        assert (info.value.records, info.value.position) == ("vertices", 2)
+
+    def test_feature_matrix_stacks_vertices(self):
+        g = make_graph(4, [], feat_dim=5)
+        assert g.feature_matrix.shape == (4, 5)
+        assert np.array_equal(g.feature_matrix[2], g.vertices[2].features)
+        assert g.feature_matrix is g.feature_matrix
 
     def test_degrees(self):
         g = make_graph(3, [("v0", "v1", 2.0), ("v1", "v2", 3.0)])
@@ -309,6 +324,35 @@ class TestRelevance:
         q = Query("q0", np.zeros(2), np.zeros(2))
         with pytest.raises(ContractViolation, match="v0"):
             relevance_vector(q, g, Boom())
+
+    # Query blocks shorter than, as wide as, and longer than the vertex
+    # features; scales large enough to saturate the sigmoid.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        width=st.integers(1, 12),
+        blocks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    def test_stacked_feature_dot_matches_per_vertex_scores(self, seed, n, width, blocks, scale):
+        rng = np.random.default_rng(seed)
+        g = make_graph(n, [], feat_dim=width, seed=seed)
+        visual, textual = (scale * rng.standard_normal(b) for b in blocks)
+        q = Query("q", visual, textual)
+
+        def per_vertex(feats):
+            # The scorer as a per-vertex loop, before the stacked pass.
+            total = 0.0
+            for block in (q.visual_features, q.text_features):
+                m = min(block.size, feats.size)
+                total += float(block[:m] @ feats[:m])
+            return sigmoid(0.5 * total)
+
+        got = relevance_vector(q, g, FeatureDotScorer()).values
+        scorer = FeatureDotScorer()
+        assert np.array_equal(got, [sigmoid(scorer.score(q, v)) for v in g.vertices])
+        assert np.array_equal(got, [per_vertex(v.features) for v in g.vertices])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ContractViolation):
