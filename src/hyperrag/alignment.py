@@ -333,7 +333,17 @@ def retrieve_topk(
         raise ContractViolation(f"k={k} outside [0, corpus size {len(corpus)}]")
     if k == 0:
         return []
-    return rank_rows(table, query, corpus, embed_corpus_rows(table, corpus), k)
+    return rank_rows(
+        table, query, corpus, embed_corpus_rows(table, corpus), k, id_ranks(corpus)
+    )
+
+
+def id_ranks(corpus: list[KnowledgeItem]) -> np.ndarray:
+    """Each item's position in ascending id order (equal ids keep corpus
+    order): the tie-break key of ``rank_rows``."""
+    ranks = np.empty(len(corpus), dtype=np.intp)
+    ranks[sorted(range(len(corpus)), key=lambda i: corpus[i].id)] = np.arange(len(corpus))
+    return ranks
 
 
 def rank_rows(
@@ -342,10 +352,11 @@ def rank_rows(
     corpus: list[KnowledgeItem],
     rows: np.ndarray,
     k: int,
+    id_key: np.ndarray,
 ) -> list[tuple[KnowledgeItem, float]]:
-    """The k corpus items nearest the query, given the corpus's embedded
-    rows (``embed_corpus_rows``): ascending geodesic distance, ties broken
-    by ascending item id."""
+    """The k corpus items nearest the query, given their embedded ``rows``
+    and ``id_ranks``: ascending geodesic distance, then ascending item id.
+    A NaN distance (a broken row) ranks first, for later checks to report."""
     dists = distances_to_rows(table.embed_query(query), rows)
-    order = sorted(range(len(corpus)), key=lambda i: (dists[i], corpus[i].id))
-    return [(corpus[i], float(dists[i])) for i in order[:k]]
+    order = np.lexsort((id_key, dists, ~np.isnan(dists)))
+    return [(corpus[i], float(dists[i])) for i in order[:k].tolist()]

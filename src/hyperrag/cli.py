@@ -18,6 +18,8 @@ import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .alignment import AlignmentConfig, AlignmentCorpus, EmbeddingTable, train_alignment
 from .errors import ConfigurationError, HyperRagError
 from .generation import (
@@ -282,16 +284,29 @@ def cmd_bench(args, config: PipelineConfig, writer: RecordWriter) -> int:
     )
 
     sample = bundle.queries[: min(len(bundle.queries), 32)]
+    retrieve_s: list[float] = []
+    stage_s: dict[str, list[float]] = {}
     t0 = time.perf_counter()
     for query in sample:
-        answer_query(components, query)
+        t1 = time.perf_counter()
+        result = answer_query(components, query)
+        if result.delta == 1:
+            retrieve_s.append(time.perf_counter() - t1)
+        for stage, seconds in result.timings.items():
+            stage_s.setdefault(stage, []).append(seconds)
     elapsed = time.perf_counter() - t0
+    p50, p90 = np.percentile(retrieve_s, [50, 90]).tolist() if retrieve_s else (None, None)
     writer.emit(
         {
             "phase": "answer",
             "seconds": elapsed,
             "queries": len(sample),
             "mean_latency_s": elapsed / len(sample),
+            "retrieve_path_answers": len(retrieve_s),
+            "retrieve_path_p50_s": p50,
+            "retrieve_path_p90_s": p90,
+            # Each stage's mean over the answers that ran it.
+            "stage_mean_s": {stage: float(np.mean(v)) for stage, v in stage_s.items()},
         }
     )
 

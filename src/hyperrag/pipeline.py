@@ -11,9 +11,10 @@ generator) share one decoupled-weight-decay adaptive optimizer.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .alignment import (
     Query,
     embed_corpus_rows,
     geo_loss_and_grads,
+    id_ranks,
     rank_rows,
 )
 from .errors import ConfigurationError, ContractViolation, HyperRagError
@@ -90,6 +92,15 @@ class PipelineConfig:
     align_on_all_queries: bool = False
 
     def validate(self) -> None:
+        non_finite = [
+            f.name
+            for f in fields(self)
+            if f.type == "float" and not math.isfinite(getattr(self, f.name))
+        ]
+        if non_finite:
+            raise ConfigurationError(f"{', '.join(non_finite)} must be finite")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if not (0.0 < self.beta < 1.0 and 0.0 < self.gamma < 1.0):
             raise ConfigurationError(
                 f"beta and gamma must lie strictly inside (0, 1), got {self.beta}, {self.gamma}"
@@ -232,10 +243,12 @@ class AdamW:
 @dataclass(frozen=True)
 class ReadIndex:
     """The trained embeddings that answering reads: one hyperboloid row
-    per corpus item, and one ``origin_tangents`` row per ``graph.triplets``
-    entry with its head and tail vertex indices."""
+    per corpus item with the items' ``id_ranks``, and one
+    ``origin_tangents`` row per ``graph.triplets`` entry with its head and
+    tail vertex indices."""
 
     corpus_rows: np.ndarray
+    corpus_id_key: np.ndarray
     triplet_rows: np.ndarray
     triplet_heads: np.ndarray
     triplet_tails: np.ndarray
@@ -247,6 +260,7 @@ class ReadIndex:
         heads, tails = _triplet_ends(graph)
         return cls(
             corpus_rows=embed_corpus_rows(table, items),
+            corpus_id_key=id_ranks(items),
             triplet_rows=origin_tangents(embed_triplets(graph, table, graph.triplets), table.dim),
             triplet_heads=heads,
             triplet_tails=tails,
@@ -396,11 +410,13 @@ def query_subgraph(
     )
 
 
-def _top_items(config: PipelineConfig, table: EmbeddingTable, query: Query, items, rows):
+def _top_items(
+    config: PipelineConfig, table: EmbeddingTable, query: Query, items, rows, id_key
+):
     """The ``config.top_k`` items nearest the query (every item when there
-    are fewer), ranked over their embedded ``rows``."""
+    are fewer), ranked over their embedded ``rows`` and ``id_ranks``."""
     k = min(config.top_k, len(items))
-    return [doc for doc, _ in rank_rows(table, query, items, rows, k)]
+    return [doc for doc, _ in rank_rows(table, query, items, rows, k, id_key)]
 
 
 def run_training(
@@ -410,6 +426,7 @@ def run_training(
     config.validate()
     queries = bundle.queries
     items = bundle.items
+    item_ranks = id_ranks(items)
     by_id = bundle.item_by_id()
     vocab = bundle.token_embeddings.shape[0]
     answer_len = bundle.spec.answer_len
@@ -504,7 +521,8 @@ def run_training(
             for idx_in_batch, q in enumerate(batch):
                 evidence = np.empty((0, config.dim))
                 if delta[q.id] == 1:
-                    used = filter_relevant(head, q, _top_items(config, table, q, items, rows))
+                    ranked = _top_items(config, table, q, items, rows, item_ranks)
+                    used = filter_relevant(head, q, ranked)
                     kept = trip_rows[[row_of[i] for i in kept_triplets[q.id]]]
                     evidence = _evidence_rows(table, used, kept)
                 example = GenExample(q, evidence, gold[q.id])
@@ -595,7 +613,10 @@ def answer_query(
         with _stage("index"):
             index = components.read_index()
         with _stage("retrieve"):
-            ranked = _top_items(cfg, components.table, query, components.items, index.corpus_rows)
+            ranked = _top_items(
+                cfg, components.table, query, components.items, index.corpus_rows,
+                index.corpus_id_key,
+            )
         retrieved = tuple(doc.id for doc in ranked)
         timings["retrieve"] = time.perf_counter() - t0
 

@@ -41,6 +41,8 @@ _EIG_SHIFT = -1e-6
 # noise cannot reorder vertices.
 _SORT_QUANTUM = 1e-9
 _FEASIBLE_ATOL = 1e-12
+# Prefix-by-edge entries per chunk of cheeger_check's direct cut sums.
+_CUT_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -296,42 +298,39 @@ def subgraph_objective(graph: KnowledgeGraph, members: np.ndarray, r, rho: float
     return smooth + rho * float(np.sum(w[crossing]))
 
 
-def _prefix_profiles(graph: KnowledgeGraph, order: np.ndarray, r: np.ndarray, rho: float):
-    """Vectorized sweep: objective(s) and relevance mass for every prefix
-    size s = 0..n of the given vertex order."""
-    n = graph.size
+def _prefix_profiles(graph: KnowledgeGraph, orders: np.ndarray, r: np.ndarray, rho: float):
+    """Stacked sweep: objective(s) and relevance mass for every prefix
+    size s = 0..n of every vertex order (row) of ``orders``."""
+    m, n = orders.shape
     u, v, w = graph.edge_arrays()
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    if len(w):
-        pu, pv = pos[u], pos[v]
-        lo = np.minimum(pu, pv)
-        hi = np.maximum(pu, pv)
-        smooth_vals = w * (r[u] - r[v]) ** 2
-        # An edge is internal to the prefix once both endpoints are in
-        # (s >= hi+1) and crosses it while exactly one is (lo < s <= hi).
-        d_smooth = np.zeros(n + 1)
-        np.add.at(d_smooth, hi + 1, smooth_vals)
-        internal = np.cumsum(d_smooth)[: n + 1]
-        d_cut = np.zeros(n + 2)
-        np.add.at(d_cut, lo + 1, w)
-        np.add.at(d_cut, hi + 1, -w)
-        cut = np.cumsum(d_cut)[: n + 1]
-    else:
-        internal = np.zeros(n + 1)
-        cut = np.zeros(n + 1)
-    mass = np.concatenate([[0.0], np.cumsum(r[order])])
-    return internal + rho * cut, mass
+    pos = np.empty_like(orders)
+    pos[np.arange(m)[:, None], orders] = np.arange(n)
+    pu, pv = pos[:, u], pos[:, v]
+    # Prefix s of row i is bin i*(n+1) + s.  An edge is internal to the
+    # prefix once both endpoints are in (s >= hi+1) and crosses it while
+    # exactly one is (lo < s <= hi).  bincount adds each bin's terms in
+    # input order, so each row sums in edge order, every +w of the cut
+    # before every -w, as per-sweep np.add.at calls did.
+    bins = np.arange(1, m * (n + 1), n + 1)[:, None]
+    lo = (bins + np.minimum(pu, pv)).ravel()
+    hi = (bins + np.maximum(pu, pv)).ravel()
+    smooth_vals = w * (r[u] - r[v]) ** 2
+    internal = np.bincount(hi, np.tile(smooth_vals, m), m * (n + 1)).reshape(m, n + 1)
+    w_rows = np.tile(w, m)
+    cut = np.bincount(np.concatenate([lo, hi]), np.concatenate([w_rows, -w_rows]), m * (n + 1))
+    mass = np.zeros((m, n + 1))
+    np.cumsum(r[orders], axis=1, out=mass[:, 1:])
+    return np.cumsum(internal, axis=1) + rho * np.cumsum(cut.reshape(m, n + 1), axis=1), mass
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(vec)))
-    return -vec if vec[pivot] < 0 else vec
-
-
-def _sweep_order(vec: np.ndarray, r: np.ndarray) -> np.ndarray:
-    q = np.round(vec / _SORT_QUANTUM) * _SORT_QUANTUM
-    return np.lexsort((np.arange(vec.size), np.round(r / _SORT_QUANTUM), q))
+def _sweep_orders(eigvecs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows 2c and 2c+1 sweep column c of ``eigvecs``, sign-canonical, and
+    its negation: vertices by quantized coordinate, quantized r, index."""
+    pivots = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(eigvecs.shape[1])]
+    vecs = np.where(pivots < 0, -eigvecs, eigvecs).T
+    base = np.lexsort((np.arange(r.size), np.round(r / _SORT_QUANTUM)))
+    keys = np.stack([vecs, -vecs], axis=1).reshape(-1, r.size)[:, base] / _SORT_QUANTUM
+    return base[np.argsort(np.round(keys) * _SORT_QUANTUM, axis=1, kind="stable")]
 
 
 def refine_subgraph(
@@ -355,8 +354,8 @@ def refine_subgraph(
         raise ContractViolation(f"eta must be nonnegative, got {eta}")
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
-    if rho < 0:
-        raise ContractViolation(f"rho must be nonnegative, got {rho}")
+    if not 0 <= rho < math.inf:
+        raise ContractViolation(f"rho must be finite and nonnegative, got {rho}")
     r_arr = _coerce_relevance(graph, r)
     n = graph.size
     total_mass = float(r_arr.sum())
@@ -372,39 +371,39 @@ def refine_subgraph(
     candidates.append((subgraph_objective(graph, np.ones(n, dtype=bool), r_arr, rho), n, all_idx))
     if 0.0 >= eta - _FEASIBLE_ATOL:
         candidates.append((0.0, 0, all_idx[:0]))
-    proper_feasible = False
-    for col in range(eigvecs.shape[1]):
-        vec = _canonical_sign(eigvecs[:, col])
-        for direction in (1, -1):
-            order = _sweep_order(direction * vec, r_arr)
-            objective, mass = _prefix_profiles(graph, order, r_arr, rho)
-            # Proper prefixes only; infeasible ones are masked out.  The
-            # per-sweep argmin matches the global (objective, size) order
-            # because argmin returns the smallest prefix among ties.
-            objs = np.where(mass[1:n] >= eta - _FEASIBLE_ATOL, objective[1:n], np.inf)
-            if objs.size and np.isfinite(objs.min(initial=np.inf)):
-                proper_feasible = True
-                best_s = int(np.argmin(objs)) + 1
-                candidates.append((float(objective[best_s]), best_s, order[:best_s]))
+    orders = _sweep_orders(eigvecs, r_arr)
+    objective, mass = _prefix_profiles(graph, orders, r_arr, rho)
+    # Proper prefixes only; infeasible ones are masked out.  The per-row
+    # argmin matches the global (objective, size) order because argmin
+    # returns the smallest prefix among ties.
+    objs = np.where(mass[:, 1:n] >= eta - _FEASIBLE_ATOL, objective[:, 1:n], np.inf)
+    rows = np.flatnonzero(np.isfinite(objs.min(axis=1, initial=np.inf)))
+    if rows.size:
+        sizes = np.argmin(objs[rows], axis=1) + 1
+        candidates += [
+            (float(objective[i, s]), s, orders[i, :s])
+            for i, s in zip(rows.tolist(), sizes.tolist())
+        ]
     best_obj, best_size = min((obj, size) for obj, size, _ in candidates)
     tied = [
         idxs
         for obj, size, idxs in candidates
         if obj == best_obj and size == best_size
     ]
-    ids_of = lambda idxs: tuple(sorted(graph.vertices[i].id for i in idxs))
-    best_ids = min(ids_of(idxs) for idxs in tied)
-    fallback = not proper_feasible and best_size == n
+    ids = [vert.id for vert in graph.vertices]
+    ids_of = lambda idxs: tuple(sorted([ids[i] for i in idxs.tolist()]))
+    best_ids, best_idxs = min(((ids_of(idxs), idxs) for idxs in tied), key=lambda c: c[0])
+    fallback = rows.size == 0 and best_size == n
     members = np.zeros(n, dtype=bool)
-    members[[graph.vertex_index(i) for i in best_ids]] = True
+    members[best_idxs] = True
     mass = float(r_arr[members].sum())
     if mass < eta - _FEASIBLE_ATOL:
         raise NumericalError("selected subgraph violates its relevance constraint")
     u, v, w = graph.edge_arrays()
     inside = members[u] & members[v]
     induced = tuple(
-        (graph.vertices[a].id, graph.vertices[b].id, float(wt))
-        for a, b, wt in zip(u[inside], v[inside], w[inside])
+        (ids[a], ids[b], wt)
+        for a, b, wt in zip(u[inside].tolist(), v[inside].tolist(), w[inside].tolist())
     )
     return Subgraph(
         selected=best_ids,
@@ -478,24 +477,26 @@ def cheeger_check(graph: KnowledgeGraph, seed: int = 0) -> CheegerReport:
     deg = graph.degrees
     scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 1.0)
     y = vecs_n[:, 1] * scale
-    order = _sweep_order(_canonical_sign(y), np.zeros(n))
-    # With zero relevance the smooth term is exactly 0, leaving the cuts.
-    cuts, _ = _prefix_profiles(graph, order, np.zeros(n), 1.0)
-    vol_prefix = np.concatenate([[0.0], np.cumsum(deg[order])])
-    total_vol = vol_prefix[-1]
-    best = math.inf
-    for s in range(1, n):
-        denom = min(vol_prefix[s], total_vol - vol_prefix[s])
-        if denom <= 0.0:
-            phi = 0.0 if cuts[s] == 0.0 else math.inf
-        else:
-            phi = cuts[s] / denom
-        best = min(best, phi)
+    order = _sweep_orders(y[:, None], np.zeros(n))[0]
+    # Cuts and volumes are sums of nonnegative terms, with no subtraction,
+    # so that a heavy edge cannot cancel the light ones.
+    u, v, w = graph.edge_arrays()
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    lo, hi = np.minimum(pos[u], pos[v]), np.maximum(pos[u], pos[v])
+    step = max(1, _CUT_CHUNK // max(w.size, 1))
+    sizes = np.split(np.arange(1, n)[:, None], range(step, n - 1, step))
+    cuts = np.concatenate([((lo < s) & (s <= hi)) @ w for s in sizes])
+    vol = deg[order]
+    denom = np.minimum(np.cumsum(vol)[:-1], np.cumsum(vol[::-1])[::-1][1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(denom > 0.0, cuts / denom, np.where(cuts == 0.0, 0.0, math.inf))
+    best = float(phi.min())
     bound = math.sqrt(2.0 * lam2)
     return CheegerReport(
         lambda2_normalized=lam2,
         lambda2_unnormalized=float(vals_u[1]),
-        sweep_conductance=float(best),
+        sweep_conductance=best,
         bound=bound,
         bound_holds=bool(best <= bound + 1e-12),
         degenerate=degenerate,

@@ -8,12 +8,20 @@ from hyperrag.alignment import (
     EmbeddingTable,
     KnowledgeItem,
     Query,
+    embed_corpus_rows,
     geo_loss,
+    id_ranks,
+    rank_rows,
     retrieve_topk,
     train_alignment,
 )
 from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
-from hyperrag.geometry import geodesic_distance, origin, project_to_hyperboloid
+from hyperrag.geometry import (
+    distances_to_rows,
+    geodesic_distance,
+    origin,
+    project_to_hyperboloid,
+)
 
 ACOSH_SQRT2 = 0.881373587019543
 
@@ -234,6 +242,41 @@ class TestRetrieve:
         q = Query("q", np.zeros(2), np.zeros(2))
         ranked = retrieve_topk(table, q, corpus, 4)
         assert [it.id for it, _ in ranked] == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_rows_order_is_sorted_by_distance_then_id(self, seed):
+        rng = np.random.default_rng(seed)
+        table = make_table(dim=3, d_in=4, seed=seed)
+        feats = rng.standard_normal((6, 4))
+        # Each (features, modality) pair three times under shuffled ids, so
+        # distances tie exactly.
+        ids = [f"i{j:02d}" for j in rng.permutation(18)]
+        corpus = [
+            KnowledgeItem(ids[j], ("visual", "textual")[j % 2], feats[j % 6]) for j in range(18)
+        ]
+        q = Query("q", rng.standard_normal(4), rng.standard_normal(4))
+        rows = embed_corpus_rows(table, corpus)
+        dists = distances_to_rows(table.embed_query(q), rows)
+        assert len(set(dists.tolist())) == 6
+        oracle = sorted(range(len(corpus)), key=lambda i: (dists[i], corpus[i].id))
+        for k in (0, 5, len(corpus)):
+            want = [(corpus[i].id, float(dists[i])) for i in oracle[:k]]
+            ranked = rank_rows(table, q, corpus, rows, k, id_ranks(corpus))
+            assert [(it.id, d) for it, d in ranked] == want
+            assert [(it.id, d) for it, d in retrieve_topk(table, q, corpus, k)] == want
+
+    def test_id_ranks_keep_corpus_order_for_equal_ids(self):
+        corpus = [KnowledgeItem(name, "visual", np.zeros(2)) for name in "bcab"]
+        assert id_ranks(corpus).tolist() == [1, 3, 0, 2]
+
+    def test_nan_distance_ranks_first(self):
+        table = zero_table(dim=2, d_in=2)
+        corpus = [KnowledgeItem(name, "visual", np.zeros(2)) for name in "abc"]
+        rows = embed_corpus_rows(table, corpus)
+        rows[2] = np.nan
+        q = Query("q", np.zeros(2), np.zeros(2))
+        ranked = rank_rows(table, q, corpus, rows, 2, id_ranks(corpus))
+        assert [it.id for it, _ in ranked] == ["c", "a"]
 
     def test_k_zero_empty(self, rng):
         table = make_table()

@@ -4,17 +4,21 @@ and error categories."""
 import contextlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hyperrag import spectral
 from hyperrag.cli import load_config, main
-from hyperrag.errors import ConfigurationError
+from hyperrag.errors import ConfigurationError, HyperRagError
 from hyperrag.io import load_table
 from hyperrag.pipeline import PipelineConfig, answer_query, run_training
 from hyperrag.synth import load_bundle
@@ -82,6 +86,18 @@ FUZZ_VALUES = [
     "n0000", "n0001", "n9999", "textual", "graph_triplet",
 ]
 
+CONFIG_KEYS = [f.name for f in fields(PipelineConfig)]
+# Extreme floats, zeros, negatives and values of the wrong type.  Large
+# integers are left out: a huge dim or epoch count is valid, only slow.
+CONFIG_FUZZ_VALUES = [
+    1e308, -1e308, 5e-324, -5e-324, 1e-300, math.inf, -math.inf, math.nan,
+    0, 0.0, -0.0, -1, -1.0, -0.5, 0.5, 1, 1.0, 2, 0.999999, 1.000001,
+    "x", "1", None, True, False, [], {}, [1.0],
+]
+EXIT_CODES = {
+    cls.category: cls.exit_code for cls in [HyperRagError, *HyperRagError.__subclasses__()]
+}
+
 
 class TestConfigLoading:
     def test_defaults_without_file(self):
@@ -99,6 +115,17 @@ class TestConfigLoading:
         path.write_text('{"epochs": 2.5}')
         with pytest.raises(ConfigurationError):
             load_config(str(path), None)
+
+    @pytest.mark.parametrize("text", ['{"rho": NaN}', '{"epsilon": Infinity}', '{"seed": -1}'])
+    def test_non_finite_float_or_negative_seed_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            load_config(str(path), None)
+
+    def test_negative_seed_override_rejected(self):
+        with pytest.raises(ConfigurationError):
+            load_config(None, -1)
 
     def test_int_accepted_for_float_field(self, tmp_path):
         path = tmp_path / "ok.json"
@@ -186,6 +213,30 @@ class TestStageCommands:
         assert rec["bound_holds"] is True
         assert rec["sweep_conductance"] <= rec["bound"] + 1e-12
 
+    @pytest.mark.parametrize("weight", [None, "1e17"])
+    def test_cheeger_sweep_matches_conductance_of_each_prefix(
+        self, workdir, tmp_path, capsys, weight
+    ):
+        # One heavy edge must not cancel the light ones in the sweep cuts.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        if weight is not None:
+            set_field(bundle / "graph" / "edges.tsv", 1, 2, weight)
+        code, out, _ = run_cli(["cheeger", "--bundle", str(bundle)], capsys)
+        assert code == 0
+        (rec,) = records(out)
+        graph = load_bundle(bundle).graph
+        _, vecs = spectral.smallest_eigenpairs(spectral.normalized_laplacian(graph), 2)
+        y = vecs[:, 1] / np.sqrt(graph.degrees)
+        order = spectral._sweep_orders(y[:, None], np.zeros(graph.size))[0]
+        ids = [vert.id for vert in graph.vertices]
+        best = min(
+            spectral.conductance(graph, [ids[i] for i in order[:s]]) for s in range(1, graph.size)
+        )
+        assert rec["sweep_conductance"] == pytest.approx(best, rel=1e-9)
+        if weight is None:
+            assert rec["sweep_conductance"] == pytest.approx(0.0089639, rel=1e-5)
+
     def test_gen_memorizes_tiny_bundle(self, workdir, capsys):
         code, out, _ = run_cli(["gen", *base_args(workdir)], capsys)
         assert code == 0
@@ -241,6 +292,12 @@ class TestEndToEndCommands:
         recs = records(out)
         assert [r["phase"] for r in recs] == ["bundle", "train", "answer", "eval"]
         assert all(r["seconds"] >= 0 for r in recs)
+        answer = recs[2]
+        assert 0 < answer["retrieve_path_answers"] <= answer["queries"]
+        assert 0 < answer["retrieve_path_p50_s"] <= answer["retrieve_path_p90_s"]
+        stages = answer["stage_mean_s"]
+        assert sorted(stages) == ["filter", "gate", "generate", "refine", "retrieve"]
+        assert all(seconds >= 0 for seconds in stages.values())
 
 
 class TestConformanceCommand:
@@ -439,6 +496,30 @@ class TestErrorSurface:
     @given(data=st.data())
     def test_fuzzed_field_eval_exits_cleanly(self, workdir, data):
         self.run_fuzzed(workdir, data, "eval")
+
+    # Training and evaluating the tiny bundle takes about 0.15 s per example.
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_config_field_eval_exits_cleanly(self, workdir, data):
+        """Set one key of the tiny config (or an unknown one) to an extreme,
+        zero, negative or mistyped value: ``eval`` succeeds or fails with a
+        categorised error record and its exit code."""
+        key = data.draw(st.sampled_from([*CONFIG_KEYS, "unknown_key"]))
+        value = data.draw(st.sampled_from(CONFIG_FUZZ_VALUES))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({**TINY_CONFIG, key: value}))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["eval", "--bundle", str(workdir / "bundle"), "--config", str(cfg)])
+        if code != 0:
+            record = json.loads(err.getvalue())
+            assert EXIT_CODES[record["category"]] == code, record
+        assert "Traceback" not in err.getvalue()
 
     def test_bad_config_type_exit_code(self, workdir, capsys):
         path = workdir / "bad_cfg.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyperrag import generation
-from hyperrag.alignment import embed_corpus_rows
+from hyperrag.alignment import embed_corpus_rows, id_ranks, retrieve_topk
 from hyperrag.errors import ConfigurationError, ContractViolation, HyperRagError
 from hyperrag.pipeline import (
     AdamW,
@@ -332,6 +332,20 @@ class TestReadIndex:
             components.read_index().corpus_rows,
             embed_corpus_rows(components.table, components.items),
         )
+
+    def test_retrieved_ids_match_retrieve_topk(self, planted):
+        bundle, components, _ = planted
+        index = components.read_index()
+        assert np.array_equal(index.corpus_id_key, id_ranks(components.items))
+        k = min(components.config.top_k, len(components.items))
+        checked = 0
+        for q in bundle.queries:
+            res = answer_query(components, q)
+            if res.delta == 1:
+                want = retrieve_topk(components.table, q, components.items, k)
+                assert res.retrieved_ids == tuple(doc.id for doc, _ in want)
+                checked += 1
+        assert checked > 0
 
     def test_built_once(self, planted):
         bundle, components, _ = planted

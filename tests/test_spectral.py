@@ -361,6 +361,122 @@ class TestRelevance:
             RelevanceVector(np.array([-0.1]))
 
 
+def per_sweep_refine(graph, r, eta, rho, eigvecs):
+    """The refine sweep as one lexsort and one np.add.at profile per
+    eigenvector direction: a bit-exactness oracle for the stacked pass."""
+    n = graph.size
+    u, v, w = graph.edge_arrays()
+    atol, quantum = spectral._FEASIBLE_ATOL, spectral._SORT_QUANTUM
+    all_idx = np.arange(n)
+    candidates = [(subgraph_objective(graph, np.ones(n, dtype=bool), r, rho), n, all_idx)]
+    if 0.0 >= eta - atol:
+        candidates.append((0.0, 0, all_idx[:0]))
+    proper_feasible = False
+    for col in range(eigvecs.shape[1]):
+        vec = eigvecs[:, col]
+        vec = -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
+        for direction in (1, -1):
+            q = np.round(direction * vec / quantum) * quantum
+            order = np.lexsort((all_idx, np.round(r / quantum), q))
+            pos = np.empty(n, dtype=np.intp)
+            pos[order] = all_idx
+            lo, hi = np.minimum(pos[u], pos[v]), np.maximum(pos[u], pos[v])
+            d_smooth = np.zeros(n + 1)
+            np.add.at(d_smooth, hi + 1, w * (r[u] - r[v]) ** 2)
+            d_cut = np.zeros(n + 2)
+            np.add.at(d_cut, lo + 1, w)
+            np.add.at(d_cut, hi + 1, -w)
+            objective = np.cumsum(d_smooth)[: n + 1] + rho * np.cumsum(d_cut)[: n + 1]
+            mass = np.concatenate([[0.0], np.cumsum(r[order])])
+            objs = np.where(mass[1:n] >= eta - atol, objective[1:n], np.inf)
+            if objs.size and np.isfinite(objs.min(initial=np.inf)):
+                proper_feasible = True
+                best_s = int(np.argmin(objs)) + 1
+                candidates.append((float(objective[best_s]), best_s, order[:best_s]))
+    best = min((obj, size) for obj, size, _ in candidates)
+    best_ids = min(
+        tuple(sorted(graph.vertices[i].id for i in idxs))
+        for obj, size, idxs in candidates
+        if (obj, size) == best
+    )
+    members = np.zeros(n, dtype=bool)
+    members[[graph.vertex_index(i) for i in best_ids]] = True
+    inside = members[u] & members[v]
+    return spectral.Subgraph(
+        selected=best_ids,
+        indicator=members.astype(float),
+        induced_edges=tuple(
+            (graph.vertices[a].id, graph.vertices[b].id, float(wt))
+            for a, b, wt in zip(u[inside], v[inside], w[inside])
+        ),
+        eta=eta,
+        relevance_mass=float(r[members].sum()),
+        objective=best[0],
+        fallback_used=not proper_feasible and best[1] == n,
+    )
+
+
+def assert_same_subgraph(got, want):
+    """Every Subgraph field equal, floats bit for bit."""
+    assert got.selected == want.selected
+    assert np.array_equal(got.indicator, want.indicator)
+    assert got.induced_edges == want.induced_edges
+    assert (got.eta, got.relevance_mass, got.objective, got.fallback_used) == (
+        want.eta, want.relevance_mass, want.objective, want.fallback_used
+    )
+
+
+@pytest.fixture(scope="module")
+def default_bundles():
+    """Three seeded default bundles, each with its graph's 10 smallest
+    Laplacian eigenvectors and every query's feature-dot relevance."""
+    out = []
+    for seed in (42, 5, 6):
+        bundle = synth_bundle(SynthSpec(seed=seed))
+        graph = bundle.graph
+        _, vecs = smallest_eigenpairs(laplacian(graph), 10, seed=seed)
+        rel = [relevance_vector(q, graph, FeatureDotScorer()).values for q in bundle.queries]
+        out.append((graph, vecs, rel))
+    return out
+
+
+class TestStackedSweepsMatchPerSweepLoop:
+    @pytest.mark.parametrize("bundle", [0, 1, 2])
+    def test_every_default_query_at_three_etas(self, default_bundles, bundle):
+        graph, vecs, rel = default_bundles[bundle]
+        for r in rel:
+            for eta in (0.5 * r.sum(), 0.0, 0.999 * r.sum()):
+                got = refine_subgraph(graph, r, eta=eta, k=10, rho=1.0, eigvecs=vecs)
+                assert_same_subgraph(got, per_sweep_refine(graph, r, eta, 1.0, vecs))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            # Components give eigenvectors constant on each component.
+            make_graph(9, [("v0", "v1", 1.0), ("v2", "v3", 2.0), ("v3", "v4", 1.0)]),
+            two_cliques(5),
+            complete_graph(7),
+        ],
+        ids=["components", "two-cliques", "K7"],
+    )
+    def test_tied_sweep_keys(self, graph, rng):
+        vecs = smallest_eigenpairs(laplacian(graph), graph.size)[1]
+        # Relevance with repeated values, so ties fall through to the index.
+        for r in (np.full(graph.size, 0.5), rng.choice([0.2, 0.7], graph.size)):
+            for eta in (0.0, 0.3 * r.sum(), r.sum()):
+                for rho in (0.0, 1.0):
+                    got = refine_subgraph(graph, r, eta=eta, rho=rho, eigvecs=vecs)
+                    assert_same_subgraph(got, per_sweep_refine(graph, r, eta, rho, vecs))
+
+    def test_fallback(self):
+        g = make_graph(3, [("v0", "v1", 1.0), ("v1", "v2", 1.0)])
+        r = np.array([0.5, 0.5, 0.5])
+        _, vecs = smallest_eigenpairs(laplacian(g), 2)
+        got = refine_subgraph(g, r, eta=1.5, k=2, eigvecs=vecs)
+        assert got.fallback_used
+        assert_same_subgraph(got, per_sweep_refine(g, r, 1.5, 1.0, vecs))
+
+
 class TestRefineSubgraph:
     def planted(self):
         g = two_cliques(4, bridge_weight=1.0)
@@ -450,6 +566,12 @@ class TestRefineSubgraph:
         g, r = self.planted()
         with pytest.raises(ContractViolation):
             refine_subgraph(g, r, eta=1.0, rho=-0.5)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_rho_rejected(self, rho):
+        g, r = self.planted()
+        with pytest.raises(ContractViolation):
+            refine_subgraph(g, r, eta=1.0, rho=rho)
 
 
 class TestCutsAndConductance:
