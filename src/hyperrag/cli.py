@@ -79,9 +79,7 @@ def load_config(path: str | None, seed: int | None) -> PipelineConfig:
     coerced = {}
     for key, value in raw.items():
         kind = declared[key]
-        if kind == "bool":
-            ok = isinstance(value, bool)
-        elif kind == "int":
+        if kind == "int":
             ok = isinstance(value, int) and not isinstance(value, bool)
         else:
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)

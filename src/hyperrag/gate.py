@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import KnowledgeItem, Query
-from .errors import ConfigurationError, ContractViolation, DivergenceError, HyperRagError
+from .errors import ConfigurationError, ContractViolation, DivergenceError
 
 LOG_CLAMP = 1e-12
 THETA_GRID = [round(i / 100.0, 2) for i in range(101)]
@@ -31,23 +31,12 @@ def sigmoid(x: float) -> float:
 
 
 class Scorer:
-    """Deterministic raw-score interface over (query, item-or-answer) pairs."""
-
-    def score(self, query: Query, target) -> float:
-        raise NotImplementedError
+    """Deterministic raw relevance scores of a query against every graph
+    vertex."""
 
     def vertex_scores(self, query: Query, graph) -> list[float]:
-        """``score`` of every graph vertex, in graph order; a failure names
-        its vertex."""
-        scores = []
-        for vert in graph.vertices:
-            try:
-                scores.append(float(self.score(query, vert)))
-            except HyperRagError:
-                raise
-            except Exception as exc:
-                raise ContractViolation(f"scorer failed on vertex {vert.id!r}: {exc}") from exc
-        return scores
+        """One raw score per graph vertex, in graph order."""
+        raise NotImplementedError
 
 
 def _feature_dots(query: Query, feats: np.ndarray) -> np.ndarray:
@@ -63,12 +52,8 @@ def _feature_dots(query: Query, feats: np.ndarray) -> np.ndarray:
 
 
 class FeatureDotScorer(Scorer):
-    """Mean dot product of the target features against the query's visual
+    """Mean dot product of the vertex features against the query's visual
     and textual blocks, truncated to the common length."""
-
-    def score(self, query: Query, target) -> float:
-        feats = np.asarray(getattr(target, "features"), dtype=float)
-        return float(_feature_dots(query, feats[None, :])[0])
 
     def vertex_scores(self, query: Query, graph) -> list[float]:
         """One stacked pass over the graph's vertex-feature matrix."""
@@ -76,17 +61,17 @@ class FeatureDotScorer(Scorer):
 
 
 class TableLookupScorer(Scorer):
-    """Fixed (query id, target key) -> score table; the test and synthetic
+    """Fixed (query id, vertex id) -> score table; the test and synthetic
     stand-in for model-produced scores."""
 
     def __init__(self, scores: dict[tuple[str, str], float]):
         self.scores = dict(scores)
 
-    def score(self, query: Query, target) -> float:
-        key = (query.id, target.id if hasattr(target, "id") else str(target))
-        if key not in self.scores:
-            raise ContractViolation(f"no score entry for {key}")
-        return self.scores[key]
+    def vertex_scores(self, query: Query, graph) -> list[float]:
+        missing = [v.id for v in graph.vertices if (query.id, v.id) not in self.scores]
+        if missing:
+            raise ContractViolation(f"no score entry for {(query.id, missing[0])}")
+        return [self.scores[(query.id, v.id)] for v in graph.vertices]
 
 
 def max_softmax(raw) -> float:
@@ -237,8 +222,7 @@ def _crm_stacked(head: RelevanceHead, rows, want_grads: bool):
     if kept:
         h, z, up = h[kept], z[kept], np.array(upstream)[:, None]
         dh = up * head.w2 * (1.0 - h * h)
-        # Column k of the w1 gradient sums the outer products' column k.
-        grads["w1"] += np.stack([_sum_rows(dh * z[:, k, None]) for k in range(z.shape[1])], 1)
+        grads["w1"] += _sum_rows(dh[:, :, None] * z[:, None, :])
         grads["b1"] += _sum_rows(dh)
         grads["w2"] += _sum_rows(up * h)
         grads["b2"] += _sum_rows(up)

@@ -197,20 +197,16 @@ def generate(
     query_point: LorentzPoint,
     evidence_rows: np.ndarray,
     max_len: int,
-) -> tuple[TokenSequence, TokenDistributionSequence]:
+) -> TokenSequence:
     """Greedy decoding conditioned on the query and the evidence rows
     (retrieved items, then subgraph triplets); argmax ties resolve to the
-    lowest token index."""
+    lowest token index.  The model has no positional parameters, so the
+    answer repeats one token ``max_len`` times."""
     if max_len < 1:
         raise ContractViolation(f"max_len must be >= 1, got {max_len}")
     z = condition_vector(table, query_point, evidence_rows)
-    probs = softmax(gen.logits(z))
-    token = int(np.argmax(probs))
-    rows = np.tile(probs, (max_len, 1))
-    return (
-        TokenSequence((token,) * max_len, gen.vocab_size),
-        TokenDistributionSequence(rows),
-    )
+    token = int(np.argmax(softmax(gen.logits(z))))
+    return TokenSequence((token,) * max_len, gen.vocab_size)
 
 
 @dataclass(frozen=True)
@@ -378,6 +374,6 @@ def exact_match_rate(gen: ToyGenerator, dataset: GenDataset) -> float:
     hits = 0
     for ex in dataset.examples:
         qpoint = dataset.table.embed_query(ex.query)
-        seq, _ = generate(gen, dataset.table, qpoint, ex.evidence, ex.gold.length)
+        seq = generate(gen, dataset.table, qpoint, ex.evidence, ex.gold.length)
         hits += int(seq.tokens == ex.gold.tokens)
     return hits / len(dataset.examples)

@@ -87,9 +87,6 @@ class PipelineConfig:
     crm_epochs: int = 80
     crm_batch_size: int = 8
     ot_max_iter: int = 2000
-    # Algorithm-literal mode trains alignment only on retrieval-gated
-    # queries; the flag widens it to every query.
-    align_on_all_queries: bool = False
 
     def validate(self) -> None:
         non_finite = [
@@ -201,14 +198,11 @@ class AdamW:
     """First/second-moment adaptive steps with decoupled weight decay,
     updating the registered arrays in place."""
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float,
-        weight_decay: float = 0.0,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
         if lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {lr}")
         if weight_decay < 0:
@@ -216,8 +210,6 @@ class AdamW:
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(arr) for name, arr in self.params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in self.params.items()}
@@ -484,10 +476,9 @@ def run_training(
             }
             gated = [q for q in batch if delta[q.id] == 1]
 
-            geo_batch = batch if config.align_on_all_queries else gated
             geo_pairs = [
                 (q, [by_id[i] for i in bundle.positives.get(q.id, [])])
-                for q in geo_batch
+                for q in gated
                 if bundle.positives.get(q.id)
             ]
             if geo_pairs:
@@ -584,15 +575,12 @@ def run_training(
     return components, reports
 
 
-def answer_query(
-    components: PipelineComponents, query: Query, max_len: int | None = None
-) -> AnswerResult:
+def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     """Gate, optionally retrieve/filter/refine, then decode; per-stage
     wall-clock timings are recorded.  Corpus rows and triplet rows come
     from the components' read index, built on the first retrieve answer
-    (inside the ``retrieve`` timing)."""
+    (inside the ``retrieve`` timing); the answer has ``answer_len`` tokens."""
     cfg = components.config
-    max_len = components.answer_len if max_len is None else max_len
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -641,8 +629,8 @@ def answer_query(
         if delta == 1:
             evidence = _evidence_rows(components.table, docs, triplet_rows)
         q_point = components.table.embed_query(query)
-        tokens, _ = generate(
-            components.generator, components.table, q_point, evidence, max_len
+        tokens = generate(
+            components.generator, components.table, q_point, evidence, components.answer_len
         )
     timings["generate"] = time.perf_counter() - t0
 
@@ -661,18 +649,11 @@ def _mean_token_embedding(tokens, token_embeddings: np.ndarray) -> np.ndarray:
     return token_embeddings[np.array(tokens, dtype=int)].mean(axis=0)
 
 
-def evaluate(
-    components: PipelineComponents,
-    bundle: CorpusBundle,
-    query_ids: list[str] | None = None,
-) -> EvalReport:
+def evaluate(components: PipelineComponents, bundle: CorpusBundle) -> EvalReport:
     """Exact-match accuracy, cosine coherence in the bundle's token
     embedding space, micro-averaged retrieval precision over gated
-    queries, and mean per-query latency."""
+    queries, and mean per-query latency, over every bundle query."""
     queries = bundle.queries
-    if query_ids is not None:
-        wanted = set(query_ids)
-        queries = [q for q in queries if q.id in wanted]
     if not queries:
         raise ContractViolation("evaluation query set is empty")
 

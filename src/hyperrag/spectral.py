@@ -256,8 +256,8 @@ class RelevanceVector:
 
 
 def relevance_vector(query: Query, graph: KnowledgeGraph, scorer: Scorer) -> RelevanceVector:
-    """r_i = sigmoid(scorer(query, vertex_i)) for every vertex, the raw
-    scores from one ``scorer.vertex_scores`` call."""
+    """r_i = sigmoid(s_i) for every vertex, the raw scores s from one
+    ``scorer.vertex_scores`` call."""
     return RelevanceVector([sigmoid(x) for x in scorer.vertex_scores(query, graph)])
 
 

@@ -196,28 +196,37 @@ def _logsumexp(a: np.ndarray, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
+def _log_weights(w: np.ndarray) -> np.ndarray:
+    """log w, with -inf for zero weights."""
+    return np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+
+
+def _log_plan(f, g, cost, eps, log_p, log_q) -> np.ndarray:
+    """log pi_ij = (f_i + g_j - c_ij) / eps + log p_i + log q_j."""
+    return (f[:, None] + g[None, :] - cost) / eps + log_p[:, None] + log_q[None, :]
+
+
 def sinkhorn_potentials(
     p: EmpiricalDistribution,
     q: EmpiricalDistribution,
     epsilon: float,
     max_iter: int = 10000,
-    target: float = SINKHORN_TARGET,
 ) -> tuple[np.ndarray, np.ndarray, bool, float]:
     """Log-domain scaling iterations for entropic OT.
 
     Returns dual potentials (f, g), the convergence flag, and the final
     marginal violation.  Uses epsilon scaling (warm starts from larger
-    regularization) so small epsilon stays tractable.
+    regularization) so small epsilon stays tractable.  An epsilon so small
+    that the scaled costs overflow makes the violation non-finite, which
+    raises NumericalError at once.
     """
     if epsilon <= 0:
         raise ContractViolation(f"epsilon must be positive, got {epsilon}")
     if max_iter < 1:
         raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
     cost = squared_cost_matrix(p, q)
-    pw, qw = p.weights, q.weights
-    with np.errstate(divide="ignore"):
-        log_p = np.where(pw > 0, np.log(np.where(pw > 0, pw, 1.0)), -np.inf)
-        log_q = np.where(qw > 0, np.log(np.where(qw > 0, qw, 1.0)), -np.inf)
+    pw = p.weights
+    log_p, log_q = _log_weights(pw), _log_weights(q.weights)
     f = np.zeros(p.size)
     g = np.zeros(q.size)
     # Annealing ladder: start at a coarse regularization and halve down to
@@ -232,41 +241,36 @@ def sinkhorn_potentials(
     iters_used = 0
     converged = False
     violation = math.inf
-    for stage, eps in enumerate(ladder):
-        last_stage = stage == len(ladder) - 1
-        while iters_used < max_iter:
-            f = -eps * _logsumexp((g[None, :] - cost) / eps + log_q[None, :], axis=1)
-            g = -eps * _logsumexp((f[:, None] - cost) / eps + log_p[:, None], axis=0)
-            iters_used += 1
-            log_pi = (f[:, None] + g[None, :] - cost) / eps + log_p[:, None] + log_q[None, :]
-            rows = np.exp(_logsumexp(log_pi, axis=1))
-            violation = float(np.max(np.abs(rows - pw)))
-            if violation < target:
-                break
-            if not last_stage and violation < 1e-3:
-                # Good enough to seed the next (smaller) epsilon stage.
-                break
-        if last_stage:
-            converged = violation < target
+    with np.errstate(all="ignore"):
+        for stage, eps in enumerate(ladder):
+            last_stage = stage == len(ladder) - 1
+            while iters_used < max_iter:
+                f = -eps * _logsumexp((g[None, :] - cost) / eps + log_q[None, :], axis=1)
+                g = -eps * _logsumexp((f[:, None] - cost) / eps + log_p[:, None], axis=0)
+                iters_used += 1
+                rows = np.exp(_logsumexp(_log_plan(f, g, cost, eps, log_p, log_q), axis=1))
+                violation = float(np.max(np.abs(rows - pw)))
+                if not math.isfinite(violation):
+                    raise NumericalError(
+                        f"entropic solve at epsilon {epsilon} has a non-finite marginal "
+                        "violation; epsilon is too small for the cost scale"
+                    )
+                if violation < SINKHORN_TARGET:
+                    break
+                if not last_stage and violation < 1e-3:
+                    # Good enough to seed the next (smaller) epsilon stage.
+                    break
+            if last_stage:
+                converged = violation < SINKHORN_TARGET
     return f, g, converged, violation
 
 
-def entropic_plan(
-    p: EmpiricalDistribution,
-    q: EmpiricalDistribution,
-    epsilon: float,
-    f: np.ndarray,
-    g: np.ndarray,
-) -> np.ndarray:
-    cost = squared_cost_matrix(p, q)
-    with np.errstate(divide="ignore"):
-        log_p = np.where(p.weights > 0, np.log(np.where(p.weights > 0, p.weights, 1.0)), -np.inf)
-        log_q = np.where(q.weights > 0, np.log(np.where(q.weights > 0, q.weights, 1.0)), -np.inf)
-    log_pi = (f[:, None] + g[None, :] - cost) / epsilon + log_p[:, None] + log_q[None, :]
+def _rounded_plan(p, q, epsilon: float, f, g, cost: np.ndarray) -> np.ndarray:
+    """The entropic plan of potentials (f, g), rounded onto the marginals."""
+    log_pi = _log_plan(f, g, cost, epsilon, _log_weights(p.weights), _log_weights(q.weights))
     # Normalize total mass to 1.  A no-op at convergence; with unconverged
     # potentials it keeps the matrix finite so rounding can proceed.
-    log_pi = log_pi - _logsumexp(log_pi)
-    return np.exp(log_pi)
+    return _round_to_marginals(np.exp(log_pi - _logsumexp(log_pi)), p.weights, q.weights)
 
 
 def wasserstein2_sinkhorn(
@@ -279,11 +283,9 @@ def wasserstein2_sinkhorn(
     plan (scaled plan rounded onto the transport polytope), and the
     convergence flag."""
     f, g, converged, _ = sinkhorn_potentials(p, q, epsilon, max_iter)
-    raw = entropic_plan(p, q, epsilon, f, g)
-    coupling = _round_to_marginals(raw, p.weights, q.weights)
-    plan = TransportPlan(coupling)
-    plan.check_marginals(p, q)
     cost = squared_cost_matrix(p, q)
+    plan = TransportPlan(_rounded_plan(p, q, epsilon, f, g, cost))
+    plan.check_marginals(p, q)
     return _sqrt_cost(plan.coupling, cost), plan, converged
 
 
@@ -306,7 +308,5 @@ def entropic_terms(
     value = float(f @ p.weights + g @ q.weights)
     # Center the gradient: only the simplex-tangential part is meaningful.
     grad = f - float(np.mean(f))
-    plan = _round_to_marginals(entropic_plan(p, q, epsilon, f, g), p.weights, q.weights)
-    sqrt_cost = _sqrt_cost(plan, squared_cost_matrix(p, q))
-    return value, grad, sqrt_cost
-
+    cost = squared_cost_matrix(p, q)
+    return value, grad, _sqrt_cost(_rounded_plan(p, q, epsilon, f, g, cost), cost)

@@ -5,9 +5,11 @@ import contextlib
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -131,6 +133,16 @@ class TestConfigLoading:
         path = tmp_path / "ok.json"
         path.write_text('{"rho": 2}')
         assert load_config(str(path), None).rho == 2.0
+
+
+class TestConfigDocs:
+    def test_readme_table_lists_every_key_with_its_default(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text.split("### Configuration schema", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|\s]+) \|", section, re.M)
+        assert [key for key, _ in rows] == [f.name for f in fields(PipelineConfig)]
+        for (key, default), f in zip(rows, fields(PipelineConfig)):
+            assert type(f.default)(default) == f.default, key
 
 
 class TestSynth:
@@ -450,6 +462,22 @@ class TestErrorSurface:
         record = json.loads(err)
         assert record["category"] == "divergence"
         assert "log clamp" in record["message"]
+
+    # Each exit-7 run stops within its first epoch; the exit-0 run trains
+    # and evaluates in full (about 3 s).
+    @pytest.mark.parametrize("epsilon, want", [(5e-324, 7), (1e-310, 7), (1e-307, 7), (1e-305, 0)])
+    def test_tiny_epsilon_is_numerical_error(self, workdir, tmp_path, capsys, epsilon, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "epsilon": epsilon}))
+        argv = ["eval", "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(argv, capsys)
+        assert code == want, err
+        if want:
+            record = json.loads(err)
+            assert record["category"] == "numerical"
+            assert f"epsilon {epsilon}" in record["message"]
 
     @staticmethod
     def eval_args(workdir, bundle) -> list[str]:

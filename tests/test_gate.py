@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -22,8 +22,11 @@ from hyperrag.gate import (
     max_softmax,
     relevance,
     sigmoid,
+    _crm_stacked,
+    _sum_rows,
     train_crm,
 )
+from hyperrag.spectral import GraphVertex, KnowledgeGraph
 
 # Softmax of scores (2, 0, 0): e^2 / (e^2 + 2), evaluated by hand.
 SOFTMAX_2_0_0 = 0.7869860421615985
@@ -64,8 +67,9 @@ class TestConfidence:
 
     def test_missing_table_entry(self):
         scorer = TableLookupScorer({("q", "a"): 2.0})
-        with pytest.raises(ContractViolation):
-            scorer.score(make_query(), "unknown")
+        graph = KnowledgeGraph(tuple(GraphVertex(v, v, np.zeros(1)) for v in "ab"), ())
+        with pytest.raises(ContractViolation, match="'b'"):
+            scorer.vertex_scores(make_query(), graph)
 
 
 class TestDecide:
@@ -93,9 +97,9 @@ class TestDecide:
 class TestScorers:
     def test_dot_scorer_truncates(self):
         q = Query("q", np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        item = KnowledgeItem("i", "visual", np.array([1.0, 0.0, 9.0]))
+        graph = KnowledgeGraph((GraphVertex("v", "v", np.array([1.0, 0.0, 9.0])),), ())
         # Only the first two feature entries participate: 0.5 * (1 + 3).
-        assert_allclose(FeatureDotScorer().score(q, item), 2.0, rtol=1e-15)
+        assert_allclose(FeatureDotScorer().vertex_scores(q, graph), [2.0], rtol=1e-15)
 
 
 class TestRelevance:
@@ -330,6 +334,16 @@ def per_pair_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
     return head, fit_theta(gating_pairs)[0], losses
 
 
+def column_loop_w1_grad(head, z, labels):
+    """The w1 gradient of unclamped stacked rows z, summed as before the
+    outer-product stack: one ``_sum_rows`` per input column."""
+    h, raw = head.forward(z)
+    r = [sigmoid(x) for x in raw.tolist()]
+    up = np.array([ri - 1.0 if pos else ri for ri, pos in zip(r, labels)])
+    dh = up[:, None] * head.w2 * (1.0 - h * h)
+    return np.stack([_sum_rows(dh * z[:, k, None]) for k in range(z.shape[1])], 1)
+
+
 class TestBatchedMatchesPerPair:
     # b2 = +-40 saturates every negative (positive) row, so p <= LOG_CLAMP
     # there; +-27.6 puts rows on both sides of the clamp.
@@ -381,6 +395,28 @@ class TestBatchedMatchesPerPair:
         loss, grads = crm_loss_and_grads(head, [(q, pos, [])])
         assert_allclose(loss, -math.log(LOG_CLAMP), rtol=1e-12)
         assert all(not np.any(g) for g in grads.values())
+
+    # Input rows at scales 1e-8 .. 1e8, with w1 scaled inversely so the
+    # hidden layer neither vanishes nor saturates.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 79),
+        hidden=st.one_of(st.just(1), st.integers(1, 129)),
+        width=st.one_of(st.just(1), st.integers(1, 29)),
+        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]),
+    )
+    @example(seed=0, n=5, hidden=1, width=1, scale=1.0)
+    def test_w1_grad_matches_column_loop(self, seed, n, hidden, width, scale):
+        rng = np.random.default_rng(seed)
+        head = RelevanceHead(width, 0, hidden=hidden, seed=seed % 1000)
+        head.w1 /= scale
+        head.b1 = rng.standard_normal(hidden)
+        z = scale * rng.standard_normal((n, width))
+        labels = rng.random(n) < 0.5
+        _, grads, clamped = _crm_stacked(head, [(z, labels.tolist())], want_grads=True)
+        assert clamped == 0
+        assert np.array_equal(grads["w1"], column_loop_w1_grad(head, z, labels))
 
     @pytest.mark.parametrize("batch_size", [0, 3])
     def test_train_crm_matches_per_pair_training(self, rng, batch_size):

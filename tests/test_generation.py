@@ -195,9 +195,7 @@ class TestGenerate:
     def test_zero_generator_uniform_token0(self):
         gen = ToyGenerator(4, 2 * self.table.dim)
         qpoint = self.table.embed_query(self.ds.examples[0].query)
-        seq, dists = generate(gen, self.table, qpoint, [], 5)
-        assert seq.tokens == (0,) * 5
-        assert np.allclose(dists.rows, 0.25, atol=1e-12)
+        assert generate(gen, self.table, qpoint, [], 5).tokens == (0,) * 5
 
     def test_deterministic(self):
         gen = ToyGenerator(self.ds.vocab_size, 2 * self.table.dim)
@@ -205,8 +203,7 @@ class TestGenerate:
         qpoint = self.table.embed_query(ex.query)
         a = generate(gen, self.table, qpoint, list(ex.evidence), 3)
         b = generate(gen, self.table, qpoint, list(ex.evidence), 3)
-        assert a[0].tokens == b[0].tokens
-        assert np.array_equal(a[1].rows, b[1].rows)
+        assert a == b
 
     def test_bad_max_len(self):
         gen = ToyGenerator(4, 2 * self.table.dim)

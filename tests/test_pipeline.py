@@ -253,11 +253,6 @@ class TestRunTraining:
                 components.table.weight[key], comps_short.table.weight[key]
             )
 
-    def test_alignment_override_flag(self, all_answerable):
-        cfg = PipelineConfig(**{**SMALL_CFG.__dict__, "align_on_all_queries": True})
-        _, reports = run_training(cfg, all_answerable)
-        assert reports[0].l_geo > 0.0
-
 
 class TestAnswerQuery:
     def test_gating_consistency(self, planted):
@@ -389,13 +384,6 @@ class TestEvaluate:
         assert report.retrieval_precision == 1.0
         assert -1.0 <= report.coherence <= 1.0
         assert report.mean_latency_s > 0.0
-
-    def test_query_subset(self, planted):
-        bundle, components, _ = planted
-        report = evaluate(components, bundle, query_ids=["q0000"])
-        assert report.accuracy in (0.0, 1.0)
-        with pytest.raises(ContractViolation):
-            evaluate(components, bundle, query_ids=["missing"])
 
     def test_all_relevant_gives_unit_precision(self, planted):
         bundle, components, _ = planted

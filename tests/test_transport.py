@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hyperrag import transport
-from hyperrag.errors import ContractViolation
+from hyperrag.errors import ContractViolation, NumericalError
 from hyperrag.transport import (
     EmpiricalDistribution,
     TransportPlan,
@@ -210,6 +211,126 @@ class TestEnvelopeGradient:
         step /= step.sum()
         new_value, _, _ = entropic_terms(step, q, vocab, epsilon=0.05)
         assert new_value < value
+
+
+def old_potentials(p, q, epsilon, max_iter):
+    """``sinkhorn_potentials`` as it was before the shared plan helpers."""
+    cost = squared_cost_matrix(p, q)
+    pw, qw = p.weights, q.weights
+    with np.errstate(divide="ignore"):
+        log_p = np.where(pw > 0, np.log(np.where(pw > 0, pw, 1.0)), -np.inf)
+        log_q = np.where(qw > 0, np.log(np.where(qw > 0, qw, 1.0)), -np.inf)
+    f, g = np.zeros(p.size), np.zeros(q.size)
+    scale = max(float(cost.max(initial=0.0)), epsilon)
+    ladder = [epsilon]
+    eps_up = epsilon
+    while eps_up < scale / 10.0:
+        eps_up *= 2.0
+        ladder.append(eps_up)
+    ladder.reverse()
+    iters_used, converged, violation = 0, False, math.inf
+    for stage, eps in enumerate(ladder):
+        last_stage = stage == len(ladder) - 1
+        while iters_used < max_iter:
+            f = -eps * transport._logsumexp((g[None, :] - cost) / eps + log_q[None, :], axis=1)
+            g = -eps * transport._logsumexp((f[:, None] - cost) / eps + log_p[:, None], axis=0)
+            iters_used += 1
+            log_pi = (f[:, None] + g[None, :] - cost) / eps + log_p[:, None] + log_q[None, :]
+            rows = np.exp(transport._logsumexp(log_pi, axis=1))
+            violation = float(np.max(np.abs(rows - pw)))
+            if violation < transport.SINKHORN_TARGET:
+                break
+            if not last_stage and violation < 1e-3:
+                break
+        if last_stage:
+            converged = violation < transport.SINKHORN_TARGET
+    return f, g, converged, violation
+
+
+def old_entropic_plan(p, q, epsilon, f, g):
+    cost = squared_cost_matrix(p, q)
+    with np.errstate(divide="ignore"):
+        log_p = np.where(p.weights > 0, np.log(np.where(p.weights > 0, p.weights, 1.0)), -np.inf)
+        log_q = np.where(q.weights > 0, np.log(np.where(q.weights > 0, q.weights, 1.0)), -np.inf)
+    log_pi = (f[:, None] + g[None, :] - cost) / epsilon + log_p[:, None] + log_q[None, :]
+    log_pi = log_pi - transport._logsumexp(log_pi)
+    return np.exp(log_pi)
+
+
+def old_wasserstein2_sinkhorn(p, q, epsilon, max_iter):
+    """The solve that built the cost matrix three times."""
+    f, g, converged, _ = old_potentials(p, q, epsilon, max_iter)
+    raw = old_entropic_plan(p, q, epsilon, f, g)
+    plan = TransportPlan(transport._round_to_marginals(raw, p.weights, q.weights))
+    plan.check_marginals(p, q)
+    cost = squared_cost_matrix(p, q)
+    return transport._sqrt_cost(plan.coupling, cost), plan, converged
+
+
+def old_entropic_terms(p_weights, q, support, epsilon, max_iter):
+    p = EmpiricalDistribution(support, p_weights)
+    f, g, _, _ = old_potentials(p, q, epsilon, max_iter)
+    value = float(f @ p.weights + g @ q.weights)
+    grad = f - float(np.mean(f))
+    raw = old_entropic_plan(p, q, epsilon, f, g)
+    plan = transport._round_to_marginals(raw, p.weights, q.weights)
+    return value, grad, transport._sqrt_cost(plan, squared_cost_matrix(p, q))
+
+
+def weights_with_zeros(rng, n, zeros):
+    """A random probability vector of length n with ``zeros`` zero entries
+    (at least one entry stays positive)."""
+    w = rng.random(n) + 0.05
+    w[rng.permutation(n)[: min(zeros, n - 1)]] = 0.0
+    return w / w.sum()
+
+
+class TestOnePlanHelper:
+    """The shared ``_log_weights``/``_log_plan``/``_rounded_plan`` path
+    gives the bits of the old path, which built the cost matrix and the
+    log-weights again for the plan and for the reported cost."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab=st.integers(1, 9),
+        gold_atoms=st.one_of(st.just(1), st.integers(1, 4)),
+        zeros=st.tuples(st.integers(0, 3), st.integers(0, 2)),
+        epsilon=st.sampled_from([0.005, 0.05]),
+        max_iter=st.one_of(st.integers(1, 5), st.just(2000)),
+    )
+    def test_bit_identical_to_three_build_path(
+        self, seed, vocab, gold_atoms, zeros, epsilon, max_iter
+    ):
+        rng = np.random.default_rng(seed)
+        tokens = rng.normal(0.0, 1.5, size=(vocab, 3))
+        p_w = weights_with_zeros(rng, vocab, zeros[0])
+        gold = rng.normal(0.0, 1.5, size=(gold_atoms, 3))
+        q = EmpiricalDistribution(gold, weights_with_zeros(rng, gold_atoms, zeros[1]))
+
+        value, grad, cost = entropic_terms(p_w, q, tokens, epsilon, max_iter)
+        want_value, want_grad, want_cost = old_entropic_terms(p_w, q, tokens, epsilon, max_iter)
+        assert value == want_value and cost == want_cost
+        assert np.array_equal(grad, want_grad)
+
+        p = EmpiricalDistribution(tokens, p_w)
+        value, plan, converged = wasserstein2_sinkhorn(p, q, epsilon, max_iter)
+        want_value, want_plan, want_converged = old_wasserstein2_sinkhorn(p, q, epsilon, max_iter)
+        assert value == want_value and converged == want_converged
+        assert np.array_equal(plan.coupling, want_plan.coupling)
+        assert sinkhorn_potentials(p, q, epsilon, max_iter)[2:] == old_potentials(
+            p, q, epsilon, max_iter
+        )[2:]
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-310])
+    def test_tiny_epsilon_raises_without_warnings(self, epsilon):
+        # The scaled costs overflow once the ladder reaches epsilon.
+        p = EmpiricalDistribution.uniform(np.array([[0.0], [1.0], [2.5]]))
+        q = EmpiricalDistribution.uniform(np.array([[2.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"epsilon {epsilon}"):
+                sinkhorn_potentials(p, q, epsilon)
 
 
 # Few distinct values, so maxima tie often; infinities of both signs.
