@@ -97,9 +97,6 @@ class LorentzPoint:
         """The space-like part coords[1:]."""
         return self.coords[1:]
 
-    def close_to(self, other: "LorentzPoint", tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.coords - other.coords)) <= tol)
-
 
 @dataclass(frozen=True)
 class TangentVector:

@@ -27,7 +27,13 @@ from .alignment import (
     id_ranks,
     rank_rows,
 )
-from .errors import ConfigurationError, ContractViolation, HyperRagError
+from .errors import (
+    ConfigurationError,
+    ContractViolation,
+    DivergenceError,
+    HyperRagError,
+    InvalidPointError,
+)
 from .gate import (
     CrmConfig,
     FeatureDotScorer,
@@ -234,10 +240,10 @@ class AdamW:
 
 @dataclass(frozen=True)
 class ReadIndex:
-    """The trained embeddings that answering reads: one hyperboloid row
-    per corpus item with the items' ``id_ranks``, and one
-    ``origin_tangents`` row per ``graph.triplets`` entry with its head and
-    tail vertex indices."""
+    """The embeddings that training and answering read from one table:
+    one hyperboloid row per corpus item with the items' ``id_ranks``, and
+    one ``embed_triplets`` row per ``graph.triplets`` entry with its head
+    and tail vertex indices."""
 
     corpus_rows: np.ndarray
     corpus_id_key: np.ndarray
@@ -249,33 +255,21 @@ class ReadIndex:
     def build(
         cls, table: EmbeddingTable, graph: KnowledgeGraph, items: list[KnowledgeItem]
     ) -> "ReadIndex":
-        heads, tails = _triplet_ends(graph)
+        heads = [graph.vertex_index(h) for h, _, _ in graph.triplets]
+        tails = [graph.vertex_index(t) for _, _, t in graph.triplets]
         return cls(
             corpus_rows=embed_corpus_rows(table, items),
             corpus_id_key=id_ranks(items),
-            triplet_rows=origin_tangents(embed_triplets(graph, table, graph.triplets), table.dim),
-            triplet_heads=heads,
-            triplet_tails=tails,
+            triplet_rows=embed_triplets(graph, table, graph.triplets),
+            triplet_heads=np.array(heads, dtype=np.intp),
+            triplet_tails=np.array(tails, dtype=np.intp),
         )
 
     def triplet_evidence(self, subgraph: Subgraph) -> np.ndarray:
         """Rows of the triplets whose head and tail both lie in the
-        subgraph, in graph order: the points of ``extract_triplets``."""
-        return self.triplet_rows[_triplets_inside(subgraph, self.triplet_heads, self.triplet_tails)]
-
-
-def _triplet_ends(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Head and tail vertex indices of every ``graph.triplets`` entry."""
-    heads = np.array([graph.vertex_index(h) for h, _, _ in graph.triplets], dtype=np.intp)
-    tails = np.array([graph.vertex_index(t) for _, _, t in graph.triplets], dtype=np.intp)
-    return heads, tails
-
-
-def _triplets_inside(subgraph: Subgraph, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Indices, in graph order, of the triplets whose head and tail both
-    lie in the subgraph."""
-    inside = subgraph.indicator > 0
-    return np.flatnonzero(inside[heads] & inside[tails])
+        subgraph, in graph order."""
+        inside = subgraph.indicator > 0
+        return self.triplet_rows[inside[self.triplet_heads] & inside[self.triplet_tails]]
 
 
 def _evidence_rows(table: EmbeddingTable, docs, triplet_rows: np.ndarray) -> np.ndarray:
@@ -344,6 +338,20 @@ def _stage(stage: str):
         raise
 
 
+@contextmanager
+def _phase2_stage(optimizer: AdamW, epoch: int, stage: str):
+    """``_stage`` for a phase-2 step.  A point that leaves the hyperboloid
+    once the optimizer has stepped is reported as divergence."""
+    try:
+        with _stage(f"phase2 epoch {epoch} {stage}"):
+            yield
+    except InvalidPointError as exc:
+        if optimizer.t == 0:
+            raise
+        message = f"phase 2 diverged in epoch {epoch}: {exc}"
+        raise DivergenceError(message, step=optimizer.t) from exc
+
+
 def _sigma_of_scores(scores) -> float:
     """Max-softmax confidence; absent candidate scores force retrieval."""
     if scores is None or len(scores) == 0:
@@ -403,11 +411,12 @@ def query_subgraph(
 
 
 def _top_items(
-    config: PipelineConfig, table: EmbeddingTable, query: Query, items, rows, id_key
+    config: PipelineConfig, table: EmbeddingTable, query: Query, items, index: ReadIndex
 ):
     """The ``config.top_k`` items nearest the query (every item when there
-    are fewer), ranked over their embedded ``rows`` and ``id_ranks``."""
+    are fewer), ranked over the index's corpus rows and ``id_ranks``."""
     k = min(config.top_k, len(items))
+    rows, id_key = index.corpus_rows, index.corpus_id_key
     return [doc for doc, _ in rank_rows(table, query, items, rows, k, id_key)]
 
 
@@ -418,7 +427,6 @@ def run_training(
     config.validate()
     queries = bundle.queries
     items = bundle.items
-    item_ranks = id_ranks(items)
     by_id = bundle.item_by_id()
     vocab = bundle.token_embeddings.shape[0]
     answer_len = bundle.spec.answer_len
@@ -437,11 +445,8 @@ def run_training(
     _, eigvecs = smallest_eigenpairs(laplacian(bundle.graph), eig_k, seed=config.seed)
     sigma = {q.id: _sigma_of_scores(bundle.confidence.get(q.id)) for q in queries}
     delta = {qid: decide(s, theta) for qid, s in sigma.items()}
-    heads, tails = _triplet_ends(bundle.graph)
-    kept_triplets = {
-        q.id: _triplets_inside(query_subgraph(config, bundle.graph, q, eigvecs), heads, tails)
-        for q in queries
-        if delta[q.id] == 1
+    subgraphs = {
+        q.id: query_subgraph(config, bundle.graph, q, eigvecs) for q in queries if delta[q.id] == 1
     }
 
     generator = ToyGenerator(vocab, 2 * config.dim)
@@ -482,7 +487,7 @@ def run_training(
                 if bundle.positives.get(q.id)
             ]
             if geo_pairs:
-                with _stage(f"phase2 epoch {epoch} alignment"):
+                with _phase2_stage(optimizer, epoch, "alignment"):
                     geo_mean, geo_grads = geo_loss_and_grads(table, geo_pairs)
                 scale = config.gamma * len(geo_pairs) / n_batch
                 for name, g in geo_grads.items():
@@ -494,7 +499,7 @@ def run_training(
                 (q, *per_query[q.id]) for q in gated if q.id in per_query
             ]
             if crm_batch:
-                with _stage(f"phase2 epoch {epoch} relevance"):
+                with _phase2_stage(optimizer, epoch, "relevance"):
                     crm_sum, crm_grads = crm_loss_and_grads(head, crm_batch)
                 scale = config.beta / n_batch
                 for name, g in crm_grads.items():
@@ -502,25 +507,21 @@ def run_training(
                 sums["crm"] += crm_sum
                 counts["crm"] += len(crm_batch)
 
-            rows = embed_corpus_rows(table, items)
-            batch_trips = list(dict.fromkeys(i for q in gated for i in kept_triplets[q.id]))
-            trips = [bundle.graph.triplets[i] for i in batch_trips]
-            trip_rows = origin_tangents(embed_triplets(bundle.graph, table, trips), config.dim)
-            row_of = {trip: r for r, trip in enumerate(batch_trips)}
+            with _phase2_stage(optimizer, epoch, "index"):
+                index = ReadIndex.build(table, bundle.graph, items) if gated else None
 
             gen_scale = (1.0 - config.beta - config.gamma) / n_batch
             for idx_in_batch, q in enumerate(batch):
                 evidence = np.empty((0, config.dim))
                 if delta[q.id] == 1:
-                    ranked = _top_items(config, table, q, items, rows, item_ranks)
+                    ranked = _top_items(config, table, q, items, index)
                     used = filter_relevant(head, q, ranked)
-                    kept = trip_rows[[row_of[i] for i in kept_triplets[q.id]]]
-                    evidence = _evidence_rows(table, used, kept)
+                    evidence = _evidence_rows(table, used, index.triplet_evidence(subgraphs[q.id]))
                 example = GenExample(q, evidence, gold[q.id])
                 dropped = apply_query_dropout(
                     q, p_t, seed=(config.seed, epoch, int(order[start + idx_in_batch]))
                 )
-                with _stage(f"phase2 epoch {epoch} generation"):
+                with _phase2_stage(optimizer, epoch, "generation"):
                     local, sqrt_cost, grad_logits, z = example_losses_and_grad(
                         generator,
                         table,
@@ -601,10 +602,7 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
         with _stage("index"):
             index = components.read_index()
         with _stage("retrieve"):
-            ranked = _top_items(
-                cfg, components.table, query, components.items, index.corpus_rows,
-                index.corpus_id_key,
-            )
+            ranked = _top_items(cfg, components.table, query, components.items, index)
         retrieved = tuple(doc.id for doc in ranked)
         timings["retrieve"] = time.perf_counter() - t0
 

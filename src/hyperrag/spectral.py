@@ -25,12 +25,13 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .alignment import EmbeddingTable, Query
 from .errors import (
+    ConfigurationError,
     ContractViolation,
     InfeasibleConstraintError,
     NumericalError,
 )
 from .gate import Scorer, sigmoid
-from .geometry import LorentzPoint, exp_map, log_map, origin
+from .geometry import TangentVector, exp_map, log_map, origin
 
 DENSE_EIG_CUTOFF = 512
 # Shift-invert target for eigsh: every caller passes a positive
@@ -356,6 +357,9 @@ def refine_subgraph(
         raise ContractViolation(f"k must be >= 1, got {k}")
     if not 0 <= rho < math.inf:
         raise ContractViolation(f"rho must be finite and nonnegative, got {rho}")
+    # Every sweep objective is at most max(1, rho) * total edge weight.
+    if not math.isfinite(float(rho) * float(np.sum(graph.edge_arrays()[2]))):
+        raise ConfigurationError(f"rho={rho} times the total edge weight overflows")
     r_arr = _coerce_relevance(graph, r)
     n = graph.size
     total_mass = float(r_arr.sum())
@@ -517,47 +521,46 @@ class TripletRecord:
     head: str
     relation: str
     tail: str
-    point: LorentzPoint | None = None
 
 
-def extract_triplets(
-    subgraph: Subgraph,
-    graph: KnowledgeGraph,
-    table: EmbeddingTable | None = None,
-) -> list[TripletRecord]:
+def extract_triplets(subgraph: Subgraph, graph: KnowledgeGraph) -> list[TripletRecord]:
     """All triplets of the parent graph whose head and tail lie in the
-    selected set, in graph order.  With an embedding table, each triplet
-    also yields its point (see ``embed_triplets``).
-    """
+    selected set, in graph order."""
     selected = subgraph.vertex_set
     return [
-        TripletRecord(*trip, None if table is None else _triplet_point(graph, table, trip))
+        TripletRecord(*trip)
         for trip in graph.triplets
         if trip[0] in selected and trip[2] in selected
     ]
 
 
-def embed_triplets(
-    graph: KnowledgeGraph, table: EmbeddingTable, triplets
-) -> list[LorentzPoint]:
-    """One point per (head, relation, tail) triplet, in the given order:
-    head/relation/tail features go through the graph-modality map, their
-    origin log-map tangents are averaged, then exp-mapped back."""
-    return [_triplet_point(graph, table, trip) for trip in triplets]
+def embed_triplets(graph: KnowledgeGraph, table: EmbeddingTable, triplets) -> np.ndarray:
+    """Origin tangent rows, shape (len(triplets), dim), one per (head,
+    relation, tail) triplet in the given order.
 
-
-def _triplet_point(
-    graph: KnowledgeGraph, table: EmbeddingTable, triplet: tuple[str, str, str]
-) -> LorentzPoint:
-    head, rel, tail = triplet
-    graph_dim = table.input_dims["graph_triplet"]
-    parts = [
-        graph.vertices[graph.vertex_index(head)].features,
-        hash_features(rel, graph_dim),
-        graph.vertices[graph.vertex_index(tail)].features,
-    ]
+    Head/relation/tail features go through the graph-modality map, their
+    origin log-map tangents are averaged and exp-mapped back, and the row
+    is that point's spatial tangent at the origin.  A tangent depends only
+    on the table and the features, so each distinct vertex and relation
+    label is embedded once per call.
+    """
     base = origin(table.dim)
-    tangents = [log_map(base, table.embed_features(f, "graph_triplet")) for f in parts]
-    mean_components = np.mean([t.components for t in tangents], axis=0)
-    return exp_map(base, type(tangents[0])(base, mean_components))
+    tangents: dict[tuple[bool, str], np.ndarray] = {}
 
+    def tangent(is_relation: bool, key: str) -> np.ndarray:
+        if (is_relation, key) not in tangents:
+            features = (
+                hash_features(key, table.input_dims["graph_triplet"])
+                if is_relation
+                else graph.vertices[graph.vertex_index(key)].features
+            )
+            point = table.embed_features(features, "graph_triplet")
+            tangents[is_relation, key] = log_map(base, point).components
+        return tangents[is_relation, key]
+
+    rows = np.empty((len(triplets), table.dim))
+    for row, (head, rel, tail) in zip(rows, triplets):
+        parts = [tangent(False, head), tangent(True, rel), tangent(False, tail)]
+        mean = TangentVector(base, np.mean(parts, axis=0))
+        row[:] = log_map(base, exp_map(base, mean)).components[1:]
+    return rows

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hyperrag.geometry import LorentzPoint, project_to_hyperboloid
+from hyperrag.generation import origin_tangents
+from hyperrag.geometry import LorentzPoint, exp_map, log_map, origin, project_to_hyperboloid
+from hyperrag.spectral import hash_features
 
 
 @pytest.fixture
@@ -30,3 +32,24 @@ def set_field(path, lineno: int, column: int, value: str) -> None:
     fields[column] = value
     lines[lineno - 1] = "\t".join(fields)
     path.write_text("\n".join(lines) + "\n")
+
+
+def scalar_triplet_rows(graph, table, triplets) -> np.ndarray:
+    """Reference for ``spectral.embed_triplets``: each triplet embeds its
+    head, relation and tail again, builds its point, and the points go
+    through ``origin_tangents``."""
+
+    def point(triplet):
+        head, rel, tail = triplet
+        graph_dim = table.input_dims["graph_triplet"]
+        parts = [
+            graph.vertices[graph.vertex_index(head)].features,
+            hash_features(rel, graph_dim),
+            graph.vertices[graph.vertex_index(tail)].features,
+        ]
+        base = origin(table.dim)
+        tangents = [log_map(base, table.embed_features(f, "graph_triplet")) for f in parts]
+        mean_components = np.mean([t.components for t in tangents], axis=0)
+        return exp_map(base, type(tangents[0])(base, mean_components))
+
+    return origin_tangents([point(trip) for trip in triplets], table.dim)

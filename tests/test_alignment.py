@@ -65,7 +65,7 @@ class TestEmbed:
     def test_zero_table_maps_to_origin(self, rng):
         table = zero_table()
         p = table.embed_features(rng.standard_normal(4), "visual")
-        assert p.close_to(origin(3))
+        assert np.array_equal(p.coords, origin(3).coords)
 
     def test_deterministic(self, rng):
         table = make_table(seed=7)

@@ -463,6 +463,32 @@ class TestErrorSurface:
         assert record["category"] == "divergence"
         assert "log clamp" in record["message"]
 
+    def test_diverged_phase2_step_is_divergence_error(self, workdir, tmp_path, capsys):
+        """After a step with ``lr`` 1e308 the parameters are still finite, but
+        the next embedding overflows: that is divergence, not a bad point."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "lr": 1e308}))
+        argv = ["eval", "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, err = run_cli(argv, capsys)
+        assert code == 5, err
+        record = json.loads(err)
+        assert record["category"] == "divergence"
+        assert "phase 2 diverged in epoch 1" in record["message"]
+
+    def test_rho_overflowing_edge_weight_is_config_error(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "rho": 1e308}))
+        argv = ["eval", "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(argv, capsys)
+        assert code == 3, err
+        record = json.loads(err)
+        assert record["category"] == "config"
+        assert "rho=1e+308" in record["message"]
+
     # Each exit-7 run stops within its first epoch; the exit-0 run trains
     # and evaluates in full (about 3 s).
     @pytest.mark.parametrize("epsilon, want", [(5e-324, 7), (1e-310, 7), (1e-307, 7), (1e-305, 0)])

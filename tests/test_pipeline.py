@@ -8,21 +8,30 @@ import numpy as np
 import pytest
 
 from hyperrag import generation
-from hyperrag.alignment import embed_corpus_rows, id_ranks, retrieve_topk
+from hyperrag.alignment import EmbeddingTable, embed_corpus_rows, id_ranks, retrieve_topk
 from hyperrag.errors import ConfigurationError, ContractViolation, HyperRagError
 from hyperrag.pipeline import (
     AdamW,
     EvalReport,
     LossReport,
     PipelineConfig,
+    ReadIndex,
     answer_query,
     evaluate,
     phase1_inputs,
     run_training,
     total_loss,
 )
-from hyperrag.spectral import extract_triplets
+from hyperrag.spectral import (
+    GraphVertex,
+    KnowledgeGraph,
+    embed_triplets,
+    extract_triplets,
+    refine_subgraph,
+)
 from hyperrag.synth import SynthSpec, synth_bundle
+
+from conftest import scalar_triplet_rows
 
 PLANTED_SPEC = SynthSpec(
     num_queries=30, num_items=90, num_clusters=3, graph_size=30, seed=13
@@ -315,11 +324,56 @@ class TestReadIndex:
             if res.delta != 1:
                 continue
             got = index.triplet_evidence(res.subgraph)
-            want = extract_triplets(res.subgraph, components.graph, components.table)
-            dim = components.table.dim
-            assert np.array_equal(got, generation.origin_tangents([r.point for r in want], dim))
-            checked += bool(want)
+            recs = extract_triplets(res.subgraph, components.graph)
+            trips = [(rec.head, rec.relation, rec.tail) for rec in recs]
+            assert np.array_equal(got, embed_triplets(components.graph, components.table, trips))
+            checked += bool(trips)
         assert checked > 0
+
+    def test_triplet_evidence_needs_both_ends_inside(self):
+        rng = np.random.default_rng(0)
+        verts = [GraphVertex(f"v{i}", "", rng.standard_normal(3)) for i in range(4)]
+        edges = [("v0", "v1", 1.0), ("v1", "v2", 1.0), ("v2", "v3", 3.0)]
+        trips = [("v0", "likes", "v1"), ("v3", "cites", "v2"), ("v1", "cites", "v2")]
+        graph = KnowledgeGraph(tuple(verts), tuple(edges), tuple(trips))
+        sub = refine_subgraph(graph, np.array([0.9, 0.9, 0.9, 0.0]), eta=2.0, k=3, rho=0.5)
+        assert sub.vertex_set == {"v0", "v1", "v2"}
+        modalities = dict.fromkeys(["query", "visual", "textual", "graph_triplet"], 3)
+        table = EmbeddingTable(4, modalities, seed=1)
+        index = ReadIndex.build(table, graph, [])
+        want = embed_triplets(graph, table, [trips[0], trips[2]])
+        assert np.array_equal(index.triplet_evidence(sub), want)
+
+    def test_triplet_evidence_matches_per_batch_selection(self, planted):
+        """A test-only copy of the evidence selection that training once
+        built by hand per mini-batch: embed the union of the gated queries'
+        triplets, then gather each query's rows by triplet index."""
+        bundle, components, _ = planted
+        cfg, graph, table = components.config, components.graph, components.table
+        order = np.random.default_rng(cfg.seed).permutation(len(bundle.queries))
+        batch = [bundle.queries[i] for i in order[: cfg.batch_size]]
+        subgraphs = {}
+        for q in batch:
+            res = answer_query(components, q)
+            if res.delta == 1:
+                subgraphs[q.id] = res.subgraph
+        heads = np.array([graph.vertex_index(h) for h, _, _ in graph.triplets], dtype=np.intp)
+        tails = np.array([graph.vertex_index(t) for _, _, t in graph.triplets], dtype=np.intp)
+
+        def inside(sub):
+            members = sub.indicator > 0
+            return np.flatnonzero(members[heads] & members[tails])
+
+        kept_triplets = {qid: inside(sub) for qid, sub in subgraphs.items()}
+        batch_trips = list(dict.fromkeys(i for kept in kept_triplets.values() for i in kept))
+        trips = [graph.triplets[i] for i in batch_trips]
+        trip_rows = scalar_triplet_rows(graph, table, trips)
+        row_of = {trip: r for r, trip in enumerate(batch_trips)}
+        index = ReadIndex.build(table, graph, components.items)
+        for qid, sub in subgraphs.items():
+            want = trip_rows[[row_of[i] for i in kept_triplets[qid]]]
+            assert np.array_equal(index.triplet_evidence(sub), want)
+        assert subgraphs and batch_trips
 
     def test_corpus_rows_match_embedding(self, planted):
         _, components, _ = planted

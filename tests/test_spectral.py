@@ -1,6 +1,7 @@
 """Laplacian spectra, sweep-cut refinement, Cheeger check, triplets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import hyperrag.spectral as spectral
 from hyperrag.alignment import EmbeddingTable, Query
 from hyperrag.errors import (
+    ConfigurationError,
     ContractViolation,
     InfeasibleConstraintError,
     NumericalError,
 )
 from hyperrag.gate import FeatureDotScorer, TableLookupScorer, sigmoid
-from hyperrag.geometry import lorentz_inner
+from hyperrag.geometry import TangentVector, exp_map, lorentz_inner, origin
 from hyperrag.spectral import (
     CheegerReport,
     GraphRecordError,
@@ -27,6 +29,7 @@ from hyperrag.spectral import (
     conductance,
     connected_components,
     cut_size,
+    embed_triplets,
     extract_triplets,
     hash_features,
     laplacian,
@@ -37,6 +40,8 @@ from hyperrag.spectral import (
     subgraph_objective,
 )
 from hyperrag.synth import SynthSpec, synth_bundle
+
+from conftest import scalar_triplet_rows
 
 SIGMOID_4 = 0.9820137900379085
 
@@ -561,6 +566,16 @@ class TestRefineSubgraph:
         with pytest.raises(ContractViolation):
             refine_subgraph(g, r, eta=1.0, rho=rho)
 
+    def test_rho_overflowing_total_edge_weight_is_config_error(self):
+        g, r = self.planted()
+        total = float(np.sum(g.edge_arrays()[2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="rho"):
+                refine_subgraph(g, r, eta=1.0, rho=1e308)
+            sub = refine_subgraph(g, r, eta=1.0, rho=1e307 / total)
+        assert math.isfinite(sub.objective)
+
 
 class TestCutsAndConductance:
     def test_path4_hand_values(self):
@@ -641,10 +656,12 @@ class TestTriplets:
             4, {"query": 3, "visual": 3, "textual": 3, "graph_triplet": 3}, seed=1
         )
         sub = refine_subgraph(g, np.array([0.9, 0.9, 0.9, 0.9]), eta=1.0, k=3)
-        recs = extract_triplets(sub, g, table)
-        assert recs
-        for rec in recs:
-            coords = rec.point.coords
+        trips = [(rec.head, rec.relation, rec.tail) for rec in extract_triplets(sub, g)]
+        rows = embed_triplets(g, table, trips)
+        assert trips and rows.shape == (len(trips), 4)
+        base = origin(4)
+        for row in rows:
+            coords = exp_map(base, TangentVector(base, np.concatenate([[0.0], row]))).coords
             assert lorentz_inner(coords, coords) == pytest.approx(-1.0, abs=1e-9)
 
     def test_hash_features_deterministic_and_bounded(self):
@@ -655,3 +672,44 @@ class TestTriplets:
         assert not np.array_equal(a, c)
         assert a.min() >= -1.0 and a.max() <= 1.0
         assert hash_features("cites", 40).shape == (40,)
+
+
+class TestTripletRowsMatchScalarPath:
+    """``embed_triplets`` embeds each vertex and relation label once per
+    call; its rows equal the per-triplet points of ``scalar_triplet_rows``
+    bit for bit."""
+
+    @staticmethod
+    def table(dim, graph_dim):
+        modalities = {"query": 3, "visual": 3, "textual": 3, "graph_triplet": graph_dim}
+        return EmbeddingTable(dim, modalities, seed=4)
+
+    def test_default_graph(self):
+        graph = synth_bundle(SynthSpec()).graph
+        table = self.table(128, graph.vertices[0].features.size)
+        rows = embed_triplets(graph, table, graph.triplets)
+        assert rows.shape == (len(graph.triplets), 128)
+        assert np.array_equal(rows, scalar_triplet_rows(graph, table, graph.triplets))
+
+    def test_repeated_ends_and_a_relation_named_like_a_vertex(self):
+        trips = [
+            ("v0", "v1", "v1"),
+            ("v1", "cites", "v0"),
+            ("v0", "v1", "v1"),
+            ("v2", "cites", "v0"),
+            ("v1", "v0", "v1"),
+            ("v3", "v3", "v3"),
+        ]
+        g = make_graph(4, [("v0", "v1", 1.0)], triplets=trips)
+        table = self.table(5, 3)
+        rows = embed_triplets(g, table, trips)
+        assert np.array_equal(rows, scalar_triplet_rows(g, table, trips))
+        assert np.array_equal(rows[0], rows[2])
+        assert not np.array_equal(rows[0], rows[4])
+
+    def test_empty_triplet_list(self):
+        g = make_graph(2, [("v0", "v1", 1.0)])
+        table = self.table(6, 3)
+        rows = embed_triplets(g, table, [])
+        assert rows.shape == (0, 6)
+        assert np.array_equal(rows, scalar_triplet_rows(g, table, []))
