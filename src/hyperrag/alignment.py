@@ -25,6 +25,8 @@ from .geometry import (
     distances_to_rows,
     geodesic_distance,
     lift_spatial,
+    origin_log_rows,
+    project_rows,
     project_to_hyperboloid,
 )
 
@@ -141,15 +143,20 @@ class EmbeddingTable:
         return out
 
     def spatial(self, features: np.ndarray, key: str) -> np.ndarray:
+        """W f + b for one feature vector, or for each row of an (m, d)
+        stack.  ``matmul`` over stacked column vectors makes the one GEMV
+        per row that a single vector gets, so each row keeps the bits of a
+        one-row call.  Overflow is left to the lift's finiteness check."""
         if key not in self.weight:
             raise ConfigurationError(f"unknown modality {key!r}; known: {sorted(self.weight)}")
         f = np.asarray(features, dtype=float)
-        if f.shape != (self.input_dims[key],):
+        if f.ndim not in (1, 2) or f.shape[-1:] != (self.input_dims[key],):
             raise ContractViolation(
-                f"feature length {f.shape} does not match {key!r} input dim "
+                f"feature length {f.shape[-1:]} does not match {key!r} input dim "
                 f"({self.input_dims[key]})"
             )
-        return self.weight[key] @ f + self.bias[key]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.matmul(self.weight[key], f[..., None])[..., 0] + self.bias[key]
 
     def embed_features(self, features: np.ndarray, key: str) -> LorentzPoint:
         return project_to_hyperboloid(self.spatial(features, key))
@@ -161,21 +168,41 @@ class EmbeddingTable:
         return self.embed_features(item.features, item.modality)
 
 
-def embed_corpus_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
-    """Hyperboloid coordinates for every item, stacked as (m, dim+1) rows."""
-    m = len(items)
-    spatial = np.empty((m, table.dim))
+def _modality_features(table: EmbeddingTable, items: list[KnowledgeItem]):
+    """(modality, item positions, stacked features) per modality, in order
+    of first appearance; an item whose width does not fit its map raises."""
     by_mod: dict[str, list[int]] = {}
     for idx, item in enumerate(items):
-        by_mod.setdefault(item.modality, []).append(idx)
-    for mod, idxs in by_mod.items():
-        feats = np.stack([items[i].features for i in idxs])
-        if feats.shape[1] != table.input_dims[mod]:
+        if item.features.size != table.input_dims[item.modality]:
             raise ContractViolation(
-                f"feature length {feats.shape[1]} does not match {mod!r} input dim"
+                f"feature length {item.features.size} does not match "
+                f"{item.modality!r} input dim"
             )
+        by_mod.setdefault(item.modality, []).append(idx)
+    return [
+        (mod, idxs, np.stack([items[i].features for i in idxs])) for mod, idxs in by_mod.items()
+    ]
+
+
+def embed_corpus_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
+    """Hyperboloid coordinates for every item, stacked as (m, dim+1) rows."""
+    spatial = np.empty((len(items), table.dim))
+    for mod, idxs, feats in _modality_features(table, items):
         spatial[idxs] = feats @ table.weight[mod].T + table.bias[mod]
     return lift_spatial(spatial)
+
+
+def item_tangent_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
+    """``log_map(origin, table.embed_item(item)).components[1:]`` for every
+    item, stacked: shape (len(items), dim), each row bit for bit that of
+    one item.  One stacked GEMV per modality, then the row-wise lift and
+    origin log, which raise for the first bad item.  (``embed_corpus_rows``
+    makes one GEMM per modality instead, whose rows differ in the last
+    bits.)"""
+    spatial = np.empty((len(items), table.dim))
+    for mod, idxs, feats in _modality_features(table, items):
+        spatial[idxs] = table.spatial(feats, mod)
+    return origin_log_rows(project_rows(spatial))[:, 1:]
 
 
 @dataclass(frozen=True)

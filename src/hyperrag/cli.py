@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import AlignmentConfig, AlignmentCorpus, EmbeddingTable, train_alignment
+from .alignment import (
+    AlignmentConfig,
+    AlignmentCorpus,
+    EmbeddingTable,
+    item_tangent_rows,
+    train_alignment,
+)
 from .errors import ConfigurationError, HyperRagError
 from .generation import (
     GenConfig,
@@ -29,7 +35,6 @@ from .generation import (
     TokenSequence,
     ToyGenerator,
     exact_match_rate,
-    origin_tangents,
     train_generation,
 )
 from .io import canonical_json_bytes, read_json, save_table
@@ -198,9 +203,8 @@ def cmd_gen(args, config: PipelineConfig, writer: RecordWriter) -> int:
     vocab = bundle.token_embeddings.shape[0]
     examples = []
     for query in bundle.queries:
-        evidence = origin_tangents(
-            [table.embed_item(by_id[iid]) for iid in bundle.positives.get(query.id, [])[:4]],
-            table.dim,
+        evidence = item_tangent_rows(
+            table, [by_id[iid] for iid in bundle.positives.get(query.id, [])[:4]]
         )
         examples.append(
             GenExample(query, evidence, TokenSequence(tuple(bundle.qa[query.id]), vocab))

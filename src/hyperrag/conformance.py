@@ -26,7 +26,16 @@ from .generation import (
     origin_tangents,
     softmax,
 )
-from .geometry import project_to_hyperboloid
+from .geometry import (
+    TangentVector,
+    exp_map,
+    log_map,
+    origin,
+    origin_exp_rows,
+    origin_log_rows,
+    project_rows,
+    project_to_hyperboloid,
+)
 from .spectral import (
     GraphVertex,
     KnowledgeGraph,
@@ -432,10 +441,40 @@ def generator_gradient_case(
     )
 
 
+def origin_geometry_case(seed: int = 11) -> OracleResult:
+    """The row-wise origin maps against ``project_to_hyperboloid``,
+    ``log_map(origin, .)`` and ``exp_map(origin, .)`` called one row at a
+    time: spatial norms from 0 and 1e-14 (zero tangents), through 1e-3
+    (the small-excess branch of the log map), up to 1e150, then their
+    tangents and triplet-style means of three tangents.  Reports how many
+    rows differ from the scalar result in any bit."""
+    rng = np.random.default_rng(seed)
+    norms = np.array([0.0, 1e-14, 1e-9, 1e-5, 1e-3, 1e-2, 0.02, 0.5, 3.0, 1e3, 1e100, 1e150])
+    directions = rng.normal(size=(norms.size, 6))
+    spatial = directions / np.linalg.norm(directions, axis=1, keepdims=True) * norms[:, None]
+    base = origin(6)
+    points = [project_to_hyperboloid(v) for v in spatial]
+    coords = project_rows(spatial)
+    logs = origin_log_rows(coords)
+    h, r, t = rng.integers(norms.size, size=(3, 2 * norms.size))
+    tangents = np.concatenate([logs, (logs[h] + logs[r] + logs[t]) / 3.0])
+    pairs = (
+        [(row, p.coords) for row, p in zip(coords, points)]
+        + [(row, log_map(base, p).components) for row, p in zip(logs, points)]
+        + [
+            (row, exp_map(base, TangentVector(base, u)).coords)
+            for row, u in zip(origin_exp_rows(tangents), tangents)
+        ]
+    )
+    differ = sum(not np.array_equal(row, want) for row, want in pairs)
+    return OracleResult.from_values("geometry/origin-rows-bitwise", 0.0, differ, 0.0)
+
+
 def run_all(seed: int = 0, case_filter: str | None = None) -> list[OracleResult]:
     """Execute every oracle comparison; deterministic per seed."""
     rng = np.random.default_rng(seed)
     results = _transport_cases(rng) + _spectral_cases(rng) + _gradient_cases(rng)
+    results.append(origin_geometry_case(seed=int(rng.integers(2**31))))
     if case_filter:
         results = [res for res in results if case_filter in res.case]
     return results

@@ -222,8 +222,13 @@ def _crm_stacked(head: RelevanceHead, rows, want_grads: bool):
     if kept:
         h, z, up = h[kept], z[kept], np.array(upstream)[:, None]
         dh = up * head.w2 * (1.0 - h * h)
-        grads["w1"] += _sum_rows(dh[:, :, None] * z[:, None, :])
-        grads["b1"] += _sum_rows(dh)
+        # Column k of dh^T [z | 1] adds dh[i] * z[i, k] over rows i in
+        # order, as a per-pair loop does; the ones column gives b1 and
+        # keeps einsum off its contiguous-dot path, which sums in another
+        # order when hidden and width are both 1.
+        g1 = np.einsum("ij,ik->jk", dh, np.concatenate([z, np.ones((len(z), 1))], axis=1))
+        grads["w1"] += g1[:, :-1]
+        grads["b1"] += g1[:, -1]
         grads["w2"] += _sum_rows(up * h)
         grads["b2"] += _sum_rows(up)
     return total, grads, clamped

@@ -301,3 +301,113 @@ def distances_to_rows(point: LorentzPoint, coords_rows: np.ndarray) -> np.ndarra
     """Geodesic distance from one point to each row of an (m, n+1) array."""
     a = coords_rows[:, 0] * point.coords[0] - coords_rows[:, 1:] @ point.space
     return acosh_stable_array(a)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise maps at the origin, each row bit for bit the scalar call on that
+# row: elementwise steps are array ops, every dot product is one ``ddot``
+# per row (``matmul`` over stacked row vectors), and log1p, cosh and sinh
+# go through ``math`` row by row, because numpy's versions differ from it
+# in the last bit.  Each keeps the checks of the scalar path and its point
+# types, raising for the first row that fails one.
+# ---------------------------------------------------------------------------
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _origin_row(width: int) -> np.ndarray:
+    row = np.zeros(width)
+    row[0] = 1.0
+    return row
+
+
+def _as_rows(rows, min_width: int) -> np.ndarray:
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < min_width:
+        raise ContractViolation(f"expected (m, k >= {min_width}) rows, got shape {arr.shape}")
+    return arr
+
+
+def _raise_first(checks) -> None:
+    """``checks`` lists (row mask, message template, per-row values) in the
+    order the scalar path checks a row.  Raise InvalidPointError for the
+    first flagged row, with its first failing check's message."""
+    flagged = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if flagged.any():
+        i = int(np.argmax(flagged))
+        template, values = next((tmpl, vals) for mask, tmpl, vals in checks if mask[i])
+        raise InvalidPointError(template.format(values[i]))
+
+
+def _check_origin_tangents(u: np.ndarray) -> None:
+    """TangentVector's check at the origin.  There |<x,u>_L| is |u0| when
+    u[1:] is finite; otherwise it is NaN and never flagged, as here, where
+    a non-finite u[1:] makes the scale inf or NaN."""
+    ortho = np.abs(u[:, 0])
+    off = ortho > TANGENT_ATOL * np.maximum(1.0, 1.0 + np.abs(u).max(axis=1))
+    _raise_first([(off, "vector is not tangent at base: |<x,u>_L| = {:.3e}", ortho)])
+
+
+def project_rows(spatial) -> np.ndarray:
+    """Row-wise ``project_to_hyperboloid``: (m, n) spatial rows to (m, n+1)
+    hyperboloid rows, with the lift's and ``LorentzPoint``'s checks (its
+    finiteness check holds once the first two pass)."""
+    spatial = _as_rows(spatial, 1)
+    coords = np.empty((spatial.shape[0], spatial.shape[1] + 1))
+    coords[:, 1:] = spatial
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = _row_dots(spatial, spatial)
+        t = coords[:, 0] = np.sqrt(1.0 + norm_sq)
+        violation = np.abs(-t * t + norm_sq + 1.0)
+        off_sheet = violation > HYPERBOLOID_ATOL * np.maximum(1.0, t * t)
+    _raise_first([
+        (~np.isfinite(spatial).all(axis=1), "non-finite spatial coordinates", t),
+        (~np.isfinite(norm_sq), "spatial vector too large to lift", t),
+        (off_sheet, "hyperboloid constraint violated by {:.3e} (|<x,x>_L + 1|)", violation),
+        (t < 1.0 - 1e-12, "time-like coordinate {} is below the future sheet", t),
+    ])
+    return coords
+
+
+def origin_log_rows(coords) -> np.ndarray:
+    """Row-wise ``log_map(origin, y).components`` for hyperboloid rows y
+    (as ``project_rows`` makes them): shape (m, n+1)."""
+    coords = _as_rows(coords, 2)
+    base = _origin_row(coords.shape[1])
+    diff = coords - base
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # -<origin, y>_L - 1: the origin's spatial part is zero.
+        s = coords[:, 0] - 1.0
+        near = 0.5 * (-diff[:, 0] * diff[:, 0] + _row_dots(diff[:, 1:], diff[:, 1:]))
+        s = np.where(s < 1e-4, near, s)
+        root = np.sqrt(s * (s + 2.0))
+        d = np.array(
+            [0.0 if x <= 0.0 else math.log1p(x + r) for x, r in zip(s.tolist(), root.tolist())]
+        )
+        u = (d / root)[:, None] * (diff - s[:, None] * base)
+    u[d < _ZERO_NORM_CUTOFF] = 0.0
+    _check_origin_tangents(u)
+    return u
+
+
+def origin_exp_rows(u) -> np.ndarray:
+    """Row-wise ``exp_map(origin, u)`` for tangent components u at the
+    origin: (m, n+1) hyperboloid rows."""
+    u = _as_rows(u, 2)
+    _check_origin_tangents(u)
+    base = _origin_row(u.shape[1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.sqrt(np.maximum(-u[:, 0] * u[:, 0] + _row_dots(u[:, 1:], u[:, 1:]), 0.0))
+        still = norm < _ZERO_NORM_CUTOFF
+        pairs = [
+            (1.0, 0.0) if z else (math.cosh(x), math.sinh(x))
+            for x, z in zip(norm.tolist(), still.tolist())
+        ]
+        ch, sh = np.array(pairs).reshape(-1, 2).T
+        coords = ch[:, None] * base + sh[:, None] * (u / norm[:, None])
+    coords[still] = base
+    _raise_first([(~np.isfinite(coords).all(axis=1), "exp_map overflow at |u|_L = {:.3e}", norm)])
+    return project_rows(coords[:, 1:])

@@ -25,6 +25,7 @@ from .alignment import (
     embed_corpus_rows,
     geo_loss_and_grads,
     id_ranks,
+    item_tangent_rows,
     rank_rows,
 )
 from .errors import (
@@ -52,7 +53,6 @@ from .generation import (
     example_losses_and_grad,
     gen_loss,
     generate,
-    origin_tangents,
     query_dropout_prob,
 )
 from .io import canonical_json_bytes
@@ -273,10 +273,10 @@ class ReadIndex:
 
 
 def _evidence_rows(table: EmbeddingTable, docs, triplet_rows: np.ndarray) -> np.ndarray:
-    """Evidence for the generator: ``origin_tangents`` rows of the docs'
-    ``embed_item`` points, then the triplet rows."""
-    doc_rows = origin_tangents([table.embed_item(doc) for doc in docs], table.dim)
-    return np.concatenate([doc_rows, triplet_rows])
+    """Evidence for the generator: the docs' ``item_tangent_rows``, then
+    the triplet rows.  Only the docs an answer uses are embedded, so a bad
+    document embedding surfaces here, in the stage that reads it."""
+    return np.concatenate([item_tangent_rows(table, docs), triplet_rows])
 
 
 @dataclass

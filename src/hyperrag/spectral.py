@@ -31,7 +31,8 @@ from .errors import (
     NumericalError,
 )
 from .gate import Scorer, sigmoid
-from .geometry import TangentVector, exp_map, log_map, origin
+from .geometry import log_map  # noqa: F401 (perfbench's tracer test rebinds it here)
+from .geometry import origin_exp_rows, origin_log_rows, project_rows
 
 DENSE_EIG_CUTOFF = 512
 # Shift-invert target for eigsh: every caller passes a positive
@@ -542,25 +543,26 @@ def embed_triplets(graph: KnowledgeGraph, table: EmbeddingTable, triplets) -> np
     origin log-map tangents are averaged and exp-mapped back, and the row
     is that point's spatial tangent at the origin.  A tangent depends only
     on the table and the features, so each distinct vertex and relation
-    label is embedded once per call.
+    label is embedded once per call, in order of first use.  Every step is
+    a row-wise pass, and each row equals the per-triplet scalar path's
+    (``np.mean`` of three rows adds them in order and divides by 3).
     """
-    base = origin(table.dim)
-    tangents: dict[tuple[bool, str], np.ndarray] = {}
-
-    def tangent(is_relation: bool, key: str) -> np.ndarray:
-        if (is_relation, key) not in tangents:
-            features = (
-                hash_features(key, table.input_dims["graph_triplet"])
-                if is_relation
-                else graph.vertices[graph.vertex_index(key)].features
-            )
-            point = table.embed_features(features, "graph_triplet")
-            tangents[is_relation, key] = log_map(base, point).components
-        return tangents[is_relation, key]
-
-    rows = np.empty((len(triplets), table.dim))
-    for row, (head, rel, tail) in zip(rows, triplets):
-        parts = [tangent(False, head), tangent(True, rel), tangent(False, tail)]
-        mean = TangentVector(base, np.mean(parts, axis=0))
-        row[:] = log_map(base, exp_map(base, mean)).components[1:]
-    return rows
+    if not triplets:
+        return np.empty((0, table.dim))
+    keys = list(dict.fromkeys(
+        key for head, rel, tail in triplets for key in ((False, head), (True, rel), (False, tail))
+    ))
+    slot = {key: i for i, key in enumerate(keys)}
+    is_rel = np.array([rel for rel, _ in keys])
+    graph_dim = table.input_dims["graph_triplet"]
+    vertex_feats = graph.feature_matrix[[graph.vertex_index(k) for rel, k in keys if not rel]]
+    label_feats = np.stack([hash_features(k, graph_dim) for rel, k in keys if rel])
+    spatial = np.empty((len(keys), table.dim))
+    spatial[~is_rel] = table.spatial(vertex_feats, "graph_triplet")
+    spatial[is_rel] = table.spatial(label_feats, "graph_triplet")
+    tangents = origin_log_rows(project_rows(spatial))
+    h, r, t = np.array(
+        [(slot[False, head], slot[True, rel], slot[False, tail]) for head, rel, tail in triplets]
+    ).T
+    mean = (tangents[h] + tangents[r] + tangents[t]) / 3.0
+    return origin_log_rows(origin_exp_rows(mean))[:, 1:]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,17 +13,25 @@ from hyperrag.alignment import (
     embed_corpus_rows,
     geo_loss,
     id_ranks,
+    item_tangent_rows,
     rank_rows,
     retrieve_topk,
     train_alignment,
 )
-from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
+from hyperrag.errors import (
+    ConfigurationError,
+    ContractViolation,
+    DivergenceError,
+    InvalidPointError,
+)
+from hyperrag.generation import origin_tangents
 from hyperrag.geometry import (
     distances_to_rows,
     geodesic_distance,
     origin,
     project_to_hyperboloid,
 )
+from hyperrag.synth import SynthSpec, synth_bundle
 
 ACOSH_SQRT2 = 0.881373587019543
 
@@ -94,6 +104,54 @@ class TestEmbed:
                 table.embed_features(f, "visual"), table.embed_features(f + delta, "visual")
             )
             assert d <= lip * np.linalg.norm(delta) + 1e-9
+
+
+class TestItemTangentRows:
+    """``item_tangent_rows`` against a test-only copy of the per-document
+    path it replaced: ``origin_tangents`` of each ``embed_item`` point."""
+
+    @staticmethod
+    def scalar_rows(table, items):
+        return origin_tangents([table.embed_item(item) for item in items], table.dim)
+
+    def test_default_bundle(self):
+        bundle = synth_bundle(SynthSpec())
+        table = EmbeddingTable.for_corpus(bundle.queries, bundle.items, 128, seed=3)
+        rows = item_tangent_rows(table, bundle.items)
+        assert rows.shape == (len(bundle.items), 128)
+        assert np.array_equal(rows, self.scalar_rows(table, bundle.items))
+        picked = [bundle.items[i] for i in (7, 3, 400, 3)]
+        assert np.array_equal(item_tangent_rows(table, picked), rows[[7, 3, 400, 3]])
+
+    def test_trained_table(self, rng):
+        corpus = cluster_corpus(rng)
+        table, _ = train_alignment(corpus, AlignmentConfig(dim=6, lr=0.5, epochs=3, seed=2))
+        rows = item_tangent_rows(table, corpus.items)
+        assert np.array_equal(rows, self.scalar_rows(table, corpus.items))
+
+    def test_empty(self):
+        assert item_tangent_rows(make_table(dim=5), []).shape == (0, 5)
+
+    def test_spatial_stack_matches_single_rows(self, rng):
+        table = make_table(dim=6, d_in=9, seed=4)
+        feats = rng.standard_normal((11, 9))
+        stacked = table.spatial(feats, "visual")
+        assert np.array_equal(stacked, [table.spatial(f, "visual") for f in feats])
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, 1e308])
+    def test_bad_weight_is_invalid_point_without_warnings(self, weight):
+        table = make_table(seed=1)
+        table.weight["textual"][1, 2] = weight
+        items = [
+            KnowledgeItem("a", "visual", np.ones(4)),
+            KnowledgeItem("b", "textual", np.full(4, 1e10)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointError, match="non-finite spatial coordinates"):
+                item_tangent_rows(table, items)
+            with pytest.raises(InvalidPointError, match="non-finite spatial coordinates"):
+                table.embed_item(items[1])
 
 
 class TestGeoLoss:

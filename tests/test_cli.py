@@ -470,7 +470,7 @@ class TestErrorSurface:
         cfg.write_text(json.dumps({**TINY_CONFIG, "lr": 1e308}))
         argv = ["eval", "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             code, _, err = run_cli(argv, capsys)
         assert code == 5, err
         record = json.loads(err)

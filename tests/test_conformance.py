@@ -13,6 +13,7 @@ from hyperrag.conformance import (
     dense_eigs,
     finite_difference_grad,
     generator_gradient_case,
+    origin_geometry_case,
     ot_bruteforce,
     random_connected_graph,
     random_rounding_instance,
@@ -195,6 +196,12 @@ class TestFiniteDifferenceGrad:
         assert res.passed
         assert res.implementation < 1e-3
 
+    @pytest.mark.parametrize("seed", [0, 11, 12345])
+    def test_origin_geometry_case(self, seed):
+        res = origin_geometry_case(seed=seed)
+        assert res.case == "geometry/origin-rows-bitwise"
+        assert res.passed and res.implementation == 0
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -203,7 +210,7 @@ def results():
 
 class TestRunAll:
     def test_all_cases_pass(self, results):
-        assert len(results) == 10
+        assert len(results) == 11
         assert all(res.passed for res in results)
 
     def test_filter_narrows_cases(self):

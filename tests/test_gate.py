@@ -334,14 +334,16 @@ def per_pair_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
     return head, fit_theta(gating_pairs)[0], losses
 
 
-def column_loop_w1_grad(head, z, labels):
-    """The w1 gradient of unclamped stacked rows z, summed as before the
-    outer-product stack: one ``_sum_rows`` per input column."""
+def column_loop_grads(head, z, labels):
+    """The w1 and b1 gradients of unclamped stacked rows z, summed as
+    before the outer-product stack: one ``_sum_rows`` per input column for
+    w1, and ``_sum_rows`` of the hidden-layer upstream for b1."""
     h, raw = head.forward(z)
     r = [sigmoid(x) for x in raw.tolist()]
     up = np.array([ri - 1.0 if pos else ri for ri, pos in zip(r, labels)])
     dh = up[:, None] * head.w2 * (1.0 - h * h)
-    return np.stack([_sum_rows(dh * z[:, k, None]) for k in range(z.shape[1])], 1)
+    w1 = np.stack([_sum_rows(dh * z[:, k, None]) for k in range(z.shape[1])], 1)
+    return w1, _sum_rows(dh)
 
 
 class TestBatchedMatchesPerPair:
@@ -416,7 +418,9 @@ class TestBatchedMatchesPerPair:
         labels = rng.random(n) < 0.5
         _, grads, clamped = _crm_stacked(head, [(z, labels.tolist())], want_grads=True)
         assert clamped == 0
-        assert np.array_equal(grads["w1"], column_loop_w1_grad(head, z, labels))
+        want_w1, want_b1 = column_loop_grads(head, z, labels)
+        assert np.array_equal(grads["w1"], want_w1)
+        assert np.array_equal(grads["b1"], want_b1)
 
     @pytest.mark.parametrize("batch_size", [0, 3])
     def test_train_crm_matches_per_pair_training(self, rng, batch_size):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from hyperrag.geometry import (
     log_map,
     lorentz_inner,
     origin,
+    origin_exp_rows,
+    origin_log_rows,
+    project_rows,
     project_to_hyperboloid,
     riemannian_gradient,
     rsgd_step,
@@ -317,3 +321,91 @@ def test_distance_nonnegative_and_symmetric(vx, vy):
     d = geodesic_distance(x, y)
     assert d >= 0.0
     assert_allclose(d, geodesic_distance(y, x), rtol=1e-12, atol=1e-15)
+
+
+def _scalar_error(fn, *args):
+    """The error class and message of a scalar call (its warnings hidden)."""
+    try:
+        with np.errstate(all="ignore"):
+            fn(*args)
+    except (InvalidPointError, ContractViolation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestOriginRows:
+    """The row-wise origin maps against the scalar maps, one row at a time,
+    with ``np.array_equal``: every row carries the scalar call's bits."""
+
+    # 0 and 1e-14 give zero tangents; up to about 1e-2 the log map takes
+    # its small-excess branch.
+    NORMS = [0.0, 1e-14, 1e-9, 1e-5, 1e-3, 1e-2, 0.02, 0.5, 3.0, 1e3, 1e100, 1e150]
+
+    def spatial(self, seed, n=7):
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((len(self.NORMS), n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return np.concatenate([dirs * np.array(self.NORMS)[:, None], rng.standard_normal((40, n))])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lift_and_log_match_scalar(self, seed):
+        spatial = self.spatial(seed)
+        coords = project_rows(spatial)
+        logs = origin_log_rows(coords)
+        base = origin(spatial.shape[1])
+        for v, row, tangent in zip(spatial, coords, logs):
+            point = project_to_hyperboloid(v)
+            assert np.array_equal(row, point.coords)
+            assert np.array_equal(tangent, log_map(base, point).components)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exp_matches_scalar_on_tangents_and_their_means(self, seed):
+        spatial = self.spatial(seed)
+        logs = origin_log_rows(project_rows(spatial))
+        rng = np.random.default_rng(seed + 10)
+        h, r, t = rng.integers(len(logs), size=(3, 60))
+        tangents = np.concatenate([logs, (logs[h] + logs[r] + logs[t]) / 3.0])
+        base = origin(spatial.shape[1])
+        for u, row in zip(tangents, origin_exp_rows(tangents)):
+            assert np.array_equal(row, exp_map(base, TangentVector(base, u)).coords)
+
+    def test_empty_rows(self):
+        assert project_rows(np.empty((0, 4))).shape == (0, 5)
+        assert origin_log_rows(np.empty((0, 5))).shape == (0, 5)
+        assert origin_exp_rows(np.empty((0, 5))).shape == (0, 5)
+
+    @pytest.mark.parametrize(
+        "bad, want",
+        [
+            ([0.0, np.nan, 1.0], "non-finite spatial coordinates"),
+            ([np.inf, 0.0, 1.0], "non-finite spatial coordinates"),
+            ([1e200, 0.0, 1.0], "spatial vector too large to lift"),
+        ],
+    )
+    def test_lift_raises_the_scalar_error_for_the_first_bad_row(self, bad, want):
+        spatial = np.array([[0.1, 0.2, 0.3], bad, [1e300, 0.0, 0.0], [0.0, np.nan, 0.0]])
+        assert _scalar_error(project_to_hyperboloid, spatial[1]) == (InvalidPointError, want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointError, match=f"^{want}$"):
+                project_rows(spatial)
+
+    def test_exp_checks_tangency_and_overflow_as_scalar(self):
+        base = origin(2)
+        not_tangent = np.array([[0.0, 0.1, 0.2], [1.0, 0.1, 0.2]])
+        overflow = np.array([[0.0, 0.1, 0.2], [0.0, 1e200, 1e200]])
+        for rows in (not_tangent, overflow):
+            kind, message = _scalar_error(
+                lambda u: exp_map(base, TangentVector(base, u)), rows[1]
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(kind) as got:
+                    origin_exp_rows(rows)
+            assert str(got.value) == message
+
+    def test_rejects_non_matrix_input(self):
+        with pytest.raises(ContractViolation):
+            project_rows(np.zeros(3))
+        with pytest.raises(ContractViolation):
+            origin_log_rows(np.zeros((2, 1)))

@@ -1,6 +1,7 @@
 """Orchestration tests: weighted-loss arithmetic, the adaptive optimizer,
 two-phase training semantics, gated inference, and evaluation metrics."""
 
+import hashlib
 import math
 from copy import deepcopy
 
@@ -8,8 +9,15 @@ import numpy as np
 import pytest
 
 from hyperrag import generation
-from hyperrag.alignment import EmbeddingTable, embed_corpus_rows, id_ranks, retrieve_topk
+from hyperrag.alignment import (
+    EmbeddingTable,
+    embed_corpus_rows,
+    id_ranks,
+    item_tangent_rows,
+    retrieve_topk,
+)
 from hyperrag.errors import ConfigurationError, ContractViolation, HyperRagError
+from hyperrag.io import canonical_json_bytes
 from hyperrag.pipeline import (
     AdamW,
     EvalReport,
@@ -414,6 +422,25 @@ class TestReadIndex:
         assert copy.read_index() is not original
         assert np.array_equal(rows, embed_corpus_rows(copy.table, copy.items))
         assert not np.array_equal(rows, original.corpus_rows)
+
+
+class TestPinnedTraining:
+    # SHA-256 of the canonical JSON of the planted fixture's LossReport
+    # records, pinned while triplet and item rows were still built one
+    # scalar point at a time and the head's w1 gradient summed a stack of
+    # outer products.  The row-wise passes that replaced them move no bit.
+    LOSS_REPORTS_SHA256 = "e0b4653aeb586091ecab50f66b074706349d0729d3fc7f3d6ac0ba8acfa807ce"
+
+    def test_loss_reports_are_pinned(self, planted):
+        _, _, reports = planted
+        records = canonical_json_bytes([r.to_record() for r in reports])
+        assert hashlib.sha256(records).hexdigest() == self.LOSS_REPORTS_SHA256
+
+    def test_item_rows_of_the_trained_table(self, planted):
+        _, components, _ = planted
+        table, items = components.table, components.items
+        want = generation.origin_tangents([table.embed_item(doc) for doc in items], table.dim)
+        assert np.array_equal(item_tangent_rows(table, items), want)
 
 
 class TestPhase1Inputs:

@@ -15,6 +15,7 @@ from hyperrag.errors import (
     ConfigurationError,
     ContractViolation,
     InfeasibleConstraintError,
+    InvalidPointError,
     NumericalError,
 )
 from hyperrag.gate import FeatureDotScorer, TableLookupScorer, sigmoid
@@ -713,3 +714,25 @@ class TestTripletRowsMatchScalarPath:
         rows = embed_triplets(g, table, [])
         assert rows.shape == (0, 6)
         assert np.array_equal(rows, scalar_triplet_rows(g, table, []))
+
+    def test_huge_vertex_feature_is_invalid_point(self):
+        verts = [
+            GraphVertex("v0", "", np.ones(3)),
+            GraphVertex("v1", "", np.array([0.0, 1e308, 1e308])),
+        ]
+        g = KnowledgeGraph(tuple(verts), (("v0", "v1", 1.0),), (("v0", "r", "v1"),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointError, match="spatial vector too large to lift"):
+                embed_triplets(g, self.table(4, 3), g.triplets)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_table_weight_is_invalid_point(self, weight):
+        trips = [("v0", "r", "v1"), ("v1", "s", "v0")]
+        g = make_graph(2, [("v0", "v1", 1.0)], triplets=trips)
+        table = self.table(4, 3)
+        table.weight["graph_triplet"][2, 0] = weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointError, match="non-finite spatial coordinates"):
+                embed_triplets(g, table, trips)
