@@ -220,6 +220,8 @@ class AlignmentConfig:
             raise ConfigurationError("epochs and batch_size must be >= 1")
         if self.dim < 2:
             raise ConfigurationError(f"dim must be >= 2, got {self.dim}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -106,7 +106,7 @@ def _require_out(args) -> Path:
     return out
 
 
-def _bundle_arg(args, config: PipelineConfig) -> CorpusBundle:
+def _bundle_arg(args) -> CorpusBundle:
     if args.bundle:
         return load_bundle(args.bundle)
     return synth_bundle(SynthSpec(seed=DEFAULT_BUNDLE_SEED))
@@ -139,7 +139,7 @@ def cmd_synth(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 
 def cmd_align(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args, config)
+    bundle = _bundle_arg(args)
     corpus = AlignmentCorpus(
         queries=bundle.queries,
         items=bundle.items,
@@ -161,7 +161,7 @@ def cmd_align(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 
 def cmd_crm(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    _, _, theta, trace = train_phase1(config, _bundle_arg(args, config))
+    _, _, theta, trace = train_phase1(config, _bundle_arg(args))
     for epoch, loss in enumerate(trace.epoch_losses, start=1):
         writer.emit({"epoch": epoch, "crm_loss": loss})
     writer.emit({"theta": theta, "theta_accuracy": trace.theta_accuracy})
@@ -169,7 +169,7 @@ def cmd_crm(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 
 def cmd_refine(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args, config)
+    bundle = _bundle_arg(args)
     query = _pick_query(bundle, args.query)
     sub = query_subgraph(config, bundle.graph, query)
     writer.emit(
@@ -187,14 +187,14 @@ def cmd_refine(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 
 def cmd_cheeger(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args, config)
+    bundle = _bundle_arg(args)
     report = cheeger_check(bundle.graph, seed=config.seed)
     writer.emit(asdict(report))
     return 0
 
 
 def cmd_gen(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args, config)
+    bundle = _bundle_arg(args)
     graph_dim = bundle.graph.vertices[0].features.size if bundle.graph.size else None
     table = EmbeddingTable.for_corpus(
         bundle.queries, bundle.items, config.dim, seed=config.seed, graph_feature_dim=graph_dim
@@ -230,7 +230,7 @@ def cmd_gen(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 
 def cmd_train_all(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args, config)
+    bundle = _bundle_arg(args)
     components, reports = run_training(config, bundle)
     for report in reports:
         writer.emit(report.to_record())
@@ -240,7 +240,7 @@ def cmd_train_all(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 
 def cmd_answer(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args, config)
+    bundle = _bundle_arg(args)
     query = _pick_query(bundle, args.query)
     components, _ = run_training(config, bundle)
     result = answer_query(components, query)
@@ -260,7 +260,7 @@ def cmd_answer(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 
 def cmd_eval(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args, config)
+    bundle = _bundle_arg(args)
     components, _ = run_training(config, bundle)
     if args.no_crm:
         components = components.with_crm(False)
@@ -271,7 +271,7 @@ def cmd_eval(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 def cmd_bench(args, config: PipelineConfig, writer: RecordWriter) -> int:
     t0 = time.perf_counter()
-    bundle = _bundle_arg(args, config)
+    bundle = _bundle_arg(args)
     writer.emit({"phase": "bundle", "seconds": time.perf_counter() - t0})
 
     t0 = time.perf_counter()

@@ -4,9 +4,9 @@ The gate computes a confidence sigma as the maximum softmax probability
 over a finite candidate-answer set, compares it against a learned
 threshold theta (strictly greater skips retrieval; ties retrieve), and
 scores per-document relevance with a small two-layer head trained by a
-contrastive log-likelihood loss.  A pluggable Scorer stands in for the
-large multimodal model that would produce raw answer/document scores at
-full scale.
+contrastive log-likelihood loss.  Every head parameter, ``b2`` included,
+is a float64 array listed by ``named_params``.  Vertex relevance over the
+knowledge graph is scored by ``spectral.relevance_vector``.
 """
 
 from __future__ import annotations
@@ -28,50 +28,6 @@ def sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
-
-
-class Scorer:
-    """Deterministic raw relevance scores of a query against every graph
-    vertex."""
-
-    def vertex_scores(self, query: Query, graph) -> list[float]:
-        """One raw score per graph vertex, in graph order."""
-        raise NotImplementedError
-
-
-def _feature_dots(query: Query, feats: np.ndarray) -> np.ndarray:
-    """0.5 * (visual . f + textual . f) for each row f of feats (n, w), each
-    block truncated to the common length.  ``matmul`` over stacked row
-    vectors makes the one ``ddot`` per row that ``block[:m] @ f[:m]`` makes,
-    so each score keeps the bits of a one-row call."""
-    total = 0.0
-    for block in (query.visual_features, query.text_features):
-        m = min(block.size, feats.shape[1])
-        total = total + np.matmul(feats[:, None, :m], block[:m, None])[:, 0, 0]
-    return 0.5 * total
-
-
-class FeatureDotScorer(Scorer):
-    """Mean dot product of the vertex features against the query's visual
-    and textual blocks, truncated to the common length."""
-
-    def vertex_scores(self, query: Query, graph) -> list[float]:
-        """One stacked pass over the graph's vertex-feature matrix."""
-        return _feature_dots(query, graph.feature_matrix).tolist()
-
-
-class TableLookupScorer(Scorer):
-    """Fixed (query id, vertex id) -> score table; the test and synthetic
-    stand-in for model-produced scores."""
-
-    def __init__(self, scores: dict[tuple[str, str], float]):
-        self.scores = dict(scores)
-
-    def vertex_scores(self, query: Query, graph) -> list[float]:
-        missing = [v.id for v in graph.vertices if (query.id, v.id) not in self.scores]
-        if missing:
-            raise ContractViolation(f"no score entry for {(query.id, missing[0])}")
-        return [self.scores[(query.id, v.id)] for v in graph.vertices]
 
 
 def max_softmax(raw) -> float:
@@ -96,7 +52,8 @@ def decide(sigma: float, theta: float) -> int:
 
 class RelevanceHead:
     """Two-layer scoring head: w2 . tanh(W1 z + b1) + b2 over the
-    concatenated (query features, item features) vector z."""
+    concatenated (query features, item features) vector z; b2 has shape
+    (1,)."""
 
     def __init__(self, query_dim: int, item_dim: int, hidden: int = 512, seed: int = 0):
         if hidden < 1:
@@ -109,7 +66,7 @@ class RelevanceHead:
         self.w1 = rng.uniform(-1.0, 1.0, size=(hidden, d)) / math.sqrt(d)
         self.b1 = np.zeros(hidden)
         self.w2 = rng.uniform(-1.0, 1.0, size=hidden) / math.sqrt(hidden)
-        self.b2 = 0.0
+        self.b2 = np.zeros(1)
 
     def input_vector(self, query: Query, doc: KnowledgeItem) -> np.ndarray:
         z = np.concatenate([query.combined_features, doc.features])
@@ -133,33 +90,28 @@ class RelevanceHead:
         h = np.tanh(np.matmul(self.w1, z[:, :, None])[:, :, 0] + self.b1)
         return h, np.matmul(h[:, None, :], self.w2)[:, 0] + self.b2
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.named_params()} | {"b2": np.zeros(1)}
-
     def named_params(self) -> list[tuple[str, np.ndarray]]:
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2)]
+        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
+
+    def zero_grads(self) -> dict[str, np.ndarray]:
+        return {name: np.zeros_like(arr) for name, arr in self.named_params()}
 
     def apply_grads(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        self.w1 -= lr * grads["w1"]
-        self.b1 -= lr * grads["b1"]
-        self.w2 -= lr * grads["w2"]
-        self.b2 -= lr * float(grads["b2"][0])
+        for name, arr in self.named_params():
+            arr -= lr * grads[name]
 
     # Flat views for finite-difference gradient checks.
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
+        return np.concatenate([arr.ravel() for _, arr in self.named_params()])
 
     def set_flat(self, flat: np.ndarray) -> None:
-        n1 = self.w1.size
-        n2 = n1 + self.b1.size
-        n3 = n2 + self.w2.size
-        self.w1 = flat[:n1].reshape(self.w1.shape).copy()
-        self.b1 = flat[n1:n2].copy()
-        self.w2 = flat[n2:n3].copy()
-        self.b2 = float(flat[n3])
+        start = 0
+        for name, arr in self.named_params():
+            setattr(self, name, flat[start : start + arr.size].reshape(arr.shape).copy())
+            start += arr.size
 
     def flat_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate([grads["w1"].ravel(), grads["b1"], grads["w2"], grads["b2"]])
+        return np.concatenate([grads[name].ravel() for name, _ in self.named_params()])
 
 
 def relevance(head: RelevanceHead, query: Query, doc: KnowledgeItem) -> float:
@@ -272,6 +224,8 @@ class CrmConfig:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1 or self.hidden < 1:
             raise ConfigurationError("epochs and hidden must be >= 1")
+        if self.seed < 0 or self.batch_size < 0:
+            raise ConfigurationError("seed and batch_size must be nonnegative")
 
 
 @dataclass
@@ -308,7 +262,7 @@ def train_crm(
     trace = CrmTrace()
     step = 0
     for _epoch in range(config.epochs):
-        if config.batch_size <= 0:
+        if config.batch_size == 0:
             batches = [rows]
         else:
             order = rng.permutation(len(labeled))

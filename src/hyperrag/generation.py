@@ -259,8 +259,10 @@ class GenConfig:
     def validate(self) -> None:
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.epochs < 1 or self.ot_max_iter < 1:
+            raise ConfigurationError("epochs and ot_max_iter must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.t_decay <= 0:
             raise ConfigurationError(f"T_decay must be positive, got {self.t_decay}")
         if self.epsilon <= 0:

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .gate import (
     CrmConfig,
-    FeatureDotScorer,
     RelevanceHead,
     crm_loss_and_grads,
     decide,
@@ -403,7 +402,7 @@ def query_subgraph(
     """The query's refined subgraph: feature-dot relevance of every
     vertex, then ``refine_subgraph`` with eta = eta_frac * total relevance.
     Without ``eigvecs`` the eigenvectors are computed here."""
-    r = relevance_vector(query, graph, FeatureDotScorer())
+    r = relevance_vector(query, graph)
     eta = config.eta_frac * r.total
     return refine_subgraph(
         graph, r, eta=eta, k=config.k, rho=config.rho, eigvecs=eigvecs, seed=config.seed
@@ -450,9 +449,8 @@ def run_training(
     }
 
     generator = ToyGenerator(vocab, 2 * config.dim)
-    b2_buf = np.array([head.b2])
     crm_params = [(f"crm.{name}", arr) for name, arr in head.named_params()]
-    params = dict(table.named_params() + crm_params + [("crm.b2", b2_buf)])
+    params = dict(table.named_params() + crm_params)
     params.update(generator.named_params())
     optimizer = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
 
@@ -538,7 +536,6 @@ def run_training(
                 grads["gen.bias"] += gen_scale * grad_logits
 
             optimizer.step(grads)
-            head.b2 = float(b2_buf[0])
 
         l_crm = sums["crm"] / counts["crm"] if counts["crm"] else 0.0
         l_geo = sums["geo"] / counts["geo"] if counts["geo"] else 0.0

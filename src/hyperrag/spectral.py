@@ -30,7 +30,7 @@ from .errors import (
     InfeasibleConstraintError,
     NumericalError,
 )
-from .gate import Scorer, sigmoid
+from .gate import sigmoid
 from .geometry import log_map  # noqa: F401 (perfbench's tracer test rebinds it here)
 from .geometry import origin_exp_rows, origin_log_rows, project_rows
 
@@ -257,10 +257,23 @@ class RelevanceVector:
         return float(self.values.sum())
 
 
-def relevance_vector(query: Query, graph: KnowledgeGraph, scorer: Scorer) -> RelevanceVector:
-    """r_i = sigmoid(s_i) for every vertex, the raw scores s from one
-    ``scorer.vertex_scores`` call."""
-    return RelevanceVector([sigmoid(x) for x in scorer.vertex_scores(query, graph)])
+def _feature_dots(query: Query, feats: np.ndarray) -> np.ndarray:
+    """0.5 * (visual . f + textual . f) for each row f of feats (n, w), each
+    block truncated to the common length.  ``matmul`` over stacked row
+    vectors makes the one ``ddot`` per row that ``block[:m] @ f[:m]`` makes,
+    so each score keeps the bits of a one-row call."""
+    total = 0.0
+    for block in (query.visual_features, query.text_features):
+        m = min(block.size, feats.shape[1])
+        total = total + np.matmul(feats[:, None, :m], block[:m, None])[:, 0, 0]
+    return 0.5 * total
+
+
+def relevance_vector(query: Query, graph: KnowledgeGraph) -> RelevanceVector:
+    """r_i = sigmoid(s_i) for every vertex, s the ``_feature_dots`` of the
+    graph's feature matrix against the query."""
+    scores = _feature_dots(query, graph.feature_matrix)
+    return RelevanceVector([sigmoid(x) for x in scores.tolist()])
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,8 @@ class SynthSpec:
             raise ConfigurationError("answer_len must be >= 1")
         if self.graph_size < self.num_clusters:
             raise ConfigurationError("graph_size must be >= num_clusters")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def feature_dim(self) -> int:

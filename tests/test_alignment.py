@@ -245,8 +245,9 @@ class TestTrainAlignment:
 
     def test_bad_config(self, rng):
         corpus = cluster_corpus(rng)
-        with pytest.raises(ConfigurationError):
-            train_alignment(corpus, AlignmentConfig(lr=0.0))
+        for bad in (AlignmentConfig(lr=0.0), AlignmentConfig(seed=-1)):
+            with pytest.raises(ConfigurationError):
+                train_alignment(corpus, bad)
 
     def test_empty_corpus(self):
         with pytest.raises(ContractViolation):

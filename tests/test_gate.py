@@ -11,9 +11,7 @@ from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceErr
 from hyperrag.gate import (
     LOG_CLAMP,
     CrmConfig,
-    FeatureDotScorer,
     RelevanceHead,
-    TableLookupScorer,
     crm_loss,
     crm_loss_and_grads,
     decide,
@@ -26,7 +24,6 @@ from hyperrag.gate import (
     _sum_rows,
     train_crm,
 )
-from hyperrag.spectral import GraphVertex, KnowledgeGraph
 
 # Softmax of scores (2, 0, 0): e^2 / (e^2 + 2), evaluated by hand.
 SOFTMAX_2_0_0 = 0.7869860421615985
@@ -43,7 +40,7 @@ def zero_head(**kw):
     head.w1[:] = 0.0
     head.w2[:] = 0.0
     head.b1[:] = 0.0
-    head.b2 = 0.0
+    head.b2[:] = 0.0
     return head
 
 
@@ -64,12 +61,6 @@ class TestConfidence:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ContractViolation):
             max_softmax([])
-
-    def test_missing_table_entry(self):
-        scorer = TableLookupScorer({("q", "a"): 2.0})
-        graph = KnowledgeGraph(tuple(GraphVertex(v, v, np.zeros(1)) for v in "ab"), ())
-        with pytest.raises(ContractViolation, match="'b'"):
-            scorer.vertex_scores(make_query(), graph)
 
 
 class TestDecide:
@@ -94,14 +85,6 @@ class TestDecide:
             decide(0.5, -0.1)
 
 
-class TestScorers:
-    def test_dot_scorer_truncates(self):
-        q = Query("q", np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        graph = KnowledgeGraph((GraphVertex("v", "v", np.array([1.0, 0.0, 9.0])),), ())
-        # Only the first two feature entries participate: 0.5 * (1 + 3).
-        assert_allclose(FeatureDotScorer().vertex_scores(q, graph), [2.0], rtol=1e-15)
-
-
 class TestRelevance:
     def test_zero_head_gives_half(self):
         head = zero_head()
@@ -109,7 +92,7 @@ class TestRelevance:
 
     def test_raw_score_four(self):
         head = zero_head()
-        head.b2 = 4.0
+        head.b2[:] = 4.0
         r = relevance(head, make_query(), KnowledgeItem("i", "visual", np.zeros(3)))
         assert_allclose(r, SIGMOID_4, rtol=1e-12)
 
@@ -118,7 +101,7 @@ class TestRelevance:
         doc = KnowledgeItem("i", "visual", np.zeros(3))
         values = []
         for b2 in np.linspace(-5.0, 5.0, 21):
-            head.b2 = float(b2)
+            head.b2[:] = b2
             values.append(relevance(head, make_query(), doc))
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert all(0.0 < v < 1.0 for v in values)
@@ -149,11 +132,11 @@ class TestFilterRelevant:
 class TestCrmLoss:
     def test_saturated_head_loss_vanishes(self):
         head = zero_head()
-        head.b2 = 40.0
+        head.b2[:] = 40.0
         q = make_query()
         pos = [KnowledgeItem("p", "visual", np.zeros(3))]
         assert crm_loss(head, [(q, pos, [])]) <= 1e-9
-        head.b2 = -40.0
+        head.b2[:] = -40.0
         neg = [KnowledgeItem("n", "visual", np.zeros(3))]
         assert crm_loss(head, [(q, [], neg)]) <= 1e-9
 
@@ -177,7 +160,7 @@ class TestCrmLoss:
 
     def test_clamp_keeps_loss_finite(self):
         head = zero_head()
-        head.b2 = -80.0
+        head.b2[:] = -80.0
         q = make_query()
         pos = [KnowledgeItem("p", "visual", np.zeros(3))]
         loss = crm_loss(head, [(q, pos, [])])
@@ -284,6 +267,13 @@ class TestTrainCrm:
             train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         assert info.value.step == 1
 
+    # batch_size 0 means full batch; a negative size is an error.
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"batch_size": -1}])
+    def test_bad_config(self, rng, bad):
+        labeled = planted_crm_corpus(rng, n_queries=4)
+        with pytest.raises(ConfigurationError):
+            train_crm(labeled, self.calibrated_pairs(), CrmConfig(hidden=4, **bad), 8, 4)
+
     def test_requires_both_label_kinds(self, rng):
         q = make_query()
         pos_only = [(q, [KnowledgeItem("p", "visual", np.zeros(3))], [])]
@@ -300,7 +290,7 @@ def per_pair_loss_and_grads(head, batch, want_grads=True):
         for doc, is_pos in [(d, True) for d in positives] + [(d, False) for d in negatives]:
             z = head.input_vector(query, doc)
             h = np.tanh(head.w1 @ z + head.b1)
-            r = sigmoid(float(head.w2 @ h + head.b2))
+            r = sigmoid(float(head.w2 @ h + head.b2[0]))
             p = r if is_pos else 1.0 - r
             total += -math.log(max(p, LOG_CLAMP))
             if want_grads and p > LOG_CLAMP:
@@ -365,7 +355,7 @@ class TestBatchedMatchesPerPair:
         q_half, i_dim = dims
         head = RelevanceHead(2 * q_half, i_dim, hidden=hidden, seed=seed % 1000)
         head.b1 = rng.standard_normal(hidden)
-        head.b2 = b2
+        head.b2[:] = b2
         batch = []
         for k, (n_pos, n_neg) in enumerate(counts):
             q = Query(f"q{k}", scale * rng.standard_normal(q_half), scale * rng.standard_normal(q_half))
@@ -382,7 +372,9 @@ class TestBatchedMatchesPerPair:
         assert crm_loss(head, batch) == want_loss
         q, pos, neg = batch[0]
         want_r = [
-            sigmoid(float(head.w2 @ np.tanh(head.w1 @ head.input_vector(q, d) + head.b1) + head.b2))
+            sigmoid(
+                float(head.w2 @ np.tanh(head.w1 @ head.input_vector(q, d) + head.b1) + head.b2[0])
+            )
             for d in pos + neg
         ]
         assert [relevance(head, q, d) for d in pos + neg] == want_r
@@ -391,7 +383,7 @@ class TestBatchedMatchesPerPair:
 
     def test_saturated_rows_add_no_gradient(self):
         head = small_head(seed=4)
-        head.b2 = -40.0
+        head.b2[:] = -40.0
         q = make_query(value=0.3)
         pos = [KnowledgeItem("p", "visual", np.full(3, 0.2))]
         loss, grads = crm_loss_and_grads(head, [(q, pos, [])])

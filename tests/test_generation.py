@@ -296,6 +296,14 @@ class TestTraining:
         with pytest.raises(ConfigurationError):
             train_generation(gen, ds, alpha=1.0, config=GenConfig(epochs=1))
 
+    # ot_max_iter is checked with the config, before any Sinkhorn solve.
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"ot_max_iter": 0}])
+    def test_bad_config(self, bad):
+        ds = make_memorizable(num=4, clusters=2)
+        gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
+        with pytest.raises(ConfigurationError):
+            train_generation(gen, ds, alpha=0.5, config=GenConfig(epochs=1, **bad))
+
     def test_divergence_reports_step(self):
         ds = make_memorizable(num=4, clusters=2)
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)

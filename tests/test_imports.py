@@ -1,6 +1,7 @@
-"""Static check, in place of a linter: every name a ``hyperrag`` module
-imports is used in that module.  An import kept on purpose carries
-``# noqa: F401`` on its line."""
+"""Static checks, in place of a linter: every name a ``hyperrag`` module
+imports is used in that module (an import kept on purpose carries
+``# noqa: F401`` on its line), and no two modules define a public
+function of the same name."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,30 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def public_functions(paths) -> dict[str, list[str]]:
+    """Each public module-level function name, with the files that define it."""
+    defined: dict[str, list[str]] = {}
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.setdefault(node.name, []).append(path.name)
+    return defined
+
+
+def test_public_function_names_are_unique():
+    # The benchmark's tracer keys its spans by bare function name and
+    # refuses to install when two modules share one.
+    defined = public_functions(sorted(SRC.glob("*.py")))
+    assert {name: files for name, files in defined.items() if len(files) > 1} == {}
+
+
+def test_shared_public_function_is_reported(tmp_path):
+    for name in ("a.py", "b.py"):
+        (tmp_path / name).write_text("def score(x):\n    return x\n\ndef _helper():\n    pass\n")
+    (tmp_path / "c.py").write_text("class K:\n    def score(self):\n        pass\n")
+    assert public_functions(sorted(tmp_path.glob("*.py"))) == {"score": ["a.py", "b.py"]}
 
 
 def test_unused_import_is_reported(tmp_path):

@@ -18,7 +18,7 @@ from hyperrag.errors import (
     InvalidPointError,
     NumericalError,
 )
-from hyperrag.gate import FeatureDotScorer, TableLookupScorer, sigmoid
+from hyperrag.gate import sigmoid
 from hyperrag.geometry import TangentVector, exp_map, lorentz_inner, origin
 from hyperrag.spectral import (
     CheegerReport,
@@ -305,21 +305,21 @@ class TestEigenpairs:
 
 class TestRelevance:
     def test_sigmoid_of_scores(self):
-        g = make_graph(3, [("v0", "v1", 1.0)])
-        scorer = TableLookupScorer({("q0", "v0"): 0.0, ("q0", "v1"): 4.0, ("q0", "v2"): -4.0})
-        q = Query("q0", np.zeros(2), np.zeros(2))
-        r = relevance_vector(q, g, scorer)
+        # Scores 0.5 * (1 * f + 0 * f) = 0, 4 and -4.
+        verts = [GraphVertex(f"v{i}", "n", np.array([f])) for i, f in enumerate((0.0, 8.0, -8.0))]
+        g = KnowledgeGraph(tuple(verts), (("v0", "v1", 1.0),))
+        q = Query("q0", np.ones(1), np.zeros(1))
+        r = relevance_vector(q, g)
         assert r.values[0] == pytest.approx(0.5, abs=1e-15)
         assert r.values[1] == pytest.approx(SIGMOID_4, rel=1e-12)
         assert r.values[2] == pytest.approx(1.0 - SIGMOID_4, rel=1e-9)
         assert r.total == pytest.approx(0.5 + 1.0, rel=1e-9)
 
-    def test_missing_score_names_vertex(self):
-        g = make_graph(2, [])
-        scorer = TableLookupScorer({("q0", "v0"): 0.0})
-        q = Query("q0", np.zeros(2), np.zeros(2))
-        with pytest.raises(ContractViolation, match="v1"):
-            relevance_vector(q, g, scorer)
+    def test_feature_dots_truncate(self):
+        q = Query("q", np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        graph = KnowledgeGraph((GraphVertex("v", "v", np.array([1.0, 0.0, 9.0])),), ())
+        # Only the first two feature entries participate: 0.5 * (1 + 3).
+        assert relevance_vector(q, graph).values.tolist() == [sigmoid(2.0)]
 
     # Query blocks shorter than, as wide as, and longer than the vertex
     # features; scales large enough to saturate the sigmoid.
@@ -338,14 +338,14 @@ class TestRelevance:
         q = Query("q", visual, textual)
 
         def per_vertex(feats):
-            # The scorer as a per-vertex loop, before the stacked pass.
+            # The feature-dot score as a per-vertex loop, before the stacked pass.
             total = 0.0
             for block in (q.visual_features, q.text_features):
                 m = min(block.size, feats.size)
                 total += float(block[:m] @ feats[:m])
             return sigmoid(0.5 * total)
 
-        got = relevance_vector(q, g, FeatureDotScorer()).values
+        got = relevance_vector(q, g).values
         assert np.array_equal(got, [per_vertex(v.features) for v in g.vertices])
 
     def test_out_of_range_rejected(self):
@@ -429,7 +429,7 @@ def default_bundles():
         bundle = synth_bundle(SynthSpec(seed=seed))
         graph = bundle.graph
         _, vecs = smallest_eigenpairs(laplacian(graph), 10, seed=seed)
-        rel = [relevance_vector(q, graph, FeatureDotScorer()).values for q in bundle.queries]
+        rel = [relevance_vector(q, graph).values for q in bundle.queries]
         out.append((graph, vecs, rel))
     return out
 

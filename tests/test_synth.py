@@ -138,6 +138,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="sizes"):
             SynthSpec(num_queries=0).validate()
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            synth_bundle(SynthSpec(seed=-1))
+
 
 class TestSerialization:
     def test_byte_identical_across_runs(self, tmp_path):
@@ -203,6 +207,7 @@ class TestSerialization:
             (lambda meta: meta.update(num_clusters=0), "num_clusters"),
             (lambda meta: meta.update(noise_frac=1.5), "noise_frac"),
             (lambda meta: meta.update(graph_size=2), "graph_size"),
+            (lambda meta: meta.update(seed=-1), "seed"),
         ],
     )
     def test_invalid_meta_value_is_data_format_error(self, tmp_path, small, edit, key):
