@@ -18,6 +18,7 @@ from .errors import (
     ContractViolation,
     DivergenceError,
     InvalidPointError,
+    check_config_fields,
 )
 from .geometry import (
     LorentzPoint,
@@ -214,19 +215,18 @@ class AlignmentConfig:
     seed: int = 0
 
     def validate(self):
+        check_config_fields(self)
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
         if self.dim < 2:
             raise ConfigurationError(f"dim must be >= 2, got {self.dim}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
 class AlignmentTrace:
-    """Full-corpus ``geo_loss`` after each epoch."""
+    """Per epoch, the steps' ``geo_loss`` means weighted by batch size."""
 
     epoch_losses: list[float] = field(default_factory=list)
 
@@ -308,9 +308,14 @@ class AlignmentCorpus:
         return out
 
 
-def _apply_step(table: EmbeddingTable, grads: dict[str, np.ndarray], lr: float) -> None:
-    for name, arr in table.named_params():
-        arr -= lr * grads[name]
+def _checked_geo_loss(table: EmbeddingTable, batch: Batch, step: int, want_grads: bool = True):
+    try:
+        loss, grads = geo_loss_and_grads(table, batch, want_grads)
+    except InvalidPointError as exc:
+        raise DivergenceError(f"alignment diverged: {exc}", step=step) from exc
+    if not np.isfinite(loss):
+        raise DivergenceError("alignment loss is non-finite", step=step)
+    return loss, grads
 
 
 def train_alignment(
@@ -318,7 +323,7 @@ def train_alignment(
 ) -> tuple[EmbeddingTable, AlignmentTrace]:
     """Fit the embedding maps by mini-batch gradient descent on geo_loss,
     one shuffled pass over the queries per epoch; deterministic given
-    config.seed."""
+    config.seed.  One full-corpus pass checks the returned table."""
     config.validate()
     if not corpus.queries or not corpus.items:
         raise ContractViolation("training corpus must contain queries and items")
@@ -329,25 +334,16 @@ def train_alignment(
     step = 0
     for _epoch in range(config.epochs):
         order = rng.permutation(len(pairs))
+        weighted = 0.0
         for start in range(0, len(pairs), config.batch_size):
             batch = [pairs[i] for i in order[start : start + config.batch_size]]
-            try:
-                loss, grads = geo_loss_and_grads(table, batch)
-            except InvalidPointError as exc:
-                # Parameters blew past the representable range; surface
-                # as divergence with the offending step attached.
-                raise DivergenceError(f"alignment diverged: {exc}", step=step) from exc
-            if not np.isfinite(loss):
-                raise DivergenceError("alignment loss is non-finite", step=step)
-            _apply_step(table, grads, config.lr)
+            loss, grads = _checked_geo_loss(table, batch, step)
+            for name, arr in table.named_params():
+                arr -= config.lr * grads[name]
+            weighted += loss * len(batch)
             step += 1
-        try:
-            epoch_loss = geo_loss(table, pairs)
-        except InvalidPointError as exc:
-            raise DivergenceError(f"alignment diverged: {exc}", step=step) from exc
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError("alignment loss is non-finite", step=step)
-        trace.epoch_losses.append(epoch_loss)
+        trace.epoch_losses.append(weighted / len(pairs))
+    _checked_geo_loss(table, pairs, step, want_grads=False)
     return table, trace
 
 

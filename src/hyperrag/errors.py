@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all hyperrag modules.
+"""Exception hierarchy shared by all hyperrag modules, and the shared config checks.
 
 Every error carries a short machine-readable ``category`` used by the CLI
 to produce structured error records and exit codes.
 """
+
+import math
+from dataclasses import fields
 
 
 class HyperRagError(Exception):
@@ -24,6 +27,16 @@ class ConfigurationError(HyperRagError):
 
     category = "config"
     exit_code = 3
+
+
+def check_config_fields(config) -> None:
+    """Finite ``float`` fields and a nonnegative ``seed``."""
+    floats = (f.name for f in fields(config) if f.type == "float")
+    bad = [name for name in floats if not math.isfinite(getattr(config, name))]
+    if bad:
+        raise ConfigurationError(f"{', '.join(bad)} must be finite")
+    if config.seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {config.seed}")
 
 
 class InvalidPointError(HyperRagError):

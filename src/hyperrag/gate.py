@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import KnowledgeItem, Query
-from .errors import ConfigurationError, ContractViolation, DivergenceError
+from .errors import ConfigurationError, ContractViolation, DivergenceError, check_config_fields
 
 LOG_CLAMP = 1e-12
 THETA_GRID = [round(i / 100.0, 2) for i in range(101)]
@@ -220,18 +220,27 @@ class CrmConfig:
     batch_size: int = 0  # 0 = full batch
 
     def validate(self):
+        check_config_fields(self)
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1 or self.hidden < 1:
-            raise ConfigurationError("epochs and hidden must be >= 1")
-        if self.seed < 0 or self.batch_size < 0:
-            raise ConfigurationError("seed and batch_size must be nonnegative")
+        if self.epochs < 1 or self.hidden < 1 or self.batch_size < 0:
+            raise ConfigurationError("epochs and hidden must be >= 1, batch_size >= 0")
 
 
 @dataclass
 class CrmTrace:
+    """Each epoch's loss is the sum of its steps' losses."""
+
     epoch_losses: list[float] = field(default_factory=list)
     theta_accuracy: float = 0.0
+
+
+def _checked_pass(head: RelevanceHead, rows, step: int, want_grads: bool = True):
+    loss, grads, clamped = _crm_stacked(head, rows, want_grads)
+    if clamped:  # a NaN score is not kept either: a non-finite loss has clamped pairs
+        message = f"relevance head saturated: {clamped} pairs at the log clamp or NaN"
+        raise DivergenceError(message, step=step)
+    return loss, grads
 
 
 def train_crm(
@@ -245,8 +254,9 @@ def train_crm(
     ``fit_theta``'s grid search on the same gating pairs (no held-out
     split; theta never depends on the head); deterministic given
     config.seed.  Each query's input rows are stacked once, for every step.
-    A head whose full-set loss clamps a pair after an epoch has diverged:
-    it raises DivergenceError, as a non-finite loss does."""
+    A step's pass, or one full-set pass over the returned head, with a pair
+    at the log clamp or a non-finite loss raises DivergenceError, without
+    a RuntimeWarning."""
     config.validate()
     if not labeled:
         raise ContractViolation("train_crm requires a labeled corpus")
@@ -261,27 +271,18 @@ def train_crm(
     rng = np.random.default_rng(config.seed)
     trace = CrmTrace()
     step = 0
-    for _epoch in range(config.epochs):
-        if config.batch_size == 0:
-            batches = [rows]
-        else:
-            order = rng.permutation(len(labeled))
-            batches = [
-                [rows[i] for i in order[s : s + config.batch_size]]
-                for s in range(0, len(labeled), config.batch_size)
-            ]
-        for batch in batches:
-            loss, grads, _ = _crm_stacked(head, batch, want_grads=True)
-            if not np.isfinite(loss):
-                raise DivergenceError("relevance-head loss is non-finite", step=step)
-            head.apply_grads(grads, config.lr)
-            step += 1
-        loss, _, clamped = _crm_stacked(head, rows, want_grads=False)
-        if clamped:
-            raise DivergenceError(
-                f"relevance head saturated: {clamped} labeled pairs at the log clamp", step=step
-            )
-        trace.epoch_losses.append(loss)
+    size = config.batch_size or len(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(config.epochs):
+            order = rng.permutation(len(rows)) if config.batch_size else range(len(rows))
+            epoch_loss = 0.0
+            for s in range(0, len(rows), size):
+                loss, grads = _checked_pass(head, [rows[i] for i in order[s : s + size]], step)
+                head.apply_grads(grads, config.lr)
+                epoch_loss += loss
+                step += 1
+            trace.epoch_losses.append(epoch_loss)
+        _checked_pass(head, rows, step, want_grads=False)
     theta, acc = fit_theta(gating_pairs)
     trace.theta_accuracy = acc
     return head, theta, trace

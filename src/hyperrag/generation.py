@@ -22,6 +22,7 @@ from .errors import (
     ConfigurationError,
     ContractViolation,
     DivergenceError,
+    check_config_fields,
 )
 from .gate import LOG_CLAMP
 from .geometry import LorentzPoint, log_map, origin
@@ -257,16 +258,13 @@ class GenConfig:
     ot_max_iter: int = 2000
 
     def validate(self) -> None:
+        check_config_fields(self)
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1 or self.ot_max_iter < 1:
             raise ConfigurationError("epochs and ot_max_iter must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
-        if self.t_decay <= 0:
-            raise ConfigurationError(f"T_decay must be positive, got {self.t_decay}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if self.epsilon <= 0 or self.t_decay <= 0:
+            raise ConfigurationError("epsilon and t_decay must be positive")
 
 
 @dataclass

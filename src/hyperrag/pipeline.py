@@ -11,10 +11,9 @@ generator) share one decoupled-weight-decay adaptive optimizer.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .errors import (
     DivergenceError,
     HyperRagError,
     InvalidPointError,
+    check_config_fields,
 )
 from .gate import (
     CrmConfig,
@@ -94,15 +94,7 @@ class PipelineConfig:
     ot_max_iter: int = 2000
 
     def validate(self) -> None:
-        non_finite = [
-            f.name
-            for f in fields(self)
-            if f.type == "float" and not math.isfinite(getattr(self, f.name))
-        ]
-        if non_finite:
-            raise ConfigurationError(f"{', '.join(non_finite)} must be finite")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        check_config_fields(self)
         if not (0.0 < self.beta < 1.0 and 0.0 < self.gamma < 1.0):
             raise ConfigurationError(
                 f"beta and gamma must lie strictly inside (0, 1), got {self.beta}, {self.gamma}"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as hio
 from .alignment import POSITIVE_MODALITIES, KnowledgeItem, Query
-from .errors import ConfigurationError, ContractViolation, DataFormatError
+from .errors import ConfigurationError, ContractViolation, DataFormatError, check_config_fields
 from .spectral import GraphVertex, KnowledgeGraph
 
 # Distractor items carry this cluster index in clusters.tsv.
@@ -38,6 +38,7 @@ class SynthSpec:
     answer_len: int = 3
 
     def validate(self) -> None:
+        check_config_fields(self)
         if min(self.num_queries, self.num_items, self.graph_size) < 1:
             raise ConfigurationError("bundle sizes must all be >= 1")
         if self.num_clusters < 1:
@@ -50,8 +51,6 @@ class SynthSpec:
             raise ConfigurationError("answer_len must be >= 1")
         if self.graph_size < self.num_clusters:
             raise ConfigurationError("graph_size must be >= num_clusters")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def feature_dim(self) -> int:

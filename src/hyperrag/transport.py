@@ -146,15 +146,16 @@ def wasserstein2_exact(
 
 
 def _round_to_marginals(coupling: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Project an almost-feasible nonnegative coupling onto exact marginals
-    (scale rows down, then columns, then patch the residual with a
-    rank-one correction)."""
+    """Project an almost-feasible nonnegative coupling onto exact marginals:
+    scale rows down, then columns, by ratios capped at 1 (a ratio over a
+    subnormal sum overflows to inf), then add a rank-one correction."""
     pi = np.maximum(coupling, 0.0)
-    row = pi.sum(axis=1)
-    scale_r = np.where(row > 0, np.minimum(1.0, p / np.where(row > 0, row, 1.0)), 0.0)
-    pi = pi * scale_r[:, None]
-    col = pi.sum(axis=0)
-    scale_c = np.where(col > 0, np.minimum(1.0, q / np.where(col > 0, col, 1.0)), 0.0)
+    with np.errstate(over="ignore"):
+        row = pi.sum(axis=1)
+        scale_r = np.where(row > 0, np.minimum(1.0, p / np.where(row > 0, row, 1.0)), 0.0)
+        pi = pi * scale_r[:, None]
+        col = pi.sum(axis=0)
+        scale_c = np.where(col > 0, np.minimum(1.0, q / np.where(col > 0, col, 1.0)), 0.0)
     pi = pi * scale_c[None, :]
     err_r = p - pi.sum(axis=1)
     err_c = q - pi.sum(axis=0)

@@ -243,6 +243,25 @@ class TestTrainAlignment:
             train_alignment(corpus, config)
         assert exc_info.value.step is not None
 
+    def test_full_batch_epoch_loss_is_the_step_loss(self, rng):
+        # The first epoch reports the loss of the pass that took its one
+        # step: geo_loss of the initial table, summed in shuffled order.
+        corpus = cluster_corpus(rng)
+        config = AlignmentConfig(dim=4, lr=0.05, epochs=2, batch_size=64, seed=3)
+        _, trace = train_alignment(corpus, config)
+        initial = geo_loss(
+            EmbeddingTable.for_corpus(corpus.queries, corpus.items, 4, seed=3),
+            corpus.batches_source(),
+        )
+        assert trace.epoch_losses[0] == pytest.approx(initial, rel=1e-12, abs=0.0)
+
+    def test_divergence_on_the_last_step_is_caught(self, rng):
+        corpus = cluster_corpus(rng, num_clusters=2, per_cluster=4)
+        config = AlignmentConfig(dim=3, lr=1e200, epochs=1, batch_size=64, seed=0)
+        with pytest.raises(DivergenceError, match="alignment diverged") as exc_info:
+            train_alignment(corpus, config)
+        assert exc_info.value.step == 1
+
     def test_bad_config(self, rng):
         corpus = cluster_corpus(rng)
         for bad in (AlignmentConfig(lr=0.0), AlignmentConfig(seed=-1)):

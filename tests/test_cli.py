@@ -463,6 +463,16 @@ class TestErrorSurface:
         assert record["category"] == "divergence"
         assert "log clamp" in record["message"]
 
+    def test_overflowing_crm_step_is_divergence_without_warnings(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "crm_lr": 1e308}))
+        argv = ["crm", "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(argv, capsys)
+        assert code == 5, err
+        assert json.loads(err)["category"] == "divergence"
+
     def test_diverged_phase2_step_is_divergence_error(self, workdir, tmp_path, capsys):
         """After a step with ``lr`` 1e308 the parameters are still finite, but
         the next embedding overflows: that is divergence, not a bad point."""

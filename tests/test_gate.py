@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hyperrag import gate
 from hyperrag.alignment import KnowledgeItem, Query
 from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
 from hyperrag.gate import (
@@ -267,6 +269,44 @@ class TestTrainCrm:
             train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         assert info.value.step == 1
 
+    def test_full_batch_epoch_loss_is_the_step_loss(self, rng):
+        # The first epoch reports the loss of the pass that took its one
+        # step: the full-set loss of the initial head.
+        labeled = planted_crm_corpus(rng, n_queries=5)
+        config = CrmConfig(hidden=16, lr=0.05, epochs=3, seed=4)
+        _, _, trace = train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
+        assert trace.epoch_losses[0] == crm_loss(RelevanceHead(8, 4, hidden=16, seed=4), labeled)
+
+    def test_saturation_on_the_last_step_is_caught(self, rng):
+        # One full-batch step saturates the head; only the final check sees it.
+        labeled = planted_crm_corpus(rng, n_queries=4)
+        config = CrmConfig(hidden=8, lr=1e6, epochs=1, seed=5)
+        with pytest.raises(DivergenceError, match="log clamp") as info:
+            train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
+        assert info.value.step == 1
+
+    @pytest.mark.parametrize("batch_size, steps", [(0, 3), (3, 9), (7, 3)])
+    def test_one_pass_per_step_and_one_final_check(self, rng, monkeypatch, batch_size, steps):
+        labeled = planted_crm_corpus(rng, n_queries=7)
+        calls = []
+
+        def counting(head, rows, want_grads):
+            calls.append(want_grads)
+            return _crm_stacked(head, rows, want_grads)
+
+        monkeypatch.setattr(gate, "_crm_stacked", counting)
+        config = CrmConfig(hidden=8, lr=0.05, epochs=3, seed=1, batch_size=batch_size)
+        train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
+        assert calls == [True] * steps + [False]
+
+    @pytest.mark.parametrize("lr", [1e308, 1e300])
+    def test_overflowing_step_diverges_without_warnings(self, rng, lr):
+        labeled = planted_crm_corpus(rng, n_queries=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="log clamp or NaN"):
+                train_crm(labeled, self.calibrated_pairs(), CrmConfig(hidden=8, lr=lr), 8, 4)
+
     # batch_size 0 means full batch; a negative size is an error.
     @pytest.mark.parametrize("bad", [{"seed": -1}, {"batch_size": -1}])
     def test_bad_config(self, rng, bad):
@@ -304,7 +344,8 @@ def per_pair_loss_and_grads(head, batch, want_grads=True):
 
 
 def per_pair_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
-    """Oracle for ``train_crm``: the same schedule over the per-pair loss."""
+    """Oracle for ``train_crm``: the same schedule over the per-pair loss;
+    an epoch's loss is the sum of its steps' losses."""
     head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     losses = []
@@ -317,10 +358,12 @@ def per_pair_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
                 [labeled[i] for i in order[s : s + config.batch_size]]
                 for s in range(0, len(labeled), config.batch_size)
             ]
+        epoch_loss = 0.0
         for batch in batches:
-            _, grads = per_pair_loss_and_grads(head, batch)
+            loss, grads = per_pair_loss_and_grads(head, batch)
             head.apply_grads(grads, config.lr)
-        losses.append(per_pair_loss_and_grads(head, labeled, want_grads=False)[0])
+            epoch_loss += loss
+        losses.append(epoch_loss)
     return head, fit_theta(gating_pairs)[0], losses
 
 

@@ -404,3 +404,13 @@ class TestTransportPlanType:
     def test_tiny_negative_clamped(self):
         plan = TransportPlan(np.array([[0.5, -1e-15], [0.0, 0.5]]))
         assert plan.coupling.min() >= 0.0
+
+    def test_rounding_a_subnormal_row_raises_no_warning(self):
+        # p / row overflows to inf for the subnormal first row; the cap at 1
+        # keeps that row as it is, and the residual patch fills it.
+        coupling = np.array([[1e-320, 0.0], [0.25, 0.25]])
+        half = np.array([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rounded = transport._round_to_marginals(coupling, half, half)
+        assert np.array_equal(rounded, np.full((2, 2), 0.25))
