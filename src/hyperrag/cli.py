@@ -15,21 +15,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .alignment import (
-    AlignmentConfig,
     AlignmentCorpus,
     EmbeddingTable,
     item_tangent_rows,
     train_alignment,
 )
-from .errors import ConfigurationError, HyperRagError
+from .errors import ConfigurationError, HyperRagError, config_values
 from .generation import (
-    GenConfig,
     GenDataset,
     GenExample,
     TokenSequence,
@@ -75,23 +73,11 @@ def load_config(path: str | None, seed: int | None) -> PipelineConfig:
     """Build the training configuration from an optional JSON file plus an
     optional seed override; unknown keys and mistyped values are rejected."""
     raw = read_json(path) if path else {}
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: config must be a JSON object")
-    declared = {f.name: f.type for f in fields(PipelineConfig)}
-    unknown = sorted(set(raw) - set(declared))
+    values = config_values(PipelineConfig, raw, path)
+    unknown = sorted(set(raw) - set(values))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-    coerced = {}
-    for key, value in raw.items():
-        kind = declared[key]
-        if kind == "int":
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not ok:
-            raise ConfigurationError(f"config key {key!r} must be of type {kind}")
-        coerced[key] = float(value) if kind == "float" else value
-    config = PipelineConfig(**coerced)
+    config = PipelineConfig(**values)
     if seed is not None:
         config = replace(config, seed=seed)
     config.validate()
@@ -145,14 +131,7 @@ def cmd_align(args, config: PipelineConfig, writer: RecordWriter) -> int:
         items=bundle.items,
         positives={qid: list(ids) for qid, ids in bundle.positives.items()},
     )
-    align_cfg = AlignmentConfig(
-        dim=config.dim,
-        lr=config.lr,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        seed=config.seed,
-    )
-    table, trace = train_alignment(corpus, align_cfg)
+    table, trace = train_alignment(corpus, config.alignment_config())
     for epoch, loss in enumerate(trace.epoch_losses, start=1):
         writer.emit({"epoch": epoch, "geo_loss": loss})
     if args.out:
@@ -211,10 +190,7 @@ def cmd_gen(args, config: PipelineConfig, writer: RecordWriter) -> int:
         )
     dataset = GenDataset(tuple(examples), table, bundle.token_embeddings)
     gen = ToyGenerator(vocab, 2 * config.dim)
-    gen_cfg = GenConfig(
-        seed=config.seed, epsilon=config.epsilon, ot_max_iter=config.ot_max_iter
-    )
-    gen, trace = train_generation(gen, dataset, alpha=config.alpha, config=gen_cfg)
+    gen, trace = train_generation(gen, dataset, alpha=config.alpha, config=config.gen_config())
     for epoch in range(len(trace.blended)):
         writer.emit(
             {

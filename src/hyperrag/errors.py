@@ -29,6 +29,24 @@ class ConfigurationError(HyperRagError):
     exit_code = 3
 
 
+def config_values(cls, raw, source, error=ConfigurationError) -> dict:
+    """The values of JSON object ``raw`` for fields of config class ``cls``,
+    other keys skipped: an ``int`` field takes an int, a ``float`` field an
+    int or a float (stored as ``float``), and neither takes a bool."""
+    if not isinstance(raw, dict):
+        raise error(f"{source}: expected a JSON object")
+    values = {}
+    for f in (f for f in fields(cls) if f.name in raw):
+        value, kinds = raw[f.name], ((int, float) if f.type == "float" else int)
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise error(f"{source}: key {f.name!r} must be of type {f.type}")
+        try:
+            values[f.name] = float(value) if f.type == "float" else value
+        except OverflowError:  # an int past the float range
+            raise error(f"{source}: key {f.name!r} must be finite") from None
+    return values
+
+
 def check_config_fields(config) -> None:
     """Finite ``float`` fields and a nonnegative ``seed``."""
     floats = (f.name for f in fields(config) if f.type == "float")

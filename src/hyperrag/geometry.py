@@ -294,7 +294,8 @@ def lift_spatial(spatial: np.ndarray) -> np.ndarray:
 
 def acosh_stable_array(a: np.ndarray) -> np.ndarray:
     s = np.maximum(np.asarray(a, dtype=float) - 1.0, 0.0)
-    return np.log1p(s + np.sqrt(s * (s + 2.0)))
+    with np.errstate(over="ignore"):  # s past about 1e154: the distance is inf
+        return np.log1p(s + np.sqrt(s * (s + 2.0)))
 
 
 def distances_to_rows(point: LorentzPoint, coords_rows: np.ndarray) -> np.ndarray:

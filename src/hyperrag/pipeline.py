@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .alignment import (
+    AlignmentConfig,
     EmbeddingTable,
     KnowledgeItem,
     Query,
@@ -45,6 +46,7 @@ from .gate import (
     train_crm,
 )
 from .generation import (
+    GenConfig,
     GenExample,
     TokenSequence,
     ToyGenerator,
@@ -94,33 +96,42 @@ class PipelineConfig:
     ot_max_iter: int = 2000
 
     def validate(self) -> None:
+        """The rules no stage config states, then each stage's, tagged with its class."""
         check_config_fields(self)
         if not (0.0 < self.beta < 1.0 and 0.0 < self.gamma < 1.0):
-            raise ConfigurationError(
-                f"beta and gamma must lie strictly inside (0, 1), got {self.beta}, {self.gamma}"
-            )
+            raise ConfigurationError(f"beta, gamma must be in (0, 1), got {self.beta}, {self.gamma}")
         if self.beta + self.gamma >= 1.0:
-            raise ConfigurationError(
-                f"beta + gamma must be < 1, got {self.beta + self.gamma}"
-            )
+            raise ConfigurationError(f"beta + gamma must be < 1, got {self.beta + self.gamma}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if self.lr <= 0 or self.crm_lr <= 0:
-            raise ConfigurationError("learning rates must be positive")
         if self.weight_decay < 0:
             raise ConfigurationError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if min(self.epochs, self.batch_size, self.crm_epochs, self.crm_batch_size) < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
-        if self.dim < 2 or self.k < 1 or self.top_k < 1 or self.crm_hidden < 1:
-            raise ConfigurationError("dim, k, top_k, and crm_hidden must be >= their minima")
         if not 0.0 < self.eta_frac <= 1.0:
             raise ConfigurationError(f"eta_frac must lie in (0, 1], got {self.eta_frac}")
         if self.rho < 0:
             raise ConfigurationError(f"rho must be nonnegative, got {self.rho}")
-        if self.epsilon <= 0 or self.t_decay <= 0:
-            raise ConfigurationError("epsilon and t_decay must be positive")
-        if self.ot_max_iter < 1:
-            raise ConfigurationError("ot_max_iter must be >= 1")
+        if self.t_decay <= 0:
+            raise ConfigurationError(f"t_decay must be positive, got {self.t_decay}")
+        # crm_batch_size is stricter than CrmConfig's, where 0 means full batch.
+        if min(self.k, self.top_k, self.crm_batch_size) < 1:
+            raise ConfigurationError("k, top_k and crm_batch_size must be >= 1")
+        for stage in (self.crm_config(), self.alignment_config(), self.gen_config()):
+            with _stage(type(stage).__name__):
+                stage.validate()
+
+    def crm_config(self) -> CrmConfig:
+        return CrmConfig(hidden=self.crm_hidden, lr=self.crm_lr, epochs=self.crm_epochs,
+                         seed=self.seed, batch_size=self.crm_batch_size)
+
+    def alignment_config(self) -> AlignmentConfig:
+        return AlignmentConfig(dim=self.dim, lr=self.lr, epochs=self.epochs,
+                               batch_size=self.batch_size, seed=self.seed)
+
+    def gen_config(self) -> GenConfig:
+        """The ``gen`` stage: epsilon, ot_max_iter and the seed.  It keeps
+        ``GenConfig``'s own ``lr``, ``epochs`` and ``t_decay``: ``t_decay``
+        here sets phase 2's dropout schedule only."""
+        return GenConfig(seed=self.seed, epsilon=self.epsilon, ot_max_iter=self.ot_max_iter)
 
 
 def total_loss(l_crm: float, l_geo: float, l_gen: float, beta: float, gamma: float) -> float:
@@ -274,11 +285,11 @@ def _evidence_rows(table: EmbeddingTable, docs, triplet_rows: np.ndarray) -> np.
 class PipelineComponents:
     """Everything needed to answer queries after training.
 
-    The first retrieve-path answer builds a ``ReadIndex`` from ``table``,
-    ``graph`` and ``items`` and keeps it for every later answer.  So do not
-    mutate a components object once it has answered: make a copy with
-    ``dataclasses.replace`` (or ``with_crm``), which starts without an
-    index and builds its own.
+    Every retrieve-path answer reads one ``ReadIndex`` of ``table``,
+    ``graph`` and ``items``: the one ``run_training`` hands over, or one
+    built on the first such answer.  So do not mutate a components object:
+    copy it with ``dataclasses.replace`` (or ``with_crm``), which starts
+    without an index and builds its own.
     """
 
     config: PipelineConfig
@@ -375,13 +386,7 @@ def train_phase1(config: PipelineConfig, bundle: CorpusBundle):
     head, theta, trace = train_crm(
         labeled,
         gating_pairs,
-        CrmConfig(
-            hidden=config.crm_hidden,
-            lr=config.crm_lr,
-            epochs=config.crm_epochs,
-            seed=config.seed,
-            batch_size=config.crm_batch_size,
-        ),
+        config.crm_config(),
         query_dim=bundle.queries[0].combined_features.size,
         item_dim=bundle.items[0].features.size,
     )
@@ -549,6 +554,8 @@ def run_training(
             )
         )
 
+    with _phase2_stage(optimizer, config.epochs, "index"):  # the trained table's final check
+        index = ReadIndex.build(table, bundle.graph, items)
     components = PipelineComponents(
         config=config,
         table=table,
@@ -562,14 +569,15 @@ def run_training(
         confidence=dict(bundle.confidence),
         answer_len=answer_len,
     )
+    components._index = index
     return components, reports
 
 
 def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     """Gate, optionally retrieve/filter/refine, then decode; per-stage
     wall-clock timings are recorded.  Corpus rows and triplet rows come
-    from the components' read index, built on the first retrieve answer
-    (inside the ``retrieve`` timing); the answer has ``answer_len`` tokens."""
+    from the components' read index (built inside the ``retrieve`` timing
+    when the components have none); the answer has ``answer_len`` tokens."""
     cfg = components.config
     timings: dict[str, float] = {}
 

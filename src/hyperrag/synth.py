@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as hio
 from .alignment import POSITIVE_MODALITIES, KnowledgeItem, Query
-from .errors import ConfigurationError, ContractViolation, DataFormatError, check_config_fields
+from .errors import ConfigurationError, DataFormatError, check_config_fields, config_values
 from .spectral import GraphVertex, KnowledgeGraph
 
 # Distractor items carry this cluster index in clusters.tsv.
@@ -51,6 +51,15 @@ class SynthSpec:
             raise ConfigurationError("answer_len must be >= 1")
         if self.graph_size < self.num_clusters:
             raise ConfigurationError("graph_size must be >= num_clusters")
+        n_regular = self.num_items - self.num_distractors
+        if n_regular < self.num_clusters:
+            raise ConfigurationError(
+                f"{n_regular} non-distractor items cannot cover {self.num_clusters} clusters"
+            )
+
+    @property
+    def num_distractors(self) -> int:
+        return int(round(self.noise_frac * self.num_items))
 
     @property
     def feature_dim(self) -> int:
@@ -168,12 +177,8 @@ def synth_bundle(spec: SynthSpec) -> CorpusBundle:
     centers_v = _cluster_centers(rng, k, d)
     centers_t = _cluster_centers(rng, k, d)
 
-    n_distract = int(round(spec.noise_frac * spec.num_items))
+    n_distract = spec.num_distractors
     n_regular = spec.num_items - n_distract
-    if n_regular < k:
-        raise ContractViolation(
-            f"{n_regular} non-distractor items cannot cover {k} clusters"
-        )
 
     items: list[KnowledgeItem] = []
     clusters: dict[tuple[str, str], int] = {}
@@ -290,19 +295,11 @@ def write_bundle(bundle: CorpusBundle, out_dir) -> None:
 
 
 def _spec_from_meta(path: Path) -> SynthSpec:
-    """The SynthSpec fields of meta.json; other keys are ignored."""
-    meta = hio.read_json(path)
-    if not isinstance(meta, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    values = {}
-    for f in fields(SynthSpec):
-        if f.name not in meta:
-            raise DataFormatError(f"{path}: missing key {f.name!r}")
-        value = meta[f.name]
-        kinds = (int, float) if f.type == "float" else int
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            raise DataFormatError(f"{path}: key {f.name!r} must be of type {f.type}")
-        values[f.name] = float(value) if f.type == "float" else value
+    """The SynthSpec fields of meta.json, all required; other keys are ignored."""
+    values = config_values(SynthSpec, hio.read_json(path), path, DataFormatError)
+    missing = next((f.name for f in fields(SynthSpec) if f.name not in values), None)
+    if missing:
+        raise DataFormatError(f"{path}: missing key {missing!r}")
     spec = SynthSpec(**values)
     try:
         spec.validate()

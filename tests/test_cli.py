@@ -487,6 +487,22 @@ class TestErrorSurface:
         assert record["category"] == "divergence"
         assert "phase 2 diverged in epoch 1" in record["message"]
 
+    @pytest.mark.parametrize("command", ["train-all", "eval", "answer"])
+    def test_diverged_final_table_is_divergence_error(self, workdir, tmp_path, capsys, command):
+        """With ``lr`` 1e28 the last step leaves a table that no longer lifts:
+        training's final index build reports it, before any answer."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "lr": 1e28}))
+        argv = [command, "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(argv, capsys)
+        assert code == 5, err
+        record = json.loads(err)
+        assert record["category"] == "divergence"
+        assert "phase 2 diverged in epoch 3" in record["message"]
+        assert "[stage: phase2 epoch 3 index]" in record["message"]
+
     def test_rho_overflowing_edge_weight_is_config_error(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, "rho": 1e308}))

@@ -136,6 +136,15 @@ class TestAcoshStable:
         expected = [acosh_stable(float(v)) for v in a]
         assert_allclose(acosh_stable_array(a), expected, rtol=1e-14)
 
+    def test_array_variant_huge_excess_without_warning(self):
+        # s * (s + 2) overflows once the excess s passes about 1e154; the
+        # distance then reads inf, still the farthest, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = acosh_stable_array(np.array([1.0, 1e150, 1e160, 1e300]))
+        assert out[0] == 0.0 and math.isfinite(out[1])
+        assert list(out) == sorted(out)
+
 
 class TestGeodesicDistance:
     def test_origin_to_unit_lift(self):

@@ -10,6 +10,7 @@ import pytest
 
 from hyperrag import generation
 from hyperrag.alignment import (
+    AlignmentConfig,
     EmbeddingTable,
     embed_corpus_rows,
     id_ranks,
@@ -17,6 +18,8 @@ from hyperrag.alignment import (
     retrieve_topk,
 )
 from hyperrag.errors import ConfigurationError, ContractViolation, HyperRagError
+from hyperrag.gate import CrmConfig
+from hyperrag.generation import GenConfig
 from hyperrag.io import canonical_json_bytes
 from hyperrag.pipeline import (
     AdamW,
@@ -127,11 +130,39 @@ class TestConfig:
             {"t_decay": 0.0},
             {"crm_lr": -0.01},
             {"ot_max_iter": 0},
+            {"crm_batch_size": 0},
         ],
     )
     def test_invalid_fields(self, overrides):
         with pytest.raises(ConfigurationError):
             PipelineConfig(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, stage",
+        [
+            ({"crm_lr": 0.0}, "CrmConfig"),
+            ({"crm_hidden": 0}, "CrmConfig"),
+            ({"dim": 1}, "AlignmentConfig"),
+            ({"lr": 0.0}, "AlignmentConfig"),
+            ({"epsilon": 0.0}, "GenConfig"),
+            ({"ot_max_iter": 0}, "GenConfig"),
+        ],
+    )
+    def test_stage_rule_names_its_stage_config(self, overrides, stage):
+        with pytest.raises(ConfigurationError, match=rf"\[stage: {stage}\]"):
+            PipelineConfig(**overrides).validate()
+
+    def test_stage_configs_read_their_fields(self):
+        cfg = PipelineConfig(
+            dim=6, lr=0.3, epochs=2, batch_size=5, seed=4, epsilon=0.2, t_decay=7.0,
+            ot_max_iter=9, crm_hidden=3, crm_lr=0.4, crm_epochs=11, crm_batch_size=2,
+        )
+        assert cfg.crm_config() == CrmConfig(hidden=3, lr=0.4, epochs=11, seed=4, batch_size=2)
+        assert cfg.alignment_config() == AlignmentConfig(
+            dim=6, lr=0.3, epochs=2, batch_size=5, seed=4
+        )
+        # gen keeps GenConfig's own lr, epochs and t_decay.
+        assert cfg.gen_config() == GenConfig(seed=4, epsilon=0.2, ot_max_iter=9)
 
 
 class TestReports:
@@ -477,6 +508,19 @@ class TestPhase1Inputs:
 
 
 class TestEvaluate:
+    def test_trained_components_answer_from_the_training_index(self, monkeypatch):
+        """``run_training`` ends with the trained table's index, which every
+        answer of ``evaluate`` reads: no answer builds another."""
+        bundle = synth_bundle(PLANTED_SPEC)
+        components, _ = run_training(SMALL_CFG, bundle)
+        built = []
+        build = ReadIndex.build
+        monkeypatch.setattr(ReadIndex, "build", lambda *args: built.append(args) or build(*args))
+        evaluate(components, bundle)
+        assert built == []
+        rows = components.read_index().corpus_rows
+        assert np.array_equal(rows, embed_corpus_rows(components.table, components.items))
+
     def test_planted_metrics(self, planted):
         bundle, components, _ = planted
         report = evaluate(components, bundle)

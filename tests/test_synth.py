@@ -134,6 +134,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="graph_size"):
             SynthSpec(num_clusters=8, graph_size=4).validate()
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SynthSpec(num_items=4, num_clusters=5, graph_size=10),
+            SynthSpec(num_items=10, num_clusters=5, noise_frac=0.6),
+        ],
+    )
+    def test_non_distractor_items_must_cover_clusters(self, spec):
+        with pytest.raises(ConfigurationError, match="non-distractor items cannot cover 5"):
+            spec.validate()
+
     def test_zero_queries(self):
         with pytest.raises(ConfigurationError, match="sizes"):
             SynthSpec(num_queries=0).validate()
