@@ -151,6 +151,7 @@ def cmd_refine(args, config: PipelineConfig, writer: RecordWriter) -> int:
     bundle = _bundle_arg(args)
     query = _pick_query(bundle, args.query)
     sub = query_subgraph(config, bundle.graph, query)
+    inside, (u, v, _) = sub.indicator > 0, bundle.graph.edge_arrays()
     writer.emit(
         {
             "query": query.id,
@@ -159,7 +160,7 @@ def cmd_refine(args, config: PipelineConfig, writer: RecordWriter) -> int:
             "relevance_mass": sub.relevance_mass,
             "eta": sub.eta,
             "fallback_used": sub.fallback_used,
-            "induced_edges": len(sub.induced_edges),
+            "induced_edges": int(np.sum(inside[u] & inside[v])),
         }
     )
     return 0

@@ -156,11 +156,13 @@ def acosh_from_excess(s: float) -> float:
 
     Exact rearrangement of the defining logarithm: no cancellation for any
     s >= 0, and smooth down to the sqrt(2s) behaviour at 0.  Negative s
-    (round-off below the clamp) maps to 0.
+    (round-off below the clamp) maps to 0.  Where s(s+2) overflows (s past
+    about 1.3e154), log(2) + log1p(s) is arccosh(1 + s) to rounding.
     """
     if s <= 0.0:
         return 0.0
-    return math.log1p(s + math.sqrt(s * (s + 2.0)))
+    prod = s * (s + 2.0)
+    return math.log(2.0) + math.log1p(s) if math.isinf(prod) else math.log1p(s + math.sqrt(prod))
 
 
 def acosh_stable(a: float) -> float:
@@ -294,8 +296,9 @@ def lift_spatial(spatial: np.ndarray) -> np.ndarray:
 
 def acosh_stable_array(a: np.ndarray) -> np.ndarray:
     s = np.maximum(np.asarray(a, dtype=float) - 1.0, 0.0)
-    with np.errstate(over="ignore"):  # s past about 1e154: the distance is inf
-        return np.log1p(s + np.sqrt(s * (s + 2.0)))
+    with np.errstate(over="ignore"):  # s past about 1.3e154
+        prod = s * (s + 2.0)
+    return np.where(np.isinf(prod), np.log(2.0) + np.log1p(s), np.log1p(s + np.sqrt(prod)))
 
 
 def distances_to_rows(point: LorentzPoint, coords_rows: np.ndarray) -> np.ndarray:

@@ -60,6 +60,7 @@ from .io import canonical_json_bytes
 from .spectral import (
     KnowledgeGraph,
     Subgraph,
+    SweepKeys,
     embed_triplets,
     extract_triplets,  # noqa: F401 (perfbench's tracer test rebinds it here)
     laplacian,
@@ -287,9 +288,11 @@ class PipelineComponents:
 
     Every retrieve-path answer reads one ``ReadIndex`` of ``table``,
     ``graph`` and ``items``: the one ``run_training`` hands over, or one
-    built on the first such answer.  So do not mutate a components object:
-    copy it with ``dataclasses.replace`` (or ``with_crm``), which starts
-    without an index and builds its own.
+    built on the first such answer.  Training also hands over each gated
+    query's ``Subgraph``, which answers the query with the same id and
+    feature arrays.  So do not mutate a components object: copy it with
+    ``dataclasses.replace``, which keeps neither, or ``with_crm``, which
+    keeps the subgraphs (the gate does not change a refinement).
     """
 
     config: PipelineConfig
@@ -298,21 +301,33 @@ class PipelineComponents:
     theta: float
     generator: ToyGenerator
     graph: KnowledgeGraph
-    eigvecs: np.ndarray
+    sweep_keys: SweepKeys
     items: list[KnowledgeItem]
     token_embeddings: np.ndarray
     confidence: dict[str, np.ndarray]
     answer_len: int
     crm_enabled: bool = True
     _index: ReadIndex | None = field(default=None, init=False, repr=False, compare=False)
+    _subgraphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def read_index(self) -> ReadIndex:
         if self._index is None:
             self._index = ReadIndex.build(self.table, self.graph, self.items)
         return self._index
 
+    def subgraph_for(self, query: Query) -> Subgraph:
+        """The subgraph kept for a trained query with this id and these
+        feature arrays, else ``query_subgraph`` refined here."""
+        trained, kept = self._subgraphs.get(query.id, (None, None))
+        names = ("visual_features", "text_features")
+        if kept and all(np.array_equal(getattr(query, f), getattr(trained, f)) for f in names):
+            return kept
+        return query_subgraph(self.config, self.graph, query, self.sweep_keys)
+
     def with_crm(self, enabled: bool) -> "PipelineComponents":
-        return replace(self, crm_enabled=enabled)
+        copy = replace(self, crm_enabled=enabled)
+        copy._subgraphs = self._subgraphs
+        return copy
 
 
 @dataclass(frozen=True)
@@ -394,15 +409,15 @@ def train_phase1(config: PipelineConfig, bundle: CorpusBundle):
 
 
 def query_subgraph(
-    config: PipelineConfig, graph: KnowledgeGraph, query: Query, eigvecs: np.ndarray | None = None
+    config: PipelineConfig, graph: KnowledgeGraph, query: Query, sweep_keys: SweepKeys | None = None
 ) -> Subgraph:
     """The query's refined subgraph: feature-dot relevance of every
     vertex, then ``refine_subgraph`` with eta = eta_frac * total relevance.
-    Without ``eigvecs`` the eigenvectors are computed here."""
+    Without ``sweep_keys`` the eigenvectors are computed here."""
     r = relevance_vector(query, graph)
     eta = config.eta_frac * r.total
     return refine_subgraph(
-        graph, r, eta=eta, k=config.k, rho=config.rho, eigvecs=eigvecs, seed=config.seed
+        graph, r, eta=eta, k=config.k, rho=config.rho, sweep_keys=sweep_keys, seed=config.seed
     )
 
 
@@ -438,11 +453,11 @@ def run_training(
     # Phase 2 fixtures: gating decisions, relevance vectors, and refined
     # subgraphs are table-independent, so they are computed once.
     eig_k = min(config.k, max(bundle.graph.size, 1))
-    _, eigvecs = smallest_eigenpairs(laplacian(bundle.graph), eig_k, seed=config.seed)
+    sweep_keys = SweepKeys(smallest_eigenpairs(laplacian(bundle.graph), eig_k, seed=config.seed)[1])
     sigma = {q.id: _sigma_of_scores(bundle.confidence.get(q.id)) for q in queries}
     delta = {qid: decide(s, theta) for qid, s in sigma.items()}
     subgraphs = {
-        q.id: query_subgraph(config, bundle.graph, q, eigvecs) for q in queries if delta[q.id] == 1
+        q.id: query_subgraph(config, bundle.graph, q, sweep_keys) for q in queries if delta[q.id] == 1
     }
 
     generator = ToyGenerator(vocab, 2 * config.dim)
@@ -563,13 +578,14 @@ def run_training(
         theta=theta,
         generator=generator,
         graph=bundle.graph,
-        eigvecs=eigvecs,
+        sweep_keys=sweep_keys,
         items=items,
         token_embeddings=bundle.token_embeddings,
         confidence=dict(bundle.confidence),
         answer_len=answer_len,
     )
     components._index = index
+    components._subgraphs = {q.id: (q, subgraphs[q.id]) for q in queries if q.id in subgraphs}
     return components, reports
 
 
@@ -615,7 +631,7 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
 
         t0 = time.perf_counter()
         with _stage("refine"):
-            subgraph = query_subgraph(cfg, components.graph, query, components.eigvecs)
+            subgraph = components.subgraph_for(query)
             triplet_rows = index.triplet_evidence(subgraph)
         timings["refine"] = time.perf_counter() - t0
 

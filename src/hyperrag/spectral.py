@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -278,15 +278,19 @@ def relevance_vector(query: Query, graph: KnowledgeGraph) -> RelevanceVector:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """A selected vertex set with its induced edges and build parameters."""
+    """A selected vertex set, its read-only 0/1 indicator and its build parameters."""
 
     selected: tuple[str, ...]
     indicator: np.ndarray
-    induced_edges: tuple[tuple[str, str, float], ...]
     eta: float
     relevance_mass: float
     objective: float
     fallback_used: bool = False
+
+    def __post_init__(self):
+        arr = np.array(self.indicator, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "indicator", arr)
 
     @property
     def vertex_set(self) -> frozenset:
@@ -338,14 +342,29 @@ def _prefix_profiles(graph: KnowledgeGraph, orders: np.ndarray, r: np.ndarray, r
     return np.cumsum(internal, axis=1) + rho * np.cumsum(cut.reshape(m, n + 1), axis=1), mass
 
 
-def _sweep_orders(eigvecs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows 2c and 2c+1 sweep column c of ``eigvecs``, sign-canonical, and
-    its negation: vertices by quantized coordinate, quantized r, index."""
-    pivots = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(eigvecs.shape[1])]
-    vecs = np.where(pivots < 0, -eigvecs, eigvecs).T
-    base = np.lexsort((np.arange(r.size), np.round(r / _SORT_QUANTUM)))
-    keys = np.stack([vecs, -vecs], axis=1).reshape(-1, r.size)[:, base] / _SORT_QUANTUM
-    return base[np.argsort(np.round(keys) * _SORT_QUANTUM, axis=1, kind="stable")]
+@dataclass(frozen=True)
+class SweepKeys:
+    """Eigenvectors and each sweep row's dense rank of its quantized key, built
+    once per eigenvector set.  Rows 2c and 2c+1 sweep column c, sign-canonical,
+    and its negation; a column whose keys all tie is one order, and one row."""
+
+    eigvecs: np.ndarray
+    ranks: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, k = self.eigvecs.shape
+        pivots = self.eigvecs[np.argmax(np.abs(self.eigvecs), axis=0), np.arange(k)]
+        vecs = np.where(pivots < 0, -self.eigvecs, self.eigvecs).T
+        keys = np.round(np.stack([vecs, -vecs], axis=1) / _SORT_QUANTUM) * _SORT_QUANTUM
+        ranks = [np.unique(row, return_inverse=True)[1] for row in keys.reshape(2 * k, n)]
+        kept = [rank for i, rank in enumerate(ranks) if i % 2 == 0 or rank.any()]
+        object.__setattr__(self, "ranks", np.array(kept))
+
+    def orders(self, r: np.ndarray) -> np.ndarray:
+        """Each row's vertex order: by key rank, then quantized r, then index."""
+        base_rank = np.empty(r.size, dtype=np.intp)
+        base_rank[np.lexsort((np.arange(r.size), np.round(r / _SORT_QUANTUM)))] = np.arange(r.size)
+        return np.argsort(self.ranks * r.size + base_rank, axis=1)
 
 
 def refine_subgraph(
@@ -354,11 +373,12 @@ def refine_subgraph(
     eta: float,
     k: int = 10,
     rho: float = 1.0,
-    eigvecs: np.ndarray | None = None,
+    sweep_keys: SweepKeys | None = None,
     seed: int = 0,
 ) -> Subgraph:
     """Sweep-cut rounding over the k smallest-eigenvalue eigenvectors with
     the relevance-mass feasibility filter sum_{i in S} r_i >= eta.
+    ``sweep_keys`` carries precomputed eigenvectors; k then goes unused.
 
     Candidate pool: all prefix/suffix sweeps of each eigenvector, plus the
     empty set and the full set.  Ties resolve by objective, then set size,
@@ -381,15 +401,15 @@ def refine_subgraph(
         raise InfeasibleConstraintError(
             f"eta={eta} exceeds total relevance mass {total_mass:.6g}"
         )
-    if eigvecs is None:
-        _, eigvecs = smallest_eigenpairs(laplacian(graph), min(k, n), seed=seed)
+    if sweep_keys is None:
+        sweep_keys = SweepKeys(smallest_eigenpairs(laplacian(graph), min(k, n), seed=seed)[1])
     # Each candidate is (objective, size, member index array).
     candidates: list[tuple[float, int, np.ndarray]] = []
     all_idx = np.arange(n)
     candidates.append((subgraph_objective(graph, np.ones(n, dtype=bool), r_arr, rho), n, all_idx))
     if 0.0 >= eta - _FEASIBLE_ATOL:
         candidates.append((0.0, 0, all_idx[:0]))
-    orders = _sweep_orders(eigvecs, r_arr)
+    orders = sweep_keys.orders(r_arr)
     objective, mass = _prefix_profiles(graph, orders, r_arr, rho)
     # Proper prefixes only; infeasible ones are masked out.  The per-row
     # argmin matches the global (objective, size) order because argmin
@@ -417,16 +437,9 @@ def refine_subgraph(
     mass = float(r_arr[members].sum())
     if mass < eta - _FEASIBLE_ATOL:
         raise NumericalError("selected subgraph violates its relevance constraint")
-    u, v, w = graph.edge_arrays()
-    inside = members[u] & members[v]
-    induced = tuple(
-        (ids[a], ids[b], wt)
-        for a, b, wt in zip(u[inside].tolist(), v[inside].tolist(), w[inside].tolist())
-    )
     return Subgraph(
         selected=best_ids,
-        indicator=members.astype(float),
-        induced_edges=induced,
+        indicator=members,
         eta=eta,
         relevance_mass=mass,
         objective=best_obj,
@@ -495,7 +508,7 @@ def cheeger_check(graph: KnowledgeGraph, seed: int = 0) -> CheegerReport:
     deg = graph.degrees
     scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 1.0)
     y = vecs_n[:, 1] * scale
-    order = _sweep_orders(y[:, None], np.zeros(n))[0]
+    order = SweepKeys(y[:, None]).orders(np.zeros(n))[0]
     # Cuts and volumes are sums of nonnegative terms, with no subtraction,
     # so that a heavy edge cannot cancel the light ones.
     u, v, w = graph.edge_arrays()

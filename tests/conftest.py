@@ -34,6 +34,15 @@ def set_field(path, lineno: int, column: int, value: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def assert_same_subgraph(got, want):
+    """Every Subgraph field equal, floats bit for bit."""
+    assert got.selected == want.selected
+    assert np.array_equal(got.indicator, want.indicator)
+    assert (got.eta, got.relevance_mass, got.objective, got.fallback_used) == (
+        want.eta, want.relevance_mass, want.objective, want.fallback_used
+    )
+
+
 def scalar_triplet_rows(graph, table, triplets) -> np.ndarray:
     """Reference for ``spectral.embed_triplets``: each triplet embeds its
     head, relation and tail again, builds its point, and the points go

@@ -19,8 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperrag import spectral
+from hyperrag.alignment import rank_rows
 from hyperrag.cli import load_config, main
 from hyperrag.errors import ConfigurationError, HyperRagError
+from hyperrag.geometry import distances_to_rows
 from hyperrag.io import load_table
 from hyperrag.pipeline import PipelineConfig, answer_query, run_training
 from hyperrag.synth import load_bundle
@@ -217,6 +219,9 @@ class TestStageCommands:
         assert code == 0
         (rec,) = records(out)
         assert rec["selected"] == list(result.subgraph.selected)
+        u, v, _ = bundle.graph.edge_arrays()
+        inside = result.subgraph.indicator > 0
+        assert rec["induced_edges"] == int(np.sum(inside[u] & inside[v])) > 0
 
     def test_cheeger_bound_holds(self, workdir, capsys):
         code, out, _ = run_cli(["cheeger", *base_args(workdir)], capsys)
@@ -240,7 +245,7 @@ class TestStageCommands:
         graph = load_bundle(bundle).graph
         _, vecs = spectral.smallest_eigenpairs(spectral.normalized_laplacian(graph), 2)
         y = vecs[:, 1] / np.sqrt(graph.degrees)
-        order = spectral._sweep_orders(y[:, None], np.zeros(graph.size))[0]
+        order = spectral.SweepKeys(y[:, None]).orders(np.zeros(graph.size))[0]
         ids = [vert.id for vert in graph.vertices]
         best = min(
             spectral.conductance(graph, [ids[i] for i in order[:s]]) for s in range(1, graph.size)
@@ -502,6 +507,26 @@ class TestErrorSurface:
         assert record["category"] == "divergence"
         assert "phase 2 diverged in epoch 3" in record["message"]
         assert "[stage: phase2 epoch 3 index]" in record["message"]
+
+    def test_diverged_finite_table_ranks_by_distance(self, workdir):
+        """With ``lr`` 1e16 the table stays finite, but the excess s of every
+        query-item distance passes the point where s * (s + 2) overflows:
+        the distances stay finite and still rank the corpus."""
+        bundle = load_bundle(workdir / "bundle")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            components, _ = run_training(PipelineConfig(**{**TINY_CONFIG, "lr": 1e16}), bundle)
+            index = components.read_index()
+            query = bundle.queries[0]
+            dists = distances_to_rows(components.table.embed_query(query), index.corpus_rows)
+            ranked = rank_rows(
+                components.table, query, components.items, index.corpus_rows,
+                len(components.items), index.corpus_id_key,
+            )
+        assert np.all(np.isfinite(dists)) and dists.min() > 356.0
+        ids = [doc.id for doc, _ in ranked]
+        assert ids != sorted(ids)
+        assert [d for _, d in ranked] == sorted(dists.tolist())
 
     def test_rho_overflowing_edge_weight_is_config_error(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -137,13 +137,41 @@ class TestAcoshStable:
         assert_allclose(acosh_stable_array(a), expected, rtol=1e-14)
 
     def test_array_variant_huge_excess_without_warning(self):
-        # s * (s + 2) overflows once the excess s passes about 1e154; the
-        # distance then reads inf, still the farthest, with no warning.
+        # s * (s + 2) overflows once the excess s passes about 1.3e154; the
+        # distance stays finite and the farthest, with no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = acosh_stable_array(np.array([1.0, 1e150, 1e160, 1e300]))
         assert out[0] == 0.0 and math.isfinite(out[1])
         assert list(out) == sorted(out)
+
+
+    def test_past_the_overflow_point(self):
+        excess = np.logspace(150, 300, 151)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arr = acosh_stable_array(1.0 + excess)
+            scalar = [acosh_from_excess(s) for s in excess.tolist()]
+        want = [math.acosh(1.0 + s) for s in excess.tolist()]
+        assert_allclose(arr, want, rtol=1e-15, atol=0.0)
+        assert_allclose(scalar, want, rtol=1e-15, atol=0.0)
+
+    def test_below_the_branch_bits_unchanged(self, rng):
+        # The expressions before the overflow branch, as test-only copies.
+        def old_array(a):
+            s = np.maximum(a - 1.0, 0.0)
+            return np.log1p(s + np.sqrt(s * (s + 2.0)))
+
+        def old_scalar(s):
+            return 0.0 if s <= 0.0 else math.log1p(s + math.sqrt(s * (s + 2.0)))
+
+        sampled = 10.0 ** rng.uniform(-16, 154, 2000)
+        excess = np.concatenate([[0.0, 1e-300, 1e-13, 1.3e154], sampled])
+        a = 1.0 + excess
+        assert np.array_equal(acosh_stable_array(a), old_array(a))
+        assert [acosh_from_excess(s) for s in excess.tolist()] == [
+            old_scalar(s) for s in excess.tolist()
+        ]
 
 
 class TestGeodesicDistance:

@@ -8,7 +8,9 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from hyperrag import generation
+from dataclasses import replace
+
+from hyperrag import generation, pipeline
 from hyperrag.alignment import (
     AlignmentConfig,
     EmbeddingTable,
@@ -30,6 +32,7 @@ from hyperrag.pipeline import (
     answer_query,
     evaluate,
     phase1_inputs,
+    query_subgraph,
     run_training,
     total_loss,
 )
@@ -42,7 +45,7 @@ from hyperrag.spectral import (
 )
 from hyperrag.synth import SynthSpec, synth_bundle
 
-from conftest import scalar_triplet_rows
+from conftest import assert_same_subgraph, scalar_triplet_rows
 
 PLANTED_SPEC = SynthSpec(
     num_queries=30, num_items=90, num_clusters=3, graph_size=30, seed=13
@@ -550,3 +553,73 @@ class TestEvaluate:
         assert on.accuracy >= off.accuracy
         # The gate actually skips retrieval for the answerable slice.
         assert 0.0 < reports[-1].delta_rate < 1.0
+
+
+@pytest.fixture(scope="module")
+def small_trained():
+    bundle = synth_bundle(PLANTED_SPEC)
+    components, _ = run_training(SMALL_CFG, bundle)
+    return bundle, components
+
+
+def spy(monkeypatch, name):
+    """Record the positional arguments of each call to ``pipeline.<name>``."""
+    calls = []
+    original = getattr(pipeline, name)
+    monkeypatch.setattr(
+        pipeline, name, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+    )
+    return calls
+
+
+class TestKeptSubgraphs:
+    """``run_training`` hands each gated query's ``Subgraph`` to the
+    components; an answer uses it only for the trained query's features."""
+
+    def test_evaluate_refines_nothing(self, small_trained, monkeypatch):
+        bundle, components = small_trained
+        calls = spy(monkeypatch, "refine_subgraph")
+        evaluate(components, bundle)
+        assert calls == []
+
+    def test_every_gated_answer_equals_a_fresh_refine(self, small_trained):
+        bundle, components = small_trained
+        gated = 0
+        for q in bundle.queries:
+            result = answer_query(components, q)
+            if result.delta == 1:
+                gated += 1
+                fresh = query_subgraph(components.config, components.graph, q)
+                assert_same_subgraph(result.subgraph, fresh)
+        assert 0 < gated < len(bundle.queries)
+
+    def test_changed_features_refine_afresh(self, small_trained, monkeypatch):
+        bundle, components = small_trained
+        q = next(q for q in bundle.queries if answer_query(components, q).delta == 1)
+        changed = replace(q, text_features=q.text_features[::-1])
+        calls = spy(monkeypatch, "query_subgraph")
+        result = answer_query(components, changed)
+        assert [args[2] for args in calls] == [changed]
+        fresh = query_subgraph(components.config, components.graph, changed)
+        assert_same_subgraph(result.subgraph, fresh)
+        assert result.subgraph.eta != answer_query(components, q).subgraph.eta
+
+    def test_without_crm_refines_exactly_the_ungated(self, small_trained, monkeypatch):
+        bundle, components = small_trained
+        ungated = [q for q in bundle.queries if answer_query(components, q).delta == 0]
+        off = components.with_crm(False)
+        calls = spy(monkeypatch, "query_subgraph")
+        results = [answer_query(off, q) for q in bundle.queries]
+        assert [args[2] for args in calls] == ungated
+        assert all(result.delta == 1 for result in results)
+
+    def test_replaced_config_keeps_nothing(self, small_trained, monkeypatch):
+        bundle, components = small_trained
+        config = replace(components.config, eta_frac=0.3)
+        other = replace(components, config=config)
+        calls = spy(monkeypatch, "query_subgraph")
+        for q in bundle.queries:
+            result = answer_query(other, q)
+            if result.delta == 1:
+                assert_same_subgraph(result.subgraph, query_subgraph(config, other.graph, q))
+        assert len(calls) == sum(answer_query(components, q).delta for q in bundle.queries)

@@ -26,6 +26,7 @@ from hyperrag.spectral import (
     GraphVertex,
     KnowledgeGraph,
     RelevanceVector,
+    SweepKeys,
     cheeger_check,
     conductance,
     connected_components,
@@ -42,7 +43,7 @@ from hyperrag.spectral import (
 )
 from hyperrag.synth import SynthSpec, synth_bundle
 
-from conftest import scalar_triplet_rows
+from conftest import assert_same_subgraph, scalar_triplet_rows
 
 SIGMOID_4 = 0.9820137900379085
 
@@ -395,28 +396,13 @@ def per_sweep_refine(graph, r, eta, rho, eigvecs):
     )
     members = np.zeros(n, dtype=bool)
     members[[graph.vertex_index(i) for i in best_ids]] = True
-    inside = members[u] & members[v]
     return spectral.Subgraph(
         selected=best_ids,
         indicator=members.astype(float),
-        induced_edges=tuple(
-            (graph.vertices[a].id, graph.vertices[b].id, float(wt))
-            for a, b, wt in zip(u[inside], v[inside], w[inside])
-        ),
         eta=eta,
         relevance_mass=float(r[members].sum()),
         objective=best[0],
         fallback_used=not proper_feasible and best[1] == n,
-    )
-
-
-def assert_same_subgraph(got, want):
-    """Every Subgraph field equal, floats bit for bit."""
-    assert got.selected == want.selected
-    assert np.array_equal(got.indicator, want.indicator)
-    assert got.induced_edges == want.induced_edges
-    assert (got.eta, got.relevance_mass, got.objective, got.fallback_used) == (
-        want.eta, want.relevance_mass, want.objective, want.fallback_used
     )
 
 
@@ -434,39 +420,110 @@ def default_bundles():
     return out
 
 
+def old_sweep_orders(eigvecs, r):
+    """The sweep orders as one stable argsort of 2k rows of quantized keys
+    per query, before key ranks: the oracle for ``SweepKeys.orders``."""
+    quantum = spectral._SORT_QUANTUM
+    pivots = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(eigvecs.shape[1])]
+    vecs = np.where(pivots < 0, -eigvecs, eigvecs).T
+    base = np.lexsort((np.arange(r.size), np.round(r / quantum)))
+    keys = np.stack([vecs, -vecs], axis=1).reshape(-1, r.size)[:, base] / quantum
+    return base[np.argsort(np.round(keys) * quantum, axis=1, kind="stable")]
+
+
+def tied_columns(eigvecs):
+    """Columns whose quantized keys are all equal."""
+    quantized = np.round(eigvecs / spectral._SORT_QUANTUM)
+    return [c for c in range(eigvecs.shape[1]) if np.unique(quantized[:, c]).size == 1]
+
+
+def assert_orders_match_old(keys, r):
+    """The rank path gives the old orders, less the negation row of each
+    fully tied column, which repeats the column's own row."""
+    old = old_sweep_orders(keys.eigvecs, r)
+    tied = tied_columns(keys.eigvecs)
+    for c in tied:
+        assert np.array_equal(old[2 * c], old[2 * c + 1])
+    kept = [i for i in range(len(old)) if i % 2 == 0 or i // 2 not in tied]
+    assert np.array_equal(keys.orders(r), old[kept])
+
+
+TIED_GRAPHS = pytest.mark.parametrize(
+    "graph",
+    [
+        # Components give eigenvectors constant on each component.
+        make_graph(9, [("v0", "v1", 1.0), ("v2", "v3", 2.0), ("v3", "v4", 1.0)]),
+        two_cliques(5),
+        complete_graph(7),
+    ],
+    ids=["components", "two-cliques", "K7"],
+)
+
+
+class TestSweepKeysMatchOldSweepOrders:
+    @pytest.mark.parametrize("bundle", [0, 1, 2])
+    def test_every_default_query(self, default_bundles, bundle):
+        graph, vecs, rel = default_bundles[bundle]
+        keys = SweepKeys(vecs)
+        assert tied_columns(vecs) == [0]
+        for r in rel:
+            assert_orders_match_old(keys, r)
+
+    @TIED_GRAPHS
+    def test_tied_graphs(self, graph, rng):
+        keys = SweepKeys(smallest_eigenpairs(laplacian(graph), graph.size)[1])
+        n = graph.size
+        for r in (np.full(n, 0.5), rng.choice([0.2, 0.7], n), rng.random(n)):
+            assert_orders_match_old(keys, r)
+
+    @TIED_GRAPHS
+    def test_fully_tied_column_swept_once(self, graph):
+        vecs = smallest_eigenpairs(laplacian(graph), graph.size)[1]
+        tied = tied_columns(vecs)
+        # Only a connected graph's constant eigenvector is sure to tie.
+        assert (0 in tied) == (connected_components(graph) == 1)
+        assert len(SweepKeys(vecs).ranks) == 2 * graph.size - len(tied)
+
+    def test_eigsh_bundle(self):
+        bundle = synth_bundle(SynthSpec(seed=42, graph_size=2000, num_queries=40, num_items=400))
+        graph = bundle.graph
+        assert graph.size > spectral.DENSE_EIG_CUTOFF
+        keys = SweepKeys(smallest_eigenpairs(laplacian(graph), 10, seed=42)[1])
+        for q in bundle.queries:
+            assert_orders_match_old(keys, relevance_vector(q, graph).values)
+
+    def test_cheeger_one_column(self):
+        y = np.array([0.3, -0.1, 0.3, 0.2, -0.1 + 1e-12, 0.0])
+        got = SweepKeys(y[:, None]).orders(np.zeros(6))
+        assert np.array_equal(got, old_sweep_orders(y[:, None], np.zeros(6)))
+
+
 class TestStackedSweepsMatchPerSweepLoop:
     @pytest.mark.parametrize("bundle", [0, 1, 2])
     def test_every_default_query_at_three_etas(self, default_bundles, bundle):
         graph, vecs, rel = default_bundles[bundle]
+        keys = SweepKeys(vecs)
         for r in rel:
             for eta in (0.5 * r.sum(), 0.0, 0.999 * r.sum()):
-                got = refine_subgraph(graph, r, eta=eta, k=10, rho=1.0, eigvecs=vecs)
+                got = refine_subgraph(graph, r, eta=eta, k=10, rho=1.0, sweep_keys=keys)
                 assert_same_subgraph(got, per_sweep_refine(graph, r, eta, 1.0, vecs))
 
-    @pytest.mark.parametrize(
-        "graph",
-        [
-            # Components give eigenvectors constant on each component.
-            make_graph(9, [("v0", "v1", 1.0), ("v2", "v3", 2.0), ("v3", "v4", 1.0)]),
-            two_cliques(5),
-            complete_graph(7),
-        ],
-        ids=["components", "two-cliques", "K7"],
-    )
+    @TIED_GRAPHS
     def test_tied_sweep_keys(self, graph, rng):
         vecs = smallest_eigenpairs(laplacian(graph), graph.size)[1]
+        keys = SweepKeys(vecs)
         # Relevance with repeated values, so ties fall through to the index.
         for r in (np.full(graph.size, 0.5), rng.choice([0.2, 0.7], graph.size)):
             for eta in (0.0, 0.3 * r.sum(), r.sum()):
                 for rho in (0.0, 1.0):
-                    got = refine_subgraph(graph, r, eta=eta, rho=rho, eigvecs=vecs)
+                    got = refine_subgraph(graph, r, eta=eta, rho=rho, sweep_keys=keys)
                     assert_same_subgraph(got, per_sweep_refine(graph, r, eta, rho, vecs))
 
     def test_fallback(self):
         g = make_graph(3, [("v0", "v1", 1.0), ("v1", "v2", 1.0)])
         r = np.array([0.5, 0.5, 0.5])
         _, vecs = smallest_eigenpairs(laplacian(g), 2)
-        got = refine_subgraph(g, r, eta=1.5, k=2, eigvecs=vecs)
+        got = refine_subgraph(g, r, eta=1.5, k=2, sweep_keys=SweepKeys(vecs))
         assert got.fallback_used
         assert_same_subgraph(got, per_sweep_refine(g, r, 1.5, 1.0, vecs))
 
@@ -485,7 +542,8 @@ class TestRefineSubgraph:
         assert sub.relevance_mass == pytest.approx(3.8, rel=1e-12)
         # Smooth term vanishes inside the clique; only the bridge is cut.
         assert sub.objective == pytest.approx(0.5, rel=1e-12)
-        assert len(sub.induced_edges) == 6
+        u, v, _ = g.edge_arrays()
+        assert np.sum((sub.indicator[u] > 0) & (sub.indicator[v] > 0)) == 6
 
     def test_matches_brute_force_on_planted(self):
         g, r = self.planted()
@@ -528,12 +586,18 @@ class TestRefineSubgraph:
         with pytest.raises(InfeasibleConstraintError):
             refine_subgraph(g, r, eta=float(r.sum()) + 1.0, k=2)
 
+    def test_indicator_is_read_only(self):
+        g, r = self.planted()
+        sub = refine_subgraph(g, r, eta=3.5, k=4, rho=0.5)
+        with pytest.raises(ValueError):
+            sub.indicator[0] = 0.0
+
     def test_zero_eta_returns_empty_set(self):
         g, r = self.planted()
         sub = refine_subgraph(g, r, eta=0.0, k=2)
         assert sub.selected == ()
         assert sub.objective == 0.0
-        assert sub.induced_edges == ()
+        assert not sub.indicator.any()
 
     def test_fallback_to_full_set(self):
         g = make_graph(3, [("v0", "v1", 1.0), ("v1", "v2", 1.0)])
@@ -553,7 +617,7 @@ class TestRefineSubgraph:
         g, r = self.planted()
         _, vecs = smallest_eigenpairs(laplacian(g), 4)
         direct = refine_subgraph(g, r, eta=3.5, k=4, rho=0.5)
-        cached = refine_subgraph(g, r, eta=3.5, k=4, rho=0.5, eigvecs=vecs)
+        cached = refine_subgraph(g, r, eta=3.5, k=4, rho=0.5, sweep_keys=SweepKeys(vecs))
         assert direct.selected == cached.selected
 
     def test_negative_rho_rejected(self):
