@@ -25,7 +25,6 @@ from .geometry import (
     distance_spatial_grad,
     distances_to_rows,
     geodesic_distance,
-    lift_spatial,
     origin_log_rows,
     project_rows,
     project_to_hyperboloid,
@@ -186,24 +185,21 @@ def _modality_features(table: EmbeddingTable, items: list[KnowledgeItem]):
 
 
 def embed_corpus_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
-    """Hyperboloid coordinates for every item, stacked as (m, dim+1) rows."""
+    """``table.embed_item(item).coords`` for every item, stacked as
+    (len(items), dim+1) rows, each bit for bit that of one item: one
+    stacked GEMV per modality, then the row-wise lift, which raises for the
+    first bad item."""
     spatial = np.empty((len(items), table.dim))
     for mod, idxs, feats in _modality_features(table, items):
-        spatial[idxs] = feats @ table.weight[mod].T + table.bias[mod]
-    return lift_spatial(spatial)
+        spatial[idxs] = table.spatial(feats, mod)
+    return project_rows(spatial)
 
 
 def item_tangent_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
     """``log_map(origin, table.embed_item(item)).components[1:]`` for every
     item, stacked: shape (len(items), dim), each row bit for bit that of
-    one item.  One stacked GEMV per modality, then the row-wise lift and
-    origin log, which raise for the first bad item.  (``embed_corpus_rows``
-    makes one GEMM per modality instead, whose rows differ in the last
-    bits.)"""
-    spatial = np.empty((len(items), table.dim))
-    for mod, idxs, feats in _modality_features(table, items):
-        spatial[idxs] = table.spatial(feats, mod)
-    return origin_log_rows(project_rows(spatial))[:, 1:]
+    one item."""
+    return origin_log_rows(embed_corpus_rows(table, items))[:, 1:]
 
 
 @dataclass(frozen=True)

@@ -165,13 +165,12 @@ def acosh_from_excess(s: float) -> float:
     return math.log(2.0) + math.log1p(s) if math.isinf(prod) else math.log1p(s + math.sqrt(prod))
 
 
-def acosh_stable(a: float) -> float:
-    """arccosh with the argument clamped to >= 1.
-
-    -<x,y>_L >= 1 holds exactly for on-manifold points; round-off can push
-    the computed value to 1 - 1e-15, which the clamp absorbs.
-    """
-    return acosh_from_excess(a - 1.0)
+def _sinh_from_excess(s: float) -> float:
+    """sinh(arccosh(1 + s)) = sqrt(s(s+2)) for s > 0.  Where s(s+2)
+    overflows (s past about 1.3e154), sqrt(s) * sqrt(s+2) is the same
+    value to rounding."""
+    prod = s * (s + 2.0)
+    return math.sqrt(s) * math.sqrt(s + 2.0) if math.isinf(prod) else math.sqrt(prod)
 
 
 def _check_on_manifold(p: LorentzPoint, tol: float) -> None:
@@ -181,20 +180,25 @@ def _check_on_manifold(p: LorentzPoint, tol: float) -> None:
         raise InvalidPointError(f"off-manifold input: constraint violated by {violation:.3e}")
 
 
+def _excess(x: np.ndarray, y: np.ndarray) -> float:
+    """-<x,y>_L - 1 for hyperboloid coordinates x and y.  For nearby points
+    -<x,y>_L cancels to ~1 and loses the excess; the identity
+    <y-x, y-x>_L = 2(-<x,y>_L - 1) recovers it from small, fully-precise
+    differences."""
+    s = -_inner_unchecked(x, y) - 1.0
+    if s < 1e-4:
+        diff = y - x
+        s = 0.5 * _inner_unchecked(diff, diff)
+    return s
+
+
 def geodesic_distance(x: LorentzPoint, y: LorentzPoint) -> float:
     """Geodesic distance arccosh(-<x,y>_L); symmetric and non-negative."""
     _check_on_manifold(x, DISTANCE_INPUT_ATOL)
     _check_on_manifold(y, DISTANCE_INPUT_ATOL)
     if x.coords.shape != y.coords.shape:
         raise ContractViolation("points live in different dimensions")
-    s = -_inner_unchecked(x.coords, y.coords) - 1.0
-    if s < 1e-4:
-        # Nearby points: -<x,y>_L cancels to ~1 and loses the excess.  The
-        # identity <y-x, y-x>_L = 2(-<x,y>_L - 1) recovers it from small,
-        # fully-precise differences.
-        diff = y.coords - x.coords
-        s = 0.5 * _inner_unchecked(diff, diff)
-    return acosh_from_excess(s)
+    return acosh_from_excess(_excess(x.coords, y.coords))
 
 
 def exp_map(x: LorentzPoint, u: TangentVector) -> LorentzPoint:
@@ -222,18 +226,14 @@ def log_map(x: LorentzPoint, y: LorentzPoint) -> TangentVector:
     """
     if x.coords.shape != y.coords.shape:
         raise ContractViolation("points live in different dimensions")
-    diff = y.coords - x.coords
-    s = -_inner_unchecked(x.coords, y.coords) - 1.0
-    if s < 1e-4:
-        s = 0.5 * _inner_unchecked(diff, diff)
+    s = _excess(x.coords, y.coords)
     d = acosh_from_excess(s)
     if d < _ZERO_NORM_CUTOFF:
         return TangentVector(x, np.zeros_like(x.coords))
-    # w = y + <x,y>_L x = diff - s*x is the tangential part of y at x, with
-    # <w,w>_L = a^2 - 1 = s(s+2); both forms keep precision near s=0.
-    w = diff - s * x.coords
-    norm_w = math.sqrt(s * (s + 2.0))
-    return TangentVector(x, (d / norm_w) * w)
+    # w = y + <x,y>_L x = (y - x) - s*x is the tangential part of y at x,
+    # with <w,w>_L = a^2 - 1 = s(s+2); both forms keep precision near s=0.
+    w = (y.coords - x.coords) - s * x.coords
+    return TangentVector(x, (d / _sinh_from_excess(s)) * w)
 
 
 def riemannian_gradient(x: LorentzPoint, euclidean_grad) -> TangentVector:
@@ -276,22 +276,13 @@ def distance_spatial_grad(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
     s = a - 1.0
     if s < _GRAD_COINCIDENCE_CUTOFF:
         return np.zeros(x.dim)
-    sinh_d = math.sqrt(s * (s + 2.0))
-    return (x.space * (y.coords[0] / x.coords[0]) - y.space) / sinh_d
+    return (x.space * (y.coords[0] / x.coords[0]) - y.space) / _sinh_from_excess(s)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized helpers over stacked spatial coordinates.  These are the hot
-# paths for retrieval and alignment training; semantics match the scalar
-# operations above.
+# Vectorized distances over stacked hyperboloid rows: the retrieval scan.
+# Semantics match the scalar distance above; the last bits need not.
 # ---------------------------------------------------------------------------
-
-
-def lift_spatial(spatial: np.ndarray) -> np.ndarray:
-    """Row-wise project_to_hyperboloid: (m, n) spatial -> (m, n+1) coords."""
-    spatial = np.atleast_2d(np.asarray(spatial, dtype=float))
-    t = np.sqrt(1.0 + np.einsum("ij,ij->i", spatial, spatial))
-    return np.column_stack([t, spatial])
 
 
 def acosh_stable_array(a: np.ndarray) -> np.ndarray:
@@ -387,11 +378,8 @@ def origin_log_rows(coords) -> np.ndarray:
         s = coords[:, 0] - 1.0
         near = 0.5 * (-diff[:, 0] * diff[:, 0] + _row_dots(diff[:, 1:], diff[:, 1:]))
         s = np.where(s < 1e-4, near, s)
-        root = np.sqrt(s * (s + 2.0))
-        d = np.array(
-            [0.0 if x <= 0.0 else math.log1p(x + r) for x, r in zip(s.tolist(), root.tolist())]
-        )
-        u = (d / root)[:, None] * (diff - s[:, None] * base)
+        d = np.array([acosh_from_excess(x) for x in s.tolist()])
+        u = (d / np.sqrt(s * (s + 2.0)))[:, None] * (diff - s[:, None] * base)
     u[d < _ZERO_NORM_CUTOFF] = 0.0
     _check_origin_tangents(u)
     return u

@@ -180,26 +180,23 @@ def connected_components(graph: KnowledgeGraph) -> int:
     return count
 
 
+def _dense_or_csr(lap, size: int):
+    """A sparse Laplacian as a dense ndarray up to DENSE_EIG_CUTOFF
+    vertices, as sparse CSR beyond."""
+    return np.asarray(lap.todense()) if size <= DENSE_EIG_CUTOFF else lap.tocsr()
+
+
 def laplacian(graph: KnowledgeGraph):
     """L = D - A.  Dense ndarray up to 512 vertices, sparse CSR beyond."""
-    adj = graph.adjacency()
-    lap = sp.diags(graph.degrees) - adj
-    if graph.size <= DENSE_EIG_CUTOFF:
-        return np.asarray(lap.todense())
-    return lap.tocsr()
+    return _dense_or_csr(sp.diags(graph.degrees) - graph.adjacency(), graph.size)
 
 
 def normalized_laplacian(graph: KnowledgeGraph):
     """I - D^{-1/2} A D^{-1/2}; zero-degree vertices get isolated zero rows."""
     deg = graph.degrees
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    adj = graph.adjacency()
-    norm_adj = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
-    eye = sp.diags((deg > 0).astype(float))
-    lap = eye - norm_adj
-    if graph.size <= DENSE_EIG_CUTOFF:
-        return np.asarray(lap.todense())
-    return lap.tocsr()
+    norm_adj = sp.diags(inv_sqrt) @ graph.adjacency() @ sp.diags(inv_sqrt)
+    return _dense_or_csr(sp.diags((deg > 0).astype(float)) - norm_adj, graph.size)
 
 
 def smallest_eigenpairs(

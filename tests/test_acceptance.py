@@ -45,7 +45,7 @@ from hyperrag.generation import (
 )
 from hyperrag.geometry import (
     LorentzPoint,
-    acosh_stable,
+    acosh_from_excess,
     distance_spatial_grad,
     exp_map,
     geodesic_distance,
@@ -183,7 +183,7 @@ def test_criterion_1_hyperbolic_geometry(capfd):
         for step in range(1000):
             t = targets[(step // 50) % len(targets)]
             a = -lorentz_inner(x.coords, t.coords)
-            d = acosh_stable(a)
+            d = acosh_from_excess(a - 1.0)
             if d > 1e-9:
                 coeff = d / math.sqrt(a * a - 1.0)
                 g = coeff * np.concatenate([[t.coords[0]], -t.space])

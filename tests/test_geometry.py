@@ -11,14 +11,13 @@ from hyperrag.errors import ContractViolation, DivergenceError, InvalidPointErro
 from hyperrag.geometry import (
     LorentzPoint,
     TangentVector,
+    _sinh_from_excess,
     acosh_from_excess,
-    acosh_stable,
     acosh_stable_array,
     distance_spatial_grad,
     distances_to_rows,
     exp_map,
     geodesic_distance,
-    lift_spatial,
     log_map,
     lorentz_inner,
     origin,
@@ -116,12 +115,12 @@ class TestProjection:
 
 class TestAcoshStable:
     def test_clamps_below_one(self):
-        assert acosh_stable(1.0 - 1e-15) == 0.0
-        assert acosh_stable(1.0) == 0.0
+        assert acosh_from_excess((1.0 - 1e-15) - 1.0) == 0.0
+        assert acosh_from_excess(1.0 - 1.0) == 0.0
 
     def test_matches_math_acosh(self):
         for a in [1.0 + 1e-9, 1.5, math.sqrt(2.0), 10.0, 1e6]:
-            assert_allclose(acosh_stable(a), math.acosh(a), rtol=1e-9)
+            assert_allclose(acosh_from_excess(a - 1.0), math.acosh(a), rtol=1e-9)
 
     def test_excess_form_near_zero(self):
         # arccosh(1+s) ~ sqrt(2s) as s -> 0; the log1p form must not lose
@@ -133,7 +132,7 @@ class TestAcoshStable:
 
     def test_array_variant_matches_scalar(self, rng):
         a = 1.0 + np.abs(rng.standard_normal(50))
-        expected = [acosh_stable(float(v)) for v in a]
+        expected = [acosh_from_excess(float(v) - 1.0) for v in a]
         assert_allclose(acosh_stable_array(a), expected, rtol=1e-14)
 
     def test_array_variant_huge_excess_without_warning(self):
@@ -296,7 +295,7 @@ class TestTangentAndGradient:
         prev = geodesic_distance(x, target)
         for _ in range(60):
             a = -lorentz_inner(x.coords, target.coords)
-            d = acosh_stable(a)
+            d = acosh_from_excess(a - 1.0)
             if d < 1e-9:
                 break
             coeff = d / math.sqrt(a * a - 1.0)
@@ -330,16 +329,33 @@ class TestTangentAndGradient:
         assert_allclose(distance_spatial_grad(x, x), np.zeros(4))
 
 
+class TestSinhFromExcess:
+    def test_distance_spatial_grad_past_the_overflow_point(self):
+        # The lifts of (+-1e78, 0) are at excess 2e156, where s * (s + 2)
+        # overflows; the gradient there is the analytic 1/v.
+        x = project_to_hyperboloid([1e78, 0.0])
+        y = project_to_hyperboloid([-1e78, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_allclose(distance_spatial_grad(x, y), [1e-78, 0.0], rtol=1e-12, atol=0.0)
+            assert_allclose(distance_spatial_grad(y, x), [-1e-78, 0.0], rtol=1e-12, atol=0.0)
+
+    def test_below_the_branch_bits_unchanged(self, rng):
+        excess = np.concatenate([[1e-12, 1e150], 10.0 ** rng.uniform(-12, 150, 2000)]).tolist()
+        old = [math.sqrt(s * (s + 2.0)) for s in excess]
+        assert np.array_equal([_sinh_from_excess(s) for s in excess], old)
+
+
 class TestVectorizedHelpers:
-    def test_lift_spatial_matches_scalar(self, rng):
+    def test_project_rows_matches_scalar(self, rng):
         spatial = rng.standard_normal((10, 4))
-        rows = lift_spatial(spatial)
+        rows = project_rows(spatial)
         for i in range(10):
             assert_allclose(rows[i], project_to_hyperboloid(spatial[i]).coords, rtol=1e-15)
 
     def test_distances_to_rows_matches_scalar(self, rng):
         spatial = rng.standard_normal((20, 6))
-        rows = lift_spatial(spatial)
+        rows = project_rows(spatial)
         q = random_lorentz(rng, 6)
         batch = distances_to_rows(q, rows)
         for i in range(20):
@@ -405,6 +421,29 @@ class TestOriginRows:
         base = origin(spatial.shape[1])
         for u, row in zip(tangents, origin_exp_rows(tangents)):
             assert np.array_equal(row, exp_map(base, TangentVector(base, u)).coords)
+
+    @staticmethod
+    def inline_log1p_rows(coords):
+        """Test-only copy of ``origin_log_rows`` as it took each row's
+        distance from its own inline ``log1p`` (tangency check left out)."""
+        base = origin(coords.shape[1] - 1).coords
+        diff = coords - base
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = coords[:, 0] - 1.0
+            sq = np.matmul(diff[:, None, 1:], diff[:, 1:, None])[:, 0, 0]
+            s = np.where(s < 1e-4, 0.5 * (-diff[:, 0] * diff[:, 0] + sq), s)
+            root = np.sqrt(s * (s + 2.0))
+            d = np.array(
+                [0.0 if x <= 0.0 else math.log1p(x + r) for x, r in zip(s.tolist(), root.tolist())]
+            )
+            u = (d / root)[:, None] * (diff - s[:, None] * base)
+        u[d < 1e-12] = 0.0
+        return u
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_log_matches_the_inline_log1p_copy(self, seed):
+        coords = project_rows(self.spatial(seed))
+        assert np.array_equal(origin_log_rows(coords), self.inline_log1p_rows(coords))
 
     def test_empty_rows(self):
         assert project_rows(np.empty((0, 4))).shape == (0, 5)

@@ -1,6 +1,7 @@
 """Static checks, in place of a linter: every name a ``hyperrag`` module
 imports is used in that module (an import kept on purpose carries
-``# noqa: F401`` on its line), and no two modules define a public
+``# noqa: F401`` on its line), every private module-level name is read
+in the module that defines it, and no two modules define a public
 function of the same name."""
 
 import ast
@@ -35,6 +36,69 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def unread_private_names(path: Path) -> list[str]:
+    """``file:line: name`` for each private module-level function, class or
+    constant (one leading underscore; dunder names are exempt) that the
+    module never reads."""
+    tree = ast.parse(path.read_text())
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        defined[name.id] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.name}:{lineno}: {name}"
+        for name, lineno in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path) == []
+
+
+def test_unread_private_name_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "__all__ = []\n"
+        "_LIMIT = 3\n"
+        "_UNUSED: int = 4\n"
+        "_a, _b = 1, 2\n"
+        "_CACHE = {}\n"
+        "_CACHE[_a] = 0\n"
+        "\n"
+        "def _helper():\n"
+        "    return _LIMIT + _a\n"
+        "\n"
+        "def _orphan():\n"
+        "    _local = 1\n"
+        "    return _local\n"
+        "\n"
+        "class _Gone:\n"
+        "    _attr = 1\n"
+        "\n"
+        "def public():\n"
+        "    return _helper()\n"
+    )
+    assert unread_private_names(module) == [
+        "module.py:3: _UNUSED",
+        "module.py:4: _b",
+        "module.py:11: _orphan",
+        "module.py:15: _Gone",
+    ]
 
 
 def public_functions(paths) -> dict[str, list[str]]:

@@ -17,6 +17,7 @@ from hyperrag.alignment import (
     embed_corpus_rows,
     id_ranks,
     item_tangent_rows,
+    rank_rows,
     retrieve_topk,
 )
 from hyperrag.errors import ConfigurationError, ContractViolation, HyperRagError
@@ -348,10 +349,17 @@ class TestAnswerQuery:
         assert res.used_ids == res.retrieved_ids
 
     def test_stage_tag_on_propagated_error(self, planted):
+        # A non-finite item map fails where the corpus rows are lifted, at
+        # index build; a non-finite generator fails in generate.
         bundle, components, _ = planted
         broken = components.with_crm(True)
         broken.table = deepcopy(components.table)
         broken.table.weight["visual"][0, 0] = np.nan
+        with pytest.raises(HyperRagError, match=r"\[stage: index\]"):
+            answer_query(broken, bundle.queries[0])
+        broken = components.with_crm(True)
+        broken.generator = deepcopy(components.generator)
+        broken.generator.weight[0, 0] = np.nan
         with pytest.raises(HyperRagError, match=r"\[stage: generate\]"):
             answer_query(broken, bundle.queries[0])
 
@@ -456,6 +464,49 @@ class TestReadIndex:
         assert copy.read_index() is not original
         assert np.array_equal(rows, embed_corpus_rows(copy.table, copy.items))
         assert not np.array_equal(rows, original.corpus_rows)
+
+
+def old_corpus_rows(table, items) -> np.ndarray:
+    """Test-only copy of the corpus rows as the read index built them
+    before they were the ``embed_item`` bits: one GEMM per modality, then
+    an einsum lift.  Their last bits differ from ``embed_item``'s."""
+    by_mod: dict[str, list[int]] = {}
+    for idx, item in enumerate(items):
+        by_mod.setdefault(item.modality, []).append(idx)
+    spatial = np.empty((len(items), table.dim))
+    for mod, idxs in by_mod.items():
+        feats = np.stack([items[i].features for i in idxs])
+        spatial[idxs] = feats @ table.weight[mod].T + table.bias[mod]
+    t = np.sqrt(1.0 + np.einsum("ij,ij->i", spatial, spatial))
+    return np.column_stack([t, spatial])
+
+
+@pytest.fixture(scope="module", params=[42, 100042, 200042])
+def default_trained(request):
+    """A default bundle trained as the benchmark trains it (one epoch)."""
+    bundle = synth_bundle(SynthSpec(seed=request.param))
+    components, _ = run_training(PipelineConfig(seed=request.param, epochs=1), bundle)
+    return bundle, components
+
+
+class TestCorpusRows:
+    def test_rows_are_the_embed_item_bits(self, default_trained):
+        _, components = default_trained
+        table, items = components.table, components.items
+        want = np.array([table.embed_item(item).coords for item in items])
+        assert np.array_equal(embed_corpus_rows(table, items), want)
+        assert np.array_equal(components.read_index().corpus_rows, want)
+
+    def test_full_corpus_order_matches_the_old_rows(self, default_trained):
+        bundle, components = default_trained
+        table, items = components.table, components.items
+        key = id_ranks(items)
+        rows, old = embed_corpus_rows(table, items), old_corpus_rows(table, items)
+        assert not np.array_equal(rows, old)
+        for q in bundle.queries:
+            got = rank_rows(table, q, items, rows, len(items), key)
+            want = rank_rows(table, q, items, old, len(items), key)
+            assert [doc.id for doc, _ in got] == [doc.id for doc, _ in want]
 
 
 class TestPinnedTraining:
