@@ -44,6 +44,7 @@ from .spectral import (
     smallest_eigenpairs,
 )
 from .transport import (
+    DistributionStack,
     EmpiricalDistribution,
     entropic_terms,
     wasserstein2_exact,
@@ -419,11 +420,11 @@ def generator_gradient_case(
     gold = TokenSequence((1, 2, 2), vocab)
     evidence = origin_tangents([project_to_hyperboloid(rng.normal(size=4))], table.dim)
     example = GenExample(query, evidence, gold)
-    _, _, grad_logits, z = example_losses_and_grad(
-        gen, table, example, query, token_embeddings, alpha, epsilon
+    [(_, _, grad_logits, z)] = example_losses_and_grad(
+        gen, table, [example], [query], token_embeddings, alpha, epsilon
     )
     analytic = np.outer(grad_logits, z).ravel()
-    q_dist = gold_distribution(gold, token_embeddings)
+    q_stack = DistributionStack((gold_distribution(gold, token_embeddings),))
     counts = np.bincount(np.array(gold.tokens), minlength=vocab).astype(float)
 
     def blended_loss(flat: np.ndarray) -> float:
@@ -432,7 +433,7 @@ def generator_gradient_case(
         zz = condition_vector(table, table.embed_query(query), example.evidence)
         probs = softmax(probe.logits(zz))
         local = float(-np.sum(counts * np.log(np.maximum(probs, 1e-12))))
-        obj, _, _ = entropic_terms(probs, q_dist, token_embeddings, epsilon)
+        [(obj, _, _)] = entropic_terms(probs[None], q_stack, token_embeddings, epsilon)
         return alpha * local + (1.0 - alpha) * obj
 
     fd = finite_difference_grad(blended_loss, gen.weight.ravel().copy())

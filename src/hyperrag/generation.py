@@ -22,11 +22,12 @@ from .errors import (
     ConfigurationError,
     ContractViolation,
     DivergenceError,
+    HyperRagError,
     check_config_fields,
 )
 from .gate import LOG_CLAMP
 from .geometry import LorentzPoint, log_map, origin
-from .transport import EmpiricalDistribution, entropic_terms
+from .transport import DistributionStack, EmpiricalDistribution, entropic_terms
 
 DISTRIBUTION_ROW_ATOL = 1e-9
 
@@ -286,32 +287,47 @@ def gold_distribution(gold: TokenSequence, token_embeddings: np.ndarray) -> Empi
 def example_losses_and_grad(
     gen: ToyGenerator,
     table: EmbeddingTable,
-    example: GenExample,
-    query: Query,
+    examples: list[GenExample],
+    queries: list[Query],
     token_embeddings: np.ndarray,
     alpha: float,
     epsilon: float,
     ot_max_iter: int = 2000,
-):
-    """Per-example local CE, global sqrt-cost W2, and the blended logits
-    gradient alpha * dCE + (1 - alpha) * dOT_eps.
-
-    The global gradient descends the entropic objective (envelope
-    potentials through the softmax Jacobian); the logged global value
-    stays in sqrt-cost units.
-    """
-    z = condition_vector(table, table.embed_query(query), example.evidence)
-    probs = softmax(gen.logits(z))
-    gold = example.gold
-    counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
-    local = float(-np.sum(counts * np.log(np.maximum(probs, LOG_CLAMP))))
-    grad_local = gold.length * probs - counts
-    _, grad_f, sqrt_cost = entropic_terms(
-        probs, gold_distribution(gold, token_embeddings), token_embeddings, epsilon, ot_max_iter
-    )
-    grad_global = probs * (grad_f - float(grad_f @ probs))
-    grad_logits = alpha * grad_local + (1.0 - alpha) * grad_global
-    return local, sqrt_cost, grad_logits, z
+) -> list[tuple[float, float, np.ndarray, np.ndarray]]:
+    """Per example, with its query in ``queries``: local CE, global
+    sqrt-cost W2, the blended logits gradient alpha * dCE + (1 - alpha) *
+    dOT_eps, and the condition vector.  The global gradient descends the
+    entropic objective (envelope potentials through the softmax Jacobian),
+    solved in one ``entropic_terms`` call per gold-atom count.  Examples
+    are prepared in order until one fails, and the ones before it are
+    solved first, so the error raised is the one met first example by
+    example."""
+    prepared, failure = [], None
+    try:
+        for example, query in zip(examples, queries, strict=True):
+            z = condition_vector(table, table.embed_query(query), example.evidence)
+            probs = softmax(gen.logits(z))
+            gold = example.gold
+            counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
+            local = float(-np.sum(counts * np.log(np.maximum(probs, LOG_CLAMP))))
+            q = gold_distribution(gold, token_embeddings)
+            prepared.append((z, probs, local, gold.length * probs - counts, q))
+    except HyperRagError as exc:
+        failure = exc
+    terms = {}
+    for size in dict.fromkeys(prep[4].size for prep in prepared):
+        rows = [i for i, prep in enumerate(prepared) if prep[4].size == size]
+        qs = DistributionStack(tuple(prepared[i][4] for i in rows))
+        probs = np.array([prepared[i][1] for i in rows])
+        terms.update(zip(rows, entropic_terms(probs, qs, token_embeddings, epsilon, ot_max_iter)))
+    if failure is not None:
+        raise failure
+    out = []
+    for i, (z, probs, local, grad_local, _) in enumerate(prepared):
+        _, grad_f, sqrt_cost = terms[i]
+        grad_global = probs * (grad_f - float(grad_f @ probs))
+        out.append((local, sqrt_cost, alpha * grad_local + (1.0 - alpha) * grad_global, z))
+    return out
 
 
 def train_generation(
@@ -332,25 +348,19 @@ def train_generation(
         p_t = query_dropout_prob(epoch, config.t_decay)
         grad_w = np.zeros_like(gen.weight)
         grad_b = np.zeros_like(gen.bias)
-        sum_local = 0.0
-        sum_global = 0.0
-        for idx, example in enumerate(dataset.examples):
-            dropped = apply_query_dropout(
-                example.query, p_t, seed=(config.seed, epoch, idx)
+        dropped = [
+            apply_query_dropout(example.query, p_t, seed=(config.seed, epoch, idx))
+            for idx, example in enumerate(dataset.examples)
+        ]
+        try:
+            terms = example_losses_and_grad(
+                gen, dataset.table, dataset.examples, dropped, dataset.token_embeddings,
+                alpha, config.epsilon, config.ot_max_iter,
             )
-            try:
-                local, sqrt_cost, grad_logits, z = example_losses_and_grad(
-                    gen,
-                    dataset.table,
-                    example,
-                    dropped,
-                    dataset.token_embeddings,
-                    alpha,
-                    config.epsilon,
-                    config.ot_max_iter,
-                )
-            except DivergenceError as exc:
-                raise DivergenceError(str(exc), step=epoch) from exc
+        except DivergenceError as exc:
+            raise DivergenceError(str(exc), step=epoch) from exc
+        sum_local = sum_global = 0.0
+        for local, sqrt_cost, grad_logits, z in terms:
             sum_local += local
             sum_global += sqrt_cost
             grad_w += np.outer(grad_logits, z)

@@ -521,27 +521,26 @@ def run_training(
                 index = ReadIndex.build(table, bundle.graph, items) if gated else None
 
             gen_scale = (1.0 - config.beta - config.gamma) / n_batch
-            for idx_in_batch, q in enumerate(batch):
-                evidence = np.empty((0, config.dim))
-                if delta[q.id] == 1:
-                    ranked = _top_items(config, table, q, items, index)
-                    used = filter_relevant(head, q, ranked)
-                    evidence = _evidence_rows(table, used, index.triplet_evidence(subgraphs[q.id]))
-                example = GenExample(q, evidence, gold[q.id])
-                dropped = apply_query_dropout(
-                    q, p_t, seed=(config.seed, epoch, int(order[start + idx_in_batch]))
+            examples, dropped, failure = [], [], None
+            try:
+                for q, i in zip(batch, order[start : start + config.batch_size]):
+                    evidence = np.empty((0, config.dim))
+                    if delta[q.id] == 1:
+                        used = filter_relevant(head, q, _top_items(config, table, q, items, index))
+                        triplets = index.triplet_evidence(subgraphs[q.id])
+                        evidence = _evidence_rows(table, used, triplets)
+                    examples.append(GenExample(q, evidence, gold[q.id]))
+                    dropped.append(apply_query_dropout(q, p_t, seed=(config.seed, epoch, int(i))))
+            except HyperRagError as exc:  # re-raised once the examples before it are solved
+                failure = exc
+            with _phase2_stage(optimizer, epoch, "generation"):
+                terms = example_losses_and_grad(
+                    generator, table, examples, dropped, bundle.token_embeddings,
+                    config.alpha, config.epsilon, config.ot_max_iter,
                 )
-                with _phase2_stage(optimizer, epoch, "generation"):
-                    local, sqrt_cost, grad_logits, z = example_losses_and_grad(
-                        generator,
-                        table,
-                        example,
-                        dropped,
-                        bundle.token_embeddings,
-                        config.alpha,
-                        config.epsilon,
-                        config.ot_max_iter,
-                    )
+            if failure is not None:
+                raise failure
+            for local, sqrt_cost, grad_logits, z in terms:
                 sums["local"] += local
                 sums["global"] += sqrt_cost
                 grads["gen.weight"] += gen_scale * np.outer(grad_logits, z)

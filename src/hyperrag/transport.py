@@ -71,6 +71,21 @@ class EmpiricalDistribution:
 
 
 @dataclass(frozen=True)
+class DistributionStack:
+    """Empirical distributions of one support size, ``size`` atoms each."""
+
+    rows: tuple[EmpiricalDistribution, ...]
+
+    def __post_init__(self):
+        if not self.rows or len({d.size for d in self.rows}) != 1:
+            raise ContractViolation("a stack needs one or more distributions of one size")
+
+    @property
+    def size(self) -> int:
+        return self.rows[0].size
+
+
+@dataclass(frozen=True)
 class TransportPlan:
     """Coupling matrix with prescribed marginals."""
 
@@ -203,8 +218,63 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
 
 
 def _log_plan(f, g, cost, eps, log_p, log_q) -> np.ndarray:
-    """log pi_ij = (f_i + g_j - c_ij) / eps + log p_i + log q_j."""
-    return (f[:, None] + g[None, :] - cost) / eps + log_p[:, None] + log_q[None, :]
+    """log pi_ij = (f_i + g_j - c_ij) / eps + log p_i + log q_j (over any
+    leading stack axes)."""
+    scaled = (f[..., :, None] + g[..., None, :] - cost) / eps
+    return scaled + log_p[..., :, None] + log_q[..., None, :]
+
+
+def _sinkhorn_rows(cost, p_weights, q_weights, epsilon: float, max_iter: int):
+    """Log-domain scaling iterations for stacked problems in lock step:
+    costs (B, V, K), weights (B, V) and (B, K).  Returns potentials f, g,
+    and each row's convergence flag and final marginal violation.  Each row
+    keeps its own epsilon-scaling ladder, stage and stopping test, and
+    leaves the active set once it stops, so its outputs are those of
+    solving it alone.  An epsilon so small that the scaled costs overflow
+    makes a violation non-finite, which raises NumericalError at once."""
+    if epsilon <= 0:
+        raise ContractViolation(f"epsilon must be positive, got {epsilon}")
+    if max_iter < 1:
+        raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
+    n = len(cost)
+    f_out, g_out, violation = np.empty(p_weights.shape), np.empty(q_weights.shape), np.empty(n)
+    # Annealing with warm starts: stage s runs at ladder[s] = epsilon * 2**s,
+    # from the first s that reaches a tenth of the row's cost scale down to 0.
+    ladder, stage = [epsilon], np.zeros(n, dtype=int)
+    for b, c in enumerate(cost):
+        scale = max(float(c.max(initial=0.0)), epsilon)
+        while ladder[stage[b]] < scale / 10.0:
+            stage[b] += 1
+            if stage[b] == len(ladder):
+                ladder.append(ladder[-1] * 2.0)
+    ladder = np.array(ladder)
+    rows, pw, g = np.arange(n), p_weights, np.zeros(q_weights.shape)
+    log_p, log_q = _log_weights(pw), _log_weights(q_weights)
+    with np.errstate(all="ignore"):
+        for it in range(max_iter):
+            eps = ladder[stage][:, None, None]
+            f = -eps[:, 0] * _logsumexp((g[:, None, :] - cost) / eps + log_q[:, None, :], axis=2)
+            g = -eps[:, 0] * _logsumexp((f[:, :, None] - cost) / eps + log_p[:, :, None], axis=1)
+            marginals = np.exp(_logsumexp(_log_plan(f, g, cost, eps, log_p, log_q), axis=2))
+            viol = np.max(np.abs(marginals - pw), axis=1)
+            if not np.isfinite(viol).all():
+                raise NumericalError(
+                    f"entropic solve at epsilon {epsilon} has a non-finite marginal "
+                    "violation; epsilon is too small for the cost scale"
+                )
+            # A stage ends at the target or, before the last stage, once the
+            # plan is good enough to seed the next (smaller) epsilon.
+            advance = (viol < SINKHORN_TARGET) | ((stage > 0) & (viol < 1e-3))
+            done = (advance & (stage == 0)) | (it + 1 == max_iter)
+            stage = stage - advance
+            if done.any():
+                idx, keep = rows[done], ~done
+                f_out[idx], g_out[idx], violation[idx] = f[done], g[done], viol[done]
+                rows, stage, g, cost, pw = rows[keep], stage[keep], g[keep], cost[keep], pw[keep]
+                log_p, log_q = log_p[keep], log_q[keep]
+                if not rows.size:
+                    break
+    return f_out, g_out, violation < SINKHORN_TARGET, violation
 
 
 def sinkhorn_potentials(
@@ -213,57 +283,13 @@ def sinkhorn_potentials(
     epsilon: float,
     max_iter: int = 10000,
 ) -> tuple[np.ndarray, np.ndarray, bool, float]:
-    """Log-domain scaling iterations for entropic OT.
-
-    Returns dual potentials (f, g), the convergence flag, and the final
-    marginal violation.  Uses epsilon scaling (warm starts from larger
-    regularization) so small epsilon stays tractable.  An epsilon so small
-    that the scaled costs overflow makes the violation non-finite, which
-    raises NumericalError at once.
-    """
-    if epsilon <= 0:
-        raise ContractViolation(f"epsilon must be positive, got {epsilon}")
-    if max_iter < 1:
-        raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
-    cost = squared_cost_matrix(p, q)
-    pw = p.weights
-    log_p, log_q = _log_weights(pw), _log_weights(q.weights)
-    f = np.zeros(p.size)
-    g = np.zeros(q.size)
-    # Annealing ladder: start at a coarse regularization and halve down to
-    # the requested value, warm-starting the potentials at each stage.
-    scale = max(float(cost.max(initial=0.0)), epsilon)
-    ladder = [epsilon]
-    eps_up = epsilon
-    while eps_up < scale / 10.0:
-        eps_up *= 2.0
-        ladder.append(eps_up)
-    ladder.reverse()
-    iters_used = 0
-    converged = False
-    violation = math.inf
-    with np.errstate(all="ignore"):
-        for stage, eps in enumerate(ladder):
-            last_stage = stage == len(ladder) - 1
-            while iters_used < max_iter:
-                f = -eps * _logsumexp((g[None, :] - cost) / eps + log_q[None, :], axis=1)
-                g = -eps * _logsumexp((f[:, None] - cost) / eps + log_p[:, None], axis=0)
-                iters_used += 1
-                rows = np.exp(_logsumexp(_log_plan(f, g, cost, eps, log_p, log_q), axis=1))
-                violation = float(np.max(np.abs(rows - pw)))
-                if not math.isfinite(violation):
-                    raise NumericalError(
-                        f"entropic solve at epsilon {epsilon} has a non-finite marginal "
-                        "violation; epsilon is too small for the cost scale"
-                    )
-                if violation < SINKHORN_TARGET:
-                    break
-                if not last_stage and violation < 1e-3:
-                    # Good enough to seed the next (smaller) epsilon stage.
-                    break
-            if last_stage:
-                converged = violation < SINKHORN_TARGET
-    return f, g, converged, violation
+    """Log-domain scaling iterations for entropic OT (``_sinkhorn_rows``
+    with one row).  Returns dual potentials (f, g), the convergence flag,
+    and the final marginal violation."""
+    f, g, converged, violation = _sinkhorn_rows(
+        squared_cost_matrix(p, q)[None], p.weights[None], q.weights[None], epsilon, max_iter
+    )
+    return f[0], g[0], bool(converged[0]), float(violation[0])
 
 
 def _rounded_plan(p, q, epsilon: float, f, g, cost: np.ndarray) -> np.ndarray:
@@ -292,22 +318,26 @@ def wasserstein2_sinkhorn(
 
 def entropic_terms(
     p_weights: np.ndarray,
-    q: EmpiricalDistribution,
+    q: DistributionStack,
     support: np.ndarray,
     epsilon: float,
     max_iter: int = 10000,
-) -> tuple[float, np.ndarray, float]:
-    """One entropic solve, three readings: the regularized objective
-    OT_eps(p, q) = <pi, C> + eps * KL(pi | p x q), its gradient in the
-    first marginal's weights (envelope property: the converged potential
-    f, centered on the simplex), and the plan's transport cost in
-    sqrt-cost units for reporting.
+) -> list[tuple[float, np.ndarray, float]]:
+    """Entropic solves of each row of ``p_weights`` (B, V) over ``support``
+    against the matching row of ``q``, in lock step, each read three ways:
+    the regularized objective OT_eps(p, q) = <pi, C> + eps * KL(pi | p x q),
+    its gradient in the first marginal's weights (envelope property: the
+    converged potential f, centered on the simplex), and the plan's
+    transport cost in sqrt-cost units for reporting.
     """
-    p = EmpiricalDistribution(support, p_weights)
-    f, g, _, _ = sinkhorn_potentials(p, q, epsilon, max_iter)
-    # Dual value at feasibility: <f, p> + <g, q>.
-    value = float(f @ p.weights + g @ q.weights)
-    # Center the gradient: only the simplex-tangential part is meaningful.
-    grad = f - float(np.mean(f))
-    cost = squared_cost_matrix(p, q)
-    return value, grad, _sqrt_cost(_rounded_plan(p, q, epsilon, f, g, cost), cost)
+    ps = [EmpiricalDistribution(support, w) for w in p_weights]
+    cost = np.stack([squared_cost_matrix(p, qb) for p, qb in zip(ps, q.rows, strict=True)])
+    pw, qw = np.stack([p.weights for p in ps]), np.stack([qb.weights for qb in q.rows])
+    f, g, _, _ = _sinkhorn_rows(cost, pw, qw, epsilon, max_iter)
+    # Dual value at feasibility: <f, p> + <g, q>; only the gradient's
+    # simplex-tangential part is meaningful.
+    return [
+        (float(fb @ p.weights + gb @ qb.weights), fb - float(np.mean(fb)),
+         _sqrt_cost(_rounded_plan(p, qb, epsilon, fb, gb, cb), cb))
+        for p, qb, fb, gb, cb in zip(ps, q.rows, f, g, cost)
+    ]

@@ -1,6 +1,7 @@
 """Generation losses, dropout schedule, toy generator, training."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperrag.alignment import EmbeddingTable, Query
-from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
+from hyperrag.errors import (
+    ConfigurationError,
+    ContractViolation,
+    DivergenceError,
+    HyperRagError,
+    NumericalError,
+)
+from hyperrag.gate import LOG_CLAMP
 from hyperrag.generation import (
     GenConfig,
     GenDataset,
@@ -30,7 +38,9 @@ from hyperrag.generation import (
     train_generation,
 )
 from hyperrag.geometry import log_map, origin, project_to_hyperboloid
-from hyperrag.transport import entropic_terms
+from hyperrag.transport import DistributionStack, entropic_terms
+
+from test_transport import old_entropic_terms
 
 THREE_LN_4 = 4.1588830833596715
 HALF_OVER_E = 0.18393972058572117
@@ -316,8 +326,8 @@ class TestTraining:
         ds = make_memorizable(num=4, clusters=2)
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
         ex = ds.examples[0]
-        local, _, _, z = example_losses_and_grad(
-            gen, ds.table, ex, ex.query, ds.token_embeddings, 0.7, 0.05
+        [(local, _, _, z)] = example_losses_and_grad(
+            gen, ds.table, [ex], [ex.query], ds.token_embeddings, 0.7, 0.05
         )
         probs = softmax(gen.logits(z))
         pred = TokenDistributionSequence(np.tile(probs, (ex.gold.length, 1)))
@@ -338,13 +348,12 @@ class TestBlendedGradient:
             probs = softmax(g.logits(z))
             counts = np.bincount(np.array(ex.gold.tokens), minlength=g.vocab_size).astype(float)
             local = float(-np.sum(counts * np.log(np.maximum(probs, 1e-12))))
-            obj, _, _ = entropic_terms(
-                probs, gold_distribution(ex.gold, ds.token_embeddings), ds.token_embeddings, eps
-            )
+            gold = DistributionStack((gold_distribution(ex.gold, ds.token_embeddings),))
+            [(obj, _, _)] = entropic_terms(probs[None], gold, ds.token_embeddings, eps)
             return alpha * local + (1 - alpha) * obj
 
-        _, _, grad_logits, z = example_losses_and_grad(
-            gen, ds.table, ex, ex.query, ds.token_embeddings, alpha, eps
+        [(_, _, grad_logits, z)] = example_losses_and_grad(
+            gen, ds.table, [ex], [ex.query], ds.token_embeddings, alpha, eps
         )
         grad_w = np.outer(grad_logits, z)
         h = 1e-5
@@ -357,3 +366,114 @@ class TestBlendedGradient:
             down = blended(probe)
             fd = (up - down) / (2 * h)
             assert fd == pytest.approx(grad_w[i, j], rel=1e-3, abs=1e-6)
+
+
+def old_example_losses_and_grad(
+    gen, table, example, query, token_embeddings, alpha, epsilon, ot_max_iter=2000
+):
+    """One example's generator pass as it was before the lock-step solve."""
+    z = condition_vector(table, table.embed_query(query), example.evidence)
+    probs = softmax(gen.logits(z))
+    gold = example.gold
+    counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
+    local = float(-np.sum(counts * np.log(np.maximum(probs, LOG_CLAMP))))
+    grad_local = gold.length * probs - counts
+    _, grad_f, sqrt_cost = old_entropic_terms(
+        probs, gold_distribution(gold, token_embeddings), token_embeddings, epsilon, ot_max_iter
+    )
+    grad_global = probs * (grad_f - float(grad_f @ probs))
+    grad_logits = alpha * grad_local + (1.0 - alpha) * grad_global
+    return local, sqrt_cost, grad_logits, z
+
+
+def one_at_a_time(gen, table, examples, queries, *args):
+    """The old phase-2 loop: each example prepared and solved in turn."""
+    return [
+        old_example_losses_and_grad(gen, table, ex, query, *args)
+        for ex, query in zip(examples, queries)
+    ]
+
+
+def example_by_example(gen, table, examples, queries, *args):
+    """The per-example loop over the current pass: each example prepared
+    and solved (a batch of one) before the next.  Its errors are those of
+    the old loop, whose one-row solve raised as ``sinkhorn_potentials``
+    does now (``old_potentials`` predates that check)."""
+    return [
+        terms
+        for ex, query in zip(examples, queries)
+        for terms in example_losses_and_grad(gen, table, [ex], [query], *args)
+    ]
+
+
+def assert_same_terms(got, want):
+    assert len(got) == len(want)
+    for (local, cost, grad, z), (want_local, want_cost, want_grad, want_z) in zip(got, want):
+        assert local == want_local and cost == want_cost
+        assert np.array_equal(grad, want_grad) and np.array_equal(z, want_z)
+
+
+def raised(fn, *args):
+    """The (type, message) of the error ``fn(*args)`` raises, with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HyperRagError) as err:
+            fn(*args)
+    return type(err.value), str(err.value)
+
+
+def with_gold(ds, tokens_by_index):
+    """``ds`` with the gold answers of the given examples replaced."""
+    examples = list(ds.examples)
+    for idx, tokens in tokens_by_index.items():
+        examples[idx] = GenExample(
+            examples[idx].query, examples[idx].evidence, TokenSequence(tokens, ds.vocab_size)
+        )
+    return GenDataset(tuple(examples), ds.table, ds.token_embeddings)
+
+
+class TestBatchedPass:
+    """``example_losses_and_grad`` over many examples gives the bits, and
+    the first error, of handling them one at a time."""
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05])
+    def test_matches_one_at_a_time(self, rng, epsilon):
+        # Gold answers of one, two and three atoms; the three-atom group
+        # has a single row.
+        ds = with_gold(make_memorizable(num=9, clusters=3), {1: (1, 2, 2), 4: (0, 3, 3), 6: (0, 1, 2)})
+        gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
+        gen.weight = 0.5 * rng.standard_normal(gen.weight.shape)
+        gen.bias = 0.5 * rng.standard_normal(gen.bias.shape)
+        queries = [ex.query for ex in ds.examples]
+        args = (ds.token_embeddings, 0.7, epsilon, 2000)
+        got = example_losses_and_grad(gen, ds.table, list(ds.examples), queries, *args)
+        assert_same_terms(got, one_at_a_time(gen, ds.table, ds.examples, queries, *args))
+
+    @pytest.mark.parametrize(
+        "epsilon, error", [(5e-324, NumericalError), (0.05, DivergenceError)]
+    )
+    def test_solve_error_of_an_earlier_example_comes_first(self, epsilon, error):
+        # The second example's evidence makes its logits +inf; at the tiny
+        # epsilon the first example's solve overflows before that.
+        ds = make_memorizable(num=3, clusters=3)
+        bad = GenExample(ds.examples[1].query, np.full_like(ds.examples[1].evidence, np.inf),
+                         ds.examples[1].gold)
+        examples = [ds.examples[0], bad, ds.examples[2]]
+        gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
+        gen.weight[:] = 0.1
+        args = (gen, ds.table, examples, [ex.query for ex in examples], ds.token_embeddings,
+                0.7, epsilon, 2000)
+        want = raised(example_by_example, *args)
+        assert want[0] is error
+        assert raised(example_losses_and_grad, *args) == want
+
+    def test_nan_weight_is_divergence(self):
+        ds = make_memorizable(num=4, clusters=2)
+        gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
+        gen.weight[1, 2] = np.nan
+        queries = [ex.query for ex in ds.examples]
+        args = (gen, ds.table, list(ds.examples), queries, ds.token_embeddings, 0.7, 0.01, 2000)
+        want = raised(example_by_example, *args)
+        assert want == (DivergenceError, "generator logits are non-finite")
+        assert raised(example_losses_and_grad, *args) == want

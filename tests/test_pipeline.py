@@ -20,7 +20,13 @@ from hyperrag.alignment import (
     rank_rows,
     retrieve_topk,
 )
-from hyperrag.errors import ConfigurationError, ContractViolation, HyperRagError
+from hyperrag.errors import (
+    ConfigurationError,
+    ContractViolation,
+    DivergenceError,
+    HyperRagError,
+    NumericalError,
+)
 from hyperrag.gate import CrmConfig
 from hyperrag.generation import GenConfig
 from hyperrag.io import canonical_json_bytes
@@ -47,6 +53,8 @@ from hyperrag.spectral import (
 from hyperrag.synth import SynthSpec, synth_bundle
 
 from conftest import assert_same_subgraph, scalar_triplet_rows
+from test_generation import assert_same_terms, example_by_example, one_at_a_time, raised
+from test_transport import old_entropic_terms
 
 PLANTED_SPEC = SynthSpec(
     num_queries=30, num_items=90, num_clusters=3, graph_size=30, seed=13
@@ -235,6 +243,15 @@ class TestAdamW:
             AdamW({"p": np.ones(1)}, lr=0.1, weight_decay=-1.0)
 
 
+def mixed_answers(bundle):
+    """Every second gold answer ends in a second distinct token."""
+    vocab = bundle.token_embeddings.shape[0]
+    for q in bundle.queries[1::2]:
+        gold = bundle.qa[q.id]
+        bundle.qa[q.id] = gold[:-1] + ((gold[0] + 1) % vocab,)
+    return bundle
+
+
 class TestRunTraining:
     def test_report_shape_and_identity(self, planted):
         _, _, reports = planted
@@ -267,13 +284,8 @@ class TestRunTraining:
     def test_mixed_gold_answers_take_general_sinkhorn_path(self, monkeypatch):
         # Every second gold answer ends in a second distinct token, so the
         # generation loss solves two-atom transport problems.
-        bundle = synth_bundle(
-            SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
-        )
-        vocab = bundle.token_embeddings.shape[0]
-        for q in bundle.queries[1::2]:
-            gold = bundle.qa[q.id]
-            bundle.qa[q.id] = gold[:-1] + ((gold[0] + 1) % vocab,)
+        spec = SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
+        bundle = mixed_answers(synth_bundle(spec))
         gold_sizes = []
         solve = generation.entropic_terms
 
@@ -304,6 +316,61 @@ class TestRunTraining:
             assert np.array_equal(
                 components.table.weight[key], comps_short.table.weight[key]
             )
+
+
+class TestLockStepGeneration:
+    """Phase 2's batched generator pass against the per-example loop it
+    replaced, on real bundles and on the errors it raises."""
+
+    @pytest.mark.parametrize(
+        "seed, batch_size", [(42, 32), (100042, 199), (200042, 32)]
+    )
+    def test_every_solve_and_term_matches_per_example_loop(self, monkeypatch, seed, batch_size):
+        bundle = mixed_answers(synth_bundle(SynthSpec(seed=seed)))
+        solve, generator_pass = generation.entropic_terms, pipeline.example_losses_and_grad
+        groups = []
+
+        def checked_solve(p_weights, q, support, epsilon, max_iter):
+            groups.append((len(p_weights), q.size))
+            out = solve(p_weights, q, support, epsilon, max_iter)
+            for (value, grad, cost), p_w, q_row in zip(out, p_weights, q.rows):
+                want = old_entropic_terms(p_w, q_row, support, epsilon, max_iter)
+                assert (value, cost) == (want[0], want[2]) and np.array_equal(grad, want[1])
+            return out
+
+        def checked_pass(*args):
+            out = generator_pass(*args)
+            assert_same_terms(out, one_at_a_time(*args))
+            return out
+
+        monkeypatch.setattr(generation, "entropic_terms", checked_solve)
+        monkeypatch.setattr(pipeline, "example_losses_and_grad", checked_pass)
+        run_training(PipelineConfig(seed=seed, epochs=1, batch_size=batch_size), bundle)
+        assert {size for _, size in groups} == {1, 2}
+        assert sum(rows for rows, _ in groups) == len(bundle.queries)
+        if batch_size == 199:  # 200 queries: the last batch is one row
+            assert groups[-1][0] == 1
+
+    @pytest.mark.parametrize("case", ["tiny-epsilon", "nan-weight"])
+    def test_first_error_and_stage_match_per_example_loop(self, monkeypatch, case):
+        spec = SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
+        bundle = mixed_answers(synth_bundle(spec))
+        config = SMALL_CFG
+        if case == "tiny-epsilon":
+            config = replace(SMALL_CFG, epsilon=5e-324)
+        else:
+            class NanGenerator(generation.ToyGenerator):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    self.weight[1, 2] = np.nan
+
+            monkeypatch.setattr(pipeline, "ToyGenerator", NanGenerator)
+
+        got = raised(run_training, config, bundle)
+        monkeypatch.setattr(pipeline, "example_losses_and_grad", example_by_example)
+        assert got == raised(run_training, config, bundle)
+        assert got[1].endswith("[stage: phase2 epoch 1 generation]")
+        assert got[0] is {"tiny-epsilon": NumericalError, "nan-weight": DivergenceError}[case]
 
 
 class TestAnswerQuery:

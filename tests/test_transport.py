@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from hyperrag import transport
 from hyperrag.errors import ContractViolation, NumericalError
 from hyperrag.transport import (
+    DistributionStack,
     EmpiricalDistribution,
     TransportPlan,
     entropic_terms,
@@ -24,6 +25,12 @@ from hyperrag.transport import (
 )
 
 INV_SQRT2 = 0.7071067811865476
+
+
+def one_entropic_terms(p_weights, q, support, *args, **kwargs):
+    """``entropic_terms`` on a stack of one row."""
+    [terms] = entropic_terms(np.asarray(p_weights)[None], DistributionStack((q,)), support, *args, **kwargs)
+    return terms
 
 
 def uniform_cloud(rng, n, d=3, spread=2.0):
@@ -187,15 +194,15 @@ class TestEnvelopeGradient:
         q = EmpiricalDistribution.uniform(rng.normal(size=(4, 3)))
         logits = rng.normal(size=6)
         p_w = np.exp(logits) / np.exp(logits).sum()
-        value, grad, _ = entropic_terms(p_w, q, vocab, epsilon=0.05)
+        value, grad, _ = one_entropic_terms(p_w, q, vocab, epsilon=0.05)
         assert value >= -1e-9
         h = 1e-6
         for _ in range(4):
             d = rng.normal(size=6)
             d -= d.mean()
             d /= np.linalg.norm(d)
-            vp, _, _ = entropic_terms(p_w + h * d, q, vocab, epsilon=0.05)
-            vm, _, _ = entropic_terms(p_w - h * d, q, vocab, epsilon=0.05)
+            vp, _, _ = one_entropic_terms(p_w + h * d, q, vocab, epsilon=0.05)
+            vm, _, _ = one_entropic_terms(p_w - h * d, q, vocab, epsilon=0.05)
             fd = (vp - vm) / (2 * h)
             assert fd == pytest.approx(float(grad @ d), rel=1e-3, abs=1e-6)
 
@@ -205,11 +212,11 @@ class TestEnvelopeGradient:
         vocab = np.array([[0.0], [1.0], [2.0]])
         q = EmpiricalDistribution(np.array([[2.0]]), np.array([1.0]))
         p_w = np.array([0.6, 0.3, 0.1])
-        value, grad, _ = entropic_terms(p_w, q, vocab, epsilon=0.05)
+        value, grad, _ = one_entropic_terms(p_w, q, vocab, epsilon=0.05)
         step = p_w - 0.05 * (grad - grad.mean())
         step = np.maximum(step, 1e-9)
         step /= step.sum()
-        new_value, _, _ = entropic_terms(step, q, vocab, epsilon=0.05)
+        new_value, _, _ = one_entropic_terms(step, q, vocab, epsilon=0.05)
         assert new_value < value
 
 
@@ -308,7 +315,7 @@ class TestOnePlanHelper:
         gold = rng.normal(0.0, 1.5, size=(gold_atoms, 3))
         q = EmpiricalDistribution(gold, weights_with_zeros(rng, gold_atoms, zeros[1]))
 
-        value, grad, cost = entropic_terms(p_w, q, tokens, epsilon, max_iter)
+        value, grad, cost = one_entropic_terms(p_w, q, tokens, epsilon, max_iter)
         want_value, want_grad, want_cost = old_entropic_terms(p_w, q, tokens, epsilon, max_iter)
         assert value == want_value and cost == want_cost
         assert np.array_equal(grad, want_grad)
@@ -331,6 +338,87 @@ class TestOnePlanHelper:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=f"epsilon {epsilon}"):
                 sinkhorn_potentials(p, q, epsilon)
+
+
+PROBLEM = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "zeros": st.tuples(st.integers(0, 3), st.integers(0, 2)),
+        "spread": st.sampled_from([0.3, 1.5, 4.0]),
+    }
+)
+
+
+class TestLockStepSolver:
+    """Stacked problems solved in lock step give, row for row, the bits of
+    solving each one alone with ``old_potentials``."""
+
+    @staticmethod
+    def problems(vocab, gold_atoms, rows):
+        """One support of ``vocab`` tokens; per row its p weights and a gold
+        distribution of ``gold_atoms`` atoms.  Rows draw their own scales,
+        so their annealing ladders differ in length."""
+        out = []
+        tokens = np.random.default_rng(rows[0]["seed"]).normal(0.0, 1.5, size=(vocab, 3))
+        for row in rows:
+            rng = np.random.default_rng(row["seed"])
+            gold = rng.normal(0.0, row["spread"], size=(gold_atoms, 3))
+            q = EmpiricalDistribution(gold, weights_with_zeros(rng, gold_atoms, row["zeros"][1]))
+            out.append((weights_with_zeros(rng, vocab, row["zeros"][0]), q))
+        return tokens, out
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vocab=st.integers(1, 9),
+        gold_atoms=st.integers(1, 4),
+        rows=st.lists(PROBLEM, min_size=1, max_size=6),
+        epsilon=st.sampled_from([0.005, 0.05]),
+        max_iter=st.one_of(st.integers(1, 5), st.just(2000)),
+    )
+    def test_rows_match_one_at_a_time(self, vocab, gold_atoms, rows, epsilon, max_iter):
+        tokens, problems = self.problems(vocab, gold_atoms, rows)
+        ps = [EmpiricalDistribution(tokens, p_w) for p_w, _ in problems]
+        cost = np.stack([squared_cost_matrix(p, q) for p, (_, q) in zip(ps, problems)])
+        f, g, converged, violation = transport._sinkhorn_rows(
+            cost,
+            np.stack([p.weights for p in ps]),
+            np.stack([q.weights for _, q in problems]),
+            epsilon,
+            max_iter,
+        )
+        for b, (p, (_, q)) in enumerate(zip(ps, problems)):
+            f_ref, g_ref, conv_ref, viol_ref = old_potentials(p, q, epsilon, max_iter)
+            assert np.array_equal(f[b], f_ref) and np.array_equal(g[b], g_ref)
+            assert converged[b] == conv_ref and violation[b] == viol_ref
+
+        stack = DistributionStack(tuple(q for _, q in problems))
+        batched = entropic_terms(np.stack([p_w for p_w, _ in problems]), stack, tokens, epsilon, max_iter)
+        assert len(batched) == len(problems)
+        for (value, grad, sqrt_cost), (p_w, q) in zip(batched, problems):
+            want_value, want_grad, want_cost = old_entropic_terms(p_w, q, tokens, epsilon, max_iter)
+            assert value == want_value and sqrt_cost == want_cost
+            assert np.array_equal(grad, want_grad)
+
+    def test_one_row_overflowing_raises_without_warnings(self):
+        # The first row's cost is 0; the second's overflows once scaled.
+        tokens = np.array([[2.0]])
+        at_token = EmpiricalDistribution(np.array([[2.0]]), np.array([1.0]))
+        away = EmpiricalDistribution(np.array([[0.0]]), np.array([1.0]))
+        p_rows = np.ones((2, 1))
+        [(value, _, cost)] = entropic_terms(p_rows[:1], DistributionStack((at_token,)), tokens, 5e-324)
+        assert value == cost == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="epsilon 5e-324"):
+                entropic_terms(p_rows, DistributionStack((at_token, away)), tokens, 5e-324)
+
+    def test_stack_needs_one_size(self):
+        one = EmpiricalDistribution.uniform(np.array([[0.0]]))
+        two = EmpiricalDistribution.uniform(np.array([[0.0], [1.0]]))
+        assert DistributionStack((two, two)).size == 2
+        for rows in [(), (one, two)]:
+            with pytest.raises(ContractViolation):
+                DistributionStack(rows)
 
 
 # Few distinct values, so maxima tie often; infinities of both signs.
@@ -379,7 +467,7 @@ class TestLogSumExp:
                 out.append(
                     (
                         sinkhorn_potentials(p, q, epsilon=0.01),
-                        entropic_terms(p_w, q, tokens, epsilon=0.01),
+                        one_entropic_terms(p_w, q, tokens, epsilon=0.01),
                     )
                 )
             return out
