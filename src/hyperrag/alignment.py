@@ -9,6 +9,8 @@ ascending distance with item-id tie-breaking.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +24,9 @@ from .errors import (
 )
 from .geometry import (
     LorentzPoint,
-    distance_spatial_grad,
     distances_to_rows,
-    geodesic_distance,
     origin_log_rows,
+    pair_distance_rows,
     project_rows,
     project_to_hyperboloid,
 )
@@ -251,34 +252,46 @@ def geo_loss(table: EmbeddingTable, batch: Batch) -> float:
     return loss
 
 
+def affine_grads(up: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of an affine map W x + b from upstream rows ``up`` (n, out)
+    at input rows x (n, in): the sums over rows i of outer(up[i], x[i]) and
+    of up[i], each added in row order from zero, as a ``+=`` loop adds
+    them.  One einsum over [x | 1]; the ones column gives b and keeps
+    einsum off its contiguous-dot path, which sums in another order when
+    out and in are both 1."""
+    g = np.einsum("ik,ij->kj", np.concatenate([x, np.ones((len(x), 1))], axis=1), up)
+    return g[:-1].T, g[-1]
+
+
 def geo_loss_and_grads(table: EmbeddingTable, batch: Batch, want_grads: bool = True):
     """Batch-mean loss plus per-parameter gradient arrays (None when
-    ``want_grads`` is false)."""
+    ``want_grads`` is false).  Each (query, positive) pair is one row, in
+    batch order, with a query's visual positives before its textual ones;
+    the loss and every gradient keep the bits of adding the pairs one at a
+    time in that order."""
     _check_batch(batch)
-    grads = None
-    if want_grads:
-        grads = {name: np.zeros_like(arr) for name, arr in table.named_params()}
-    total = 0.0
     inv_b = 1.0 / len(batch)
-    for query, positives in batch:
-        q_feat = query.combined_features
-        q_pt = table.embed_features(q_feat, QUERY_KEY)
+    owner, items, coeff = [], [], []
+    for qi, (_, positives) in enumerate(batch):
         for mod in POSITIVE_MODALITIES:
             group = [it for it in positives if it.modality == mod]
-            if not group:
-                continue
-            coeff = inv_b / len(group)
-            for item in group:
-                i_pt = table.embed_item(item)
-                total += coeff * geodesic_distance(q_pt, i_pt)
-                if not want_grads:
-                    continue
-                gq = coeff * distance_spatial_grad(q_pt, i_pt)
-                gi = coeff * distance_spatial_grad(i_pt, q_pt)
-                grads[f"weight.{QUERY_KEY}"] += np.outer(gq, q_feat)
-                grads[f"bias.{QUERY_KEY}"] += gq
-                grads[f"weight.{mod}"] += np.outer(gi, item.features)
-                grads[f"bias.{mod}"] += gi
+            owner += [qi] * len(group)
+            items += group
+            coeff += [inv_b / len(group) for _ in group]
+    q_feats = np.stack([query.combined_features for query, _ in batch])
+    q_rows = project_rows(table.spatial(q_feats, QUERY_KEY))[owner]
+    dist, gq, gi = pair_distance_rows(q_rows, embed_corpus_rows(table, items), want_grads)
+    coeff = np.array(coeff)
+    total = functools.reduce(operator.add, (coeff * dist).tolist(), 0.0)
+    if not want_grads:
+        return total, None
+    grads = {name: np.zeros_like(arr) for name, arr in table.named_params()}
+    grads[f"weight.{QUERY_KEY}"], grads[f"bias.{QUERY_KEY}"] = affine_grads(
+        coeff[:, None] * gq, q_feats[owner]
+    )
+    gi = coeff[:, None] * gi
+    for mod, idxs, feats in _modality_features(table, items):
+        grads[f"weight.{mod}"], grads[f"bias.{mod}"] = affine_grads(gi[idxs], feats)
     return total, grads
 
 
@@ -354,30 +367,25 @@ def retrieve_topk(
         raise ContractViolation(f"k={k} outside [0, corpus size {len(corpus)}]")
     if k == 0:
         return []
-    return rank_rows(
-        table, query, corpus, embed_corpus_rows(table, corpus), k, id_ranks(corpus)
-    )
+    rows = embed_corpus_rows(table, corpus)
+    order, dists = nearest_rows(table.embed_query(query), rows, k, id_ranks(corpus))
+    return [(corpus[i], float(dists[i])) for i in order.tolist()]
 
 
 def id_ranks(corpus: list[KnowledgeItem]) -> np.ndarray:
     """Each item's position in ascending id order (equal ids keep corpus
-    order): the tie-break key of ``rank_rows``."""
+    order): the tie-break key of ``nearest_rows``."""
     ranks = np.empty(len(corpus), dtype=np.intp)
     ranks[sorted(range(len(corpus)), key=lambda i: corpus[i].id)] = np.arange(len(corpus))
     return ranks
 
 
-def rank_rows(
-    table: EmbeddingTable,
-    query: Query,
-    corpus: list[KnowledgeItem],
-    rows: np.ndarray,
-    k: int,
-    id_key: np.ndarray,
-) -> list[tuple[KnowledgeItem, float]]:
-    """The k corpus items nearest the query, given their embedded ``rows``
-    and ``id_ranks``: ascending geodesic distance, then ascending item id.
-    A NaN distance (a broken row) ranks first, for later checks to report."""
-    dists = distances_to_rows(table.embed_query(query), rows)
-    order = np.lexsort((id_key, dists, ~np.isnan(dists)))
-    return [(corpus[i], float(dists[i])) for i in order[:k].tolist()]
+def nearest_rows(
+    point: LorentzPoint, rows: np.ndarray, k: int, id_key: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the k hyperboloid rows nearest the point, by ascending
+    geodesic distance, then ascending ``id_key`` (an item's ``id_ranks``),
+    and every row's distance.  A NaN distance (a broken row) ranks first,
+    for later checks to report."""
+    dists = distances_to_rows(point, rows)
+    return np.lexsort((id_key, dists, ~np.isnan(dists)))[:k], dists

@@ -11,12 +11,14 @@ knowledge graph is scored by ``spectral.relevance_vector``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import KnowledgeItem, Query
+from .alignment import KnowledgeItem, Query, affine_grads
 from .errors import ConfigurationError, ContractViolation, DivergenceError, check_config_fields
 
 LOG_CLAMP = 1e-12
@@ -28,6 +30,14 @@ def sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """``sigmoid`` of every entry of a 1-D array, bit for bit: ``math.exp``
+    per entry (numpy's ``exp`` differs from it in the last bit), at -|x|,
+    which is the argument either branch of the scalar form takes."""
+    e = np.array(list(map(math.exp, (-np.abs(x)).tolist())))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def max_softmax(raw) -> float:
@@ -116,7 +126,7 @@ class RelevanceHead:
 
 def relevance(head: RelevanceHead, query: Query, doc: KnowledgeItem) -> float:
     """sigmoid of the head's raw score; strictly inside (0, 1)."""
-    return sigmoid(float(head.forward(head.input_rows(query, [doc]))[1][0]))
+    return float(sigmoid_array(head.forward(head.input_rows(query, [doc]))[1])[0])
 
 
 def filter_relevant(
@@ -124,7 +134,7 @@ def filter_relevant(
 ) -> list[KnowledgeItem]:
     """Order-preserving subset of docs with relevance strictly above 0.5."""
     _, raw = head.forward(head.input_rows(query, docs))
-    return [doc for doc, x in zip(docs, raw.tolist()) if sigmoid(x) > 0.5]
+    return [doc for doc, keep in zip(docs, (sigmoid_array(raw) > 0.5).tolist()) if keep]
 
 
 CrmBatch = list[tuple[Query, list[KnowledgeItem], list[KnowledgeItem]]]
@@ -134,56 +144,45 @@ def crm_loss(head: RelevanceHead, batch: CrmBatch) -> float:
     return crm_loss_and_grads(head, batch, want_grads=False)[0]
 
 
-def _crm_rows(head: RelevanceHead, batch: CrmBatch) -> list[tuple[np.ndarray, list[bool]]]:
-    """Each query's stacked input rows, positives first, and their labels."""
-    rows = []
+def _crm_rows(head: RelevanceHead, batch: CrmBatch) -> tuple[np.ndarray, np.ndarray, list]:
+    """The batch's stacked input rows (each query's positives first), their
+    labels (True for a positive), and each query's row positions."""
+    rows, labels, spans = [], [], []
     for query, positives, negatives in batch:
         if not positives and not negatives:
             raise ContractViolation(
                 f"query {query.id!r} carries neither positive nor negative documents"
             )
-        is_pos = [True] * len(positives) + [False] * len(negatives)
-        rows.append((head.input_rows(query, positives + negatives), is_pos))
-    return rows
+        start = len(labels)
+        rows.append(head.input_rows(query, positives + negatives))
+        labels += [True] * len(positives) + [False] * len(negatives)
+        spans.append(np.arange(start, len(labels)))
+    return np.concatenate(rows), np.array(labels), spans
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """a[0] + a[1] + ... in row order, as a ``+=`` loop adds them: reduce
-    over the leading axis adds whole slices in order, but sums one-element
-    slices pairwise, so those take the running sum (``accumulate``)."""
-    return np.add.accumulate(a, axis=0)[-1] if a[0].size == 1 else np.add.reduce(a, axis=0)
-
-
-def _crm_stacked(head: RelevanceHead, rows, want_grads: bool):
-    z = np.concatenate([r for r, _ in rows])
+def _crm_stacked(head: RelevanceHead, z: np.ndarray, is_pos: np.ndarray, want_grads: bool):
+    """Loss, grads (None without ``want_grads``) and the number of clamped
+    or NaN pairs of stacked input rows z with labels is_pos.  Each pair's
+    log loss is ``math.log``, subtracted from 0.0 in row order, and every
+    gradient is an ordered sum over rows: the bits of adding the pairs one
+    at a time."""
     h, raw = head.forward(z)
-    total = 0.0
-    kept, upstream = [], []
-    for i, (x, pos) in enumerate(zip(raw.tolist(), (p for _, ps in rows for p in ps))):
-        r = sigmoid(x)
-        p = r if pos else 1.0 - r
-        total += -math.log(max(p, LOG_CLAMP))
-        if p > LOG_CLAMP:
-            kept.append(i)
-            # d(-log r)/d raw = r - 1 for positives; r for negatives.
-            upstream.append((r - 1.0) if pos else r)
-    clamped = len(raw) - len(kept)
+    r = sigmoid_array(raw)
+    p = np.where(is_pos, r, 1.0 - r)
+    # np.maximum keeps a NaN, as max(p, LOG_CLAMP) does.
+    total = functools.reduce(operator.sub, map(math.log, np.maximum(p, LOG_CLAMP).tolist()), 0.0)
+    kept = p > LOG_CLAMP
+    clamped = len(raw) - int(np.count_nonzero(kept))
     if not want_grads:
         return total, None, clamped
-    grads = head.zero_grads()
-    if kept:
-        h, z, up = h[kept], z[kept], np.array(upstream)[:, None]
-        dh = up * head.w2 * (1.0 - h * h)
-        # Column k of dh^T [z | 1] adds dh[i] * z[i, k] over rows i in
-        # order, as a per-pair loop does; the ones column gives b1 and
-        # keeps einsum off its contiguous-dot path, which sums in another
-        # order when hidden and width are both 1.
-        g1 = np.einsum("ij,ik->jk", dh, np.concatenate([z, np.ones((len(z), 1))], axis=1))
-        grads["w1"] += g1[:, :-1]
-        grads["b1"] += g1[:, -1]
-        grads["w2"] += _sum_rows(up * h)
-        grads["b2"] += _sum_rows(up)
-    return total, grads, clamped
+    if not kept.any():
+        return total, head.zero_grads(), clamped
+    # d(-log r)/d raw = r - 1 for positives; r for negatives.
+    up = np.where(is_pos, r - 1.0, r)[kept, None]
+    h = h[kept]
+    w1, b1 = affine_grads(up * head.w2 * (1.0 - h * h), z[kept])
+    w2, b2 = affine_grads(up, h)
+    return total, {"w1": w1, "b1": b1, "w2": w2[0], "b2": b2}, clamped
 
 
 def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads: bool = True):
@@ -192,20 +191,26 @@ def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads: bool = 
     log arguments clamped below at 1e-12 (a clamped pair adds no gradient).
     One stacked pass over the batch's (query, document) pairs, bit for bit
     equal to adding the pairs one at a time, in batch order."""
-    return _crm_stacked(head, _crm_rows(head, batch), want_grads)[:2]
+    z, is_pos, _ = _crm_rows(head, batch)
+    return _crm_stacked(head, z, is_pos, want_grads)[:2]
 
 
 def fit_theta(pairs: list[tuple[float, bool]]) -> tuple[float, float]:
     """Grid-search theta over {0.00, 0.01, ..., 1.00} maximizing gating
     accuracy on (sigma, needs_retrieval) pairs; ties resolve to the lowest
-    theta.  Returns (theta, accuracy)."""
+    theta.  Returns (theta, accuracy).  A sigma outside [0, 1] raises as
+    ``decide`` does."""
     if not pairs:
         raise ContractViolation("fit_theta requires at least one (sigma, label) pair")
-    accuracy = {
-        theta: sum((decide(sigma, theta) == 1) == bool(needs) for sigma, needs in pairs)
-        / len(pairs)
-        for theta in THETA_GRID
-    }
+    sigma = np.array([s for s, _ in pairs], dtype=float)
+    outside = ~((sigma >= 0.0) & (sigma <= 1.0))
+    if outside.any():
+        decide(pairs[int(np.argmax(outside))][0], THETA_GRID[0])
+    needs = np.array([bool(n) for _, n in pairs])
+    # decide retrieves unless sigma > theta; one row of hits per theta.
+    retrieves = ~(sigma > np.array(THETA_GRID)[:, None])
+    hits = np.count_nonzero(retrieves == needs, axis=1).tolist()
+    accuracy = {theta: n_hit / len(pairs) for theta, n_hit in zip(THETA_GRID, hits)}
     # max() keeps the first of equal keys: the lowest theta.
     best = max(THETA_GRID, key=accuracy.__getitem__)
     return best, accuracy[best]
@@ -235,8 +240,8 @@ class CrmTrace:
     theta_accuracy: float = 0.0
 
 
-def _checked_pass(head: RelevanceHead, rows, step: int, want_grads: bool = True):
-    loss, grads, clamped = _crm_stacked(head, rows, want_grads)
+def _checked_pass(head: RelevanceHead, z, is_pos, step: int, want_grads: bool = True):
+    loss, grads, clamped = _crm_stacked(head, z, is_pos, want_grads)
     if clamped:  # a NaN score is not kept either: a non-finite loss has clamped pairs
         message = f"relevance head saturated: {clamped} pairs at the log clamp or NaN"
         raise DivergenceError(message, step=step)
@@ -253,10 +258,10 @@ def train_crm(
     """Gradient descent on the contrastive loss, then theta from
     ``fit_theta``'s grid search on the same gating pairs (no held-out
     split; theta never depends on the head); deterministic given
-    config.seed.  Each query's input rows are stacked once, for every step.
-    A step's pass, or one full-set pass over the returned head, with a pair
-    at the log clamp or a non-finite loss raises DivergenceError, without
-    a RuntimeWarning."""
+    config.seed.  The labeled rows are stacked once, and each mini-batch
+    gathers its queries' rows by index.  A step's pass, or one full-set
+    pass over the returned head, with a pair at the log clamp or a
+    non-finite loss raises DivergenceError, without a RuntimeWarning."""
     config.validate()
     if not labeled:
         raise ContractViolation("train_crm requires a labeled corpus")
@@ -267,22 +272,23 @@ def train_crm(
             f"labeled corpus needs both positives and negatives (got {n_pos} pos, {n_neg} neg)"
         )
     head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
-    rows = _crm_rows(head, labeled)
+    z, is_pos, spans = _crm_rows(head, labeled)
     rng = np.random.default_rng(config.seed)
     trace = CrmTrace()
     step = 0
-    size = config.batch_size or len(rows)
+    size = config.batch_size or len(labeled)
     with np.errstate(over="ignore", invalid="ignore"):
         for _epoch in range(config.epochs):
-            order = rng.permutation(len(rows)) if config.batch_size else range(len(rows))
+            order = rng.permutation(len(labeled)) if config.batch_size else range(len(labeled))
             epoch_loss = 0.0
-            for s in range(0, len(rows), size):
-                loss, grads = _checked_pass(head, [rows[i] for i in order[s : s + size]], step)
+            for s in range(0, len(labeled), size):
+                rows = np.concatenate([spans[i] for i in order[s : s + size]])
+                loss, grads = _checked_pass(head, z[rows], is_pos[rows], step)
                 head.apply_grads(grads, config.lr)
                 epoch_loss += loss
                 step += 1
             trace.epoch_losses.append(epoch_loss)
-        _checked_pass(head, rows, step, want_grads=False)
+        _checked_pass(head, z, is_pos, step, want_grads=False)
     theta, acc = fit_theta(gating_pairs)
     trace.theta_accuracy = acc
     return head, theta, trace

@@ -214,7 +214,9 @@ def generate(
 @dataclass(frozen=True)
 class GenExample:
     """A query, its evidence as ``origin_tangents`` rows (k, dim), and its
-    gold answer."""
+    gold answer.  ``condition_vector`` reads only the rows' mean, and the
+    mean of one row is that row, so phase 2 stores each gated example's
+    mean row (1, dim) in place of its rows."""
 
     query: Query
     evidence: np.ndarray

@@ -299,12 +299,12 @@ def distances_to_rows(point: LorentzPoint, coords_rows: np.ndarray) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Row-wise maps at the origin, each row bit for bit the scalar call on that
-# row: elementwise steps are array ops, every dot product is one ``ddot``
-# per row (``matmul`` over stacked row vectors), and log1p, cosh and sinh
-# go through ``math`` row by row, because numpy's versions differ from it
-# in the last bit.  Each keeps the checks of the scalar path and its point
-# types, raising for the first row that fails one.
+# Row-wise maps at the origin and pair distances, each row bit for bit the
+# scalar call on that row: elementwise steps are array ops, every dot
+# product is one ``ddot`` per row (``matmul`` over stacked row vectors),
+# and log1p, cosh and sinh go through ``math`` row by row, because numpy's
+# versions differ from it in the last bit.  The maps keep the checks of the
+# scalar path and its point types, raising for the first row that fails one.
 # ---------------------------------------------------------------------------
 
 
@@ -365,6 +365,32 @@ def project_rows(spatial) -> np.ndarray:
         (t < 1.0 - 1e-12, "time-like coordinate {} is below the future sheet", t),
     ])
     return coords
+
+
+def pair_distance_rows(x: np.ndarray, y: np.ndarray, want_grads: bool = True):
+    """Row-wise ``geodesic_distance(x[i], y[i])`` for hyperboloid rows x and
+    y (as ``project_rows`` makes them) and, with ``want_grads``, the rows of
+    ``distance_spatial_grad(x[i], y[i])`` and of ``distance_spatial_grad(y[i],
+    x[i])`` (else None for both).  Each branch is taken as the scalar forms
+    take it (a NaN excess is below neither cutoff), and arccosh and sinh go
+    through ``math``."""
+    s = -(-x[:, 0] * y[:, 0] + _row_dots(x[:, 1:], y[:, 1:])) - 1.0
+    near = s < 1e-4
+    excess = s.copy()
+    if near.any():  # _excess's form, only where it takes it
+        diff = y[near] - x[near]
+        excess[near] = 0.5 * (-diff[:, 0] * diff[:, 0] + _row_dots(diff[:, 1:], diff[:, 1:]))
+    dist = np.array(list(map(acosh_from_excess, excess.tolist())))
+    if not want_grads:
+        return dist, None, None
+    live = ~(s < _GRAD_COINCIDENCE_CUTOFF)
+    sinh = np.ones_like(s)
+    sinh[live] = list(map(_sinh_from_excess, s[live].tolist()))
+    gx = (x[:, 1:] * (y[:, 0] / x[:, 0])[:, None] - y[:, 1:]) / sinh[:, None]
+    gy = (y[:, 1:] * (x[:, 0] / y[:, 0])[:, None] - x[:, 1:]) / sinh[:, None]
+    gx[~live] = 0.0
+    gy[~live] = 0.0
+    return dist, gx, gy
 
 
 def origin_log_rows(coords) -> np.ndarray:

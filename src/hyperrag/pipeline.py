@@ -25,8 +25,7 @@ from .alignment import (
     embed_corpus_rows,
     geo_loss_and_grads,
     id_ranks,
-    item_tangent_rows,
-    rank_rows,
+    nearest_rows,
 )
 from .errors import (
     ConfigurationError,
@@ -56,6 +55,7 @@ from .generation import (
     generate,
     query_dropout_prob,
 )
+from .geometry import LorentzPoint, origin_log_rows
 from .io import canonical_json_bytes
 from .spectral import (
     KnowledgeGraph,
@@ -275,11 +275,12 @@ class ReadIndex:
         return self.triplet_rows[inside[self.triplet_heads] & inside[self.triplet_tails]]
 
 
-def _evidence_rows(table: EmbeddingTable, docs, triplet_rows: np.ndarray) -> np.ndarray:
-    """Evidence for the generator: the docs' ``item_tangent_rows``, then
-    the triplet rows.  Only the docs an answer uses are embedded, so a bad
-    document embedding surfaces here, in the stage that reads it."""
-    return np.concatenate([item_tangent_rows(table, docs), triplet_rows])
+def _evidence_rows(index: ReadIndex, positions: list[int], triplet_rows: np.ndarray) -> np.ndarray:
+    """Evidence for the generator: the origin tangent rows of the used
+    docs' corpus rows (at ``positions``), then the triplet rows.  A corpus
+    row is the doc's ``embed_item`` point, so its tangent row is the doc's
+    ``item_tangent_rows`` row, without embedding the doc again."""
+    return np.concatenate([origin_log_rows(index.corpus_rows[positions])[:, 1:], triplet_rows])
 
 
 @dataclass
@@ -421,14 +422,19 @@ def query_subgraph(
     )
 
 
-def _top_items(
-    config: PipelineConfig, table: EmbeddingTable, query: Query, items, index: ReadIndex
-):
-    """The ``config.top_k`` items nearest the query (every item when there
-    are fewer), ranked over the index's corpus rows and ``id_ranks``."""
-    k = min(config.top_k, len(items))
-    rows, id_key = index.corpus_rows, index.corpus_id_key
-    return [doc for doc, _ in rank_rows(table, query, items, rows, k, id_key)]
+def _top_items(config: PipelineConfig, point: LorentzPoint, index: ReadIndex) -> list[int]:
+    """Positions of the ``config.top_k`` items nearest the query point
+    (every item when there are fewer), ranked over the index's corpus rows
+    and ``id_ranks``."""
+    k = min(config.top_k, len(index.corpus_rows))
+    return nearest_rows(point, index.corpus_rows, k, index.corpus_id_key)[0].tolist()
+
+
+def _relevant(head: RelevanceHead, query: Query, items, positions: list[int]) -> list[int]:
+    """The positions whose items ``filter_relevant`` keeps, in order."""
+    docs = [items[i] for i in positions]
+    kept = {id(doc) for doc in filter_relevant(head, query, docs)}
+    return [i for i, doc in zip(positions, docs) if id(doc) in kept]
 
 
 def run_training(
@@ -526,9 +532,11 @@ def run_training(
                 for q, i in zip(batch, order[start : start + config.batch_size]):
                     evidence = np.empty((0, config.dim))
                     if delta[q.id] == 1:
-                        used = filter_relevant(head, q, _top_items(config, table, q, items, index))
+                        top = _top_items(config, table.embed_query(q), index)
                         triplets = index.triplet_evidence(subgraphs[q.id])
-                        evidence = _evidence_rows(table, used, triplets)
+                        evidence = _evidence_rows(index, _relevant(head, q, items, top), triplets)
+                    if len(evidence):  # the generator reads only the rows' mean
+                        evidence = np.mean(evidence, axis=0, keepdims=True)
                     examples.append(GenExample(q, evidence, gold[q.id]))
                     dropped.append(apply_query_dropout(q, p_t, seed=(config.seed, epoch, int(i))))
             except HyperRagError as exc:  # re-raised once the examples before it are solved
@@ -590,9 +598,11 @@ def run_training(
 
 def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     """Gate, optionally retrieve/filter/refine, then decode; per-stage
-    wall-clock timings are recorded.  Corpus rows and triplet rows come
-    from the components' read index (built inside the ``retrieve`` timing
-    when the components have none); the answer has ``answer_len`` tokens."""
+    wall-clock timings are recorded.  The query is embedded once, for the
+    retrieval scan and the generator.  Corpus rows, the used docs' evidence
+    rows and triplet rows come from the components' read index (built
+    inside the ``retrieve`` timing when the components have none); the
+    answer has ``answer_len`` tokens."""
     cfg = components.config
     timings: dict[str, float] = {}
 
@@ -614,18 +624,16 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
         with _stage("index"):
             index = components.read_index()
         with _stage("retrieve"):
-            ranked = _top_items(cfg, components.table, query, components.items, index)
-        retrieved = tuple(doc.id for doc in ranked)
+            q_point = components.table.embed_query(query)
+            positions = _top_items(cfg, q_point, index)
+        retrieved = tuple(components.items[i].id for i in positions)
         timings["retrieve"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         with _stage("filter"):
-            docs = (
-                filter_relevant(components.head, query, ranked)
-                if components.crm_enabled
-                else ranked
-            )
-        used = tuple(doc.id for doc in docs)
+            if components.crm_enabled:
+                positions = _relevant(components.head, query, components.items, positions)
+        used = tuple(components.items[i].id for i in positions)
         timings["filter"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -637,8 +645,9 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     t0 = time.perf_counter()
     with _stage("generate"):
         if delta == 1:
-            evidence = _evidence_rows(components.table, docs, triplet_rows)
-        q_point = components.table.embed_query(query)
+            evidence = _evidence_rows(index, positions, triplet_rows)
+        else:
+            q_point = components.table.embed_query(query)
         tokens = generate(
             components.generator, components.table, q_point, evidence, components.answer_len
         )

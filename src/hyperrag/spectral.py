@@ -30,7 +30,7 @@ from .errors import (
     InfeasibleConstraintError,
     NumericalError,
 )
-from .gate import sigmoid
+from .gate import sigmoid_array
 from .geometry import log_map  # noqa: F401 (perfbench's tracer test rebinds it here)
 from .geometry import origin_exp_rows, origin_log_rows, project_rows
 
@@ -269,8 +269,7 @@ def _feature_dots(query: Query, feats: np.ndarray) -> np.ndarray:
 def relevance_vector(query: Query, graph: KnowledgeGraph) -> RelevanceVector:
     """r_i = sigmoid(s_i) for every vertex, s the ``_feature_dots`` of the
     graph's feature matrix against the query."""
-    scores = _feature_dots(query, graph.feature_matrix)
-    return RelevanceVector([sigmoid(x) for x in scores.tolist()])
+    return RelevanceVector(sigmoid_array(_feature_dots(query, graph.feature_matrix)))
 
 
 @dataclass(frozen=True)

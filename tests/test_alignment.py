@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hyperrag.alignment import (
@@ -10,11 +12,14 @@ from hyperrag.alignment import (
     EmbeddingTable,
     KnowledgeItem,
     Query,
+    POSITIVE_MODALITIES,
+    QUERY_KEY,
     embed_corpus_rows,
     geo_loss,
+    geo_loss_and_grads,
     id_ranks,
     item_tangent_rows,
-    rank_rows,
+    nearest_rows,
     retrieve_topk,
     train_alignment,
 )
@@ -26,6 +31,7 @@ from hyperrag.errors import (
 )
 from hyperrag.generation import origin_tangents
 from hyperrag.geometry import (
+    distance_spatial_grad,
     distances_to_rows,
     geodesic_distance,
     origin,
@@ -209,6 +215,98 @@ class TestGeoLoss:
         assert geo_loss(table, [(q, pos)]) >= 0.0
 
 
+def per_pair_geo_loss_and_grads(table, batch, want_grads=True):
+    """Oracle for ``geo_loss_and_grads``: one scalar distance and gradient
+    per (query, positive) pair, added one at a time in batch order."""
+    grads = None
+    if want_grads:
+        grads = {name: np.zeros_like(arr) for name, arr in table.named_params()}
+    total = 0.0
+    inv_b = 1.0 / len(batch)
+    for query, positives in batch:
+        q_feat = query.combined_features
+        q_pt = table.embed_features(q_feat, QUERY_KEY)
+        for mod in POSITIVE_MODALITIES:
+            group = [it for it in positives if it.modality == mod]
+            if not group:
+                continue
+            coeff = inv_b / len(group)
+            for item in group:
+                i_pt = table.embed_item(item)
+                total += coeff * geodesic_distance(q_pt, i_pt)
+                if not want_grads:
+                    continue
+                gq = coeff * distance_spatial_grad(q_pt, i_pt)
+                gi = coeff * distance_spatial_grad(i_pt, q_pt)
+                grads[f"weight.{QUERY_KEY}"] += np.outer(gq, q_feat)
+                grads[f"bias.{QUERY_KEY}"] += gq
+                grads[f"weight.{mod}"] += np.outer(gi, item.features)
+                grads[f"bias.{mod}"] += gi
+    return total, grads
+
+
+class TestGeoLossMatchesPerPair:
+    """Weights scaled to 0 make every pair coincide (the shared bias puts
+    every map at one point); 1e-7 puts pairs below the gradient's
+    coincidence cutoff but not at distance 0; 1e-3 inside the
+    small-excess branch of the distance; larger scales far apart."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 8, 33]),
+        q_half=st.integers(1, 4),
+        d_in=st.integers(1, 5),
+        counts=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any), min_size=1, max_size=6
+        ),
+        scale=st.sampled_from([0.0, 1e-7, 1e-3, 1.0, 30.0]),
+        shared_bias=st.booleans(),
+    )
+    @example(seed=1, dim=2, q_half=1, d_in=1, counts=[(1, 0)], scale=0.0, shared_bias=True)
+    @example(
+        seed=2, dim=3, q_half=1, d_in=1, counts=[(0, 2), (3, 1)], scale=1e-7, shared_bias=True
+    )
+    def test_bit_identical_to_per_pair_loop(
+        self, seed, dim, q_half, d_in, counts, scale, shared_bias
+    ):
+        rng = np.random.default_rng(seed)
+        dims = {"visual": d_in, "textual": d_in, "graph_triplet": d_in, "query": 2 * q_half}
+        table = EmbeddingTable(dim, dims, seed=seed % 1000)
+        bias = rng.standard_normal(dim)
+        for key in table.weight:
+            table.weight[key] *= scale
+            table.bias[key] = bias.copy() if shared_bias else rng.standard_normal(dim)
+        pool = [
+            KnowledgeItem(f"i{j}", "visual" if j % 2 else "textual", rng.standard_normal(d_in))
+            for j in range(6)
+        ]
+        batch = []
+        for k, (n_vis, n_txt) in enumerate(counts):
+            q = Query(f"q{k}", rng.standard_normal(q_half), rng.standard_normal(q_half))
+            vis = [pool[i] for i in rng.choice([1, 3, 5], n_vis)]
+            txt = [pool[i] for i in rng.choice([0, 2, 4], n_txt)]
+            positives = vis + txt
+            batch.append((q, [positives[i] for i in rng.permutation(len(positives))]))
+        loss, grads = geo_loss_and_grads(table, batch)
+        want_loss, want = per_pair_geo_loss_and_grads(table, batch)
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert grads[name].shape == want[name].shape
+            assert np.array_equal(grads[name], want[name]), name
+        assert geo_loss_and_grads(table, batch, want_grads=False) == (want_loss, None)
+
+    def test_bad_query_map_is_an_invalid_point_without_warnings(self):
+        table = make_table()
+        table.weight["query"][0, 0] = np.inf
+        item = KnowledgeItem("i", "visual", np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointError, match="non-finite"):
+                geo_loss_and_grads(table, [(Query("q", np.ones(4), np.ones(4)), [item])])
+
+
 class TestTrainAlignment:
     def test_already_optimal_corpus_stays_at_zero(self):
         # Zero feature vectors embed to the origin under any zero-bias
@@ -339,8 +437,8 @@ class TestRetrieve:
         oracle = sorted(range(len(corpus)), key=lambda i: (dists[i], corpus[i].id))
         for k in (0, 5, len(corpus)):
             want = [(corpus[i].id, float(dists[i])) for i in oracle[:k]]
-            ranked = rank_rows(table, q, corpus, rows, k, id_ranks(corpus))
-            assert [(it.id, d) for it, d in ranked] == want
+            order, got = nearest_rows(table.embed_query(q), rows, k, id_ranks(corpus))
+            assert [(corpus[i].id, float(got[i])) for i in order] == want
             assert [(it.id, d) for it, d in retrieve_topk(table, q, corpus, k)] == want
 
     def test_id_ranks_keep_corpus_order_for_equal_ids(self):
@@ -353,8 +451,8 @@ class TestRetrieve:
         rows = embed_corpus_rows(table, corpus)
         rows[2] = np.nan
         q = Query("q", np.zeros(2), np.zeros(2))
-        ranked = rank_rows(table, q, corpus, rows, 2, id_ranks(corpus))
-        assert [it.id for it, _ in ranked] == ["c", "a"]
+        order, _ = nearest_rows(table.embed_query(q), rows, 2, id_ranks(corpus))
+        assert [corpus[i].id for i in order] == ["c", "a"]
 
     def test_k_zero_empty(self, rng):
         table = make_table()

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperrag import spectral
-from hyperrag.alignment import rank_rows
+from hyperrag.alignment import nearest_rows
 from hyperrag.cli import load_config, main
 from hyperrag.errors import ConfigurationError, HyperRagError
 from hyperrag.geometry import distances_to_rows
@@ -519,14 +519,14 @@ class TestErrorSurface:
             index = components.read_index()
             query = bundle.queries[0]
             dists = distances_to_rows(components.table.embed_query(query), index.corpus_rows)
-            ranked = rank_rows(
-                components.table, query, components.items, index.corpus_rows,
+            order, _ = nearest_rows(
+                components.table.embed_query(query), index.corpus_rows,
                 len(components.items), index.corpus_id_key,
             )
         assert np.all(np.isfinite(dists)) and dists.min() > 356.0
-        ids = [doc.id for doc, _ in ranked]
+        ids = [components.items[i].id for i in order]
         assert ids != sorted(ids)
-        assert [d for _, d in ranked] == sorted(dists.tolist())
+        assert dists[order].tolist() == sorted(dists.tolist())
 
     def test_rho_overflowing_edge_weight_is_config_error(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

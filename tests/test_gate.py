@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from hyperrag import gate
 from hyperrag.alignment import KnowledgeItem, Query
+from hyperrag import spectral
 from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
 from hyperrag.gate import (
     LOG_CLAMP,
@@ -22,8 +23,8 @@ from hyperrag.gate import (
     max_softmax,
     relevance,
     sigmoid,
+    sigmoid_array,
     _crm_stacked,
-    _sum_rows,
     train_crm,
 )
 
@@ -217,6 +218,107 @@ class TestFitTheta:
             fit_theta([])
 
 
+def scalar_fit_theta(pairs):
+    """Oracle for ``fit_theta``: one ``decide`` per (theta, pair), theta
+    outermost, and each accuracy a sum of hits over the pair count."""
+    accuracy = {
+        theta: sum((decide(sigma, theta) == 1) == bool(needs) for sigma, needs in pairs)
+        / len(pairs)
+        for theta in gate.THETA_GRID
+    }
+    best = max(gate.THETA_GRID, key=accuracy.__getitem__)
+    return best, accuracy[best]
+
+
+class TestFitThetaMatchesScalarLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(gate.THETA_GRID + [0.0, 1.0, 5e-324, 0.005, 0.995]),
+                    st.floats(0.0, 1.0),
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_same_theta_and_accuracy(self, pairs):
+        assert fit_theta(pairs) == scalar_fit_theta(pairs)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), float("inf"), -5e-324])
+    def test_out_of_range_sigma_raises_as_decide_does(self, bad):
+        pairs = [(0.5, True), (bad, False), (2.0, True)]
+        with pytest.raises(ContractViolation) as want:
+            scalar_fit_theta(pairs)
+        with pytest.raises(ContractViolation) as got:
+            fit_theta(pairs)
+        assert str(got.value) == str(want.value)
+
+    def test_decide_is_not_called_per_pair(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gate, "decide", lambda *a: calls.append(a) or decide(*a))
+        assert fit_theta([(0.3, True), (0.8, False)]) == (0.3, 1.0)
+        assert calls == []
+
+
+SIGMOID_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 709.8, -709.8, 745.0, -745.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, -2.2250738585072014e-308, 1e-300, -1e-300, 36.7, -36.7, 1e308,
+]
+
+
+class TestSigmoidArray:
+    @staticmethod
+    def assert_bitwise_scalar(x):
+        got = sigmoid_array(np.asarray(x, dtype=float))
+        want = [sigmoid(v) for v in np.asarray(x, dtype=float).tolist()]
+        assert got.shape == (len(want),)
+        for g, w in zip(got.tolist(), want):
+            if math.isnan(w):
+                assert math.isnan(g)
+            else:
+                assert np.float64(g).tobytes() == np.float64(w).tobytes()
+
+    def test_edge_values(self):
+        self.assert_bitwise_scalar(SIGMOID_EDGES)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-12, 1e-3, 1.0, 30.0, 700.0, 1e5])
+    def test_random_scales(self, rng, scale):
+        self.assert_bitwise_scalar(scale * rng.standard_normal(2000))
+
+    def test_empty(self):
+        assert sigmoid_array(np.empty(0)).shape == (0,)
+
+
+class TestScalarSigmoidUnused:
+    """The array passes never fall back to the scalar ``sigmoid``."""
+
+    @pytest.fixture
+    def no_scalar_sigmoid(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("scalar sigmoid called")
+
+        monkeypatch.setattr(gate, "sigmoid", refuse)
+        monkeypatch.setattr(spectral, "sigmoid", refuse, raising=False)
+
+    def test_relevance_and_filter(self, rng, no_scalar_sigmoid):
+        head = small_head(q_dim=8, i_dim=4)
+        q, pos, neg = planted_crm_corpus(rng, n_queries=1)[0]
+        assert len(filter_relevant(head, q, pos + neg)) <= len(pos + neg)
+        assert 0.0 < relevance(head, q, pos[0]) < 1.0
+        vertices = [spectral.GraphVertex(f"v{i}", f"n{i}", rng.standard_normal(4)) for i in range(5)]
+        graph = spectral.KnowledgeGraph(tuple(vertices), (), ())
+        assert len(spectral.relevance_vector(q, graph).values) == 5
+
+    def test_train_crm(self, rng, no_scalar_sigmoid):
+        labeled = planted_crm_corpus(rng, n_queries=4)
+        config = CrmConfig(hidden=8, lr=0.05, epochs=2, seed=1, batch_size=2)
+        train_crm(labeled, TestTrainCrm().calibrated_pairs(), config, 8, 4)
+
+
 def planted_crm_corpus(rng, n_queries=10, feat=4, margin=3.0):
     direction = np.zeros(feat)
     direction[0] = 1.0
@@ -290,9 +392,9 @@ class TestTrainCrm:
         labeled = planted_crm_corpus(rng, n_queries=7)
         calls = []
 
-        def counting(head, rows, want_grads):
+        def counting(head, z, is_pos, want_grads):
             calls.append(want_grads)
-            return _crm_stacked(head, rows, want_grads)
+            return _crm_stacked(head, z, is_pos, want_grads)
 
         monkeypatch.setattr(gate, "_crm_stacked", counting)
         config = CrmConfig(hidden=8, lr=0.05, epochs=3, seed=1, batch_size=batch_size)
@@ -365,6 +467,13 @@ def per_pair_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
             epoch_loss += loss
         losses.append(epoch_loss)
     return head, fit_theta(gating_pairs)[0], losses
+
+
+def _sum_rows(a):
+    """a[0] + a[1] + ... in row order, as a ``+=`` loop adds them: reduce
+    over the leading axis adds whole slices in order, but sums one-element
+    slices pairwise, so those take the running sum (``accumulate``)."""
+    return np.add.accumulate(a, axis=0)[-1] if a[0].size == 1 else np.add.reduce(a, axis=0)
 
 
 def column_loop_grads(head, z, labels):
@@ -451,7 +560,7 @@ class TestBatchedMatchesPerPair:
         head.b1 = rng.standard_normal(hidden)
         z = scale * rng.standard_normal((n, width))
         labels = rng.random(n) < 0.5
-        _, grads, clamped = _crm_stacked(head, [(z, labels.tolist())], want_grads=True)
+        _, grads, clamped = _crm_stacked(head, z, labels, want_grads=True)
         assert clamped == 0
         want_w1, want_b1 = column_loop_grads(head, z, labels)
         assert np.array_equal(grads["w1"], want_w1)

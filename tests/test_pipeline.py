@@ -17,7 +17,7 @@ from hyperrag.alignment import (
     embed_corpus_rows,
     id_ranks,
     item_tangent_rows,
-    rank_rows,
+    nearest_rows,
     retrieve_topk,
 )
 from hyperrag.errors import (
@@ -373,6 +373,31 @@ class TestLockStepGeneration:
         assert got[0] is {"tiny-epsilon": NumericalError, "nan-weight": DivergenceError}[case]
 
 
+class TestPhase2Evidence:
+    def test_each_gated_example_holds_its_evidence_mean(self, monkeypatch):
+        spec = SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
+        bundle = synth_bundle(spec)
+        generator_pass, full_rows = pipeline.example_losses_and_grad, pipeline._evidence_rows
+        means, stored = [], []
+
+        def keep_rows(*args):
+            rows = full_rows(*args)
+            means.append(np.mean(rows, axis=0, keepdims=True) if len(rows) else rows)
+            return rows
+
+        def record(gen, table, examples, *rest):
+            stored.extend(ex.evidence for ex in examples)
+            return generator_pass(gen, table, examples, *rest)
+
+        monkeypatch.setattr(pipeline, "_evidence_rows", keep_rows)
+        monkeypatch.setattr(pipeline, "example_losses_and_grad", record)
+        run_training(SMALL_CFG, bundle)
+        gated = [ev for ev in stored if len(ev)]
+        assert len(gated) == len(means) > 0
+        assert all(ev.shape == (1, SMALL_CFG.dim) for ev in gated)
+        assert all(np.array_equal(ev, mean) for ev, mean in zip(gated, means))
+
+
 class TestAnswerQuery:
     def test_gating_consistency(self, planted):
         bundle, components, _ = planted
@@ -429,6 +454,44 @@ class TestAnswerQuery:
         broken.generator.weight[0, 0] = np.nan
         with pytest.raises(HyperRagError, match=r"\[stage: generate\]"):
             answer_query(broken, bundle.queries[0])
+
+
+    def test_query_embedded_once_and_docs_not_again(self, planted, monkeypatch):
+        bundle, components, _ = planted
+        copies = (components, components.with_crm(False))
+        for gated in copies:
+            gated.read_index()
+        embedded = []
+        embed_query = EmbeddingTable.embed_query
+
+        def counting(table, query):
+            embedded.append(query.id)
+            return embed_query(table, query)
+
+        def refuse(*args):
+            raise AssertionError("a used doc was embedded again")
+
+        monkeypatch.setattr(EmbeddingTable, "embed_query", counting)
+        monkeypatch.setattr(EmbeddingTable, "embed_item", refuse)
+        monkeypatch.setattr(pipeline, "embed_corpus_rows", refuse)
+        for gated in copies:
+            for q in bundle.queries[:6]:
+                embedded.clear()
+                answer_query(gated, q)
+                assert embedded == [q.id]
+
+    @pytest.mark.parametrize("crm_enabled, stage", [(True, "generate"), (False, "retrieve")])
+    def test_bad_query_map_fails_in_the_first_stage_that_reads_it(
+        self, planted, crm_enabled, stage
+    ):
+        bundle, components, _ = planted
+        broken = components.with_crm(crm_enabled)
+        broken.table = deepcopy(components.table)
+        broken.read_index()
+        broken.table.weight["query"][0, 0] = np.nan
+        q = bundle.queries[2]  # answered directly when the gate is on
+        with pytest.raises(HyperRagError, match=rf"\[stage: {stage}\]"):
+            answer_query(broken, q)
 
 
 class TestReadIndex:
@@ -552,28 +615,98 @@ def old_corpus_rows(table, items) -> np.ndarray:
 def default_trained(request):
     """A default bundle trained as the benchmark trains it (one epoch)."""
     bundle = synth_bundle(SynthSpec(seed=request.param))
-    components, _ = run_training(PipelineConfig(seed=request.param, epochs=1), bundle)
-    return bundle, components
+    components, reports = run_training(PipelineConfig(seed=request.param, epochs=1), bundle)
+    return bundle, components, reports
+
+
+def output_digests(bundle, components, reports) -> dict[str, str]:
+    """SHA-256 of the bytes of each kind of training and answering output:
+    phase 1 run alone (head arrays, theta, epoch losses), the trained head
+    and theta, the table's parameters, the loss records, every answer's
+    fields with the gate on and off, and both ``EvalReport``s."""
+    phase1 = pipeline.train_phase1(components.config, bundle)[1:]
+    head, theta, trace = phase1
+    parts = {
+        "phase1": [arr.tobytes() for _, arr in head.named_params()]
+        + [repr((theta, trace.epoch_losses, trace.theta_accuracy)).encode()],
+        "head": [arr.tobytes() for _, arr in components.head.named_params()]
+        + [repr(components.theta).encode()],
+        "table": [arr.tobytes() for _, arr in components.table.named_params()],
+        "losses": [canonical_json_bytes([r.to_record() for r in reports])],
+        "answers": [],
+        "eval": [],
+    }
+    for gated in (components, components.with_crm(False)):
+        for q in bundle.queries:
+            res = answer_query(gated, q)
+            sub = res.subgraph
+            fields = (res.tokens.tokens, res.sigma, res.delta, res.retrieved_ids, res.used_ids)
+            if sub is not None:
+                fields += (sub.selected, sub.eta, sub.relevance_mass, sub.objective)
+                parts["answers"].append(sub.indicator.tobytes())
+            parts["answers"].append(repr(fields).encode())
+        parts["eval"].append(evaluate(gated, bundle).canonical_bytes())
+    return {name: hashlib.sha256(b"\n".join(chunks)).hexdigest() for name, chunks in parts.items()}
+
+
+class TestParentOutputs:
+    """``output_digests`` of the default bundles, pinned from the per-pair
+    phase-1 step, the per-pair alignment loss, the scalar sigmoid and gate
+    sweep, and phase-2 examples that held every evidence row, with each
+    answer's query and used docs embedded again.  The array passes that
+    replaced them keep every byte."""
+
+    PINNED = {
+        42: {
+            "phase1": "5196c7b5484868b257926a164959624984457ee10cf5f335feae592681d27b1b",
+            "head": "1122b8f6889946c8a41230d130b9f9478341ab7b041d3fd89cdacfcf5f585add",
+            "table": "e14b8bca96dc6b6845d1bd1169d6aaa13c219fbc398a5e9ef52b2b34d11ad8d2",
+            "losses": "75a50c172c04af835333d339c13adba0aee49c3c0b33ed55c251cb977e346840",
+            "answers": "a9c0e6b17629a72e5e671fb6bb1b62a75299e8812d976d80bb4fcd2c8904d630",
+            "eval": "dcf0fe0c88f8d16087f053e662d6ad32bc00518e53bb5f308e414c8a589ec900",
+        },
+        100042: {
+            "phase1": "fbfe5c3421607d098f77e022b631bf309ac63616b79d0968bd334783b2e56068",
+            "head": "dae3e5b6eb04a461bfcf00cda29c1534a804b7ad6d048410c1048d54440e5d30",
+            "table": "85c57cb6327158af7d4c389392306235c249fc09627b69b5314e60e5b6888ddc",
+            "losses": "4443feabece97ea253b6382516330ae7e05d28b841803bdd7f0ceb51902785cf",
+            "answers": "dd2aa64a33b0bd8c4fe3e208bde536db9f805f5dfcfd7fcb4bd623d1a9649a28",
+            "eval": "d4bc231e83550c854466f260f3c5d691dcc9482db5ac27c356553dac9e0a5654",
+        },
+        200042: {
+            "phase1": "39634a07125b1803538a6a7410b73f6c809a00d7da5d9aa3de895a0454843450",
+            "head": "798126f5f319d5e4db4c307c5d35c23bb1cff5109f6cfeff6e862cb2243c78a9",
+            "table": "51ae15770a1a49c2ce7ed6a3ba15cc295d194fd7fd1c5a1316ca8236769249a4",
+            "losses": "64d50d576009a6920e7ff71e66c3168e3dfac43aa4e7a340abdede1ccb4345cd",
+            "answers": "1918aa30c962fce5542018ea227875d71dd49a67f853c107fc59149eaa71ac62",
+            "eval": "a769143acf513f44da53900473c2a1b9e991ff673293221dfdb6679c1179e78f",
+        },
+    }
+
+    def test_every_output_keeps_its_bytes(self, default_trained):
+        bundle, components, reports = default_trained
+        got = output_digests(bundle, components, reports)
+        assert got == self.PINNED[components.config.seed]
 
 
 class TestCorpusRows:
     def test_rows_are_the_embed_item_bits(self, default_trained):
-        _, components = default_trained
+        _, components, _ = default_trained
         table, items = components.table, components.items
         want = np.array([table.embed_item(item).coords for item in items])
         assert np.array_equal(embed_corpus_rows(table, items), want)
         assert np.array_equal(components.read_index().corpus_rows, want)
 
     def test_full_corpus_order_matches_the_old_rows(self, default_trained):
-        bundle, components = default_trained
+        bundle, components, _ = default_trained
         table, items = components.table, components.items
         key = id_ranks(items)
         rows, old = embed_corpus_rows(table, items), old_corpus_rows(table, items)
         assert not np.array_equal(rows, old)
         for q in bundle.queries:
-            got = rank_rows(table, q, items, rows, len(items), key)
-            want = rank_rows(table, q, items, old, len(items), key)
-            assert [doc.id for doc, _ in got] == [doc.id for doc, _ in want]
+            got, _ = nearest_rows(table.embed_query(q), rows, len(items), key)
+            want, _ = nearest_rows(table.embed_query(q), old, len(items), key)
+            assert [items[i].id for i in got] == [items[i].id for i in want]
 
 
 class TestPinnedTraining:
