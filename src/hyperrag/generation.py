@@ -12,6 +12,7 @@ capacity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -179,6 +180,12 @@ def origin_tangents(points, dim: int) -> np.ndarray:
     return np.array([log_map(base, p).components[1:] for p in points]).reshape(len(points), dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _origin(dim: int) -> LorentzPoint:
+    """``origin(dim)``, built once per dimension (its coords are read-only)."""
+    return origin(dim)
+
+
 def condition_vector(
     table: EmbeddingTable,
     query_point: LorentzPoint,
@@ -188,7 +195,7 @@ def condition_vector(
     evidence's ``origin_tangents`` rows (zeros when there is no evidence).
     Mean pooling is linear in the tangent space at the origin, so it reads
     the rows as they are."""
-    q_tan = log_map(origin(table.dim), query_point).components[1:]
+    q_tan = log_map(_origin(table.dim), query_point).components[1:]
     ev = np.mean(evidence_rows, axis=0) if len(evidence_rows) else np.zeros(table.dim)
     return np.concatenate([q_tan, ev])
 

@@ -244,12 +244,15 @@ class AdamW:
 @dataclass(frozen=True)
 class ReadIndex:
     """The embeddings that training and answering read from one table:
-    one hyperboloid row per corpus item with the items' ``id_ranks``, and
-    one ``embed_triplets`` row per ``graph.triplets`` entry with its head
-    and tail vertex indices."""
+    one hyperboloid row and one origin tangent row (``origin_log_rows`` is
+    row-wise: each row is the item's ``log_map(origin, embed_item(item))``)
+    per corpus item, with the items' ``id_ranks``, and one
+    ``embed_triplets`` row per ``graph.triplets`` entry with its head and
+    tail vertex indices."""
 
     corpus_rows: np.ndarray
     corpus_id_key: np.ndarray
+    corpus_tangents: np.ndarray
     triplet_rows: np.ndarray
     triplet_heads: np.ndarray
     triplet_tails: np.ndarray
@@ -260,9 +263,11 @@ class ReadIndex:
     ) -> "ReadIndex":
         heads = [graph.vertex_index(h) for h, _, _ in graph.triplets]
         tails = [graph.vertex_index(t) for _, _, t in graph.triplets]
+        corpus_rows = embed_corpus_rows(table, items)
         return cls(
-            corpus_rows=embed_corpus_rows(table, items),
+            corpus_rows=corpus_rows,
             corpus_id_key=id_ranks(items),
+            corpus_tangents=origin_log_rows(corpus_rows)[:, 1:],
             triplet_rows=embed_triplets(graph, table, graph.triplets),
             triplet_heads=np.array(heads, dtype=np.intp),
             triplet_tails=np.array(tails, dtype=np.intp),
@@ -276,11 +281,10 @@ class ReadIndex:
 
 
 def _evidence_rows(index: ReadIndex, positions: list[int], triplet_rows: np.ndarray) -> np.ndarray:
-    """Evidence for the generator: the origin tangent rows of the used
-    docs' corpus rows (at ``positions``), then the triplet rows.  A corpus
-    row is the doc's ``embed_item`` point, so its tangent row is the doc's
-    ``item_tangent_rows`` row, without embedding the doc again."""
-    return np.concatenate([origin_log_rows(index.corpus_rows[positions])[:, 1:], triplet_rows])
+    """Evidence for the generator: the used docs' corpus tangent rows (at
+    ``positions``), gathered from the index, then the triplet rows.  The
+    index computed each tangent once, when it was built."""
+    return np.concatenate([index.corpus_tangents[positions], triplet_rows])
 
 
 @dataclass
@@ -291,9 +295,11 @@ class PipelineComponents:
     ``graph`` and ``items``: the one ``run_training`` hands over, or one
     built on the first such answer.  Training also hands over each gated
     query's ``Subgraph``, which answers the query with the same id and
-    feature arrays.  So do not mutate a components object: copy it with
-    ``dataclasses.replace``, which keeps neither, or ``with_crm``, which
-    keeps the subgraphs (the gate does not change a refinement).
+    feature arrays, and each bundle query's gate confidence sigma, which
+    answers any query with that id (other ids compute theirs from
+    ``confidence``).  So do not mutate a components object: copy it with
+    ``dataclasses.replace``, which keeps none of them, or ``with_crm``,
+    which keeps the subgraphs and sigmas (the gate changes neither).
     """
 
     config: PipelineConfig
@@ -310,6 +316,7 @@ class PipelineComponents:
     crm_enabled: bool = True
     _index: ReadIndex | None = field(default=None, init=False, repr=False, compare=False)
     _subgraphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sigmas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def read_index(self) -> ReadIndex:
         if self._index is None:
@@ -327,7 +334,7 @@ class PipelineComponents:
 
     def with_crm(self, enabled: bool) -> "PipelineComponents":
         copy = replace(self, crm_enabled=enabled)
-        copy._subgraphs = self._subgraphs
+        copy._subgraphs, copy._sigmas = self._subgraphs, self._sigmas
         return copy
 
 
@@ -453,8 +460,10 @@ def run_training(
         queries, items, config.dim, seed=config.seed, graph_feature_dim=graph_dim
     )
 
-    labeled, head, theta, _ = train_phase1(config, bundle)
+    labeled, head, theta, crm_trace = train_phase1(config, bundle)
+    crm_z, crm_is_pos, crm_spans = crm_trace.rows  # phase 2 gathers its rows here
     per_query = {q.id: (pos, neg) for q, pos, neg in labeled}
+    span_of = {q.id: span for (q, _, _), span in zip(labeled, crm_spans)}
 
     # Phase 2 fixtures: gating decisions, relevance vectors, and refined
     # subgraphs are table-independent, so they are computed once.
@@ -511,12 +520,13 @@ def run_training(
                 sums["geo"] += geo_mean * len(geo_pairs)
                 counts["geo"] += len(geo_pairs)
 
-            crm_batch = [
-                (q, *per_query[q.id]) for q in gated if q.id in per_query
-            ]
+            crm_batch = [(q, *per_query[q.id]) for q in gated if q.id in per_query]
             if crm_batch:
+                rows = np.concatenate([span_of[q.id] for q, _, _ in crm_batch])
                 with _phase2_stage(optimizer, epoch, "relevance"):
-                    crm_sum, crm_grads = crm_loss_and_grads(head, crm_batch)
+                    crm_sum, crm_grads = crm_loss_and_grads(
+                        head, crm_batch, stacked=(crm_z[rows], crm_is_pos[rows])
+                    )
                 scale = config.beta / n_batch
                 for name, g in crm_grads.items():
                     grads[f"crm.{name}"] = grads.get(f"crm.{name}", 0.0) + scale * g
@@ -593,22 +603,24 @@ def run_training(
     )
     components._index = index
     components._subgraphs = {q.id: (q, subgraphs[q.id]) for q in queries if q.id in subgraphs}
+    components._sigmas = sigma
     return components, reports
 
 
 def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     """Gate, optionally retrieve/filter/refine, then decode; per-stage
-    wall-clock timings are recorded.  The query is embedded once, for the
-    retrieval scan and the generator.  Corpus rows, the used docs' evidence
-    rows and triplet rows come from the components' read index (built
-    inside the ``retrieve`` timing when the components have none); the
-    answer has ``answer_len`` tokens."""
+    wall-clock timings are recorded.  Training hands over a bundle query's
+    sigma, its subgraph and the read index (built in the ``retrieve`` timing
+    when the components have none) with the corpus and triplet rows.  Per
+    query, an answer embeds the query once, for the scan and the generator,
+    filters, gathers its evidence rows and decodes ``answer_len`` tokens."""
     cfg = components.config
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     if components.crm_enabled:
-        sigma = _sigma_of_scores(components.confidence.get(query.id))
+        sigma = components._sigmas.get(query.id)
+        sigma = _sigma_of_scores(components.confidence.get(query.id)) if sigma is None else sigma
         delta = decide(sigma, components.theta)
     else:
         sigma = 0.0

@@ -524,9 +524,26 @@ class TestErrorSurface:
                 len(components.items), index.corpus_id_key,
             )
         assert np.all(np.isfinite(dists)) and dists.min() > 356.0
+        assert np.all(np.isfinite(index.corpus_tangents))
         ids = [components.items[i].id for i in order]
         assert ids != sorted(ids)
         assert dists[order].tolist() == sorted(dists.tolist())
+
+    @pytest.mark.parametrize("command", ["train-all", "eval", "answer"])
+    def test_diverged_finite_table_answers_without_warnings(
+        self, workdir, tmp_path, capsys, command
+    ):
+        """With ``lr`` 1e16 the read index, corpus tangents included, is
+        built from a finite table without a RuntimeWarning: each command
+        that trains exits 0."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "lr": 1e16}))
+        argv = [command, "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert records(out)
 
     def test_rho_overflowing_edge_weight_is_config_error(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

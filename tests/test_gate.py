@@ -115,6 +115,49 @@ class TestRelevance:
             relevance(head, make_query(dim=4), KnowledgeItem("i", "visual", np.zeros(3)))
 
 
+class TestInputRows:
+    """``input_rows`` checks every width before it fills one block."""
+
+    def test_first_bad_width_raises_input_vectors_error(self):
+        head = small_head(q_dim=6, i_dim=3)
+        q = make_query()
+        good = KnowledgeItem("a", "visual", np.zeros(3))
+        wide, narrow = (KnowledgeItem(k, "visual", np.zeros(n)) for k, n in (("b", 4), ("c", 2)))
+        with pytest.raises(ConfigurationError) as want:
+            head.input_vector(q, wide)
+        with pytest.raises(ConfigurationError) as got:
+            head.input_rows(q, [good, wide, narrow])
+        assert str(got.value) == str(want.value)
+        assert "(6 + 4) do not match head configuration (6 + 3)" in str(got.value)
+
+    def test_no_docs_gives_an_empty_block(self):
+        head = small_head(q_dim=6, i_dim=3)
+        rows = head.input_rows(make_query(), [])
+        assert rows.shape == (0, 9) and rows.dtype == np.float64
+
+    def test_rows_are_the_input_vector_stack_in_c_order(self, rng):
+        head = small_head(q_dim=6, i_dim=3, seed=2)
+        q = Query("q", rng.standard_normal(3), rng.standard_normal(3))
+        docs = [KnowledgeItem(f"i{k}", "visual", rng.standard_normal(3)) for k in range(7)]
+        rows = head.input_rows(q, docs)
+        assert rows.flags.c_contiguous
+        assert np.array_equal(rows, np.stack([head.input_vector(q, d) for d in docs]))
+        # C rows keep the bits of a one-row forward pass, row by row.
+        raw = head.forward(rows)[1]
+        assert raw.tolist() == [head.forward(rows[i : i + 1])[1][0] for i in range(len(docs))]
+
+    def test_stacked_rows_replace_the_batch_rows(self, rng):
+        head = small_head(seed=5)
+        q = Query("q", rng.standard_normal(3), rng.standard_normal(3))
+        docs = [KnowledgeItem(f"i{k}", "visual", rng.standard_normal(3)) for k in range(5)]
+        batch = [(q, docs[:2], docs[2:])]
+        z, is_pos, _ = gate._crm_rows(head, batch)
+        loss, grads = crm_loss_and_grads(head, batch, stacked=(z, is_pos))
+        want_loss, want = crm_loss_and_grads(head, batch)
+        assert loss == want_loss
+        assert all(np.array_equal(grads[name], want[name]) for name in want)
+
+
 class TestFilterRelevant:
     def test_zero_head_filters_everything(self):
         head = zero_head()

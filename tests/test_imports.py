@@ -1,10 +1,14 @@
 """Static checks, in place of a linter: every name a ``hyperrag`` module
 imports is used in that module (an import kept on purpose carries
 ``# noqa: F401`` on its line), every private module-level name is read
-in the module that defines it, and no two modules define a public
-function of the same name."""
+in the module that defines it, no two modules define a public function
+of the same name, and the functions the benchmark's tracer times stay
+visible to it."""
 
 import ast
+import importlib
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +127,55 @@ def test_shared_public_function_is_reported(tmp_path):
         (tmp_path / name).write_text("def score(x):\n    return x\n\ndef _helper():\n    pass\n")
     (tmp_path / "c.py").write_text("class K:\n    def score(self):\n        pass\n")
     assert public_functions(sorted(tmp_path.glob("*.py"))) == {"score": ["a.py", "b.py"]}
+
+
+# Functions the benchmark's tracer times by name.  It wraps only plain
+# module functions (``inspect.isfunction``, defined in that module), so a
+# decorator such as ``functools.lru_cache`` would hide one from it.
+TRACED = [
+    ("pipeline", "answer_query"),
+    ("gate", "filter_relevant"),
+    ("generation", "generate"),
+    ("generation", "condition_vector"),
+    ("geometry", "distances_to_rows"),
+    ("alignment", "embed_corpus_rows"),
+    ("geometry", "origin"),
+]
+
+
+@pytest.mark.parametrize("module, name", TRACED, ids=lambda v: v)
+def test_traced_function_stays_a_plain_module_function(module, name):
+    mod = importlib.import_module(f"hyperrag.{module}")
+    fn = vars(mod)[name]
+    assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+
+
+def test_one_gated_answer_filters_and_generates_once(monkeypatch):
+    """Each module that binds a traced function gets a counting wrapper, as
+    the tracer installs them; one gated answer then calls the filter, the
+    generator and its condition vector once each."""
+    from hyperrag.pipeline import PipelineConfig, answer_query, run_training
+    from hyperrag.synth import SynthSpec, synth_bundle
+
+    bundle = synth_bundle(SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18))
+    config = PipelineConfig(dim=8, epochs=1, batch_size=6, crm_epochs=5, crm_hidden=8, k=3)
+    components, _ = run_training(config, bundle)
+    query = next(q for q in bundle.queries if answer_query(components, q).delta == 1)
+    calls = dict.fromkeys(["filter_relevant", "generate", "condition_vector"], 0)
+    for module, name in TRACED:
+        if name not in calls:
+            continue
+        fn = vars(importlib.import_module(f"hyperrag.{module}"))[name]
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("hyperrag") and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    assert answer_query(components, query).delta == 1
+    assert calls == {"filter_relevant": 1, "generate": 1, "condition_vector": 1}
 
 
 def test_unused_import_is_reported(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from dataclasses import replace
 
-from hyperrag import generation, pipeline
+from hyperrag import gate, generation, pipeline
 from hyperrag.alignment import (
     AlignmentConfig,
     EmbeddingTable,
@@ -29,6 +29,7 @@ from hyperrag.errors import (
 )
 from hyperrag.gate import CrmConfig
 from hyperrag.generation import GenConfig
+from hyperrag.geometry import log_map, origin, origin_log_rows
 from hyperrag.io import canonical_json_bytes
 from hyperrag.pipeline import (
     AdamW,
@@ -707,6 +708,90 @@ class TestCorpusRows:
             got, _ = nearest_rows(table.embed_query(q), rows, len(items), key)
             want, _ = nearest_rows(table.embed_query(q), old, len(items), key)
             assert [items[i].id for i in got] == [items[i].id for i in want]
+
+
+def old_evidence_rows(index, positions, triplet_rows) -> np.ndarray:
+    """Test-only copy of the evidence rows as each answer built them before
+    the read index held the corpus tangents: ``origin_log_rows`` over the
+    used docs' corpus rows, per answer."""
+    return np.concatenate([origin_log_rows(index.corpus_rows[positions])[:, 1:], triplet_rows])
+
+
+class TestPrecomputedReadRows:
+    """Rows the read path gathers instead of computing per answer, each
+    against a test-only copy of the path it replaced, bit for bit."""
+
+    def test_corpus_tangents_are_the_log_map_bits(self, default_trained):
+        _, components, _ = default_trained
+        table = components.table
+        base = origin(table.dim)
+        want = [log_map(base, table.embed_item(item)).components[1:] for item in components.items]
+        assert np.array_equal(components.read_index().corpus_tangents, np.array(want))
+
+    def test_evidence_rows_match_the_per_answer_tangents(self, default_trained, monkeypatch):
+        bundle, components, _ = default_trained
+        calls = spy(monkeypatch, "_evidence_rows")
+        generate, got = pipeline.generate, []
+
+        def record(gen, table, point, evidence, max_len):
+            got.append(evidence)
+            return generate(gen, table, point, evidence, max_len)
+
+        monkeypatch.setattr(pipeline, "generate", record)
+        for q in bundle.queries:
+            answer_query(components, q)
+        gated = [ev for ev in got if len(ev)]
+        assert len(calls) == len(gated) > 0
+        for args, evidence in zip(calls, gated):
+            assert np.array_equal(evidence, old_evidence_rows(*args))
+
+    def test_handed_over_sigmas_are_the_confidence_sigmas(self, default_trained, monkeypatch):
+        bundle, components, _ = default_trained
+        confidence = components.confidence
+        want = {q.id: pipeline._sigma_of_scores(confidence.get(q.id)) for q in bundle.queries}
+        assert components._sigmas == want
+        assert components.with_crm(True)._sigmas is components._sigmas
+        calls = spy(monkeypatch, "_sigma_of_scores")
+        assert [answer_query(components, q).sigma for q in bundle.queries] == list(want.values())
+        assert calls == []
+        unknown = replace(bundle.queries[0], id="q-unknown")
+        assert unknown.id not in confidence
+        result = answer_query(components, unknown)
+        assert (result.sigma, result.delta) == (0.0, 1)
+        assert calls == [(None,)]
+
+    def test_a_replaced_copy_computes_its_sigmas(self, default_trained):
+        bundle, components, _ = default_trained
+        copy = replace(components)
+        assert copy._sigmas == {}
+        for q in bundle.queries[:20]:
+            assert answer_query(copy, q).sigma == components._sigmas[q.id]
+
+    def test_input_rows_are_the_input_vector_stack(self, default_trained):
+        bundle, components, _ = default_trained
+        head = components.head
+        labeled, _ = phase1_inputs(bundle)
+        for q, pos, neg in labeled:
+            rows = head.input_rows(q, pos + neg)
+            assert rows.flags.c_contiguous
+            assert np.array_equal(rows, np.stack([head.input_vector(q, d) for d in pos + neg]))
+
+    def test_phase2_gathers_the_rows_each_batch_built(self, monkeypatch):
+        """Phase 2's relevance rows are phase 1's stack gathered by index:
+        the rows ``_crm_rows`` built for each mini-batch, in order."""
+        original = pipeline.crm_loss_and_grads
+        batches = []
+
+        def check(head, batch, want_grads=True, *, stacked=None):
+            z, is_pos, _ = gate._crm_rows(head, batch)
+            assert stacked[0].flags.c_contiguous
+            assert np.array_equal(stacked[0], z) and np.array_equal(stacked[1], is_pos)
+            batches.append(len(batch))
+            return original(head, batch, want_grads, stacked=stacked)
+
+        monkeypatch.setattr(pipeline, "crm_loss_and_grads", check)
+        run_training(SMALL_CFG, synth_bundle(PLANTED_SPEC))
+        assert len(batches) > SMALL_CFG.epochs and max(batches) > 1
 
 
 class TestPinnedTraining:
