@@ -38,12 +38,11 @@ POSITIVE_MODALITIES = ("visual", "textual")
 
 
 def _clean_features(features, name: str) -> np.ndarray:
-    arr = np.asarray(features, dtype=float)
+    arr = np.array(features, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ContractViolation(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise ContractViolation(f"{name} contains non-finite values")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

@@ -396,7 +396,3 @@ def main(argv: list[str] | None = None) -> int:
             canonical_json_bytes({"category": exc.category, "message": str(exc)}).decode()
         )
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

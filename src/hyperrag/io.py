@@ -3,13 +3,15 @@ table archive, and canonical JSON used for reproducibility checks.
 
 All writers emit byte-deterministic output (floats as shortest
 round-trip decimals); all loaders raise DataFormatError naming the file
-and 1-based line number of the first offending record.
+and 1-based line number of the first offending record.  A float column is
+parsed in one pass, and again line by line only to name a bad token's line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,8 @@ def _fmt(x: float) -> str:
 
 
 def _csv(values) -> str:
-    return ",".join(_fmt(v) for v in values)
+    """``_fmt`` of each value, joined by commas."""
+    return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def _parse_floats(text: str, path, lineno: int, what: str) -> np.ndarray:
@@ -35,6 +38,19 @@ def _parse_floats(text: str, path, lineno: int, what: str) -> np.ndarray:
         return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise DataFormatError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+
+
+def _float_column(rows, col: int, path, what: str):
+    """Field ``col`` of each row as a float array, all parsed in one pass.  If a
+    token is bad, each field is parsed as the caller's loop reaches its line, so
+    earlier lines are checked before ``_parse_floats`` names the first bad one."""
+    texts = [parts[col] for _, parts in rows]
+    try:
+        flat = np.array(list(map(float, ",".join(texts).split(","))))
+    except ValueError:
+        return (_parse_floats(text, path, lineno, what) for (lineno, _), text in zip(rows, texts))
+    widths = [text.count(",") + 1 for text in texts]
+    return [flat[end - width:end] for end, width in zip(accumulate(widths), widths)]
 
 
 def _record(cls, path, lineno: int, *fields):
@@ -52,17 +68,17 @@ def _read_rows(path, n_cols: int):
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            raise DataFormatError(f"{path}:{lineno}: blank line")
-        parts = line.split("\t")
-        if len(parts) != n_cols:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {n_cols} tab-separated fields, got {len(parts)}"
-            )
-        rows.append((lineno, parts))
-    return rows
+    split = [line.split("\t") for line in text.splitlines()]
+    # A blank line splits into one field, so it has too few (n_cols >= 2).
+    if set(map(len, split)) - {n_cols}:
+        for lineno, parts in enumerate(split, start=1):
+            if parts == [""]:
+                raise DataFormatError(f"{path}:{lineno}: blank line")
+            if len(parts) != n_cols:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {n_cols} tab-separated fields, got {len(parts)}"
+                )
+    return list(enumerate(split, start=1))
 
 
 def _write_lines(path, lines) -> None:
@@ -83,11 +99,12 @@ def _check_width(first: dict, kind: str, width: int, path, lineno: int) -> None:
 
 
 def load_items(path) -> list[KnowledgeItem]:
+    rows = _read_rows(path, 3)
+    features = _float_column(rows, 2, path, "features")
     items, first = [], {}
-    for lineno, (iid, modality, feats) in _read_rows(path, 3):
-        features = _parse_floats(feats, path, lineno, "features")
-        items.append(_record(KnowledgeItem, path, lineno, iid, modality, features))
-        _check_width(first, modality, features.size, path, lineno)
+    for (lineno, (iid, modality, _)), feats in zip(rows, features):
+        items.append(_record(KnowledgeItem, path, lineno, iid, modality, feats))
+        _check_width(first, modality, feats.size, path, lineno)
     return items
 
 
@@ -99,10 +116,11 @@ def save_queries(path, queries: list[Query]) -> None:
 
 
 def load_queries(path) -> list[Query]:
+    rows = _read_rows(path, 3)
+    visual_column = _float_column(rows, 1, path, "visual features")
+    text_column = _float_column(rows, 2, path, "text features")
     queries, first = [], {}
-    for lineno, (qid, vis, txt) in _read_rows(path, 3):
-        visual = _parse_floats(vis, path, lineno, "visual features")
-        text = _parse_floats(txt, path, lineno, "text features")
+    for (lineno, (qid, _, _)), visual, text in zip(rows, visual_column, text_column):
         queries.append(_record(Query, path, lineno, qid, visual, text))
         _check_width(first, "visual", visual.size, path, lineno)
         _check_width(first, "text", text.size, path, lineno)
@@ -157,8 +175,8 @@ def load_gating(path) -> list[tuple[str, bool]]:
 def save_confidence(path, scores: dict[str, np.ndarray]) -> None:
     lines = []
     for qid in scores:
-        for idx, val in enumerate(scores[qid]):
-            lines.append(f"{qid}\tcand{idx}\t{_fmt(val)}")
+        for idx, val in enumerate(np.asarray(scores[qid], dtype=float).tolist()):
+            lines.append(f"{qid}\tcand{idx}\t{val!r}")
     _write_lines(path, lines)
 
 
@@ -218,11 +236,12 @@ def save_graph(graph_dir, graph: KnowledgeGraph) -> None:
 
 def load_graph(graph_dir) -> KnowledgeGraph:
     graph_dir = Path(graph_dir)
-    vertices = []
     vertices_path = graph_dir / "vertices.tsv"
-    for lineno, (vid, label, feats) in _read_rows(vertices_path, 3):
-        features = _parse_floats(feats, vertices_path, lineno, "features")
-        vertices.append(_record(GraphVertex, vertices_path, lineno, vid, label, features))
+    rows = _read_rows(vertices_path, 3)
+    features = _float_column(rows, 2, vertices_path, "features")
+    vertices = []
+    for (lineno, (vid, label, _)), feats in zip(rows, features):
+        vertices.append(_record(GraphVertex, vertices_path, lineno, vid, label, feats))
     edges = []
     edges_path = graph_dir / "edges.tsv"
     for lineno, (u, v, w) in _read_rows(edges_path, 3):

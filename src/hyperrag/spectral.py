@@ -54,10 +54,9 @@ class GraphVertex:
     features: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.features, dtype=float)
-        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        arr = np.array(self.features, dtype=float)
+        if arr.ndim != 1 or np.count_nonzero(np.isfinite(arr)) < arr.size:
             raise ContractViolation(f"vertex {self.id!r} has invalid features")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "features", arr)
 
@@ -240,12 +239,12 @@ class RelevanceVector:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)
         if arr.ndim != 1:
             raise ContractViolation("relevance values must form a 1-D vector")
-        if not np.all(np.isfinite(arr)) or arr.min(initial=0.0) < 0.0 or arr.max(initial=0.0) > 1.0:
+        # NaN fails both comparisons, so this also rejects non-finite entries.
+        if np.count_nonzero((arr >= 0.0) & (arr <= 1.0)) < arr.size:
             raise ContractViolation("relevance entries must lie in [0, 1]")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -122,11 +122,13 @@ def _build_graph(spec: SynthSpec, rng: np.random.Generator,
                  centers_t: np.ndarray) -> tuple[KnowledgeGraph, dict[str, int]]:
     d = spec.feature_dim
     blocks = _community_blocks(spec.graph_size, spec.num_clusters)
+    # Row idx: the rng.normal(size=d) draw of vertex idx, in block order.
+    noise = rng.normal(size=(spec.graph_size, d))
     vertices, community = [], {}
     for c, block in enumerate(blocks):
         for idx in block:
             vid = f"n{idx:04d}"
-            feats = centers_t[c] + 0.4 * rng.normal(size=d)
+            feats = centers_t[c] + 0.4 * noise[idx]
             vertices.append(GraphVertex(vid, f"concept_{c}_{idx}", feats))
             community[vid] = c
 
@@ -142,21 +144,21 @@ def _build_graph(spec: SynthSpec, rng: np.random.Generator,
 
     for block in blocks:
         ids = list(block)
-        # A ring keeps every community internally connected.
-        for pos in range(len(ids)):
-            nxt = ids[(pos + 1) % len(ids)]
-            if ids[pos] != nxt:
-                add_edge(ids[pos], nxt, 1.0 + 0.1 * rng.uniform())
+        # A ring keeps every community internally connected: one uniform
+        # draw per ring edge, none for a one-vertex community.
+        ring = (1.0 + 0.1 * rng.uniform(size=len(ids))).tolist() if len(ids) > 1 else []
+        for pos, w in enumerate(ring):
+            add_edge(ids[pos], ids[(pos + 1) % len(ids)], w)
         # Sprinkle extra in-community chords.
         for i in ids:
             if len(ids) > 2 and rng.uniform() < 0.15:
-                j = int(rng.choice(ids))
+                j = ids[int(rng.choice(len(ids)))]
                 add_edge(i, j, 0.8 + 0.2 * rng.uniform())
     # One weak bridge between consecutive communities keeps the whole
     # graph connected while leaving the community structure visible.
     for c in range(spec.num_clusters - 1):
-        i = int(rng.choice(list(blocks[c])))
-        j = int(rng.choice(list(blocks[c + 1])))
+        i = blocks[c][int(rng.choice(len(blocks[c])))]
+        j = blocks[c + 1][int(rng.choice(len(blocks[c + 1])))]
         add_edge(i, j, 0.15)
 
     triplets = []
@@ -183,17 +185,19 @@ def synth_bundle(spec: SynthSpec) -> CorpusBundle:
     items: list[KnowledgeItem] = []
     clusters: dict[tuple[str, str], int] = {}
     cluster_items: list[list[str]] = [[] for _ in range(k)]
+    # One rng.normal(size=d) draw per item, regular items first.
+    noise = rng.normal(size=(spec.num_items, d))
     for i in range(n_regular):
         c = i % k
         modality = "visual" if i % 2 == 0 else "textual"
         center = centers_v[c] if modality == "visual" else centers_t[c]
-        item = KnowledgeItem(f"i{i:04d}", modality, center + 0.3 * rng.normal(size=d))
+        item = KnowledgeItem(f"i{i:04d}", modality, center + 0.3 * noise[i])
         items.append(item)
         clusters[("item", item.id)] = c
         cluster_items[c].append(item.id)
     for j in range(n_distract):
         modality = "visual" if j % 2 == 0 else "textual"
-        item = KnowledgeItem(f"d{j:04d}", modality, 1.5 * rng.normal(size=d))
+        item = KnowledgeItem(f"d{j:04d}", modality, 1.5 * noise[n_regular + j])
         items.append(item)
         clusters[("item", item.id)] = DISTRACTOR_CLUSTER
 
@@ -205,6 +209,8 @@ def synth_bundle(spec: SynthSpec) -> CorpusBundle:
     confidence: dict[str, np.ndarray] = {}
     qa: dict[str, tuple[int, ...]] = {}
     distractor_ids = [it.id for it in items if clusters[("item", it.id)] < 0]
+    # One relevance set per cluster, shared by the cluster's queries.
+    cluster_relevance = [frozenset(own) for own in cluster_items]
 
     for q in range(spec.num_queries):
         c = q % k
@@ -220,7 +226,7 @@ def synth_bundle(spec: SynthSpec) -> CorpusBundle:
         own = cluster_items[c]
         picked = [own[int(t)] for t in rng.choice(len(own), size=min(MAX_TRAIN_POSITIVES, len(own)), replace=False)]
         positives[qid] = sorted(picked)
-        relevance[qid] = frozenset(own)
+        relevance[qid] = cluster_relevance[c]
 
         for iid in positives[qid][:3]:
             labels.append((qid, iid, True))
@@ -379,10 +385,8 @@ def load_bundle(out_dir) -> CorpusBundle:
     for (kind, ident), c in clusters.items():
         if kind == "item" and c >= 0:
             by_cluster.setdefault(c, []).append(ident)
-    relevance = {
-        q.id: frozenset(by_cluster.get(clusters[("query", q.id)], []))
-        for q in queries
-    }
+    shared = {c: frozenset(ids) for c, ids in by_cluster.items()}
+    relevance = {q.id: shared.get(clusters[("query", q.id)], frozenset()) for q in queries}
 
     return CorpusBundle(
         spec=spec,

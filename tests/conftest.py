@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hyperrag.alignment import KnowledgeItem, Query
+from hyperrag.errors import ContractViolation, DataFormatError
 from hyperrag.generation import origin_tangents
 from hyperrag.geometry import LorentzPoint, exp_map, log_map, origin, project_to_hyperboloid
-from hyperrag.spectral import hash_features
+from hyperrag.spectral import GraphVertex, hash_features
 
 
 @pytest.fixture
@@ -32,6 +36,70 @@ def set_field(path, lineno: int, column: int, value: str) -> None:
     fields[column] = value
     lines[lineno - 1] = "\t".join(fields)
     path.write_text("\n".join(lines) + "\n")
+
+
+# Per record file: the record type, its float fields (column -> name in
+# error messages) and the (kind, width) pairs whose widths must match the
+# first line of the same kind.
+PER_LINE_FILES = {
+    "items.tsv": (KnowledgeItem, {2: "features"}, lambda f: [(f[1], f[2].size)]),
+    "queries.tsv": (
+        Query,
+        {1: "visual features", 2: "text features"},
+        lambda f: [("visual", f[1].size), ("text", f[2].size)],
+    ),
+    "vertices.tsv": (GraphVertex, {2: "features"}, lambda f: []),
+}
+
+
+def per_line_records(path) -> list:
+    """The records of an items, queries or graph vertices file as the
+    per-line reader built them: each line split, its float fields parsed
+    one token at a time, its record built and its widths checked before
+    the next line, so the first bad line raises.  The reference for the
+    loaders that parse a whole column in one pass, errors included."""
+    path = Path(path)
+    cls, float_cols, widths = PER_LINE_FILES[path.name]
+    records, first = [], {}
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line:
+            raise DataFormatError(f"{path}:{lineno}: blank line")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+            )
+        for col, what in float_cols.items():
+            try:
+                fields[col] = np.array([float(tok) for tok in fields[col].split(",")])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+        try:
+            records.append(cls(*fields))
+        except ContractViolation as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        for kind, width in widths(fields):
+            line0, width0 = first.setdefault(kind, (lineno, width))
+            if width != width0:
+                raise DataFormatError(
+                    f"{path}:{lineno}: {width} {kind} features, but line {line0} has {width0}"
+                )
+    return records
+
+
+def assert_same_records(got, want):
+    """Records of one type with equal fields; arrays equal bit for bit,
+    float64, C-contiguous and read-only."""
+    assert [type(r) for r in got] == [type(r) for r in want]
+    for a, b in zip(got, want):
+        assert vars(a).keys() == vars(b).keys()
+        for key, value in vars(b).items():
+            if isinstance(value, np.ndarray):
+                got_value = getattr(a, key)
+                assert got_value.dtype == value.dtype and np.array_equal(got_value, value), key
+                assert got_value.flags.c_contiguous and not got_value.flags.writeable, key
+            else:
+                assert getattr(a, key) == value, key
 
 
 def assert_same_subgraph(got, want):

@@ -77,6 +77,36 @@ def cluster_corpus(rng, num_clusters=3, per_cluster=6, feat=6, sep=6.0, noise=0.
     return AlignmentCorpus(queries, items, positives)
 
 
+class TestRecordFeatures:
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            (np.zeros(0), "features must be a nonempty 1-D vector, got shape (0,)"),
+            (np.zeros((2, 3)), "features must be a nonempty 1-D vector, got shape (2, 3)"),
+            (np.array([1.0, np.nan]), "features contains non-finite values"),
+            (np.array([-np.inf, 1.0]), "features contains non-finite values"),
+        ],
+    )
+    def test_messages(self, features, message):
+        with pytest.raises(ContractViolation) as info:
+            KnowledgeItem("i", "visual", features)
+        assert str(info.value) == message
+        with pytest.raises(ContractViolation) as info:
+            Query("q", np.ones(2), features)
+        assert str(info.value) == f"text_{message}"
+
+    def test_records_keep_a_read_only_float_copy(self):
+        source = np.array([4.0, 3.0, 2.0, 1.0], dtype=np.float32)[::-2]
+        item = KnowledgeItem("i", "visual", source)
+        query = Query("q", source, [1, 2])
+        source[0] = 9.0
+        for kept, want in [(item.features, [1.0, 3.0]), (query.visual_features, [1.0, 3.0]),
+                           (query.text_features, [1.0, 2.0])]:
+            assert kept.dtype == np.float64 and kept.flags.c_contiguous
+            assert not kept.flags.writeable
+            assert np.array_equal(kept, want)
+
+
 class TestEmbed:
     def test_zero_table_maps_to_origin(self, rng):
         table = zero_table()

@@ -5,9 +5,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -658,6 +660,16 @@ class TestErrorSurface:
 
 
 class TestConsoleScript:
+    def test_python_dash_m_starts_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperrag", "--help"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hyperrag")
+
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("hyperrag")
         assert exe, "console script not installed"

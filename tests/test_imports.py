@@ -140,6 +140,9 @@ TRACED = [
     ("geometry", "distances_to_rows"),
     ("alignment", "embed_corpus_rows"),
     ("geometry", "origin"),
+    ("synth", "synth_bundle"),
+    ("synth", "write_bundle"),
+    ("synth", "load_bundle"),
 ]
 
 

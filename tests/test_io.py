@@ -10,7 +10,7 @@ from hyperrag.errors import DataFormatError
 from hyperrag.spectral import GraphVertex, KnowledgeGraph
 from hyperrag import io as hio
 
-from conftest import set_field
+from conftest import assert_same_records, per_line_records, set_field
 
 
 def sample_items():
@@ -222,6 +222,83 @@ class TestRejectedRows:
                 hio.load_graph(tmp_path / "graph")
             else:
                 LOADERS[name](tmp_path / name)
+
+
+def mixed_width_files(tmp_path):
+    """Five items (visual rows 3 wide, textual rows 2 wide), four queries
+    and a four-vertex graph, as the writers write them."""
+    items = [
+        KnowledgeItem(f"i{k}", "visual" if k % 2 == 0 else "textual",
+                      np.array([0.5 * k, -1.25, 3.0][: 3 - k % 2]))
+        for k in range(5)
+    ]
+    hio.save_items(tmp_path / "items.tsv", items)
+    queries = [Query(f"q{k}", np.array([k, 0.25]), np.array([1.5, -k, 1e-9])) for k in range(4)]
+    hio.save_queries(tmp_path / "queries.tsv", queries)
+    vertices = tuple(GraphVertex(f"v{k}", f"l{k}", np.array([k, 0.5])) for k in range(4))
+    hio.save_graph(tmp_path / "graph", KnowledgeGraph(vertices, (("v0", "v1", 1.0),)))
+    return items, queries, vertices
+
+
+def load_one(path):
+    if path.name == "vertices.tsv":
+        return list(hio.load_graph(path.parent).vertices)
+    return LOADERS[path.name](path)
+
+
+class TestBlockParseErrors:
+    """A loader that parses a float column in one pass raises what the
+    per-line reader raised: same file, line and message."""
+
+    def test_mixed_modality_widths_load(self, tmp_path):
+        items, queries, vertices = mixed_width_files(tmp_path)
+        for name, records in [("items.tsv", items), ("queries.tsv", queries),
+                              ("graph/vertices.tsv", vertices)]:
+            loaded = load_one(tmp_path / name)
+            assert_same_records(loaded, per_line_records(tmp_path / name))
+            assert_same_records(loaded, records)
+
+    @pytest.mark.parametrize(
+        "name, edits, lineno, message",
+        [
+            ("items.tsv", [(3, 2, "1.0,abc")], 3,
+             "bad features: could not convert string to float: 'abc'"),
+            ("items.tsv", [(2, 2, "")], 2, "bad features: could not convert string to float: ''"),
+            ("items.tsv", [(3, 2, "1.0,2.0")], 3, "2 visual features, but line 1 has 3"),
+            ("items.tsv", [(4, 2, "1.0,2.0,3.0")], 4, "3 textual features, but line 2 has 2"),
+            ("items.tsv", [(3, 2, "1.0,nan,2.0")], 3, "features contains non-finite values"),
+            ("items.tsv", [(2, 2, "-inf,1.0")], 2, "features contains non-finite values"),
+            ("items.tsv", [(2, 2, "inf,1.0"), (4, 2, "1.0,x")], 2,
+             "features contains non-finite values"),
+            ("items.tsv", [(4, 2, "1.0,2.0,3.0"), (5, 2, "1.0,x")], 4,
+             "3 textual features, but line 2 has 2"),
+            ("items.tsv", [(2, 2, "1.0,x"), (4, 2, "1.0,2.0,3.0")], 2,
+             "bad features: could not convert string to float: 'x'"),
+            ("queries.tsv", [(2, 1, "1.0,abc")], 2, "bad visual features"),
+            ("queries.tsv", [(3, 2, "1.0,,2.0")], 3, "bad text features"),
+            ("queries.tsv", [(3, 1, "1.0")], 3, "1 visual features, but line 1 has 2"),
+            ("queries.tsv", [(2, 2, "nan,1.0,2.0"), (3, 1, "abc")], 2,
+             "text_features contains non-finite values"),
+            ("queries.tsv", [(2, 1, "abc"), (2, 2, "def")], 2, "bad visual features"),
+            ("queries.tsv", [(3, 1, "abc"), (2, 2, "def")], 2, "bad text features"),
+            ("graph/vertices.tsv", [(2, 2, "1.0,abc")], 2, "bad features"),
+            ("graph/vertices.tsv", [(3, 2, "inf,0.0")], 3, "vertex 'v2' has invalid features"),
+            ("graph/vertices.tsv", [(2, 2, "nan"), (3, 2, "")], 2,
+             "vertex 'v1' has invalid features"),
+        ],
+    )
+    def test_error_is_the_per_line_readers(self, tmp_path, name, edits, lineno, message):
+        mixed_width_files(tmp_path)
+        path = tmp_path / name
+        for edit in edits:
+            set_field(path, *edit)
+        with pytest.raises(DataFormatError) as want:
+            per_line_records(path)
+        with pytest.raises(DataFormatError) as got:
+            load_one(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}:{lineno}: ")
+        assert message in str(got.value)
 
 
 class TestDeterminismAndJson:

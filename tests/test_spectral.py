@@ -355,6 +355,47 @@ class TestRelevance:
         with pytest.raises(ContractViolation):
             RelevanceVector(np.array([-0.1]))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros((2, 2)), "relevance values must form a 1-D vector"),
+            (np.array([0.5, np.nan]), "relevance entries must lie in [0, 1]"),
+            (np.array([np.inf]), "relevance entries must lie in [0, 1]"),
+            (np.array([-np.inf, 0.5]), "relevance entries must lie in [0, 1]"),
+            (np.array([1.0 + 2.3e-16]), "relevance entries must lie in [0, 1]"),
+            (np.array([0.5, -5e-324]), "relevance entries must lie in [0, 1]"),
+        ],
+    )
+    def test_messages(self, values, message):
+        with pytest.raises(ContractViolation) as info:
+            RelevanceVector(values)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("values", [np.zeros(0), np.array([0.0, -0.0, 1.0, 0.5])])
+    def test_bounds_and_empty_accepted(self, values):
+        assert np.array_equal(RelevanceVector(values).values, values)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda values: RelevanceVector(values).values,
+            lambda values: GraphVertex("v", "n", values).features,
+        ],
+    )
+    def test_records_keep_a_read_only_float_copy(self, make):
+        source = np.array([0.75, 0.0, 0.25, 1.0], dtype=np.float32)[::-1]
+        kept = make(source)
+        source[0] = 0.5
+        assert kept.dtype == np.float64 and kept.flags.c_contiguous
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, [1.0, 0.25, 0.0, 0.75])
+        assert np.array_equal(make([0, 1]), [0.0, 1.0])
+
+    @pytest.mark.parametrize("features", [np.zeros((1, 2)), np.array([0.0, -np.inf])])
+    def test_vertex_rejects_features(self, features):
+        with pytest.raises(ContractViolation, match="^vertex 'v' has invalid features$"):
+            GraphVertex("v", "n", features)
+
 
 def per_sweep_refine(graph, r, eta, rho, eigvecs):
     """The refine sweep as one lexsort and one np.add.at profile per
