@@ -287,20 +287,29 @@ def _evidence_rows(index: ReadIndex, positions: list[int], triplet_rows: np.ndar
     return np.concatenate([index.corpus_tangents[positions], triplet_rows])
 
 
-@dataclass
-class PipelineComponents:
-    """Everything needed to answer queries after training.
+def _sweep_keys(config: PipelineConfig, graph: KnowledgeGraph) -> SweepKeys:
+    """The sweep keys ``refine_subgraph`` computes for this config and graph."""
+    eig_k = min(config.k, max(graph.size, 1))
+    return SweepKeys(smallest_eigenpairs(laplacian(graph), eig_k, seed=config.seed)[1])
 
-    Every retrieve-path answer reads one ``ReadIndex`` of ``table``,
-    ``graph`` and ``items``: the one ``run_training`` hands over, or one
-    built on the first such answer.  Training also hands over each gated
-    query's ``Subgraph``, which answers the query with the same id and
-    feature arrays, and each bundle query's gate confidence sigma, which
-    answers any query with that id (other ids compute theirs from
-    ``confidence``).  So do not mutate a components object: copy it with
-    ``dataclasses.replace``, which keeps none of them, or ``with_crm``,
-    which keeps the subgraphs and sigmas (the gate changes neither).
-    """
+
+@dataclass(frozen=True)
+class ServeState:
+    """What answering reads that training fixed: the read index, the sweep
+    keys, and each trained gated query with its ``Subgraph``, by id."""
+
+    index: ReadIndex
+    sweep_keys: SweepKeys
+    subgraphs: dict[str, tuple[Query, Subgraph]]
+
+
+@dataclass(frozen=True)
+class PipelineComponents:
+    """Everything needed to answer queries after training.  ``sigmas`` has
+    each bundle query's gate sigma; other ids get 0, so they are retrieved
+    for.  Answers read one ``ServeState``: the one ``run_training`` hands
+    over, which ``with_crm`` keeps (the gate changes none of it), or, in a
+    ``dataclasses.replace`` copy, one built from the copy's own fields."""
 
     config: PipelineConfig
     table: EmbeddingTable
@@ -308,34 +317,35 @@ class PipelineComponents:
     theta: float
     generator: ToyGenerator
     graph: KnowledgeGraph
-    sweep_keys: SweepKeys
     items: list[KnowledgeItem]
     token_embeddings: np.ndarray
-    confidence: dict[str, np.ndarray]
+    sigmas: dict[str, float]
     answer_len: int
     crm_enabled: bool = True
-    _index: ReadIndex | None = field(default=None, init=False, repr=False, compare=False)
-    _subgraphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sigmas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _state: ServeState | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _set_state(self, state: ServeState | None) -> "PipelineComponents":
+        object.__setattr__(self, "_state", state)
+        return self
 
     def read_index(self) -> ReadIndex:
-        if self._index is None:
-            self._index = ReadIndex.build(self.table, self.graph, self.items)
-        return self._index
+        """The state's index; a copy with no state builds its state here."""
+        if self._state is None:
+            index = ReadIndex.build(self.table, self.graph, self.items)
+            self._set_state(ServeState(index, _sweep_keys(self.config, self.graph), {}))
+        return self._state.index
 
     def subgraph_for(self, query: Query) -> Subgraph:
-        """The subgraph kept for a trained query with this id and these
-        feature arrays, else ``query_subgraph`` refined here."""
-        trained, kept = self._subgraphs.get(query.id, (None, None))
+        """A trained query's kept subgraph (same id and features), else ``query_subgraph``."""
+        self.read_index()  # builds the state on a copy that has none
+        trained, kept = self._state.subgraphs.get(query.id, (None, None))
         names = ("visual_features", "text_features")
         if kept and all(np.array_equal(getattr(query, f), getattr(trained, f)) for f in names):
             return kept
-        return query_subgraph(self.config, self.graph, query, self.sweep_keys)
+        return query_subgraph(self.config, self.graph, query, self._state.sweep_keys)
 
     def with_crm(self, enabled: bool) -> "PipelineComponents":
-        copy = replace(self, crm_enabled=enabled)
-        copy._subgraphs, copy._sigmas = self._subgraphs, self._sigmas
-        return copy
+        return replace(self, crm_enabled=enabled)._set_state(self._state)
 
 
 @dataclass(frozen=True)
@@ -453,7 +463,6 @@ def run_training(
     items = bundle.items
     by_id = bundle.item_by_id()
     vocab = bundle.token_embeddings.shape[0]
-    answer_len = bundle.spec.answer_len
     graph_dim = bundle.graph.vertices[0].features.size if bundle.graph.size else None
 
     table = EmbeddingTable.for_corpus(
@@ -467,13 +476,10 @@ def run_training(
 
     # Phase 2 fixtures: gating decisions, relevance vectors, and refined
     # subgraphs are table-independent, so they are computed once.
-    eig_k = min(config.k, max(bundle.graph.size, 1))
-    sweep_keys = SweepKeys(smallest_eigenpairs(laplacian(bundle.graph), eig_k, seed=config.seed)[1])
-    sigma = {q.id: _sigma_of_scores(bundle.confidence.get(q.id)) for q in queries}
-    delta = {qid: decide(s, theta) for qid, s in sigma.items()}
-    subgraphs = {
-        q.id: query_subgraph(config, bundle.graph, q, sweep_keys) for q in queries if delta[q.id] == 1
-    }
+    sweep_keys = _sweep_keys(config, bundle.graph)
+    sigmas = {qid: _sigma_of_scores(scores) for qid, scores in bundle.confidence.items()}
+    gated_all = [q for q in queries if decide(sigmas.get(q.id, 0.0), theta) == 1]
+    subgraphs = {q.id: (q, query_subgraph(config, bundle.graph, q, sweep_keys)) for q in gated_all}
 
     generator = ToyGenerator(vocab, 2 * config.dim)
     crm_params = [(f"crm.{name}", arr) for name, arr in head.named_params()]
@@ -487,7 +493,6 @@ def run_training(
     rng = np.random.default_rng(config.seed)
     reports: list[LossReport] = []
     n = len(queries)
-    gated_total = sum(delta[q.id] for q in queries)
 
     for epoch in range(1, config.epochs + 1):
         p_t = query_dropout_prob(epoch - 1, config.t_decay)
@@ -504,7 +509,7 @@ def run_training(
                 "gen.weight": np.zeros_like(generator.weight),
                 "gen.bias": np.zeros_like(generator.bias),
             }
-            gated = [q for q in batch if delta[q.id] == 1]
+            gated = [q for q in batch if q.id in subgraphs]
 
             geo_pairs = [
                 (q, [by_id[i] for i in bundle.positives.get(q.id, [])])
@@ -541,9 +546,9 @@ def run_training(
             try:
                 for q, i in zip(batch, order[start : start + config.batch_size]):
                     evidence = np.empty((0, config.dim))
-                    if delta[q.id] == 1:
+                    if q.id in subgraphs:
                         top = _top_items(config, table.embed_query(q), index)
-                        triplets = index.triplet_evidence(subgraphs[q.id])
+                        triplets = index.triplet_evidence(subgraphs[q.id][1])
                         evidence = _evidence_rows(index, _relevant(head, q, items, top), triplets)
                     if len(evidence):  # the generator reads only the rows' mean
                         evidence = np.mean(evidence, axis=0, keepdims=True)
@@ -580,7 +585,7 @@ def run_training(
                 l_global=l_global,
                 l_gen=l_gen,
                 l_total=total_loss(l_crm, l_geo, l_gen, config.beta, config.gamma),
-                delta_rate=gated_total / n,
+                delta_rate=len(gated_all) / n,
                 beta=config.beta,
                 gamma=config.gamma,
             )
@@ -595,36 +600,28 @@ def run_training(
         theta=theta,
         generator=generator,
         graph=bundle.graph,
-        sweep_keys=sweep_keys,
         items=items,
         token_embeddings=bundle.token_embeddings,
-        confidence=dict(bundle.confidence),
-        answer_len=answer_len,
-    )
-    components._index = index
-    components._subgraphs = {q.id: (q, subgraphs[q.id]) for q in queries if q.id in subgraphs}
-    components._sigmas = sigma
+        sigmas=sigmas,
+        answer_len=bundle.spec.answer_len,
+    )._set_state(ServeState(index, sweep_keys, subgraphs))
     return components, reports
 
 
 def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     """Gate, optionally retrieve/filter/refine, then decode; per-stage
-    wall-clock timings are recorded.  Training hands over a bundle query's
-    sigma, its subgraph and the read index (built in the ``retrieve`` timing
-    when the components have none) with the corpus and triplet rows.  Per
-    query, an answer embeds the query once, for the scan and the generator,
-    filters, gathers its evidence rows and decodes ``answer_len`` tokens."""
+    wall-clock timings are recorded.  The gate reads ``components.sigmas``;
+    the retrieve path reads the components' ``ServeState`` (built in the
+    ``retrieve`` timing when they have none): the read index's corpus and
+    triplet rows, and any kept subgraph.  Per query, an answer embeds the
+    query once, for the scan and the generator, filters, gathers its
+    evidence rows and decodes ``answer_len`` tokens."""
     cfg = components.config
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    if components.crm_enabled:
-        sigma = components._sigmas.get(query.id)
-        sigma = _sigma_of_scores(components.confidence.get(query.id)) if sigma is None else sigma
-        delta = decide(sigma, components.theta)
-    else:
-        sigma = 0.0
-        delta = 1
+    sigma = components.sigmas.get(query.id, 0.0) if components.crm_enabled else 0.0
+    delta = decide(sigma, components.theta) if components.crm_enabled else 1
     timings["gate"] = time.perf_counter() - t0
 
     retrieved: tuple[str, ...] = ()

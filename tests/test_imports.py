@@ -2,18 +2,20 @@
 imports is used in that module (an import kept on purpose carries
 ``# noqa: F401`` on its line), every private module-level name is read
 in the module that defines it, no two modules define a public function
-of the same name, and the functions the benchmark's tracer times stay
-visible to it."""
+of the same name, and the functions whose per-layer timings
+``BENCHMARK.json`` declares stay visible to the benchmark's tracer."""
 
 import ast
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hyperrag"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hyperrag"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -129,25 +131,41 @@ def test_shared_public_function_is_reported(tmp_path):
     assert public_functions(sorted(tmp_path.glob("*.py"))) == {"score": ["a.py", "b.py"]}
 
 
-# Functions the benchmark's tracer times by name.  It wraps only plain
-# module functions (``inspect.isfunction``, defined in that module), so a
-# decorator such as ``functools.lru_cache`` would hide one from it.
-TRACED = [
-    ("pipeline", "answer_query"),
-    ("gate", "filter_relevant"),
-    ("generation", "generate"),
-    ("generation", "condition_vector"),
-    ("geometry", "distances_to_rows"),
-    ("alignment", "embed_corpus_rows"),
-    ("geometry", "origin"),
-    ("synth", "synth_bundle"),
-    ("synth", "write_bundle"),
-    ("synth", "load_bundle"),
-]
+def traced_functions(per_layer: list[dict], paths) -> list[tuple[str, str]]:
+    """``(module, name)`` for each function with a ``<name>.calls``,
+    ``.busy_s`` or ``.self_s`` metric in ``per_layer``, in name order;
+    ``module`` joins with ``+`` the stems of the files that define it."""
+    split = (entry["name"].rsplit(".", 1) for entry in per_layer)
+    names = sorted({name for name, stat in split if stat in ("calls", "busy_s", "self_s")})
+    defined = public_functions(paths)
+    return [("+".join(Path(f).stem for f in defined.get(name, [])), name) for name in names]
+
+
+def test_traced_functions_follow_the_declared_metrics(tmp_path):
+    (tmp_path / "a.py").write_text("def score(x):\n    return x\n\ndef shared():\n    pass\n")
+    (tmp_path / "b.py").write_text("def shared():\n    pass\n")
+    per_layer = [
+        {"name": f"{name}.{stat}"}
+        for name, stat in [
+            ("score", "calls"), ("score", "self_s"), ("shared", "busy_s"), ("gone", "calls"),
+            ("Point", "created"), ("spectral.subgraph_size", "mean"), ("trace", "overhead"),
+        ]
+    ]
+    got = traced_functions(per_layer, sorted(tmp_path.glob("*.py")))
+    assert got == [("", "gone"), ("a", "score"), ("a+b", "shared")]
+
+
+# The benchmark's tracer reads these timings by function name.  It wraps
+# only plain module functions (``inspect.isfunction``, defined in that
+# module), so a decorator such as ``functools.lru_cache`` would hide one.
+TRACED = traced_functions(
+    json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"], sorted(SRC.glob("*.py"))
+)
 
 
 @pytest.mark.parametrize("module, name", TRACED, ids=lambda v: v)
 def test_traced_function_stays_a_plain_module_function(module, name):
+    assert module and "+" not in module, f"{name} is defined in [{module}], not one module"
     mod = importlib.import_module(f"hyperrag.{module}")
     fn = vars(mod)[name]
     assert inspect.isfunction(fn) and fn.__module__ == mod.__name__

@@ -8,7 +8,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 from hyperrag import gate, generation, pipeline
 from hyperrag.alignment import (
@@ -445,13 +445,11 @@ class TestAnswerQuery:
         # A non-finite item map fails where the corpus rows are lifted, at
         # index build; a non-finite generator fails in generate.
         bundle, components, _ = planted
-        broken = components.with_crm(True)
-        broken.table = deepcopy(components.table)
+        broken = replace(components, table=deepcopy(components.table))
         broken.table.weight["visual"][0, 0] = np.nan
         with pytest.raises(HyperRagError, match=r"\[stage: index\]"):
             answer_query(broken, bundle.queries[0])
-        broken = components.with_crm(True)
-        broken.generator = deepcopy(components.generator)
+        broken = replace(components, generator=deepcopy(components.generator))
         broken.generator.weight[0, 0] = np.nan
         with pytest.raises(HyperRagError, match=r"\[stage: generate\]"):
             answer_query(broken, bundle.queries[0])
@@ -486,8 +484,7 @@ class TestAnswerQuery:
         self, planted, crm_enabled, stage
     ):
         bundle, components, _ = planted
-        broken = components.with_crm(crm_enabled)
-        broken.table = deepcopy(components.table)
+        broken = replace(components, table=deepcopy(components.table), crm_enabled=crm_enabled)
         broken.read_index()
         broken.table.weight["query"][0, 0] = np.nan
         q = bundle.queries[2]  # answered directly when the gate is on
@@ -588,8 +585,7 @@ class TestReadIndex:
         bundle, components, _ = planted
         answer_query(components, bundle.queries[0])
         original = components.read_index()
-        copy = components.with_crm(True)
-        copy.table = deepcopy(components.table)
+        copy = replace(components, table=deepcopy(components.table))
         copy.table.weight["textual"] *= 2.0
         rows = copy.read_index().corpus_rows
         assert copy.read_index() is not original
@@ -746,26 +742,25 @@ class TestPrecomputedReadRows:
             assert np.array_equal(evidence, old_evidence_rows(*args))
 
     def test_handed_over_sigmas_are_the_confidence_sigmas(self, default_trained, monkeypatch):
+        """One sigma per ``bundle.confidence`` id, computed in training; an
+        answer only looks its id up, and an unknown id is retrieved for."""
         bundle, components, _ = default_trained
-        confidence = components.confidence
-        want = {q.id: pipeline._sigma_of_scores(confidence.get(q.id)) for q in bundle.queries}
-        assert components._sigmas == want
-        assert components.with_crm(True)._sigmas is components._sigmas
+        want = {qid: pipeline._sigma_of_scores(s) for qid, s in bundle.confidence.items()}
+        assert components.sigmas == want
         calls = spy(monkeypatch, "_sigma_of_scores")
-        assert [answer_query(components, q).sigma for q in bundle.queries] == list(want.values())
-        assert calls == []
+        got = [answer_query(components, q).sigma for q in bundle.queries]
+        assert got == [want[q.id] for q in bundle.queries]
         unknown = replace(bundle.queries[0], id="q-unknown")
-        assert unknown.id not in confidence
+        assert unknown.id not in bundle.confidence
         result = answer_query(components, unknown)
         assert (result.sigma, result.delta) == (0.0, 1)
-        assert calls == [(None,)]
+        assert calls == []
 
-    def test_a_replaced_copy_computes_its_sigmas(self, default_trained):
+    def test_a_replaced_copy_keeps_the_sigmas(self, default_trained):
         bundle, components, _ = default_trained
         copy = replace(components)
-        assert copy._sigmas == {}
-        for q in bundle.queries[:20]:
-            assert answer_query(copy, q).sigma == components._sigmas[q.id]
+        for q in bundle.queries:
+            assert answer_query(copy, q).sigma == answer_query(components, q).sigma
 
     def test_input_rows_are_the_input_vector_stack(self, default_trained):
         bundle, components, _ = default_trained
@@ -959,3 +954,55 @@ class TestKeptSubgraphs:
             if result.delta == 1:
                 assert_same_subgraph(result.subgraph, query_subgraph(config, other.graph, q))
         assert len(calls) == sum(answer_query(components, q).delta for q in bundle.queries)
+
+
+class TestServeState:
+    """The frozen components hand one ``ServeState`` to ``with_crm`` copies
+    and none to ``dataclasses.replace`` copies."""
+
+    def test_fields_cannot_be_assigned(self, small_trained):
+        _, components = small_trained
+        with pytest.raises(FrozenInstanceError):
+            components.table = deepcopy(components.table)
+        with pytest.raises(FrozenInstanceError):
+            components.crm_enabled = False
+
+    def test_without_crm_builds_no_index(self, small_trained, monkeypatch):
+        bundle, components = small_trained
+        built = []
+        build = ReadIndex.build
+        monkeypatch.setattr(ReadIndex, "build", lambda *args: built.append(args) or build(*args))
+        off = evaluate(components.with_crm(False), bundle)
+        assert built == []
+        fresh = evaluate(replace(components, crm_enabled=False), bundle)
+        assert len(built) == 1
+        assert off.canonical_bytes() == fresh.canonical_bytes()
+
+    def test_subgraph_for_on_a_fresh_copy(self, small_trained):
+        bundle, components = small_trained
+        copy = replace(components)
+        for q in bundle.queries[:5]:
+            fresh = query_subgraph(copy.config, copy.graph, q)
+            assert_same_subgraph(copy.subgraph_for(q), fresh)
+        assert copy.read_index() is not components.read_index()
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("default_trained", [42], indirect=True)
+    def test_a_copy_with_another_k_refines_with_its_own_keys(self, default_trained, k):
+        """A ``replace`` copy with another ``k`` computes its own sweep keys,
+        so every gated answer is a fresh refine under the copy's config.  (On
+        the seed-42 bundle, the trained ``k=10`` keys give another subgraph
+        for 92 of the 134 gated queries at ``k=2``.)"""
+        bundle, components, _ = default_trained
+        config = replace(components.config, k=k)
+        copy = replace(components, config=config)
+        gated = 0
+        for q in bundle.queries:
+            result = answer_query(copy, q)
+            if result.delta == 1:
+                gated += 1
+                fresh = query_subgraph(config, copy.graph, q)
+                assert (result.subgraph.selected, result.subgraph.objective) == (
+                    fresh.selected, fresh.objective
+                )
+        assert gated > 0
