@@ -23,7 +23,6 @@ from .errors import (
     ConfigurationError,
     ContractViolation,
     DivergenceError,
-    HyperRagError,
     check_config_fields,
 )
 from .gate import LOG_CLAMP
@@ -307,30 +306,23 @@ def example_losses_and_grad(
     sqrt-cost W2, the blended logits gradient alpha * dCE + (1 - alpha) *
     dOT_eps, and the condition vector.  The global gradient descends the
     entropic objective (envelope potentials through the softmax Jacobian),
-    solved in one ``entropic_terms`` call per gold-atom count.  Examples
-    are prepared in order until one fails, and the ones before it are
-    solved first, so the error raised is the one met first example by
-    example."""
-    prepared, failure = [], None
-    try:
-        for example, query in zip(examples, queries, strict=True):
-            z = condition_vector(table, table.embed_query(query), example.evidence)
-            probs = softmax(gen.logits(z))
-            gold = example.gold
-            counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
-            local = float(-np.sum(counts * np.log(np.maximum(probs, LOG_CLAMP))))
-            q = gold_distribution(gold, token_embeddings)
-            prepared.append((z, probs, local, gold.length * probs - counts, q))
-    except HyperRagError as exc:
-        failure = exc
+    solved in one ``entropic_terms`` call per gold-atom count once every
+    example is prepared."""
+    prepared = []
+    for example, query in zip(examples, queries, strict=True):
+        z = condition_vector(table, table.embed_query(query), example.evidence)
+        probs = softmax(gen.logits(z))
+        gold = example.gold
+        counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
+        local = float(-np.sum(counts * np.log(np.maximum(probs, LOG_CLAMP))))
+        q = gold_distribution(gold, token_embeddings)
+        prepared.append((z, probs, local, gold.length * probs - counts, q))
     terms = {}
     for size in dict.fromkeys(prep[4].size for prep in prepared):
         rows = [i for i, prep in enumerate(prepared) if prep[4].size == size]
         qs = DistributionStack(tuple(prepared[i][4] for i in rows))
         probs = np.array([prepared[i][1] for i in rows])
         terms.update(zip(rows, entropic_terms(probs, qs, token_embeddings, epsilon, ot_max_iter)))
-    if failure is not None:
-        raise failure
     out = []
     for i, (z, probs, local, grad_local, _) in enumerate(prepared):
         _, grad_f, sqrt_cost = terms[i]

@@ -63,10 +63,8 @@ from .spectral import (
     SweepKeys,
     embed_triplets,
     extract_triplets,  # noqa: F401 (perfbench's tracer test rebinds it here)
-    laplacian,
     refine_subgraph,
     relevance_vector,
-    smallest_eigenpairs,
 )
 from .synth import CorpusBundle
 
@@ -287,12 +285,6 @@ def _evidence_rows(index: ReadIndex, positions: list[int], triplet_rows: np.ndar
     return np.concatenate([index.corpus_tangents[positions], triplet_rows])
 
 
-def _sweep_keys(config: PipelineConfig, graph: KnowledgeGraph) -> SweepKeys:
-    """The sweep keys ``refine_subgraph`` computes for this config and graph."""
-    eig_k = min(config.k, max(graph.size, 1))
-    return SweepKeys(smallest_eigenpairs(laplacian(graph), eig_k, seed=config.seed)[1])
-
-
 @dataclass(frozen=True)
 class ServeState:
     """What answering reads that training fixed: the read index, the sweep
@@ -332,7 +324,8 @@ class PipelineComponents:
         """The state's index; a copy with no state builds its state here."""
         if self._state is None:
             index = ReadIndex.build(self.table, self.graph, self.items)
-            self._set_state(ServeState(index, _sweep_keys(self.config, self.graph), {}))
+            keys = SweepKeys.of(self.graph, self.config.k, self.config.seed)
+            self._set_state(ServeState(index, keys, {}))
         return self._state.index
 
     def subgraph_for(self, query: Query) -> Subgraph:
@@ -476,7 +469,7 @@ def run_training(
 
     # Phase 2 fixtures: gating decisions, relevance vectors, and refined
     # subgraphs are table-independent, so they are computed once.
-    sweep_keys = _sweep_keys(config, bundle.graph)
+    sweep_keys = SweepKeys.of(bundle.graph, config.k, config.seed)
     sigmas = {qid: _sigma_of_scores(scores) for qid, scores in bundle.confidence.items()}
     gated_all = [q for q in queries if decide(sigmas.get(q.id, 0.0), theta) == 1]
     subgraphs = {q.id: (q, query_subgraph(config, bundle.graph, q, sweep_keys)) for q in gated_all}
@@ -542,8 +535,8 @@ def run_training(
                 index = ReadIndex.build(table, bundle.graph, items) if gated else None
 
             gen_scale = (1.0 - config.beta - config.gamma) / n_batch
-            examples, dropped, failure = [], [], None
-            try:
+            examples, dropped = [], []
+            with _phase2_stage(optimizer, epoch, "evidence"):
                 for q, i in zip(batch, order[start : start + config.batch_size]):
                     evidence = np.empty((0, config.dim))
                     if q.id in subgraphs:
@@ -554,15 +547,11 @@ def run_training(
                         evidence = np.mean(evidence, axis=0, keepdims=True)
                     examples.append(GenExample(q, evidence, gold[q.id]))
                     dropped.append(apply_query_dropout(q, p_t, seed=(config.seed, epoch, int(i))))
-            except HyperRagError as exc:  # re-raised once the examples before it are solved
-                failure = exc
             with _phase2_stage(optimizer, epoch, "generation"):
                 terms = example_losses_and_grad(
                     generator, table, examples, dropped, bundle.token_embeddings,
                     config.alpha, config.epsilon, config.ot_max_iter,
                 )
-            if failure is not None:
-                raise failure
             for local, sqrt_cost, grad_logits, z in terms:
                 sums["local"] += local
                 sums["global"] += sqrt_cost

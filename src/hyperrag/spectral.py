@@ -355,6 +355,11 @@ class SweepKeys:
         kept = [rank for i, rank in enumerate(ranks) if i % 2 == 0 or rank.any()]
         object.__setattr__(self, "ranks", np.array(kept))
 
+    @classmethod
+    def of(cls, graph: KnowledgeGraph, k: int, seed: int = 0) -> "SweepKeys":
+        """The keys of the graph Laplacian's min(k, n) smallest eigenvectors."""
+        return cls(smallest_eigenpairs(laplacian(graph), min(k, graph.size), seed=seed)[1])
+
     def orders(self, r: np.ndarray) -> np.ndarray:
         """Each row's vertex order: by key rank, then quantized r, then index."""
         base_rank = np.empty(r.size, dtype=np.intp)
@@ -397,7 +402,7 @@ def refine_subgraph(
             f"eta={eta} exceeds total relevance mass {total_mass:.6g}"
         )
     if sweep_keys is None:
-        sweep_keys = SweepKeys(smallest_eigenpairs(laplacian(graph), min(k, n), seed=seed)[1])
+        sweep_keys = SweepKeys.of(graph, k, seed)
     # Each candidate is (objective, size, member index array).
     candidates: list[tuple[float, int, np.ndarray]] = []
     all_idx = np.arange(n)

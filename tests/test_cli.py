@@ -27,9 +27,10 @@ from hyperrag.errors import ConfigurationError, HyperRagError
 from hyperrag.geometry import distances_to_rows
 from hyperrag.io import load_table
 from hyperrag.pipeline import PipelineConfig, answer_query, run_training
-from hyperrag.synth import load_bundle
+from hyperrag.synth import load_bundle, write_bundle
 
 from conftest import set_field
+from test_pipeline import DIVERGING_EVIDENCE_CONFIG, diverging_evidence_bundle
 
 TINY_CONFIG = {
     "dim": 8,
@@ -509,6 +510,17 @@ class TestErrorSurface:
         assert record["category"] == "divergence"
         assert "phase 2 diverged in epoch 3" in record["message"]
         assert "[stage: phase2 epoch 3 index]" in record["message"]
+
+    def test_diverged_query_map_in_the_evidence_step_is_divergence(self, tmp_path, capsys):
+        write_bundle(diverging_evidence_bundle(), tmp_path / "bundle")
+        (tmp_path / "cfg.json").write_text(json.dumps(DIVERGING_EVIDENCE_CONFIG))
+        argv = ["train-all", "--bundle", str(tmp_path / "bundle"),
+                "--config", str(tmp_path / "cfg.json")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 5, err
+        record = json.loads(err)
+        assert record["category"] == "divergence"
+        assert "[stage: phase2 epoch 2 evidence]" in record["message"]
 
     def test_diverged_finite_table_ranks_by_distance(self, workdir):
         """With ``lr`` 1e16 the table stays finite, but the excess s of every

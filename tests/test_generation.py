@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperrag import generation
 from hyperrag.alignment import EmbeddingTable, Query
 from hyperrag.errors import (
     ConfigurationError,
@@ -450,12 +451,9 @@ class TestBatchedPass:
         got = example_losses_and_grad(gen, ds.table, list(ds.examples), queries, *args)
         assert_same_terms(got, one_at_a_time(gen, ds.table, ds.examples, queries, *args))
 
-    @pytest.mark.parametrize(
-        "epsilon, error", [(5e-324, NumericalError), (0.05, DivergenceError)]
-    )
+    @pytest.mark.parametrize("epsilon, error", [(0.05, DivergenceError)])
     def test_solve_error_of_an_earlier_example_comes_first(self, epsilon, error):
-        # The second example's evidence makes its logits +inf; at the tiny
-        # epsilon the first example's solve overflows before that.
+        # The second example's evidence makes its logits +inf.
         ds = make_memorizable(num=3, clusters=3)
         bad = GenExample(ds.examples[1].query, np.full_like(ds.examples[1].evidence, np.inf),
                          ds.examples[1].gold)
@@ -467,6 +465,30 @@ class TestBatchedPass:
         want = raised(example_by_example, *args)
         assert want[0] is error
         assert raised(example_losses_and_grad, *args) == want
+
+    def test_preparation_errors_raise_before_any_solve(self, monkeypatch):
+        # At this epsilon the first example's solve overflows on its own,
+        # but the second example's +inf evidence fails its preparation.
+        ds = make_memorizable(num=3, clusters=3)
+        bad = GenExample(ds.examples[1].query, np.full_like(ds.examples[1].evidence, np.inf),
+                         ds.examples[1].gold)
+        examples = [ds.examples[0], bad, ds.examples[2]]
+        gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
+        gen.weight[:] = 0.1
+        rest = (ds.token_embeddings, 0.7, 5e-324, 2000)
+        first = (gen, ds.table, examples[:1], [examples[0].query], *rest)
+        assert raised(example_losses_and_grad, *first)[0] is NumericalError
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return entropic_terms(*args)
+
+        monkeypatch.setattr(generation, "entropic_terms", counted)
+        args = (gen, ds.table, examples, [ex.query for ex in examples], *rest)
+        got = raised(example_losses_and_grad, *args)
+        assert got == (DivergenceError, "generator logits are non-finite")
+        assert solves == []
 
     def test_nan_weight_is_divergence(self):
         ds = make_memorizable(num=4, clusters=2)

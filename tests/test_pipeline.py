@@ -14,6 +14,7 @@ from hyperrag import gate, generation, pipeline
 from hyperrag.alignment import (
     AlignmentConfig,
     EmbeddingTable,
+    Query,
     embed_corpus_rows,
     id_ranks,
     item_tangent_rows,
@@ -374,7 +375,38 @@ class TestLockStepGeneration:
         assert got[0] is {"tiny-epsilon": NumericalError, "nan-weight": DivergenceError}[case]
 
 
+DIVERGING_EVIDENCE_CONFIG = {
+    "dim": 8, "epochs": 2, "batch_size": 4, "crm_epochs": 5, "crm_hidden": 8, "k": 3,
+    "lr": 3.0, "seed": 1,
+}
+
+
+def diverging_evidence_bundle():
+    """A small bundle whose query features are all scaled by 1e152, with
+    positives kept only for the queries of epoch 1's first mini-batch under
+    ``DIVERGING_EVIDENCE_CONFIG``: phase 2 first fails to lift a stepped
+    query point while it gathers epoch 2's evidence."""
+    bundle = synth_bundle(
+        SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
+    )
+    cfg = DIVERGING_EVIDENCE_CONFIG
+    order = np.random.default_rng(cfg["seed"]).permutation(len(bundle.queries))
+    first = {bundle.queries[i].id for i in order[: cfg["batch_size"]]}
+    queries = [
+        Query(q.id, q.visual_features * 1e152, q.text_features * 1e152) for q in bundle.queries
+    ]
+    positives = {qid: ids for qid, ids in bundle.positives.items() if qid in first}
+    return replace(bundle, queries=queries, positives=positives)
+
+
 class TestPhase2Evidence:
+    def test_diverged_query_map_in_the_evidence_step_is_divergence(self):
+        config = PipelineConfig(**DIVERGING_EVIDENCE_CONFIG)
+        with pytest.raises(DivergenceError) as err:
+            run_training(config, diverging_evidence_bundle())
+        assert "[stage: phase2 epoch 2 evidence]" in str(err.value)
+        assert "spatial vector too large to lift" in str(err.value)
+
     def test_each_gated_example_holds_its_evidence_mean(self, monkeypatch):
         spec = SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
         bundle = synth_bundle(spec)

@@ -533,6 +533,10 @@ class TestSweepKeysMatchOldSweepOrders:
         for q in bundle.queries:
             assert_orders_match_old(keys, relevance_vector(q, graph).values)
 
+    def test_of_an_empty_graph_is_contract_violation(self):
+        with pytest.raises(ContractViolation, match=r"k=0 outside \[1, 0\]"):
+            SweepKeys.of(KnowledgeGraph((), ()), 3)
+
     def test_cheeger_one_column(self):
         y = np.array([0.3, -0.1, 0.3, 0.2, -0.1 + 1e-12, 0.0])
         got = SweepKeys(y[:, None]).orders(np.zeros(6))
