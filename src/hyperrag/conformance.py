@@ -421,7 +421,7 @@ def generator_gradient_case(
     evidence = origin_tangents([project_to_hyperboloid(rng.normal(size=4))], table.dim)
     example = GenExample(query, evidence, gold)
     [(_, _, grad_logits, z)] = example_losses_and_grad(
-        gen, table, [example], [query], token_embeddings, alpha, epsilon
+        gen, table, [example], token_embeddings, alpha, epsilon
     )
     analytic = np.outer(grad_logits, z).ravel()
     q_stack = DistributionStack((gold_distribution(gold, token_embeddings),))

@@ -219,10 +219,10 @@ def generate(
 
 @dataclass(frozen=True)
 class GenExample:
-    """A query, its evidence as ``origin_tangents`` rows (k, dim), and its
-    gold answer.  ``condition_vector`` reads only the rows' mean, and the
-    mean of one row is that row, so phase 2 stores each gated example's
-    mean row (1, dim) in place of its rows."""
+    """The query the generator reads (dropped out, in training), its evidence
+    as ``origin_tangents`` rows (k, dim), and its gold answer.
+    ``condition_vector`` reads only the rows' mean, and the mean of one row
+    is that row, so phase 2 stores each gated example's mean row (1, dim)."""
 
     query: Query
     evidence: np.ndarray
@@ -296,36 +296,30 @@ def example_losses_and_grad(
     gen: ToyGenerator,
     table: EmbeddingTable,
     examples: list[GenExample],
-    queries: list[Query],
     token_embeddings: np.ndarray,
     alpha: float,
     epsilon: float,
     ot_max_iter: int = 2000,
 ) -> list[tuple[float, float, np.ndarray, np.ndarray]]:
-    """Per example, with its query in ``queries``: local CE, global
+    """Per example, conditioned on its own query: local CE, global
     sqrt-cost W2, the blended logits gradient alpha * dCE + (1 - alpha) *
     dOT_eps, and the condition vector.  The global gradient descends the
     entropic objective (envelope potentials through the softmax Jacobian),
-    solved in one ``entropic_terms`` call per gold-atom count once every
-    example is prepared."""
+    solved in one ``entropic_terms`` call once every example is prepared."""
     prepared = []
-    for example, query in zip(examples, queries, strict=True):
-        z = condition_vector(table, table.embed_query(query), example.evidence)
+    for example in examples:
+        z = condition_vector(table, table.embed_query(example.query), example.evidence)
         probs = softmax(gen.logits(z))
         gold = example.gold
         counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
         local = float(-np.sum(counts * np.log(np.maximum(probs, LOG_CLAMP))))
         q = gold_distribution(gold, token_embeddings)
         prepared.append((z, probs, local, gold.length * probs - counts, q))
-    terms = {}
-    for size in dict.fromkeys(prep[4].size for prep in prepared):
-        rows = [i for i, prep in enumerate(prepared) if prep[4].size == size]
-        qs = DistributionStack(tuple(prepared[i][4] for i in rows))
-        probs = np.array([prepared[i][1] for i in rows])
-        terms.update(zip(rows, entropic_terms(probs, qs, token_embeddings, epsilon, ot_max_iter)))
+    probs = np.array([prep[1] for prep in prepared])
+    stack = DistributionStack(tuple(prep[4] for prep in prepared))
+    terms = entropic_terms(probs, stack, token_embeddings, epsilon, ot_max_iter)
     out = []
-    for i, (z, probs, local, grad_local, _) in enumerate(prepared):
-        _, grad_f, sqrt_cost = terms[i]
+    for (z, probs, local, grad_local, _), (_, grad_f, sqrt_cost) in zip(prepared, terms):
         grad_global = probs * (grad_f - float(grad_f @ probs))
         out.append((local, sqrt_cost, alpha * grad_local + (1.0 - alpha) * grad_global, z))
     return out
@@ -350,12 +344,13 @@ def train_generation(
         grad_w = np.zeros_like(gen.weight)
         grad_b = np.zeros_like(gen.bias)
         dropped = [
-            apply_query_dropout(example.query, p_t, seed=(config.seed, epoch, idx))
-            for idx, example in enumerate(dataset.examples)
+            GenExample(apply_query_dropout(ex.query, p_t, seed=(config.seed, epoch, idx)),
+                       ex.evidence, ex.gold)
+            for idx, ex in enumerate(dataset.examples)
         ]
         try:
             terms = example_losses_and_grad(
-                gen, dataset.table, dataset.examples, dropped, dataset.token_embeddings,
+                gen, dataset.table, dropped, dataset.token_embeddings,
                 alpha, config.epsilon, config.ot_max_iter,
             )
         except DivergenceError as exc:

@@ -98,13 +98,21 @@ def _check_width(first: dict, kind: str, width: int, path, lineno: int) -> None:
         )
 
 
+def _check_new_id(seen: set, kind: str, ident: str, path, lineno: int) -> None:
+    """DataFormatError if ``ident`` is in ``seen``; else add it."""
+    if ident in seen:
+        raise DataFormatError(f"{path}:{lineno}: duplicate {kind} id {ident!r}")
+    seen.add(ident)
+
+
 def load_items(path) -> list[KnowledgeItem]:
     rows = _read_rows(path, 3)
     features = _float_column(rows, 2, path, "features")
-    items, first = [], {}
+    items, first, seen = [], {}, set()
     for (lineno, (iid, modality, _)), feats in zip(rows, features):
         items.append(_record(KnowledgeItem, path, lineno, iid, modality, feats))
         _check_width(first, modality, feats.size, path, lineno)
+        _check_new_id(seen, "item", iid, path, lineno)
     return items
 
 
@@ -119,11 +127,12 @@ def load_queries(path) -> list[Query]:
     rows = _read_rows(path, 3)
     visual_column = _float_column(rows, 1, path, "visual features")
     text_column = _float_column(rows, 2, path, "text features")
-    queries, first = [], {}
+    queries, first, seen = [], {}, set()
     for (lineno, (qid, _, _)), visual, text in zip(rows, visual_column, text_column):
         queries.append(_record(Query, path, lineno, qid, visual, text))
         _check_width(first, "visual", visual.size, path, lineno)
         _check_width(first, "text", text.size, path, lineno)
+        _check_new_id(seen, "query", qid, path, lineno)
     return queries
 
 

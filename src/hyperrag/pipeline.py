@@ -245,44 +245,33 @@ class ReadIndex:
     one hyperboloid row and one origin tangent row (``origin_log_rows`` is
     row-wise: each row is the item's ``log_map(origin, embed_item(item))``)
     per corpus item, with the items' ``id_ranks``, and one
-    ``embed_triplets`` row per ``graph.triplets`` entry with its head and
-    tail vertex indices."""
+    ``embed_triplets`` row per entry of ``graph.triplets``."""
 
     corpus_rows: np.ndarray
     corpus_id_key: np.ndarray
     corpus_tangents: np.ndarray
     triplet_rows: np.ndarray
-    triplet_heads: np.ndarray
-    triplet_tails: np.ndarray
+    graph: KnowledgeGraph
 
     @classmethod
     def build(
         cls, table: EmbeddingTable, graph: KnowledgeGraph, items: list[KnowledgeItem]
     ) -> "ReadIndex":
-        heads = [graph.vertex_index(h) for h, _, _ in graph.triplets]
-        tails = [graph.vertex_index(t) for _, _, t in graph.triplets]
         corpus_rows = embed_corpus_rows(table, items)
         return cls(
             corpus_rows=corpus_rows,
             corpus_id_key=id_ranks(items),
             corpus_tangents=origin_log_rows(corpus_rows)[:, 1:],
             triplet_rows=embed_triplets(graph, table, graph.triplets),
-            triplet_heads=np.array(heads, dtype=np.intp),
-            triplet_tails=np.array(tails, dtype=np.intp),
+            graph=graph,
         )
 
-    def triplet_evidence(self, subgraph: Subgraph) -> np.ndarray:
-        """Rows of the triplets whose head and tail both lie in the
-        subgraph, in graph order."""
-        inside = subgraph.indicator > 0
-        return self.triplet_rows[inside[self.triplet_heads] & inside[self.triplet_tails]]
-
-
-def _evidence_rows(index: ReadIndex, positions: list[int], triplet_rows: np.ndarray) -> np.ndarray:
-    """Evidence for the generator: the used docs' corpus tangent rows (at
-    ``positions``), gathered from the index, then the triplet rows.  The
-    index computed each tangent once, when it was built."""
-    return np.concatenate([index.corpus_tangents[positions], triplet_rows])
+    def evidence(self, positions: list[int], subgraph: Subgraph) -> np.ndarray:
+        """Evidence for the generator: the corpus tangent rows at
+        ``positions`` (the used docs), then the rows of the triplets within
+        the subgraph (``KnowledgeGraph.triplets_within``), in graph order."""
+        triplets = self.triplet_rows[self.graph.triplets_within(subgraph.indicator)]
+        return np.concatenate([self.corpus_tangents[positions], triplets])
 
 
 @dataclass(frozen=True)
@@ -535,21 +524,19 @@ def run_training(
                 index = ReadIndex.build(table, bundle.graph, items) if gated else None
 
             gen_scale = (1.0 - config.beta - config.gamma) / n_batch
-            examples, dropped = [], []
+            examples = []
             with _phase2_stage(optimizer, epoch, "evidence"):
                 for q, i in zip(batch, order[start : start + config.batch_size]):
                     evidence = np.empty((0, config.dim))
-                    if q.id in subgraphs:
+                    if q.id in subgraphs:  # the generator reads only the rows' mean
                         top = _top_items(config, table.embed_query(q), index)
-                        triplets = index.triplet_evidence(subgraphs[q.id][1])
-                        evidence = _evidence_rows(index, _relevant(head, q, items, top), triplets)
-                    if len(evidence):  # the generator reads only the rows' mean
-                        evidence = np.mean(evidence, axis=0, keepdims=True)
-                    examples.append(GenExample(q, evidence, gold[q.id]))
-                    dropped.append(apply_query_dropout(q, p_t, seed=(config.seed, epoch, int(i))))
+                        rows = index.evidence(_relevant(head, q, items, top), subgraphs[q.id][1])
+                        evidence = np.mean(rows, axis=0, keepdims=True) if len(rows) else rows
+                    dropped = apply_query_dropout(q, p_t, seed=(config.seed, epoch, int(i)))
+                    examples.append(GenExample(dropped, evidence, gold[q.id]))
             with _phase2_stage(optimizer, epoch, "generation"):
                 terms = example_losses_and_grad(
-                    generator, table, examples, dropped, bundle.token_embeddings,
+                    generator, table, examples, bundle.token_embeddings,
                     config.alpha, config.epsilon, config.ot_max_iter,
                 )
             for local, sqrt_cost, grad_logits, z in terms:
@@ -637,13 +624,12 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
         t0 = time.perf_counter()
         with _stage("refine"):
             subgraph = components.subgraph_for(query)
-            triplet_rows = index.triplet_evidence(subgraph)
         timings["refine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with _stage("generate"):
         if delta == 1:
-            evidence = _evidence_rows(index, positions, triplet_rows)
+            evidence = index.evidence(positions, subgraph)
         else:
             q_point = components.table.embed_query(query)
         tokens = generate(

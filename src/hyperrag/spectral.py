@@ -119,11 +119,14 @@ class KnowledgeGraph:
             u_idx.append(index[u])
             v_idx.append(index[v])
             weights.append(float(w))
+        ends = []
         for pos, (h, _rel, t) in enumerate(self.triplets):
             if h not in index or t not in index:
                 raise GraphRecordError(
                     f"triplet ({h!r}, ..., {t!r}) references unknown vertices", "triplets", pos
                 )
+            ends.append((index[h], index[t]))
+        object.__setattr__(self, "_ends", np.array(ends, dtype=np.intp).reshape(-1, 2).T)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_u", np.array(u_idx, dtype=np.intp))
         object.__setattr__(self, "_v", np.array(v_idx, dtype=np.intp))
@@ -158,6 +161,12 @@ class KnowledgeGraph:
         if vid not in self._index:
             raise ContractViolation(f"unknown vertex id {vid!r}")
         return self._index[vid]
+
+    def triplets_within(self, indicator) -> np.ndarray:
+        """Mask over ``triplets``: head and tail both have a positive
+        ``indicator`` entry (one per vertex, in graph order)."""
+        inside = np.asarray(indicator) > 0
+        return inside[self._ends[0]] & inside[self._ends[1]]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._u, self._v, self._w
@@ -552,13 +561,9 @@ class TripletRecord:
 
 def extract_triplets(subgraph: Subgraph, graph: KnowledgeGraph) -> list[TripletRecord]:
     """All triplets of the parent graph whose head and tail lie in the
-    selected set, in graph order."""
-    selected = subgraph.vertex_set
-    return [
-        TripletRecord(*trip)
-        for trip in graph.triplets
-        if trip[0] in selected and trip[2] in selected
-    ]
+    subgraph (``graph.triplets_within``), in graph order."""
+    inside = graph.triplets_within(subgraph.indicator)
+    return [TripletRecord(*trip) for trip, keep in zip(graph.triplets, inside) if keep]
 
 
 def embed_triplets(graph: KnowledgeGraph, table: EmbeddingTable, triplets) -> np.ndarray:

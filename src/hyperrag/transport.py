@@ -72,17 +72,17 @@ class EmpiricalDistribution:
 
 @dataclass(frozen=True)
 class DistributionStack:
-    """Empirical distributions of one support size, ``size`` atoms each."""
+    """Empirical distributions of any support sizes; ``size`` is the widest."""
 
     rows: tuple[EmpiricalDistribution, ...]
 
     def __post_init__(self):
-        if not self.rows or len({d.size for d in self.rows}) != 1:
-            raise ContractViolation("a stack needs one or more distributions of one size")
+        if not self.rows:
+            raise ContractViolation("a stack needs one or more distributions")
 
     @property
     def size(self) -> int:
-        return self.rows[0].size
+        return max(d.size for d in self.rows)
 
 
 @dataclass(frozen=True)
@@ -224,14 +224,16 @@ def _log_plan(f, g, cost, eps, log_p, log_q) -> np.ndarray:
     return scaled + log_p[..., :, None] + log_q[..., None, :]
 
 
-def _sinkhorn_rows(cost, p_weights, q_weights, epsilon: float, max_iter: int):
+def _sinkhorn_rows(cost, p_weights, q_weights, epsilon: float, max_iter: int, widths=None):
     """Log-domain scaling iterations for stacked problems in lock step:
     costs (B, V, K), weights (B, V) and (B, K).  Returns potentials f, g,
     and each row's convergence flag and final marginal violation.  Each row
     keeps its own epsilon-scaling ladder, stage and stopping test, and
     leaves the active set once it stops, so its outputs are those of
-    solving it alone.  An epsilon so small that the scaled costs overflow
-    makes a violation non-finite, which raises NumericalError at once."""
+    solving it alone.  A row of ``widths[b]`` < K atoms ends in zero-cost,
+    zero-weight atoms, whose log-weight -inf adds exact zeros to its sums.
+    An epsilon so small that the scaled costs overflow makes a violation
+    non-finite, which raises NumericalError at once."""
     if epsilon <= 0:
         raise ContractViolation(f"epsilon must be positive, got {epsilon}")
     if max_iter < 1:
@@ -250,11 +252,18 @@ def _sinkhorn_rows(cost, p_weights, q_weights, epsilon: float, max_iter: int):
     ladder = np.array(ladder)
     rows, pw, g = np.arange(n), p_weights, np.zeros(q_weights.shape)
     log_p, log_q = _log_weights(pw), _log_weights(q_weights)
+    # numpy sums a lone column pairwise but a column of a wider block in
+    # order, so a padded one-atom row sums its own column apart.
+    padded = widths is not None and cost.shape[2] > 1
+    one = np.asarray(widths) == 1 if padded else np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
         for it in range(max_iter):
             eps = ladder[stage][:, None, None]
             f = -eps[:, 0] * _logsumexp((g[:, None, :] - cost) / eps + log_q[:, None, :], axis=2)
-            g = -eps[:, 0] * _logsumexp((f[:, :, None] - cost) / eps + log_p[:, :, None], axis=1)
+            a = (f[:, :, None] - cost) / eps + log_p[:, :, None]
+            g = -eps[:, 0] * _logsumexp(a, axis=1)
+            if one.any():
+                g[one, :1] = -eps[one, 0] * _logsumexp(a[one, :, :1], axis=1)
             marginals = np.exp(_logsumexp(_log_plan(f, g, cost, eps, log_p, log_q), axis=2))
             viol = np.max(np.abs(marginals - pw), axis=1)
             if not np.isfinite(viol).all():
@@ -271,7 +280,7 @@ def _sinkhorn_rows(cost, p_weights, q_weights, epsilon: float, max_iter: int):
                 idx, keep = rows[done], ~done
                 f_out[idx], g_out[idx], violation[idx] = f[done], g[done], viol[done]
                 rows, stage, g, cost, pw = rows[keep], stage[keep], g[keep], cost[keep], pw[keep]
-                log_p, log_q = log_p[keep], log_q[keep]
+                log_p, log_q, one = log_p[keep], log_q[keep], one[keep]
                 if not rows.size:
                     break
     return f_out, g_out, violation < SINKHORN_TARGET, violation
@@ -324,20 +333,23 @@ def entropic_terms(
     max_iter: int = 10000,
 ) -> list[tuple[float, np.ndarray, float]]:
     """Entropic solves of each row of ``p_weights`` (B, V) over ``support``
-    against the matching row of ``q``, in lock step, each read three ways:
-    the regularized objective OT_eps(p, q) = <pi, C> + eps * KL(pi | p x q),
-    its gradient in the first marginal's weights (envelope property: the
-    converged potential f, centered on the simplex), and the plan's
-    transport cost in sqrt-cost units for reporting.
-    """
+    against the matching row of ``q``, padded to ``q.size`` atoms, in one
+    lock-step solve, each read three ways on its own atoms: the regularized
+    objective OT_eps(p, q) = <pi, C> + eps * KL(pi | p x q), its gradient in
+    the first marginal's weights (envelope property: the converged potential
+    f, centered on the simplex), and the plan's transport cost in sqrt-cost
+    units for reporting."""
     ps = [EmpiricalDistribution(support, w) for w in p_weights]
-    cost = np.stack([squared_cost_matrix(p, qb) for p, qb in zip(ps, q.rows, strict=True)])
-    pw, qw = np.stack([p.weights for p in ps]), np.stack([qb.weights for qb in q.rows])
-    f, g, _, _ = _sinkhorn_rows(cost, pw, qw, epsilon, max_iter)
+    widths = [qb.size for qb in q.rows]
+    cost, qw = np.zeros((len(ps), len(support), q.size)), np.zeros((len(ps), q.size))
+    for b, (p, qb) in enumerate(zip(ps, q.rows, strict=True)):
+        cost[b, :, : qb.size], qw[b, : qb.size] = squared_cost_matrix(p, qb), qb.weights
+    pw = np.stack([p.weights for p in ps])
+    f, g, _, _ = _sinkhorn_rows(cost, pw, qw, epsilon, max_iter, widths)
     # Dual value at feasibility: <f, p> + <g, q>; only the gradient's
     # simplex-tangential part is meaningful.
     return [
-        (float(fb @ p.weights + gb @ qb.weights), fb - float(np.mean(fb)),
-         _sqrt_cost(_rounded_plan(p, qb, epsilon, fb, gb, cb), cb))
-        for p, qb, fb, gb, cb in zip(ps, q.rows, f, g, cost)
+        (float(fb @ p.weights + gb[:k] @ qb.weights), fb - float(np.mean(fb)),
+         _sqrt_cost(_rounded_plan(p, qb, epsilon, fb, gb[:k], cb[:, :k]), cb[:, :k]))
+        for p, qb, fb, gb, cb, k in zip(ps, q.rows, f, g, cost, widths)
     ]

@@ -447,6 +447,28 @@ class TestErrorSurface:
         assert record["category"] == "data_format"
         assert f"{bundle / name}:{lineno}: " in record["message"]
 
+    @pytest.mark.parametrize("name, kind", [("queries.tsv", "query"), ("items.tsv", "item")])
+    def test_duplicate_id_under_eval_is_data_format_error(
+        self, workdir, tmp_path, capsys, name, kind
+    ):
+        """Line 2 takes line 1's id, and every row naming its own id is
+        dropped, so the repeated id is the only fault in the bundle."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        lines = (bundle / name).read_text().splitlines()
+        first, second = (line.split("\t")[0] for line in lines[:2])
+        set_field(bundle / name, 2, 0, first)
+        for other in ["positives.tsv", "labels.tsv", "gating.tsv", "confidence.tsv", "qa.tsv",
+                      "clusters.tsv"]:
+            lines = (bundle / other).read_text().splitlines()
+            kept = [line for line in lines if second not in line.split("\t")]
+            (bundle / other).write_text("".join(f"{line}\n" for line in kept))
+        code, _, err = run_cli(["eval", *self.eval_args(workdir, bundle)], capsys)
+        assert code == 8, err
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert f"{bundle / name}:2: duplicate {kind} id {first!r}" in record["message"]
+
     def test_graph_triplet_positive_under_eval_is_data_format_error(
         self, workdir, tmp_path, capsys
     ):

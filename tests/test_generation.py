@@ -328,7 +328,7 @@ class TestTraining:
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
         ex = ds.examples[0]
         [(local, _, _, z)] = example_losses_and_grad(
-            gen, ds.table, [ex], [ex.query], ds.token_embeddings, 0.7, 0.05
+            gen, ds.table, [ex], ds.token_embeddings, 0.7, 0.05
         )
         probs = softmax(gen.logits(z))
         pred = TokenDistributionSequence(np.tile(probs, (ex.gold.length, 1)))
@@ -354,7 +354,7 @@ class TestBlendedGradient:
             return alpha * local + (1 - alpha) * obj
 
         [(_, _, grad_logits, z)] = example_losses_and_grad(
-            gen, ds.table, [ex], [ex.query], ds.token_embeddings, alpha, eps
+            gen, ds.table, [ex], ds.token_embeddings, alpha, eps
         )
         grad_w = np.outer(grad_logits, z)
         h = 1e-5
@@ -370,10 +370,10 @@ class TestBlendedGradient:
 
 
 def old_example_losses_and_grad(
-    gen, table, example, query, token_embeddings, alpha, epsilon, ot_max_iter=2000
+    gen, table, example, token_embeddings, alpha, epsilon, ot_max_iter=2000
 ):
     """One example's generator pass as it was before the lock-step solve."""
-    z = condition_vector(table, table.embed_query(query), example.evidence)
+    z = condition_vector(table, table.embed_query(example.query), example.evidence)
     probs = softmax(gen.logits(z))
     gold = example.gold
     counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
@@ -387,24 +387,17 @@ def old_example_losses_and_grad(
     return local, sqrt_cost, grad_logits, z
 
 
-def one_at_a_time(gen, table, examples, queries, *args):
+def one_at_a_time(gen, table, examples, *args):
     """The old phase-2 loop: each example prepared and solved in turn."""
-    return [
-        old_example_losses_and_grad(gen, table, ex, query, *args)
-        for ex, query in zip(examples, queries)
-    ]
+    return [old_example_losses_and_grad(gen, table, ex, *args) for ex in examples]
 
 
-def example_by_example(gen, table, examples, queries, *args):
+def example_by_example(gen, table, examples, *args):
     """The per-example loop over the current pass: each example prepared
     and solved (a batch of one) before the next.  Its errors are those of
     the old loop, whose one-row solve raised as ``sinkhorn_potentials``
     does now (``old_potentials`` predates that check)."""
-    return [
-        terms
-        for ex, query in zip(examples, queries)
-        for terms in example_losses_and_grad(gen, table, [ex], [query], *args)
-    ]
+    return [terms for ex in examples for terms in example_losses_and_grad(gen, table, [ex], *args)]
 
 
 def assert_same_terms(got, want):
@@ -446,10 +439,9 @@ class TestBatchedPass:
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
         gen.weight = 0.5 * rng.standard_normal(gen.weight.shape)
         gen.bias = 0.5 * rng.standard_normal(gen.bias.shape)
-        queries = [ex.query for ex in ds.examples]
         args = (ds.token_embeddings, 0.7, epsilon, 2000)
-        got = example_losses_and_grad(gen, ds.table, list(ds.examples), queries, *args)
-        assert_same_terms(got, one_at_a_time(gen, ds.table, ds.examples, queries, *args))
+        got = example_losses_and_grad(gen, ds.table, list(ds.examples), *args)
+        assert_same_terms(got, one_at_a_time(gen, ds.table, ds.examples, *args))
 
     @pytest.mark.parametrize("epsilon, error", [(0.05, DivergenceError)])
     def test_solve_error_of_an_earlier_example_comes_first(self, epsilon, error):
@@ -460,8 +452,7 @@ class TestBatchedPass:
         examples = [ds.examples[0], bad, ds.examples[2]]
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
         gen.weight[:] = 0.1
-        args = (gen, ds.table, examples, [ex.query for ex in examples], ds.token_embeddings,
-                0.7, epsilon, 2000)
+        args = (gen, ds.table, examples, ds.token_embeddings, 0.7, epsilon, 2000)
         want = raised(example_by_example, *args)
         assert want[0] is error
         assert raised(example_losses_and_grad, *args) == want
@@ -476,7 +467,7 @@ class TestBatchedPass:
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
         gen.weight[:] = 0.1
         rest = (ds.token_embeddings, 0.7, 5e-324, 2000)
-        first = (gen, ds.table, examples[:1], [examples[0].query], *rest)
+        first = (gen, ds.table, examples[:1], *rest)
         assert raised(example_losses_and_grad, *first)[0] is NumericalError
         solves = []
 
@@ -485,7 +476,7 @@ class TestBatchedPass:
             return entropic_terms(*args)
 
         monkeypatch.setattr(generation, "entropic_terms", counted)
-        args = (gen, ds.table, examples, [ex.query for ex in examples], *rest)
+        args = (gen, ds.table, examples, *rest)
         got = raised(example_losses_and_grad, *args)
         assert got == (DivergenceError, "generator logits are non-finite")
         assert solves == []
@@ -494,8 +485,7 @@ class TestBatchedPass:
         ds = make_memorizable(num=4, clusters=2)
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
         gen.weight[1, 2] = np.nan
-        queries = [ex.query for ex in ds.examples]
-        args = (gen, ds.table, list(ds.examples), queries, ds.token_embeddings, 0.7, 0.01, 2000)
+        args = (gen, ds.table, list(ds.examples), ds.token_embeddings, 0.7, 0.01, 2000)
         want = raised(example_by_example, *args)
         assert want == (DivergenceError, "generator logits are non-finite")
         assert raised(example_losses_and_grad, *args) == want

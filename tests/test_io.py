@@ -190,7 +190,9 @@ class TestRejectedRows:
         [
             ("items.tsv", 2, 1, "audio", "unknown modality 'audio'"),
             ("items.tsv", 1, 2, "1.0,nan,0.5", "features contains non-finite values"),
+            ("items.tsv", 2, 0, "i0", "duplicate item id 'i0'"),
             ("queries.tsv", 2, 1, "nan,1.0", "visual_features contains non-finite values"),
+            ("queries.tsv", 2, 0, "q0", "duplicate query id 'q0'"),
             ("confidence.tsv", 2, 2, "nan", "bad score: non-finite value"),
             ("qa.tsv", 1, 1, "3,99", "token 99 outside vocabulary of size 4"),
             ("qa.tsv", 2, 1, "-1", "token -1 outside vocabulary of size 4"),

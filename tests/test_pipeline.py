@@ -292,7 +292,7 @@ class TestRunTraining:
         solve = generation.entropic_terms
 
         def spy(p_weights, q, *args):
-            gold_sizes.append(q.size)
+            gold_sizes.extend(row.size for row in q.rows)
             return solve(p_weights, q, *args)
 
         monkeypatch.setattr(generation, "entropic_terms", spy)
@@ -330,28 +330,32 @@ class TestLockStepGeneration:
     def test_every_solve_and_term_matches_per_example_loop(self, monkeypatch, seed, batch_size):
         bundle = mixed_answers(synth_bundle(SynthSpec(seed=seed)))
         solve, generator_pass = generation.entropic_terms, pipeline.example_losses_and_grad
-        groups = []
+        stacks, passes = [], []
 
         def checked_solve(p_weights, q, support, epsilon, max_iter):
-            groups.append((len(p_weights), q.size))
+            stacks.append([row.size for row in q.rows])
             out = solve(p_weights, q, support, epsilon, max_iter)
-            for (value, grad, cost), p_w, q_row in zip(out, p_weights, q.rows):
+            for (value, grad, cost), p_w, q_row in zip(out, p_weights, q.rows, strict=True):
                 want = old_entropic_terms(p_w, q_row, support, epsilon, max_iter)
                 assert (value, cost) == (want[0], want[2]) and np.array_equal(grad, want[1])
             return out
 
         def checked_pass(*args):
+            passes.append(len(stacks))
             out = generator_pass(*args)
+            assert len(stacks) == passes[-1] + 1  # one solve per mini-batch
             assert_same_terms(out, one_at_a_time(*args))
             return out
 
         monkeypatch.setattr(generation, "entropic_terms", checked_solve)
         monkeypatch.setattr(pipeline, "example_losses_and_grad", checked_pass)
         run_training(PipelineConfig(seed=seed, epochs=1, batch_size=batch_size), bundle)
-        assert {size for _, size in groups} == {1, 2}
-        assert sum(rows for rows, _ in groups) == len(bundle.queries)
+        assert len(stacks) == len(passes) == -(-len(bundle.queries) // batch_size)
+        assert {size for sizes in stacks for size in sizes} == {1, 2}
+        assert any(set(sizes) == {1, 2} for sizes in stacks)
+        assert sum(map(len, stacks)) == len(bundle.queries)
         if batch_size == 199:  # 200 queries: the last batch is one row
-            assert groups[-1][0] == 1
+            assert len(stacks[-1]) == 1
 
     @pytest.mark.parametrize("case", ["tiny-epsilon", "nan-weight"])
     def test_first_error_and_stage_match_per_example_loop(self, monkeypatch, case):
@@ -410,7 +414,7 @@ class TestPhase2Evidence:
     def test_each_gated_example_holds_its_evidence_mean(self, monkeypatch):
         spec = SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
         bundle = synth_bundle(spec)
-        generator_pass, full_rows = pipeline.example_losses_and_grad, pipeline._evidence_rows
+        generator_pass, full_rows = pipeline.example_losses_and_grad, ReadIndex.evidence
         means, stored = [], []
 
         def keep_rows(*args):
@@ -422,7 +426,7 @@ class TestPhase2Evidence:
             stored.extend(ex.evidence for ex in examples)
             return generator_pass(gen, table, examples, *rest)
 
-        monkeypatch.setattr(pipeline, "_evidence_rows", keep_rows)
+        monkeypatch.setattr(ReadIndex, "evidence", keep_rows)
         monkeypatch.setattr(pipeline, "example_losses_and_grad", record)
         run_training(SMALL_CFG, bundle)
         gated = [ev for ev in stored if len(ev)]
@@ -533,7 +537,7 @@ class TestReadIndex:
             res = answer_query(components, q)
             if res.delta != 1:
                 continue
-            got = index.triplet_evidence(res.subgraph)
+            got = index.evidence([], res.subgraph)
             recs = extract_triplets(res.subgraph, components.graph)
             trips = [(rec.head, rec.relation, rec.tail) for rec in recs]
             assert np.array_equal(got, embed_triplets(components.graph, components.table, trips))
@@ -552,7 +556,7 @@ class TestReadIndex:
         table = EmbeddingTable(4, modalities, seed=1)
         index = ReadIndex.build(table, graph, [])
         want = embed_triplets(graph, table, [trips[0], trips[2]])
-        assert np.array_equal(index.triplet_evidence(sub), want)
+        assert np.array_equal(index.evidence([], sub), want)
 
     def test_triplet_evidence_matches_per_batch_selection(self, planted):
         """A test-only copy of the evidence selection that training once
@@ -582,7 +586,7 @@ class TestReadIndex:
         index = ReadIndex.build(table, graph, components.items)
         for qid, sub in subgraphs.items():
             want = trip_rows[[row_of[i] for i in kept_triplets[qid]]]
-            assert np.array_equal(index.triplet_evidence(sub), want)
+            assert np.array_equal(index.evidence([], sub), want)
         assert subgraphs and batch_trips
 
     def test_corpus_rows_match_embedding(self, planted):
@@ -738,10 +742,14 @@ class TestCorpusRows:
             assert [items[i].id for i in got] == [items[i].id for i in want]
 
 
-def old_evidence_rows(index, positions, triplet_rows) -> np.ndarray:
+def old_evidence_rows(index, positions, subgraph) -> np.ndarray:
     """Test-only copy of the evidence rows as each answer built them before
     the read index held the corpus tangents: ``origin_log_rows`` over the
-    used docs' corpus rows, per answer."""
+    used docs' corpus rows, per answer, then the rows of the triplets with
+    both ends in the subgraph's selected ids."""
+    selected = subgraph.vertex_set
+    inside = [h in selected and t in selected for h, _, t in index.graph.triplets]
+    triplet_rows = index.triplet_rows[np.array(inside, dtype=bool)]
     return np.concatenate([origin_log_rows(index.corpus_rows[positions])[:, 1:], triplet_rows])
 
 
@@ -758,7 +766,10 @@ class TestPrecomputedReadRows:
 
     def test_evidence_rows_match_the_per_answer_tangents(self, default_trained, monkeypatch):
         bundle, components, _ = default_trained
-        calls = spy(monkeypatch, "_evidence_rows")
+        calls, original = [], ReadIndex.evidence
+        monkeypatch.setattr(
+            ReadIndex, "evidence", lambda *args: calls.append(args) or original(*args)
+        )
         generate, got = pipeline.generate, []
 
         def record(gen, table, point, evidence, max_len):

@@ -760,6 +760,23 @@ class TestTriplets:
         kept = {(r.head, r.relation, r.tail) for r in recs}
         assert kept == {("v0", "likes", "v1"), ("v1", "cites", "v2")}
 
+    @pytest.mark.parametrize(
+        "relevance, eta, outside",
+        [([0.9, 0.9, 0.9, 0.0], 2.0, 1), ([0.9, 0.9, 0.9, 0.0], 1.0, 2),
+         ([0.0, 0.9, 0.9, 0.9], 1.0, 2), ([0.9, 0.9, 0.9, 0.9], 1.0, 0)],
+    )
+    def test_triplets_within_is_the_selected_id_rule(self, relevance, eta, outside):
+        # ``outside`` triplets have exactly one end outside the selection.
+        g = self.graph_with_triplets()
+        sub = refine_subgraph(g, np.array(relevance), eta=eta, k=3, rho=0.5)
+        selected = sub.vertex_set
+        assert sum((h in selected) != (t in selected) for h, _, t in g.triplets) == outside
+        want = [h in selected and t in selected for h, _, t in g.triplets]
+        assert g.triplets_within(sub.indicator).tolist() == want
+        assert [(r.head, r.relation, r.tail) for r in extract_triplets(sub, g)] == [
+            trip for trip, keep in zip(g.triplets, want) if keep
+        ]
+
     def test_embedded_points_on_manifold(self):
         g = self.graph_with_triplets()
         table = EmbeddingTable(

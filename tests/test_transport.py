@@ -412,13 +412,78 @@ class TestLockStepSolver:
             with pytest.raises(NumericalError, match="epsilon 5e-324"):
                 entropic_terms(p_rows, DistributionStack((at_token, away)), tokens, 5e-324)
 
-    def test_stack_needs_one_size(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vocab=st.integers(1, 10),
+        rows=st.lists(st.tuples(PROBLEM, st.integers(1, 4)), min_size=1, max_size=6),
+        epsilon=st.floats(1e-3, 1.0),
+        max_iter=st.one_of(st.integers(1, 5), st.just(2000)),
+    )
+    def test_mixed_sizes_match_each_row_alone(self, vocab, rows, epsilon, max_iter):
+        """Rows of 1 to 4 atoms, padded to the widest, give the bits of
+        solving each row alone (a vocabulary of 8 or more tokens sums a
+        one-atom row's column in another order unless it is summed apart)."""
+        tokens, problems = self.mixed_problems(vocab, rows)
+        stack = DistributionStack(tuple(q for _, q in problems))
+        assert stack.size == max(q.size for _, q in problems)
+        p_rows = np.stack([p_w for p_w, _ in problems])
+        batched = entropic_terms(p_rows, stack, tokens, epsilon, max_iter)
+        assert len(batched) == len(problems)
+        for (value, grad, sqrt_cost), (p_w, q) in zip(batched, problems):
+            want_value, want_grad, want_cost = one_entropic_terms(p_w, q, tokens, epsilon, max_iter)
+            assert value == want_value and sqrt_cost == want_cost
+            assert np.array_equal(grad, want_grad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        vocab=st.integers(1, 10),
+        rows=st.lists(st.tuples(PROBLEM, st.integers(1, 4)), min_size=1, max_size=6),
+        at_token=st.lists(st.booleans(), min_size=6, max_size=6),
+        max_iter=st.one_of(st.integers(1, 5), st.just(2000)),
+    )
+    def test_mixed_sizes_overflow_when_a_row_alone_does(self, vocab, rows, at_token, max_iter):
+        # A row whose atoms all sit on the first token point has zero cost
+        # when the vocabulary is that one token, so its solve stays finite.
+        tokens, problems = self.mixed_problems(vocab, rows)
+        problems = [
+            (p_w, EmpiricalDistribution(np.repeat(tokens[:1], q.size, axis=0), q.weights))
+            if on else (p_w, q)
+            for (p_w, q), on in zip(problems, at_token)
+        ]
+
+        def overflows(chosen):
+            stack = DistributionStack(tuple(q for _, q in chosen))
+            try:
+                with warnings.catch_warnings():
+                    # The plan rounding of a row that stopped early may warn.
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    entropic_terms(np.stack([p_w for p_w, _ in chosen]), stack, tokens, 5e-324,
+                                   max_iter)
+            except NumericalError:
+                return True
+            return False
+
+        assert overflows(problems) == any(overflows([row]) for row in problems)
+
+    @staticmethod
+    def mixed_problems(vocab, rows):
+        """As ``problems``, with each row's own atom count."""
+        tokens = np.random.default_rng(rows[0][0]["seed"]).normal(0.0, 1.5, size=(vocab, 3))
+        out = []
+        for row, gold_atoms in rows:
+            rng = np.random.default_rng(row["seed"])
+            gold = rng.normal(0.0, row["spread"], size=(gold_atoms, 3))
+            q = EmpiricalDistribution(gold, weights_with_zeros(rng, gold_atoms, row["zeros"][1]))
+            out.append((weights_with_zeros(rng, vocab, row["zeros"][0]), q))
+        return tokens, out
+
+    def test_stack_needs_a_row_and_reports_the_widest(self):
         one = EmpiricalDistribution.uniform(np.array([[0.0]]))
         two = EmpiricalDistribution.uniform(np.array([[0.0], [1.0]]))
         assert DistributionStack((two, two)).size == 2
-        for rows in [(), (one, two)]:
-            with pytest.raises(ContractViolation):
-                DistributionStack(rows)
+        assert DistributionStack((one, two)).size == 2
+        with pytest.raises(ContractViolation):
+            DistributionStack(())
 
 
 # Few distinct values, so maxima tie often; infinities of both signs.
