@@ -195,6 +195,17 @@ def embed_corpus_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.n
     return project_rows(spatial)
 
 
+def embed_query_rows(table: EmbeddingTable, queries: list[Query]) -> np.ndarray:
+    """``table.embed_query(q).coords`` of every query, bit for bit, as
+    ``embed_corpus_rows`` stacks items; a query of another width raises as
+    it does alone.  ``origin_log_rows(rows)[:, 1:]`` are their tangents."""
+    width, feats = table.input_dims[QUERY_KEY], [q.combined_features for q in queries]
+    for f in feats:
+        if f.shape != (width,):
+            table.spatial(f, QUERY_KEY)
+    return project_rows(table.spatial(np.reshape(feats, (len(feats), width)), QUERY_KEY))
+
+
 def item_tangent_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
     """``log_map(origin, table.embed_item(item)).components[1:]`` for every
     item, stacked: shape (len(items), dim), each row bit for bit that of
@@ -367,7 +378,7 @@ def retrieve_topk(
     if k == 0:
         return []
     rows = embed_corpus_rows(table, corpus)
-    order, dists = nearest_rows(table.embed_query(query), rows, k, id_ranks(corpus))
+    order, dists = nearest_rows(embed_query_rows(table, [query])[0], rows, k, id_ranks(corpus))
     return [(corpus[i], float(dists[i])) for i in order.tolist()]
 
 
@@ -380,11 +391,11 @@ def id_ranks(corpus: list[KnowledgeItem]) -> np.ndarray:
 
 
 def nearest_rows(
-    point: LorentzPoint, rows: np.ndarray, k: int, id_key: np.ndarray
+    point: np.ndarray, rows: np.ndarray, k: int, id_key: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the k hyperboloid rows nearest the point, by ascending
-    geodesic distance, then ascending ``id_key`` (an item's ``id_ranks``),
-    and every row's distance.  A NaN distance (a broken row) ranks first,
-    for later checks to report."""
+    """Positions of the k hyperboloid rows nearest the hyperboloid row
+    ``point``, by ascending geodesic distance, then ascending ``id_key`` (an
+    item's ``id_ranks``), and every row's distance.  A NaN distance (a
+    broken row) ranks first, for later checks to report."""
     dists = distances_to_rows(point, rows)
     return np.lexsort((id_key, dists, ~np.isnan(dists)))[:k], dists

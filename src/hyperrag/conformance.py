@@ -426,11 +426,12 @@ def generator_gradient_case(
     analytic = np.outer(grad_logits, z).ravel()
     q_stack = DistributionStack((gold_distribution(gold, token_embeddings),))
     counts = np.bincount(np.array(gold.tokens), minlength=vocab).astype(float)
+    q_tan = log_map(origin(table.dim), table.embed_query(query)).components[1:]
 
     def blended_loss(flat: np.ndarray) -> float:
         probe = gen.copy()
         probe.weight = flat.reshape(gen.weight.shape)
-        zz = condition_vector(table, table.embed_query(query), example.evidence)
+        zz = condition_vector(table, q_tan, example.evidence)
         probs = softmax(probe.logits(zz))
         local = float(-np.sum(counts * np.log(np.maximum(probs, 1e-12))))
         [(obj, _, _)] = entropic_terms(probs[None], q_stack, token_embeddings, epsilon)

@@ -12,13 +12,12 @@ capacity.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import EmbeddingTable, Query
+from .alignment import EmbeddingTable, Query, embed_query_rows
 from .errors import (
     ConfigurationError,
     ContractViolation,
@@ -26,7 +25,7 @@ from .errors import (
     check_config_fields,
 )
 from .gate import LOG_CLAMP
-from .geometry import LorentzPoint, log_map, origin
+from .geometry import log_map, origin, origin_log_rows
 from .transport import DistributionStack, EmpiricalDistribution, entropic_terms
 
 DISTRIBUTION_ROW_ATOL = 1e-9
@@ -179,40 +178,34 @@ def origin_tangents(points, dim: int) -> np.ndarray:
     return np.array([log_map(base, p).components[1:] for p in points]).reshape(len(points), dim)
 
 
-@functools.lru_cache(maxsize=None)
-def _origin(dim: int) -> LorentzPoint:
-    """``origin(dim)``, built once per dimension (its coords are read-only)."""
-    return origin(dim)
-
-
 def condition_vector(
     table: EmbeddingTable,
-    query_point: LorentzPoint,
+    query_tangent: np.ndarray,
     evidence_rows: np.ndarray,
 ) -> np.ndarray:
-    """Concatenate the query's tangent at the origin with the mean of the
+    """Concatenate the query's tangent row at the origin (a row of
+    ``origin_log_rows(embed_query_rows(...))[:, 1:]``) with the mean of the
     evidence's ``origin_tangents`` rows (zeros when there is no evidence).
     Mean pooling is linear in the tangent space at the origin, so it reads
     the rows as they are."""
-    q_tan = log_map(_origin(table.dim), query_point).components[1:]
     ev = np.mean(evidence_rows, axis=0) if len(evidence_rows) else np.zeros(table.dim)
-    return np.concatenate([q_tan, ev])
+    return np.concatenate([query_tangent, ev])
 
 
 def generate(
     gen: ToyGenerator,
     table: EmbeddingTable,
-    query_point: LorentzPoint,
+    query_tangent: np.ndarray,
     evidence_rows: np.ndarray,
     max_len: int,
 ) -> TokenSequence:
-    """Greedy decoding conditioned on the query and the evidence rows
-    (retrieved items, then subgraph triplets); argmax ties resolve to the
-    lowest token index.  The model has no positional parameters, so the
-    answer repeats one token ``max_len`` times."""
+    """Greedy decoding conditioned on the query's origin tangent row and the
+    evidence rows (retrieved items, then subgraph triplets); argmax ties
+    resolve to the lowest token index.  The model has no positional
+    parameters, so the answer repeats one token ``max_len`` times."""
     if max_len < 1:
         raise ContractViolation(f"max_len must be >= 1, got {max_len}")
-    z = condition_vector(table, query_point, evidence_rows)
+    z = condition_vector(table, query_tangent, evidence_rows)
     token = int(np.argmax(softmax(gen.logits(z))))
     return TokenSequence((token,) * max_len, gen.vocab_size)
 
@@ -305,10 +298,12 @@ def example_losses_and_grad(
     sqrt-cost W2, the blended logits gradient alpha * dCE + (1 - alpha) *
     dOT_eps, and the condition vector.  The global gradient descends the
     entropic objective (envelope potentials through the softmax Jacobian),
-    solved in one ``entropic_terms`` call once every example is prepared."""
+    solved in one ``entropic_terms`` call once every example is prepared
+    (and every query lifted, in one row pass, before that)."""
     prepared = []
-    for example in examples:
-        z = condition_vector(table, table.embed_query(example.query), example.evidence)
+    tangents = origin_log_rows(embed_query_rows(table, [ex.query for ex in examples]))[:, 1:]
+    for example, q_tan in zip(examples, tangents):
+        z = condition_vector(table, q_tan, example.evidence)
         probs = softmax(gen.logits(z))
         gold = example.gold
         counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
@@ -378,8 +373,9 @@ def exact_match_rate(gen: ToyGenerator, dataset: GenDataset) -> float:
     """Fraction of examples whose greedy decode equals the gold answer
     (dropout disabled)."""
     hits = 0
-    for ex in dataset.examples:
-        qpoint = dataset.table.embed_query(ex.query)
-        seq = generate(gen, dataset.table, qpoint, ex.evidence, ex.gold.length)
+    rows = embed_query_rows(dataset.table, [ex.query for ex in dataset.examples])
+    tangents = origin_log_rows(rows)[:, 1:]
+    for ex, q_tan in zip(dataset.examples, tangents):
+        seq = generate(gen, dataset.table, q_tan, ex.evidence, ex.gold.length)
         hits += int(seq.tokens == ex.gold.tokens)
     return hits / len(dataset.examples)

@@ -292,9 +292,9 @@ def acosh_stable_array(a: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(prod), np.log(2.0) + np.log1p(s), np.log1p(s + np.sqrt(prod)))
 
 
-def distances_to_rows(point: LorentzPoint, coords_rows: np.ndarray) -> np.ndarray:
-    """Geodesic distance from one point to each row of an (m, n+1) array."""
-    a = coords_rows[:, 0] * point.coords[0] - coords_rows[:, 1:] @ point.space
+def distances_to_rows(point: np.ndarray, coords_rows: np.ndarray) -> np.ndarray:
+    """Geodesic distance from one hyperboloid row to each row of an (m, n+1) array."""
+    a = coords_rows[:, 0] * point[0] - coords_rows[:, 1:] @ point[1:]
     return acosh_stable_array(a)
 
 

@@ -23,6 +23,7 @@ from .alignment import (
     KnowledgeItem,
     Query,
     embed_corpus_rows,
+    embed_query_rows,
     geo_loss_and_grads,
     id_ranks,
     nearest_rows,
@@ -55,7 +56,7 @@ from .generation import (
     generate,
     query_dropout_prob,
 )
-from .geometry import LorentzPoint, origin_log_rows
+from .geometry import origin_log_rows
 from .io import canonical_json_bytes
 from .spectral import (
     KnowledgeGraph,
@@ -164,7 +165,7 @@ class LossReport:
             + self.gamma * self.l_geo
             + (1.0 - self.beta - self.gamma) * self.l_gen
         )
-        if abs(expected - self.l_total) > LOSS_IDENTITY_ATOL:
+        if not abs(expected - self.l_total) <= LOSS_IDENTITY_ATOL:  # NaN fails too
             raise ContractViolation(
                 f"loss identity violated at step {self.step}: "
                 f"{self.l_total} != {expected}"
@@ -275,13 +276,31 @@ class ReadIndex:
 
 
 @dataclass(frozen=True)
+class QueryRows:
+    """A query, its ``embed_query_rows`` row and that row's origin tangent,
+    and its kept ``Subgraph`` if training gated it (else None)."""
+
+    query: Query
+    row: np.ndarray
+    tangent: np.ndarray
+    subgraph: Subgraph | None
+
+
+def _query_rows(table: EmbeddingTable, queries: list[Query], subgraphs) -> dict[str, QueryRows]:
+    """Each query's ``QueryRows`` by id, from one row pass (see ``embed_query_rows``)."""
+    rows = embed_query_rows(table, queries)
+    pairs = zip(queries, rows, origin_log_rows(rows)[:, 1:])
+    return {q.id: QueryRows(q, row, tan, subgraphs.get(q.id)) for q, row, tan in pairs}
+
+
+@dataclass(frozen=True)
 class ServeState:
     """What answering reads that training fixed: the read index, the sweep
-    keys, and each trained gated query with its ``Subgraph``, by id."""
+    keys, and each bundle query's ``QueryRows`` under the trained table."""
 
     index: ReadIndex
     sweep_keys: SweepKeys
-    subgraphs: dict[str, tuple[Query, Subgraph]]
+    queries: dict[str, QueryRows]
 
 
 @dataclass(frozen=True)
@@ -317,14 +336,15 @@ class PipelineComponents:
             self._set_state(ServeState(index, keys, {}))
         return self._state.index
 
-    def subgraph_for(self, query: Query) -> Subgraph:
-        """A trained query's kept subgraph (same id and features), else ``query_subgraph``."""
-        self.read_index()  # builds the state on a copy that has none
-        trained, kept = self._state.subgraphs.get(query.id, (None, None))
+    def rows_for(self, query: Query) -> QueryRows:
+        """The state's ``QueryRows`` of a trained query (same id and
+        features); any other query, or any on a copy with no state yet, is
+        lifted here, with no subgraph."""
+        kept = self._state and self._state.queries.get(query.id)
         names = ("visual_features", "text_features")
-        if kept and all(np.array_equal(getattr(query, f), getattr(trained, f)) for f in names):
+        if kept and all(np.array_equal(getattr(query, f), getattr(kept.query, f)) for f in names):
             return kept
-        return query_subgraph(self.config, self.graph, query, self._state.sweep_keys)
+        return _query_rows(self.table, [query], {})[query.id]
 
     def with_crm(self, enabled: bool) -> "PipelineComponents":
         return replace(self, crm_enabled=enabled)._set_state(self._state)
@@ -421,12 +441,11 @@ def query_subgraph(
     )
 
 
-def _top_items(config: PipelineConfig, point: LorentzPoint, index: ReadIndex) -> list[int]:
-    """Positions of the ``config.top_k`` items nearest the query point
-    (every item when there are fewer), ranked over the index's corpus rows
-    and ``id_ranks``."""
-    k = min(config.top_k, len(index.corpus_rows))
-    return nearest_rows(point, index.corpus_rows, k, index.corpus_id_key)[0].tolist()
+def _top_items(config: PipelineConfig, point: np.ndarray, index: ReadIndex) -> list[int]:
+    """Positions of the ``config.top_k`` items nearest the query's
+    hyperboloid row (every item when there are fewer), ranked over the
+    index's corpus rows and ``id_ranks``."""
+    return nearest_rows(point, index.corpus_rows, config.top_k, index.corpus_id_key)[0].tolist()
 
 
 def _relevant(head: RelevanceHead, query: Query, items, positions: list[int]) -> list[int]:
@@ -461,7 +480,7 @@ def run_training(
     sweep_keys = SweepKeys.of(bundle.graph, config.k, config.seed)
     sigmas = {qid: _sigma_of_scores(scores) for qid, scores in bundle.confidence.items()}
     gated_all = [q for q in queries if decide(sigmas.get(q.id, 0.0), theta) == 1]
-    subgraphs = {q.id: (q, query_subgraph(config, bundle.graph, q, sweep_keys)) for q in gated_all}
+    subgraphs = {q.id: query_subgraph(config, bundle.graph, q, sweep_keys) for q in gated_all}
 
     generator = ToyGenerator(vocab, 2 * config.dim)
     crm_params = [(f"crm.{name}", arr) for name, arr in head.named_params()]
@@ -526,11 +545,12 @@ def run_training(
             gen_scale = (1.0 - config.beta - config.gamma) / n_batch
             examples = []
             with _phase2_stage(optimizer, epoch, "evidence"):
+                points = iter(embed_query_rows(table, gated))
                 for q, i in zip(batch, order[start : start + config.batch_size]):
                     evidence = np.empty((0, config.dim))
                     if q.id in subgraphs:  # the generator reads only the rows' mean
-                        top = _top_items(config, table.embed_query(q), index)
-                        rows = index.evidence(_relevant(head, q, items, top), subgraphs[q.id][1])
+                        top = _top_items(config, next(points), index)
+                        rows = index.evidence(_relevant(head, q, items, top), subgraphs[q.id])
                         evidence = np.mean(rows, axis=0, keepdims=True) if len(rows) else rows
                     dropped = apply_query_dropout(q, p_t, seed=(config.seed, epoch, int(i)))
                     examples.append(GenExample(dropped, evidence, gold[q.id]))
@@ -569,6 +589,7 @@ def run_training(
 
     with _phase2_stage(optimizer, config.epochs, "index"):  # the trained table's final check
         index = ReadIndex.build(table, bundle.graph, items)
+        query_rows = _query_rows(table, queries, subgraphs)
     components = PipelineComponents(
         config=config,
         table=table,
@@ -580,7 +601,7 @@ def run_training(
         token_embeddings=bundle.token_embeddings,
         sigmas=sigmas,
         answer_len=bundle.spec.answer_len,
-    )._set_state(ServeState(index, sweep_keys, subgraphs))
+    )._set_state(ServeState(index, sweep_keys, query_rows))
     return components, reports
 
 
@@ -589,9 +610,9 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     wall-clock timings are recorded.  The gate reads ``components.sigmas``;
     the retrieve path reads the components' ``ServeState`` (built in the
     ``retrieve`` timing when they have none): the read index's corpus and
-    triplet rows, and any kept subgraph.  Per query, an answer embeds the
-    query once, for the scan and the generator, filters, gathers its
-    evidence rows and decodes ``answer_len`` tokens."""
+    triplet rows, and the query's ``rows_for`` (a query the state does not
+    hold is lifted in the first stage that reads its rows).  An answer then
+    filters, gathers evidence rows and decodes ``answer_len`` tokens."""
     cfg = components.config
     timings: dict[str, float] = {}
 
@@ -609,8 +630,8 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
         with _stage("index"):
             index = components.read_index()
         with _stage("retrieve"):
-            q_point = components.table.embed_query(query)
-            positions = _top_items(cfg, q_point, index)
+            lifted = components.rows_for(query)
+            positions = _top_items(cfg, lifted.row, index)
         retrieved = tuple(components.items[i].id for i in positions)
         timings["retrieve"] = time.perf_counter() - t0
 
@@ -623,7 +644,8 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
 
         t0 = time.perf_counter()
         with _stage("refine"):
-            subgraph = components.subgraph_for(query)
+            keys = components._state.sweep_keys
+            subgraph = lifted.subgraph or query_subgraph(cfg, components.graph, query, keys)
         timings["refine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -631,9 +653,9 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
         if delta == 1:
             evidence = index.evidence(positions, subgraph)
         else:
-            q_point = components.table.embed_query(query)
+            lifted = components.rows_for(query)
         tokens = generate(
-            components.generator, components.table, q_point, evidence, components.answer_len
+            components.generator, components.table, lifted.tangent, evidence, components.answer_len
         )
     timings["generate"] = time.perf_counter() - t0
 

@@ -303,10 +303,14 @@ def sinkhorn_potentials(
 
 def _rounded_plan(p, q, epsilon: float, f, g, cost: np.ndarray) -> np.ndarray:
     """The entropic plan of potentials (f, g), rounded onto the marginals."""
-    log_pi = _log_plan(f, g, cost, epsilon, _log_weights(p.weights), _log_weights(q.weights))
-    # Normalize total mass to 1.  A no-op at convergence; with unconverged
-    # potentials it keeps the matrix finite so rounding can proceed.
-    return _round_to_marginals(np.exp(log_pi - _logsumexp(log_pi)), p.weights, q.weights)
+    with np.errstate(all="ignore"):
+        log_pi = _log_plan(f, g, cost, epsilon, _log_weights(p.weights), _log_weights(q.weights))
+        # Normalize total mass to 1.  A no-op at convergence; with unconverged
+        # potentials it keeps the matrix finite so rounding can proceed.
+        plan = _round_to_marginals(np.exp(log_pi - _logsumexp(log_pi)), p.weights, q.weights)
+    if not np.isfinite(plan).all():  # a solve can stop before its ladder reaches epsilon
+        raise NumericalError(f"entropic plan at epsilon {epsilon} is non-finite")
+    return plan
 
 
 def wasserstein2_sinkhorn(

@@ -15,6 +15,7 @@ from hyperrag.alignment import (
     POSITIVE_MODALITIES,
     QUERY_KEY,
     embed_corpus_rows,
+    embed_query_rows,
     geo_loss,
     geo_loss_and_grads,
     id_ranks,
@@ -34,7 +35,9 @@ from hyperrag.geometry import (
     distance_spatial_grad,
     distances_to_rows,
     geodesic_distance,
+    log_map,
     origin,
+    origin_log_rows,
     project_to_hyperboloid,
 )
 from hyperrag.synth import SynthSpec, synth_bundle
@@ -188,6 +191,48 @@ class TestItemTangentRows:
                 item_tangent_rows(table, items)
             with pytest.raises(InvalidPointError, match="non-finite spatial coordinates"):
                 table.embed_item(items[1])
+
+
+class TestQueryRows:
+    """``embed_query_rows`` and its origin tangents against the scalar path
+    each query took before: ``embed_query`` and ``log_map`` at the origin."""
+
+    def test_default_bundle_rows_and_tangents(self):
+        bundle = synth_bundle(SynthSpec())
+        table = EmbeddingTable.for_corpus(bundle.queries, bundle.items, 128, seed=3)
+        rows = embed_query_rows(table, bundle.queries)
+        base = origin(128)
+        points = [table.embed_query(q) for q in bundle.queries]
+        assert np.array_equal(rows, [p.coords for p in points])
+        tangents = origin_log_rows(rows)[:, 1:]
+        assert np.array_equal(tangents, [log_map(base, p).components[1:] for p in points])
+        picked = [bundle.queries[i] for i in (7, 3, 150, 3)]
+        assert np.array_equal(embed_query_rows(table, picked), rows[[7, 3, 150, 3]])
+
+    def test_empty(self):
+        assert embed_query_rows(make_table(dim=5, d_in=4), []).shape == (0, 6)
+
+    def test_first_query_that_fails_to_lift_raises_as_alone(self):
+        table = make_table(dim=3, d_in=2, seed=2)
+        good = Query("a", np.ones(2), np.ones(2))
+        huge = [Query(name, np.full(2, scale), np.full(2, scale))
+                for name, scale in (("b", 1e160), ("c", 1e300))]
+        with pytest.raises(InvalidPointError) as alone:
+            table.embed_query(huge[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointError) as err:
+                embed_query_rows(table, [good, *huge])
+        assert str(err.value) == str(alone.value)
+
+    def test_feature_length_mismatch(self):
+        table = make_table(d_in=2)
+        queries = [Query("a", np.ones(2), np.ones(2)), Query("b", np.ones(3), np.ones(2))]
+        with pytest.raises(ContractViolation) as alone:
+            table.embed_query(queries[1])
+        with pytest.raises(ContractViolation) as err:
+            embed_query_rows(table, queries)
+        assert str(err.value) == str(alone.value)
 
 
 class TestGeoLoss:
@@ -462,12 +507,13 @@ class TestRetrieve:
         ]
         q = Query("q", rng.standard_normal(4), rng.standard_normal(4))
         rows = embed_corpus_rows(table, corpus)
-        dists = distances_to_rows(table.embed_query(q), rows)
+        point = embed_query_rows(table, [q])[0]
+        dists = distances_to_rows(point, rows)
         assert len(set(dists.tolist())) == 6
         oracle = sorted(range(len(corpus)), key=lambda i: (dists[i], corpus[i].id))
         for k in (0, 5, len(corpus)):
             want = [(corpus[i].id, float(dists[i])) for i in oracle[:k]]
-            order, got = nearest_rows(table.embed_query(q), rows, k, id_ranks(corpus))
+            order, got = nearest_rows(point, rows, k, id_ranks(corpus))
             assert [(corpus[i].id, float(got[i])) for i in order] == want
             assert [(it.id, d) for it, d in retrieve_topk(table, q, corpus, k)] == want
 
@@ -481,7 +527,7 @@ class TestRetrieve:
         rows = embed_corpus_rows(table, corpus)
         rows[2] = np.nan
         q = Query("q", np.zeros(2), np.zeros(2))
-        order, _ = nearest_rows(table.embed_query(q), rows, 2, id_ranks(corpus))
+        order, _ = nearest_rows(table.embed_query(q).coords, rows, 2, id_ranks(corpus))
         assert [corpus[i].id for i in order] == ["c", "a"]
 
     def test_k_zero_empty(self, rng):

@@ -30,7 +30,12 @@ from hyperrag.pipeline import PipelineConfig, answer_query, run_training
 from hyperrag.synth import load_bundle, write_bundle
 
 from conftest import set_field
-from test_pipeline import DIVERGING_EVIDENCE_CONFIG, diverging_evidence_bundle
+from test_pipeline import (
+    DIVERGING_EVIDENCE_CONFIG,
+    UNLIFTABLE_QUERY_CONFIG,
+    diverging_evidence_bundle,
+    unliftable_query_bundle,
+)
 
 TINY_CONFIG = {
     "dim": 8,
@@ -533,6 +538,20 @@ class TestErrorSurface:
         assert "phase 2 diverged in epoch 3" in record["message"]
         assert "[stage: phase2 epoch 3 index]" in record["message"]
 
+    @pytest.mark.parametrize("command", ["train-all", "eval"])
+    def test_query_that_no_longer_lifts_fails_training_not_its_answer(
+        self, tmp_path, capsys, command
+    ):
+        write_bundle(unliftable_query_bundle(), tmp_path / "bundle")
+        (tmp_path / "cfg.json").write_text(json.dumps(UNLIFTABLE_QUERY_CONFIG))
+        argv = [command, "--bundle", str(tmp_path / "bundle"),
+                "--config", str(tmp_path / "cfg.json")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 5, err
+        record = json.loads(err)
+        assert record["category"] == "divergence"
+        assert "[stage: phase2 epoch 1 index]" in record["message"]
+
     def test_diverged_query_map_in_the_evidence_step_is_divergence(self, tmp_path, capsys):
         write_bundle(diverging_evidence_bundle(), tmp_path / "bundle")
         (tmp_path / "cfg.json").write_text(json.dumps(DIVERGING_EVIDENCE_CONFIG))
@@ -554,10 +573,10 @@ class TestErrorSurface:
             components, _ = run_training(PipelineConfig(**{**TINY_CONFIG, "lr": 1e16}), bundle)
             index = components.read_index()
             query = bundle.queries[0]
-            dists = distances_to_rows(components.table.embed_query(query), index.corpus_rows)
+            point = components.rows_for(query).row
+            dists = distances_to_rows(point, index.corpus_rows)
             order, _ = nearest_rows(
-                components.table.embed_query(query), index.corpus_rows,
-                len(components.items), index.corpus_id_key,
+                point, index.corpus_rows, len(components.items), index.corpus_id_key
             )
         assert np.all(np.isfinite(dists)) and dists.min() > 356.0
         assert np.all(np.isfinite(index.corpus_tangents))
@@ -608,6 +627,25 @@ class TestErrorSurface:
             record = json.loads(err)
             assert record["category"] == "numerical"
             assert f"epsilon {epsilon}" in record["message"]
+
+    def test_solve_stopped_short_of_a_tiny_epsilon_is_numerical_error(
+        self, workdir, tmp_path, capsys
+    ):
+        """With ``ot_max_iter`` 1 the solve stops before its ladder reaches
+        epsilon 5e-324, so the solve's own guard never fires; the plan read
+        at that epsilon overflows in epoch 3, which is reported, not logged
+        as a NaN loss."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "epsilon": 5e-324, "ot_max_iter": 1}))
+        argv = ["eval", "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(argv, capsys)
+        assert code == 7, err
+        record = json.loads(err)
+        assert record["category"] == "numerical"
+        assert "entropic plan at epsilon 5e-324 is non-finite" in record["message"]
+        assert record["message"].endswith("[stage: phase2 epoch 3 generation]")
 
     @staticmethod
     def eval_args(workdir, bundle) -> list[str]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperrag import generation
-from hyperrag.alignment import EmbeddingTable, Query
+from hyperrag.alignment import EmbeddingTable, Query, embed_query_rows
 from hyperrag.errors import (
     ConfigurationError,
     ContractViolation,
@@ -38,7 +38,7 @@ from hyperrag.generation import (
     softmax,
     train_generation,
 )
-from hyperrag.geometry import log_map, origin, project_to_hyperboloid
+from hyperrag.geometry import log_map, origin, origin_log_rows, project_to_hyperboloid
 from hyperrag.transport import DistributionStack, entropic_terms
 
 from test_transport import old_entropic_terms
@@ -74,6 +74,16 @@ def make_memorizable(num=50, clusters=5, feat=4, dim=6, seed=11):
         )
         examples.append(GenExample(q, ev, TokenSequence((c + 1,) * 3, vocab)))
     return GenDataset(tuple(examples), table, tok_emb)
+
+
+def query_tangent(table, query) -> np.ndarray:
+    """The query's origin tangent row, as the generator takes it."""
+    return origin_log_rows(embed_query_rows(table, [query]))[0, 1:]
+
+
+def scalar_query_tangent(table, query) -> np.ndarray:
+    """The same tangent through the scalar maps: the generator's old path."""
+    return log_map(origin(table.dim), table.embed_query(query)).components[1:]
 
 
 class TestTokenTypes:
@@ -205,26 +215,26 @@ class TestGenerate:
 
     def test_zero_generator_uniform_token0(self):
         gen = ToyGenerator(4, 2 * self.table.dim)
-        qpoint = self.table.embed_query(self.ds.examples[0].query)
-        assert generate(gen, self.table, qpoint, [], 5).tokens == (0,) * 5
+        q_tan = query_tangent(self.table, self.ds.examples[0].query)
+        assert generate(gen, self.table, q_tan, [], 5).tokens == (0,) * 5
 
     def test_deterministic(self):
         gen = ToyGenerator(self.ds.vocab_size, 2 * self.table.dim)
         ex = self.ds.examples[1]
-        qpoint = self.table.embed_query(ex.query)
-        a = generate(gen, self.table, qpoint, list(ex.evidence), 3)
-        b = generate(gen, self.table, qpoint, list(ex.evidence), 3)
+        q_tan = query_tangent(self.table, ex.query)
+        a = generate(gen, self.table, q_tan, list(ex.evidence), 3)
+        b = generate(gen, self.table, q_tan, list(ex.evidence), 3)
         assert a == b
 
     def test_bad_max_len(self):
         gen = ToyGenerator(4, 2 * self.table.dim)
-        qpoint = self.table.embed_query(self.ds.examples[0].query)
+        q_tan = query_tangent(self.table, self.ds.examples[0].query)
         with pytest.raises(ContractViolation):
-            generate(gen, self.table, qpoint, [], 0)
+            generate(gen, self.table, q_tan, [], 0)
 
     def test_condition_vector_empty_evidence_zero_block(self):
-        qpoint = self.table.embed_query(self.ds.examples[0].query)
-        z = condition_vector(self.table, qpoint, [])
+        q_tan = query_tangent(self.table, self.ds.examples[0].query)
+        z = condition_vector(self.table, q_tan, [])
         assert z.shape == (2 * self.table.dim,)
         assert not z[self.table.dim :].any()
 
@@ -239,7 +249,7 @@ class TestGenerate:
         rng = np.random.default_rng(seed)
         dims = {"query": 4, "visual": 2, "textual": 2, "graph_triplet": 2}
         table = EmbeddingTable(dim, dims, seed=seed % 1000)
-        qpoint = table.embed_query(Query("q", rng.standard_normal(2), rng.standard_normal(2)))
+        query = Query("q", rng.standard_normal(2), rng.standard_normal(2))
         points = [project_to_hyperboloid(scale * rng.standard_normal(dim)) for _ in range(k)]
         # The pooling as a per-point loop, before the evidence became rows.
         base = origin(dim)
@@ -248,8 +258,8 @@ class TestGenerate:
             if points
             else np.zeros(dim)
         )
-        want = np.concatenate([log_map(base, qpoint).components[1:], ev])
-        got = condition_vector(table, qpoint, origin_tangents(points, dim))
+        want = np.concatenate([scalar_query_tangent(table, query), ev])
+        got = condition_vector(table, query_tangent(table, query), origin_tangents(points, dim))
         assert np.array_equal(got, want)
 
 
@@ -345,7 +355,8 @@ class TestBlendedGradient:
         alpha, eps = 0.7, 0.05
 
         def blended(g):
-            z = condition_vector(ds.table, ds.table.embed_query(ex.query), list(ex.evidence))
+            q_tan = scalar_query_tangent(ds.table, ex.query)
+            z = condition_vector(ds.table, q_tan, list(ex.evidence))
             probs = softmax(g.logits(z))
             counts = np.bincount(np.array(ex.gold.tokens), minlength=g.vocab_size).astype(float)
             local = float(-np.sum(counts * np.log(np.maximum(probs, 1e-12))))
@@ -372,8 +383,9 @@ class TestBlendedGradient:
 def old_example_losses_and_grad(
     gen, table, example, token_embeddings, alpha, epsilon, ot_max_iter=2000
 ):
-    """One example's generator pass as it was before the lock-step solve."""
-    z = condition_vector(table, table.embed_query(example.query), example.evidence)
+    """One example's generator pass as it was before the lock-step solve,
+    its query lifted through the scalar maps."""
+    z = condition_vector(table, scalar_query_tangent(table, example.query), example.evidence)
     probs = softmax(gen.logits(z))
     gold = example.gold
     counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)

@@ -357,7 +357,7 @@ class TestVectorizedHelpers:
         spatial = rng.standard_normal((20, 6))
         rows = project_rows(spatial)
         q = random_lorentz(rng, 6)
-        batch = distances_to_rows(q, rows)
+        batch = distances_to_rows(q.coords, rows)
         for i in range(20):
             expected = geodesic_distance(q, project_to_hyperboloid(spatial[i]))
             assert_allclose(batch[i], expected, rtol=1e-10, atol=1e-12)

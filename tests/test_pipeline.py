@@ -3,6 +3,7 @@ two-phase training semantics, gated inference, and evaluation metrics."""
 
 import hashlib
 import math
+import sys
 from copy import deepcopy
 
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 
 from dataclasses import FrozenInstanceError, replace
 
-from hyperrag import gate, generation, pipeline
+from hyperrag import gate, generation, geometry, pipeline
 from hyperrag.alignment import (
     AlignmentConfig,
     EmbeddingTable,
     Query,
     embed_corpus_rows,
+    embed_query_rows,
     id_ranks,
     item_tangent_rows,
     nearest_rows,
@@ -26,11 +28,12 @@ from hyperrag.errors import (
     ContractViolation,
     DivergenceError,
     HyperRagError,
+    InvalidPointError,
     NumericalError,
 )
-from hyperrag.gate import CrmConfig
+from hyperrag.gate import CrmConfig, decide
 from hyperrag.generation import GenConfig
-from hyperrag.geometry import log_map, origin, origin_log_rows
+from hyperrag.geometry import LorentzPoint, acosh_stable_array, log_map, origin, origin_log_rows
 from hyperrag.io import canonical_json_bytes
 from hyperrag.pipeline import (
     AdamW,
@@ -48,6 +51,7 @@ from hyperrag.pipeline import (
 from hyperrag.spectral import (
     GraphVertex,
     KnowledgeGraph,
+    SweepKeys,
     embed_triplets,
     extract_triplets,
     refine_subgraph,
@@ -185,6 +189,14 @@ class TestReports:
             LossReport(
                 step=1, l_crm=1.0, l_geo=1.0, l_local=1.0, l_global=1.0,
                 l_gen=1.0, l_total=2.0, delta_rate=0.5, beta=0.3, gamma=0.3,
+            )
+
+    def test_nan_loss_fails_the_identity(self):
+        nan = float("nan")
+        with pytest.raises(ContractViolation, match="identity"):
+            LossReport(
+                step=3, l_crm=0.5, l_geo=0.5, l_local=0.5, l_global=nan,
+                l_gen=nan, l_total=nan, delta_rate=0.5, beta=0.3, gamma=0.3,
             )
 
     def test_delta_rate_range_enforced(self):
@@ -378,6 +390,21 @@ class TestLockStepGeneration:
         assert got[1].endswith("[stage: phase2 epoch 1 generation]")
         assert got[0] is {"tiny-epsilon": NumericalError, "nan-weight": DivergenceError}[case]
 
+    def test_plan_read_past_a_short_solve_is_numerical_error(self):
+        """``ot_max_iter`` 1 stops the solve before its ladder reaches
+        epsilon 5e-324, so the solve's own guard never fires; the plan read
+        at that epsilon overflows in epoch 3 and raises, with no warning,
+        where it left NaN losses in the reports."""
+        spec = SynthSpec(num_queries=12, num_items=30, num_clusters=3, graph_size=18, seed=9)
+        config = PipelineConfig(
+            dim=8, epochs=3, batch_size=6, seed=2, crm_epochs=5, crm_hidden=8,
+            crm_batch_size=4, k=3, top_k=4, lr=0.05, epsilon=5e-324, ot_max_iter=1,
+        )
+        assert raised(run_training, config, synth_bundle(spec)) == (
+            NumericalError,
+            "entropic plan at epsilon 5e-324 is non-finite [stage: phase2 epoch 3 generation]",
+        )
+
 
 DIVERGING_EVIDENCE_CONFIG = {
     "dim": 8, "epochs": 2, "batch_size": 4, "crm_epochs": 5, "crm_hidden": 8, "k": 3,
@@ -403,7 +430,71 @@ def diverging_evidence_bundle():
     return replace(bundle, queries=queries, positives=positives)
 
 
+UNLIFTABLE_QUERY_CONFIG = {
+    "dim": 8, "epochs": 1, "batch_size": 6, "crm_epochs": 20, "crm_hidden": 16, "k": 4,
+    "lr": 1.0, "seed": 0,
+}
+
+
+def unliftable_query_bundle():
+    """A small bundle whose query ``q0005`` has its features scaled by
+    1e153.  Under ``UNLIFTABLE_QUERY_CONFIG`` the gate answers it directly,
+    both its blocks drop out in its one epoch, so phase 2 never lifts its
+    own features, and the trained table no longer lifts them (the initial
+    one does)."""
+    bundle = synth_bundle(
+        SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
+    )
+    queries = [
+        Query(q.id, q.visual_features * 1e153, q.text_features * 1e153) if q.id == "q0005" else q
+        for q in bundle.queries
+    ]
+    return replace(bundle, queries=queries)
+
+
 class TestPhase2Evidence:
+    def test_a_bundle_query_that_no_longer_lifts_fails_the_final_check(self):
+        config = PipelineConfig(**UNLIFTABLE_QUERY_CONFIG)
+        bundle = unliftable_query_bundle()
+        query = bundle.queries[5]
+        p = generation.query_dropout_prob(0, config.t_decay)
+        dropped = generation.apply_query_dropout(query, p, seed=(config.seed, 1, 5))
+        assert not (dropped.visual_features.any() or dropped.text_features.any())
+        with pytest.raises(DivergenceError) as err:
+            run_training(config, bundle)
+        assert str(err.value) == (
+            "phase 2 diverged in epoch 1: spatial vector too large to lift "
+            "[stage: phase2 epoch 1 index] (step 2)"
+        )
+        assert err.value.exit_code == 5
+
+    @pytest.mark.parametrize("step", ["nearest_rows", "filter_relevant"])
+    def test_a_lift_failure_comes_before_an_earlier_querys_scan_or_filter_error(
+        self, monkeypatch, small_trained, step
+    ):
+        """Phase 2 lifts a mini-batch's gated queries in one pass before it
+        scans or filters the first of them, so a later query's lift failure
+        is reported, not the first query's scan or filter error."""
+        bundle, components = small_trained
+        order = np.random.default_rng(SMALL_CFG.seed).permutation(len(bundle.queries))
+        first = [bundle.queries[i] for i in order[: SMALL_CFG.batch_size]]
+        gated = [q for q in first if components._state.queries[q.id].subgraph]
+        assert len(gated) >= 2
+        late = gated[-1].id
+        queries = [
+            Query(q.id, q.visual_features * 1e160, q.text_features * 1e160) if q.id == late else q
+            for q in bundle.queries
+        ]
+        positives = {qid: ids for qid, ids in bundle.positives.items() if qid != late}
+
+        def stand_in(*args, **kwargs):
+            raise ContractViolation(f"stand-in {step} error")
+
+        monkeypatch.setattr(pipeline, step, stand_in)
+        with pytest.raises(InvalidPointError) as err:
+            run_training(SMALL_CFG, replace(bundle, queries=queries, positives=positives))
+        assert str(err.value) == "spatial vector too large to lift [stage: phase2 epoch 1 evidence]"
+
     def test_diverged_query_map_in_the_evidence_step_is_divergence(self):
         config = PipelineConfig(**DIVERGING_EVIDENCE_CONFIG)
         with pytest.raises(DivergenceError) as err:
@@ -491,29 +582,51 @@ class TestAnswerQuery:
             answer_query(broken, bundle.queries[0])
 
 
-    def test_query_embedded_once_and_docs_not_again(self, planted, monkeypatch):
+    def test_trained_query_read_other_query_lifted_once_docs_not_again(
+        self, planted, monkeypatch
+    ):
         bundle, components, _ = planted
         copies = (components, components.with_crm(False))
         for gated in copies:
             gated.read_index()
-        embedded = []
-        embed_query = EmbeddingTable.embed_query
+        lifted = []
 
-        def counting(table, query):
-            embedded.append(query.id)
-            return embed_query(table, query)
+        def counting(table, queries):
+            lifted.append([q.id for q in queries])
+            return embed_query_rows(table, queries)
 
         def refuse(*args):
-            raise AssertionError("a used doc was embedded again")
+            raise AssertionError("a query or used doc was embedded again")
 
-        monkeypatch.setattr(EmbeddingTable, "embed_query", counting)
+        monkeypatch.setattr(pipeline, "embed_query_rows", counting)
+        monkeypatch.setattr(EmbeddingTable, "embed_query", refuse)
         monkeypatch.setattr(EmbeddingTable, "embed_item", refuse)
         monkeypatch.setattr(pipeline, "embed_corpus_rows", refuse)
         for gated in copies:
             for q in bundle.queries[:6]:
-                embedded.clear()
+                lifted.clear()
                 answer_query(gated, q)
-                assert embedded == [q.id]
+                assert lifted == []
+                answer_query(gated, replace(q, text_features=q.text_features[::-1]))
+                assert lifted == [[q.id]]
+
+    @pytest.mark.parametrize("crm_enabled", [True, False])
+    def test_other_queries_fail_to_lift_in_the_first_stage_that_reads_them(
+        self, small_trained, crm_enabled
+    ):
+        bundle, components = small_trained
+        components = components.with_crm(crm_enabled)
+        direct = next(q for q in bundle.queries if not components._state.queries[q.id].subgraph)
+        huge = replace(direct, visual_features=direct.visual_features * 1e160)
+        cases = [
+            (replace(huge, id="q-unseen"), "retrieve"),
+            (huge, "generate" if crm_enabled else "retrieve"),
+        ]
+        for query, stage in cases:
+            with pytest.raises(InvalidPointError) as err:
+                answer_query(components, query)
+            assert str(err.value) == f"spatial vector too large to lift [stage: {stage}]"
+            assert err.value.exit_code == 4
 
     @pytest.mark.parametrize("crm_enabled, stage", [(True, "generate"), (False, "retrieve")])
     def test_bad_query_map_fails_in_the_first_stage_that_reads_it(
@@ -736,9 +849,9 @@ class TestCorpusRows:
         key = id_ranks(items)
         rows, old = embed_corpus_rows(table, items), old_corpus_rows(table, items)
         assert not np.array_equal(rows, old)
-        for q in bundle.queries:
-            got, _ = nearest_rows(table.embed_query(q), rows, len(items), key)
-            want, _ = nearest_rows(table.embed_query(q), old, len(items), key)
+        for point in embed_query_rows(table, bundle.queries):
+            got, _ = nearest_rows(point, rows, len(items), key)
+            want, _ = nearest_rows(point, old, len(items), key)
             assert [items[i].id for i in got] == [items[i].id for i in want]
 
 
@@ -1021,13 +1134,19 @@ class TestServeState:
         assert len(built) == 1
         assert off.canonical_bytes() == fresh.canonical_bytes()
 
-    def test_subgraph_for_on_a_fresh_copy(self, small_trained):
+    def test_rows_for_on_a_fresh_copy(self, small_trained):
+        """A ``replace`` copy's state holds no query rows: each query is
+        lifted again, to the trained rows' bits, and refined afresh."""
         bundle, components = small_trained
         copy = replace(components)
-        for q in bundle.queries[:5]:
-            fresh = query_subgraph(copy.config, copy.graph, q)
-            assert_same_subgraph(copy.subgraph_for(q), fresh)
         assert copy.read_index() is not components.read_index()
+        for q in bundle.queries[:5]:
+            got, trained = copy.rows_for(q), components.rows_for(q)
+            assert got is not trained and got.subgraph is None
+            assert np.array_equal(got.row, trained.row)
+            assert np.array_equal(got.tangent, trained.tangent)
+            fresh = query_subgraph(copy.config, copy.graph, q)
+            assert_same_subgraph(answer_query(copy.with_crm(False), q).subgraph, fresh)
 
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("default_trained", [42], indirect=True)
@@ -1049,3 +1168,166 @@ class TestServeState:
                     fresh.selected, fresh.objective
                 )
         assert gated > 0
+
+
+def old_top_items(config, point: LorentzPoint, index) -> list[int]:
+    """Test-only copy of the scan as it read a ``LorentzPoint``: distances
+    from ``point.coords[0]`` and ``point.space``, then the same ranking."""
+    rows = index.corpus_rows
+    dists = acosh_stable_array(rows[:, 0] * point.coords[0] - rows[:, 1:] @ point.space)
+    k = min(config.top_k, len(rows))
+    return np.lexsort((index.corpus_id_key, dists, ~np.isnan(dists)))[:k].tolist()
+
+
+def old_condition_vector(table, point: LorentzPoint, evidence) -> np.ndarray:
+    """Test-only copy of the condition vector as it took a ``LorentzPoint``:
+    its tangent through the scalar ``log_map`` at the origin."""
+    q_tan = log_map(origin(table.dim), point).components[1:]
+    ev = np.mean(evidence, axis=0) if len(evidence) else np.zeros(table.dim)
+    return np.concatenate([q_tan, ev])
+
+
+def old_answer(components, query):
+    """Test-only copy of the answer path before the state held query rows,
+    for a query it refined afresh (an unseen id, changed features, or any
+    query on a ``replace`` copy): the query lifted through ``embed_query``,
+    scanned by ``old_top_items``, conditioned by ``old_condition_vector``.
+    Returns the tokens, retrieved, used and selected ids."""
+    cfg, table = components.config, components.table
+    sigma = components.sigmas.get(query.id, 0.0) if components.crm_enabled else 0.0
+    delta = decide(sigma, components.theta) if components.crm_enabled else 1
+    point = table.embed_query(query)
+    retrieved = used = selected = ()
+    evidence = np.empty((0, cfg.dim))
+    if delta == 1:
+        index = components.read_index()
+        positions = old_top_items(cfg, point, index)
+        retrieved = tuple(components.items[i].id for i in positions)
+        if components.crm_enabled:
+            positions = pipeline._relevant(components.head, query, components.items, positions)
+        used = tuple(components.items[i].id for i in positions)
+        keys = SweepKeys.of(components.graph, cfg.k, cfg.seed)
+        subgraph = query_subgraph(cfg, components.graph, query, keys)
+        selected = subgraph.selected
+        evidence = index.evidence(positions, subgraph)
+    z = old_condition_vector(table, point, evidence)
+    token = int(np.argmax(generation.softmax(components.generator.logits(z))))
+    return (token,) * components.answer_len, retrieved, used, selected
+
+
+def answer_fields(components, query):
+    result = answer_query(components, query)
+    selected = () if result.subgraph is None else result.subgraph.selected
+    return result.tokens.tokens, result.retrieved_ids, result.used_ids, selected
+
+
+class TestQueryRowsMatchTheScalarPath:
+    """Every query row the read path and phase 2 use, against test-only
+    copies of the scalar path they replaced, bit for bit."""
+
+    def test_state_holds_every_bundle_query_at_the_scalar_bits(self, default_trained):
+        bundle, components, _ = default_trained
+        table, base = components.table, origin(components.table.dim)
+        state = components._state.queries
+        assert list(state) == [q.id for q in bundle.queries]
+        for q in bundle.queries:
+            rows, point = state[q.id], table.embed_query(q)
+            assert rows.query is q
+            assert np.array_equal(rows.row, point.coords)
+            assert np.array_equal(rows.tangent, log_map(base, point).components[1:])
+            assert (rows.subgraph is None) == (answer_query(components, q).delta == 0)
+
+    @pytest.mark.parametrize("seed", [42, 100042, 200042])
+    def test_phase2_scans_and_condition_vectors(self, monkeypatch, seed):
+        bundle = synth_bundle(SynthSpec(seed=seed))
+        config = PipelineConfig(seed=seed, epochs=1)
+        build, relevant = ReadIndex.build, pipeline._relevant
+        generator_pass = pipeline.example_losses_and_grad
+        last, scans, vectors = {}, [], []
+
+        def keep_index(table, graph, items):
+            last["table"], last["index"] = table, build(table, graph, items)
+            return last["index"]
+
+        def check_scan(head, q, items, positions):
+            want = old_top_items(config, last["table"].embed_query(q), last["index"])
+            assert positions == want
+            scans.append(q.id)
+            return relevant(head, q, items, positions)
+
+        def check_vectors(gen, table, examples, *rest):
+            out = generator_pass(gen, table, examples, *rest)
+            for ex, (_, _, _, z) in zip(examples, out, strict=True):
+                want = old_condition_vector(table, table.embed_query(ex.query), ex.evidence)
+                assert np.array_equal(z, want)
+            vectors.extend(ex.query.id for ex in examples)
+            return out
+
+        monkeypatch.setattr(ReadIndex, "build", keep_index)
+        monkeypatch.setattr(pipeline, "_relevant", check_scan)
+        monkeypatch.setattr(pipeline, "example_losses_and_grad", check_vectors)
+        components, _ = run_training(config, bundle)
+        kept = [qid for qid, rows in components._state.queries.items() if rows.subgraph]
+        assert sorted(scans) == sorted(kept) and len(kept) > 0
+        assert sorted(vectors) == sorted(q.id for q in bundle.queries)
+        monkeypatch.undo()
+        index = components.read_index()
+        for q in bundle.queries:
+            result = answer_query(components, q)
+            if result.delta == 1:
+                want = old_top_items(config, components.table.embed_query(q), index)
+                assert result.retrieved_ids == tuple(components.items[i].id for i in want)
+
+
+def count_scalar_geometry(monkeypatch) -> dict[str, int]:
+    """Count ``LorentzPoint`` constructions and the calls of
+    ``project_to_hyperboloid`` and ``log_map`` through every ``hyperrag``
+    module that binds them."""
+    counts = dict.fromkeys(["LorentzPoint", "project_to_hyperboloid", "log_map"], 0)
+    post_init = LorentzPoint.__post_init__
+
+    def counted_post_init(point):
+        counts["LorentzPoint"] += 1
+        post_init(point)
+
+    monkeypatch.setattr(LorentzPoint, "__post_init__", counted_post_init)
+    for name in ("project_to_hyperboloid", "log_map"):
+        fn = getattr(geometry, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("hyperrag") and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+class TestReadPathGuards:
+    @pytest.mark.parametrize("default_trained", [42], indirect=True)
+    def test_trained_answers_make_no_scalar_lift(self, default_trained, monkeypatch):
+        bundle, components, _ = default_trained
+        counts = count_scalar_geometry(monkeypatch)
+        table = components.table  # first, the stand-in counts the scalar path
+        geometry.log_map(geometry.origin(table.dim), table.embed_query(bundle.queries[0]))
+        assert counts == {"LorentzPoint": 2, "project_to_hyperboloid": 1, "log_map": 1}
+        counts.update(dict.fromkeys(counts, 0))
+        deltas = {answer_query(components, q).delta for q in bundle.queries}
+        assert deltas == {0, 1}
+        assert counts == {"LorentzPoint": 0, "project_to_hyperboloid": 0, "log_map": 0}
+
+    @pytest.mark.parametrize("default_trained", [42], indirect=True)
+    def test_other_queries_answer_as_the_old_path(self, default_trained):
+        bundle, components, _ = default_trained
+        gated = [q for q in bundle.queries if components._state.queries[q.id].subgraph]
+        ungated = [q for q in bundle.queries if not components._state.queries[q.id].subgraph]
+        picked = gated[:4] + ungated[:4]
+        unseen = [replace(q, id=f"{q.id}-unseen") for q in picked]
+        changed = [replace(q, text_features=q.text_features[::-1]) for q in picked]
+        for q in unseen + changed:
+            assert answer_fields(components, q) == old_answer(components, q)
+        assert {answer_query(components, q).delta for q in changed} == {0, 1}
+        copy = replace(components)
+        for q in picked:
+            assert answer_fields(copy, q) == old_answer(copy, q)
