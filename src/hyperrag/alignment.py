@@ -396,6 +396,11 @@ def nearest_rows(
     """Positions of the k hyperboloid rows nearest the hyperboloid row
     ``point``, by ascending geodesic distance, then ascending ``id_key`` (an
     item's ``id_ranks``), and every row's distance.  A NaN distance (a
-    broken row) ranks first, for later checks to report."""
+    broken row) ranks first, for later checks to report.  Without NaN, only
+    the rows at or below the k-th distance are sorted: every other row
+    sorts after them, so the first k are the full sort's."""
     dists = distances_to_rows(point, rows)
+    if 0 < k < len(dists) and not np.isnan(dists).any():
+        near = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+        return near[np.lexsort((id_key[near], dists[near]))[:k]], dists
     return np.lexsort((id_key, dists, ~np.isnan(dists)))[:k], dists

@@ -289,7 +289,11 @@ def acosh_stable_array(a: np.ndarray) -> np.ndarray:
     s = np.maximum(np.asarray(a, dtype=float) - 1.0, 0.0)
     with np.errstate(over="ignore"):  # s past about 1.3e154
         prod = s * (s + 2.0)
-    return np.where(np.isinf(prod), np.log(2.0) + np.log1p(s), np.log1p(s + np.sqrt(prod)))
+    out = np.log1p(s + np.sqrt(prod))
+    over = np.isinf(prod)
+    if over.any():
+        out = np.where(over, np.log(2.0) + np.log1p(s), out)
+    return out
 
 
 def distances_to_rows(point: np.ndarray, coords_rows: np.ndarray) -> np.ndarray:

@@ -337,12 +337,16 @@ class PipelineComponents:
         return self._state.index
 
     def rows_for(self, query: Query) -> QueryRows:
-        """The state's ``QueryRows`` of a trained query (same id and
-        features); any other query, or any on a copy with no state yet, is
-        lifted here, with no subgraph."""
+        """The state's ``QueryRows`` of a trained query (the object training
+        saw, or one with the same id and features: a ``Query``'s feature
+        arrays are read-only, so the object itself proves them equal); any
+        other query, or any on a copy with no state yet, is lifted here,
+        with no subgraph."""
         kept = self._state and self._state.queries.get(query.id)
-        names = ("visual_features", "text_features")
-        if kept and all(np.array_equal(getattr(query, f), getattr(kept.query, f)) for f in names):
+        if kept and (kept.query is query or all(
+            np.array_equal(getattr(query, f), getattr(kept.query, f))
+            for f in ("visual_features", "text_features")
+        )):
             return kept
         return _query_rows(self.table, [query], {})[query.id]
 
@@ -361,6 +365,14 @@ class AnswerResult:
     timings: dict[str, float]
 
 
+def _tag_stage(exc: HyperRagError, stage: str) -> None:
+    """Append ``[stage: …]`` to the error's message, in place."""
+    if exc.args and isinstance(exc.args[0], str):
+        exc.args = (f"{exc.args[0]} [stage: {stage}]",) + exc.args[1:]
+    else:
+        exc.args = (f"[stage: {stage}]",) + exc.args
+
+
 @contextmanager
 def _stage(stage: str):
     """Tag a HyperRagError raised in the block with the pipeline stage,
@@ -368,10 +380,7 @@ def _stage(stage: str):
     try:
         yield
     except HyperRagError as exc:
-        if exc.args and isinstance(exc.args[0], str):
-            exc.args = (f"{exc.args[0]} [stage: {stage}]",) + exc.args[1:]
-        else:
-            exc.args = (f"[stage: {stage}]",) + exc.args
+        _tag_stage(exc, stage)
         raise
 
 
@@ -612,7 +621,9 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     ``retrieve`` timing when they have none): the read index's corpus and
     triplet rows, and the query's ``rows_for`` (a query the state does not
     hold is lifted in the first stage that reads its rows).  An answer then
-    filters, gathers evidence rows and decodes ``answer_len`` tokens."""
+    filters, gathers evidence rows and decodes ``answer_len`` tokens.  A
+    ``HyperRagError`` past the gate is tagged with its stage (``index``,
+    ``retrieve``, ``filter``, ``refine`` or ``generate``); the gate's is not."""
     cfg = components.config
     timings: dict[str, float] = {}
 
@@ -625,31 +636,32 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
     used: tuple[str, ...] = ()
     subgraph = None
     evidence = np.empty((0, cfg.dim))
-    if delta == 1:
-        t0 = time.perf_counter()
-        with _stage("index"):
+    stage = "index"  # the stage a HyperRagError below is tagged with
+    try:
+        if delta == 1:
+            t0 = time.perf_counter()
             index = components.read_index()
-        with _stage("retrieve"):
+            stage = "retrieve"
             lifted = components.rows_for(query)
             positions = _top_items(cfg, lifted.row, index)
-        retrieved = tuple(components.items[i].id for i in positions)
-        timings["retrieve"] = time.perf_counter() - t0
+            retrieved = tuple(components.items[i].id for i in positions)
+            timings["retrieve"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        with _stage("filter"):
+            t0 = time.perf_counter()
+            stage = "filter"
             if components.crm_enabled:
                 positions = _relevant(components.head, query, components.items, positions)
-        used = tuple(components.items[i].id for i in positions)
-        timings["filter"] = time.perf_counter() - t0
+            used = tuple(components.items[i].id for i in positions)
+            timings["filter"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        with _stage("refine"):
+            t0 = time.perf_counter()
+            stage = "refine"
             keys = components._state.sweep_keys
             subgraph = lifted.subgraph or query_subgraph(cfg, components.graph, query, keys)
-        timings["refine"] = time.perf_counter() - t0
+            timings["refine"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with _stage("generate"):
+        t0 = time.perf_counter()
+        stage = "generate"
         if delta == 1:
             evidence = index.evidence(positions, subgraph)
         else:
@@ -657,7 +669,10 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
         tokens = generate(
             components.generator, components.table, lifted.tangent, evidence, components.answer_len
         )
-    timings["generate"] = time.perf_counter() - t0
+        timings["generate"] = time.perf_counter() - t0
+    except HyperRagError as exc:
+        _tag_stage(exc, stage)
+        raise
 
     return AnswerResult(
         tokens=tokens,

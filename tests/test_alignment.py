@@ -530,6 +530,34 @@ class TestRetrieve:
         order, _ = nearest_rows(table.embed_query(q).coords, rows, 2, id_ranks(corpus))
         assert [corpus[i].id for i in order] == ["c", "a"]
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_partial_scan_matches_full_sort(self, seed, with_nan):
+        def full_sort(point, rows, k, id_key):
+            """``nearest_rows`` before the partial scan, as a test-only copy."""
+            dists = distances_to_rows(point, rows)
+            return np.lexsort((id_key, dists, ~np.isnan(dists)))[:k], dists
+
+        # Seen from the origin, a row (a, 0, 0) is acosh(a) away, so each
+        # distance is set directly: five distances four times each, and
+        # two rows at +inf, under shuffled rows and shuffled id ranks.
+        rng = np.random.default_rng(seed)
+        a = np.concatenate([np.repeat(np.cosh([0.5, 0.1, 2.0, 0.3, 1.0]), 4), [np.inf] * 2])
+        if with_nan:
+            a[7] = np.nan
+        rows = np.zeros((len(a), 3))
+        rows[:, 0] = rng.permutation(a)
+        id_key = rng.permutation(len(a))
+        point = origin(2).coords
+        for k in range(len(a) + 1):  # k = 0, 1, n - 1, n, and ties at the k-th
+            order, dists = nearest_rows(point, rows, k, id_key)
+            want_order, want_dists = full_sort(point, rows, k, id_key)
+            assert np.array_equal(order, want_order)
+            assert np.array_equal(dists, want_dists, equal_nan=True)
+            if with_nan and k:
+                assert np.isnan(dists[order[0]])
+        assert np.isinf(dists[order[-2:]]).all()
+
     def test_k_zero_empty(self, rng):
         table = make_table()
         q = Query("q", np.zeros(4), np.zeros(4))

@@ -164,6 +164,14 @@ class TestAcoshStable:
         def old_scalar(s):
             return 0.0 if s <= 0.0 else math.log1p(s + math.sqrt(s * (s + 2.0)))
 
+        # The overflow branch as it was before it became lazy: evaluated for
+        # every entry, then picked by np.where.
+        def eager_branch_array(a):
+            s = np.maximum(a - 1.0, 0.0)
+            with np.errstate(over="ignore"):
+                prod = s * (s + 2.0)
+            return np.where(np.isinf(prod), np.log(2.0) + np.log1p(s), np.log1p(s + np.sqrt(prod)))
+
         sampled = 10.0 ** rng.uniform(-16, 154, 2000)
         excess = np.concatenate([[0.0, 1e-300, 1e-13, 1.3e154], sampled])
         a = 1.0 + excess
@@ -171,6 +179,13 @@ class TestAcoshStable:
         assert [acosh_from_excess(s) for s in excess.tolist()] == [
             old_scalar(s) for s in excess.tolist()
         ]
+        # One array with no overflowing excess, one with both kinds.
+        mixed = 1.0 + np.concatenate([excess, 10.0 ** rng.uniform(155, 308, 200), [np.inf]])
+        rng.shuffle(mixed)
+        for arr in (a, mixed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(acosh_stable_array(arr), eager_branch_array(arr))
 
 
 class TestGeodesicDistance:

@@ -581,6 +581,39 @@ class TestAnswerQuery:
         with pytest.raises(HyperRagError, match=r"\[stage: generate\]"):
             answer_query(broken, bundle.queries[0])
 
+    @pytest.mark.parametrize(
+        "stage, target, error",
+        [
+            ("retrieve", "nearest_rows", InvalidPointError),
+            ("filter", "filter_relevant", ContractViolation),
+            ("refine", "refine_subgraph", NumericalError),
+        ],
+    )
+    def test_stage_tag_of_each_retrieve_path_stage(
+        self, planted, monkeypatch, stage, target, error
+    ):
+        # An unseen id is gated to retrieval, filtered and refined afresh.
+        bundle, components, _ = planted
+        query = replace(bundle.queries[0], id="q-unseen")
+
+        def fail(*args, **kwargs):
+            raise error("planted failure")
+
+        monkeypatch.setattr(pipeline, target, fail)
+        with pytest.raises(HyperRagError) as err:
+            answer_query(components, query)
+        assert type(err.value) is error
+        assert str(err.value) == f"planted failure [stage: {stage}]"
+
+    def test_gate_error_stays_untagged(self, planted):
+        bundle, components, _ = planted
+        q = bundle.queries[0]
+        broken = replace(components, sigmas={**components.sigmas, q.id: 2.0})
+        with pytest.raises(ContractViolation) as err:
+            answer_query(broken, q)
+        assert str(err.value).startswith("sigma=2.0 and theta=")
+        assert "[stage:" not in str(err.value)
+
 
     def test_trained_query_read_other_query_lifted_once_docs_not_again(
         self, planted, monkeypatch
@@ -1147,6 +1180,24 @@ class TestServeState:
             assert np.array_equal(got.tangent, trained.tangent)
             fresh = query_subgraph(copy.config, copy.graph, q)
             assert_same_subgraph(answer_query(copy.with_crm(False), q).subgraph, fresh)
+
+    def test_rows_for_trained_object_equal_copy_and_changed_features(
+        self, small_trained, monkeypatch
+    ):
+        """The trained query object is recognised without comparing its
+        features; an equal copy by comparing them; a query with the same id
+        but other features is lifted afresh, with no subgraph."""
+        bundle, components = small_trained
+        q = next(q for q in bundle.queries if components._state.queries[q.id].subgraph)
+        kept = components._state.queries[q.id]
+        assert kept.query is q
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", lambda *args: pytest.fail("features compared"))
+            assert components.rows_for(q) is kept
+        assert components.rows_for(replace(q)) is kept
+        changed = components.rows_for(replace(q, text_features=q.text_features[::-1]))
+        assert changed is not kept and changed.subgraph is None
+        assert not np.array_equal(changed.row, kept.row)
 
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("default_trained", [42], indirect=True)
