@@ -1,16 +1,19 @@
 """File formats: tab-separated corpus/label/graph files, the embedding
 table archive, and canonical JSON used for reproducibility checks.
 
-All writers emit byte-deterministic output (floats as shortest
-round-trip decimals); all loaders raise DataFormatError naming the file
-and 1-based line number of the first offending record.  A float column is
-parsed in one pass, and again line by line only to name a bad token's line.
+Text is UTF-8.  All writers emit byte-deterministic output (floats as
+shortest round-trip decimals); all loaders raise DataFormatError naming the
+file and 1-based line of the first offending record (a byte that is not
+UTF-8, a field that does not parse, an id repeated in a one-row-per-id file).
+One column reader parses each field column in one pass, and again line by
+line only to name a bad field's line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from itertools import accumulate
 from pathlib import Path
 
@@ -24,33 +27,48 @@ GATING_TOKENS = {"answerable": False, "needs_retrieval": True}
 LABEL_TOKENS = {"pos": True, "neg": False}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _csv(values) -> str:
-    """``_fmt`` of each value, joined by commas."""
+    """``repr(float(x))`` of each value, joined by commas."""
     return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _parse_floats(text: str, path, lineno: int, what: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.split(",")])
-    except ValueError as exc:
-        raise DataFormatError(f"{path}:{lineno}: bad {what}: {exc}") from exc
-
-
-def _float_column(rows, col: int, path, what: str):
-    """Field ``col`` of each row as a float array, all parsed in one pass.  If a
-    token is bad, each field is parsed as the caller's loop reaches its line, so
-    earlier lines are checked before ``_parse_floats`` names the first bad one."""
-    texts = [parts[col] for _, parts in rows]
-    try:
-        flat = np.array(list(map(float, ",".join(texts).split(","))))
-    except ValueError:
-        return (_parse_floats(text, path, lineno, what) for (lineno, _), text in zip(rows, texts))
+def _floats(texts) -> list[np.ndarray]:
+    """Each comma-separated text as a float array, all parsed in one pass."""
+    flat = np.array(list(map(float, ",".join(texts).split(","))))
     widths = [text.count(",") + 1 for text in texts]
     return [flat[end - width:end] for end, width in zip(accumulate(widths), widths)]
+
+
+def _each(parse):
+    """The column parser that applies ``parse`` to each text."""
+    return lambda texts: list(map(parse, texts))
+
+
+def _column(rows, col: int, parse, path, error: str):
+    """``parse`` (texts -> values) of field ``col`` of all rows, in one pass.
+    If a field is bad, each is parsed as the caller's loop reaches its line,
+    so earlier lines are checked before the first bad one is named, with
+    ``error.format(exc)``."""
+
+    def per_line():
+        for (lineno, _), text in zip(rows, texts):
+            try:
+                yield parse([text])[0]
+            except (KeyError, ValueError) as exc:
+                raise DataFormatError(f"{path}:{lineno}: {error.format(exc)}") from exc
+
+    texts = [parts[col] for _, parts in rows]
+    try:
+        return parse(texts)
+    except (KeyError, ValueError):
+        return per_line()
+
+
+def _tokens(rows, col: int, table: dict, path, what: str):
+    """Field ``col`` of each row as its value in the token ``table``.  The
+    text of a KeyError is the repr of its key."""
+    error = f"{what} must be {'|'.join(table)}, got {{}}"
+    return _column(rows, col, _each(table.__getitem__), path, error)
 
 
 def _record(cls, path, lineno: int, *fields):
@@ -62,13 +80,21 @@ def _record(cls, path, lineno: int, *fields):
         raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
 
 
-def _read_rows(path, n_cols: int):
-    path = Path(path)
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``; DataFormatError names the line of its
+    first byte that is not UTF-8."""
     try:
-        text = path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    split = [line.split("\t") for line in text.splitlines()]
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+
+
+def _read_rows(path, n_cols: int):
+    path = Path(path)
+    split = [line.split("\t") for line in _read_text(path).splitlines()]
     # A blank line splits into one field, so it has too few (n_cols >= 2).
     if set(map(len, split)) - {n_cols}:
         for lineno, parts in enumerate(split, start=1):
@@ -82,7 +108,7 @@ def _read_rows(path, n_cols: int):
 
 
 def _write_lines(path, lines) -> None:
-    Path(path).write_text("".join(f"{line}\n" for line in lines))
+    Path(path).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
 def save_items(path, items: list[KnowledgeItem]) -> None:
@@ -98,7 +124,7 @@ def _check_width(first: dict, kind: str, width: int, path, lineno: int) -> None:
         )
 
 
-def _check_new_id(seen: set, kind: str, ident: str, path, lineno: int) -> None:
+def _check_new_id(seen: set, kind: str, ident, path, lineno: int) -> None:
     """DataFormatError if ``ident`` is in ``seen``; else add it."""
     if ident in seen:
         raise DataFormatError(f"{path}:{lineno}: duplicate {kind} id {ident!r}")
@@ -107,7 +133,7 @@ def _check_new_id(seen: set, kind: str, ident: str, path, lineno: int) -> None:
 
 def load_items(path) -> list[KnowledgeItem]:
     rows = _read_rows(path, 3)
-    features = _float_column(rows, 2, path, "features")
+    features = _column(rows, 2, _floats, path, "bad features: {}")
     items, first, seen = [], {}, set()
     for (lineno, (iid, modality, _)), feats in zip(rows, features):
         items.append(_record(KnowledgeItem, path, lineno, iid, modality, feats))
@@ -125,8 +151,8 @@ def save_queries(path, queries: list[Query]) -> None:
 
 def load_queries(path) -> list[Query]:
     rows = _read_rows(path, 3)
-    visual_column = _float_column(rows, 1, path, "visual features")
-    text_column = _float_column(rows, 2, path, "text features")
+    visual_column = _column(rows, 1, _floats, path, "bad visual features: {}")
+    text_column = _column(rows, 2, _floats, path, "bad text features: {}")
     queries, first, seen = [], {}, set()
     for (lineno, (qid, _, _)), visual, text in zip(rows, visual_column, text_column):
         queries.append(_record(Query, path, lineno, qid, visual, text))
@@ -145,39 +171,28 @@ def load_positives(path) -> list[tuple[str, str]]:
 
 
 def save_labels(path, labels: list[tuple[str, str, bool]]) -> None:
-    _write_lines(
-        path,
-        (f"{q}\t{i}\t{'pos' if flag else 'neg'}" for q, i, flag in labels),
-    )
+    token = {flag: tok for tok, flag in LABEL_TOKENS.items()}
+    _write_lines(path, (f"{q}\t{i}\t{token[flag]}" for q, i, flag in labels))
 
 
 def load_labels(path) -> list[tuple[str, str, bool]]:
-    out = []
-    for lineno, (q, i, tok) in _read_rows(path, 3):
-        if tok not in LABEL_TOKENS:
-            raise DataFormatError(f"{path}:{lineno}: label must be pos|neg, got {tok!r}")
-        out.append((q, i, LABEL_TOKENS[tok]))
-    return out
+    rows = _read_rows(path, 3)
+    flags = _tokens(rows, 2, LABEL_TOKENS, path, "label")
+    return [(q, i, flag) for (_, (q, i, _)), flag in zip(rows, flags)]
 
 
 def save_gating(path, gating: list[tuple[str, bool]]) -> None:
-    _write_lines(
-        path,
-        (
-            f"{q}\t{'needs_retrieval' if needs else 'answerable'}"
-            for q, needs in gating
-        ),
-    )
+    token = {needs: tok for tok, needs in GATING_TOKENS.items()}
+    _write_lines(path, (f"{q}\t{token[needs]}" for q, needs in gating))
 
 
 def load_gating(path) -> list[tuple[str, bool]]:
-    out = []
-    for lineno, (q, tok) in _read_rows(path, 2):
-        if tok not in GATING_TOKENS:
-            raise DataFormatError(
-                f"{path}:{lineno}: gating label must be answerable|needs_retrieval, got {tok!r}"
-            )
-        out.append((q, GATING_TOKENS[tok]))
+    rows = _read_rows(path, 2)
+    out, seen = [], set()
+    flags = _tokens(rows, 1, GATING_TOKENS, path, "gating label")
+    for (lineno, (q, _)), needs in zip(rows, flags):
+        _check_new_id(seen, "query", q, path, lineno)
+        out.append((q, needs))
     return out
 
 
@@ -190,38 +205,35 @@ def save_confidence(path, scores: dict[str, np.ndarray]) -> None:
 
 
 def load_confidence(path) -> dict[str, np.ndarray]:
+    rows = _read_rows(path, 3)
     acc: dict[str, list[float]] = {}
-    for lineno, (qid, _cand, val) in _read_rows(path, 3):
-        try:
-            score = float(val)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad score: {exc}") from exc
+    seen: set = set()
+    scores = _column(rows, 2, _each(float), path, "bad score: {}")
+    for (lineno, (qid, cand, _)), score in zip(rows, scores):
         if not math.isfinite(score):
             raise DataFormatError(f"{path}:{lineno}: bad score: non-finite value")
+        _check_new_id(seen, "query candidate", (qid, cand), path, lineno)
         acc.setdefault(qid, []).append(score)
     return {qid: np.array(vals) for qid, vals in acc.items()}
 
 
 def save_qa(path, answers: dict[str, tuple[int, ...]]) -> None:
-    _write_lines(
-        path,
-        (f"{qid}\t{','.join(str(t) for t in toks)}" for qid, toks in answers.items()),
-    )
+    _write_lines(path, (f"{qid}\t{','.join(map(str, toks))}" for qid, toks in answers.items()))
 
 
 def load_qa(path, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Gold answers; every token must index one of ``vocab_size`` rows."""
-    out = {}
-    for lineno, (qid, toks) in _read_rows(path, 2):
-        try:
-            tokens = tuple(int(t) for t in toks.split(","))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad token id: {exc}") from exc
+    rows = _read_rows(path, 2)
+    out, seen = {}, set()
+    parse = _each(lambda text: tuple(map(int, text.split(","))))
+    column = _column(rows, 1, parse, path, "bad token id: {}")
+    for (lineno, (qid, _)), tokens in zip(rows, column):
         bad = next((t for t in tokens if not 0 <= t < vocab_size), None)
         if bad is not None:
             raise DataFormatError(
                 f"{path}:{lineno}: token {bad} outside vocabulary of size {vocab_size}"
             )
+        _check_new_id(seen, "query", qid, path, lineno)
         out[qid] = tokens
     return out
 
@@ -233,31 +245,26 @@ def save_graph(graph_dir, graph: KnowledgeGraph) -> None:
         graph_dir / "vertices.tsv",
         (f"{v.id}\t{v.label}\t{_csv(v.features)}" for v in graph.vertices),
     )
+    weights = _csv([w for _, _, w in graph.edges]).split(",")
     _write_lines(
         graph_dir / "edges.tsv",
-        (f"{u}\t{v}\t{_fmt(w)}" for u, v, w in graph.edges),
+        (f"{u}\t{v}\t{w}" for (u, v, _), w in zip(graph.edges, weights)),
     )
-    _write_lines(
-        graph_dir / "triplets.tsv",
-        (f"{h}\t{r}\t{t}" for h, r, t in graph.triplets),
-    )
+    _write_lines(graph_dir / "triplets.tsv", (f"{h}\t{r}\t{t}" for h, r, t in graph.triplets))
 
 
 def load_graph(graph_dir) -> KnowledgeGraph:
     graph_dir = Path(graph_dir)
     vertices_path = graph_dir / "vertices.tsv"
     rows = _read_rows(vertices_path, 3)
-    features = _float_column(rows, 2, vertices_path, "features")
+    features = _column(rows, 2, _floats, vertices_path, "bad features: {}")
     vertices = []
     for (lineno, (vid, label, _)), feats in zip(rows, features):
         vertices.append(_record(GraphVertex, vertices_path, lineno, vid, label, feats))
-    edges = []
     edges_path = graph_dir / "edges.tsv"
-    for lineno, (u, v, w) in _read_rows(edges_path, 3):
-        try:
-            edges.append((u, v, float(w)))
-        except ValueError as exc:
-            raise DataFormatError(f"{edges_path}:{lineno}: bad weight: {exc}") from exc
+    rows = _read_rows(edges_path, 3)
+    weights = _column(rows, 2, _each(float), edges_path, "bad weight: {}")
+    edges = [(u, v, w) for (_, (u, v, _)), w in zip(rows, weights)]
     triplets_path = graph_dir / "triplets.tsv"
     triplets = []
     if triplets_path.exists():
@@ -271,44 +278,37 @@ def load_graph(graph_dir) -> KnowledgeGraph:
 
 
 def save_vocab(path, embeddings: np.ndarray) -> None:
-    _write_lines(
-        path,
-        (f"{idx}\t{_csv(row)}" for idx, row in enumerate(embeddings)),
-    )
+    _write_lines(path, (f"{idx}\t{_csv(row)}" for idx, row in enumerate(embeddings)))
 
 
 def load_vocab(path) -> np.ndarray:
-    rows = []
-    for lineno, (idx, feats) in _read_rows(path, 2):
-        try:
-            if int(idx) != lineno - 1:
-                raise DataFormatError(
-                    f"{path}:{lineno}: token ids must be contiguous from 0"
-                )
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad token id: {exc}") from exc
-        rows.append(_parse_floats(feats, path, lineno, "embedding"))
-        if rows[-1].size != rows[0].size or not np.isfinite(rows[-1]).all():
-            raise DataFormatError(f"{path}:{lineno}: need {rows[0].size} finite embedding values")
-    if not rows:
+    """Token embeddings.  A line's id is checked before its floats are parsed."""
+    rows = _read_rows(path, 2)
+    embeddings = iter(_column(rows, 1, _floats, path, "bad embedding: {}"))
+    out = []
+    for (lineno, _), idx in zip(rows, _column(rows, 0, _each(int), path, "bad token id: {}")):
+        if idx != lineno - 1:
+            raise DataFormatError(f"{path}:{lineno}: token ids must be contiguous from 0")
+        out.append(next(embeddings))
+        if out[-1].size != out[0].size or not np.isfinite(out[-1]).all():
+            raise DataFormatError(f"{path}:{lineno}: need {out[0].size} finite embedding values")
+    if not out:
         raise DataFormatError(f"{path}: empty vocabulary")
-    return np.vstack(rows)
+    return np.vstack(out)
 
 
 def save_clusters(path, assignment: dict[tuple[str, str], int]) -> None:
-    _write_lines(
-        path,
-        (f"{kind}\t{ident}\t{cluster}" for (kind, ident), cluster in assignment.items()),
-    )
+    lines = (f"{kind}\t{ident}\t{cluster}" for (kind, ident), cluster in assignment.items())
+    _write_lines(path, lines)
 
 
 def load_clusters(path) -> dict[tuple[str, str], int]:
-    out = {}
-    for lineno, (kind, ident, cluster) in _read_rows(path, 3):
-        try:
-            out[(kind, ident)] = int(cluster)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad cluster index: {exc}") from exc
+    rows = _read_rows(path, 3)
+    out, seen = {}, defaultdict(set)
+    clusters = _column(rows, 2, _each(int), path, "bad cluster index: {}")
+    for (lineno, (kind, ident, _)), cluster in zip(rows, clusters):
+        _check_new_id(seen[kind], kind, ident, path, lineno)
+        out[(kind, ident)] = cluster
     return out
 
 
@@ -323,9 +323,7 @@ def write_json(path, obj) -> None:
 def read_json(path):
     path = Path(path)
     try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 

@@ -322,7 +322,7 @@ def _check_ids(path: Path, ids, known: set[str], what: str, column: int = 0) -> 
     bad = next((ident for ident in ids if ident not in known), None)
     if bad is None:
         return
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if line.split("\t")[column] == bad:
             raise DataFormatError(f"{path}:{lineno}: {what.format(bad)}")
 

@@ -474,6 +474,47 @@ class TestErrorSurface:
         assert record["category"] == "data_format"
         assert f"{bundle / name}:2: duplicate {kind} id {first!r}" in record["message"]
 
+    @pytest.mark.parametrize(
+        "name, key_columns",
+        [("qa.tsv", [0]), ("gating.tsv", [0]), ("clusters.tsv", [0, 1]),
+         ("confidence.tsv", [0, 1])],
+    )
+    def test_repeated_row_id_is_data_format_error(
+        self, workdir, tmp_path, capsys, name, key_columns
+    ):
+        """Line 2 takes line 1's id (its query, (kind, id) or (query,
+        candidate)), so line 2 is the second row of that id."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        first = (bundle / name).read_text().splitlines()[0].split("\t")
+        for column in key_columns:
+            set_field(bundle / name, 2, column, first[column])
+        code, _, err = run_cli(["eval", *self.eval_args(workdir, bundle)], capsys)
+        assert code == 8, err
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert f"{bundle / name}:2: duplicate " in record["message"]
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("cheeger", "labels.tsv"), ("eval", "labels.tsv"), ("eval", "graph/edges.tsv"),
+         ("eval", "meta.json"), ("eval", "cfg.json")],
+    )
+    def test_byte_not_utf8_is_data_format_error(self, workdir, tmp_path, capsys, command, name):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        shutil.copy(workdir / "cfg.json", tmp_path / "cfg.json")
+        path = tmp_path / name if name == "cfg.json" else bundle / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        argv = ["--bundle", str(bundle)]
+        if command == "eval":
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        code, _, err = run_cli([command, *argv], capsys)
+        assert code == 8, err
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert record["message"].startswith(f"{path}:1: not UTF-8: ")
+
     def test_graph_triplet_positive_under_eval_is_data_format_error(
         self, workdir, tmp_path, capsys
     ):

@@ -1,5 +1,6 @@
 """Round-trip, determinism, and malformed-input tests for the file formats."""
 
+import math
 import re
 
 import numpy as np
@@ -181,6 +182,9 @@ LOADERS = {
     "confidence.tsv": hio.load_confidence,
     "qa.tsv": lambda path: hio.load_qa(path, 4),
     "vocab.tsv": hio.load_vocab,
+    "clusters.tsv": hio.load_clusters,
+    "labels.tsv": hio.load_labels,
+    "gating.tsv": hio.load_gating,
 }
 
 
@@ -206,6 +210,14 @@ class TestRejectedRows:
             ("graph/edges.tsv", 1, 1, "v0", "self-loop on vertex 'v0'"),
             ("graph/edges.tsv", 2, 2, "1e308", "edge ('v1', 'v2') overflows the total vertex degree"),
             ("graph/triplets.tsv", 2, 0, "vnope", "('vnope', ..., 'v2') references unknown"),
+            ("clusters.tsv", 2, 2, "1.0", "bad cluster index: invalid literal for int()"),
+            ("clusters.tsv", 2, 1, "q0", "duplicate query id 'q0'"),
+            ("labels.tsv", 2, 2, "yes", "label must be pos|neg, got 'yes'"),
+            ("gating.tsv", 2, 1, "no",
+             "gating label must be answerable|needs_retrieval, got 'no'"),
+            ("gating.tsv", 2, 0, "q0", "duplicate query id 'q0'"),
+            ("qa.tsv", 2, 0, "q0", "duplicate query id 'q0'"),
+            ("confidence.tsv", 2, 1, "cand0", "duplicate query candidate id ('q0', 'cand0')"),
         ],
     )
     def test_data_format_error_names_file_and_line(
@@ -217,6 +229,9 @@ class TestRejectedRows:
         hio.save_qa(tmp_path / "qa.tsv", {"q0": (3, 3), "q1": (0, 1)})
         hio.save_vocab(tmp_path / "vocab.tsv", np.ones((4, 2)))
         hio.save_graph(tmp_path / "graph", sample_graph())
+        hio.save_clusters(tmp_path / "clusters.tsv", {("query", "q0"): 0, ("query", "q1"): 1})
+        hio.save_labels(tmp_path / "labels.tsv", [("q0", "i0", True), ("q1", "i1", False)])
+        hio.save_gating(tmp_path / "gating.tsv", [("q0", False), ("q1", True)])
         set_field(tmp_path / name, lineno, column, value)
         expected = re.escape(f"{tmp_path / name}:{lineno}: ") + ".*" + re.escape(message)
         with pytest.raises(DataFormatError, match=expected):
@@ -301,6 +316,214 @@ class TestBlockParseErrors:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{path}:{lineno}: ")
         assert message in str(got.value)
+
+
+def split_lines(path):
+    return enumerate((line.split("\t") for line in path.read_text().splitlines()), start=1)
+
+
+def per_line_load(path):
+    """The file at ``path`` as the per-line loaders read it: each field parsed
+    with ``float``, ``int`` or a token lookup, and each line checked in full
+    before the next, so the first bad line raises.  The reference for the
+    loaders whose fields go through the one column reader, errors included."""
+    name = path.name
+    out, seen = [], set()
+
+    def parse(convert, text, lineno, what):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+
+    def fail(lineno, message):
+        raise DataFormatError(f"{path}:{lineno}: {message}")
+
+    def check_new(key, kind, ident, lineno):
+        if key in seen:
+            fail(lineno, f"duplicate {kind} id {ident!r}")
+        seen.add(key)
+
+    for lineno, fields in split_lines(path):
+        if name == "confidence.tsv":
+            qid, cand, val = fields
+            score = parse(float, val, lineno, "score")
+            if not math.isfinite(score):
+                fail(lineno, "bad score: non-finite value")
+            check_new((qid, cand), "query candidate", (qid, cand), lineno)
+            out.append((qid, score))
+        elif name == "qa.tsv":
+            qid, toks = fields
+            tokens = parse(lambda t: tuple(int(x) for x in t.split(",")), toks, lineno, "token id")
+            bad = next((t for t in tokens if not 0 <= t < 4), None)
+            if bad is not None:
+                fail(lineno, f"token {bad} outside vocabulary of size 4")
+            check_new(qid, "query", qid, lineno)
+            out.append((qid, tokens))
+        elif name == "vocab.tsv":
+            idx, feats = fields
+            if parse(int, idx, lineno, "token id") != lineno - 1:
+                fail(lineno, "token ids must be contiguous from 0")
+            row = parse(lambda t: np.array([float(x) for x in t.split(",")]), feats, lineno,
+                        "embedding")
+            if out and row.size != out[0].size or not np.isfinite(row).all():
+                fail(lineno, f"need {(out[0] if out else row).size} finite embedding values")
+            out.append(row)
+        elif name == "clusters.tsv":
+            kind, ident, cluster = fields
+            index = parse(int, cluster, lineno, "cluster index")
+            check_new((kind, ident), kind, ident, lineno)
+            out.append(((kind, ident), index))
+        elif name == "edges.tsv":
+            u, v, w = fields
+            out.append((u, v, parse(float, w, lineno, "weight")))
+        elif name == "labels.tsv":
+            q, i, tok = fields
+            if tok not in ("pos", "neg"):
+                fail(lineno, f"label must be pos|neg, got {tok!r}")
+            out.append((q, i, tok == "pos"))
+        else:
+            q, tok = fields
+            if tok not in ("answerable", "needs_retrieval"):
+                fail(lineno, f"gating label must be answerable|needs_retrieval, got {tok!r}")
+            check_new(q, "query", q, lineno)
+            out.append((q, tok == "needs_retrieval"))
+    return out
+
+
+def column_files(tmp_path):
+    """One small file of each loader whose fields go through the column
+    reader, as the writers write them."""
+    hio.save_confidence(tmp_path / "confidence.tsv",
+                        {"q0": np.array([0.5, 0.25, 0.125]), "q1": np.array([1.0, 2.0])})
+    hio.save_qa(tmp_path / "qa.tsv", {"q0": (3, 3), "q1": (0, 1), "q2": (2,)})
+    hio.save_vocab(tmp_path / "vocab.tsv", np.arange(8.0).reshape(4, 2))
+    hio.save_clusters(tmp_path / "clusters.tsv", {("query", "q0"): 0, ("item", "i0"): 1,
+                                                  ("vertex", "v0"): -1, ("query", "q1"): 1})
+    hio.save_graph(tmp_path / "graph", sample_graph())
+    hio.save_labels(tmp_path / "labels.tsv",
+                    [("q0", "i0", True), ("q0", "i1", False), ("q1", "i0", True)])
+    hio.save_gating(tmp_path / "gating.tsv", [("q0", False), ("q1", True), ("q2", False)])
+
+
+def load_as_rows(path):
+    """What the loader of ``path`` returns, in ``per_line_load``'s row form."""
+    if path.name == "edges.tsv":
+        return list(hio.load_graph(path.parent).edges)
+    loaded = LOADERS[path.name](path)
+    if path.name == "confidence.tsv":
+        return [(qid, score) for qid, scores in loaded.items() for score in scores.tolist()]
+    return list(loaded.items()) if isinstance(loaded, dict) else list(loaded)
+
+
+COLUMN_FILES = ["confidence.tsv", "qa.tsv", "vocab.tsv", "clusters.tsv", "graph/edges.tsv",
+                "labels.tsv", "gating.tsv"]
+
+
+class TestColumnReaderErrors:
+    """A loader whose fields go through the column reader loads and raises
+    what the per-line loader did: same file, line and message, when two
+    lines are bad in different ways or one line in two."""
+
+    @pytest.mark.parametrize("name", COLUMN_FILES)
+    def test_loads_what_the_per_line_reader_loads(self, tmp_path, name):
+        column_files(tmp_path)
+        got, want = load_as_rows(tmp_path / name), per_line_load(tmp_path / name)
+        if name == "vocab.tsv":
+            assert np.array_equal(np.vstack(got), np.vstack(want))
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "name, edits, lineno, message",
+        [
+            ("confidence.tsv", [(2, 2, "nan"), (4, 2, "x")], 2, "bad score: non-finite value"),
+            ("confidence.tsv", [(2, 2, "x"), (4, 2, "inf")], 2,
+             "bad score: could not convert string to float: 'x'"),
+            ("confidence.tsv", [(3, 1, "cand1"), (4, 2, "x")], 3,
+             "duplicate query candidate id ('q0', 'cand1')"),
+            ("confidence.tsv", [(3, 1, "cand1"), (3, 2, "x")], 3, "bad score"),
+            ("qa.tsv", [(1, 1, "3,99"), (2, 1, "0,x")], 1,
+             "token 99 outside vocabulary of size 4"),
+            ("qa.tsv", [(2, 1, "0,x"), (3, 1, "7")], 2,
+             "bad token id: invalid literal for int() with base 10: 'x'"),
+            ("qa.tsv", [(2, 1, "9,x")], 2, "bad token id"),
+            ("qa.tsv", [(2, 0, "q0"), (3, 1, "x")], 2, "duplicate query id 'q0'"),
+            ("vocab.tsv", [(2, 0, "x"), (2, 1, "y")], 2,
+             "bad token id: invalid literal for int() with base 10: 'x'"),
+            ("vocab.tsv", [(2, 0, "5"), (2, 1, "y")], 2, "token ids must be contiguous from 0"),
+            ("vocab.tsv", [(3, 1, "y"), (2, 0, "7")], 2, "token ids must be contiguous from 0"),
+            ("vocab.tsv", [(2, 1, "nan,1.0"), (3, 0, "x")], 2, "need 2 finite embedding values"),
+            ("vocab.tsv", [(2, 1, "1.0"), (3, 1, "y")], 2, "need 2 finite embedding values"),
+            ("vocab.tsv", [(3, 1, "1.0,y")], 3,
+             "bad embedding: could not convert string to float: 'y'"),
+            ("clusters.tsv", [(2, 2, "x"), (3, 2, "1.5")], 2,
+             "bad cluster index: invalid literal for int() with base 10: 'x'"),
+            ("clusters.tsv", [(4, 1, "q0"), (4, 2, "x")], 4, "bad cluster index"),
+            ("clusters.tsv", [(2, 0, "query"), (2, 1, "q0"), (3, 2, "x")], 2,
+             "duplicate query id 'q0'"),
+            ("clusters.tsv", [(3, 0, "item"), (3, 1, "i0")], 3, "duplicate item id 'i0'"),
+            # Weights are all parsed before the graph checks the edges.
+            ("graph/edges.tsv", [(1, 2, "-0.5"), (2, 2, "heavy")], 2,
+             "bad weight: could not convert string to float: 'heavy'"),
+            ("labels.tsv", [(2, 2, "maybe"), (3, 2, "")], 2, "label must be pos|neg, got 'maybe'"),
+            ("labels.tsv", [(3, 2, "Pos")], 3, "label must be pos|neg, got 'Pos'"),
+            ("gating.tsv", [(2, 0, "q0"), (3, 1, "maybe")], 2, "duplicate query id 'q0'"),
+            ("gating.tsv", [(2, 1, "maybe"), (3, 0, "q0")], 2,
+             "gating label must be answerable|needs_retrieval, got 'maybe'"),
+            ("gating.tsv", [(2, 0, "q0"), (2, 1, "yes")], 2, "gating label must be"),
+        ],
+    )
+    def test_error_is_the_per_line_readers(self, tmp_path, name, edits, lineno, message):
+        column_files(tmp_path)
+        path = tmp_path / name
+        for edit in edits:
+            set_field(path, *edit)
+        with pytest.raises(DataFormatError) as want:
+            per_line_load(path)
+        with pytest.raises(DataFormatError) as got:
+            load_as_rows(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}:{lineno}: ")
+        assert message in str(got.value)
+
+
+def put_byte(path, lineno: int, byte: bytes = b"\xff") -> None:
+    """Put ``byte`` at the start of line ``lineno`` of ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = byte + lines[lineno - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("name", COLUMN_FILES + ["items.tsv", "queries.tsv"])
+    @pytest.mark.parametrize("lineno", [1, 2])
+    def test_table_names_the_line_of_the_byte(self, tmp_path, name, lineno):
+        column_files(tmp_path)
+        hio.save_items(tmp_path / "items.tsv", sample_items())
+        hio.save_queries(tmp_path / "queries.tsv", sample_queries())
+        path = tmp_path / name
+        put_byte(path, lineno)
+        position = path.read_bytes().index(b"\xff")
+        with pytest.raises(DataFormatError) as exc:
+            load_as_rows(path)
+        assert str(exc.value) == (
+            f"{path}:{lineno}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            f"in position {position}: invalid start byte"
+        )
+
+    def test_json_names_the_line_of_the_byte(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{\n  "a": 1,\n  "b": "\xc3"\n}\n')
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: not UTF-8: ")):
+            hio.read_json(path)
+
+    def test_utf8_text_round_trips(self, tmp_path):
+        pairs = [("qé", "i一"), ("q1", "i\U0001f600")]
+        path = tmp_path / "positives.tsv"
+        hio.save_positives(path, pairs)
+        assert path.read_bytes() == "qé\ti一\nq1\ti\U0001f600\n".encode("utf-8")
+        assert hio.load_positives(path) == pairs
 
 
 class TestDeterminismAndJson:

@@ -340,6 +340,25 @@ class TestSerialization:
         ):
             load_bundle(out)
 
+    def test_byte_not_utf8_is_data_format_error(self, tmp_path, small):
+        """A byte that is not UTF-8, in any file of the bundle, is named by
+        its file and line."""
+        clean = tmp_path / "clean"
+        write_bundle(small, clean)
+        names = sorted(p.relative_to(clean) for p in clean.rglob("*") if p.is_file())
+        assert len(names) == 13
+        for k, name in enumerate(names):
+            out = tmp_path / f"bundle{k}"
+            write_bundle(small, out)
+            lines = (out / name).read_bytes().split(b"\n")
+            lineno = min(2, len(lines) - 1)  # meta.json is one line
+            lines[lineno - 1] = lines[lineno - 1][:3] + b"\xfe" + lines[lineno - 1][3:]
+            (out / name).write_bytes(b"\n".join(lines))
+            with pytest.raises(DataFormatError) as exc:
+                load_bundle(out)
+            assert str(exc.value).startswith(f"{out / name}:{lineno}: not UTF-8: "), name
+            assert "can't decode byte 0xfe" in str(exc.value)
+
     def test_single_cluster_bundle_connected(self):
         bundle = synth_bundle(
             SynthSpec(num_queries=6, num_items=10, num_clusters=1, graph_size=12, seed=3)
