@@ -118,16 +118,17 @@ class EmbeddingTable:
         items: list[KnowledgeItem],
         dim: int,
         seed: int = 0,
-        graph_feature_dim: int | None = None,
+        graph=None,
     ) -> "EmbeddingTable":
-        """Infer per-modality input dimensions from a corpus sample."""
+        """Infer per-modality input dimensions from a corpus sample; a
+        non-empty ``graph`` gives the triplet map its vertex features' width."""
         if not queries:
             raise ContractViolation("cannot infer query dimensions from an empty query list")
         dims: dict[str, int] = {QUERY_KEY: queries[0].combined_features.size}
         for item in items:
             dims.setdefault(item.modality, item.features.size)
-        if graph_feature_dim is not None:
-            dims["graph_triplet"] = graph_feature_dim
+        if graph is not None and graph.size:
+            dims["graph_triplet"] = graph.vertices[0].features.size
         # Modalities absent from the corpus default to the query block size
         # so the table always carries all four maps.
         for key in MODALITIES:

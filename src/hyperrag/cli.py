@@ -175,9 +175,8 @@ def cmd_cheeger(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 def cmd_gen(args, config: PipelineConfig, writer: RecordWriter) -> int:
     bundle = _bundle_arg(args)
-    graph_dim = bundle.graph.vertices[0].features.size if bundle.graph.size else None
     table = EmbeddingTable.for_corpus(
-        bundle.queries, bundle.items, config.dim, seed=config.seed, graph_feature_dim=graph_dim
+        bundle.queries, bundle.items, config.dim, config.seed, graph=bundle.graph
     )
     by_id = bundle.item_by_id()
     vocab = bundle.token_embeddings.shape[0]

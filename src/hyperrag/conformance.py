@@ -431,7 +431,7 @@ def generator_gradient_case(
     def blended_loss(flat: np.ndarray) -> float:
         probe = gen.copy()
         probe.weight = flat.reshape(gen.weight.shape)
-        zz = condition_vector(table, q_tan, example.evidence)
+        zz = condition_vector(q_tan, example.evidence)
         probs = softmax(probe.logits(zz))
         local = float(-np.sum(counts * np.log(np.maximum(probs, 1e-12))))
         [(obj, _, _)] = entropic_terms(probs[None], q_stack, token_embeddings, epsilon)

@@ -178,26 +178,18 @@ def origin_tangents(points, dim: int) -> np.ndarray:
     return np.array([log_map(base, p).components[1:] for p in points]).reshape(len(points), dim)
 
 
-def condition_vector(
-    table: EmbeddingTable,
-    query_tangent: np.ndarray,
-    evidence_rows: np.ndarray,
-) -> np.ndarray:
+def condition_vector(query_tangent: np.ndarray, evidence_rows: np.ndarray) -> np.ndarray:
     """Concatenate the query's tangent row at the origin (a row of
     ``origin_log_rows(embed_query_rows(...))[:, 1:]``) with the mean of the
     evidence's ``origin_tangents`` rows (zeros when there is no evidence).
     Mean pooling is linear in the tangent space at the origin, so it reads
     the rows as they are."""
-    ev = np.mean(evidence_rows, axis=0) if len(evidence_rows) else np.zeros(table.dim)
+    ev = np.mean(evidence_rows, axis=0) if len(evidence_rows) else np.zeros(len(query_tangent))
     return np.concatenate([query_tangent, ev])
 
 
 def generate(
-    gen: ToyGenerator,
-    table: EmbeddingTable,
-    query_tangent: np.ndarray,
-    evidence_rows: np.ndarray,
-    max_len: int,
+    gen: ToyGenerator, query_tangent: np.ndarray, evidence_rows: np.ndarray, max_len: int
 ) -> TokenSequence:
     """Greedy decoding conditioned on the query's origin tangent row and the
     evidence rows (retrieved items, then subgraph triplets); argmax ties
@@ -205,7 +197,7 @@ def generate(
     parameters, so the answer repeats one token ``max_len`` times."""
     if max_len < 1:
         raise ContractViolation(f"max_len must be >= 1, got {max_len}")
-    z = condition_vector(table, query_tangent, evidence_rows)
+    z = condition_vector(query_tangent, evidence_rows)
     token = int(np.argmax(softmax(gen.logits(z))))
     return TokenSequence((token,) * max_len, gen.vocab_size)
 
@@ -303,7 +295,7 @@ def example_losses_and_grad(
     prepared = []
     tangents = origin_log_rows(embed_query_rows(table, [ex.query for ex in examples]))[:, 1:]
     for example, q_tan in zip(examples, tangents):
-        z = condition_vector(table, q_tan, example.evidence)
+        z = condition_vector(q_tan, example.evidence)
         probs = softmax(gen.logits(z))
         gold = example.gold
         counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)
@@ -376,6 +368,6 @@ def exact_match_rate(gen: ToyGenerator, dataset: GenDataset) -> float:
     rows = embed_query_rows(dataset.table, [ex.query for ex in dataset.examples])
     tangents = origin_log_rows(rows)[:, 1:]
     for ex, q_tan in zip(dataset.examples, tangents):
-        seq = generate(gen, dataset.table, q_tan, ex.evidence, ex.gold.length)
+        seq = generate(gen, q_tan, ex.evidence, ex.gold.length)
         hits += int(seq.tokens == ex.gold.tokens)
     return hits / len(dataset.examples)

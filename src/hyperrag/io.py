@@ -4,9 +4,10 @@ table archive, and canonical JSON used for reproducibility checks.
 Text is UTF-8.  All writers emit byte-deterministic output (floats as
 shortest round-trip decimals); all loaders raise DataFormatError naming the
 file and 1-based line of the first offending record (a byte that is not
-UTF-8, a field that does not parse, an id repeated in a one-row-per-id file).
-One column reader parses each field column in one pass, and again line by
-line only to name a bad field's line.
+UTF-8, a field that does not parse, an id repeated in a one-row-per-id file,
+a (query, item) pair repeated).  Lines end at ``\n``.  One column reader
+parses each field column in one pass, and again line by line only to name a
+bad field's line.
 """
 
 from __future__ import annotations
@@ -81,20 +82,29 @@ def _record(cls, path, lineno: int, *fields):
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of ``path``; DataFormatError names the line of its
-    first byte that is not UTF-8."""
+    """The UTF-8 text of ``path``, its line ends as written; DataFormatError
+    names the line of its first byte that is not UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
+    except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
 
 
+def read_fields(path) -> list[list[str]]:
+    """The tab-separated fields of each line of ``path``'s UTF-8 text.  A
+    line ends at ``\n``, which every writer emits; a ``\r`` just before it
+    is part of the line end, so CRLF files read the same."""
+    lines = _read_text(Path(path)).replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":  # the end of the last line, or an empty file
+        lines.pop()
+    return [line.split("\t") for line in lines]
+
+
 def _read_rows(path, n_cols: int):
-    path = Path(path)
-    split = [line.split("\t") for line in _read_text(path).splitlines()]
+    split = read_fields(path)
     # A blank line splits into one field, so it has too few (n_cols >= 2).
     if set(map(len, split)) - {n_cols}:
         for lineno, parts in enumerate(split, start=1):
@@ -124,11 +134,14 @@ def _check_width(first: dict, kind: str, width: int, path, lineno: int) -> None:
         )
 
 
-def _check_new_id(seen: set, kind: str, ident, path, lineno: int) -> None:
-    """DataFormatError if ``ident`` is in ``seen``; else add it."""
-    if ident in seen:
+def _check_new_id(seen: set, kind: str, ident, path, lineno: int, key=None) -> None:
+    """DataFormatError if ``key`` (default ``ident``) is in ``seen``; else add it.
+    A pair's key is one tab-joined str: a tuple, or a set per query, is a container
+    the garbage collector tracks, and would move the collections after set-up."""
+    key = ident if key is None else key
+    if key in seen:
         raise DataFormatError(f"{path}:{lineno}: duplicate {kind} id {ident!r}")
-    seen.add(ident)
+    seen.add(key)
 
 
 def load_items(path) -> list[KnowledgeItem]:
@@ -167,7 +180,11 @@ def save_positives(path, pairs: list[tuple[str, str]]) -> None:
 
 
 def load_positives(path) -> list[tuple[str, str]]:
-    return [(q, i) for _, (q, i) in _read_rows(path, 2)]
+    out, seen = [], set()
+    for lineno, (q, i) in _read_rows(path, 2):
+        _check_new_id(seen, "positive item", i, path, lineno, key=f"{q}\t{i}")
+        out.append((q, i))
+    return out
 
 
 def save_labels(path, labels: list[tuple[str, str, bool]]) -> None:
@@ -177,8 +194,12 @@ def save_labels(path, labels: list[tuple[str, str, bool]]) -> None:
 
 def load_labels(path) -> list[tuple[str, str, bool]]:
     rows = _read_rows(path, 3)
+    out, seen = [], set()
     flags = _tokens(rows, 2, LABEL_TOKENS, path, "label")
-    return [(q, i, flag) for (_, (q, i, _)), flag in zip(rows, flags)]
+    for (lineno, (q, i, _)), flag in zip(rows, flags):
+        _check_new_id(seen, "labeled item", i, path, lineno, key=f"{q}\t{i}")
+        out.append((q, i, flag))
+    return out
 
 
 def save_gating(path, gating: list[tuple[str, bool]]) -> None:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .alignment import (
     AlignmentConfig,
+    AlignmentCorpus,
     EmbeddingTable,
     KnowledgeItem,
     Query,
@@ -160,11 +161,7 @@ class LossReport:
     gamma: float
 
     def __post_init__(self):
-        expected = (
-            self.beta * self.l_crm
-            + self.gamma * self.l_geo
-            + (1.0 - self.beta - self.gamma) * self.l_gen
-        )
+        expected = total_loss(self.l_crm, self.l_geo, self.l_gen, self.beta, self.gamma)
         if not abs(expected - self.l_total) <= LOSS_IDENTITY_ATOL:  # NaN fails too
             raise ContractViolation(
                 f"loss identity violated at step {self.step}: "
@@ -471,13 +468,8 @@ def run_training(
     config.validate()
     queries = bundle.queries
     items = bundle.items
-    by_id = bundle.item_by_id()
     vocab = bundle.token_embeddings.shape[0]
-    graph_dim = bundle.graph.vertices[0].features.size if bundle.graph.size else None
-
-    table = EmbeddingTable.for_corpus(
-        queries, items, config.dim, seed=config.seed, graph_feature_dim=graph_dim
-    )
+    table = EmbeddingTable.for_corpus(queries, items, config.dim, config.seed, graph=bundle.graph)
 
     labeled, head, theta, crm_trace = train_phase1(config, bundle)
     crm_z, crm_is_pos, crm_spans = crm_trace.rows  # phase 2 gathers its rows here
@@ -490,6 +482,8 @@ def run_training(
     sigmas = {qid: _sigma_of_scores(scores) for qid, scores in bundle.confidence.items()}
     gated_all = [q for q in queries if decide(sigmas.get(q.id, 0.0), theta) == 1]
     subgraphs = {q.id: query_subgraph(config, bundle.graph, q, sweep_keys) for q in gated_all}
+    pairs = AlignmentCorpus(gated_all, items, bundle.positives).batches_source()
+    positives = {q.id: pos for q, pos in pairs if pos}
 
     generator = ToyGenerator(vocab, 2 * config.dim)
     crm_params = [(f"crm.{name}", arr) for name, arr in head.named_params()]
@@ -521,11 +515,7 @@ def run_training(
             }
             gated = [q for q in batch if q.id in subgraphs]
 
-            geo_pairs = [
-                (q, [by_id[i] for i in bundle.positives.get(q.id, [])])
-                for q in gated
-                if bundle.positives.get(q.id)
-            ]
+            geo_pairs = [(q, positives[q.id]) for q in gated if q.id in positives]
             if geo_pairs:
                 with _phase2_stage(optimizer, epoch, "alignment"):
                     geo_mean, geo_grads = geo_loss_and_grads(table, geo_pairs)
@@ -666,9 +656,7 @@ def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:
             evidence = index.evidence(positions, subgraph)
         else:
             lifted = components.rows_for(query)
-        tokens = generate(
-            components.generator, components.table, lifted.tangent, evidence, components.answer_len
-        )
+        tokens = generate(components.generator, lifted.tangent, evidence, components.answer_len)
         timings["generate"] = time.perf_counter() - t0
     except HyperRagError as exc:
         _tag_stage(exc, stage)

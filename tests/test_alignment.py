@@ -40,6 +40,7 @@ from hyperrag.geometry import (
     origin_log_rows,
     project_to_hyperboloid,
 )
+from hyperrag.spectral import KnowledgeGraph
 from hyperrag.synth import SynthSpec, synth_bundle
 
 ACOSH_SQRT2 = 0.881373587019543
@@ -111,6 +112,19 @@ class TestRecordFeatures:
 
 
 class TestEmbed:
+    def test_for_corpus_takes_the_triplet_width_from_the_graph(self):
+        bundle = synth_bundle(SynthSpec(num_queries=4, num_items=8, num_clusters=2, graph_size=6))
+        corpus = (bundle.queries, bundle.items, 4)
+        query_width = bundle.queries[0].combined_features.size
+        vertex_width = bundle.graph.vertices[0].features.size
+        assert vertex_width != query_width  # else the default could not be told apart
+        table = EmbeddingTable.for_corpus(*corpus, graph=bundle.graph)
+        assert table.input_dims["graph_triplet"] == vertex_width
+        # Without vertices to read, the triplet map takes the query block size.
+        for graph in (None, KnowledgeGraph((), (), ())):
+            table = EmbeddingTable.for_corpus(*corpus, graph=graph)
+            assert table.input_dims["graph_triplet"] == query_width
+
     def test_zero_table_maps_to_origin(self, rng):
         table = zero_table()
         p = table.embed_features(rng.standard_normal(4), "visual")

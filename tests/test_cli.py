@@ -477,13 +477,13 @@ class TestErrorSurface:
     @pytest.mark.parametrize(
         "name, key_columns",
         [("qa.tsv", [0]), ("gating.tsv", [0]), ("clusters.tsv", [0, 1]),
-         ("confidence.tsv", [0, 1])],
+         ("confidence.tsv", [0, 1]), ("positives.tsv", [0, 1]), ("labels.tsv", [0, 1])],
     )
     def test_repeated_row_id_is_data_format_error(
         self, workdir, tmp_path, capsys, name, key_columns
     ):
-        """Line 2 takes line 1's id (its query, (kind, id) or (query,
-        candidate)), so line 2 is the second row of that id."""
+        """Line 2 takes line 1's id (its query, (kind, id), (query,
+        candidate) or (query, item)), so line 2 is the second row of that id."""
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
         first = (bundle / name).read_text().splitlines()[0].split("\t")

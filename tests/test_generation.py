@@ -216,27 +216,30 @@ class TestGenerate:
     def test_zero_generator_uniform_token0(self):
         gen = ToyGenerator(4, 2 * self.table.dim)
         q_tan = query_tangent(self.table, self.ds.examples[0].query)
-        assert generate(gen, self.table, q_tan, [], 5).tokens == (0,) * 5
+        assert generate(gen, q_tan, [], 5).tokens == (0,) * 5
 
     def test_deterministic(self):
         gen = ToyGenerator(self.ds.vocab_size, 2 * self.table.dim)
         ex = self.ds.examples[1]
         q_tan = query_tangent(self.table, ex.query)
-        a = generate(gen, self.table, q_tan, list(ex.evidence), 3)
-        b = generate(gen, self.table, q_tan, list(ex.evidence), 3)
+        a = generate(gen, q_tan, list(ex.evidence), 3)
+        b = generate(gen, q_tan, list(ex.evidence), 3)
         assert a == b
 
     def test_bad_max_len(self):
         gen = ToyGenerator(4, 2 * self.table.dim)
         q_tan = query_tangent(self.table, self.ds.examples[0].query)
         with pytest.raises(ContractViolation):
-            generate(gen, self.table, q_tan, [], 0)
+            generate(gen, q_tan, [], 0)
 
     def test_condition_vector_empty_evidence_zero_block(self):
         q_tan = query_tangent(self.table, self.ds.examples[0].query)
-        z = condition_vector(self.table, q_tan, [])
+        z = condition_vector(q_tan, [])
         assert z.shape == (2 * self.table.dim,)
         assert not z[self.table.dim :].any()
+        # The zero block takes the tangent's width, whatever table made it.
+        z = condition_vector(np.array([1.0, 2.0, 3.0]), np.empty((0, 5)))
+        assert np.array_equal(z, [1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -259,7 +262,7 @@ class TestGenerate:
             else np.zeros(dim)
         )
         want = np.concatenate([scalar_query_tangent(table, query), ev])
-        got = condition_vector(table, query_tangent(table, query), origin_tangents(points, dim))
+        got = condition_vector(query_tangent(table, query), origin_tangents(points, dim))
         assert np.array_equal(got, want)
 
 
@@ -356,7 +359,7 @@ class TestBlendedGradient:
 
         def blended(g):
             q_tan = scalar_query_tangent(ds.table, ex.query)
-            z = condition_vector(ds.table, q_tan, list(ex.evidence))
+            z = condition_vector(q_tan, list(ex.evidence))
             probs = softmax(g.logits(z))
             counts = np.bincount(np.array(ex.gold.tokens), minlength=g.vocab_size).astype(float)
             local = float(-np.sum(counts * np.log(np.maximum(probs, 1e-12))))
@@ -385,7 +388,7 @@ def old_example_losses_and_grad(
 ):
     """One example's generator pass as it was before the lock-step solve,
     its query lifted through the scalar maps."""
-    z = condition_vector(table, scalar_query_tangent(table, example.query), example.evidence)
+    z = condition_vector(scalar_query_tangent(table, example.query), example.evidence)
     probs = softmax(gen.logits(z))
     gold = example.gold
     counts = np.bincount(np.array(gold.tokens), minlength=gen.vocab_size).astype(float)

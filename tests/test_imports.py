@@ -1,9 +1,10 @@
 """Static checks, in place of a linter: every name a ``hyperrag`` module
 imports is used in that module (an import kept on purpose carries
 ``# noqa: F401`` on its line), every private module-level name is read
-in the module that defines it, no two modules define a public function
-of the same name, and the functions whose per-layer timings
-``BENCHMARK.json`` declares stay visible to the benchmark's tracer."""
+in the module that defines it, every parameter is read by its function,
+no two modules define a public function of the same name, and the
+functions whose per-layer timings ``BENCHMARK.json`` declares stay
+visible to the benchmark's tracer."""
 
 import ast
 import importlib
@@ -104,6 +105,88 @@ def test_unread_private_name_is_reported(tmp_path):
         "module.py:4: _b",
         "module.py:11: _orphan",
         "module.py:15: _Gone",
+    ]
+
+
+# The CLI dispatches every subcommand with these arguments, read or not.
+DISPATCH_SIGNATURE = ["args", "config", "writer"]
+
+
+def unread_parameters(path: Path) -> list[str]:
+    """``file:line: function(parameter)`` for each parameter that its
+    function (or lambda) never reads; ``x += ...`` reads ``x``.  ``self``
+    and ``cls`` are exempt, and so is a ``cmd_*`` function with the CLI's
+    dispatch signature.  In line order."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        spec = node.args
+        params = [*spec.posonlyargs, *spec.args, *spec.kwonlyargs]
+        params += [arg for arg in (spec.vararg, spec.kwarg) if arg is not None]
+        if name.startswith("cmd_") and [p.arg for p in params] == DISPATCH_SIGNATURE:
+            continue
+        read = set()
+        for stmt in node.body if isinstance(node.body, list) else [node.body]:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                    read.add(sub.target.id)
+        out += [
+            (p.lineno, p.col_offset, f"{path.name}:{p.lineno}: {name}({p.arg})")
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return [text for _, _, text in sorted(out)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path) == []
+
+
+def test_unread_parameter_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def used(a, /, b, *rest, key=1, **extra):\n"
+        "    return a, b, rest, key, extra\n"
+        "\n"
+        "def unused(a, b, *, c=0):\n"
+        "    return a\n"
+        "\n"
+        "def nested(a, b):\n"
+        "    def inner():\n"
+        "        return b\n"
+        "    return a + inner()\n"
+        "\n"
+        "def bumped(n):\n"
+        "    n += 1\n"
+        "    return 0\n"
+        "\n"
+        "class K:\n"
+        "    def method(self, x):\n"
+        "        return 1\n"
+        "\n"
+        "    @classmethod\n"
+        "    def make(cls, y):\n"
+        "        return y\n"
+        "\n"
+        "def cmd_run(args, config, writer):\n"
+        "    return 0\n"
+        "\n"
+        "def cmd_other(args, config):\n"
+        "    return args\n"
+        "\n"
+        "pick = lambda row, col: row\n"
+    )
+    assert unread_parameters(module) == [
+        "module.py:4: unused(b)",
+        "module.py:4: unused(c)",
+        "module.py:17: method(x)",
+        "module.py:27: cmd_other(config)",
+        "module.py:30: <lambda>(col)",
     ]
 
 

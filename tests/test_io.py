@@ -185,6 +185,7 @@ LOADERS = {
     "clusters.tsv": hio.load_clusters,
     "labels.tsv": hio.load_labels,
     "gating.tsv": hio.load_gating,
+    "positives.tsv": hio.load_positives,
 }
 
 
@@ -218,6 +219,7 @@ class TestRejectedRows:
             ("gating.tsv", 2, 0, "q0", "duplicate query id 'q0'"),
             ("qa.tsv", 2, 0, "q0", "duplicate query id 'q0'"),
             ("confidence.tsv", 2, 1, "cand0", "duplicate query candidate id ('q0', 'cand0')"),
+            ("positives.tsv", 2, 1, "i0", "duplicate positive item id 'i0'"),
         ],
     )
     def test_data_format_error_names_file_and_line(
@@ -232,6 +234,7 @@ class TestRejectedRows:
         hio.save_clusters(tmp_path / "clusters.tsv", {("query", "q0"): 0, ("query", "q1"): 1})
         hio.save_labels(tmp_path / "labels.tsv", [("q0", "i0", True), ("q1", "i1", False)])
         hio.save_gating(tmp_path / "gating.tsv", [("q0", False), ("q1", True)])
+        hio.save_positives(tmp_path / "positives.tsv", [("q0", "i0"), ("q0", "i1"), ("q1", "i0")])
         set_field(tmp_path / name, lineno, column, value)
         expected = re.escape(f"{tmp_path / name}:{lineno}: ") + ".*" + re.escape(message)
         with pytest.raises(DataFormatError, match=expected):
@@ -381,6 +384,7 @@ def per_line_load(path):
             q, i, tok = fields
             if tok not in ("pos", "neg"):
                 fail(lineno, f"label must be pos|neg, got {tok!r}")
+            check_new((q, i), "labeled item", i, lineno)
             out.append((q, i, tok == "pos"))
         else:
             q, tok = fields
@@ -472,6 +476,8 @@ class TestColumnReaderErrors:
             ("gating.tsv", [(2, 1, "maybe"), (3, 0, "q0")], 2,
              "gating label must be answerable|needs_retrieval, got 'maybe'"),
             ("gating.tsv", [(2, 0, "q0"), (2, 1, "yes")], 2, "gating label must be"),
+            ("labels.tsv", [(2, 1, "i0"), (3, 2, "maybe")], 2, "duplicate labeled item id 'i0'"),
+            ("labels.tsv", [(2, 1, "i0"), (2, 2, "maybe")], 2, "label must be pos|neg"),
         ],
     )
     def test_error_is_the_per_line_readers(self, tmp_path, name, edits, lineno, message):
@@ -524,6 +530,30 @@ class TestNotUtf8:
         hio.save_positives(path, pairs)
         assert path.read_bytes() == "qé\ti一\nq1\ti\U0001f600\n".encode("utf-8")
         assert hio.load_positives(path) == pairs
+
+
+class TestLineEnds:
+    """A line ends at ``\n``, as every writer ends it; a ``\r`` just before
+    the ``\n`` is part of the line end."""
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\r"])
+    def test_an_id_keeps_every_other_line_break(self, tmp_path, sep):
+        items = [KnowledgeItem(f"i{sep}{k}", "visual", np.array([k, 0.5])) for k in range(3)]
+        path = tmp_path / "items.tsv"
+        hio.save_items(path, items)
+        assert [item.id for item in hio.load_items(path)] == [item.id for item in items]
+
+    @pytest.mark.parametrize("name", COLUMN_FILES)
+    def test_crlf_file_loads_as_written(self, tmp_path, name):
+        column_files(tmp_path)
+        path = tmp_path / name
+        want = load_as_rows(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        got = load_as_rows(path)
+        if name == "vocab.tsv":
+            assert np.array_equal(np.vstack(got), np.vstack(want))
+        else:
+            assert got == want
 
 
 class TestDeterminismAndJson:

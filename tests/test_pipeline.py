@@ -331,6 +331,22 @@ class TestRunTraining:
                 components.table.weight[key], comps_short.table.weight[key]
             )
 
+    def test_unknown_positive_of_a_gated_query_names_the_query(self):
+        spec = SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=1)
+        config = PipelineConfig(dim=8, epochs=1, batch_size=6, crm_epochs=5, crm_hidden=8, k=3)
+        clean = synth_bundle(spec)
+        components, reports = run_training(config, clean)
+        gated = [decide(components.sigmas.get(q.id, 0.0), components.theta) for q in clean.queries]
+        assert gated[:3] == [1, 1, 0]  # q0000 is gated, q0002 is not
+        bundle = synth_bundle(spec)
+        bundle.positives["q0000"].append("no-such-item")
+        with pytest.raises(ContractViolation, match="query 'q0000'.*'no-such-item'"):
+            run_training(config, bundle)
+        # An ungated query's positives are never read, so training is unchanged.
+        bundle = synth_bundle(spec)
+        bundle.positives["q0002"].append("no-such-item")
+        assert run_training(config, bundle)[1] == reports
+
 
 class TestLockStepGeneration:
     """Phase 2's batched generator pass against the per-example loop it
@@ -918,9 +934,9 @@ class TestPrecomputedReadRows:
         )
         generate, got = pipeline.generate, []
 
-        def record(gen, table, point, evidence, max_len):
+        def record(gen, point, evidence, max_len):
             got.append(evidence)
-            return generate(gen, table, point, evidence, max_len)
+            return generate(gen, point, evidence, max_len)
 
         monkeypatch.setattr(pipeline, "generate", record)
         for q in bundle.queries:

@@ -155,6 +155,18 @@ class TestValidation:
             synth_bundle(SynthSpec(seed=-1))
 
 
+def write_renamed(bundle, out, sep: str):
+    """Write ``bundle`` to ``out`` with ``sep`` put into the id of the first
+    positive of its first query, in every file; return the renaming."""
+    old = bundle.positives[bundle.queries[0].id][0]
+    new = old[:1] + sep + old[1:]
+    write_bundle(bundle, out)
+    for path in out.rglob("*.tsv"):
+        fields = [line.split("\t") for line in path.read_text().split("\n")]
+        path.write_text("\n".join("\t".join(new if f == old else f for f in fs) for fs in fields))
+    return lambda ident: new if ident == old else ident
+
+
 class TestSerialization:
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -358,6 +370,59 @@ class TestSerialization:
                 load_bundle(out)
             assert str(exc.value).startswith(f"{out / name}:{lineno}: not UTF-8: "), name
             assert "can't decode byte 0xfe" in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["positives.tsv", "labels.tsv"])
+    def test_repeated_pair_is_data_format_error(self, tmp_path, small, name):
+        out = tmp_path / "bundle"
+        write_bundle(small, out)
+        text = (out / name).read_text()
+        first = text.split("\n")[0]
+        (out / name).write_text(f"{first}\n{text}")
+        iid = first.split("\t")[1]
+        kind = "positive" if name == "positives.tsv" else "labeled"
+        with pytest.raises(
+            DataFormatError, match=re.escape(f"{name}:2: duplicate {kind} item id {iid!r}")
+        ):
+            load_bundle(out)
+
+    def test_crlf_bundle_loads_as_written(self, tmp_path, small):
+        clean, crlf, again = tmp_path / "clean", tmp_path / "crlf", tmp_path / "again"
+        write_bundle(small, clean)
+        write_bundle(small, crlf)
+        for path in crlf.rglob("*.tsv"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        write_bundle(load_bundle(crlf), again)
+        assert file_digests(again) == file_digests(clean)
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_an_item_id_with_another_line_break_round_trips(self, tmp_path, small, sep):
+        out, again = tmp_path / "bundle", tmp_path / "again"
+        renamed = write_renamed(small, out, sep)
+        back = load_bundle(out)
+        assert [item.id for item in back.items] == [renamed(item.id) for item in small.items]
+        assert back.positives == {q: list(map(renamed, ids)) for q, ids in small.positives.items()}
+        write_bundle(back, again)
+        assert file_digests(again) == file_digests(out)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda line: line.split(b"\t")[0] + b"\tnope", "unknown item id 'nope'"),
+            (lambda line: line + b"\tx", "expected 2 tab-separated fields, got 3"),
+            (lambda line: b"\xfe" + line, "not UTF-8: "),
+        ],
+    )
+    def test_every_error_counts_lines_at_newline(self, tmp_path, small, edit, message):
+        """An id holding U+2028 on an earlier line moves no error's line."""
+        out = tmp_path / "bundle"
+        write_renamed(small, out, "\u2028")
+        path = out / "positives.tsv"
+        lines = path.read_bytes().split(b"\n")
+        assert "\u2028".encode() in lines[0]
+        lines[2] = edit(lines[2])
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: {message}")):
+            load_bundle(out)
 
     def test_single_cluster_bundle_connected(self):
         bundle = synth_bundle(
