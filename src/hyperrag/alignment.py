@@ -22,14 +22,7 @@ from .errors import (
     InvalidPointError,
     check_config_fields,
 )
-from .geometry import (
-    LorentzPoint,
-    distances_to_rows,
-    origin_log_rows,
-    pair_distance_rows,
-    project_rows,
-    project_to_hyperboloid,
-)
+from .geometry import distances_to_rows, origin_log_rows, pair_distance_rows, project_rows
 
 MODALITIES = ("visual", "textual", "graph_triplet")
 QUERY_KEY = "query"
@@ -159,15 +152,6 @@ class EmbeddingTable:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.matmul(self.weight[key], f[..., None])[..., 0] + self.bias[key]
 
-    def embed_features(self, features: np.ndarray, key: str) -> LorentzPoint:
-        return project_to_hyperboloid(self.spatial(features, key))
-
-    def embed_query(self, query: Query) -> LorentzPoint:
-        return self.embed_features(query.combined_features, QUERY_KEY)
-
-    def embed_item(self, item: KnowledgeItem) -> LorentzPoint:
-        return self.embed_features(item.features, item.modality)
-
 
 def _modality_features(table: EmbeddingTable, items: list[KnowledgeItem]):
     """(modality, item positions, stacked features) per modality, in order
@@ -186,8 +170,8 @@ def _modality_features(table: EmbeddingTable, items: list[KnowledgeItem]):
 
 
 def embed_corpus_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
-    """``table.embed_item(item).coords`` for every item, stacked as
-    (len(items), dim+1) rows, each bit for bit that of one item: one
+    """Every item's ``table.spatial(item.features, item.modality)``, lifted,
+    as (len(items), dim+1) rows, each bit for bit that of one item: one
     stacked GEMV per modality, then the row-wise lift, which raises for the
     first bad item."""
     spatial = np.empty((len(items), table.dim))
@@ -197,9 +181,9 @@ def embed_corpus_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.n
 
 
 def embed_query_rows(table: EmbeddingTable, queries: list[Query]) -> np.ndarray:
-    """``table.embed_query(q).coords`` of every query, bit for bit, as
-    ``embed_corpus_rows`` stacks items; a query of another width raises as
-    it does alone.  ``origin_log_rows(rows)[:, 1:]`` are their tangents."""
+    """Every query's ``table.spatial(q.combined_features, QUERY_KEY)``,
+    lifted as ``embed_corpus_rows`` lifts items; a query of another width
+    raises as it does alone.  ``origin_log_rows(rows)[:, 1:]`` are their tangents."""
     width, feats = table.input_dims[QUERY_KEY], [q.combined_features for q in queries]
     for f in feats:
         if f.shape != (width,):
@@ -208,9 +192,9 @@ def embed_query_rows(table: EmbeddingTable, queries: list[Query]) -> np.ndarray:
 
 
 def item_tangent_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.ndarray:
-    """``log_map(origin, table.embed_item(item)).components[1:]`` for every
-    item, stacked: shape (len(items), dim), each row bit for bit that of
-    one item."""
+    """``log_map(origin, p).components[1:]`` of each item's lift p (its
+    ``embed_corpus_rows`` row), stacked: shape (len(items), dim), each row
+    bit for bit that of one item."""
     return origin_log_rows(embed_corpus_rows(table, items))[:, 1:]
 
 

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for the numerical kernels.
+"""Independent brute-force oracles for the numerical kernels, and the
+scalar reference forms they check against.
 
 Every oracle here recomputes its answer from first principles
 (enumeration, dense solves, finite differences) without touching the
@@ -13,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .alignment import EmbeddingTable, KnowledgeItem, Query
+from .alignment import QUERY_KEY, EmbeddingTable, KnowledgeItem, Query
 from .errors import ContractViolation, InfeasibleConstraintError
 from .gate import RelevanceHead, crm_loss_and_grads
 from .generation import (
@@ -23,7 +24,6 @@ from .generation import (
     condition_vector,
     example_losses_and_grad,
     gold_distribution,
-    origin_tangents,
     softmax,
 )
 from .geometry import (
@@ -176,6 +176,34 @@ def dense_eigs(mat) -> np.ndarray:
             f"{arr.shape[0]} rows exceed the dense-oracle limit {DENSE_EIGS_LIMIT}"
         )
     return np.linalg.eigvalsh(arr)
+
+
+def scalar_lift(table: EmbeddingTable, features, key: str):
+    """The ``LorentzPoint`` of one feature vector through ``key``'s map: its
+    coordinates are a row of ``embed_corpus_rows`` or ``embed_query_rows``."""
+    return project_to_hyperboloid(table.spatial(features, key))
+
+
+def origin_tangents(points, dim: int) -> np.ndarray:
+    """The spatial part of each point's tangent at the origin,
+    ``log_map(origin, p).components[1:]``, stacked: shape (len(points), dim).
+    Evidence is passed around as these rows."""
+    base = origin(dim)
+    return np.array([log_map(base, p).components[1:] for p in points]).reshape(len(points), dim)
+
+
+def flat_params(model, grads: dict | None = None) -> np.ndarray:
+    """``model.named_params()``, or the same-named ``grads``, as one vector."""
+    arrays = dict(model.named_params()) if grads is None else grads
+    return np.concatenate([arrays[name].ravel() for name, _ in model.named_params()])
+
+
+def load_flat_params(model, flat: np.ndarray) -> None:
+    """Write ``flat`` into the arrays ``flat_params`` reads, in place."""
+    start = 0
+    for _, arr in model.named_params():
+        arr[...] = flat[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
 
 
 def finite_difference_grad(f, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -387,15 +415,15 @@ def crm_gradient_case(seed: int = 7) -> OracleResult:
         )
     ]
     _, grads = crm_loss_and_grads(head, batch)
-    analytic = head.flat_grads(grads)
+    analytic = flat_params(head, grads)
 
     def head_loss(flat: np.ndarray) -> float:
         probe = RelevanceHead(4, 3, hidden=6, seed=3)
-        probe.set_flat(flat)
+        load_flat_params(probe, flat)
         loss, _ = crm_loss_and_grads(probe, batch, want_grads=False)
         return loss
 
-    fd = finite_difference_grad(head_loss, head.get_flat())
+    fd = finite_difference_grad(head_loss, flat_params(head))
     return OracleResult.from_values(
         "gate/head-gradient-fd", 0.0, _relative_error(analytic, fd), 1e-4
     )
@@ -426,7 +454,8 @@ def generator_gradient_case(
     analytic = np.outer(grad_logits, z).ravel()
     q_stack = DistributionStack((gold_distribution(gold, token_embeddings),))
     counts = np.bincount(np.array(gold.tokens), minlength=vocab).astype(float)
-    q_tan = log_map(origin(table.dim), table.embed_query(query)).components[1:]
+    point = scalar_lift(table, query.combined_features, QUERY_KEY)
+    q_tan = log_map(origin(table.dim), point).components[1:]
 
     def blended_loss(flat: np.ndarray) -> float:
         probe = gen.copy()

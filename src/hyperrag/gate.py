@@ -118,19 +118,6 @@ class RelevanceHead:
         for name, arr in self.named_params():
             arr -= lr * grads[name]
 
-    # Flat views for finite-difference gradient checks.
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self.named_params()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        start = 0
-        for name, arr in self.named_params():
-            setattr(self, name, flat[start : start + arr.size].reshape(arr.shape).copy())
-            start += arr.size
-
-    def flat_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate([grads[name].ravel() for name, _ in self.named_params()])
-
 
 def relevance(head: RelevanceHead, query: Query, doc: KnowledgeItem) -> float:
     """sigmoid of the head's raw score; strictly inside (0, 1)."""

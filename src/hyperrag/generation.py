@@ -25,7 +25,8 @@ from .errors import (
     check_config_fields,
 )
 from .gate import LOG_CLAMP
-from .geometry import log_map, origin, origin_log_rows
+from .geometry import log_map  # noqa: F401 (perfbench's tracer test rebinds it here)
+from .geometry import origin_log_rows
 from .transport import DistributionStack, EmpiricalDistribution, entropic_terms
 
 DISTRIBUTION_ROW_ATOL = 1e-9
@@ -170,20 +171,12 @@ class ToyGenerator:
         return dup
 
 
-def origin_tangents(points, dim: int) -> np.ndarray:
-    """The spatial part of each point's tangent at the origin,
-    ``log_map(origin, p).components[1:]``, stacked: shape (len(points), dim).
-    Evidence is passed around as these rows."""
-    base = origin(dim)
-    return np.array([log_map(base, p).components[1:] for p in points]).reshape(len(points), dim)
-
-
 def condition_vector(query_tangent: np.ndarray, evidence_rows: np.ndarray) -> np.ndarray:
-    """Concatenate the query's tangent row at the origin (a row of
-    ``origin_log_rows(embed_query_rows(...))[:, 1:]``) with the mean of the
-    evidence's ``origin_tangents`` rows (zeros when there is no evidence).
-    Mean pooling is linear in the tangent space at the origin, so it reads
-    the rows as they are."""
+    """Concatenate the query's tangent row at the origin with the mean of
+    the evidence's (zeros when there is no evidence).  A tangent row is
+    ``origin_log_rows(rows)[:, 1:]`` of a hyperboloid row; the query's
+    comes from ``embed_query_rows``.  Mean pooling is linear in the tangent
+    space at the origin, so it reads the rows as they are."""
     ev = np.mean(evidence_rows, axis=0) if len(evidence_rows) else np.zeros(len(query_tangent))
     return np.concatenate([query_tangent, ev])
 
@@ -205,7 +198,7 @@ def generate(
 @dataclass(frozen=True)
 class GenExample:
     """The query the generator reads (dropped out, in training), its evidence
-    as ``origin_tangents`` rows (k, dim), and its gold answer.
+    as origin tangent rows (k, dim), and its gold answer.
     ``condition_vector`` reads only the rows' mean, and the mean of one row
     is that row, so phase 2 stores each gated example's mean row (1, dim)."""
 

@@ -240,10 +240,10 @@ class AdamW:
 @dataclass(frozen=True)
 class ReadIndex:
     """The embeddings that training and answering read from one table:
-    one hyperboloid row and one origin tangent row (``origin_log_rows`` is
-    row-wise: each row is the item's ``log_map(origin, embed_item(item))``)
-    per corpus item, with the items' ``id_ranks``, and one
-    ``embed_triplets`` row per entry of ``graph.triplets``."""
+    per corpus item its ``embed_corpus_rows`` row and that row's tangent at
+    the origin (``origin_log_rows(rows)[:, 1:]``), with the items'
+    ``id_ranks``, and one ``embed_triplets`` row per entry of
+    ``graph.triplets``."""
 
     corpus_rows: np.ndarray
     corpus_id_key: np.ndarray
@@ -410,9 +410,16 @@ def phase1_inputs(bundle: CorpusBundle):
     per_query: dict[str, tuple[list, list]] = {}
     for qid, iid, flag in bundle.labels:
         pos, neg = per_query.setdefault(qid, ([], []))
-        (pos if flag else neg).append(by_id[iid])
+        (pos if flag else neg).append(iid)
     query_of = {q.id: q for q in bundle.queries}
-    labeled = [(query_of[qid], pos, neg) for qid, (pos, neg) in per_query.items()]
+    labeled = []
+    for qid, (pos, neg) in per_query.items():
+        if qid not in query_of:
+            raise ContractViolation(f"labels reference unknown query {qid!r}")
+        missing = [i for i in pos + neg if i not in by_id]
+        if missing:
+            raise ContractViolation(f"labels for query {qid!r} reference unknown items {missing}")
+        labeled.append((query_of[qid], [by_id[i] for i in pos], [by_id[i] for i in neg]))
     gating_pairs = [
         (_sigma_of_scores(bundle.confidence.get(qid)), needs)
         for qid, needs in bundle.gating
@@ -461,11 +468,18 @@ def _relevant(head: RelevanceHead, query: Query, items, positions: list[int]) ->
     return [i for i, doc in zip(positions, docs) if id(doc) in kept]
 
 
+def _check_gold(bundle: CorpusBundle) -> None:
+    for q in bundle.queries:
+        if q.id not in bundle.qa:
+            raise ContractViolation(f"query {q.id!r} has no gold answer in qa")
+
+
 def run_training(
     config: PipelineConfig, bundle: CorpusBundle
 ) -> tuple[PipelineComponents, list[LossReport]]:
     """Two-phase training; deterministic per config.seed."""
     config.validate()
+    _check_gold(bundle)
     queries = bundle.queries
     items = bundle.items
     vocab = bundle.token_embeddings.shape[0]
@@ -684,6 +698,7 @@ def evaluate(components: PipelineComponents, bundle: CorpusBundle) -> EvalReport
     queries = bundle.queries
     if not queries:
         raise ContractViolation("evaluation query set is empty")
+    _check_gold(bundle)
 
     hits = 0
     coherence_sum = 0.0

@@ -296,10 +296,6 @@ class Subgraph:
         arr.setflags(write=False)
         object.__setattr__(self, "indicator", arr)
 
-    @property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.selected)
-
 
 def _coerce_relevance(graph: KnowledgeGraph, r) -> np.ndarray:
     arr = (r if isinstance(r, RelevanceVector) else RelevanceVector(r)).values

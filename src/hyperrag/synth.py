@@ -88,14 +88,6 @@ class CorpusBundle:
     token_embeddings: np.ndarray
     clusters: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    @property
-    def distractor_ids(self) -> frozenset[str]:
-        return frozenset(
-            ident
-            for (kind, ident), c in self.clusters.items()
-            if kind == "item" and c == DISTRACTOR_CLUSTER
-        )
-
     def item_by_id(self) -> dict[str, KnowledgeItem]:
         return {item.id: item for item in self.items}
 

@@ -3,9 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperrag.alignment import KnowledgeItem, Query
+from hyperrag.alignment import QUERY_KEY, KnowledgeItem, Query
 from hyperrag.errors import ContractViolation, DataFormatError
-from hyperrag.generation import origin_tangents
+from hyperrag.conformance import origin_tangents, scalar_lift
 from hyperrag.geometry import LorentzPoint, exp_map, log_map, origin, project_to_hyperboloid
 from hyperrag.spectral import GraphVertex, hash_features
 
@@ -18,6 +18,16 @@ def rng():
 def random_lorentz(rng: np.random.Generator, n: int, scale: float = 1.0) -> LorentzPoint:
     """A random on-manifold point, lifted from a Gaussian spatial vector."""
     return project_to_hyperboloid(scale * rng.standard_normal(n))
+
+
+def item_point(table, item: KnowledgeItem) -> LorentzPoint:
+    """The item's scalar lift through its modality's map."""
+    return scalar_lift(table, item.features, item.modality)
+
+
+def query_point(table, query: Query) -> LorentzPoint:
+    """The query's scalar lift through the query map."""
+    return scalar_lift(table, query.combined_features, QUERY_KEY)
 
 
 def raw_point(coords) -> LorentzPoint:
@@ -125,7 +135,7 @@ def scalar_triplet_rows(graph, table, triplets) -> np.ndarray:
             graph.vertices[graph.vertex_index(tail)].features,
         ]
         base = origin(table.dim)
-        tangents = [log_map(base, table.embed_features(f, "graph_triplet")) for f in parts]
+        tangents = [log_map(base, scalar_lift(table, f, "graph_triplet")) for f in parts]
         mean_components = np.mean([t.components for t in tangents], axis=0)
         return exp_map(base, type(tangents[0])(base, mean_components))
 

@@ -20,10 +20,12 @@ from hyperrag.conformance import (
     crm_gradient_case,
     dense_eigs,
     finite_difference_grad,
+    origin_tangents,
     ot_bruteforce,
     random_connected_graph,
     random_rounding_instance,
     rounding_ratio,
+    scalar_lift,
     subset_bruteforce,
     two_clique_graph,
 )
@@ -39,7 +41,6 @@ from hyperrag.generation import (
     exact_match_rate,
     gen_loss,
     local_loss,
-    origin_tangents,
     query_dropout_prob,
     train_generation,
 )
@@ -422,7 +423,7 @@ def memorizable_dataset(num=50, clusters=5, feat=4, dim=6, seed=11) -> GenDatase
         )
         ev = origin_tangents(
             [
-                table.embed_features(centers[c] + 0.1 * rng.standard_normal(feat), "visual")
+                scalar_lift(table, centers[c] + 0.1 * rng.standard_normal(feat), "visual")
                 for _ in range(2)
             ],
             dim,

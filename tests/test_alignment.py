@@ -30,7 +30,7 @@ from hyperrag.errors import (
     DivergenceError,
     InvalidPointError,
 )
-from hyperrag.generation import origin_tangents
+from hyperrag.conformance import origin_tangents, scalar_lift
 from hyperrag.geometry import (
     distance_spatial_grad,
     distances_to_rows,
@@ -38,10 +38,11 @@ from hyperrag.geometry import (
     log_map,
     origin,
     origin_log_rows,
-    project_to_hyperboloid,
 )
 from hyperrag.spectral import KnowledgeGraph
 from hyperrag.synth import SynthSpec, synth_bundle
+
+from conftest import item_point, query_point
 
 ACOSH_SQRT2 = 0.881373587019543
 
@@ -127,23 +128,23 @@ class TestEmbed:
 
     def test_zero_table_maps_to_origin(self, rng):
         table = zero_table()
-        p = table.embed_features(rng.standard_normal(4), "visual")
+        p = scalar_lift(table, rng.standard_normal(4), "visual")
         assert np.array_equal(p.coords, origin(3).coords)
 
     def test_deterministic(self, rng):
         table = make_table(seed=7)
         f = rng.standard_normal(4)
-        a = table.embed_features(f, "textual")
-        b = table.embed_features(f, "textual")
+        a = scalar_lift(table, f, "textual")
+        b = scalar_lift(table, f, "textual")
         assert np.array_equal(a.coords, b.coords)
 
     def test_unknown_modality(self):
         with pytest.raises(ConfigurationError):
-            make_table().embed_features(np.zeros(4), "audio")
+            scalar_lift(make_table(), np.zeros(4), "audio")
 
     def test_feature_length_mismatch(self):
         with pytest.raises(ContractViolation):
-            make_table(d_in=4).embed_features(np.zeros(5), "visual")
+            scalar_lift(make_table(d_in=4), np.zeros(5), "visual")
 
     def test_lipschitz_under_operator_norm(self, rng):
         # The hyperboloid lift contracts the affine image, so the end-to-end
@@ -154,18 +155,18 @@ class TestEmbed:
             f = 3.0 * rng.standard_normal(8)
             delta = rng.standard_normal(8) * rng.uniform(0.01, 2.0)
             d = geodesic_distance(
-                table.embed_features(f, "visual"), table.embed_features(f + delta, "visual")
+                scalar_lift(table, f, "visual"), scalar_lift(table, f + delta, "visual")
             )
             assert d <= lip * np.linalg.norm(delta) + 1e-9
 
 
 class TestItemTangentRows:
     """``item_tangent_rows`` against a test-only copy of the per-document
-    path it replaced: ``origin_tangents`` of each ``embed_item`` point."""
+    path it replaced: ``origin_tangents`` of each ``item_point``."""
 
     @staticmethod
     def scalar_rows(table, items):
-        return origin_tangents([table.embed_item(item) for item in items], table.dim)
+        return origin_tangents([item_point(table, item) for item in items], table.dim)
 
     def test_default_bundle(self):
         bundle = synth_bundle(SynthSpec())
@@ -204,19 +205,19 @@ class TestItemTangentRows:
             with pytest.raises(InvalidPointError, match="non-finite spatial coordinates"):
                 item_tangent_rows(table, items)
             with pytest.raises(InvalidPointError, match="non-finite spatial coordinates"):
-                table.embed_item(items[1])
+                item_point(table, items[1])
 
 
 class TestQueryRows:
     """``embed_query_rows`` and its origin tangents against the scalar path
-    each query took before: ``embed_query`` and ``log_map`` at the origin."""
+    each query took before: its scalar lift and ``log_map`` at the origin."""
 
     def test_default_bundle_rows_and_tangents(self):
         bundle = synth_bundle(SynthSpec())
         table = EmbeddingTable.for_corpus(bundle.queries, bundle.items, 128, seed=3)
         rows = embed_query_rows(table, bundle.queries)
         base = origin(128)
-        points = [table.embed_query(q) for q in bundle.queries]
+        points = [query_point(table, q) for q in bundle.queries]
         assert np.array_equal(rows, [p.coords for p in points])
         tangents = origin_log_rows(rows)[:, 1:]
         assert np.array_equal(tangents, [log_map(base, p).components[1:] for p in points])
@@ -232,7 +233,7 @@ class TestQueryRows:
         huge = [Query(name, np.full(2, scale), np.full(2, scale))
                 for name, scale in (("b", 1e160), ("c", 1e300))]
         with pytest.raises(InvalidPointError) as alone:
-            table.embed_query(huge[0])
+            query_point(table, huge[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidPointError) as err:
@@ -243,7 +244,7 @@ class TestQueryRows:
         table = make_table(d_in=2)
         queries = [Query("a", np.ones(2), np.ones(2)), Query("b", np.ones(3), np.ones(2))]
         with pytest.raises(ContractViolation) as alone:
-            table.embed_query(queries[1])
+            query_point(table, queries[1])
         with pytest.raises(ContractViolation) as err:
             embed_query_rows(table, queries)
         assert str(err.value) == str(alone.value)
@@ -314,14 +315,14 @@ def per_pair_geo_loss_and_grads(table, batch, want_grads=True):
     inv_b = 1.0 / len(batch)
     for query, positives in batch:
         q_feat = query.combined_features
-        q_pt = table.embed_features(q_feat, QUERY_KEY)
+        q_pt = scalar_lift(table, q_feat, QUERY_KEY)
         for mod in POSITIVE_MODALITIES:
             group = [it for it in positives if it.modality == mod]
             if not group:
                 continue
             coeff = inv_b / len(group)
             for item in group:
-                i_pt = table.embed_item(item)
+                i_pt = item_point(table, item)
                 total += coeff * geodesic_distance(q_pt, i_pt)
                 if not want_grads:
                     continue
@@ -492,9 +493,9 @@ class TestRetrieve:
             for j in range(50)
         ]
         q = Query("q", rng.standard_normal(5), rng.standard_normal(5))
-        q_pt = table.embed_query(q)
+        q_pt = query_point(table, q)
         oracle = sorted(
-            ((geodesic_distance(q_pt, table.embed_item(it)), it.id) for it in corpus),
+            ((geodesic_distance(q_pt, item_point(table, it)), it.id) for it in corpus),
         )
         ranked = retrieve_topk(table, q, corpus, 50)
         assert [it.id for it, _ in ranked] == [i for _, i in oracle]
@@ -541,7 +542,7 @@ class TestRetrieve:
         rows = embed_corpus_rows(table, corpus)
         rows[2] = np.nan
         q = Query("q", np.zeros(2), np.zeros(2))
-        order, _ = nearest_rows(table.embed_query(q).coords, rows, 2, id_ranks(corpus))
+        order, _ = nearest_rows(query_point(table, q).coords, rows, 2, id_ranks(corpus))
         assert [corpus[i].id for i in order] == ["c", "a"]
 
     @pytest.mark.parametrize("seed", range(3))

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from hyperrag import gate
 from hyperrag.alignment import KnowledgeItem, Query
+from hyperrag.conformance import flat_params, load_flat_params
 from hyperrag import spectral
 from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
 from hyperrag.gate import (
@@ -226,18 +227,18 @@ class TestCrmLoss:
             neg = [KnowledgeItem(f"n{i}", "visual", 0.5 * rng.standard_normal(3))]
             batch.append((q, pos, neg))
         _, grads = crm_loss_and_grads(head, batch)
-        analytic = head.flat_grads(grads)
-        flat0 = head.get_flat()
+        analytic = flat_params(head, grads)
+        flat0 = flat_params(head)
         h = 1e-5
         fd = np.zeros_like(flat0)
         for j in range(flat0.size):
             for sign in (+1, -1):
                 probe = flat0.copy()
                 probe[j] += sign * h
-                head.set_flat(probe)
+                load_flat_params(head, probe)
                 fd[j] += sign * crm_loss(head, batch)
             fd[j] /= 2.0 * h
-        head.set_flat(flat0)
+        load_flat_params(head, flat0)
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(analytic - fd) / denom) < 1e-4
 
@@ -404,7 +405,7 @@ class TestTrainCrm:
         h2, t2, tr2 = train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         assert t1 == t2
         assert tr1.epoch_losses == tr2.epoch_losses
-        assert np.array_equal(h1.get_flat(), h2.get_flat())
+        assert np.array_equal(flat_params(h1), flat_params(h2))
 
     def test_saturated_head_raises_divergence(self, rng):
         # The clamped loss stays finite, so only the clamp shows the blow-up.
@@ -616,6 +617,6 @@ class TestBatchedMatchesPerPair:
         config = CrmConfig(hidden=16, lr=0.05, epochs=12, seed=3, batch_size=batch_size)
         head, theta, trace = train_crm(labeled, pairs, config, 8, 4)
         want_head, want_theta, want_losses = per_pair_train_crm(labeled, pairs, config, 8, 4)
-        assert np.array_equal(head.get_flat(), want_head.get_flat())
+        assert np.array_equal(flat_params(head), flat_params(want_head))
         assert theta == want_theta
         assert trace.epoch_losses == want_losses

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hyperrag import generation
 from hyperrag.alignment import EmbeddingTable, Query, embed_query_rows
+from hyperrag.conformance import origin_tangents, scalar_lift
 from hyperrag.errors import (
     ConfigurationError,
     ContractViolation,
@@ -33,7 +34,6 @@ from hyperrag.generation import (
     generate,
     gold_distribution,
     local_loss,
-    origin_tangents,
     query_dropout_prob,
     softmax,
     train_generation,
@@ -41,6 +41,7 @@ from hyperrag.generation import (
 from hyperrag.geometry import log_map, origin, origin_log_rows, project_to_hyperboloid
 from hyperrag.transport import DistributionStack, entropic_terms
 
+from conftest import query_point
 from test_transport import old_entropic_terms
 
 THREE_LN_4 = 4.1588830833596715
@@ -67,7 +68,7 @@ def make_memorizable(num=50, clusters=5, feat=4, dim=6, seed=11):
         )
         ev = origin_tangents(
             [
-                table.embed_features(centers[c] + 0.1 * rng.standard_normal(feat), "visual")
+                scalar_lift(table, centers[c] + 0.1 * rng.standard_normal(feat), "visual")
                 for _ in range(2)
             ],
             dim,
@@ -83,7 +84,7 @@ def query_tangent(table, query) -> np.ndarray:
 
 def scalar_query_tangent(table, query) -> np.ndarray:
     """The same tangent through the scalar maps: the generator's old path."""
-    return log_map(origin(table.dim), table.embed_query(query)).components[1:]
+    return log_map(origin(table.dim), query_point(table, query)).components[1:]
 
 
 class TestTokenTypes:

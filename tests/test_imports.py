@@ -2,7 +2,8 @@
 imports is used in that module (an import kept on purpose carries
 ``# noqa: F401`` on its line), every private module-level name is read
 in the module that defines it, every parameter is read by its function,
-no two modules define a public function of the same name, and the
+no module but ``geometry`` and ``conformance`` imports the scalar Lorentz
+API, no two modules define a public function of the same name, and the
 functions whose per-layer timings ``BENCHMARK.json`` declares stay
 visible to the benchmark's tracer."""
 
@@ -43,6 +44,63 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+# The point-at-a-time Lorentz API.  Production code works on rows; these
+# names belong to ``geometry``, which defines them, and ``conformance``,
+# whose oracles check the rows against them.
+SCALAR_LORENTZ = frozenset({
+    "LorentzPoint", "TangentVector", "origin", "project_to_hyperboloid", "exp_map", "log_map",
+    "geodesic_distance", "lorentz_inner", "riemannian_gradient", "rsgd_step",
+    "distance_spatial_grad", "acosh_from_excess",
+})
+SCALAR_HOMES = ("geometry.py", "conformance.py")
+# The one reason another module may bind a scalar name: the benchmark's
+# tracer test checks that its wrapper is rebound under that module's name.
+TRACER_PIN = "# noqa: F401 (perfbench's tracer test rebinds it here)"
+
+
+def scalar_lorentz_imports(path: Path) -> list[str]:
+    """``file:line: name`` for each scalar Lorentz name the file imports,
+    except on a line that carries ``TRACER_PIN``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    return [
+        f"{path.name}:{alias.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in SCALAR_LORENTZ and TRACER_PIN not in lines[alias.lineno - 1]
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(SRC.glob("*.py")) if path.name not in SCALAR_HOMES],
+    ids=lambda path: path.name,
+)
+def test_scalar_lorentz_api_stays_in_geometry_and_conformance(path):
+    assert scalar_lorentz_imports(path) == []
+
+
+def test_scalar_lorentz_import_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .geometry import (\n"
+        "    LorentzPoint,\n"
+        "    origin_log_rows,\n"
+        "    project_to_hyperboloid as lift,\n"
+        ")\n"
+        f"from .geometry import log_map  {TRACER_PIN}\n"
+        "from .geometry import exp_map  # noqa: F401\n"
+        "from hyperrag.geometry import origin\n"
+    )
+    assert scalar_lorentz_imports(module) == [
+        "module.py:2: LorentzPoint",
+        "module.py:4: project_to_hyperboloid",
+        "module.py:7: exp_map",
+        "module.py:8: origin",
+    ]
 
 
 def unread_private_names(path: Path) -> list[str]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyperrag.alignment import EmbeddingTable, KnowledgeItem, Query
+from hyperrag.conformance import scalar_lift
 from hyperrag.errors import DataFormatError
 from hyperrag.spectral import GraphVertex, KnowledgeGraph
 from hyperrag import io as hio
@@ -604,8 +605,8 @@ class TestTableSerialization:
             assert name_a == name_b
             assert np.array_equal(arr_a, arr_b)
         feats = rng.normal(size=3)
-        pa = table.embed_features(feats, "visual")
-        pb = back.embed_features(feats, "visual")
+        pa = scalar_lift(table, feats, "visual")
+        pb = scalar_lift(back, feats, "visual")
         assert np.array_equal(pa.coords, pb.coords)
 
     def test_missing_array(self, tmp_path):

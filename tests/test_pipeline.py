@@ -11,7 +11,7 @@ import pytest
 
 from dataclasses import FrozenInstanceError, replace
 
-from hyperrag import gate, generation, geometry, pipeline
+from hyperrag import alignment, gate, generation, geometry, pipeline
 from hyperrag.alignment import (
     AlignmentConfig,
     EmbeddingTable,
@@ -23,6 +23,7 @@ from hyperrag.alignment import (
     nearest_rows,
     retrieve_topk,
 )
+from hyperrag.conformance import origin_tangents
 from hyperrag.errors import (
     ConfigurationError,
     ContractViolation,
@@ -58,7 +59,7 @@ from hyperrag.spectral import (
 )
 from hyperrag.synth import SynthSpec, synth_bundle
 
-from conftest import assert_same_subgraph, scalar_triplet_rows
+from conftest import assert_same_subgraph, item_point, query_point, scalar_triplet_rows
 from test_generation import assert_same_terms, example_by_example, one_at_a_time, raised
 from test_transport import old_entropic_terms
 
@@ -347,6 +348,31 @@ class TestRunTraining:
         bundle.positives["q0002"].append("no-such-item")
         assert run_training(config, bundle)[1] == reports
 
+    @pytest.mark.parametrize(
+        "qid, iid, message",
+        [
+            ("q0000", "no-such-item", r"labels for query 'q0000' reference unknown items "
+             r"\['no-such-item'\]"),
+            ("no-such-query", "i0000", "labels reference unknown query 'no-such-query'"),
+        ],
+    )
+    def test_unknown_label_id_names_the_query(self, monkeypatch, qid, iid, message):
+        bundle = synth_bundle(PLANTED_SPEC)
+        assert "i0000" in bundle.item_by_id()
+        bundle.labels.append((qid, iid, True))
+        trained = spy(monkeypatch, "train_crm")
+        with pytest.raises(ContractViolation, match=message):
+            run_training(SMALL_CFG, bundle)
+        assert trained == []
+
+    def test_query_without_gold_answer_fails_before_phase_1(self, monkeypatch):
+        bundle = synth_bundle(PLANTED_SPEC)
+        del bundle.qa["q0001"]
+        phase1 = spy(monkeypatch, "train_phase1")
+        with pytest.raises(ContractViolation, match="query 'q0001' has no gold answer"):
+            run_training(SMALL_CFG, bundle)
+        assert phase1 == []
+
 
 class TestLockStepGeneration:
     """Phase 2's batched generator pass against the per-example loop it
@@ -634,30 +660,32 @@ class TestAnswerQuery:
     def test_trained_query_read_other_query_lifted_once_docs_not_again(
         self, planted, monkeypatch
     ):
+        """Every query and corpus lift goes through ``alignment.project_rows``;
+        count the rows it lifts and the queries it lifts them for."""
         bundle, components, _ = planted
         copies = (components, components.with_crm(False))
         for gated in copies:
             gated.read_index()
-        lifted = []
+        lifted, rows = [], []
 
         def counting(table, queries):
             lifted.append([q.id for q in queries])
             return embed_query_rows(table, queries)
 
-        def refuse(*args):
-            raise AssertionError("a query or used doc was embedded again")
+        def counted_lift(spatial, _lift=alignment.project_rows):
+            rows.append(len(spatial))
+            return _lift(spatial)
 
         monkeypatch.setattr(pipeline, "embed_query_rows", counting)
-        monkeypatch.setattr(EmbeddingTable, "embed_query", refuse)
-        monkeypatch.setattr(EmbeddingTable, "embed_item", refuse)
-        monkeypatch.setattr(pipeline, "embed_corpus_rows", refuse)
+        monkeypatch.setattr(alignment, "project_rows", counted_lift)
         for gated in copies:
             for q in bundle.queries[:6]:
                 lifted.clear()
+                rows.clear()
                 answer_query(gated, q)
-                assert lifted == []
+                assert (lifted, rows) == ([], [])
                 answer_query(gated, replace(q, text_features=q.text_features[::-1]))
-                assert lifted == [[q.id]]
+                assert (lifted, rows) == ([[q.id]], [1])
 
     @pytest.mark.parametrize("crm_enabled", [True, False])
     def test_other_queries_fail_to_lift_in_the_first_stage_that_reads_them(
@@ -713,7 +741,7 @@ class TestReadIndex:
         trips = [("v0", "likes", "v1"), ("v3", "cites", "v2"), ("v1", "cites", "v2")]
         graph = KnowledgeGraph(tuple(verts), tuple(edges), tuple(trips))
         sub = refine_subgraph(graph, np.array([0.9, 0.9, 0.9, 0.0]), eta=2.0, k=3, rho=0.5)
-        assert sub.vertex_set == {"v0", "v1", "v2"}
+        assert frozenset(sub.selected) == {"v0", "v1", "v2"}
         modalities = dict.fromkeys(["query", "visual", "textual", "graph_triplet"], 3)
         table = EmbeddingTable(4, modalities, seed=1)
         index = ReadIndex.build(table, graph, [])
@@ -793,8 +821,9 @@ class TestReadIndex:
 
 def old_corpus_rows(table, items) -> np.ndarray:
     """Test-only copy of the corpus rows as the read index built them
-    before they were the ``embed_item`` bits: one GEMM per modality, then
-    an einsum lift.  Their last bits differ from ``embed_item``'s."""
+    before they were the bits of each item's scalar lift (``item_point``):
+    one GEMM per modality, then an einsum lift.  Their last bits differ
+    from the scalar lift's."""
     by_mod: dict[str, list[int]] = {}
     for idx, item in enumerate(items):
         by_mod.setdefault(item.modality, []).append(idx)
@@ -888,7 +917,7 @@ class TestCorpusRows:
     def test_rows_are_the_embed_item_bits(self, default_trained):
         _, components, _ = default_trained
         table, items = components.table, components.items
-        want = np.array([table.embed_item(item).coords for item in items])
+        want = np.array([item_point(table, item).coords for item in items])
         assert np.array_equal(embed_corpus_rows(table, items), want)
         assert np.array_equal(components.read_index().corpus_rows, want)
 
@@ -909,7 +938,7 @@ def old_evidence_rows(index, positions, subgraph) -> np.ndarray:
     the read index held the corpus tangents: ``origin_log_rows`` over the
     used docs' corpus rows, per answer, then the rows of the triplets with
     both ends in the subgraph's selected ids."""
-    selected = subgraph.vertex_set
+    selected = frozenset(subgraph.selected)
     inside = [h in selected and t in selected for h, _, t in index.graph.triplets]
     triplet_rows = index.triplet_rows[np.array(inside, dtype=bool)]
     return np.concatenate([origin_log_rows(index.corpus_rows[positions])[:, 1:], triplet_rows])
@@ -923,7 +952,7 @@ class TestPrecomputedReadRows:
         _, components, _ = default_trained
         table = components.table
         base = origin(table.dim)
-        want = [log_map(base, table.embed_item(item)).components[1:] for item in components.items]
+        want = [log_map(base, item_point(table, it)).components[1:] for it in components.items]
         assert np.array_equal(components.read_index().corpus_tangents, np.array(want))
 
     def test_evidence_rows_match_the_per_answer_tangents(self, default_trained, monkeypatch):
@@ -1028,7 +1057,7 @@ class TestPinnedTraining:
     def test_item_rows_of_the_trained_table(self, planted):
         _, components, _ = planted
         table, items = components.table, components.items
-        want = generation.origin_tangents([table.embed_item(doc) for doc in items], table.dim)
+        want = origin_tangents([item_point(table, doc) for doc in items], table.dim)
         assert np.array_equal(item_tangent_rows(table, items), want)
 
 
@@ -1059,6 +1088,14 @@ class TestEvaluate:
         assert built == []
         rows = components.read_index().corpus_rows
         assert np.array_equal(rows, embed_corpus_rows(components.table, components.items))
+
+    def test_query_without_gold_answer_names_the_query(self, planted, monkeypatch):
+        bundle, components, _ = planted
+        broken = replace(bundle, qa={k: v for k, v in bundle.qa.items() if k != "q0001"})
+        answered = spy(monkeypatch, "answer_query")
+        with pytest.raises(ContractViolation, match="query 'q0001' has no gold answer"):
+            evaluate(components, broken)
+        assert answered == []
 
     def test_planted_metrics(self, planted):
         bundle, components, _ = planted
@@ -1257,13 +1294,13 @@ def old_condition_vector(table, point: LorentzPoint, evidence) -> np.ndarray:
 def old_answer(components, query):
     """Test-only copy of the answer path before the state held query rows,
     for a query it refined afresh (an unseen id, changed features, or any
-    query on a ``replace`` copy): the query lifted through ``embed_query``,
+    query on a ``replace`` copy): the query's scalar lift (``query_point``),
     scanned by ``old_top_items``, conditioned by ``old_condition_vector``.
     Returns the tokens, retrieved, used and selected ids."""
     cfg, table = components.config, components.table
     sigma = components.sigmas.get(query.id, 0.0) if components.crm_enabled else 0.0
     delta = decide(sigma, components.theta) if components.crm_enabled else 1
-    point = table.embed_query(query)
+    point = query_point(table, query)
     retrieved = used = selected = ()
     evidence = np.empty((0, cfg.dim))
     if delta == 1:
@@ -1298,7 +1335,7 @@ class TestQueryRowsMatchTheScalarPath:
         state = components._state.queries
         assert list(state) == [q.id for q in bundle.queries]
         for q in bundle.queries:
-            rows, point = state[q.id], table.embed_query(q)
+            rows, point = state[q.id], query_point(table, q)
             assert rows.query is q
             assert np.array_equal(rows.row, point.coords)
             assert np.array_equal(rows.tangent, log_map(base, point).components[1:])
@@ -1317,7 +1354,7 @@ class TestQueryRowsMatchTheScalarPath:
             return last["index"]
 
         def check_scan(head, q, items, positions):
-            want = old_top_items(config, last["table"].embed_query(q), last["index"])
+            want = old_top_items(config, query_point(last["table"], q), last["index"])
             assert positions == want
             scans.append(q.id)
             return relevant(head, q, items, positions)
@@ -1325,7 +1362,7 @@ class TestQueryRowsMatchTheScalarPath:
         def check_vectors(gen, table, examples, *rest):
             out = generator_pass(gen, table, examples, *rest)
             for ex, (_, _, _, z) in zip(examples, out, strict=True):
-                want = old_condition_vector(table, table.embed_query(ex.query), ex.evidence)
+                want = old_condition_vector(table, query_point(table, ex.query), ex.evidence)
                 assert np.array_equal(z, want)
             vectors.extend(ex.query.id for ex in examples)
             return out
@@ -1342,7 +1379,7 @@ class TestQueryRowsMatchTheScalarPath:
         for q in bundle.queries:
             result = answer_query(components, q)
             if result.delta == 1:
-                want = old_top_items(config, components.table.embed_query(q), index)
+                want = old_top_items(config, query_point(components.table, q), index)
                 assert result.retrieved_ids == tuple(components.items[i].id for i in want)
 
 
@@ -1377,7 +1414,7 @@ class TestReadPathGuards:
         bundle, components, _ = default_trained
         counts = count_scalar_geometry(monkeypatch)
         table = components.table  # first, the stand-in counts the scalar path
-        geometry.log_map(geometry.origin(table.dim), table.embed_query(bundle.queries[0]))
+        geometry.log_map(geometry.origin(table.dim), query_point(table, bundle.queries[0]))
         assert counts == {"LorentzPoint": 2, "project_to_hyperboloid": 1, "log_map": 1}
         counts.update(dict.fromkeys(counts, 0))
         deltas = {answer_query(components, q).delta for q in bundle.queries}

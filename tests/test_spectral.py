@@ -582,7 +582,7 @@ class TestRefineSubgraph:
     def test_recovers_planted_clique(self):
         g, r = self.planted()
         sub = refine_subgraph(g, r, eta=3.5, k=4, rho=0.5)
-        assert sub.vertex_set == {"a0", "a1", "a2", "a3"}
+        assert frozenset(sub.selected) == {"a0", "a1", "a2", "a3"}
         assert not sub.fallback_used
         assert sub.relevance_mass == pytest.approx(3.8, rel=1e-12)
         # Smooth term vanishes inside the clique; only the bridge is cut.
@@ -648,7 +648,7 @@ class TestRefineSubgraph:
         g = make_graph(3, [("v0", "v1", 1.0), ("v1", "v2", 1.0)])
         r = np.array([0.5, 0.5, 0.5])
         sub = refine_subgraph(g, r, eta=1.5, k=2)
-        assert sub.vertex_set == {"v0", "v1", "v2"}
+        assert frozenset(sub.selected) == {"v0", "v1", "v2"}
         assert sub.fallback_used
 
     def test_deterministic(self):
@@ -755,7 +755,7 @@ class TestTriplets:
     def test_filters_to_selected(self):
         g = self.graph_with_triplets()
         sub = refine_subgraph(g, np.array([0.9, 0.9, 0.9, 0.0]), eta=2.0, k=3, rho=0.5)
-        assert sub.vertex_set == {"v0", "v1", "v2"}
+        assert frozenset(sub.selected) == {"v0", "v1", "v2"}
         recs = extract_triplets(sub, g)
         kept = {(r.head, r.relation, r.tail) for r in recs}
         assert kept == {("v0", "likes", "v1"), ("v1", "cites", "v2")}
@@ -769,7 +769,7 @@ class TestTriplets:
         # ``outside`` triplets have exactly one end outside the selection.
         g = self.graph_with_triplets()
         sub = refine_subgraph(g, np.array(relevance), eta=eta, k=3, rho=0.5)
-        selected = sub.vertex_set
+        selected = frozenset(sub.selected)
         assert sum((h in selected) != (t in selected) for h, _, t in g.triplets) == outside
         want = [h in selected and t in selected for h, _, t in g.triplets]
         assert g.triplets_within(sub.indicator).tolist() == want

@@ -30,6 +30,14 @@ NOISY = SynthSpec(
 )
 
 
+def distractor_ids(bundle: CorpusBundle) -> frozenset[str]:
+    """The ids of the items the bundle planted as distractors."""
+    return frozenset(
+        ident for (kind, ident), c in bundle.clusters.items()
+        if kind == "item" and c == DISTRACTOR_CLUSTER
+    )
+
+
 @pytest.fixture(scope="module")
 def small():
     return synth_bundle(SMALL)
@@ -46,12 +54,12 @@ class TestStructure:
         assert len(small.items) == 40
         assert small.graph.size == 30
         assert small.token_embeddings.shape == (5, 4)
-        assert not small.distractor_ids
+        assert not distractor_ids(small)
 
     def test_distractor_fraction(self, noisy):
-        assert len(noisy.distractor_ids) == 8
+        assert len(distractor_ids(noisy)) == 8
         assert len(noisy.items) == 40
-        assert all(iid.startswith("d") for iid in noisy.distractor_ids)
+        assert all(iid.startswith("d") for iid in distractor_ids(noisy))
 
     def test_every_query_has_positives_in_own_cluster(self, small):
         for q in small.queries:
@@ -63,13 +71,13 @@ class TestStructure:
 
     def test_relevance_excludes_distractors(self, noisy):
         for q in noisy.queries:
-            assert not (noisy.relevance[q.id] & noisy.distractor_ids)
+            assert not (noisy.relevance[q.id] & distractor_ids(noisy))
 
     def test_labels_cover_both_classes(self, noisy):
         flags = {flag for _, _, flag in noisy.labels}
         assert flags == {True, False}
         neg_ids = {iid for _, iid, flag in noisy.labels if not flag}
-        assert neg_ids & noisy.distractor_ids
+        assert neg_ids & distractor_ids(noisy)
 
     def test_gating_pattern(self, small):
         for idx, (qid, needs) in enumerate(small.gating):
