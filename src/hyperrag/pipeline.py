@@ -469,9 +469,18 @@ def _relevant(head: RelevanceHead, query: Query, items, positions: list[int]) ->
 
 
 def _check_gold(bundle: CorpusBundle) -> None:
+    """Every query has a gold answer in qa, and every gold answer is a
+    TokenSequence over the bundle's vocabulary: one that is empty or has a
+    token outside [0, vocab) raises TokenSequence's ContractViolation.
+    A valid answer is checked without building one, so the check
+    allocates nothing."""
     for q in bundle.queries:
         if q.id not in bundle.qa:
             raise ContractViolation(f"query {q.id!r} has no gold answer in qa")
+    vocab = bundle.token_embeddings.shape[0]
+    for toks in bundle.qa.values():
+        if not toks or min(toks) < 0 or max(toks) >= vocab:
+            TokenSequence(tuple(toks), vocab)
 
 
 def run_training(

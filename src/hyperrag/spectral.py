@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .alignment import EmbeddingTable, Query
 from .errors import (
@@ -34,6 +31,9 @@ from .gate import sigmoid_array
 from .geometry import log_map  # noqa: F401 (perfbench's tracer test rebinds it here)
 from .geometry import origin_exp_rows, origin_log_rows, project_rows
 
+# Up to this many vertices the Laplacians are dense ndarrays and eigenpairs
+# come from a dense solve, with no scipy import; larger graphs use
+# scipy.sparse and its eigsh.
 DENSE_EIG_CUTOFF = 512
 # Shift-invert target for eigsh: every caller passes a positive
 # semidefinite Laplacian, so L - shift*I is positive definite and the
@@ -171,7 +171,10 @@ class KnowledgeGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._u, self._v, self._w
 
-    def adjacency(self) -> sp.csr_matrix:
+    def adjacency(self):
+        """The weighted adjacency matrix as scipy.sparse CSR."""
+        import scipy.sparse as sp
+
         n = self.size
         rows = np.concatenate([self._u, self._v])
         cols = np.concatenate([self._v, self._u])
@@ -182,29 +185,47 @@ class KnowledgeGraph:
 def connected_components(graph: KnowledgeGraph) -> int:
     """Number of connected components; every edge connects its ends,
     whatever its weight (zero included)."""
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
     u, v, _ = graph.edge_arrays()
     unit = sp.coo_matrix((np.ones(u.size), (u, v)), shape=(graph.size, graph.size))
     count, _ = csgraph.connected_components(unit, directed=False)
     return count
 
 
-def _dense_or_csr(lap, size: int):
-    """A sparse Laplacian as a dense ndarray up to DENSE_EIG_CUTOFF
-    vertices, as sparse CSR beyond."""
-    return np.asarray(lap.todense()) if size <= DENSE_EIG_CUTOFF else lap.tocsr()
-
-
 def laplacian(graph: KnowledgeGraph):
-    """L = D - A.  Dense ndarray up to 512 vertices, sparse CSR beyond."""
-    return _dense_or_csr(sp.diags(graph.degrees) - graph.adjacency(), graph.size)
+    """L = D - A.  Dense ndarray up to 512 vertices, sparse CSR beyond.
+
+    The dense matrix repeats scipy's CSR arithmetic: L_ii = deg_i and
+    L_uv = L_vu = 0.0 - w (never -w, whose sign bit a zero weight flips)."""
+    if graph.size > DENSE_EIG_CUTOFF:
+        import scipy.sparse as sp
+
+        return (sp.diags(graph.degrees) - graph.adjacency()).tocsr()
+    u, v, w = graph.edge_arrays()
+    lap = np.diag(graph.degrees)
+    lap[u, v] = lap[v, u] = 0.0 - w
+    return lap
 
 
 def normalized_laplacian(graph: KnowledgeGraph):
-    """I - D^{-1/2} A D^{-1/2}; zero-degree vertices get isolated zero rows."""
+    """I - D^{-1/2} A D^{-1/2}; zero-degree vertices get isolated zero rows.
+    Dense ndarray up to 512 vertices, sparse CSR beyond; an edge's dense
+    entry at (i, j) is 0.0 - (d_i * w) * d_j, d = D^{-1/2}, as scipy's
+    diags(d) @ A @ diags(d) computes it."""
     deg = graph.degrees
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    norm_adj = sp.diags(inv_sqrt) @ graph.adjacency() @ sp.diags(inv_sqrt)
-    return _dense_or_csr(sp.diags((deg > 0).astype(float)) - norm_adj, graph.size)
+    if graph.size > DENSE_EIG_CUTOFF:
+        import scipy.sparse as sp
+
+        norm_adj = sp.diags(inv_sqrt) @ graph.adjacency() @ sp.diags(inv_sqrt)
+        return (sp.diags((deg > 0).astype(float)) - norm_adj).tocsr()
+    u, v, w = graph.edge_arrays()
+    lap = np.diag((deg > 0).astype(float))
+    lap[u, v] = 0.0 - (inv_sqrt[u] * w) * inv_sqrt[v]
+    lap[v, u] = 0.0 - (inv_sqrt[v] * w) * inv_sqrt[u]
+    return lap
 
 
 def smallest_eigenpairs(
@@ -229,9 +250,14 @@ def smallest_eigenpairs(
     if k < 1 or k > n:
         raise ContractViolation(f"k={k} outside [1, {n}]")
     if n <= dense_cutoff or k == n:
-        dense = np.asarray(mat.todense()) if sp.issparse(mat) else np.asarray(mat, dtype=float)
-        vals, vecs = np.linalg.eigh(dense)
+        # Of the inputs, only a scipy sparse matrix has todense; asking
+        # that, not scipy.sparse.issparse, keeps scipy unloaded here.
+        if hasattr(mat, "todense"):
+            mat = mat.todense()
+        vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=float))
         return vals[:k].copy(), vecs[:, :k].copy()
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         vals, vecs = eigsh(mat, k=k, sigma=_EIG_SHIFT, which="LM", v0=v0)

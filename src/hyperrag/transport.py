@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ContractViolation, NumericalError
 
@@ -144,6 +143,8 @@ def wasserstein2_exact(
             f"combined support {p.size + q.size} exceeds the exact budget "
             f"{EXACT_SUPPORT_LIMIT}; use wasserstein2_sinkhorn"
         )
+    from scipy.optimize import linprog
+
     cost = squared_cost_matrix(p, q)
     m, k = cost.shape
     # Equality constraints over the row-major plan: row sums = p, column

@@ -1097,6 +1097,25 @@ class TestEvaluate:
             evaluate(components, broken)
         assert answered == []
 
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ((999,), "token 999 outside vocabulary of size"),
+            ((-1,), "token -1 outside vocabulary of size"),
+            ((), "token sequence must be nonempty"),
+        ],
+        ids=["past-the-vocabulary", "negative", "empty"],
+    )
+    def test_bad_gold_answer_fails_before_the_first_answer(
+        self, planted, monkeypatch, tokens, message
+    ):
+        bundle, components, _ = planted
+        broken = replace(bundle, qa={**bundle.qa, "q0001": tokens})
+        answered = spy(monkeypatch, "answer_query")
+        with pytest.raises(ContractViolation, match=message):
+            evaluate(components, broken)
+        assert answered == []
+
     def test_planted_metrics(self, planted):
         bundle, components, _ = planted
         report = evaluate(components, bundle)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import hyperrag.spectral as spectral
 from hyperrag.alignment import EmbeddingTable, Query
@@ -211,6 +212,60 @@ class TestLaplacian:
         assert vals.max() <= 2.0 + 1e-10
 
 
+def scipy_laplacian(graph):
+    """``laplacian`` as scipy builds it, densified: the oracle that the
+    dense form matches bit for bit."""
+    return np.asarray((sp.diags(graph.degrees) - graph.adjacency()).todense())
+
+
+def scipy_normalized_laplacian(graph):
+    """``normalized_laplacian`` as scipy builds it, densified."""
+    deg = graph.degrees
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    norm_adj = sp.diags(inv_sqrt) @ graph.adjacency() @ sp.diags(inv_sqrt)
+    return np.asarray((sp.diags((deg > 0).astype(float)) - norm_adj).todense())
+
+
+def assert_same_bits(got, want):
+    """Same shape, dtype and values, and the same sign bits, so that 0.0
+    and -0.0 differ."""
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestDenseLaplaciansMatchScipy:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: synth_bundle(SynthSpec(seed=42)).graph,
+            lambda: synth_bundle(SynthSpec(seed=100042)).graph,
+            lambda: synth_bundle(SynthSpec(seed=200042)).graph,
+            lambda: make_graph(4, [("v0", "v1", 0.0), ("v1", "v2", 1.0), ("v2", "v3", 2.5)]),
+            lambda: make_graph(3, [("v0", "v1", 0.0)]),
+            lambda: make_graph(5, [("v0", "v1", 1.5), ("v1", "v2", 0.7), ("v0", "v2", 2.0)]),
+            lambda: make_graph(4, [("v0", "v1", 1e-300), ("v1", "v2", 3.0), ("v2", "v3", 1e-300)]),
+        ],
+        ids=[
+            "bundle-42", "bundle-100042", "bundle-200042", "zero-weight-edge",
+            "only-a-zero-weight-edge", "isolated-vertices", "weight-1e-300",
+        ],
+    )
+    def test_matrices_eigenpairs_and_sweep_ranks(self, build):
+        graph = build()
+        k = min(10, graph.size)
+        for new, old in (
+            (laplacian(graph), scipy_laplacian(graph)),
+            (normalized_laplacian(graph), scipy_normalized_laplacian(graph)),
+        ):
+            assert_same_bits(new, old)
+            pairs = zip(smallest_eigenpairs(new, k, seed=3), smallest_eigenpairs(old, k, seed=3))
+            for got, want in pairs:
+                assert_same_bits(got, want)
+        want = SweepKeys(smallest_eigenpairs(scipy_laplacian(graph), k, seed=3)[1])
+        assert_same_bits(SweepKeys.of(graph, 10, seed=3).ranks, want.ranks)
+
+
 class TestEigenpairs:
     def test_dense_matches_numpy(self, rng):
         g = random_connected_graph(rng, 10)
@@ -281,9 +336,12 @@ class TestEigenpairs:
 
     def test_non_convergence_is_numerical_error(self, monkeypatch):
         def stalled(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no convergence", np.empty(0), np.empty((0, 0))
+            )
 
-        monkeypatch.setattr(spectral, "eigsh", stalled)
+        # smallest_eigenpairs imports eigsh from scipy at each sparse solve.
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(NumericalError):
             smallest_eigenpairs(laplacian(complete_graph(6)), 2, dense_cutoff=0)
 
