@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,13 +216,6 @@ class AlignmentConfig:
             raise ConfigurationError(f"dim must be >= 2, got {self.dim}")
 
 
-@dataclass
-class AlignmentTrace:
-    """Per epoch, the steps' ``geo_loss`` means weighted by batch size."""
-
-    epoch_losses: list[float] = field(default_factory=list)
-
-
 Batch = list[tuple[Query, list[KnowledgeItem]]]
 
 
@@ -290,26 +283,22 @@ def geo_loss_and_grads(table: EmbeddingTable, batch: Batch, want_grads: bool = T
     return total, grads
 
 
-@dataclass(frozen=True)
-class AlignmentCorpus:
-    """Queries, items, and the query-id -> positive-item-ids relation."""
-
-    queries: list[Query]
-    items: list[KnowledgeItem]
-    positives: dict[str, list[str]]
-
-    def batches_source(self) -> Batch:
-        by_id = {item.id: item for item in self.items}
-        out: Batch = []
-        for query in self.queries:
-            ids = self.positives.get(query.id, [])
-            missing = [i for i in ids if i not in by_id]
-            if missing:
-                raise ContractViolation(
-                    f"positives for query {query.id!r} reference unknown items {missing}"
-                )
-            out.append((query, [by_id[i] for i in ids]))
-        return out
+def positive_pairs(
+    queries: list[Query], items: list[KnowledgeItem], positives: dict[str, list[str]]
+) -> Batch:
+    """Each query with the items its id maps to in ``positives`` (none when
+    absent), in query order; an id that names no item raises."""
+    by_id = {item.id: item for item in items}
+    out: Batch = []
+    for query in queries:
+        ids = positives.get(query.id, [])
+        missing = [i for i in ids if i not in by_id]
+        if missing:
+            raise ContractViolation(
+                f"positives for query {query.id!r} reference unknown items {missing}"
+            )
+        out.append((query, [by_id[i] for i in ids]))
+    return out
 
 
 def _checked_geo_loss(table: EmbeddingTable, batch: Batch, step: int, want_grads: bool = True):
@@ -323,18 +312,20 @@ def _checked_geo_loss(table: EmbeddingTable, batch: Batch, step: int, want_grads
 
 
 def train_alignment(
-    corpus: AlignmentCorpus, config: AlignmentConfig
-) -> tuple[EmbeddingTable, AlignmentTrace]:
-    """Fit the embedding maps by mini-batch gradient descent on geo_loss,
-    one shuffled pass over the queries per epoch; deterministic given
-    config.seed.  One full-corpus pass checks the returned table."""
+    queries: list[Query], items: list[KnowledgeItem], positives: dict[str, list[str]],
+    config: AlignmentConfig,
+) -> tuple[EmbeddingTable, list[float]]:
+    """Fit the embedding maps by mini-batch gradient descent on geo_loss over
+    ``positive_pairs``, one shuffled pass per epoch; deterministic given
+    config.seed.  Returns the table and each epoch's loss: its steps' means,
+    weighted by batch size.  One full-corpus pass checks the returned table."""
     config.validate()
-    if not corpus.queries or not corpus.items:
+    if not queries or not items:
         raise ContractViolation("training corpus must contain queries and items")
-    table = EmbeddingTable.for_corpus(corpus.queries, corpus.items, config.dim, seed=config.seed)
-    pairs = corpus.batches_source()
+    table = EmbeddingTable.for_corpus(queries, items, config.dim, seed=config.seed)
+    pairs = positive_pairs(queries, items, positives)
     rng = np.random.default_rng(config.seed)
-    trace = AlignmentTrace()
+    epoch_losses = []
     step = 0
     for _epoch in range(config.epochs):
         order = rng.permutation(len(pairs))
@@ -346,9 +337,9 @@ def train_alignment(
                 arr -= config.lr * grads[name]
             weighted += loss * len(batch)
             step += 1
-        trace.epoch_losses.append(weighted / len(pairs))
+        epoch_losses.append(weighted / len(pairs))
     _checked_geo_loss(table, pairs, step, want_grads=False)
-    return table, trace
+    return table, epoch_losses
 
 
 def retrieve_topk(

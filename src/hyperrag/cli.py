@@ -20,12 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import (
-    AlignmentCorpus,
-    EmbeddingTable,
-    item_tangent_rows,
-    train_alignment,
-)
+from .alignment import EmbeddingTable, item_tangent_rows, train_alignment
 from .errors import ConfigurationError, HyperRagError, config_values
 from .generation import (
     GenDataset,
@@ -65,7 +60,6 @@ class RecordWriter:
 
     def close(self) -> None:
         if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
             self._path.write_text("".join(self._lines))
 
 
@@ -84,12 +78,22 @@ def load_config(path: str | None, seed: int | None) -> PipelineConfig:
     return config
 
 
+def _out_dir(out: str | None) -> Path | None:
+    """The ``--out`` directory, made before the subcommand runs: a path
+    that is a file, or lies under one, is a configuration error."""
+    if not out:
+        return None
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out {out} is not a directory: {exc.strerror}") from None
+    return Path(out)
+
+
 def _require_out(args) -> Path:
     if not args.out:
         raise ConfigurationError(f"{args.command} requires --out <dir>")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out)
 
 
 def _bundle_arg(args) -> CorpusBundle:
@@ -126,13 +130,10 @@ def cmd_synth(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 def cmd_align(args, config: PipelineConfig, writer: RecordWriter) -> int:
     bundle = _bundle_arg(args)
-    corpus = AlignmentCorpus(
-        queries=bundle.queries,
-        items=bundle.items,
-        positives={qid: list(ids) for qid, ids in bundle.positives.items()},
+    table, losses = train_alignment(
+        bundle.queries, bundle.items, bundle.positives, config.alignment_config()
     )
-    table, trace = train_alignment(corpus, config.alignment_config())
-    for epoch, loss in enumerate(trace.epoch_losses, start=1):
+    for epoch, loss in enumerate(losses, start=1):
         writer.emit({"epoch": epoch, "geo_loss": loss})
     if args.out:
         save_table(_require_out(args) / "table.npz", table)
@@ -385,8 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.seed)
-        out_dir = Path(args.out) if args.out else None
-        writer = RecordWriter(out_dir, args.command.replace("-", "_"))
+        writer = RecordWriter(_out_dir(args.out), args.command.replace("-", "_"))
         code = args.func(args, config, writer)
         writer.close()
         return code

@@ -180,14 +180,13 @@ def _crm_stacked(head: RelevanceHead, z: np.ndarray, is_pos: np.ndarray, want_gr
     return total, {"w1": w1, "b1": b1, "w2": w2[0], "b2": b2}, clamped
 
 
-def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads=True, *, stacked=None):
+def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads=True):
     """Contrastive loss summed over queries:
     -(sum log r_i over positives + sum log(1 - r_j) over negatives),
     log arguments clamped below at 1e-12 (a clamped pair adds no gradient).
     One stacked pass over the batch's (query, document) pairs, bit for bit
-    equal to adding the pairs one at a time, in batch order.  A caller that
-    holds the batch's ``(z, is_pos)`` rows passes them as ``stacked``."""
-    z, is_pos = _crm_rows(head, batch)[:2] if stacked is None else stacked
+    equal to adding the pairs one at a time, in batch order."""
+    z, is_pos, _ = _crm_rows(head, batch)
     return _crm_stacked(head, z, is_pos, want_grads)[:2]
 
 
@@ -230,12 +229,10 @@ class CrmConfig:
 
 @dataclass
 class CrmTrace:
-    """Each epoch's loss is the sum of its steps' losses.  ``rows`` is the
-    labeled set's ``(z, is_pos, spans)`` stack, which phase 2 gathers from."""
+    """Each epoch's loss is the sum of its steps' losses."""
 
     epoch_losses: list[float] = field(default_factory=list)
     theta_accuracy: float = 0.0
-    rows: tuple = field(default=(), repr=False, compare=False)
 
 
 def _checked_pass(head: RelevanceHead, z, is_pos, step: int, want_grads: bool = True):
@@ -272,7 +269,7 @@ def train_crm(
     head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
     z, is_pos, spans = _crm_rows(head, labeled)
     rng = np.random.default_rng(config.seed)
-    trace = CrmTrace(rows=(z, is_pos, spans))
+    trace = CrmTrace()
     step = 0
     size = config.batch_size or len(labeled)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .alignment import (
     AlignmentConfig,
-    AlignmentCorpus,
     EmbeddingTable,
     KnowledgeItem,
     Query,
@@ -28,6 +27,7 @@ from .alignment import (
     geo_loss_and_grads,
     id_ranks,
     nearest_rows,
+    positive_pairs,
 )
 from .errors import (
     ConfigurationError,
@@ -470,17 +470,21 @@ def _relevant(head: RelevanceHead, query: Query, items, positions: list[int]) ->
 
 def _check_gold(bundle: CorpusBundle) -> None:
     """Every query has a gold answer in qa, and every gold answer is a
-    TokenSequence over the bundle's vocabulary: one that is empty or has a
-    token outside [0, vocab) raises TokenSequence's ContractViolation.
-    A valid answer is checked without building one, so the check
-    allocates nothing."""
+    TokenSequence over the bundle's vocabulary (one that is empty or has a
+    token outside [0, vocab) raises TokenSequence's ContractViolation) of
+    the spec's ``answer_len`` tokens.  A valid answer is checked without
+    building one, so the check allocates nothing."""
     for q in bundle.queries:
         if q.id not in bundle.qa:
             raise ContractViolation(f"query {q.id!r} has no gold answer in qa")
-    vocab = bundle.token_embeddings.shape[0]
-    for toks in bundle.qa.values():
+    vocab, answer_len = bundle.token_embeddings.shape[0], bundle.spec.answer_len
+    for qid, toks in bundle.qa.items():
         if not toks or min(toks) < 0 or max(toks) >= vocab:
             TokenSequence(tuple(toks), vocab)
+        if len(toks) != answer_len:
+            raise ContractViolation(
+                f"gold answer of query {qid!r} has {len(toks)} tokens, not answer_len {answer_len}"
+            )
 
 
 def run_training(
@@ -494,10 +498,8 @@ def run_training(
     vocab = bundle.token_embeddings.shape[0]
     table = EmbeddingTable.for_corpus(queries, items, config.dim, config.seed, graph=bundle.graph)
 
-    labeled, head, theta, crm_trace = train_phase1(config, bundle)
-    crm_z, crm_is_pos, crm_spans = crm_trace.rows  # phase 2 gathers its rows here
+    labeled, head, theta, _ = train_phase1(config, bundle)
     per_query = {q.id: (pos, neg) for q, pos, neg in labeled}
-    span_of = {q.id: span for (q, _, _), span in zip(labeled, crm_spans)}
 
     # Phase 2 fixtures: gating decisions, relevance vectors, and refined
     # subgraphs are table-independent, so they are computed once.
@@ -505,7 +507,7 @@ def run_training(
     sigmas = {qid: _sigma_of_scores(scores) for qid, scores in bundle.confidence.items()}
     gated_all = [q for q in queries if decide(sigmas.get(q.id, 0.0), theta) == 1]
     subgraphs = {q.id: query_subgraph(config, bundle.graph, q, sweep_keys) for q in gated_all}
-    pairs = AlignmentCorpus(gated_all, items, bundle.positives).batches_source()
+    pairs = positive_pairs(gated_all, items, bundle.positives)
     positives = {q.id: pos for q, pos in pairs if pos}
 
     generator = ToyGenerator(vocab, 2 * config.dim)
@@ -550,11 +552,8 @@ def run_training(
 
             crm_batch = [(q, *per_query[q.id]) for q in gated if q.id in per_query]
             if crm_batch:
-                rows = np.concatenate([span_of[q.id] for q, _, _ in crm_batch])
                 with _phase2_stage(optimizer, epoch, "relevance"):
-                    crm_sum, crm_grads = crm_loss_and_grads(
-                        head, crm_batch, stacked=(crm_z[rows], crm_is_pos[rows])
-                    )
+                    crm_sum, crm_grads = crm_loss_and_grads(head, crm_batch)
                 scale = config.beta / n_batch
                 for name, g in crm_grads.items():
                     grads[f"crm.{name}"] = grads.get(f"crm.{name}", 0.0) + scale * g

@@ -330,8 +330,9 @@ def _check_every_query(path: Path, queries: list[Query], row_ids) -> None:
 def load_bundle(out_dir) -> CorpusBundle:
     """Read a bundle written by ``write_bundle``.  Every row of positives,
     labels, gating, confidence and qa must name a loaded query (and item),
-    every query needs a qa row and a clusters row, and positives are visual
-    or textual; otherwise DataFormatError names the file, line and id."""
+    every query needs a qa row and a clusters row, every answer is
+    ``answer_len`` tokens long, and positives are visual or textual;
+    otherwise DataFormatError names the file, line and id."""
     out = Path(out_dir)
     spec = _spec_from_meta(out / "meta.json")
     items = hio.load_items(out / "items.tsv")
@@ -372,6 +373,8 @@ def load_bundle(out_dir) -> CorpusBundle:
     qa = hio.load_qa(path, len(token_embeddings))
     _check_ids(path, qa, query_ids, "unknown query id {!r}")
     _check_every_query(path, queries, qa)
+    fits = {qid for qid, tokens in qa.items() if len(tokens) == spec.answer_len}
+    _check_ids(path, qa, fits, f"answer of query {{!r}} is not answer_len {spec.answer_len} tokens")
 
     by_cluster: dict[int, list[str]] = {}
     for (kind, ident), c in clusters.items():

@@ -343,7 +343,11 @@ def entropic_terms(
     objective OT_eps(p, q) = <pi, C> + eps * KL(pi | p x q), its gradient in
     the first marginal's weights (envelope property: the converged potential
     f, centered on the simplex), and the plan's transport cost in sqrt-cost
-    units for reporting."""
+    units for reporting.  ``p_weights`` and ``q`` must have as many rows."""
+    if len(p_weights) != len(q.rows):
+        raise ContractViolation(
+            f"{len(p_weights)} p_weights rows against {len(q.rows)} gold distributions"
+        )
     ps = [EmpiricalDistribution(support, w) for w in p_weights]
     widths = [qb.size for qb in q.rows]
     cost, qw = np.zeros((len(ps), len(support), q.size)), np.zeros((len(ps), q.size))

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from hyperrag.alignment import (
     AlignmentConfig,
-    AlignmentCorpus,
     EmbeddingTable,
     KnowledgeItem,
     Query,
@@ -21,6 +20,7 @@ from hyperrag.alignment import (
     id_ranks,
     item_tangent_rows,
     nearest_rows,
+    positive_pairs,
     retrieve_topk,
     train_alignment,
 )
@@ -79,7 +79,7 @@ def cluster_corpus(rng, num_clusters=3, per_cluster=6, feat=6, sep=6.0, noise=0.
                 )
             )
             positives[qid] = [f"i{c}{j2}" for j2 in range(3)]
-    return AlignmentCorpus(queries, items, positives)
+    return queries, items, positives
 
 
 class TestRecordFeatures:
@@ -178,10 +178,11 @@ class TestItemTangentRows:
         assert np.array_equal(item_tangent_rows(table, picked), rows[[7, 3, 400, 3]])
 
     def test_trained_table(self, rng):
-        corpus = cluster_corpus(rng)
-        table, _ = train_alignment(corpus, AlignmentConfig(dim=6, lr=0.5, epochs=3, seed=2))
-        rows = item_tangent_rows(table, corpus.items)
-        assert np.array_equal(rows, self.scalar_rows(table, corpus.items))
+        queries, items, positives = cluster_corpus(rng)
+        config = AlignmentConfig(dim=6, lr=0.5, epochs=3, seed=2)
+        table, _ = train_alignment(queries, items, positives, config)
+        rows = item_tangent_rows(table, items)
+        assert np.array_equal(rows, self.scalar_rows(table, items))
 
     def test_empty(self):
         assert item_tangent_rows(make_table(dim=5), []).shape == (0, 5)
@@ -403,62 +404,62 @@ class TestTrainAlignment:
         # affine map, so the initial table is already optimal.
         queries = [Query("q0", np.zeros(3), np.zeros(3))]
         items = [KnowledgeItem("i0", "visual", np.zeros(3))]
-        corpus = AlignmentCorpus(queries, items, {"q0": ["i0"]})
-        _, trace = train_alignment(corpus, AlignmentConfig(dim=3, lr=0.1, epochs=4, seed=1))
-        assert trace.epoch_losses == [0.0, 0.0, 0.0, 0.0]
+        config = AlignmentConfig(dim=3, lr=0.1, epochs=4, seed=1)
+        _, losses = train_alignment(queries, items, {"q0": ["i0"]}, config)
+        assert losses == [0.0, 0.0, 0.0, 0.0]
 
     def test_cluster_corpus_loss_halves(self, rng):
-        corpus = cluster_corpus(rng)
+        queries, items, positives = cluster_corpus(rng)
         config = AlignmentConfig(dim=4, lr=0.01, epochs=100, batch_size=4, seed=2)
-        table, trace = train_alignment(corpus, config)
+        table, losses = train_alignment(queries, items, positives, config)
         initial = geo_loss(
-            EmbeddingTable.for_corpus(corpus.queries, corpus.items, 4, seed=2),
-            corpus.batches_source(),
+            EmbeddingTable.for_corpus(queries, items, 4, seed=2),
+            positive_pairs(queries, items, positives),
         )
-        assert trace.epoch_losses[-1] <= 0.5 * initial
+        assert losses[-1] <= 0.5 * initial
 
     def test_seed_reproducibility(self, rng):
         corpus = cluster_corpus(rng)
         config = AlignmentConfig(dim=4, lr=0.02, epochs=5, batch_size=4, seed=9)
-        _, t1 = train_alignment(corpus, config)
-        _, t2 = train_alignment(corpus, config)
-        assert t1.epoch_losses == t2.epoch_losses
+        _, t1 = train_alignment(*corpus, config)
+        _, t2 = train_alignment(*corpus, config)
+        assert t1 == t2
 
     def test_divergence_reports_step(self, rng):
         corpus = cluster_corpus(rng, num_clusters=2, per_cluster=4)
         config = AlignmentConfig(dim=3, lr=1e200, epochs=3, seed=0)
         with pytest.raises(DivergenceError) as exc_info:
-            train_alignment(corpus, config)
+            train_alignment(*corpus, config)
         assert exc_info.value.step is not None
 
     def test_full_batch_epoch_loss_is_the_step_loss(self, rng):
         # The first epoch reports the loss of the pass that took its one
         # step: geo_loss of the initial table, summed in shuffled order.
-        corpus = cluster_corpus(rng)
+        queries, items, positives = cluster_corpus(rng)
         config = AlignmentConfig(dim=4, lr=0.05, epochs=2, batch_size=64, seed=3)
-        _, trace = train_alignment(corpus, config)
+        _, losses = train_alignment(queries, items, positives, config)
         initial = geo_loss(
-            EmbeddingTable.for_corpus(corpus.queries, corpus.items, 4, seed=3),
-            corpus.batches_source(),
+            EmbeddingTable.for_corpus(queries, items, 4, seed=3),
+            positive_pairs(queries, items, positives),
         )
-        assert trace.epoch_losses[0] == pytest.approx(initial, rel=1e-12, abs=0.0)
+        assert losses[0] == pytest.approx(initial, rel=1e-12, abs=0.0)
 
     def test_divergence_on_the_last_step_is_caught(self, rng):
         corpus = cluster_corpus(rng, num_clusters=2, per_cluster=4)
         config = AlignmentConfig(dim=3, lr=1e200, epochs=1, batch_size=64, seed=0)
         with pytest.raises(DivergenceError, match="alignment diverged") as exc_info:
-            train_alignment(corpus, config)
+            train_alignment(*corpus, config)
         assert exc_info.value.step == 1
 
     def test_bad_config(self, rng):
         corpus = cluster_corpus(rng)
         for bad in (AlignmentConfig(lr=0.0), AlignmentConfig(seed=-1)):
             with pytest.raises(ConfigurationError):
-                train_alignment(corpus, bad)
+                train_alignment(*corpus, bad)
 
     def test_empty_corpus(self):
         with pytest.raises(ContractViolation):
-            train_alignment(AlignmentCorpus([], [], {}), AlignmentConfig())
+            train_alignment([], [], {}, AlignmentConfig())
 
 
 class TestRetrieve:
@@ -593,11 +594,11 @@ class TestRetrieve:
 
 class TestPostTrainingRetrieval:
     def test_top1_within_cluster(self, rng):
-        corpus = cluster_corpus(rng, per_cluster=8)
+        queries, items, positives = cluster_corpus(rng, per_cluster=8)
         config = AlignmentConfig(dim=4, lr=0.02, epochs=60, batch_size=4, seed=3)
-        table, _ = train_alignment(corpus, config)
+        table, _ = train_alignment(queries, items, positives, config)
         hits = 0
-        for q in corpus.queries:
-            top = retrieve_topk(table, q, corpus.items, 1)[0][0]
+        for q in queries:
+            top = retrieve_topk(table, q, items, 1)[0][0]
             hits += top.id[1] == q.id[1]  # cluster digit embedded in the ids
-        assert hits / len(corpus.queries) >= 0.95
+        assert hits / len(queries) >= 0.95

@@ -174,6 +174,21 @@ class TestSynth:
         assert code == 3
         assert json.loads(err)["category"] == "config"
 
+    @pytest.mark.parametrize("command", ["synth", "cheeger"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_is_no_directory_is_config_error_before_any_work(
+        self, workdir, tmp_path, capsys, command, below
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        argv = SYNTH_ARGS if command == "synth" else ["--bundle", str(workdir / "bundle")]
+        code, stdout, err = run_cli([command, *argv, "--out", str(out)], capsys)
+        assert (code, stdout) == (3, "")
+        record = json.loads(err)
+        assert record["category"] == "config" and f"--out {out} is not a directory" in record["message"]
+        assert blocker.read_text() == "kept\n"
+
 
 class TestStageCommands:
     def test_align_one_record_per_epoch(self, workdir, capsys):
@@ -390,6 +405,20 @@ class TestErrorSurface:
         record = json.loads(err)
         assert record["category"] == "data_format"
         assert "qa.tsv" in record["message"] and repr(qid) in record["message"]
+
+    def test_answer_of_another_length_is_data_format_error(self, workdir, tmp_path, capsys):
+        """meta.json's answer_len against qa.tsv's answers, named at the first line."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        meta = json.loads((bundle / "meta.json").read_text())
+        (bundle / "meta.json").write_text(json.dumps({**meta, "answer_len": 2}))
+        qid = (bundle / "qa.tsv").read_text().split("\t", 1)[0]
+        config = ["--config", str(workdir / "cfg.json")]
+        code, out, err = run_cli(["eval", "--bundle", str(bundle), *config], capsys)
+        assert (code, out) == (8, "")
+        record = json.loads(err)
+        assert record["category"] == "data_format"
+        assert f"{bundle / 'qa.tsv'}:1: answer of query {qid!r} is not answer_len 2" in record["message"]
 
     def test_query_without_clusters_row_is_data_format_error(self, workdir, tmp_path, capsys):
         bundle = tmp_path / "bundle"

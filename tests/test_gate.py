@@ -147,17 +147,6 @@ class TestInputRows:
         raw = head.forward(rows)[1]
         assert raw.tolist() == [head.forward(rows[i : i + 1])[1][0] for i in range(len(docs))]
 
-    def test_stacked_rows_replace_the_batch_rows(self, rng):
-        head = small_head(seed=5)
-        q = Query("q", rng.standard_normal(3), rng.standard_normal(3))
-        docs = [KnowledgeItem(f"i{k}", "visual", rng.standard_normal(3)) for k in range(5)]
-        batch = [(q, docs[:2], docs[2:])]
-        z, is_pos, _ = gate._crm_rows(head, batch)
-        loss, grads = crm_loss_and_grads(head, batch, stacked=(z, is_pos))
-        want_loss, want = crm_loss_and_grads(head, batch)
-        assert loss == want_loss
-        assert all(np.array_equal(grads[name], want[name]) for name in want)
-
 
 class TestFilterRelevant:
     def test_zero_head_filters_everything(self):

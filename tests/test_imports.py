@@ -3,7 +3,8 @@ imports is used in that module (an import kept on purpose carries
 ``# noqa: F401`` on its line), every private module-level name is read
 in the module that defines it, every parameter is read by its function,
 no module but ``geometry`` and ``conformance`` imports the scalar Lorentz
-API, no two modules define a public function of the same name, and the
+API, no module but the CLI's ``conformance run`` imports ``conformance``,
+no two modules define a public function of the same name, and the
 functions whose per-layer timings ``BENCHMARK.json`` declares stay
 visible to the benchmark's tracer."""
 
@@ -101,6 +102,77 @@ def test_scalar_lorentz_import_is_reported(tmp_path):
         "module.py:7: exp_map",
         "module.py:8: origin",
     ]
+
+
+# The oracles and scalar reference forms stay out of production code.  The
+# one module that loads them is the CLI, inside its ``conformance run``.
+CONFORMANCE = "hyperrag.conformance"
+CONFORMANCE_ENTRY = ("cli.py", "cmd_conformance")
+
+
+def conformance_imports(path: Path) -> list[str]:
+    """``file:line: statement`` for each import statement that loads
+    ``hyperrag.conformance`` (a relative import resolves in ``hyperrag``),
+    except within the function that ``CONFORMANCE_ENTRY`` names; in line
+    order."""
+    tree = ast.parse(path.read_text())
+    entry = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) == CONFORMANCE_ENTRY
+        for sub in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["hyperrag" if node.level else "", node.module]))
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if id(node) not in entry and any(
+            name == CONFORMANCE or name.startswith(f"{CONFORMANCE}.") for name in names
+        ):
+            found.append((node.lineno, f"{path.name}:{node.lineno}: {ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_conformance_command_imports_conformance(path):
+    assert conformance_imports(path) == []
+
+
+def test_conformance_import_is_reported(tmp_path):
+    source = (
+        "import hyperrag.conformance\n"
+        "from hyperrag import conformance as oracles\n"
+        "from . import alignment, conformance\n"
+        "from .conformance import run_all\n"
+        "from .alignment import conformance_free\n"
+        "import hyperrag.conformance_extra\n"
+        "\n"
+        "def cmd_conformance(args, config, writer):\n"
+        "    from .conformance import run_all\n"
+        "    return run_all\n"
+        "\n"
+        "def cmd_other(args, config, writer):\n"
+        "    import hyperrag.conformance.sub as sub\n"
+        "    return sub\n"
+    )
+    want = [
+        "1: import hyperrag.conformance",
+        "2: from hyperrag import conformance as oracles",
+        "3: from . import alignment, conformance",
+        "4: from .conformance import run_all",
+        "13: import hyperrag.conformance.sub as sub",
+    ]
+    (tmp_path / "cli.py").write_text(source)
+    assert conformance_imports(tmp_path / "cli.py") == [f"cli.py:{line}" for line in want]
+    # Another module gets no exception, not even in a function of that name.
+    (tmp_path / "pipeline.py").write_text(source)
+    got = conformance_imports(tmp_path / "pipeline.py")
+    assert got == [f"pipeline.py:{line}" for line in want[:4] + ["9: from .conformance import run_all", want[4]]]
 
 
 def unread_private_names(path: Path) -> list[str]:

@@ -11,7 +11,7 @@ import pytest
 
 from dataclasses import FrozenInstanceError, replace
 
-from hyperrag import alignment, gate, generation, geometry, pipeline
+from hyperrag import alignment, generation, geometry, pipeline
 from hyperrag.alignment import (
     AlignmentConfig,
     EmbeddingTable,
@@ -1005,23 +1005,6 @@ class TestPrecomputedReadRows:
             assert rows.flags.c_contiguous
             assert np.array_equal(rows, np.stack([head.input_vector(q, d) for d in pos + neg]))
 
-    def test_phase2_gathers_the_rows_each_batch_built(self, monkeypatch):
-        """Phase 2's relevance rows are phase 1's stack gathered by index:
-        the rows ``_crm_rows`` built for each mini-batch, in order."""
-        original = pipeline.crm_loss_and_grads
-        batches = []
-
-        def check(head, batch, want_grads=True, *, stacked=None):
-            z, is_pos, _ = gate._crm_rows(head, batch)
-            assert stacked[0].flags.c_contiguous
-            assert np.array_equal(stacked[0], z) and np.array_equal(stacked[1], is_pos)
-            batches.append(len(batch))
-            return original(head, batch, want_grads, stacked=stacked)
-
-        monkeypatch.setattr(pipeline, "crm_loss_and_grads", check)
-        run_training(SMALL_CFG, synth_bundle(PLANTED_SPEC))
-        assert len(batches) > SMALL_CFG.epochs and max(batches) > 1
-
 
 class TestPinnedTraining:
     # SHA-256 of the canonical JSON of the planted fixture's LossReport
@@ -1114,6 +1097,18 @@ class TestEvaluate:
         answered = spy(monkeypatch, "answer_query")
         with pytest.raises(ContractViolation, match=message):
             evaluate(components, broken)
+        assert answered == []
+
+    def test_gold_answer_of_another_length_names_the_query(self, planted, monkeypatch):
+        bundle, components, _ = planted
+        longer = bundle.qa["q0001"] + bundle.qa["q0001"][:1]
+        broken = replace(bundle, qa={**bundle.qa, "q0001": longer})
+        answered = spy(monkeypatch, "answer_query")
+        message = f"gold answer of query 'q0001' has {len(longer)} tokens, not answer_len 3"
+        with pytest.raises(ContractViolation, match=message):
+            evaluate(components, broken)
+        with pytest.raises(ContractViolation, match=message):
+            run_training(SMALL_CFG, broken)
         assert answered == []
 
     def test_planted_metrics(self, planted):

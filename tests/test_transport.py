@@ -399,6 +399,13 @@ class TestLockStepSolver:
             assert value == want_value and sqrt_cost == want_cost
             assert np.array_equal(grad, want_grad)
 
+    @pytest.mark.parametrize("n_p, n_q", [(2, 1), (1, 2)])
+    def test_row_count_mismatch_is_a_contract_violation(self, n_p, n_q):
+        tokens = np.array([[0.0], [1.0]])
+        gold = DistributionStack((EmpiricalDistribution(np.array([[1.0]]), np.array([1.0])),) * n_q)
+        with pytest.raises(ContractViolation, match=f"{n_p} p_weights rows against {n_q} gold"):
+            entropic_terms(np.full((n_p, 2), 0.5), gold, tokens, 0.1)
+
     def test_one_row_overflowing_raises_without_warnings(self):
         # The first row's cost is 0; the second's overflows once scaled.
         tokens = np.array([[2.0]])
