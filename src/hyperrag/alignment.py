@@ -221,7 +221,7 @@ Batch = list[tuple[Query, list[KnowledgeItem]]]
 
 def _check_batch(batch: Batch) -> None:
     if not batch:
-        raise ContractViolation("geo_loss batch is empty")
+        raise ContractViolation("geo_loss_and_grads batch is empty")
     for query, positives in batch:
         if not positives:
             raise ContractViolation(f"query {query.id!r} has no positive items")
@@ -231,13 +231,6 @@ def _check_batch(batch: Batch) -> None:
                     f"positive {item.id!r} has modality {item.modality!r}; "
                     f"positives must be one of {POSITIVE_MODALITIES}"
                 )
-
-
-def geo_loss(table: EmbeddingTable, batch: Batch) -> float:
-    """Mean over queries of the per-modality mean geodesic distance to the
-    query's positive items (missing modalities contribute 0)."""
-    loss, _ = geo_loss_and_grads(table, batch, want_grads=False)
-    return loss
 
 
 def affine_grads(up: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,11 +245,12 @@ def affine_grads(up: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def geo_loss_and_grads(table: EmbeddingTable, batch: Batch, want_grads: bool = True):
-    """Batch-mean loss plus per-parameter gradient arrays (None when
-    ``want_grads`` is false).  Each (query, positive) pair is one row, in
-    batch order, with a query's visual positives before its textual ones;
-    the loss and every gradient keep the bits of adding the pairs one at a
-    time in that order."""
+    """Mean over queries of the per-modality mean geodesic distance to the
+    query's positive items (a missing modality adds 0), plus per-parameter
+    gradient arrays (None when ``want_grads`` is false).  Each (query,
+    positive) pair is one row, in batch order, with a query's visual
+    positives before its textual ones; the loss and every gradient keep
+    the bits of adding the pairs one at a time in that order."""
     _check_batch(batch)
     inv_b = 1.0 / len(batch)
     owner, items, coeff = [], [], []
@@ -286,8 +280,8 @@ def geo_loss_and_grads(table: EmbeddingTable, batch: Batch, want_grads: bool = T
 def positive_pairs(
     queries: list[Query], items: list[KnowledgeItem], positives: dict[str, list[str]]
 ) -> Batch:
-    """Each query with the items its id maps to in ``positives`` (none when
-    absent), in query order; an id that names no item raises."""
+    """Each query that has a positive, with the items its id maps to in
+    ``positives``, in query order; an id that names no item raises."""
     by_id = {item.id: item for item in items}
     out: Batch = []
     for query in queries:
@@ -297,7 +291,8 @@ def positive_pairs(
             raise ContractViolation(
                 f"positives for query {query.id!r} reference unknown items {missing}"
             )
-        out.append((query, [by_id[i] for i in ids]))
+        if ids:
+            out.append((query, [by_id[i] for i in ids]))
     return out
 
 
@@ -315,8 +310,8 @@ def train_alignment(
     queries: list[Query], items: list[KnowledgeItem], positives: dict[str, list[str]],
     config: AlignmentConfig,
 ) -> tuple[EmbeddingTable, list[float]]:
-    """Fit the embedding maps by mini-batch gradient descent on geo_loss over
-    ``positive_pairs``, one shuffled pass per epoch; deterministic given
+    """Fit the embedding maps by mini-batch gradient descent on the geodesic
+    loss over ``positive_pairs``, one shuffled pass per epoch; deterministic given
     config.seed.  Returns the table and each epoch's loss: its steps' means,
     weighted by batch size.  One full-corpus pass checks the returned table."""
     config.validate()
@@ -324,6 +319,8 @@ def train_alignment(
         raise ContractViolation("training corpus must contain queries and items")
     table = EmbeddingTable.for_corpus(queries, items, config.dim, seed=config.seed)
     pairs = positive_pairs(queries, items, positives)
+    if not pairs:
+        raise ContractViolation("no query has a positive item to align")
     rng = np.random.default_rng(config.seed)
     epoch_losses = []
     step = 0
@@ -340,22 +337,6 @@ def train_alignment(
         epoch_losses.append(weighted / len(pairs))
     _checked_geo_loss(table, pairs, step, want_grads=False)
     return table, epoch_losses
-
-
-def retrieve_topk(
-    table: EmbeddingTable, query: Query, corpus: list[KnowledgeItem], k: int
-) -> list[tuple[KnowledgeItem, float]]:
-    """Exhaustive top-k scan by ascending geodesic distance; ties broken by
-    ascending item id."""
-    if not corpus:
-        raise ContractViolation("retrieve_topk called on an empty corpus")
-    if k < 0 or k > len(corpus):
-        raise ContractViolation(f"k={k} outside [0, corpus size {len(corpus)}]")
-    if k == 0:
-        return []
-    rows = embed_corpus_rows(table, corpus)
-    order, dists = nearest_rows(embed_query_rows(table, [query])[0], rows, k, id_ranks(corpus))
-    return [(corpus[i], float(dists[i])) for i in order.tolist()]
 
 
 def id_ranks(corpus: list[KnowledgeItem]) -> np.ndarray:

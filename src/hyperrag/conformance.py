@@ -10,6 +10,7 @@ the tests and the CLI's `conformance run` subcommand do.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -176,6 +177,49 @@ def dense_eigs(mat) -> np.ndarray:
             f"{arr.shape[0]} rows exceed the dense-oracle limit {DENSE_EIGS_LIMIT}"
         )
     return np.linalg.eigvalsh(arr)
+
+
+def cut_size(graph: KnowledgeGraph, selected) -> float:
+    """Total weight of edges with exactly one endpoint in the set."""
+    members = _member_mask(graph, selected)
+    u, v, w = graph.edge_arrays()
+    crossing = members[u] != members[v]
+    return float(np.sum(w[crossing]))
+
+
+def conductance(graph: KnowledgeGraph, selected) -> float:
+    """cut(S) / min(vol(S), vol(V \\ S)) of a proper nonempty set: what
+    ``spectral.cheeger_check`` minimizes over its sweep's prefixes."""
+    members = _member_mask(graph, selected)
+    size = int(members.sum())
+    if size == 0 or size == graph.size:
+        raise ContractViolation("conductance requires a proper nonempty vertex subset")
+    cut = cut_size(graph, members)
+    vol_s = float(graph.degrees[members].sum())
+    vol_rest = float(graph.degrees[~members].sum())
+    denom = min(vol_s, vol_rest)
+    if denom == 0.0:
+        return 0.0
+    return cut / denom
+
+
+def _member_mask(graph: KnowledgeGraph, selected) -> np.ndarray:
+    if isinstance(selected, np.ndarray) and selected.dtype == bool:
+        if selected.size != graph.size:
+            raise ContractViolation("membership mask length mismatch")
+        return selected
+    members = np.zeros(graph.size, dtype=bool)
+    for vid in selected:
+        members[graph.vertex_index(vid)] = True
+    return members
+
+
+def sigmoid(x: float) -> float:
+    """The scalar form that ``gate.sigmoid_array`` matches bit for bit."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def scalar_lift(table: EmbeddingTable, features, key: str):

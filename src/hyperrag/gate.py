@@ -25,17 +25,10 @@ LOG_CLAMP = 1e-12
 THETA_GRID = [round(i / 100.0, 2) for i in range(101)]
 
 
-def sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """``sigmoid`` of every entry of a 1-D array, bit for bit: ``math.exp``
-    per entry (numpy's ``exp`` differs from it in the last bit), at -|x|,
-    which is the argument either branch of the scalar form takes."""
+    """``conformance.sigmoid`` of every entry of a 1-D array, bit for bit:
+    ``math.exp`` per entry (numpy's ``exp`` differs from it in the last
+    bit), at -|x|, which is the argument either branch of the scalar form takes."""
     e = np.array(list(map(math.exp, (-np.abs(x)).tolist())))
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -78,22 +71,16 @@ class RelevanceHead:
         self.w2 = rng.uniform(-1.0, 1.0, size=hidden) / math.sqrt(hidden)
         self.b2 = np.zeros(1)
 
-    def input_vector(self, query: Query, doc: KnowledgeItem) -> np.ndarray:
-        z = np.concatenate([query.combined_features, doc.features])
-        if z.size != self.query_dim + self.item_dim:
-            raise ConfigurationError(
-                f"feature sizes ({query.combined_features.size} + {doc.features.size}) "
-                f"do not match head configuration ({self.query_dim} + {self.item_dim})"
-            )
-        return z
-
     def input_rows(self, query: Query, docs: list[KnowledgeItem]) -> np.ndarray:
-        """``input_vector`` of each doc (the first of a wrong width raises),
-        stacked in one C-contiguous (len(docs), d) block, as ``forward`` needs."""
+        """Each doc's (query features, doc features) row (the first of a wrong
+        width raises), in one C-contiguous (len(docs), d) block, as ``forward`` needs."""
         q, d = query.combined_features, self.query_dim + self.item_dim
         for doc in docs:
             if q.size + doc.features.size != d:
-                self.input_vector(query, doc)
+                raise ConfigurationError(
+                    f"feature sizes ({q.size} + {doc.features.size}) "
+                    f"do not match head configuration ({self.query_dim} + {self.item_dim})"
+                )
         z = np.empty((len(docs), d))
         if docs:
             z[:, : q.size] = q
@@ -119,11 +106,6 @@ class RelevanceHead:
             arr -= lr * grads[name]
 
 
-def relevance(head: RelevanceHead, query: Query, doc: KnowledgeItem) -> float:
-    """sigmoid of the head's raw score; strictly inside (0, 1)."""
-    return float(sigmoid_array(head.forward(head.input_rows(query, [doc]))[1])[0])
-
-
 def filter_relevant(
     head: RelevanceHead, query: Query, docs: list[KnowledgeItem]
 ) -> list[KnowledgeItem]:
@@ -133,10 +115,6 @@ def filter_relevant(
 
 
 CrmBatch = list[tuple[Query, list[KnowledgeItem], list[KnowledgeItem]]]
-
-
-def crm_loss(head: RelevanceHead, batch: CrmBatch) -> float:
-    return crm_loss_and_grads(head, batch, want_grads=False)[0]
 
 
 def _crm_rows(head: RelevanceHead, batch: CrmBatch) -> tuple[np.ndarray, np.ndarray, list]:

@@ -430,6 +430,9 @@ def phase1_inputs(bundle: CorpusBundle):
 def train_phase1(config: PipelineConfig, bundle: CorpusBundle):
     """Phase 1: fit the relevance head and the gating threshold on
     ``phase1_inputs(bundle)``.  Returns ``(labeled, head, theta, trace)``."""
+    for name, rows in (("queries", bundle.queries), ("items", bundle.items)):
+        if not rows:
+            raise ContractViolation(f"phase 1 needs {name}; the bundle's {name} list is empty")
     labeled, gating_pairs = phase1_inputs(bundle)
     head, theta, trace = train_crm(
         labeled,
@@ -507,8 +510,7 @@ def run_training(
     sigmas = {qid: _sigma_of_scores(scores) for qid, scores in bundle.confidence.items()}
     gated_all = [q for q in queries if decide(sigmas.get(q.id, 0.0), theta) == 1]
     subgraphs = {q.id: query_subgraph(config, bundle.graph, q, sweep_keys) for q in gated_all}
-    pairs = positive_pairs(gated_all, items, bundle.positives)
-    positives = {q.id: pos for q, pos in pairs if pos}
+    positives = {q.id: pos for q, pos in positive_pairs(gated_all, items, bundle.positives)}
 
     generator = ToyGenerator(vocab, 2 * config.dim)
     crm_params = [(f"crm.{name}", arr) for name, arr in head.named_params()]

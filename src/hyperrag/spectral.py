@@ -478,40 +478,6 @@ def refine_subgraph(
     )
 
 
-def cut_size(graph: KnowledgeGraph, selected) -> float:
-    """Total weight of edges with exactly one endpoint in the set."""
-    members = _member_mask(graph, selected)
-    u, v, w = graph.edge_arrays()
-    crossing = members[u] != members[v]
-    return float(np.sum(w[crossing]))
-
-
-def conductance(graph: KnowledgeGraph, selected) -> float:
-    """cut(S) / min(vol(S), vol(V \\ S)); requires a proper nonempty set."""
-    members = _member_mask(graph, selected)
-    size = int(members.sum())
-    if size == 0 or size == graph.size:
-        raise ContractViolation("conductance requires a proper nonempty vertex subset")
-    cut = cut_size(graph, members)
-    vol_s = float(graph.degrees[members].sum())
-    vol_rest = float(graph.degrees[~members].sum())
-    denom = min(vol_s, vol_rest)
-    if denom == 0.0:
-        return 0.0
-    return cut / denom
-
-
-def _member_mask(graph: KnowledgeGraph, selected) -> np.ndarray:
-    if isinstance(selected, np.ndarray) and selected.dtype == bool:
-        if selected.size != graph.size:
-            raise ContractViolation("membership mask length mismatch")
-        return selected
-    members = np.zeros(graph.size, dtype=bool)
-    for vid in selected:
-        members[graph.vertex_index(vid)] = True
-    return members
-
-
 @dataclass(frozen=True)
 class CheegerReport:
     lambda2_normalized: float

@@ -15,13 +15,11 @@ from hyperrag.alignment import (
     QUERY_KEY,
     embed_corpus_rows,
     embed_query_rows,
-    geo_loss,
     geo_loss_and_grads,
     id_ranks,
     item_tangent_rows,
     nearest_rows,
     positive_pairs,
-    retrieve_topk,
     train_alignment,
 )
 from hyperrag.errors import (
@@ -256,7 +254,7 @@ class TestGeoLoss:
         table = zero_table()
         q = Query("q", np.ones(4), np.ones(4))
         pos = [KnowledgeItem("a", "visual", np.ones(4))]
-        assert geo_loss(table, [(q, pos)]) == 0.0
+        assert geo_loss_and_grads(table, [(q, pos)], want_grads=False)[0] == 0.0
 
     def test_single_pair_each_modality(self):
         # Query at the origin, one visual and one textual positive each at
@@ -269,7 +267,8 @@ class TestGeoLoss:
             KnowledgeItem("v", "visual", np.array([1.0, 0.0])),
             KnowledgeItem("t", "textual", np.array([1.0, 0.0])),
         ]
-        assert_allclose(geo_loss(table, [(q, pos)]), 2.0 * ACOSH_SQRT2, rtol=1e-12)
+        loss, _ = geo_loss_and_grads(table, [(q, pos)], want_grads=False)
+        assert_allclose(loss, 2.0 * ACOSH_SQRT2, rtol=1e-12)
 
     def test_batch_order_invariance(self, rng):
         table = make_table(seed=5)
@@ -282,28 +281,29 @@ class TestGeoLoss:
             ]
             batch.append((q, pos))
         shuffled = [batch[i] for i in rng.permutation(6)]
-        assert abs(geo_loss(table, batch) - geo_loss(table, shuffled)) <= 1e-12
+        loss, _ = geo_loss_and_grads(table, batch, want_grads=False)
+        assert abs(loss - geo_loss_and_grads(table, shuffled, want_grads=False)[0]) <= 1e-12
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolation):
-            geo_loss(make_table(), [])
+            geo_loss_and_grads(make_table(), [], want_grads=False)
 
     def test_query_without_positives_rejected(self):
         q = Query("q", np.zeros(4), np.zeros(4))
         with pytest.raises(ContractViolation):
-            geo_loss(make_table(), [(q, [])])
+            geo_loss_and_grads(make_table(), [(q, [])], want_grads=False)
 
     def test_graph_triplet_positive_rejected(self):
         q = Query("q", np.zeros(4), np.zeros(4))
         bad = KnowledgeItem("g", "graph_triplet", np.zeros(4))
         with pytest.raises(ContractViolation):
-            geo_loss(make_table(), [(q, [bad])])
+            geo_loss_and_grads(make_table(), [(q, [bad])], want_grads=False)
 
     def test_nonnegative(self, rng):
         table = make_table(seed=11)
         q = Query("q", rng.standard_normal(4), rng.standard_normal(4))
         pos = [KnowledgeItem("p", "visual", rng.standard_normal(4))]
-        assert geo_loss(table, [(q, pos)]) >= 0.0
+        assert geo_loss_and_grads(table, [(q, pos)], want_grads=False)[0] >= 0.0
 
 
 def per_pair_geo_loss_and_grads(table, batch, want_grads=True):
@@ -412,9 +412,10 @@ class TestTrainAlignment:
         queries, items, positives = cluster_corpus(rng)
         config = AlignmentConfig(dim=4, lr=0.01, epochs=100, batch_size=4, seed=2)
         table, losses = train_alignment(queries, items, positives, config)
-        initial = geo_loss(
+        initial, _ = geo_loss_and_grads(
             EmbeddingTable.for_corpus(queries, items, 4, seed=2),
             positive_pairs(queries, items, positives),
+            want_grads=False,
         )
         assert losses[-1] <= 0.5 * initial
 
@@ -434,13 +435,14 @@ class TestTrainAlignment:
 
     def test_full_batch_epoch_loss_is_the_step_loss(self, rng):
         # The first epoch reports the loss of the pass that took its one
-        # step: geo_loss of the initial table, summed in shuffled order.
+        # step: the loss of the initial table, summed in shuffled order.
         queries, items, positives = cluster_corpus(rng)
         config = AlignmentConfig(dim=4, lr=0.05, epochs=2, batch_size=64, seed=3)
         _, losses = train_alignment(queries, items, positives, config)
-        initial = geo_loss(
+        initial, _ = geo_loss_and_grads(
             EmbeddingTable.for_corpus(queries, items, 4, seed=3),
             positive_pairs(queries, items, positives),
+            want_grads=False,
         )
         assert losses[0] == pytest.approx(initial, rel=1e-12, abs=0.0)
 
@@ -461,6 +463,33 @@ class TestTrainAlignment:
         with pytest.raises(ContractViolation):
             train_alignment([], [], {}, AlignmentConfig())
 
+    def test_queries_without_positives_are_left_out(self, rng):
+        # A query with no positive adds no pair, so training keeps the bits
+        # of the corpus without it.
+        queries, items, positives = cluster_corpus(rng)
+        lone = Query("q-lone", np.ones(6), np.ones(6))
+        pairs = positive_pairs(queries + [lone], items, {**positives, lone.id: []})
+        assert [q.id for q, _ in pairs] == [q.id for q in queries]
+        config = AlignmentConfig(dim=4, lr=0.02, epochs=3, batch_size=4, seed=9)
+        with_lone, losses = train_alignment(queries + [lone], items, positives, config)
+        without, want = train_alignment(queries, items, positives, config)
+        assert losses == want
+        for (_, got), (_, arr) in zip(with_lone.named_params(), without.named_params()):
+            assert np.array_equal(got, arr)
+
+    def test_no_positive_at_all_is_a_contract_violation(self, rng):
+        queries, items, _ = cluster_corpus(rng)
+        with pytest.raises(ContractViolation, match="no query has a positive item"):
+            train_alignment(queries, items, {}, AlignmentConfig(dim=4))
+
+
+def nearest_items(table, query, corpus, k):
+    """(item, distance) of the k items nearest the query, as the read index
+    ranks them: ``nearest_rows`` over freshly embedded rows."""
+    point = embed_query_rows(table, [query])[0]
+    order, dists = nearest_rows(point, embed_corpus_rows(table, corpus), k, id_ranks(corpus))
+    return [(corpus[i], float(dists[i])) for i in order.tolist()]
+
 
 class TestRetrieve:
     def test_planted_coincident_item_ranked_first(self, rng):
@@ -471,7 +500,7 @@ class TestRetrieve:
         corpus = [KnowledgeItem("hit", "visual", f_hit)] + [
             KnowledgeItem(f"x{i}", "textual", 5.0 + rng.standard_normal(6)) for i in range(10)
         ]
-        ranked = retrieve_topk(table, q, corpus, 3)
+        ranked = nearest_items(table, q, corpus, 3)
         assert ranked[0][0].id == "hit"
         assert ranked[0][1] < 1e-6
 
@@ -482,7 +511,7 @@ class TestRetrieve:
             for j in range(12)
         ]
         q = Query("q", rng.standard_normal(4), rng.standard_normal(4))
-        ranked = retrieve_topk(table, q, corpus, len(corpus))
+        ranked = nearest_items(table, q, corpus, len(corpus))
         assert sorted(it.id for it, _ in ranked) == sorted(i.id for i in corpus)
         dists = [d for _, d in ranked]
         assert all(a <= b for a, b in zip(dists, dists[1:]))
@@ -498,7 +527,7 @@ class TestRetrieve:
         oracle = sorted(
             ((geodesic_distance(q_pt, item_point(table, it)), it.id) for it in corpus),
         )
-        ranked = retrieve_topk(table, q, corpus, 50)
+        ranked = nearest_items(table, q, corpus, 50)
         assert [it.id for it, _ in ranked] == [i for _, i in oracle]
 
     def test_ties_broken_by_id(self):
@@ -507,7 +536,7 @@ class TestRetrieve:
             KnowledgeItem(name, "visual", np.zeros(2)) for name in ["b", "a", "d", "c"]
         ]
         q = Query("q", np.zeros(2), np.zeros(2))
-        ranked = retrieve_topk(table, q, corpus, 4)
+        ranked = nearest_items(table, q, corpus, 4)
         assert [it.id for it, _ in ranked] == ["a", "b", "c", "d"]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -531,7 +560,6 @@ class TestRetrieve:
             want = [(corpus[i].id, float(dists[i])) for i in oracle[:k]]
             order, got = nearest_rows(point, rows, k, id_ranks(corpus))
             assert [(corpus[i].id, float(got[i])) for i in order] == want
-            assert [(it.id, d) for it, d in retrieve_topk(table, q, corpus, k)] == want
 
     def test_id_ranks_keep_corpus_order_for_equal_ids(self):
         corpus = [KnowledgeItem(name, "visual", np.zeros(2)) for name in "bcab"]
@@ -578,18 +606,7 @@ class TestRetrieve:
         table = make_table()
         q = Query("q", np.zeros(4), np.zeros(4))
         corpus = [KnowledgeItem("i", "visual", np.zeros(4))]
-        assert retrieve_topk(table, q, corpus, 0) == []
-
-    def test_empty_corpus_rejected(self):
-        q = Query("q", np.zeros(4), np.zeros(4))
-        with pytest.raises(ContractViolation):
-            retrieve_topk(make_table(), q, [], 1)
-
-    def test_k_too_large_rejected(self):
-        q = Query("q", np.zeros(4), np.zeros(4))
-        corpus = [KnowledgeItem("i", "visual", np.zeros(4))]
-        with pytest.raises(ContractViolation):
-            retrieve_topk(make_table(), q, corpus, 2)
+        assert nearest_items(table, q, corpus, 0) == []
 
 
 class TestPostTrainingRetrieval:
@@ -599,6 +616,6 @@ class TestPostTrainingRetrieval:
         table, _ = train_alignment(queries, items, positives, config)
         hits = 0
         for q in queries:
-            top = retrieve_topk(table, q, items, 1)[0][0]
+            top = nearest_items(table, q, items, 1)[0][0]
             hits += top.id[1] == q.id[1]  # cluster digit embedded in the ids
         assert hits / len(queries) >= 0.95

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from hyperrag import spectral
 from hyperrag.alignment import nearest_rows
+from hyperrag.conformance import conductance
 from hyperrag.cli import load_config, main
 from hyperrag.errors import ConfigurationError, HyperRagError
 from hyperrag.geometry import distances_to_rows
@@ -198,6 +199,20 @@ class TestStageCommands:
         assert [r["epoch"] for r in recs] == [1, 2, 3]
         assert all(r["geo_loss"] > 0 for r in recs)
 
+    def test_align_trains_where_train_all_does(self, workdir, tmp_path, capsys):
+        # A query with no positives adds no alignment pair, in both commands.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        lines = (bundle / "positives.tsv").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("q0000\t")]
+        assert 0 < len(kept) < len(lines)
+        (bundle / "positives.tsv").write_text("".join(f"{line}\n" for line in kept))
+        for command in ("align", "train-all"):
+            argv = [command, "--bundle", str(bundle), "--config", str(workdir / "cfg.json")]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            assert len(records(out)) == TINY_CONFIG["epochs"]
+
     def test_align_saves_table(self, workdir, capsys):
         out_dir = workdir / "align_out"
         code, out, _ = run_cli(["align", *base_args(workdir), "--out", str(out_dir)], capsys)
@@ -271,7 +286,7 @@ class TestStageCommands:
         order = spectral.SweepKeys(y[:, None]).orders(np.zeros(graph.size))[0]
         ids = [vert.id for vert in graph.vertices]
         best = min(
-            spectral.conductance(graph, [ids[i] for i in order[:s]]) for s in range(1, graph.size)
+            conductance(graph, [ids[i] for i in order[:s]]) for s in range(1, graph.size)
         )
         assert rec["sweep_conductance"] == pytest.approx(best, rel=1e-9)
         if weight is None:
@@ -419,6 +434,32 @@ class TestErrorSurface:
         record = json.loads(err)
         assert record["category"] == "data_format"
         assert f"{bundle / 'qa.tsv'}:1: answer of query {qid!r} is not answer_len 2" in record["message"]
+
+    @pytest.mark.parametrize(
+        "emptied, command",
+        [("items", "crm"), ("items", "train-all"), ("items", "answer"), ("queries", "crm")],
+    )
+    def test_empty_corpus_list_is_contract_error(
+        self, workdir, tmp_path, capsys, emptied, command
+    ):
+        # A loadable bundle without items (or queries): every table that
+        # names one is empty too, and clusters.tsv keeps no row of that kind.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        kind, tables = {
+            "items": ("item", ["positives", "labels"]),
+            "queries": ("query", ["positives", "labels", "qa", "gating", "confidence"]),
+        }[emptied]
+        for table in [emptied, *tables]:
+            (bundle / f"{table}.tsv").write_text("")
+        lines = (bundle / "clusters.tsv").read_text().splitlines(keepends=True)
+        (bundle / "clusters.tsv").write_text("".join(l for l in lines if not l.startswith(kind)))
+        config = ["--config", str(workdir / "cfg.json")]
+        code, out, err = run_cli([command, "--bundle", str(bundle), *config], capsys)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["category"] == "contract"
+        assert f"the bundle's {emptied} list is empty" in record["message"]
 
     def test_query_without_clusters_row_is_data_format_error(self, workdir, tmp_path, capsys):
         bundle = tmp_path / "bundle"

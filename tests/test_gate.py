@@ -9,21 +9,17 @@ from numpy.testing import assert_allclose
 
 from hyperrag import gate
 from hyperrag.alignment import KnowledgeItem, Query
-from hyperrag.conformance import flat_params, load_flat_params
-from hyperrag import spectral
+from hyperrag.conformance import flat_params, load_flat_params, sigmoid
 from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
 from hyperrag.gate import (
     LOG_CLAMP,
     CrmConfig,
     RelevanceHead,
-    crm_loss,
     crm_loss_and_grads,
     decide,
     filter_relevant,
     fit_theta,
     max_softmax,
-    relevance,
-    sigmoid,
     sigmoid_array,
     _crm_stacked,
     train_crm,
@@ -50,6 +46,16 @@ def zero_head(**kw):
 
 def make_query(qid="q", dim=3, value=0.0):
     return Query(qid, np.full(dim, value), np.full(dim, value))
+
+
+def relevance(head, query, doc):
+    """The head's score of one document, as ``filter_relevant`` takes it."""
+    return float(sigmoid_array(head.forward(head.input_rows(query, [doc]))[1])[0])
+
+
+def input_vector(query, doc):
+    """One row of ``RelevanceHead.input_rows``."""
+    return np.concatenate([query.combined_features, doc.features])
 
 
 class TestConfidence:
@@ -124,12 +130,10 @@ class TestInputRows:
         q = make_query()
         good = KnowledgeItem("a", "visual", np.zeros(3))
         wide, narrow = (KnowledgeItem(k, "visual", np.zeros(n)) for k, n in (("b", 4), ("c", 2)))
-        with pytest.raises(ConfigurationError) as want:
-            head.input_vector(q, wide)
         with pytest.raises(ConfigurationError) as got:
             head.input_rows(q, [good, wide, narrow])
-        assert str(got.value) == str(want.value)
-        assert "(6 + 4) do not match head configuration (6 + 3)" in str(got.value)
+        want = "feature sizes (6 + 4) do not match head configuration (6 + 3)"
+        assert str(got.value) == want
 
     def test_no_docs_gives_an_empty_block(self):
         head = small_head(q_dim=6, i_dim=3)
@@ -142,7 +146,7 @@ class TestInputRows:
         docs = [KnowledgeItem(f"i{k}", "visual", rng.standard_normal(3)) for k in range(7)]
         rows = head.input_rows(q, docs)
         assert rows.flags.c_contiguous
-        assert np.array_equal(rows, np.stack([head.input_vector(q, d) for d in docs]))
+        assert np.array_equal(rows, np.stack([input_vector(q, d) for d in docs]))
         # C rows keep the bits of a one-row forward pass, row by row.
         raw = head.forward(rows)[1]
         assert raw.tolist() == [head.forward(rows[i : i + 1])[1][0] for i in range(len(docs))]
@@ -171,16 +175,17 @@ class TestCrmLoss:
         head.b2[:] = 40.0
         q = make_query()
         pos = [KnowledgeItem("p", "visual", np.zeros(3))]
-        assert crm_loss(head, [(q, pos, [])]) <= 1e-9
+        assert crm_loss_and_grads(head, [(q, pos, [])], want_grads=False)[0] <= 1e-9
         head.b2[:] = -40.0
         neg = [KnowledgeItem("n", "visual", np.zeros(3))]
-        assert crm_loss(head, [(q, [], neg)]) <= 1e-9
+        assert crm_loss_and_grads(head, [(q, [], neg)], want_grads=False)[0] <= 1e-9
 
     def test_single_positive_at_half(self):
         head = zero_head()
         q = make_query()
         pos = [KnowledgeItem("p", "visual", np.zeros(3))]
-        assert_allclose(crm_loss(head, [(q, pos, [])]), LN2, rtol=1e-12)
+        loss, _ = crm_loss_and_grads(head, [(q, pos, [])], want_grads=False)
+        assert_allclose(loss, LN2, rtol=1e-12)
 
     def test_additive_over_queries(self, rng):
         head = small_head(seed=1)
@@ -190,8 +195,8 @@ class TestCrmLoss:
             pos = [KnowledgeItem(f"p{i}", "visual", rng.standard_normal(3))]
             neg = [KnowledgeItem(f"n{i}", "visual", rng.standard_normal(3))]
             batch.append((q, pos, neg))
-        total = crm_loss(head, batch)
-        parts = sum(crm_loss(head, [entry]) for entry in batch)
+        total = crm_loss_and_grads(head, batch, want_grads=False)[0]
+        parts = sum(crm_loss_and_grads(head, [entry], want_grads=False)[0] for entry in batch)
         assert abs(total - parts) <= 1e-12
 
     def test_clamp_keeps_loss_finite(self):
@@ -199,13 +204,13 @@ class TestCrmLoss:
         head.b2[:] = -80.0
         q = make_query()
         pos = [KnowledgeItem("p", "visual", np.zeros(3))]
-        loss = crm_loss(head, [(q, pos, [])])
+        loss = crm_loss_and_grads(head, [(q, pos, [])], want_grads=False)[0]
         assert np.isfinite(loss)
         assert_allclose(loss, -math.log(1e-12), rtol=1e-9)
 
     def test_unlabeled_query_rejected(self):
         with pytest.raises(ContractViolation):
-            crm_loss(small_head(), [(make_query(), [], [])])
+            crm_loss_and_grads(small_head(), [(make_query(), [], [])], want_grads=False)
 
     def test_gradient_matches_finite_differences(self, rng):
         head = small_head(hidden=6, seed=2)
@@ -225,7 +230,7 @@ class TestCrmLoss:
                 probe = flat0.copy()
                 probe[j] += sign * h
                 load_flat_params(head, probe)
-                fd[j] += sign * crm_loss(head, batch)
+                fd[j] += sign * crm_loss_and_grads(head, batch, want_grads=False)[0]
             fd[j] /= 2.0 * h
         load_flat_params(head, flat0)
         denom = np.maximum(np.abs(fd), 1e-8)
@@ -326,32 +331,6 @@ class TestSigmoidArray:
         assert sigmoid_array(np.empty(0)).shape == (0,)
 
 
-class TestScalarSigmoidUnused:
-    """The array passes never fall back to the scalar ``sigmoid``."""
-
-    @pytest.fixture
-    def no_scalar_sigmoid(self, monkeypatch):
-        def refuse(x):
-            raise AssertionError("scalar sigmoid called")
-
-        monkeypatch.setattr(gate, "sigmoid", refuse)
-        monkeypatch.setattr(spectral, "sigmoid", refuse, raising=False)
-
-    def test_relevance_and_filter(self, rng, no_scalar_sigmoid):
-        head = small_head(q_dim=8, i_dim=4)
-        q, pos, neg = planted_crm_corpus(rng, n_queries=1)[0]
-        assert len(filter_relevant(head, q, pos + neg)) <= len(pos + neg)
-        assert 0.0 < relevance(head, q, pos[0]) < 1.0
-        vertices = [spectral.GraphVertex(f"v{i}", f"n{i}", rng.standard_normal(4)) for i in range(5)]
-        graph = spectral.KnowledgeGraph(tuple(vertices), (), ())
-        assert len(spectral.relevance_vector(q, graph).values) == 5
-
-    def test_train_crm(self, rng, no_scalar_sigmoid):
-        labeled = planted_crm_corpus(rng, n_queries=4)
-        config = CrmConfig(hidden=8, lr=0.05, epochs=2, seed=1, batch_size=2)
-        train_crm(labeled, TestTrainCrm().calibrated_pairs(), config, 8, 4)
-
-
 def planted_crm_corpus(rng, n_queries=10, feat=4, margin=3.0):
     direction = np.zeros(feat)
     direction[0] = 1.0
@@ -380,7 +359,9 @@ class TestTrainCrm:
         labeled = planted_crm_corpus(rng)
         config = CrmConfig(hidden=16, lr=0.05, epochs=150, seed=0)
         head, theta, trace = train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
-        initial = crm_loss(RelevanceHead(8, 4, hidden=16, seed=0), labeled)
+        initial, _ = crm_loss_and_grads(
+            RelevanceHead(8, 4, hidden=16, seed=0), labeled, want_grads=False
+        )
         assert trace.epoch_losses[-1] < 0.05 * initial
         for q, pos, neg in labeled:
             kept = filter_relevant(head, q, pos + neg)
@@ -410,7 +391,8 @@ class TestTrainCrm:
         labeled = planted_crm_corpus(rng, n_queries=5)
         config = CrmConfig(hidden=16, lr=0.05, epochs=3, seed=4)
         _, _, trace = train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
-        assert trace.epoch_losses[0] == crm_loss(RelevanceHead(8, 4, hidden=16, seed=4), labeled)
+        initial = RelevanceHead(8, 4, hidden=16, seed=4)
+        assert trace.epoch_losses[0] == crm_loss_and_grads(initial, labeled, want_grads=False)[0]
 
     def test_saturation_on_the_last_step_is_caught(self, rng):
         # One full-batch step saturates the head; only the final check sees it.
@@ -463,7 +445,7 @@ def per_pair_loss_and_grads(head, batch, want_grads=True):
     total = 0.0
     for query, positives, negatives in batch:
         for doc, is_pos in [(d, True) for d in positives] + [(d, False) for d in negatives]:
-            z = head.input_vector(query, doc)
+            z = input_vector(query, doc)
             h = np.tanh(head.w1 @ z + head.b1)
             r = sigmoid(float(head.w2 @ h + head.b2[0]))
             p = r if is_pos else 1.0 - r
@@ -554,11 +536,11 @@ class TestBatchedMatchesPerPair:
         assert loss == want_loss
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(grads[name], want[name]), name
-        assert crm_loss(head, batch) == want_loss
+        assert crm_loss_and_grads(head, batch, want_grads=False)[0] == want_loss
         q, pos, neg = batch[0]
         want_r = [
             sigmoid(
-                float(head.w2 @ np.tanh(head.w1 @ head.input_vector(q, d) + head.b1) + head.b2[0])
+                float(head.w2 @ np.tanh(head.w1 @ input_vector(q, d) + head.b1) + head.b2[0])
             )
             for d in pos + neg
         ]

@@ -4,15 +4,17 @@ imports is used in that module (an import kept on purpose carries
 in the module that defines it, every parameter is read by its function,
 no module but ``geometry`` and ``conformance`` imports the scalar Lorentz
 API, no module but the CLI's ``conformance run`` imports ``conformance``,
-no two modules define a public function of the same name, and the
+no two modules define a public function of the same name, the
 functions whose per-layer timings ``BENCHMARK.json`` declares stay
-visible to the benchmark's tracer."""
+visible to the benchmark's tracer, and every public name of a production
+module has a reader outside the tests."""
 
 import ast
 import importlib
 import inspect
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -382,6 +384,128 @@ def test_traced_function_stays_a_plain_module_function(module, name):
     mod = importlib.import_module(f"hyperrag.{module}")
     fn = vars(mod)[name]
     assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[ast.AST, str]]:
+    """Each public module-level function and class, and each public method
+    of a module-level class, with its name (``Class.method`` for a method)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((node, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (sub, f"{node.name}.{sub.name}")
+                for sub in node.body
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+            ]
+    return out
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How many times the tree reads each name: loaded names, loaded
+    attribute names and imported names."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            reads[node.name.rsplit(".", 1)[-1]] += 1
+    return reads
+
+
+def unread_public_names(path: Path, read_elsewhere: set[str]) -> list[str]:
+    """``file:line: name`` for each ``public_definitions`` entry of the file
+    that is not in ``read_elsewhere`` and that the file reads only inside
+    the definition itself.  Reads match by bare name, so any attribute of a
+    method's name counts as its read."""
+    tree = ast.parse(path.read_text())
+    in_file = names_read(tree)
+    return [
+        f"{path.name}:{node.lineno}: {name}"
+        for node, name in public_definitions(tree)
+        for bare in [name.rsplit(".", 1)[-1]]
+        if bare not in read_elsewhere and in_file[bare] == names_read(node)[bare]
+    ]
+
+
+def test_unread_public_name_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used_elsewhere():\n"
+        "    pass\n"
+        "\n"
+        "def traced():\n"
+        "    return orphan\n"
+        "\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "\n"
+        "def orphan():\n"
+        "    return _private()\n"
+        "\n"
+        "def _private():\n"
+        "    pass\n"
+        "\n"
+        "class Model:\n"
+        "    def step(self):\n"
+        "        return self.helper()\n"
+        "\n"
+        "    def helper(self):\n"
+        "        self.unused = 1\n"
+        "\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "\n"
+        "class Unread:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import used_elsewhere\n\nused_elsewhere()\n")
+    (tmp_path / "c.py").write_text("import a\n\na.Model().step()\n")
+
+    def read_by(*names):
+        return set().union(*(names_read(ast.parse((tmp_path / n).read_text())) for n in names))
+
+    # recursive reads only itself; helper writes unused but does not read it.
+    assert unread_public_names(tmp_path / "a.py", read_by("b.py", "c.py") | {"traced"}) == [
+        "a.py:7: recursive",
+        "a.py:23: Model.unused",
+        "a.py:26: Unread",
+    ]
+    # Without c.py, Model and its step have no reader; traced still reads orphan.
+    assert unread_public_names(tmp_path / "a.py", read_by("b.py")) == [
+        "a.py:4: traced",
+        "a.py:7: recursive",
+        "a.py:16: Model",
+        "a.py:17: Model.step",
+        "a.py:23: Model.unused",
+        "a.py:26: Unread",
+    ]
+
+
+# A test alone does not keep a production name: each has a reader in the
+# package (``conformance``, which holds the test-only reference forms,
+# included), the acceptance gate, the benchmark or its traced functions.
+# ``io.load_table`` reads back what ``save_table`` writes, and is kept.
+PUBLIC_READERS = [
+    *sorted(SRC.glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
+KEPT_UNREAD = {"io.py": {"load_table"}}
+
+
+def test_every_public_name_has_a_reader():
+    reads = {path: set(names_read(ast.parse(path.read_text()))) for path in PUBLIC_READERS}
+    traced = {name for _, name in TRACED}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "conformance.py":
+            others = (names for reader, names in reads.items() if reader != path)
+            kept = KEPT_UNREAD.get(path.name, set())
+            unread += unread_public_names(path, traced.union(kept, *others))
+    assert unread == []
 
 
 def test_one_gated_answer_filters_and_generates_once(monkeypatch):

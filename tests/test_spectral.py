@@ -19,7 +19,7 @@ from hyperrag.errors import (
     InvalidPointError,
     NumericalError,
 )
-from hyperrag.gate import sigmoid
+from hyperrag.conformance import conductance, cut_size, sigmoid
 from hyperrag.geometry import TangentVector, exp_map, lorentz_inner, origin
 from hyperrag.spectral import (
     CheegerReport,
@@ -29,9 +29,7 @@ from hyperrag.spectral import (
     RelevanceVector,
     SweepKeys,
     cheeger_check,
-    conductance,
     connected_components,
-    cut_size,
     embed_triplets,
     extract_triplets,
     hash_features,
