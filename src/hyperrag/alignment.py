@@ -240,7 +240,12 @@ def affine_grads(up: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     them.  One einsum over [x | 1]; the ones column gives b and keeps
     einsum off its contiguous-dot path, which sums in another order when
     out and in are both 1."""
-    g = np.einsum("ik,ij->kj", np.concatenate([x, np.ones((len(x), 1))], axis=1), up)
+    return augmented_affine_grads(up, np.concatenate([x, np.ones((len(x), 1))], axis=1))
+
+
+def augmented_affine_grads(up: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``affine_grads`` at input rows x1 = [x | 1] that end in the ones column."""
+    g = np.einsum("ik,ij->kj", x1, up)
     return g[:-1].T, g[-1]
 
 

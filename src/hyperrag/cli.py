@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import EmbeddingTable, item_tangent_rows, train_alignment
-from .errors import ConfigurationError, HyperRagError, config_values
+from .errors import ConfigurationError, ContractViolation, HyperRagError, config_values
 from .generation import (
     GenDataset,
     GenExample,
@@ -104,6 +104,8 @@ def _bundle_arg(args) -> CorpusBundle:
 
 def _pick_query(bundle: CorpusBundle, qid: str | None):
     if qid is None:
+        if not bundle.queries:
+            raise ContractViolation("no query to pick; the bundle's queries list is empty")
         return bundle.queries[0]
     for query in bundle.queries:
         if query.id == qid:

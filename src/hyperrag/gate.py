@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import KnowledgeItem, Query, affine_grads
+from .alignment import KnowledgeItem, Query, affine_grads, augmented_affine_grads
 from .errors import ConfigurationError, ContractViolation, DivergenceError, check_config_fields
 
 LOG_CLAMP = 1e-12
@@ -30,7 +30,7 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     ``math.exp`` per entry (numpy's ``exp`` differs from it in the last
     bit), at -|x|, which is the argument either branch of the scalar form takes."""
     e = np.array(list(map(math.exp, (-np.abs(x)).tolist())))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def max_softmax(raw) -> float:
@@ -98,9 +98,6 @@ class RelevanceHead:
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.named_params()}
-
     def apply_grads(self, grads: dict[str, np.ndarray], lr: float) -> None:
         for name, arr in self.named_params():
             arr -= lr * grads[name]
@@ -118,8 +115,8 @@ CrmBatch = list[tuple[Query, list[KnowledgeItem], list[KnowledgeItem]]]
 
 
 def _crm_rows(head: RelevanceHead, batch: CrmBatch) -> tuple[np.ndarray, np.ndarray, list]:
-    """The batch's stacked input rows (each query's positives first), their
-    labels (True for a positive), and each query's row positions."""
+    """The batch's stacked input rows [z | 1] (each query's positives first;
+    1 for the bias gradients), labels (True for a positive) and row positions."""
     rows, labels, spans = [], [], []
     for query, positives, negatives in batch:
         if not positives and not negatives:
@@ -130,16 +127,16 @@ def _crm_rows(head: RelevanceHead, batch: CrmBatch) -> tuple[np.ndarray, np.ndar
         rows.append(head.input_rows(query, positives + negatives))
         labels += [True] * len(positives) + [False] * len(negatives)
         spans.append(np.arange(start, len(labels)))
-    return np.concatenate(rows), np.array(labels), spans
+    return np.column_stack([np.concatenate(rows), np.ones(len(labels))]), np.array(labels), spans
 
 
-def _crm_stacked(head: RelevanceHead, z: np.ndarray, is_pos: np.ndarray, want_grads: bool):
+def _crm_stacked(head: RelevanceHead, z1: np.ndarray, is_pos: np.ndarray, want_grads: bool):
     """Loss, grads (None without ``want_grads``) and the number of clamped
-    or NaN pairs of stacked input rows z with labels is_pos.  Each pair's
-    log loss is ``math.log``, subtracted from 0.0 in row order, and every
-    gradient is an ordered sum over rows: the bits of adding the pairs one
-    at a time."""
-    h, raw = head.forward(z)
+    or NaN pairs of stacked input rows z1 = [z | 1] with labels is_pos.
+    Each pair's log loss is ``math.log``, subtracted from 0.0 in row order,
+    and every gradient is an ordered sum over rows: the bits of adding the
+    pairs one at a time."""
+    h, raw = head.forward(z1[:, :-1])
     r = sigmoid_array(raw)
     p = np.where(is_pos, r, 1.0 - r)
     # np.maximum keeps a NaN, as max(p, LOG_CLAMP) does.
@@ -148,12 +145,10 @@ def _crm_stacked(head: RelevanceHead, z: np.ndarray, is_pos: np.ndarray, want_gr
     clamped = len(raw) - int(np.count_nonzero(kept))
     if not want_grads:
         return total, None, clamped
-    if not kept.any():
-        return total, head.zero_grads(), clamped
     # d(-log r)/d raw = r - 1 for positives; r for negatives.
-    up = np.where(is_pos, r - 1.0, r)[kept, None]
-    h = h[kept]
-    w1, b1 = affine_grads(up * head.w2 * (1.0 - h * h), z[kept])
+    up = np.where(is_pos, r - 1.0, r)[:, None]
+    up, h, z1 = (up[kept], h[kept], z1[kept]) if clamped else (up, h, z1)
+    w1, b1 = augmented_affine_grads(up * head.w2 * (1.0 - h * h), z1)
     w2, b2 = affine_grads(up, h)
     return total, {"w1": w1, "b1": b1, "w2": w2[0], "b2": b2}, clamped
 
@@ -164,8 +159,8 @@ def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads=True):
     log arguments clamped below at 1e-12 (a clamped pair adds no gradient).
     One stacked pass over the batch's (query, document) pairs, bit for bit
     equal to adding the pairs one at a time, in batch order."""
-    z, is_pos, _ = _crm_rows(head, batch)
-    return _crm_stacked(head, z, is_pos, want_grads)[:2]
+    z1, is_pos, _ = _crm_rows(head, batch)
+    return _crm_stacked(head, z1, is_pos, want_grads)[:2]
 
 
 def fit_theta(pairs: list[tuple[float, bool]]) -> tuple[float, float]:
@@ -213,8 +208,8 @@ class CrmTrace:
     theta_accuracy: float = 0.0
 
 
-def _checked_pass(head: RelevanceHead, z, is_pos, step: int, want_grads: bool = True):
-    loss, grads, clamped = _crm_stacked(head, z, is_pos, want_grads)
+def _checked_pass(head: RelevanceHead, z1, is_pos, step: int, want_grads: bool = True):
+    loss, grads, clamped = _crm_stacked(head, z1, is_pos, want_grads)
     if clamped:  # a NaN score is not kept either: a non-finite loss has clamped pairs
         message = f"relevance head saturated: {clamped} pairs at the log clamp or NaN"
         raise DivergenceError(message, step=step)
@@ -245,7 +240,7 @@ def train_crm(
             f"labeled corpus needs both positives and negatives (got {n_pos} pos, {n_neg} neg)"
         )
     head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
-    z, is_pos, spans = _crm_rows(head, labeled)
+    z1, is_pos, spans = _crm_rows(head, labeled)
     rng = np.random.default_rng(config.seed)
     trace = CrmTrace()
     step = 0
@@ -256,12 +251,12 @@ def train_crm(
             epoch_loss = 0.0
             for s in range(0, len(labeled), size):
                 rows = np.concatenate([spans[i] for i in order[s : s + size]])
-                loss, grads = _checked_pass(head, z[rows], is_pos[rows], step)
+                loss, grads = _checked_pass(head, z1[rows], is_pos[rows], step)
                 head.apply_grads(grads, config.lr)
                 epoch_loss += loss
                 step += 1
             trace.epoch_losses.append(epoch_loss)
-        _checked_pass(head, z, is_pos, step, want_grads=False)
+        _checked_pass(head, z1, is_pos, step, want_grads=False)
     theta, acc = fit_theta(gating_pairs)
     trace.theta_accuracy = acc
     return head, theta, trace

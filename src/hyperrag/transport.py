@@ -20,6 +20,20 @@ EXACT_SUPPORT_LIMIT = 64
 WEIGHT_ATOL = 1e-9
 PLAN_MARGINAL_ATOL = 1e-6
 SINKHORN_TARGET = 1e-9
+_WHOLE_AXIS = np.zeros(1, dtype=np.intp)  # reduceat's start index for a whole axis
+
+
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """A read-only float copy of a probability vector over n support points."""
+    w = np.array(weights, dtype=float)
+    if w.shape != (n,):
+        raise ContractViolation(f"weights shape {w.shape} does not match support size {n}")
+    if not np.all(np.isfinite(w)) or w.min() < 0.0:
+        raise ContractViolation("weights must be finite and nonnegative")
+    if abs(float(w.sum()) - 1.0) > WEIGHT_ATOL:
+        raise ContractViolation(f"weights sum to {w.sum():.12f}, expected 1")
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -38,21 +52,10 @@ class EmpiricalDistribution:
             raise ContractViolation("support must be a nonempty 2-D array")
         if not np.all(np.isfinite(sup)):
             raise ContractViolation("support contains non-finite entries")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (sup.shape[0],):
-            raise ContractViolation(
-                f"weights shape {w.shape} does not match support size {sup.shape[0]}"
-            )
-        if not np.all(np.isfinite(w)) or w.min() < 0.0:
-            raise ContractViolation("weights must be finite and nonnegative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_ATOL:
-            raise ContractViolation(f"weights sum to {w.sum():.12f}, expected 1")
+        object.__setattr__(self, "weights", _checked_weights(self.weights, sup.shape[0]))
         sup = sup.copy()
-        w = w.copy()
         sup.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
@@ -181,7 +184,21 @@ def _round_to_marginals(coupling: np.ndarray, p: np.ndarray, q: np.ndarray) -> n
     return pi
 
 
-def _logsumexp(a: np.ndarray, axis=None):
+def _reduce(ufunc, a: np.ndarray, axis, dtype=None) -> np.ndarray:
+    """``ufunc.reduce`` over ``axis`` with kept dims, bit for bit on terms but -0.0:
+    a last axis of 2 to 7 columns as a column chain (numpy's order below 8 terms),
+    a maximum or count of booleans (order-free) over another axis by ``reduceat``."""
+    if axis in (-1, a.ndim - 1) and 1 < a.shape[-1] < 8:
+        out = a[..., :1]
+        for j in range(1, a.shape[-1]):
+            out = ufunc(out, a[..., j : j + 1], dtype=dtype)
+        return out
+    if isinstance(axis, int) and (ufunc is np.maximum or a.dtype == bool):
+        return ufunc.reduceat(a, _WHOLE_AXIS, axis=axis, dtype=dtype)
+    return ufunc.reduce(a, axis=axis, keepdims=True, dtype=dtype)
+
+
+def _logsumexp(a: np.ndarray, axis=None, keepdims=False):
     """log(sum(exp(a))) over ``axis``, with the arithmetic of
     ``scipy.special.logsumexp`` (scipy 1.17) on real arrays, so results
     agree bit for bit, minus its array-API dispatch (Sinkhorn makes three
@@ -189,28 +206,24 @@ def _logsumexp(a: np.ndarray, axis=None):
 
     Shift by the maximum, add the maximal terms as a count m:
     log1p(sum(exp(a - max) over the rest) / m) + log(m) + max; where that
-    is not finite, fall back to the unshifted log(sum(exp(a))).
+    is not finite, fall back to the unshifted log(sum(exp(a))).  No sum adds -0.0, and
+    the sign of a zero maximum does not reach the result.
     """
-    n = a.size if axis is None else a.shape[axis]
-    if n == 1:
-        # One term: scipy computes log1p(0) + log(1) + a.
-        return (0.0 + np.squeeze(a, axis=axis))[()]
-    if axis is None:
-        axis = tuple(range(a.ndim))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
-        i_max = a == a_max
-        m = np.add.reduce(i_max, axis=axis, keepdims=True, dtype=float)
-        s = np.add.reduce(
-            np.exp(np.where(i_max, -np.inf, a) - a_max), axis=axis, keepdims=True
-        )
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out_inf = np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True))
-            out = np.where(finite, out, out_inf)
-    return np.squeeze(out, axis=axis)[()]
+    n, axis = (a.size, tuple(range(a.ndim))) if axis is None else (a.shape[axis], axis)
+    if n == 1:  # scipy computes log1p(0) + log(1) + a
+        out = 0.0 + a
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a_max = _reduce(np.maximum, a, axis)
+            i_max = a == a_max
+            m = _reduce(np.add, i_max, axis, dtype=float)
+            s = _reduce(np.add, np.exp(np.where(i_max, -np.inf, a) - a_max), axis)
+            s = s / m  # scipy's where(s == 0, s, s / m): m >= 1 unless a_max is NaN
+            out = np.log1p(s) + np.log(m) + a_max
+            finite = np.isfinite(out)
+            if not finite.all():
+                out = np.where(finite, out, np.log(_reduce(np.add, np.exp(a), axis)))
+    return out if keepdims else np.squeeze(out, axis=axis)[()]
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
@@ -219,10 +232,9 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
 
 
 def _log_plan(f, g, cost, eps, log_p, log_q) -> np.ndarray:
-    """log pi_ij = (f_i + g_j - c_ij) / eps + log p_i + log q_j (over any
-    leading stack axes)."""
-    scaled = (f[..., :, None] + g[..., None, :] - cost) / eps
-    return scaled + log_p[..., :, None] + log_q[..., None, :]
+    """log pi_ij = (f_i + g_j - c_ij) / eps + log p_i + log q_j, from f and
+    log p as columns (..., V, 1) and g and log q as rows (..., 1, K)."""
+    return (f + g - cost) / eps + log_p + log_q
 
 
 def _sinkhorn_rows(cost, p_weights, q_weights, epsilon: float, max_iter: int, widths=None):
@@ -251,35 +263,38 @@ def _sinkhorn_rows(cost, p_weights, q_weights, epsilon: float, max_iter: int, wi
             if stage[b] == len(ladder):
                 ladder.append(ladder[-1] * 2.0)
     ladder = np.array(ladder)
-    rows, pw, g = np.arange(n), p_weights, np.zeros(q_weights.shape)
-    log_p, log_q = _log_weights(pw), _log_weights(q_weights)
-    # numpy sums a lone column pairwise but a column of a wider block in
-    # order, so a padded one-atom row sums its own column apart.
-    padded = widths is not None and cost.shape[2] > 1
+    rows, pw, g = np.arange(n), p_weights, np.zeros(q_weights.shape)[:, None, :]
+    log_p, log_q = _log_weights(pw)[:, :, None], _log_weights(q_weights)[:, None, :]
+    # numpy sums a lone column of 8 or more terms pairwise but a column of a
+    # wider block in order, so a padded one-atom row then sums its own apart.
+    padded = widths is not None and cost.shape[2] > 1 and cost.shape[1] >= 8
     one = np.asarray(widths) == 1 if padded else np.zeros(n, dtype=bool)
+    changed = True
     with np.errstate(all="ignore"):
         for it in range(max_iter):
-            eps = ladder[stage][:, None, None]
-            f = -eps[:, 0] * _logsumexp((g[:, None, :] - cost) / eps + log_q[:, None, :], axis=2)
-            a = (f[:, :, None] - cost) / eps + log_p[:, :, None]
-            g = -eps[:, 0] * _logsumexp(a, axis=1)
-            if one.any():
-                g[one, :1] = -eps[one, 0] * _logsumexp(a[one, :, :1], axis=1)
+            if changed:  # a stage or the active set changed
+                eps, last, any_one = ladder[stage][:, None, None], stage == 0, one.any()
+                neg_eps, threshold = -eps, np.where(last, SINKHORN_TARGET, 1e-3)
+            f = neg_eps * _logsumexp((g - cost) / eps + log_q, axis=2, keepdims=True)
+            a = (f - cost) / eps + log_p
+            g = neg_eps * _logsumexp(a, axis=1, keepdims=True)
+            if any_one:
+                g[one, :, :1] = neg_eps[one] * _logsumexp(a[one, :, :1], axis=1, keepdims=True)
             marginals = np.exp(_logsumexp(_log_plan(f, g, cost, eps, log_p, log_q), axis=2))
-            viol = np.max(np.abs(marginals - pw), axis=1)
+            viol = np.maximum.reduce(np.abs(marginals - pw), axis=1)
             if not np.isfinite(viol).all():
-                raise NumericalError(
-                    f"entropic solve at epsilon {epsilon} has a non-finite marginal "
-                    "violation; epsilon is too small for the cost scale"
-                )
-            # A stage ends at the target or, before the last stage, once the
-            # plan is good enough to seed the next (smaller) epsilon.
-            advance = (viol < SINKHORN_TARGET) | ((stage > 0) & (viol < 1e-3))
-            done = (advance & (stage == 0)) | (it + 1 == max_iter)
+                raise NumericalError(f"entropic solve at epsilon {epsilon} has a non-finite "
+                                     "marginal violation; epsilon is too small for the cost scale")
+            # A stage ends at the target; one before the last (0) ends at 1e-3.
+            advance = viol < threshold
+            changed = np.count_nonzero(advance) > 0
+            if not changed and it + 1 < max_iter:
+                continue
+            done = (advance & last) | (it + 1 == max_iter)
             stage = stage - advance
             if done.any():
                 idx, keep = rows[done], ~done
-                f_out[idx], g_out[idx], violation[idx] = f[done], g[done], viol[done]
+                f_out[idx], g_out[idx], violation[idx] = f[done, :, 0], g[done, 0], viol[done]
                 rows, stage, g, cost, pw = rows[keep], stage[keep], g[keep], cost[keep], pw[keep]
                 log_p, log_q, one = log_p[keep], log_q[keep], one[keep]
                 if not rows.size:
@@ -302,13 +317,14 @@ def sinkhorn_potentials(
     return f[0], g[0], bool(converged[0]), float(violation[0])
 
 
-def _rounded_plan(p, q, epsilon: float, f, g, cost: np.ndarray) -> np.ndarray:
+def _rounded_plan(p_weights, q_weights, epsilon: float, f, g, cost: np.ndarray) -> np.ndarray:
     """The entropic plan of potentials (f, g), rounded onto the marginals."""
     with np.errstate(all="ignore"):
-        log_pi = _log_plan(f, g, cost, epsilon, _log_weights(p.weights), _log_weights(q.weights))
+        log_pi = _log_plan(f[:, None], g[None, :], cost, epsilon,
+                           _log_weights(p_weights)[:, None], _log_weights(q_weights)[None, :])
         # Normalize total mass to 1.  A no-op at convergence; with unconverged
         # potentials it keeps the matrix finite so rounding can proceed.
-        plan = _round_to_marginals(np.exp(log_pi - _logsumexp(log_pi)), p.weights, q.weights)
+        plan = _round_to_marginals(np.exp(log_pi - _logsumexp(log_pi)), p_weights, q_weights)
     if not np.isfinite(plan).all():  # a solve can stop before its ladder reaches epsilon
         raise NumericalError(f"entropic plan at epsilon {epsilon} is non-finite")
     return plan
@@ -325,7 +341,7 @@ def wasserstein2_sinkhorn(
     convergence flag."""
     f, g, converged, _ = sinkhorn_potentials(p, q, epsilon, max_iter)
     cost = squared_cost_matrix(p, q)
-    plan = TransportPlan(_rounded_plan(p, q, epsilon, f, g, cost))
+    plan = TransportPlan(_rounded_plan(p.weights, q.weights, epsilon, f, g, cost))
     plan.check_marginals(p, q)
     return _sqrt_cost(plan.coupling, cost), plan, converged
 
@@ -348,17 +364,17 @@ def entropic_terms(
         raise ContractViolation(
             f"{len(p_weights)} p_weights rows against {len(q.rows)} gold distributions"
         )
-    ps = [EmpiricalDistribution(support, w) for w in p_weights]
+    p = EmpiricalDistribution(support, p_weights[0])
+    pw = np.stack([p.weights] + [_checked_weights(w, p.size) for w in p_weights[1:]])
     widths = [qb.size for qb in q.rows]
-    cost, qw = np.zeros((len(ps), len(support), q.size)), np.zeros((len(ps), q.size))
-    for b, (p, qb) in enumerate(zip(ps, q.rows, strict=True)):
+    cost, qw = np.zeros((len(pw), p.size, q.size)), np.zeros((len(pw), q.size))
+    for b, qb in enumerate(q.rows):
         cost[b, :, : qb.size], qw[b, : qb.size] = squared_cost_matrix(p, qb), qb.weights
-    pw = np.stack([p.weights for p in ps])
     f, g, _, _ = _sinkhorn_rows(cost, pw, qw, epsilon, max_iter, widths)
     # Dual value at feasibility: <f, p> + <g, q>; only the gradient's
     # simplex-tangential part is meaningful.
     return [
-        (float(fb @ p.weights + gb[:k] @ qb.weights), fb - float(np.mean(fb)),
-         _sqrt_cost(_rounded_plan(p, qb, epsilon, fb, gb[:k], cb[:, :k]), cb[:, :k]))
-        for p, qb, fb, gb, cb, k in zip(ps, q.rows, f, g, cost, widths)
+        (float(fb @ wb + gb[:k] @ qb.weights), fb - float(np.mean(fb)),
+         _sqrt_cost(_rounded_plan(wb, qb.weights, epsilon, fb, gb[:k], cb[:, :k]), cb[:, :k]))
+        for wb, qb, fb, gb, cb, k in zip(pw, q.rows, f, g, cost, widths)
     ]

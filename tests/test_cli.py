@@ -437,7 +437,10 @@ class TestErrorSurface:
 
     @pytest.mark.parametrize(
         "emptied, command",
-        [("items", "crm"), ("items", "train-all"), ("items", "answer"), ("queries", "crm")],
+        [
+            ("items", "crm"), ("items", "train-all"), ("items", "answer"), ("queries", "crm"),
+            ("queries", "refine"), ("queries", "answer"),
+        ],
     )
     def test_empty_corpus_list_is_contract_error(
         self, workdir, tmp_path, capsys, emptied, command

@@ -441,7 +441,7 @@ class TestTrainCrm:
 def per_pair_loss_and_grads(head, batch, want_grads=True):
     """Oracle for ``crm_loss_and_grads``: one forward and backward pass per
     (query, document) pair, accumulated in batch order."""
-    grads = head.zero_grads() if want_grads else None
+    grads = {name: np.zeros_like(arr) for name, arr in head.named_params()} if want_grads else None
     total = 0.0
     for query, positives, negatives in batch:
         for doc, is_pos in [(d, True) for d in positives] + [(d, False) for d in negatives]:
@@ -575,7 +575,8 @@ class TestBatchedMatchesPerPair:
         head.b1 = rng.standard_normal(hidden)
         z = scale * rng.standard_normal((n, width))
         labels = rng.random(n) < 0.5
-        _, grads, clamped = _crm_stacked(head, z, labels, want_grads=True)
+        z1 = np.concatenate([z, np.ones((n, 1))], axis=1)
+        _, grads, clamped = _crm_stacked(head, z1, labels, want_grads=True)
         assert clamped == 0
         want_w1, want_b1 = column_loop_grads(head, z, labels)
         assert np.array_equal(grads["w1"], want_w1)

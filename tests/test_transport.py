@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -419,17 +419,28 @@ class TestLockStepSolver:
             with pytest.raises(NumericalError, match="epsilon 5e-324"):
                 entropic_terms(p_rows, DistributionStack((at_token, away)), tokens, 5e-324)
 
+    # Vocabularies of 7 and 8 tokens, on either side of the size from which
+    # a one-atom row's column is summed apart, are drawn more often.
     @settings(max_examples=100, deadline=None)
     @given(
-        vocab=st.integers(1, 10),
+        vocab=st.one_of(st.sampled_from([7, 8]), st.integers(1, 10)),
         rows=st.lists(st.tuples(PROBLEM, st.integers(1, 4)), min_size=1, max_size=6),
         epsilon=st.floats(1e-3, 1.0),
         max_iter=st.one_of(st.integers(1, 5), st.just(2000)),
     )
+    # 8 tokens: a one-atom row whose column, summed in order, differs.
+    @example(
+        vocab=8,
+        rows=[({"seed": 2, "zeros": (0, 0), "spread": 1.5}, 2),
+              ({"seed": 1002, "zeros": (0, 0), "spread": 1.5}, 1)],
+        epsilon=0.05,
+        max_iter=2000,
+    )
     def test_mixed_sizes_match_each_row_alone(self, vocab, rows, epsilon, max_iter):
         """Rows of 1 to 4 atoms, padded to the widest, give the bits of
         solving each row alone (a vocabulary of 8 or more tokens sums a
-        one-atom row's column in another order unless it is summed apart)."""
+        one-atom row's column in another order unless it is summed apart;
+        below 8 both orders are the same)."""
         tokens, problems = self.mixed_problems(vocab, rows)
         stack = DistributionStack(tuple(q for _, q in problems))
         assert stack.size == max(q.size for _, q in problems)
@@ -484,6 +495,32 @@ class TestLockStepSolver:
             out.append((weights_with_zeros(rng, vocab, row["zeros"][0]), q))
         return tokens, out
 
+    GOLD_1D = EmpiricalDistribution(np.array([[1.0]]), np.array([1.0]))
+    GOLD_2D = EmpiricalDistribution(np.array([[1.0, 0.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "support, p_rows, gold",
+        [
+            ([[np.nan], [1.0]], [[0.7, 0.7], [0.5, 0.5]], [GOLD_2D, GOLD_1D]),
+            ([[0.0], [1.0]], [[0.5, 0.5], [-0.5, 1.5]], [GOLD_2D, GOLD_1D]),
+            ([[0.0], [1.0]], [[0.7, 0.7], [-0.5, 1.5]], [GOLD_1D, GOLD_1D]),
+            ([[0.0], [1.0]], [[0.5, 0.5], [0.2, 0.3, 0.5]], [GOLD_1D, GOLD_1D]),
+            ([[0.0], [1.0]], [[0.5, 0.5], [0.5, 0.5]], [GOLD_1D, GOLD_2D]),
+        ],
+        ids=["support", "weights-before-costs", "first-row-first", "shape", "dimensions"],
+    )
+    def test_errors_are_the_per_row_checks_in_order(self, support, p_rows, gold):
+        """The support is checked once, yet the first error is the one that
+        building each row's distribution, then its costs, raises first."""
+        with pytest.raises(ContractViolation) as want:
+            ps = [EmpiricalDistribution(np.array(support), np.array(w)) for w in p_rows]
+            for p, q in zip(ps, gold):
+                squared_cost_matrix(p, q)
+        with pytest.raises(ContractViolation) as got:
+            entropic_terms([np.array(w) for w in p_rows], DistributionStack(tuple(gold)),
+                           np.array(support), 0.1)
+        assert str(got.value) == str(want.value)
+
     def test_stack_needs_a_row_and_reports_the_widest(self):
         one = EmpiricalDistribution.uniform(np.array([[0.0]]))
         two = EmpiricalDistribution.uniform(np.array([[0.0], [1.0]]))
@@ -493,10 +530,13 @@ class TestLockStepSolver:
             DistributionStack(())
 
 
-# Few distinct values, so maxima tie often; infinities of both signs.
+# Few distinct values, so maxima tie often; infinities of both signs; and
+# values close together, whose exp terms are alike in size, so that a sum
+# in another order differs in its last bits.
 LSE_ELEMENTS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, -math.inf]),
     st.floats(-800.0, 800.0),
+    st.floats(-3.0, 3.0),
 )
 
 
@@ -504,23 +544,34 @@ class TestLogSumExp:
     """transport._logsumexp keeps scipy.special.logsumexp's arithmetic, so
     Sinkhorn outputs (and the pinned training digests) keep their bits."""
 
-    @settings(max_examples=300, deadline=None)
+    # 2-D matrices and 3-D stacks whose last axis is 1 to 9 wide: the
+    # column chains below 8 columns and numpy's reduce from 8 are both
+    # compared, as are the whole-axis maxima and counts of other axes.
+    @settings(max_examples=400, deadline=None)
     @given(
         arrays(
             np.float64,
-            st.tuples(st.integers(1, 8), st.integers(1, 3)),
+            st.one_of(
+                st.tuples(st.integers(1, 8), st.integers(1, 9)),
+                st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 9)),
+            ),
             elements=LSE_ELEMENTS,
         ),
-        st.sampled_from([0, 1, None]),
+        st.sampled_from([0, 1, -1, None]),
+        st.booleans(),
     )
-    def test_bit_identical_to_scipy(self, a, axis):
-        expected = np.asarray(scipy.special.logsumexp(a, axis=axis))
-        got = np.asarray(transport._logsumexp(a, axis=axis))
+    def test_bit_identical_to_scipy(self, a, axis, keepdims):
+        expected = np.asarray(scipy.special.logsumexp(a, axis=axis, keepdims=keepdims))
+        got = np.asarray(transport._logsumexp(a, axis=axis, keepdims=keepdims))
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
-    @pytest.mark.parametrize("gold", [[3], [1, 4]], ids=["one-atom", "two-atom"])
+    @pytest.mark.parametrize(
+        "gold",
+        [[3], [1, 4], [0, 1, 2, 3, 4, 5, 6, 1, 2]],
+        ids=["one-atom", "two-atom", "nine-atom"],
+    )
     def test_solver_outputs_unchanged_against_scipy(self, rng, monkeypatch, gold):
         # Several draws: a formula that differs only in the last bits
         # leaves some solves unchanged.
@@ -546,6 +597,12 @@ class TestLogSumExp:
 
         ours = solve_all()
         monkeypatch.setattr(transport, "_logsumexp", scipy.special.logsumexp)
+
+        def own_reduction(*args, **kwargs):
+            raise AssertionError("a solver reduction bypassed _logsumexp")
+
+        # With scipy in its place, no reduction may reach the helper behind it.
+        monkeypatch.setattr(transport, "_reduce", own_reduction)
         for ((f, g, conv, viol), (value, grad, cost)), (
             (f_ref, g_ref, conv_ref, viol_ref),
             (value_ref, grad_ref, cost_ref),
