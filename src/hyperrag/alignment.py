@@ -12,17 +12,15 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ContractViolation,
-    DivergenceError,
-    InvalidPointError,
-    check_config_fields,
-)
+from .errors import ConfigurationError, ContractViolation, DivergenceError, InvalidPointError
 from .geometry import distances_to_rows, origin_log_rows, pair_distance_rows, project_rows
+
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
 
 MODALITIES = ("visual", "textual", "graph_triplet")
 QUERY_KEY = "query"
@@ -198,24 +196,6 @@ def item_tangent_rows(table: EmbeddingTable, items: list[KnowledgeItem]) -> np.n
     return origin_log_rows(embed_corpus_rows(table, items))[:, 1:]
 
 
-@dataclass(frozen=True)
-class AlignmentConfig:
-    dim: int = 128
-    lr: float = 1e-4
-    epochs: int = 20
-    batch_size: int = 32
-    seed: int = 0
-
-    def validate(self):
-        check_config_fields(self)
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
-        if self.dim < 2:
-            raise ConfigurationError(f"dim must be >= 2, got {self.dim}")
-
-
 Batch = list[tuple[Query, list[KnowledgeItem]]]
 
 
@@ -313,12 +293,13 @@ def _checked_geo_loss(table: EmbeddingTable, batch: Batch, step: int, want_grads
 
 def train_alignment(
     queries: list[Query], items: list[KnowledgeItem], positives: dict[str, list[str]],
-    config: AlignmentConfig,
+    config: PipelineConfig,
 ) -> tuple[EmbeddingTable, list[float]]:
     """Fit the embedding maps by mini-batch gradient descent on the geodesic
-    loss over ``positive_pairs``, one shuffled pass per epoch; deterministic given
-    config.seed.  Returns the table and each epoch's loss: its steps' means,
-    weighted by batch size.  One full-corpus pass checks the returned table."""
+    loss over ``positive_pairs`` (``dim``, ``lr``, ``epochs``, ``batch_size``),
+    one shuffled pass per epoch; deterministic given config.seed.  Returns
+    the table and each epoch's loss: its steps' means, weighted by batch
+    size.  One full-corpus pass checks the returned table."""
     config.validate()
     if not queries or not items:
         raise ContractViolation("training corpus must contain queries and items")

@@ -132,9 +132,7 @@ def cmd_synth(args, config: PipelineConfig, writer: RecordWriter) -> int:
 
 def cmd_align(args, config: PipelineConfig, writer: RecordWriter) -> int:
     bundle = _bundle_arg(args)
-    table, losses = train_alignment(
-        bundle.queries, bundle.items, bundle.positives, config.alignment_config()
-    )
+    table, losses = train_alignment(bundle.queries, bundle.items, bundle.positives, config)
     for epoch, loss in enumerate(losses, start=1):
         writer.emit({"epoch": epoch, "geo_loss": loss})
     if args.out:

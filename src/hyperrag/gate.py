@@ -15,11 +15,15 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .alignment import KnowledgeItem, Query, affine_grads, augmented_affine_grads
-from .errors import ConfigurationError, ContractViolation, DivergenceError, check_config_fields
+from .errors import ConfigurationError, ContractViolation, DivergenceError
+
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
 
 LOG_CLAMP = 1e-12
 THETA_GRID = [round(i / 100.0, 2) for i in range(101)]
@@ -159,6 +163,8 @@ def crm_loss_and_grads(head: RelevanceHead, batch: CrmBatch, want_grads=True):
     log arguments clamped below at 1e-12 (a clamped pair adds no gradient).
     One stacked pass over the batch's (query, document) pairs, bit for bit
     equal to adding the pairs one at a time, in batch order."""
+    if not batch:
+        raise ContractViolation("crm_loss_and_grads batch is empty")
     z1, is_pos, _ = _crm_rows(head, batch)
     return _crm_stacked(head, z1, is_pos, want_grads)[:2]
 
@@ -184,22 +190,6 @@ def fit_theta(pairs: list[tuple[float, bool]]) -> tuple[float, float]:
     return best, accuracy[best]
 
 
-@dataclass(frozen=True)
-class CrmConfig:
-    hidden: int = 512
-    lr: float = 0.1
-    epochs: int = 200
-    seed: int = 0
-    batch_size: int = 0  # 0 = full batch
-
-    def validate(self):
-        check_config_fields(self)
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1 or self.hidden < 1 or self.batch_size < 0:
-            raise ConfigurationError("epochs and hidden must be >= 1, batch_size >= 0")
-
-
 @dataclass
 class CrmTrace:
     """Each epoch's loss is the sum of its steps' losses."""
@@ -219,17 +209,19 @@ def _checked_pass(head: RelevanceHead, z1, is_pos, step: int, want_grads: bool =
 def train_crm(
     labeled: CrmBatch,
     gating_pairs: list[tuple[float, bool]],
-    config: CrmConfig,
+    config: PipelineConfig,
     query_dim: int,
     item_dim: int,
 ) -> tuple[RelevanceHead, float, CrmTrace]:
-    """Gradient descent on the contrastive loss, then theta from
+    """Gradient descent on the contrastive loss (``crm_hidden``,
+    ``crm_lr``, ``crm_epochs``, ``crm_batch_size``), then theta from
     ``fit_theta``'s grid search on the same gating pairs (no held-out
     split; theta never depends on the head); deterministic given
     config.seed.  The labeled rows are stacked once, and each mini-batch
-    gathers its queries' rows by index.  A step's pass, or one full-set
-    pass over the returned head, with a pair at the log clamp or a
-    non-finite loss raises DivergenceError, without a RuntimeWarning."""
+    gathers its queries' rows by index; when one batch holds every
+    query, each epoch takes them in order.  A step's pass, or one
+    full-set pass over the returned head, with a pair at the log clamp
+    or a non-finite loss raises DivergenceError, without a RuntimeWarning."""
     config.validate()
     if not labeled:
         raise ContractViolation("train_crm requires a labeled corpus")
@@ -239,20 +231,21 @@ def train_crm(
         raise ContractViolation(
             f"labeled corpus needs both positives and negatives (got {n_pos} pos, {n_neg} neg)"
         )
-    head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
+    head = RelevanceHead(query_dim, item_dim, hidden=config.crm_hidden, seed=config.seed)
     z1, is_pos, spans = _crm_rows(head, labeled)
     rng = np.random.default_rng(config.seed)
     trace = CrmTrace()
     step = 0
-    size = config.batch_size or len(labeled)
+    n, size = len(labeled), config.crm_batch_size
     with np.errstate(over="ignore", invalid="ignore"):
-        for _epoch in range(config.epochs):
-            order = rng.permutation(len(labeled)) if config.batch_size else range(len(labeled))
+        for _epoch in range(config.crm_epochs):
+            # Shuffling a single batch would only reorder its sums.
+            order = rng.permutation(n) if size < n else range(n)
             epoch_loss = 0.0
-            for s in range(0, len(labeled), size):
+            for s in range(0, n, size):
                 rows = np.concatenate([spans[i] for i in order[s : s + size]])
                 loss, grads = _checked_pass(head, z1[rows], is_pos[rows], step)
-                head.apply_grads(grads, config.lr)
+                head.apply_grads(grads, config.crm_lr)
                 epoch_loss += loss
                 step += 1
             trace.epoch_losses.append(epoch_loss)

@@ -246,12 +246,12 @@ class GenConfig:
 
     def validate(self) -> None:
         check_config_fields(self)
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1 or self.ot_max_iter < 1:
-            raise ConfigurationError("epochs and ot_max_iter must be >= 1")
-        if self.epsilon <= 0 or self.t_decay <= 0:
-            raise ConfigurationError("epsilon and t_decay must be positive")
+        for name in ("lr", "t_decay", "epsilon"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("epochs", "ot_max_iter"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

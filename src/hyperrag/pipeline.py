@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .alignment import (
-    AlignmentConfig,
     EmbeddingTable,
     KnowledgeItem,
     Query,
@@ -38,7 +37,6 @@ from .errors import (
     check_config_fields,
 )
 from .gate import (
-    CrmConfig,
     RelevanceHead,
     crm_loss_and_grads,
     decide,
@@ -97,36 +95,29 @@ class PipelineConfig:
     ot_max_iter: int = 2000
 
     def validate(self) -> None:
-        """The rules no stage config states, then each stage's, tagged with its class."""
+        """Each rule once, its message naming the key it rejects;
+        ``gen_config`` states epsilon's and ot_max_iter's."""
         check_config_fields(self)
-        if not (0.0 < self.beta < 1.0 and 0.0 < self.gamma < 1.0):
-            raise ConfigurationError(f"beta, gamma must be in (0, 1), got {self.beta}, {self.gamma}")
+        for name in ("alpha", "beta", "gamma"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.beta + self.gamma >= 1.0:
             raise ConfigurationError(f"beta + gamma must be < 1, got {self.beta + self.gamma}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if self.weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if not 0.0 < self.eta_frac <= 1.0:
             raise ConfigurationError(f"eta_frac must lie in (0, 1], got {self.eta_frac}")
-        if self.rho < 0:
-            raise ConfigurationError(f"rho must be nonnegative, got {self.rho}")
-        if self.t_decay <= 0:
-            raise ConfigurationError(f"t_decay must be positive, got {self.t_decay}")
-        # crm_batch_size is stricter than CrmConfig's, where 0 means full batch.
-        if min(self.k, self.top_k, self.crm_batch_size) < 1:
-            raise ConfigurationError("k, top_k and crm_batch_size must be >= 1")
-        for stage in (self.crm_config(), self.alignment_config(), self.gen_config()):
-            with _stage(type(stage).__name__):
-                stage.validate()
-
-    def crm_config(self) -> CrmConfig:
-        return CrmConfig(hidden=self.crm_hidden, lr=self.crm_lr, epochs=self.crm_epochs,
-                         seed=self.seed, batch_size=self.crm_batch_size)
-
-    def alignment_config(self) -> AlignmentConfig:
-        return AlignmentConfig(dim=self.dim, lr=self.lr, epochs=self.epochs,
-                               batch_size=self.batch_size, seed=self.seed)
+        for name in ("lr", "t_decay", "crm_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("weight_decay", "rho"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("k", "top_k", "epochs", "batch_size", "crm_hidden", "crm_epochs",
+                     "crm_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dim < 2:
+            raise ConfigurationError(f"dim must be >= 2, got {self.dim}")
+        self.gen_config().validate()
 
     def gen_config(self) -> GenConfig:
         """The ``gen`` stage: epsilon, ot_max_iter and the seed.  It keeps
@@ -371,25 +362,15 @@ def _tag_stage(exc: HyperRagError, stage: str) -> None:
 
 
 @contextmanager
-def _stage(stage: str):
-    """Tag a HyperRagError raised in the block with the pipeline stage,
-    preserving its type."""
+def _phase2_stage(optimizer: AdamW, epoch: int, stage: str):
+    """Tag a HyperRagError raised in a phase-2 step with ``phase2 epoch
+    <epoch> <stage>``, preserving its type.  A point that leaves the
+    hyperboloid once the optimizer has stepped is reported as divergence."""
     try:
         yield
     except HyperRagError as exc:
-        _tag_stage(exc, stage)
-        raise
-
-
-@contextmanager
-def _phase2_stage(optimizer: AdamW, epoch: int, stage: str):
-    """``_stage`` for a phase-2 step.  A point that leaves the hyperboloid
-    once the optimizer has stepped is reported as divergence."""
-    try:
-        with _stage(f"phase2 epoch {epoch} {stage}"):
-            yield
-    except InvalidPointError as exc:
-        if optimizer.t == 0:
+        _tag_stage(exc, f"phase2 epoch {epoch} {stage}")
+        if not isinstance(exc, InvalidPointError) or optimizer.t == 0:
             raise
         message = f"phase 2 diverged in epoch {epoch}: {exc}"
         raise DivergenceError(message, step=optimizer.t) from exc
@@ -437,7 +418,7 @@ def train_phase1(config: PipelineConfig, bundle: CorpusBundle):
     head, theta, trace = train_crm(
         labeled,
         gating_pairs,
-        config.crm_config(),
+        config,
         query_dim=bundle.queries[0].combined_features.size,
         item_dim=bundle.items[0].features.size,
     )

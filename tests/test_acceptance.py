@@ -29,7 +29,7 @@ from hyperrag.conformance import (
     subset_bruteforce,
     two_clique_graph,
 )
-from hyperrag.gate import CrmConfig, RelevanceHead, decide, filter_relevant, train_crm
+from hyperrag.gate import RelevanceHead, decide, filter_relevant, train_crm
 from hyperrag.generation import (
     GenConfig,
     GenDataset,
@@ -388,7 +388,10 @@ def test_criterion_4_confidence_gate(capfd):
         labeled = planted_gate_corpus(np.random.default_rng(0))
         pairs = [(s, False) for s in [0.705, 0.72, 0.8, 0.95]]
         pairs += [(s, True) for s in [0.3, 0.5, 0.67, 0.695]]
-        config = CrmConfig(hidden=16, lr=0.05, epochs=150, seed=0)
+        # One batch of all 10 queries: full-batch descent, in query order.
+        config = PipelineConfig(
+            crm_hidden=16, crm_lr=0.05, crm_epochs=150, crm_batch_size=10, seed=0
+        )
         head, theta, _ = train_crm(labeled, pairs, config, 8, 4)
         classified = all(
             [d.id for d in filter_relevant(head, q, pos + neg)] == [d.id for d in pos]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hyperrag.alignment import (
-    AlignmentConfig,
     EmbeddingTable,
     KnowledgeItem,
     Query,
@@ -37,6 +36,7 @@ from hyperrag.geometry import (
     origin,
     origin_log_rows,
 )
+from hyperrag.pipeline import PipelineConfig
 from hyperrag.spectral import KnowledgeGraph
 from hyperrag.synth import SynthSpec, synth_bundle
 
@@ -177,7 +177,7 @@ class TestItemTangentRows:
 
     def test_trained_table(self, rng):
         queries, items, positives = cluster_corpus(rng)
-        config = AlignmentConfig(dim=6, lr=0.5, epochs=3, seed=2)
+        config = PipelineConfig(dim=6, lr=0.5, epochs=3, seed=2)
         table, _ = train_alignment(queries, items, positives, config)
         rows = item_tangent_rows(table, items)
         assert np.array_equal(rows, self.scalar_rows(table, items))
@@ -404,13 +404,13 @@ class TestTrainAlignment:
         # affine map, so the initial table is already optimal.
         queries = [Query("q0", np.zeros(3), np.zeros(3))]
         items = [KnowledgeItem("i0", "visual", np.zeros(3))]
-        config = AlignmentConfig(dim=3, lr=0.1, epochs=4, seed=1)
+        config = PipelineConfig(dim=3, lr=0.1, epochs=4, seed=1)
         _, losses = train_alignment(queries, items, {"q0": ["i0"]}, config)
         assert losses == [0.0, 0.0, 0.0, 0.0]
 
     def test_cluster_corpus_loss_halves(self, rng):
         queries, items, positives = cluster_corpus(rng)
-        config = AlignmentConfig(dim=4, lr=0.01, epochs=100, batch_size=4, seed=2)
+        config = PipelineConfig(dim=4, lr=0.01, epochs=100, batch_size=4, seed=2)
         table, losses = train_alignment(queries, items, positives, config)
         initial, _ = geo_loss_and_grads(
             EmbeddingTable.for_corpus(queries, items, 4, seed=2),
@@ -421,14 +421,14 @@ class TestTrainAlignment:
 
     def test_seed_reproducibility(self, rng):
         corpus = cluster_corpus(rng)
-        config = AlignmentConfig(dim=4, lr=0.02, epochs=5, batch_size=4, seed=9)
+        config = PipelineConfig(dim=4, lr=0.02, epochs=5, batch_size=4, seed=9)
         _, t1 = train_alignment(*corpus, config)
         _, t2 = train_alignment(*corpus, config)
         assert t1 == t2
 
     def test_divergence_reports_step(self, rng):
         corpus = cluster_corpus(rng, num_clusters=2, per_cluster=4)
-        config = AlignmentConfig(dim=3, lr=1e200, epochs=3, seed=0)
+        config = PipelineConfig(dim=3, lr=1e200, epochs=3, seed=0)
         with pytest.raises(DivergenceError) as exc_info:
             train_alignment(*corpus, config)
         assert exc_info.value.step is not None
@@ -437,7 +437,7 @@ class TestTrainAlignment:
         # The first epoch reports the loss of the pass that took its one
         # step: the loss of the initial table, summed in shuffled order.
         queries, items, positives = cluster_corpus(rng)
-        config = AlignmentConfig(dim=4, lr=0.05, epochs=2, batch_size=64, seed=3)
+        config = PipelineConfig(dim=4, lr=0.05, epochs=2, batch_size=64, seed=3)
         _, losses = train_alignment(queries, items, positives, config)
         initial, _ = geo_loss_and_grads(
             EmbeddingTable.for_corpus(queries, items, 4, seed=3),
@@ -448,20 +448,20 @@ class TestTrainAlignment:
 
     def test_divergence_on_the_last_step_is_caught(self, rng):
         corpus = cluster_corpus(rng, num_clusters=2, per_cluster=4)
-        config = AlignmentConfig(dim=3, lr=1e200, epochs=1, batch_size=64, seed=0)
+        config = PipelineConfig(dim=3, lr=1e200, epochs=1, batch_size=64, seed=0)
         with pytest.raises(DivergenceError, match="alignment diverged") as exc_info:
             train_alignment(*corpus, config)
         assert exc_info.value.step == 1
 
     def test_bad_config(self, rng):
         corpus = cluster_corpus(rng)
-        for bad in (AlignmentConfig(lr=0.0), AlignmentConfig(seed=-1)):
+        for bad in (PipelineConfig(lr=0.0), PipelineConfig(seed=-1)):
             with pytest.raises(ConfigurationError):
                 train_alignment(*corpus, bad)
 
     def test_empty_corpus(self):
         with pytest.raises(ContractViolation):
-            train_alignment([], [], {}, AlignmentConfig())
+            train_alignment([], [], {}, PipelineConfig())
 
     def test_queries_without_positives_are_left_out(self, rng):
         # A query with no positive adds no pair, so training keeps the bits
@@ -470,7 +470,7 @@ class TestTrainAlignment:
         lone = Query("q-lone", np.ones(6), np.ones(6))
         pairs = positive_pairs(queries + [lone], items, {**positives, lone.id: []})
         assert [q.id for q, _ in pairs] == [q.id for q in queries]
-        config = AlignmentConfig(dim=4, lr=0.02, epochs=3, batch_size=4, seed=9)
+        config = PipelineConfig(dim=4, lr=0.02, epochs=3, batch_size=4, seed=9)
         with_lone, losses = train_alignment(queries + [lone], items, positives, config)
         without, want = train_alignment(queries, items, positives, config)
         assert losses == want
@@ -480,7 +480,7 @@ class TestTrainAlignment:
     def test_no_positive_at_all_is_a_contract_violation(self, rng):
         queries, items, _ = cluster_corpus(rng)
         with pytest.raises(ContractViolation, match="no query has a positive item"):
-            train_alignment(queries, items, {}, AlignmentConfig(dim=4))
+            train_alignment(queries, items, {}, PipelineConfig(dim=4))
 
 
 def nearest_items(table, query, corpus, k):
@@ -612,7 +612,7 @@ class TestRetrieve:
 class TestPostTrainingRetrieval:
     def test_top1_within_cluster(self, rng):
         queries, items, positives = cluster_corpus(rng, per_cluster=8)
-        config = AlignmentConfig(dim=4, lr=0.02, epochs=60, batch_size=4, seed=3)
+        config = PipelineConfig(dim=4, lr=0.02, epochs=60, batch_size=4, seed=3)
         table, _ = train_alignment(queries, items, positives, config)
         hits = 0
         for q in queries:

@@ -331,6 +331,23 @@ class TestEndToEndCommands:
             assert rec["retrieved"] == [] and rec["subgraph"] is None
         assert "gate" in rec["timings"] and "generate" in rec["timings"]
 
+    def test_query_without_confidence_scores_is_retrieved_for(self, workdir, tmp_path, capsys):
+        """q0002 is labelled answerable; without its confidence.tsv rows the
+        bundle still loads, and absent scores force retrieval (sigma 0)."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        assert "q0002\tanswerable" in (bundle / "gating.tsv").read_text().splitlines()
+        lines = (bundle / "confidence.tsv").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("q0002\t")]
+        assert len(kept) < len(lines)
+        (bundle / "confidence.tsv").write_text("".join(f"{line}\n" for line in kept))
+        argv = ["answer", "--bundle", str(bundle), "--config", str(workdir / "cfg.json")]
+        code, out, err = run_cli([*argv, "--query", "q0002"], capsys)
+        assert code == 0, err
+        (rec,) = records(out)
+        assert rec["sigma"] == 0.0 and rec["delta"] == 1
+        assert rec["retrieved"] and rec["subgraph"]
+
     def test_eval_reports_and_crm_toggle(self, workdir, capsys):
         code, out_on, _ = run_cli(["eval", *base_args(workdir)], capsys)
         assert code == 0

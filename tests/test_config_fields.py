@@ -1,6 +1,7 @@
-"""Every ``float`` field of every config dataclass must be finite, and both
+"""Every ``float`` field of every config dataclass must be finite, both
 JSON readers (``--config`` for ``PipelineConfig``, ``meta.json`` for
-``SynthSpec``) apply one type rule to every field.
+``SynthSpec``) apply one type rule to every field, and a training
+setting below its lower bound is an error that names that setting.
 
 The fields are found by reflection, so a setting added later is covered
 without a new test.
@@ -8,20 +9,19 @@ without a new test.
 
 import json
 import math
+import re
 import shutil
 from dataclasses import fields, replace
 
 import pytest
 
-from hyperrag.alignment import AlignmentConfig
 from hyperrag.cli import load_config, main
 from hyperrag.errors import ConfigurationError
-from hyperrag.gate import CrmConfig
 from hyperrag.generation import GenConfig
 from hyperrag.pipeline import PipelineConfig
 from hyperrag.synth import SynthSpec, load_bundle, synth_bundle, write_bundle
 
-CONFIGS = [PipelineConfig, CrmConfig, GenConfig, AlignmentConfig, SynthSpec]
+CONFIGS = [PipelineConfig, GenConfig, SynthSpec]
 # Annotations are strings under ``from __future__ import annotations``.
 FLOAT_FIELDS = [(cls, f.name) for cls in CONFIGS for f in fields(cls) if f.type == "float"]
 
@@ -39,6 +39,31 @@ def test_every_config_has_a_float_field_and_its_defaults_validate():
 def test_non_finite_float_field_is_config_error(cls, name, value):
     with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
         replace(cls(), **{name: value}).validate()
+
+
+# Every training setting has a lower bound, and -1 lies below each; 0 lies
+# below every bound but these fields'.
+TRAINING_FIELDS = [(cls, f) for cls in (PipelineConfig, GenConfig) for f in fields(cls)]
+ZERO_IS_VALID = {"seed", "weight_decay", "rho"}
+
+
+def fields_named(cls, message):
+    """The fields of ``cls`` whose name appears as a word of ``message``."""
+    return [f.name for f in fields(cls) if re.search(rf"\b{f.name}\b", message)]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "cls, field", TRAINING_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in TRAINING_FIELDS]
+)
+def test_value_below_the_bound_names_its_field(cls, field, value):
+    config = replace(cls(), **{field.name: float(value) if field.type == "float" else value})
+    if value == 0 and field.name in ZERO_IS_VALID:
+        config.validate()
+        return
+    with pytest.raises(ConfigurationError) as info:
+        config.validate()
+    assert fields_named(cls, str(info.value)) == [field.name], str(info.value)
 
 
 def mistyped(cls):
@@ -88,6 +113,17 @@ def test_config_file_refuses_mistyped_value(tmp_path, capsys, case):
     record = json.loads(err)
     assert record["category"] == "config"
     assert repr(name) in record["message"]
+
+
+@pytest.mark.parametrize("name", ["crm_lr", "crm_hidden", "crm_epochs"])
+def test_config_file_value_below_the_bound_names_its_key(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: 0}))
+    code, err = run_main(["cheeger", "--config", str(path)], capsys)
+    assert code == 3, err
+    record = json.loads(err)
+    assert record["category"] == "config"
+    assert fields_named(PipelineConfig, record["message"]) == [name], record["message"]
 
 
 @pytest.mark.parametrize("case", mistyped(SynthSpec), ids=case_id)

@@ -13,7 +13,6 @@ from hyperrag.conformance import flat_params, load_flat_params, sigmoid
 from hyperrag.errors import ConfigurationError, ContractViolation, DivergenceError
 from hyperrag.gate import (
     LOG_CLAMP,
-    CrmConfig,
     RelevanceHead,
     crm_loss_and_grads,
     decide,
@@ -24,6 +23,7 @@ from hyperrag.gate import (
     _crm_stacked,
     train_crm,
 )
+from hyperrag.pipeline import PipelineConfig
 
 # Softmax of scores (2, 0, 0): e^2 / (e^2 + 2), evaluated by hand.
 SOFTMAX_2_0_0 = 0.7869860421615985
@@ -212,6 +212,11 @@ class TestCrmLoss:
         with pytest.raises(ContractViolation):
             crm_loss_and_grads(small_head(), [(make_query(), [], [])], want_grads=False)
 
+    @pytest.mark.parametrize("want_grads", [True, False])
+    def test_empty_batch_rejected(self, want_grads):
+        with pytest.raises(ContractViolation, match="crm_loss_and_grads batch is empty"):
+            crm_loss_and_grads(RelevanceHead(3, 2, hidden=4), [], want_grads)
+
     def test_gradient_matches_finite_differences(self, rng):
         head = small_head(hidden=6, seed=2)
         batch = []
@@ -357,7 +362,9 @@ class TestTrainCrm:
 
     def test_separable_corpus_trains_to_perfection(self, rng):
         labeled = planted_crm_corpus(rng)
-        config = CrmConfig(hidden=16, lr=0.05, epochs=150, seed=0)
+        config = PipelineConfig(
+            crm_hidden=16, crm_lr=0.05, crm_epochs=150, crm_batch_size=10, seed=0
+        )
         head, theta, trace = train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         initial, _ = crm_loss_and_grads(
             RelevanceHead(8, 4, hidden=16, seed=0), labeled, want_grads=False
@@ -370,7 +377,7 @@ class TestTrainCrm:
 
     def test_deterministic(self, rng):
         labeled = planted_crm_corpus(rng, n_queries=4)
-        config = CrmConfig(hidden=8, lr=0.05, epochs=20, seed=5)
+        config = PipelineConfig(crm_hidden=8, crm_lr=0.05, crm_epochs=20, crm_batch_size=4, seed=5)
         h1, t1, tr1 = train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         h2, t2, tr2 = train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         assert t1 == t2
@@ -380,7 +387,7 @@ class TestTrainCrm:
     def test_saturated_head_raises_divergence(self, rng):
         # The clamped loss stays finite, so only the clamp shows the blow-up.
         labeled = planted_crm_corpus(rng, n_queries=4)
-        config = CrmConfig(hidden=8, lr=1e6, epochs=5, seed=5)
+        config = PipelineConfig(crm_hidden=8, crm_lr=1e6, crm_epochs=5, crm_batch_size=4, seed=5)
         with pytest.raises(DivergenceError, match="log clamp") as info:
             train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         assert info.value.step == 1
@@ -389,7 +396,7 @@ class TestTrainCrm:
         # The first epoch reports the loss of the pass that took its one
         # step: the full-set loss of the initial head.
         labeled = planted_crm_corpus(rng, n_queries=5)
-        config = CrmConfig(hidden=16, lr=0.05, epochs=3, seed=4)
+        config = PipelineConfig(crm_hidden=16, crm_lr=0.05, crm_epochs=3, crm_batch_size=5, seed=4)
         _, _, trace = train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         initial = RelevanceHead(8, 4, hidden=16, seed=4)
         assert trace.epoch_losses[0] == crm_loss_and_grads(initial, labeled, want_grads=False)[0]
@@ -397,12 +404,12 @@ class TestTrainCrm:
     def test_saturation_on_the_last_step_is_caught(self, rng):
         # One full-batch step saturates the head; only the final check sees it.
         labeled = planted_crm_corpus(rng, n_queries=4)
-        config = CrmConfig(hidden=8, lr=1e6, epochs=1, seed=5)
+        config = PipelineConfig(crm_hidden=8, crm_lr=1e6, crm_epochs=1, crm_batch_size=4, seed=5)
         with pytest.raises(DivergenceError, match="log clamp") as info:
             train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         assert info.value.step == 1
 
-    @pytest.mark.parametrize("batch_size, steps", [(0, 3), (3, 9), (7, 3)])
+    @pytest.mark.parametrize("batch_size, steps", [(3, 9), (7, 3), (10, 3)])
     def test_one_pass_per_step_and_one_final_check(self, rng, monkeypatch, batch_size, steps):
         labeled = planted_crm_corpus(rng, n_queries=7)
         calls = []
@@ -412,7 +419,9 @@ class TestTrainCrm:
             return _crm_stacked(head, z, is_pos, want_grads)
 
         monkeypatch.setattr(gate, "_crm_stacked", counting)
-        config = CrmConfig(hidden=8, lr=0.05, epochs=3, seed=1, batch_size=batch_size)
+        config = PipelineConfig(
+            crm_hidden=8, crm_lr=0.05, crm_epochs=3, crm_batch_size=batch_size, seed=1
+        )
         train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
         assert calls == [True] * steps + [False]
 
@@ -422,20 +431,20 @@ class TestTrainCrm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="log clamp or NaN"):
-                train_crm(labeled, self.calibrated_pairs(), CrmConfig(hidden=8, lr=lr), 8, 4)
+                config = PipelineConfig(crm_hidden=8, crm_lr=lr, crm_batch_size=4)
+                train_crm(labeled, self.calibrated_pairs(), config, 8, 4)
 
-    # batch_size 0 means full batch; a negative size is an error.
-    @pytest.mark.parametrize("bad", [{"seed": -1}, {"batch_size": -1}])
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"crm_batch_size": 0}])
     def test_bad_config(self, rng, bad):
         labeled = planted_crm_corpus(rng, n_queries=4)
-        with pytest.raises(ConfigurationError):
-            train_crm(labeled, self.calibrated_pairs(), CrmConfig(hidden=4, **bad), 8, 4)
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            train_crm(labeled, self.calibrated_pairs(), PipelineConfig(crm_hidden=4, **bad), 8, 4)
 
     def test_requires_both_label_kinds(self, rng):
         q = make_query()
         pos_only = [(q, [KnowledgeItem("p", "visual", np.zeros(3))], [])]
         with pytest.raises(ContractViolation):
-            train_crm(pos_only, [(0.5, True)], CrmConfig(hidden=4), 6, 3)
+            train_crm(pos_only, [(0.5, True)], PipelineConfig(crm_hidden=4), 6, 3)
 
 
 def per_pair_loss_and_grads(head, batch, want_grads=True):
@@ -463,22 +472,22 @@ def per_pair_loss_and_grads(head, batch, want_grads=True):
 def per_pair_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
     """Oracle for ``train_crm``: the same schedule over the per-pair loss;
     an epoch's loss is the sum of its steps' losses."""
-    head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
+    head = RelevanceHead(query_dim, item_dim, hidden=config.crm_hidden, seed=config.seed)
     rng = np.random.default_rng(config.seed)
+    size = config.crm_batch_size
     losses = []
-    for _ in range(config.epochs):
-        if config.batch_size <= 0:
+    for _ in range(config.crm_epochs):
+        if size >= len(labeled):
             batches = [labeled]
         else:
             order = rng.permutation(len(labeled))
             batches = [
-                [labeled[i] for i in order[s : s + config.batch_size]]
-                for s in range(0, len(labeled), config.batch_size)
+                [labeled[i] for i in order[s : s + size]] for s in range(0, len(labeled), size)
             ]
         epoch_loss = 0.0
         for batch in batches:
             loss, grads = per_pair_loss_and_grads(head, batch)
-            head.apply_grads(grads, config.lr)
+            head.apply_grads(grads, config.crm_lr)
             epoch_loss += loss
         losses.append(epoch_loss)
     return head, fit_theta(gating_pairs)[0], losses
@@ -582,11 +591,13 @@ class TestBatchedMatchesPerPair:
         assert np.array_equal(grads["w1"], want_w1)
         assert np.array_equal(grads["b1"], want_b1)
 
-    @pytest.mark.parametrize("batch_size", [0, 3])
+    @pytest.mark.parametrize("batch_size", [3, 7])
     def test_train_crm_matches_per_pair_training(self, rng, batch_size):
         labeled = planted_crm_corpus(rng, n_queries=7)
         pairs = TestTrainCrm().calibrated_pairs()
-        config = CrmConfig(hidden=16, lr=0.05, epochs=12, seed=3, batch_size=batch_size)
+        config = PipelineConfig(
+            crm_hidden=16, crm_lr=0.05, crm_epochs=12, crm_batch_size=batch_size, seed=3
+        )
         head, theta, trace = train_crm(labeled, pairs, config, 8, 4)
         want_head, want_theta, want_losses = per_pair_train_crm(labeled, pairs, config, 8, 4)
         assert np.array_equal(flat_params(head), flat_params(want_head))

@@ -133,6 +133,12 @@ class TestTabularFormats:
         hio.save_vocab(path, emb)
         assert np.array_equal(hio.load_vocab(path), emb)
 
+    def test_vocab_empty(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("")
+        with pytest.raises(DataFormatError, match="vocab.tsv: empty vocabulary"):
+            hio.load_vocab(path)
+
     def test_vocab_non_contiguous(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("0\t1.0\n2\t2.0\n")
@@ -613,6 +619,16 @@ class TestTableSerialization:
         path = tmp_path / "table.npz"
         np.savez(path, dim=np.array([4]))
         with pytest.raises(DataFormatError):
+            hio.load_table(path)
+
+    def test_archive_without_dim(self, tmp_path):
+        path = tmp_path / "table.npz"
+        table = EmbeddingTable(4, {"visual": 3, "textual": 3, "graph_triplet": 2, "query": 6})
+        hio.save_table(path, table)
+        arrays = dict(np.load(path))
+        del arrays["dim"]
+        np.savez(path, **arrays)
+        with pytest.raises(DataFormatError, match="table.npz: missing array 'dim "):
             hio.load_table(path)
 
     def test_unreadable_file(self, tmp_path):

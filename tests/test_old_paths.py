@@ -119,7 +119,7 @@ def old_crm_stacked(head, z, is_pos, want_grads):
 def old_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
     """The phase-1 loop over ``old_crm_stacked``; returns the head, theta
     and the epoch losses."""
-    head = RelevanceHead(query_dim, item_dim, hidden=config.hidden, seed=config.seed)
+    head = RelevanceHead(query_dim, item_dim, hidden=config.crm_hidden, seed=config.seed)
     rows, labels, spans = [], [], []
     for query, positives, negatives in labeled:
         start = len(labels)
@@ -128,16 +128,16 @@ def old_train_crm(labeled, gating_pairs, config, query_dim, item_dim):
         spans.append(np.arange(start, len(labels)))
     z, is_pos = np.concatenate(rows), np.array(labels)
     rng = np.random.default_rng(config.seed)
-    losses, size = [], config.batch_size or len(labeled)
+    losses, size = [], config.crm_batch_size
     with np.errstate(over="ignore", invalid="ignore"):
-        for _epoch in range(config.epochs):
-            order = rng.permutation(len(labeled)) if config.batch_size else range(len(labeled))
+        for _epoch in range(config.crm_epochs):
+            order = rng.permutation(len(labeled))
             epoch_loss = 0.0
             for s in range(0, len(labeled), size):
                 step_rows = np.concatenate([spans[i] for i in order[s : s + size]])
                 loss, grads, clamped = old_crm_stacked(head, z[step_rows], is_pos[step_rows], True)
                 assert clamped == 0
-                head.apply_grads(grads, config.lr)
+                head.apply_grads(grads, config.crm_lr)
                 epoch_loss += loss
             losses.append(epoch_loss)
         assert old_crm_stacked(head, z, is_pos, False)[2] == 0

@@ -13,7 +13,6 @@ from dataclasses import FrozenInstanceError, replace
 
 from hyperrag import alignment, generation, geometry, pipeline
 from hyperrag.alignment import (
-    AlignmentConfig,
     EmbeddingTable,
     Query,
     embed_corpus_rows,
@@ -31,7 +30,7 @@ from hyperrag.errors import (
     InvalidPointError,
     NumericalError,
 )
-from hyperrag.gate import CrmConfig, decide
+from hyperrag.gate import decide
 from hyperrag.generation import GenConfig
 from hyperrag.geometry import LorentzPoint, acosh_stable_array, log_map, origin, origin_log_rows
 from hyperrag.io import canonical_json_bytes
@@ -155,30 +154,8 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             PipelineConfig(**overrides).validate()
 
-    @pytest.mark.parametrize(
-        "overrides, stage",
-        [
-            ({"crm_lr": 0.0}, "CrmConfig"),
-            ({"crm_hidden": 0}, "CrmConfig"),
-            ({"dim": 1}, "AlignmentConfig"),
-            ({"lr": 0.0}, "AlignmentConfig"),
-            ({"epsilon": 0.0}, "GenConfig"),
-            ({"ot_max_iter": 0}, "GenConfig"),
-        ],
-    )
-    def test_stage_rule_names_its_stage_config(self, overrides, stage):
-        with pytest.raises(ConfigurationError, match=rf"\[stage: {stage}\]"):
-            PipelineConfig(**overrides).validate()
-
-    def test_stage_configs_read_their_fields(self):
-        cfg = PipelineConfig(
-            dim=6, lr=0.3, epochs=2, batch_size=5, seed=4, epsilon=0.2, t_decay=7.0,
-            ot_max_iter=9, crm_hidden=3, crm_lr=0.4, crm_epochs=11, crm_batch_size=2,
-        )
-        assert cfg.crm_config() == CrmConfig(hidden=3, lr=0.4, epochs=11, seed=4, batch_size=2)
-        assert cfg.alignment_config() == AlignmentConfig(
-            dim=6, lr=0.3, epochs=2, batch_size=5, seed=4
-        )
+    def test_gen_config_reads_its_fields(self):
+        cfg = PipelineConfig(seed=4, epsilon=0.2, t_decay=7.0, ot_max_iter=9, lr=0.3, epochs=2)
         # gen keeps GenConfig's own lr, epochs and t_decay.
         assert cfg.gen_config() == GenConfig(seed=4, epsilon=0.2, ot_max_iter=9)
 
@@ -1081,6 +1058,13 @@ class TestEvaluate:
         answered = spy(monkeypatch, "answer_query")
         with pytest.raises(ContractViolation, match="query 'q0001' has no gold answer"):
             evaluate(components, broken)
+        assert answered == []
+
+    def test_bundle_without_queries_is_a_contract_violation(self, planted, monkeypatch):
+        bundle, components, _ = planted
+        answered = spy(monkeypatch, "answer_query")
+        with pytest.raises(ContractViolation, match="evaluation query set is empty"):
+            evaluate(components, replace(bundle, queries=[]))
         assert answered == []
 
     @pytest.mark.parametrize(
