@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import EmbeddingTable, item_tangent_rows, train_alignment
-from .errors import ConfigurationError, ContractViolation, HyperRagError, config_values
+from .errors import (
+    ConfigurationError,
+    ContractViolation,
+    DataFormatError,
+    HyperRagError,
+    config_values,
+)
 from .generation import (
     GenDataset,
     GenExample,
@@ -65,8 +71,11 @@ class RecordWriter:
 
 def load_config(path: str | None, seed: int | None) -> PipelineConfig:
     """Build the training configuration from an optional JSON file plus an
-    optional seed override; unknown keys and mistyped values are rejected."""
-    raw = read_json(path) if path else {}
+    optional seed override; an unreadable file, unknown keys and mistyped values are rejected."""
+    try:
+        raw = read_json(path) if path else {}
+    except DataFormatError as exc:
+        raise ConfigurationError(str(exc)) from exc
     values = config_values(PipelineConfig, raw, path)
     unknown = sorted(set(raw) - set(values))
     if unknown:
@@ -191,7 +200,7 @@ def cmd_gen(args, config: PipelineConfig, writer: RecordWriter) -> int:
         )
     dataset = GenDataset(tuple(examples), table, bundle.token_embeddings)
     gen = ToyGenerator(vocab, 2 * config.dim)
-    gen, trace = train_generation(gen, dataset, alpha=config.alpha, config=config.gen_config())
+    gen, trace = train_generation(gen, dataset, config)
     for epoch in range(len(trace.blended)):
         writer.emit(
             {

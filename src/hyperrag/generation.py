@@ -14,22 +14,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .alignment import EmbeddingTable, Query, embed_query_rows
-from .errors import (
-    ConfigurationError,
-    ContractViolation,
-    DivergenceError,
-    check_config_fields,
-)
+from .errors import ConfigurationError, ContractViolation, DivergenceError
 from .gate import LOG_CLAMP
 from .geometry import log_map  # noqa: F401 (perfbench's tracer test rebinds it here)
 from .geometry import origin_log_rows
 from .transport import DistributionStack, EmpiricalDistribution, entropic_terms
 
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
+
 DISTRIBUTION_ROW_ATOL = 1e-9
+# train_generation's full-batch step, epochs and dropout decay; phase 2 has its own.
+GEN_LR = 0.5
+GEN_EPOCHS = 40
+GEN_T_DECAY = 5.0
 
 
 @dataclass(frozen=True)
@@ -235,25 +238,6 @@ class GenDataset:
         return self.examples[0].gold.vocab_size
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    lr: float = 0.5
-    epochs: int = 40
-    seed: int = 0
-    t_decay: float = 5.0
-    epsilon: float = 0.01
-    ot_max_iter: int = 2000
-
-    def validate(self) -> None:
-        check_config_fields(self)
-        for name in ("lr", "t_decay", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("epochs", "ot_max_iter"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
 @dataclass
 class GenTrace:
     local: list[float] = field(default_factory=list)
@@ -306,21 +290,17 @@ def example_losses_and_grad(
 
 
 def train_generation(
-    gen: ToyGenerator,
-    dataset: GenDataset,
-    alpha: float,
-    config: GenConfig = GenConfig(),
+    gen: ToyGenerator, dataset: GenDataset, config: PipelineConfig
 ) -> tuple[ToyGenerator, GenTrace]:
-    """Full-batch descent of the blended objective with the query-dropout
-    schedule active; deterministic per seed."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    """``GEN_EPOCHS`` full-batch steps of the blended objective with the
+    query-dropout schedule active; reads ``alpha``, ``seed``, ``epsilon``
+    and ``ot_max_iter`` of ``config``, and is deterministic per seed."""
     config.validate()
     gen = gen.copy()
     trace = GenTrace()
     n = len(dataset.examples)
-    for epoch in range(config.epochs):
-        p_t = query_dropout_prob(epoch, config.t_decay)
+    for epoch in range(GEN_EPOCHS):
+        p_t = query_dropout_prob(epoch, GEN_T_DECAY)
         grad_w = np.zeros_like(gen.weight)
         grad_b = np.zeros_like(gen.bias)
         dropped = [
@@ -331,7 +311,7 @@ def train_generation(
         try:
             terms = example_losses_and_grad(
                 gen, dataset.table, dropped, dataset.token_embeddings,
-                alpha, config.epsilon, config.ot_max_iter,
+                config.alpha, config.epsilon, config.ot_max_iter,
             )
         except DivergenceError as exc:
             raise DivergenceError(str(exc), step=epoch) from exc
@@ -347,10 +327,10 @@ def train_generation(
             raise DivergenceError("generation loss became non-finite", step=epoch)
         trace.local.append(mean_local)
         trace.global_w2.append(mean_global)
-        trace.blended.append(gen_loss(mean_local, mean_global, alpha))
+        trace.blended.append(gen_loss(mean_local, mean_global, config.alpha))
         trace.dropout_probs.append(p_t)
-        gen.weight -= config.lr * grad_w / n
-        gen.bias -= config.lr * grad_b / n
+        gen.weight -= GEN_LR * grad_w / n
+        gen.bias -= GEN_LR * grad_b / n
     return gen, trace
 
 

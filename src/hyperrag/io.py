@@ -363,22 +363,24 @@ def load_table(path):
         data = np.load(path)
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"{path}: cannot read table: {exc}") from exc
+
+    def array(key, shape):
+        if key not in data.files:
+            raise DataFormatError(f"{path}: missing array {key!r}")
+        arr = data[key]
+        if arr.shape != shape or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise DataFormatError(
+                f"{path}: array {key!r} is {arr.dtype} {arr.shape}, not finite numbers {shape}"
+            )
+        return arr
+
     try:
-        dim = int(data["dim"][0])
-        input_dims = {
-            key.split(".", 1)[1]: int(data[key][0])
-            for key in data.files
-            if key.startswith("input_dim.")
-        }
-        table = EmbeddingTable(dim, input_dims, seed=0)
-        for name, _ in table.named_params():
-            kind, key = name.split(".", 1)
-            if kind == "weight":
-                table.weight[key] = data[name]
-            else:
-                table.bias[key] = data[name]
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing array {exc}") from exc
-    except ConfigurationError as exc:
+        prefix = "input_dim."
+        dims = {k[len(prefix):]: int(array(k, (1,))[0]) for k in data.files if k.startswith(prefix)}
+        table = EmbeddingTable(int(array("dim", (1,))[0]), dims, seed=0)
+        for key, d_in in table.input_dims.items():
+            table.weight[key] = array(f"weight.{key}", (table.dim, d_in))
+            table.bias[key] = array(f"bias.{key}", (table.dim,))
+    except (ConfigurationError, ValueError) as exc:  # ValueError: an object array
         raise DataFormatError(f"{path}: malformed table archive: {exc}") from exc
     return table

@@ -45,7 +45,6 @@ from .gate import (
     train_crm,
 )
 from .generation import (
-    GenConfig,
     GenExample,
     TokenSequence,
     ToyGenerator,
@@ -95,8 +94,7 @@ class PipelineConfig:
     ot_max_iter: int = 2000
 
     def validate(self) -> None:
-        """Each rule once, its message naming the key it rejects;
-        ``gen_config`` states epsilon's and ot_max_iter's."""
+        """Each rule once, its message naming the key it rejects."""
         check_config_fields(self)
         for name in ("alpha", "beta", "gamma"):
             if not 0.0 < getattr(self, name) < 1.0:
@@ -105,25 +103,18 @@ class PipelineConfig:
             raise ConfigurationError(f"beta + gamma must be < 1, got {self.beta + self.gamma}")
         if not 0.0 < self.eta_frac <= 1.0:
             raise ConfigurationError(f"eta_frac must lie in (0, 1], got {self.eta_frac}")
-        for name in ("lr", "t_decay", "crm_lr"):
+        for name in ("lr", "t_decay", "crm_lr", "epsilon"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("weight_decay", "rho"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be nonnegative, got {getattr(self, name)}")
         for name in ("k", "top_k", "epochs", "batch_size", "crm_hidden", "crm_epochs",
-                     "crm_batch_size"):
+                     "crm_batch_size", "ot_max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dim < 2:
             raise ConfigurationError(f"dim must be >= 2, got {self.dim}")
-        self.gen_config().validate()
-
-    def gen_config(self) -> GenConfig:
-        """The ``gen`` stage: epsilon, ot_max_iter and the seed.  It keeps
-        ``GenConfig``'s own ``lr``, ``epochs`` and ``t_decay``: ``t_decay``
-        here sets phase 2's dropout schedule only."""
-        return GenConfig(seed=self.seed, epsilon=self.epsilon, ot_max_iter=self.ot_max_iter)
 
 
 def total_loss(l_crm: float, l_geo: float, l_gen: float, beta: float, gamma: float) -> float:

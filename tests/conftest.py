@@ -2,12 +2,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hyperrag.alignment import QUERY_KEY, KnowledgeItem, Query
 from hyperrag.errors import ContractViolation, DataFormatError
 from hyperrag.conformance import origin_tangents, scalar_lift
 from hyperrag.geometry import LorentzPoint, exp_map, log_map, origin, project_to_hyperboloid
 from hyperrag.spectral import GraphVertex, hash_features
+
+# Every @given test draws the same examples on every run, so two runs of one
+# tree test the same cases; a per-test @settings keeps its max_examples.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture

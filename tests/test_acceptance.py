@@ -31,7 +31,6 @@ from hyperrag.conformance import (
 )
 from hyperrag.gate import RelevanceHead, decide, filter_relevant, train_crm
 from hyperrag.generation import (
-    GenConfig,
     GenDataset,
     GenExample,
     TokenDistributionSequence,
@@ -476,7 +475,7 @@ def test_criterion_5_generation(capfd):
 
         ds = memorizable_dataset()
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
-        trained, trace = train_generation(gen, ds, alpha=0.7, config=GenConfig())
+        trained, trace = train_generation(gen, ds, PipelineConfig(alpha=0.7))
         em = exact_match_rate(trained, ds)
         check(failures, em >= 0.9, f"exact-match rate {em:.2f} below 0.9 after training")
         check(

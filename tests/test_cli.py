@@ -25,6 +25,7 @@ from hyperrag.alignment import nearest_rows
 from hyperrag.conformance import conductance
 from hyperrag.cli import load_config, main
 from hyperrag.errors import ConfigurationError, HyperRagError
+from hyperrag.generation import GEN_EPOCHS
 from hyperrag.geometry import distances_to_rows
 from hyperrag.io import load_table
 from hyperrag.pipeline import PipelineConfig, answer_query, run_training
@@ -299,6 +300,23 @@ class TestStageCommands:
         assert recs[-1]["exact_match"] == 1.0
         epochs = [r for r in recs if "epoch" in r]
         assert epochs[-1]["blended"] < epochs[0]["blended"]
+
+    def test_gen_reads_only_its_config_keys(self, workdir, tmp_path, capsys):
+        """gen's step, epochs and dropout decay are the GEN_* constants:
+        phase 2's lr, epochs and t_decay leave its records as they are."""
+
+        def gen_records(**values):
+            cfg = tmp_path / "gen.json"
+            cfg.write_text(json.dumps({"dim": 8, "seed": 2, **values}))
+            argv = ["gen", "--bundle", str(workdir / "bundle"), "--config", str(cfg)]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            return records(out)
+
+        base = gen_records()
+        assert len(base) == GEN_EPOCHS + 1
+        assert gen_records(lr=0.3, epochs=2, t_decay=7.0) == base
+        assert gen_records(epsilon=0.05) != base
 
 
 class TestEndToEndCommands:
@@ -588,13 +606,13 @@ class TestErrorSurface:
     @pytest.mark.parametrize(
         "command, name",
         [("cheeger", "labels.tsv"), ("eval", "labels.tsv"), ("eval", "graph/edges.tsv"),
-         ("eval", "meta.json"), ("eval", "cfg.json")],
+         ("eval", "meta.json")],
     )
     def test_byte_not_utf8_is_data_format_error(self, workdir, tmp_path, capsys, command, name):
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
         shutil.copy(workdir / "cfg.json", tmp_path / "cfg.json")
-        path = tmp_path / name if name == "cfg.json" else bundle / name
+        path = bundle / name
         path.write_bytes(b"\xff" + path.read_bytes())
         argv = ["--bundle", str(bundle)]
         if command == "eval":
@@ -860,6 +878,28 @@ class TestErrorSurface:
         path.write_text('{"beta": 0.6, "gamma": 0.6}')
         code, _, err = run_cli(["cheeger", *base_args(workdir)[:2], "--config", str(path)], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda path: None, "No such file"),
+            (lambda path: path.mkdir(), "Is a directory"),
+            (lambda path: path.write_text('{"lr": 0.1,\n bad'), "cfg.json:2: invalid JSON"),
+            (lambda path: path.write_bytes(b'{"lr":\n "\xff"}'), "cfg.json:2: not UTF-8"),
+        ],
+        ids=["missing", "directory", "invalid-json", "not-utf8"],
+    )
+    def test_unreadable_config_file_is_config_error(
+        self, workdir, tmp_path, capsys, make, message
+    ):
+        path = tmp_path / "cfg.json"
+        make(path)
+        argv = ["cheeger", *base_args(workdir)[:2], "--config", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        record = json.loads(err)
+        assert record["category"] == "config"
+        assert str(path) in record["message"] and message in record["message"], record
 
 
 class TestConsoleScript:

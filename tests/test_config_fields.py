@@ -7,21 +7,49 @@ The fields are found by reflection, so a setting added later is covered
 without a new test.
 """
 
+from __future__ import annotations
+
 import json
 import math
 import re
 import shutil
-from dataclasses import fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import pytest
 
 from hyperrag.cli import load_config, main
 from hyperrag.errors import ConfigurationError
-from hyperrag.generation import GenConfig
+from hyperrag.generation import ToyGenerator, train_generation
 from hyperrag.pipeline import PipelineConfig
 from hyperrag.synth import SynthSpec, load_bundle, synth_bundle, write_bundle
 
-CONFIGS = [PipelineConfig, GenConfig, SynthSpec]
+from test_generation import make_memorizable
+
+
+@dataclass(frozen=True)
+class GenSettings:
+    """The settings the ``gen`` trainer reads besides ``alpha``.  ``validate``
+    hands them to ``train_generation``, which must refuse a bad one by name
+    before it trains."""
+
+    seed: int = PipelineConfig.seed
+    epsilon: float = PipelineConfig.epsilon
+    ot_max_iter: int = PipelineConfig.ot_max_iter
+
+    def validate(self) -> None:
+        ds = make_memorizable(num=4, clusters=2)
+        gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
+        train_generation(gen, ds, PipelineConfig(**asdict(self)))
+
+
+def case_ids(pairs):
+    """``Class.field`` ids; the ``gen`` trainer's cases keep the name of
+    ``GenConfig``, the class that held its settings until it folded into
+    ``PipelineConfig``."""
+    return [f"{'GenConfig' if cls is GenSettings else cls.__name__}.{name}" for cls, name in pairs]
+
+
+CONFIGS = [PipelineConfig, GenSettings, SynthSpec]
 # Annotations are strings under ``from __future__ import annotations``.
 FLOAT_FIELDS = [(cls, f.name) for cls in CONFIGS for f in fields(cls) if f.type == "float"]
 
@@ -33,9 +61,7 @@ def test_every_config_has_a_float_field_and_its_defaults_validate():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "cls, name", FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS]
-)
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=case_ids(FLOAT_FIELDS))
 def test_non_finite_float_field_is_config_error(cls, name, value):
     with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
         replace(cls(), **{name: value}).validate()
@@ -43,7 +69,7 @@ def test_non_finite_float_field_is_config_error(cls, name, value):
 
 # Every training setting has a lower bound, and -1 lies below each; 0 lies
 # below every bound but these fields'.
-TRAINING_FIELDS = [(cls, f) for cls in (PipelineConfig, GenConfig) for f in fields(cls)]
+TRAINING_FIELDS = [(cls, f) for cls in (PipelineConfig, GenSettings) for f in fields(cls)]
 ZERO_IS_VALID = {"seed", "weight_decay", "rho"}
 
 
@@ -54,7 +80,7 @@ def fields_named(cls, message):
 
 @pytest.mark.parametrize("value", [0, -1])
 @pytest.mark.parametrize(
-    "cls, field", TRAINING_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in TRAINING_FIELDS]
+    "cls, field", TRAINING_FIELDS, ids=case_ids((cls, f.name) for cls, f in TRAINING_FIELDS)
 )
 def test_value_below_the_bound_names_its_field(cls, field, value):
     config = replace(cls(), **{field.name: float(value) if field.type == "float" else value})

@@ -20,7 +20,8 @@ from hyperrag.errors import (
 )
 from hyperrag.gate import LOG_CLAMP
 from hyperrag.generation import (
-    GenConfig,
+    GEN_EPOCHS,
+    GEN_T_DECAY,
     GenDataset,
     GenExample,
     TokenDistributionSequence,
@@ -39,6 +40,7 @@ from hyperrag.generation import (
     train_generation,
 )
 from hyperrag.geometry import log_map, origin, origin_log_rows, project_to_hyperboloid
+from hyperrag.pipeline import PipelineConfig
 from hyperrag.transport import DistributionStack, entropic_terms
 
 from conftest import query_point
@@ -285,7 +287,7 @@ class TestTraining:
     def test_memorizable_set_learned(self):
         ds = make_memorizable()
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
-        trained, trace = train_generation(gen, ds, alpha=0.7, config=GenConfig())
+        trained, trace = train_generation(gen, ds, PipelineConfig(alpha=0.7))
         assert exact_match_rate(trained, ds) >= 0.9
         assert trace.local[-1] <= 0.5 * trace.local[0]
         assert trace.global_w2[-1] <= 0.5 * trace.global_w2[0]
@@ -293,7 +295,7 @@ class TestTraining:
     def test_alpha_favors_local(self):
         ds = make_memorizable()
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
-        _, trace = train_generation(gen, ds, alpha=0.99, config=GenConfig())
+        _, trace = train_generation(gen, ds, PipelineConfig(alpha=0.99))
         local_drop = (trace.local[0] - trace.local[-1]) / trace.local[0]
         global_drop = (trace.global_w2[0] - trace.global_w2[-1]) / trace.global_w2[0]
         assert local_drop >= global_drop
@@ -301,25 +303,24 @@ class TestTraining:
     def test_dropout_schedule_echoed(self):
         ds = make_memorizable(num=4, clusters=2)
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
-        cfg = GenConfig(epochs=6, t_decay=3.0)
-        _, trace = train_generation(gen, ds, alpha=0.5, config=cfg)
-        expected = [0.5 * math.exp(-t / 3.0) for t in range(6)]
+        _, trace = train_generation(gen, ds, PipelineConfig(alpha=0.5))
+        expected = [0.5 * math.exp(-t / GEN_T_DECAY) for t in range(GEN_EPOCHS)]
         assert trace.dropout_probs == expected
 
     def test_deterministic_per_seed(self):
         ds = make_memorizable(num=8, clusters=2)
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
-        cfg = GenConfig(epochs=5, seed=3)
-        _, t1 = train_generation(gen, ds, alpha=0.7, config=cfg)
-        _, t2 = train_generation(gen, ds, alpha=0.7, config=cfg)
+        cfg = PipelineConfig(alpha=0.7, seed=3)
+        _, t1 = train_generation(gen, ds, cfg)
+        _, t2 = train_generation(gen, ds, cfg)
         assert t1.local == t2.local
         assert t1.global_w2 == t2.global_w2
 
     def test_interior_alpha_required(self):
         ds = make_memorizable(num=4, clusters=2)
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
-        with pytest.raises(ConfigurationError):
-            train_generation(gen, ds, alpha=1.0, config=GenConfig(epochs=1))
+        with pytest.raises(ConfigurationError, match="alpha"):
+            train_generation(gen, ds, PipelineConfig(alpha=1.0))
 
     # ot_max_iter is checked with the config, before any Sinkhorn solve.
     @pytest.mark.parametrize("bad", [{"seed": -1}, {"ot_max_iter": 0}])
@@ -327,14 +328,14 @@ class TestTraining:
         ds = make_memorizable(num=4, clusters=2)
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
         with pytest.raises(ConfigurationError):
-            train_generation(gen, ds, alpha=0.5, config=GenConfig(epochs=1, **bad))
+            train_generation(gen, ds, PipelineConfig(alpha=0.5, **bad))
 
     def test_divergence_reports_step(self):
         ds = make_memorizable(num=4, clusters=2)
         gen = ToyGenerator(ds.vocab_size, 2 * ds.table.dim)
         gen.weight[0, 0] = np.inf
         with pytest.raises(DivergenceError) as err:
-            train_generation(gen, ds, alpha=0.7, config=GenConfig(epochs=3))
+            train_generation(gen, ds, PipelineConfig(alpha=0.7))
         assert err.value.step == 0
 
     def test_local_matches_local_loss_op(self):

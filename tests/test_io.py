@@ -615,20 +615,54 @@ class TestTableSerialization:
         pb = scalar_lift(back, feats, "visual")
         assert np.array_equal(pa.coords, pb.coords)
 
-    def test_missing_array(self, tmp_path):
-        path = tmp_path / "table.npz"
-        np.savez(path, dim=np.array([4]))
-        with pytest.raises(DataFormatError):
-            hio.load_table(path)
-
-    def test_archive_without_dim(self, tmp_path):
+    @staticmethod
+    def saved_arrays(tmp_path):
+        """A saved table's path and arrays, to be edited and saved again."""
         path = tmp_path / "table.npz"
         table = EmbeddingTable(4, {"visual": 3, "textual": 3, "graph_triplet": 2, "query": 6})
         hio.save_table(path, table)
-        arrays = dict(np.load(path))
+        return path, dict(np.load(path))
+
+    def test_missing_array(self, tmp_path):
+        path, arrays = self.saved_arrays(tmp_path)
+        del arrays["weight.visual"]
+        np.savez(path, **arrays)
+        with pytest.raises(DataFormatError, match=r"table.npz: missing array 'weight.visual'$"):
+            hio.load_table(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("weight.visual", np.zeros((2, 2)), "is float64 (2, 2), not finite numbers (4, 3)"),
+            ("bias.query", np.zeros(5), "is float64 (5,), not finite numbers (4,)"),
+            ("dim", np.array([], dtype=int), "is int64 (0,), not finite numbers (1,)"),
+            ("input_dim.textual", np.array([[3]]), "is int64 (1, 1), not finite numbers (1,)"),
+            ("weight.textual", np.full((4, 3), np.nan), "is float64 (4, 3), not finite"),
+            ("bias.visual", np.array([0.0, np.inf, 0.0, 0.0]), "is float64 (4,), not finite"),
+            ("bias.query", np.array(["a", "b", "c", "d"]), "is <U1 (4,), not finite"),
+            ("weight.graph_triplet", np.ones((4, 2), dtype=bool), "is bool (4, 2), not finite"),
+        ],
+        ids=["wrong-shape", "short-bias", "empty-dim", "2d-input-dim", "nan-weight",
+             "inf-bias", "string-bias", "bool-weight"],
+    )
+    def test_bad_array_is_named(self, tmp_path, key, value, message):
+        path, arrays = self.saved_arrays(tmp_path)
+        np.savez(path, **{**arrays, key: value})
+        with pytest.raises(DataFormatError) as info:
+            hio.load_table(path)
+        assert str(info.value).startswith(f"{path}: array {key!r} {message}")
+
+    def test_object_array_is_malformed(self, tmp_path):
+        path, arrays = self.saved_arrays(tmp_path)
+        np.savez(path, **{**arrays, "bias.query": np.array([None] * 4)})
+        with pytest.raises(DataFormatError, match="malformed table archive"):
+            hio.load_table(path)
+
+    def test_archive_without_dim(self, tmp_path):
+        path, arrays = self.saved_arrays(tmp_path)
         del arrays["dim"]
         np.savez(path, **arrays)
-        with pytest.raises(DataFormatError, match="table.npz: missing array 'dim "):
+        with pytest.raises(DataFormatError, match=r"table.npz: missing array 'dim'$"):
             hio.load_table(path)
 
     def test_unreadable_file(self, tmp_path):

@@ -31,7 +31,6 @@ from hyperrag.errors import (
     NumericalError,
 )
 from hyperrag.gate import decide
-from hyperrag.generation import GenConfig
 from hyperrag.geometry import LorentzPoint, acosh_stable_array, log_map, origin, origin_log_rows
 from hyperrag.io import canonical_json_bytes
 from hyperrag.pipeline import (
@@ -153,11 +152,6 @@ class TestConfig:
     def test_invalid_fields(self, overrides):
         with pytest.raises(ConfigurationError):
             PipelineConfig(**overrides).validate()
-
-    def test_gen_config_reads_its_fields(self):
-        cfg = PipelineConfig(seed=4, epsilon=0.2, t_decay=7.0, ot_max_iter=9, lr=0.3, epochs=2)
-        # gen keeps GenConfig's own lr, epochs and t_decay.
-        assert cfg.gen_config() == GenConfig(seed=4, epsilon=0.2, ot_max_iter=9)
 
 
 class TestReports:
