@@ -2,9 +2,9 @@
 
 Queries and knowledge items are embedded through per-modality affine maps
 (weight matrix + bias) into spatial coordinates, then lifted onto the
-hyperboloid.  Alignment training pulls each query toward its positive items
-by minimizing the mean geodesic distance; retrieval ranks a corpus by
-ascending distance with item-id tie-breaking.
+hyperboloid.  The alignment loss, the mean geodesic distance from each query
+to its positive items, is minimized by phase 2 of ``pipeline.run_training``;
+retrieval ranks a corpus by ascending distance with item-id tie-breaking.
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation, DivergenceError, InvalidPointError
+from .errors import ConfigurationError, ContractViolation
 from .geometry import distances_to_rows, origin_log_rows, pair_distance_rows, project_rows
-
-if TYPE_CHECKING:  # pipeline imports this module
-    from .pipeline import PipelineConfig
 
 MODALITIES = ("visual", "textual", "graph_triplet")
 QUERY_KEY = "query"
@@ -108,8 +104,8 @@ class EmbeddingTable:
         queries: list[Query],
         items: list[KnowledgeItem],
         dim: int,
-        seed: int = 0,
-        graph=None,
+        seed: int,
+        graph,
     ) -> "EmbeddingTable":
         """Infer per-modality input dimensions from a corpus sample; a
         non-empty ``graph`` gives the triplet map its vertex features' width."""
@@ -118,7 +114,7 @@ class EmbeddingTable:
         dims: dict[str, int] = {QUERY_KEY: queries[0].combined_features.size}
         for item in items:
             dims.setdefault(item.modality, item.features.size)
-        if graph is not None and graph.size:
+        if graph.size:
             dims["graph_triplet"] = graph.vertices[0].features.size
         # Modalities absent from the corpus default to the query block size
         # so the table always carries all four maps.
@@ -229,13 +225,13 @@ def augmented_affine_grads(up: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, 
     return g[:-1].T, g[-1]
 
 
-def geo_loss_and_grads(table: EmbeddingTable, batch: Batch, want_grads: bool = True):
+def geo_loss_and_grads(table: EmbeddingTable, batch: Batch):
     """Mean over queries of the per-modality mean geodesic distance to the
     query's positive items (a missing modality adds 0), plus per-parameter
-    gradient arrays (None when ``want_grads`` is false).  Each (query,
-    positive) pair is one row, in batch order, with a query's visual
-    positives before its textual ones; the loss and every gradient keep
-    the bits of adding the pairs one at a time in that order."""
+    gradient arrays.  Each (query, positive) pair is one row, in batch
+    order, with a query's visual positives before its textual ones; the
+    loss and every gradient keep the bits of adding the pairs one at a
+    time in that order."""
     _check_batch(batch)
     inv_b = 1.0 / len(batch)
     owner, items, coeff = [], [], []
@@ -247,11 +243,9 @@ def geo_loss_and_grads(table: EmbeddingTable, batch: Batch, want_grads: bool = T
             coeff += [inv_b / len(group) for _ in group]
     q_feats = np.stack([query.combined_features for query, _ in batch])
     q_rows = project_rows(table.spatial(q_feats, QUERY_KEY))[owner]
-    dist, gq, gi = pair_distance_rows(q_rows, embed_corpus_rows(table, items), want_grads)
+    dist, gq, gi = pair_distance_rows(q_rows, embed_corpus_rows(table, items))
     coeff = np.array(coeff)
     total = functools.reduce(operator.add, (coeff * dist).tolist(), 0.0)
-    if not want_grads:
-        return total, None
     grads = {name: np.zeros_like(arr) for name, arr in table.named_params()}
     grads[f"weight.{QUERY_KEY}"], grads[f"bias.{QUERY_KEY}"] = affine_grads(
         coeff[:, None] * gq, q_feats[owner]
@@ -279,50 +273,6 @@ def positive_pairs(
         if ids:
             out.append((query, [by_id[i] for i in ids]))
     return out
-
-
-def _checked_geo_loss(table: EmbeddingTable, batch: Batch, step: int, want_grads: bool = True):
-    try:
-        loss, grads = geo_loss_and_grads(table, batch, want_grads)
-    except InvalidPointError as exc:
-        raise DivergenceError(f"alignment diverged: {exc}", step=step) from exc
-    if not np.isfinite(loss):
-        raise DivergenceError("alignment loss is non-finite", step=step)
-    return loss, grads
-
-
-def train_alignment(
-    queries: list[Query], items: list[KnowledgeItem], positives: dict[str, list[str]],
-    config: PipelineConfig,
-) -> tuple[EmbeddingTable, list[float]]:
-    """Fit the embedding maps by mini-batch gradient descent on the geodesic
-    loss over ``positive_pairs`` (``dim``, ``lr``, ``epochs``, ``batch_size``),
-    one shuffled pass per epoch; deterministic given config.seed.  Returns
-    the table and each epoch's loss: its steps' means, weighted by batch
-    size.  One full-corpus pass checks the returned table."""
-    config.validate()
-    if not queries or not items:
-        raise ContractViolation("training corpus must contain queries and items")
-    table = EmbeddingTable.for_corpus(queries, items, config.dim, seed=config.seed)
-    pairs = positive_pairs(queries, items, positives)
-    if not pairs:
-        raise ContractViolation("no query has a positive item to align")
-    rng = np.random.default_rng(config.seed)
-    epoch_losses = []
-    step = 0
-    for _epoch in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        weighted = 0.0
-        for start in range(0, len(pairs), config.batch_size):
-            batch = [pairs[i] for i in order[start : start + config.batch_size]]
-            loss, grads = _checked_geo_loss(table, batch, step)
-            for name, arr in table.named_params():
-                arr -= config.lr * grads[name]
-            weighted += loss * len(batch)
-            step += 1
-        epoch_losses.append(weighted / len(pairs))
-    _checked_geo_loss(table, pairs, step, want_grads=False)
-    return table, epoch_losses
 
 
 def id_ranks(corpus: list[KnowledgeItem]) -> np.ndarray:

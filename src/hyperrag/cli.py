@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import EmbeddingTable, item_tangent_rows, train_alignment
+from .alignment import EmbeddingTable, item_tangent_rows
 from .errors import (
     ConfigurationError,
     ContractViolation,
@@ -136,16 +136,6 @@ def cmd_synth(args, config: PipelineConfig, writer: RecordWriter) -> int:
     bundle = synth_bundle(spec)
     write_bundle(bundle, out)
     writer.emit(bundle.meta())
-    return 0
-
-
-def cmd_align(args, config: PipelineConfig, writer: RecordWriter) -> int:
-    bundle = _bundle_arg(args)
-    table, losses = train_alignment(bundle.queries, bundle.items, bundle.positives, config)
-    for epoch, loss in enumerate(losses, start=1):
-        writer.emit({"epoch": epoch, "geo_loss": loss})
-    if args.out:
-        save_table(_require_out(args) / "table.npz", table)
     return 0
 
 
@@ -351,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-frac", type=float, default=SynthSpec.noise_frac)
     p.add_argument("--answer-len", type=int, default=SynthSpec.answer_len)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("align", parents=[shared, bundled], help="train the embedding alignment alone")
-    p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("crm", parents=[shared, bundled], help="train the relevance head and gate threshold")
     p.set_defaults(func=cmd_crm)

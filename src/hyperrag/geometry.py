@@ -371,13 +371,13 @@ def project_rows(spatial) -> np.ndarray:
     return coords
 
 
-def pair_distance_rows(x: np.ndarray, y: np.ndarray, want_grads: bool = True):
+def pair_distance_rows(x: np.ndarray, y: np.ndarray):
     """Row-wise ``geodesic_distance(x[i], y[i])`` for hyperboloid rows x and
-    y (as ``project_rows`` makes them) and, with ``want_grads``, the rows of
+    y (as ``project_rows`` makes them), and the rows of
     ``distance_spatial_grad(x[i], y[i])`` and of ``distance_spatial_grad(y[i],
-    x[i])`` (else None for both).  Each branch is taken as the scalar forms
-    take it (a NaN excess is below neither cutoff), and arccosh and sinh go
-    through ``math``."""
+    x[i])``.  Each branch is taken as the scalar forms take it (a NaN
+    excess is below neither cutoff), and arccosh and sinh go through
+    ``math``."""
     s = -(-x[:, 0] * y[:, 0] + _row_dots(x[:, 1:], y[:, 1:])) - 1.0
     near = s < 1e-4
     excess = s.copy()
@@ -385,8 +385,6 @@ def pair_distance_rows(x: np.ndarray, y: np.ndarray, want_grads: bool = True):
         diff = y[near] - x[near]
         excess[near] = 0.5 * (-diff[:, 0] * diff[:, 0] + _row_dots(diff[:, 1:], diff[:, 1:]))
     dist = np.array(list(map(acosh_from_excess, excess.tolist())))
-    if not want_grads:
-        return dist, None, None
     live = ~(s < _GRAD_COINCIDENCE_CUTOFF)
     sinh = np.ones_like(s)
     sinh[live] = list(map(_sinh_from_excess, s[live].tolist()))

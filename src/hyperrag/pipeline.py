@@ -462,129 +462,148 @@ def _check_gold(bundle: CorpusBundle) -> None:
             )
 
 
+@dataclass(frozen=True)
+class Phase2Fixtures:
+    """What phase 2 reads but does not train, computed once before its
+    epochs: the sweep keys, each query's gate sigma, the refined subgraph
+    and resolved positives of each query gated to retrieval, and phase 1's
+    labeled items and the gold answer of each query, by query id."""
+
+    sweep_keys: SweepKeys
+    sigmas: dict[str, float]
+    subgraphs: dict[str, Subgraph]
+    positives: dict[str, list[KnowledgeItem]]
+    labeled: dict[str, tuple[list[KnowledgeItem], list[KnowledgeItem]]]
+    gold: dict[str, TokenSequence]
+    delta_rate: float
+
+    @classmethod
+    def of(cls, config: PipelineConfig, bundle: CorpusBundle, labeled, theta) -> Phase2Fixtures:
+        keys = SweepKeys.of(bundle.graph, config.k, config.seed)
+        sigmas = {qid: _sigma_of_scores(scores) for qid, scores in bundle.confidence.items()}
+        gated = [q for q in bundle.queries if decide(sigmas.get(q.id, 0.0), theta) == 1]
+        vocab = bundle.token_embeddings.shape[0]
+        return cls(
+            sweep_keys=keys,
+            sigmas=sigmas,
+            subgraphs={q.id: query_subgraph(config, bundle.graph, q, keys) for q in gated},
+            positives={q.id: p for q, p in positive_pairs(gated, bundle.items, bundle.positives)},
+            labeled={q.id: (pos, neg) for q, pos, neg in labeled},
+            gold={qid: TokenSequence(tuple(toks), vocab) for qid, toks in bundle.qa.items()},
+            delta_rate=len(gated) / len(bundle.queries),
+        )
+
+
+def _phase2_step(
+    parts: PipelineComponents, fixtures: Phase2Fixtures, optimizer: AdamW, epoch: int,
+    batch: list[Query], positions: np.ndarray, sums: dict[str, float], counts: dict[str, int],
+) -> None:
+    """One phase-2 mini-batch: the alignment, relevance and generation terms,
+    their weighted gradients, one ``optimizer.step``, and each term's losses
+    added into ``sums`` (its example count into ``counts``) in example order."""
+    config, table, head, items = parts.config, parts.table, parts.head, parts.items
+    n_batch = len(batch)
+    # Only parameter groups that accrue a gradient this batch are
+    # stepped (and decayed); an all-answerable corpus therefore
+    # leaves the head and embedding maps untouched.
+    grads: dict[str, np.ndarray] = {
+        "gen.weight": np.zeros_like(parts.generator.weight),
+        "gen.bias": np.zeros_like(parts.generator.bias),
+    }
+    gated = [q for q in batch if q.id in fixtures.subgraphs]
+
+    geo_pairs = [(q, fixtures.positives[q.id]) for q in gated if q.id in fixtures.positives]
+    if geo_pairs:
+        with _phase2_stage(optimizer, epoch, "alignment"):
+            geo_mean, geo_grads = geo_loss_and_grads(table, geo_pairs)
+        scale = config.gamma * len(geo_pairs) / n_batch
+        for name, g in geo_grads.items():
+            grads[name] = grads.get(name, 0.0) + scale * g
+        sums["geo"] += geo_mean * len(geo_pairs)
+        counts["geo"] += len(geo_pairs)
+
+    crm_batch = [(q, *fixtures.labeled[q.id]) for q in gated if q.id in fixtures.labeled]
+    if crm_batch:
+        with _phase2_stage(optimizer, epoch, "relevance"):
+            crm_sum, crm_grads = crm_loss_and_grads(head, crm_batch)
+        scale = config.beta / n_batch
+        for name, g in crm_grads.items():
+            grads[f"crm.{name}"] = grads.get(f"crm.{name}", 0.0) + scale * g
+        sums["crm"] += crm_sum
+        counts["crm"] += len(crm_batch)
+
+    with _phase2_stage(optimizer, epoch, "index"):
+        index = ReadIndex.build(table, parts.graph, items) if gated else None
+
+    p_t = query_dropout_prob(epoch - 1, config.t_decay)
+    gen_scale = (1.0 - config.beta - config.gamma) / n_batch
+    examples = []
+    with _phase2_stage(optimizer, epoch, "evidence"):
+        points = iter(embed_query_rows(table, gated))
+        for q, i in zip(batch, positions):
+            evidence = np.empty((0, config.dim))
+            if q.id in fixtures.subgraphs:  # the generator reads only the rows' mean
+                top = _top_items(config, next(points), index)
+                rows = index.evidence(_relevant(head, q, items, top), fixtures.subgraphs[q.id])
+                evidence = np.mean(rows, axis=0, keepdims=True) if len(rows) else rows
+            dropped = apply_query_dropout(q, p_t, seed=(config.seed, epoch, int(i)))
+            examples.append(GenExample(dropped, evidence, fixtures.gold[q.id]))
+    with _phase2_stage(optimizer, epoch, "generation"):
+        terms = example_losses_and_grad(
+            parts.generator, table, examples, parts.token_embeddings,
+            config.alpha, config.epsilon, config.ot_max_iter,
+        )
+    for local, sqrt_cost, grad_logits, z in terms:
+        sums["local"] += local
+        sums["global"] += sqrt_cost
+        grads["gen.weight"] += gen_scale * np.outer(grad_logits, z)
+        grads["gen.bias"] += gen_scale * grad_logits
+
+    optimizer.step(grads)
+
+
+def _epoch_report(
+    config: PipelineConfig, epoch: int, sums: dict, counts: dict, n: int, delta_rate: float
+) -> LossReport:
+    """The epoch's ``LossReport``: each term's mean over the examples that
+    accrued it (0 when none did), the generation terms over all n queries."""
+    l_crm = sums["crm"] / counts["crm"] if counts["crm"] else 0.0
+    l_geo = sums["geo"] / counts["geo"] if counts["geo"] else 0.0
+    l_local = sums["local"] / n
+    l_global = sums["global"] / n
+    l_gen = gen_loss(l_local, l_global, config.alpha)
+    return LossReport(
+        step=epoch,
+        l_crm=l_crm,
+        l_geo=l_geo,
+        l_local=l_local,
+        l_global=l_global,
+        l_gen=l_gen,
+        l_total=total_loss(l_crm, l_geo, l_gen, config.beta, config.gamma),
+        delta_rate=delta_rate,
+        beta=config.beta,
+        gamma=config.gamma,
+    )
+
+
 def run_training(
     config: PipelineConfig, bundle: CorpusBundle
 ) -> tuple[PipelineComponents, list[LossReport]]:
-    """Two-phase training; deterministic per config.seed."""
+    """Two-phase training, deterministic per config.seed; phase 2 trains the
+    table, head and generator in place, one ``_phase2_step`` per mini-batch."""
     config.validate()
     _check_gold(bundle)
     queries = bundle.queries
-    items = bundle.items
-    vocab = bundle.token_embeddings.shape[0]
-    table = EmbeddingTable.for_corpus(queries, items, config.dim, config.seed, graph=bundle.graph)
+    n = len(queries)
+    table = EmbeddingTable.for_corpus(queries, bundle.items, config.dim, config.seed, bundle.graph)
 
     labeled, head, theta, _ = train_phase1(config, bundle)
-    per_query = {q.id: (pos, neg) for q, pos, neg in labeled}
+    fixtures = Phase2Fixtures.of(config, bundle, labeled, theta)
 
-    # Phase 2 fixtures: gating decisions, relevance vectors, and refined
-    # subgraphs are table-independent, so they are computed once.
-    sweep_keys = SweepKeys.of(bundle.graph, config.k, config.seed)
-    sigmas = {qid: _sigma_of_scores(scores) for qid, scores in bundle.confidence.items()}
-    gated_all = [q for q in queries if decide(sigmas.get(q.id, 0.0), theta) == 1]
-    subgraphs = {q.id: query_subgraph(config, bundle.graph, q, sweep_keys) for q in gated_all}
-    positives = {q.id: pos for q, pos in positive_pairs(gated_all, items, bundle.positives)}
-
-    generator = ToyGenerator(vocab, 2 * config.dim)
-    crm_params = [(f"crm.{name}", arr) for name, arr in head.named_params()]
-    params = dict(table.named_params() + crm_params)
+    generator = ToyGenerator(bundle.token_embeddings.shape[0], 2 * config.dim)
+    params = dict(table.named_params() + [(f"crm.{k}", arr) for k, arr in head.named_params()])
     params.update(generator.named_params())
     optimizer = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-
-    gold = {
-        qid: TokenSequence(tuple(toks), vocab) for qid, toks in bundle.qa.items()
-    }
-    rng = np.random.default_rng(config.seed)
-    reports: list[LossReport] = []
-    n = len(queries)
-
-    for epoch in range(1, config.epochs + 1):
-        p_t = query_dropout_prob(epoch - 1, config.t_decay)
-        sums = {"crm": 0.0, "geo": 0.0, "local": 0.0, "global": 0.0}
-        counts = {"crm": 0, "geo": 0}
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = [queries[i] for i in order[start : start + config.batch_size]]
-            n_batch = len(batch)
-            # Only parameter groups that accrue a gradient this batch are
-            # stepped (and decayed); an all-answerable corpus therefore
-            # leaves the head and embedding maps untouched.
-            grads: dict[str, np.ndarray] = {
-                "gen.weight": np.zeros_like(generator.weight),
-                "gen.bias": np.zeros_like(generator.bias),
-            }
-            gated = [q for q in batch if q.id in subgraphs]
-
-            geo_pairs = [(q, positives[q.id]) for q in gated if q.id in positives]
-            if geo_pairs:
-                with _phase2_stage(optimizer, epoch, "alignment"):
-                    geo_mean, geo_grads = geo_loss_and_grads(table, geo_pairs)
-                scale = config.gamma * len(geo_pairs) / n_batch
-                for name, g in geo_grads.items():
-                    grads[name] = grads.get(name, 0.0) + scale * g
-                sums["geo"] += geo_mean * len(geo_pairs)
-                counts["geo"] += len(geo_pairs)
-
-            crm_batch = [(q, *per_query[q.id]) for q in gated if q.id in per_query]
-            if crm_batch:
-                with _phase2_stage(optimizer, epoch, "relevance"):
-                    crm_sum, crm_grads = crm_loss_and_grads(head, crm_batch)
-                scale = config.beta / n_batch
-                for name, g in crm_grads.items():
-                    grads[f"crm.{name}"] = grads.get(f"crm.{name}", 0.0) + scale * g
-                sums["crm"] += crm_sum
-                counts["crm"] += len(crm_batch)
-
-            with _phase2_stage(optimizer, epoch, "index"):
-                index = ReadIndex.build(table, bundle.graph, items) if gated else None
-
-            gen_scale = (1.0 - config.beta - config.gamma) / n_batch
-            examples = []
-            with _phase2_stage(optimizer, epoch, "evidence"):
-                points = iter(embed_query_rows(table, gated))
-                for q, i in zip(batch, order[start : start + config.batch_size]):
-                    evidence = np.empty((0, config.dim))
-                    if q.id in subgraphs:  # the generator reads only the rows' mean
-                        top = _top_items(config, next(points), index)
-                        rows = index.evidence(_relevant(head, q, items, top), subgraphs[q.id])
-                        evidence = np.mean(rows, axis=0, keepdims=True) if len(rows) else rows
-                    dropped = apply_query_dropout(q, p_t, seed=(config.seed, epoch, int(i)))
-                    examples.append(GenExample(dropped, evidence, gold[q.id]))
-            with _phase2_stage(optimizer, epoch, "generation"):
-                terms = example_losses_and_grad(
-                    generator, table, examples, bundle.token_embeddings,
-                    config.alpha, config.epsilon, config.ot_max_iter,
-                )
-            for local, sqrt_cost, grad_logits, z in terms:
-                sums["local"] += local
-                sums["global"] += sqrt_cost
-                grads["gen.weight"] += gen_scale * np.outer(grad_logits, z)
-                grads["gen.bias"] += gen_scale * grad_logits
-
-            optimizer.step(grads)
-
-        l_crm = sums["crm"] / counts["crm"] if counts["crm"] else 0.0
-        l_geo = sums["geo"] / counts["geo"] if counts["geo"] else 0.0
-        l_local = sums["local"] / n
-        l_global = sums["global"] / n
-        l_gen = gen_loss(l_local, l_global, config.alpha)
-        reports.append(
-            LossReport(
-                step=epoch,
-                l_crm=l_crm,
-                l_geo=l_geo,
-                l_local=l_local,
-                l_global=l_global,
-                l_gen=l_gen,
-                l_total=total_loss(l_crm, l_geo, l_gen, config.beta, config.gamma),
-                delta_rate=len(gated_all) / n,
-                beta=config.beta,
-                gamma=config.gamma,
-            )
-        )
-
-    with _phase2_stage(optimizer, config.epochs, "index"):  # the trained table's final check
-        index = ReadIndex.build(table, bundle.graph, items)
-        query_rows = _query_rows(table, queries, subgraphs)
     components = PipelineComponents(
         config=config,
         table=table,
@@ -592,12 +611,28 @@ def run_training(
         theta=theta,
         generator=generator,
         graph=bundle.graph,
-        items=items,
+        items=bundle.items,
         token_embeddings=bundle.token_embeddings,
-        sigmas=sigmas,
+        sigmas=fixtures.sigmas,
         answer_len=bundle.spec.answer_len,
-    )._set_state(ServeState(index, sweep_keys, query_rows))
-    return components, reports
+    )
+
+    rng = np.random.default_rng(config.seed)
+    reports: list[LossReport] = []
+    for epoch in range(1, config.epochs + 1):
+        sums = {"crm": 0.0, "geo": 0.0, "local": 0.0, "global": 0.0}
+        counts = {"crm": 0, "geo": 0}
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            positions = order[start : start + config.batch_size]
+            batch = [queries[i] for i in positions]
+            _phase2_step(components, fixtures, optimizer, epoch, batch, positions, sums, counts)
+        reports.append(_epoch_report(config, epoch, sums, counts, n, fixtures.delta_rate))
+
+    with _phase2_stage(optimizer, config.epochs, "index"):  # the trained table's final check
+        index = ReadIndex.build(table, bundle.graph, bundle.items)
+        query_rows = _query_rows(table, queries, fixtures.subgraphs)
+    return components._set_state(ServeState(index, fixtures.sweep_keys, query_rows)), reports
 
 
 def answer_query(components: PipelineComponents, query: Query) -> AnswerResult:

@@ -18,13 +18,10 @@ from hyperrag.alignment import (
     id_ranks,
     item_tangent_rows,
     nearest_rows,
-    positive_pairs,
-    train_alignment,
 )
 from hyperrag.errors import (
     ConfigurationError,
     ContractViolation,
-    DivergenceError,
     InvalidPointError,
 )
 from hyperrag.conformance import origin_tangents, scalar_lift
@@ -36,7 +33,7 @@ from hyperrag.geometry import (
     origin,
     origin_log_rows,
 )
-from hyperrag.pipeline import PipelineConfig
+from hyperrag.pipeline import PipelineConfig, run_training
 from hyperrag.spectral import KnowledgeGraph
 from hyperrag.synth import SynthSpec, synth_bundle
 
@@ -56,28 +53,6 @@ def zero_table(dim=3, d_in=4):
         table.weight[key][:] = 0.0
         table.bias[key][:] = 0.0
     return table
-
-
-def cluster_corpus(rng, num_clusters=3, per_cluster=6, feat=6, sep=6.0, noise=0.2):
-    centers = sep * np.eye(num_clusters, feat)
-    items, queries, positives = [], [], {}
-    for c in range(num_clusters):
-        for j in range(per_cluster):
-            mod = "visual" if j % 2 == 0 else "textual"
-            feats = centers[c] + noise * rng.standard_normal(feat)
-            items.append(KnowledgeItem(f"i{c}{j}", mod, feats))
-    for c in range(num_clusters):
-        for j in range(4):
-            qid = f"q{c}{j}"
-            queries.append(
-                Query(
-                    qid,
-                    centers[c] + noise * rng.standard_normal(feat),
-                    centers[c] + noise * rng.standard_normal(feat),
-                )
-            )
-            positives[qid] = [f"i{c}{j2}" for j2 in range(3)]
-    return queries, items, positives
 
 
 class TestRecordFeatures:
@@ -113,16 +88,15 @@ class TestRecordFeatures:
 class TestEmbed:
     def test_for_corpus_takes_the_triplet_width_from_the_graph(self):
         bundle = synth_bundle(SynthSpec(num_queries=4, num_items=8, num_clusters=2, graph_size=6))
-        corpus = (bundle.queries, bundle.items, 4)
+        corpus = (bundle.queries, bundle.items, 4, 0)
         query_width = bundle.queries[0].combined_features.size
         vertex_width = bundle.graph.vertices[0].features.size
         assert vertex_width != query_width  # else the default could not be told apart
         table = EmbeddingTable.for_corpus(*corpus, graph=bundle.graph)
         assert table.input_dims["graph_triplet"] == vertex_width
         # Without vertices to read, the triplet map takes the query block size.
-        for graph in (None, KnowledgeGraph((), (), ())):
-            table = EmbeddingTable.for_corpus(*corpus, graph=graph)
-            assert table.input_dims["graph_triplet"] == query_width
+        table = EmbeddingTable.for_corpus(*corpus, graph=KnowledgeGraph((), (), ()))
+        assert table.input_dims["graph_triplet"] == query_width
 
     def test_zero_table_maps_to_origin(self, rng):
         table = zero_table()
@@ -168,19 +142,21 @@ class TestItemTangentRows:
 
     def test_default_bundle(self):
         bundle = synth_bundle(SynthSpec())
-        table = EmbeddingTable.for_corpus(bundle.queries, bundle.items, 128, seed=3)
+        table = EmbeddingTable.for_corpus(bundle.queries, bundle.items, 128, 3, bundle.graph)
         rows = item_tangent_rows(table, bundle.items)
         assert rows.shape == (len(bundle.items), 128)
         assert np.array_equal(rows, self.scalar_rows(table, bundle.items))
         picked = [bundle.items[i] for i in (7, 3, 400, 3)]
         assert np.array_equal(item_tangent_rows(table, picked), rows[[7, 3, 400, 3]])
 
-    def test_trained_table(self, rng):
-        queries, items, positives = cluster_corpus(rng)
-        config = PipelineConfig(dim=6, lr=0.5, epochs=3, seed=2)
-        table, _ = train_alignment(queries, items, positives, config)
-        rows = item_tangent_rows(table, items)
-        assert np.array_equal(rows, self.scalar_rows(table, items))
+    def test_trained_table(self):
+        bundle = synth_bundle(
+            SynthSpec(num_queries=12, num_items=24, num_clusters=3, graph_size=18, seed=5)
+        )
+        config = PipelineConfig(dim=6, lr=0.5, epochs=3, batch_size=4, k=3, crm_epochs=2, seed=2)
+        table = run_training(config, bundle)[0].table
+        rows = item_tangent_rows(table, bundle.items)
+        assert np.array_equal(rows, self.scalar_rows(table, bundle.items))
 
     def test_empty(self):
         assert item_tangent_rows(make_table(dim=5), []).shape == (0, 5)
@@ -213,7 +189,7 @@ class TestQueryRows:
 
     def test_default_bundle_rows_and_tangents(self):
         bundle = synth_bundle(SynthSpec())
-        table = EmbeddingTable.for_corpus(bundle.queries, bundle.items, 128, seed=3)
+        table = EmbeddingTable.for_corpus(bundle.queries, bundle.items, 128, 3, bundle.graph)
         rows = embed_query_rows(table, bundle.queries)
         base = origin(128)
         points = [query_point(table, q) for q in bundle.queries]
@@ -254,7 +230,7 @@ class TestGeoLoss:
         table = zero_table()
         q = Query("q", np.ones(4), np.ones(4))
         pos = [KnowledgeItem("a", "visual", np.ones(4))]
-        assert geo_loss_and_grads(table, [(q, pos)], want_grads=False)[0] == 0.0
+        assert geo_loss_and_grads(table, [(q, pos)])[0] == 0.0
 
     def test_single_pair_each_modality(self):
         # Query at the origin, one visual and one textual positive each at
@@ -267,7 +243,7 @@ class TestGeoLoss:
             KnowledgeItem("v", "visual", np.array([1.0, 0.0])),
             KnowledgeItem("t", "textual", np.array([1.0, 0.0])),
         ]
-        loss, _ = geo_loss_and_grads(table, [(q, pos)], want_grads=False)
+        loss, _ = geo_loss_and_grads(table, [(q, pos)])
         assert_allclose(loss, 2.0 * ACOSH_SQRT2, rtol=1e-12)
 
     def test_batch_order_invariance(self, rng):
@@ -281,37 +257,35 @@ class TestGeoLoss:
             ]
             batch.append((q, pos))
         shuffled = [batch[i] for i in rng.permutation(6)]
-        loss, _ = geo_loss_and_grads(table, batch, want_grads=False)
-        assert abs(loss - geo_loss_and_grads(table, shuffled, want_grads=False)[0]) <= 1e-12
+        loss, _ = geo_loss_and_grads(table, batch)
+        assert abs(loss - geo_loss_and_grads(table, shuffled)[0]) <= 1e-12
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolation):
-            geo_loss_and_grads(make_table(), [], want_grads=False)
+            geo_loss_and_grads(make_table(), [])
 
     def test_query_without_positives_rejected(self):
         q = Query("q", np.zeros(4), np.zeros(4))
         with pytest.raises(ContractViolation):
-            geo_loss_and_grads(make_table(), [(q, [])], want_grads=False)
+            geo_loss_and_grads(make_table(), [(q, [])])
 
     def test_graph_triplet_positive_rejected(self):
         q = Query("q", np.zeros(4), np.zeros(4))
         bad = KnowledgeItem("g", "graph_triplet", np.zeros(4))
         with pytest.raises(ContractViolation):
-            geo_loss_and_grads(make_table(), [(q, [bad])], want_grads=False)
+            geo_loss_and_grads(make_table(), [(q, [bad])])
 
     def test_nonnegative(self, rng):
         table = make_table(seed=11)
         q = Query("q", rng.standard_normal(4), rng.standard_normal(4))
         pos = [KnowledgeItem("p", "visual", rng.standard_normal(4))]
-        assert geo_loss_and_grads(table, [(q, pos)], want_grads=False)[0] >= 0.0
+        assert geo_loss_and_grads(table, [(q, pos)])[0] >= 0.0
 
 
-def per_pair_geo_loss_and_grads(table, batch, want_grads=True):
+def per_pair_geo_loss_and_grads(table, batch):
     """Oracle for ``geo_loss_and_grads``: one scalar distance and gradient
     per (query, positive) pair, added one at a time in batch order."""
-    grads = None
-    if want_grads:
-        grads = {name: np.zeros_like(arr) for name, arr in table.named_params()}
+    grads = {name: np.zeros_like(arr) for name, arr in table.named_params()}
     total = 0.0
     inv_b = 1.0 / len(batch)
     for query, positives in batch:
@@ -325,8 +299,6 @@ def per_pair_geo_loss_and_grads(table, batch, want_grads=True):
             for item in group:
                 i_pt = item_point(table, item)
                 total += coeff * geodesic_distance(q_pt, i_pt)
-                if not want_grads:
-                    continue
                 gq = coeff * distance_spatial_grad(q_pt, i_pt)
                 gi = coeff * distance_spatial_grad(i_pt, q_pt)
                 grads[f"weight.{QUERY_KEY}"] += np.outer(gq, q_feat)
@@ -386,8 +358,7 @@ class TestGeoLossMatchesPerPair:
         for name in want:
             assert grads[name].shape == want[name].shape
             assert np.array_equal(grads[name], want[name]), name
-        assert geo_loss_and_grads(table, batch, want_grads=False) == (want_loss, None)
-
+        
     def test_bad_query_map_is_an_invalid_point_without_warnings(self):
         table = make_table()
         table.weight["query"][0, 0] = np.inf
@@ -396,91 +367,6 @@ class TestGeoLossMatchesPerPair:
             warnings.simplefilter("error")
             with pytest.raises(InvalidPointError, match="non-finite"):
                 geo_loss_and_grads(table, [(Query("q", np.ones(4), np.ones(4)), [item])])
-
-
-class TestTrainAlignment:
-    def test_already_optimal_corpus_stays_at_zero(self):
-        # Zero feature vectors embed to the origin under any zero-bias
-        # affine map, so the initial table is already optimal.
-        queries = [Query("q0", np.zeros(3), np.zeros(3))]
-        items = [KnowledgeItem("i0", "visual", np.zeros(3))]
-        config = PipelineConfig(dim=3, lr=0.1, epochs=4, seed=1)
-        _, losses = train_alignment(queries, items, {"q0": ["i0"]}, config)
-        assert losses == [0.0, 0.0, 0.0, 0.0]
-
-    def test_cluster_corpus_loss_halves(self, rng):
-        queries, items, positives = cluster_corpus(rng)
-        config = PipelineConfig(dim=4, lr=0.01, epochs=100, batch_size=4, seed=2)
-        table, losses = train_alignment(queries, items, positives, config)
-        initial, _ = geo_loss_and_grads(
-            EmbeddingTable.for_corpus(queries, items, 4, seed=2),
-            positive_pairs(queries, items, positives),
-            want_grads=False,
-        )
-        assert losses[-1] <= 0.5 * initial
-
-    def test_seed_reproducibility(self, rng):
-        corpus = cluster_corpus(rng)
-        config = PipelineConfig(dim=4, lr=0.02, epochs=5, batch_size=4, seed=9)
-        _, t1 = train_alignment(*corpus, config)
-        _, t2 = train_alignment(*corpus, config)
-        assert t1 == t2
-
-    def test_divergence_reports_step(self, rng):
-        corpus = cluster_corpus(rng, num_clusters=2, per_cluster=4)
-        config = PipelineConfig(dim=3, lr=1e200, epochs=3, seed=0)
-        with pytest.raises(DivergenceError) as exc_info:
-            train_alignment(*corpus, config)
-        assert exc_info.value.step is not None
-
-    def test_full_batch_epoch_loss_is_the_step_loss(self, rng):
-        # The first epoch reports the loss of the pass that took its one
-        # step: the loss of the initial table, summed in shuffled order.
-        queries, items, positives = cluster_corpus(rng)
-        config = PipelineConfig(dim=4, lr=0.05, epochs=2, batch_size=64, seed=3)
-        _, losses = train_alignment(queries, items, positives, config)
-        initial, _ = geo_loss_and_grads(
-            EmbeddingTable.for_corpus(queries, items, 4, seed=3),
-            positive_pairs(queries, items, positives),
-            want_grads=False,
-        )
-        assert losses[0] == pytest.approx(initial, rel=1e-12, abs=0.0)
-
-    def test_divergence_on_the_last_step_is_caught(self, rng):
-        corpus = cluster_corpus(rng, num_clusters=2, per_cluster=4)
-        config = PipelineConfig(dim=3, lr=1e200, epochs=1, batch_size=64, seed=0)
-        with pytest.raises(DivergenceError, match="alignment diverged") as exc_info:
-            train_alignment(*corpus, config)
-        assert exc_info.value.step == 1
-
-    def test_bad_config(self, rng):
-        corpus = cluster_corpus(rng)
-        for bad in (PipelineConfig(lr=0.0), PipelineConfig(seed=-1)):
-            with pytest.raises(ConfigurationError):
-                train_alignment(*corpus, bad)
-
-    def test_empty_corpus(self):
-        with pytest.raises(ContractViolation):
-            train_alignment([], [], {}, PipelineConfig())
-
-    def test_queries_without_positives_are_left_out(self, rng):
-        # A query with no positive adds no pair, so training keeps the bits
-        # of the corpus without it.
-        queries, items, positives = cluster_corpus(rng)
-        lone = Query("q-lone", np.ones(6), np.ones(6))
-        pairs = positive_pairs(queries + [lone], items, {**positives, lone.id: []})
-        assert [q.id for q, _ in pairs] == [q.id for q in queries]
-        config = PipelineConfig(dim=4, lr=0.02, epochs=3, batch_size=4, seed=9)
-        with_lone, losses = train_alignment(queries + [lone], items, positives, config)
-        without, want = train_alignment(queries, items, positives, config)
-        assert losses == want
-        for (_, got), (_, arr) in zip(with_lone.named_params(), without.named_params()):
-            assert np.array_equal(got, arr)
-
-    def test_no_positive_at_all_is_a_contract_violation(self, rng):
-        queries, items, _ = cluster_corpus(rng)
-        with pytest.raises(ContractViolation, match="no query has a positive item"):
-            train_alignment(queries, items, {}, PipelineConfig(dim=4))
 
 
 def nearest_items(table, query, corpus, k):
@@ -607,15 +493,3 @@ class TestRetrieve:
         q = Query("q", np.zeros(4), np.zeros(4))
         corpus = [KnowledgeItem("i", "visual", np.zeros(4))]
         assert nearest_items(table, q, corpus, 0) == []
-
-
-class TestPostTrainingRetrieval:
-    def test_top1_within_cluster(self, rng):
-        queries, items, positives = cluster_corpus(rng, per_cluster=8)
-        config = PipelineConfig(dim=4, lr=0.02, epochs=60, batch_size=4, seed=3)
-        table, _ = train_alignment(queries, items, positives, config)
-        hits = 0
-        for q in queries:
-            top = nearest_items(table, q, items, 1)[0][0]
-            hits += top.id[1] == q.id[1]  # cluster digit embedded in the ids
-        assert hits / len(queries) >= 0.95

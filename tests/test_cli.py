@@ -193,35 +193,18 @@ class TestSynth:
 
 
 class TestStageCommands:
-    def test_align_one_record_per_epoch(self, workdir, capsys):
-        code, out, _ = run_cli(["align", *base_args(workdir)], capsys)
-        assert code == 0
-        recs = records(out)
-        assert [r["epoch"] for r in recs] == [1, 2, 3]
-        assert all(r["geo_loss"] > 0 for r in recs)
-
-    def test_align_trains_where_train_all_does(self, workdir, tmp_path, capsys):
-        # A query with no positives adds no alignment pair, in both commands.
+    def test_train_all_trains_where_a_query_has_no_positive(self, workdir, tmp_path, capsys):
+        # A query with no positives adds no alignment pair.
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
         lines = (bundle / "positives.tsv").read_text().splitlines()
         kept = [line for line in lines if not line.startswith("q0000\t")]
         assert 0 < len(kept) < len(lines)
         (bundle / "positives.tsv").write_text("".join(f"{line}\n" for line in kept))
-        for command in ("align", "train-all"):
-            argv = [command, "--bundle", str(bundle), "--config", str(workdir / "cfg.json")]
-            code, out, err = run_cli(argv, capsys)
-            assert (code, err) == (0, "")
-            assert len(records(out)) == TINY_CONFIG["epochs"]
-
-    def test_align_saves_table(self, workdir, capsys):
-        out_dir = workdir / "align_out"
-        code, out, _ = run_cli(["align", *base_args(workdir), "--out", str(out_dir)], capsys)
-        assert code == 0
-        table = load_table(out_dir / "table.npz")
-        assert table.dim == TINY_CONFIG["dim"]
-        stream = (out_dir / "align.jsonl").read_text()
-        assert stream == out
+        argv = ["train-all", "--bundle", str(bundle), "--config", str(workdir / "cfg.json")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert len(records(out)) == TINY_CONFIG["epochs"]
 
     def test_crm_epochs_then_theta(self, workdir, capsys):
         code, out, _ = run_cli(["crm", *base_args(workdir)], capsys)

@@ -220,11 +220,29 @@ class TestEnvelopeGradient:
         assert new_value < value
 
 
+def reference_logsumexp(a, axis=None, keepdims=False):
+    """``scipy.special.logsumexp`` of a real array as scipy 1.17 computes
+    it, in plain NumPy and without its array-API dispatch: mask every
+    maximal entry, m = their count, log1p(sum(exp(a - max)) / m) + log(m)
+    + max, and log(sum(exp(a))) where that is not finite.  It shares no
+    code with ``transport``."""
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+    out = np.where(np.isfinite(out), out, direct)
+    return (out if keepdims else np.squeeze(out, axis=axis))[()]
+
+
 def old_potentials(p, q, epsilon, max_iter):
     """``sinkhorn_potentials`` as it was before the shared plan helpers.
-    Its reductions are scipy's ``logsumexp``, which ``TestLogSumExp`` shows
-    ``transport._logsumexp`` matches bit for bit, so this reference does not
-    move with the production reduction."""
+    Its reductions are ``reference_logsumexp``, which ``TestLogSumExp`` shows
+    scipy's ``logsumexp`` and ``transport._logsumexp`` both match bit for
+    bit, so this reference does not move with the production reduction."""
     cost = squared_cost_matrix(p, q)
     pw, qw = p.weights, q.weights
     with np.errstate(divide="ignore"):
@@ -242,11 +260,11 @@ def old_potentials(p, q, epsilon, max_iter):
     for stage, eps in enumerate(ladder):
         last_stage = stage == len(ladder) - 1
         while iters_used < max_iter:
-            f = -eps * scipy.special.logsumexp((g[None, :] - cost) / eps + log_q[None, :], axis=1)
-            g = -eps * scipy.special.logsumexp((f[:, None] - cost) / eps + log_p[:, None], axis=0)
+            f = -eps * reference_logsumexp((g[None, :] - cost) / eps + log_q[None, :], axis=1)
+            g = -eps * reference_logsumexp((f[:, None] - cost) / eps + log_p[:, None], axis=0)
             iters_used += 1
             log_pi = (f[:, None] + g[None, :] - cost) / eps + log_p[:, None] + log_q[None, :]
-            rows = np.exp(scipy.special.logsumexp(log_pi, axis=1))
+            rows = np.exp(reference_logsumexp(log_pi, axis=1))
             violation = float(np.max(np.abs(rows - pw)))
             if violation < transport.SINKHORN_TARGET:
                 break
@@ -263,7 +281,7 @@ def old_entropic_plan(p, q, epsilon, f, g):
         log_p = np.where(p.weights > 0, np.log(np.where(p.weights > 0, p.weights, 1.0)), -np.inf)
         log_q = np.where(q.weights > 0, np.log(np.where(q.weights > 0, q.weights, 1.0)), -np.inf)
     log_pi = (f[:, None] + g[None, :] - cost) / epsilon + log_p[:, None] + log_q[None, :]
-    log_pi = log_pi - scipy.special.logsumexp(log_pi)
+    log_pi = log_pi - reference_logsumexp(log_pi)
     return np.exp(log_pi)
 
 
@@ -545,7 +563,8 @@ LSE_ELEMENTS = st.one_of(
 
 class TestLogSumExp:
     """transport._logsumexp keeps scipy.special.logsumexp's arithmetic, so
-    Sinkhorn outputs (and the pinned training digests) keep their bits."""
+    Sinkhorn outputs (and the pinned training digests) keep their bits; the
+    test references' ``reference_logsumexp`` keeps it too."""
 
     # 2-D matrices and 3-D stacks whose last axis is 1 to 9 wide: the
     # column chains below 8 columns and numpy's reduce from 8 are both
@@ -565,10 +584,11 @@ class TestLogSumExp:
     )
     def test_bit_identical_to_scipy(self, a, axis, keepdims):
         expected = np.asarray(scipy.special.logsumexp(a, axis=axis, keepdims=keepdims))
-        got = np.asarray(transport._logsumexp(a, axis=axis, keepdims=keepdims))
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        for lse in (transport._logsumexp, reference_logsumexp):
+            got = np.asarray(lse(a, axis=axis, keepdims=keepdims))
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     @pytest.mark.parametrize(
         "gold",
