@@ -193,8 +193,9 @@ class TestSynth:
 
 
 class TestStageCommands:
-    def test_train_all_trains_where_a_query_has_no_positive(self, workdir, tmp_path, capsys):
-        # A query with no positives adds no alignment pair.
+    def test_align_trains_where_train_all_does(self, workdir, tmp_path, capsys):
+        # The alignment term trains inside train-all, the table's one
+        # trainer, where a query with no positives adds no alignment pair.
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
         lines = (bundle / "positives.tsv").read_text().splitlines()
@@ -204,7 +205,9 @@ class TestStageCommands:
         argv = ["train-all", "--bundle", str(bundle), "--config", str(workdir / "cfg.json")]
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
-        assert len(records(out)) == TINY_CONFIG["epochs"]
+        recs = records(out)
+        assert len(recs) == TINY_CONFIG["epochs"]
+        assert all(math.isfinite(r["l_geo"]) and r["l_geo"] > 0 for r in recs)
 
     def test_crm_epochs_then_theta(self, workdir, capsys):
         code, out, _ = run_cli(["crm", *base_args(workdir)], capsys)
